@@ -13,6 +13,7 @@
 #include "src/core/llmnpu_engine.h"
 #include "src/engines/baselines.h"
 #include "src/serving/simulator.h"
+#include "tests/support/schedule_hash.h"
 #include "tests/support/timeline_asserts.h"
 #include "tests/support/tiny_model.h"
 
@@ -372,6 +373,171 @@ TEST_F(ServingFixture, ReportAggregatesMatchRecords)
     EXPECT_LE(report.npu_utilization, 1.0 + 1e-9);
     EXPECT_EQ(report.preemptions, result.preemptions);
     EXPECT_FALSE(report.Summary().empty());
+}
+
+// ------------------------------------------------ golden schedule hashes
+
+/**
+ * One entry of the golden matrix: 120 requests at seed 2026 over the
+ * paper's dataset mixture, a mechanism-specific option set, the
+ * fingerprint of the run it must reproduce, and a check that the
+ * mechanism the entry exists for actually fired (a hash of a run where
+ * nothing happened would pin nothing).
+ */
+struct GoldenCase {
+    const char* name;
+    DecodePlacement engine_decode;
+    uint64_t hash;
+    void (*configure)(ServingOptions&, ServingCostModel&);
+    void (*fired)(const ServingResult&);
+};
+
+ServingOptions
+GoldenBase()
+{
+    ServingOptions options;
+    options.num_requests = 120;
+    options.seed = 2026;
+    return options;
+}
+
+bool
+PrefillReordered(const ServingResult& result)
+{
+    double prev = -1.0;
+    for (const RequestRecord& record : result.records) {
+        if (record.prefill_done_ms >= 0.0 && record.prefill_done_ms < prev) {
+            return true;
+        }
+        prev = std::max(prev, record.prefill_done_ms);
+    }
+    return false;
+}
+
+bool
+RanDecodeOn(const ServingResult& result, DecodePlacement placement)
+{
+    for (const ReplayStep& step : result.replay_steps) {
+        if (std::find(step.placements.begin(), step.placements.end(),
+                      placement) != step.placements.end()) {
+            return true;
+        }
+    }
+    return false;
+}
+
+void
+ChunkAndDecodeFaults(ServingOptions& options)
+{
+    options.faults.chunk_failure_prob = 0.1;
+    options.faults.chunk_stall_prob = 0.05;
+    options.faults.decode_failure_prob = 0.2;
+    options.faults.circuit_breaker_k = 2;
+}
+
+const GoldenCase kGoldenCases[] = {
+    {"default", DecodePlacement::kCpuFloat, 0x8fcacb48e5471560ULL,
+     [](ServingOptions&, ServingCostModel&) {},
+     [](const ServingResult& r) { EXPECT_GT(r.preemptions, 0); }},
+    {"spf_closed_loop", DecodePlacement::kCpuFloat, 0x584e901c8a5ca4a9ULL,
+     [](ServingOptions& o, ServingCostModel&) {
+         o.queue_policy = MakeQueuePolicy(SchedPolicy::kShortestPromptFirst);
+         o.closed_loop = true;
+         o.num_clients = 6;
+         o.think_time_ms = 50.0;
+     },
+     [](const ServingResult& r) { EXPECT_TRUE(PrefillReordered(r)); }},
+    {"slo_edf_pool128", DecodePlacement::kCpuFloat, 0x388415e060cacaf4ULL,
+     [](ServingOptions& o, ServingCostModel&) {
+         o.queue_policy = MakeQueuePolicy(SchedPolicy::kSloEdf);
+         o.rate_rps = 8.0;
+         o.kv_pool_pages = 128;
+     },
+     [](const ServingResult& r) { EXPECT_GT(r.evictions, 0); }},
+    {"shared_prefix_pool96", DecodePlacement::kCpuFloat, 0x39e2f92a0daffa0cULL,
+     [](ServingOptions& o, ServingCostModel&) {
+         o.rate_rps = 2.0;
+         o.kv_pool_pages = 96;
+         o.shared_prefix.prefix_len = 256;
+         o.shared_prefix.share_fraction = 0.5;
+         o.shed_expired_queued = true;
+     },
+     [](const ServingResult& r) {
+         EXPECT_GT(r.shed, 0);
+         EXPECT_GT(r.shared_prefix_drops, 0);
+         EXPECT_GT(r.evictions, 0);
+     }},
+    {"faults_breaker_k2", DecodePlacement::kNpuQuant, 0xd450992f39207fafULL,
+     [](ServingOptions& o, ServingCostModel&) {
+         o.rate_rps = 2.0;
+         ChunkAndDecodeFaults(o);
+     },
+     [](const ServingResult& r) {
+         EXPECT_GT(r.faults, 0);
+         EXPECT_GT(r.retries, 0);
+         EXPECT_GT(r.failovers, 0);
+     }},
+    {"pool_shrink_256_to_64", DecodePlacement::kCpuFloat, 0x0cd5832208d7e56cULL,
+     [](ServingOptions& o, ServingCostModel&) {
+         o.rate_rps = 2.0;
+         o.kv_pool_pages = 256;
+         o.faults.pool_shrink_at_ms = 20000.0;
+         o.faults.pool_shrink_to = 0.25;
+     },
+     [](const ServingResult& r) {
+         EXPECT_EQ(r.kv_pool_pages_live, 64);
+         EXPECT_LT(r.kv_pool_pages_live, r.kv_pool_pages);
+         EXPECT_GT(r.evictions + r.shed, 0);
+     }},
+    {"thermal_brownout", DecodePlacement::kCpuFloat, 0x59d18d584c60d932ULL,
+     [](ServingOptions& o, ServingCostModel&) {
+         o.rate_rps = 2.0;
+         o.slo_factor = 1.5;
+         o.faults.thermal.enabled = true;
+         o.faults.thermal.heat_c_per_busy_ms = 0.5;
+         o.faults.thermal.cool_tau_ms = 5000.0;
+         o.faults.thermal.throttle_start_c = 35.0;
+         o.faults.thermal.throttle_full_c = 55.0;
+         o.faults.thermal.max_slowdown = 3.0;
+         o.faults.brownout_shedding = true;
+     },
+     [](const ServingResult& r) {
+         EXPECT_GT(r.npu_throttled_frac, 0.0);
+         EXPECT_GT(r.shed, 0);
+     }},
+    {"predicted_placement_admission_faults", DecodePlacement::kCpuFloat,
+     0x5443680840dd080eULL,
+     [](ServingOptions& o, ServingCostModel& costs) {
+         o.rate_rps = 4.0;
+         o.slo_factor = 6.0;
+         o.max_decode_batch = 32;
+         o.placement_policy = std::make_shared<PredictedPlacement>(costs);
+         o.admission_policy = std::make_shared<PredictedSloAdmission>();
+         ChunkAndDecodeFaults(o);
+     },
+     [](const ServingResult& r) {
+         EXPECT_GT(r.rejected, 0);
+         EXPECT_GT(r.faults, 0);
+         EXPECT_TRUE(RanDecodeOn(r, DecodePlacement::kNpuQuant));
+     }},
+};
+
+TEST_F(ServingFixture, GoldenScheduleHashesAreUnchanged)
+{
+    for (const GoldenCase& golden : kGoldenCases) {
+        SCOPED_TRACE(golden.name);
+        LlmNpuOptions engine_options;
+        engine_options.decode_placement = golden.engine_decode;
+        LlmNpuEngine engine(engine_options);
+        ServingCostModel costs(engine, qwen_, soc_);
+        ServingOptions options = GoldenBase();
+        golden.configure(options, costs);
+        const ServingResult result =
+            ServingSimulator(costs, mix_, options).Run();
+        golden.fired(result);
+        EXPECT_EQ(ScheduleHash(result), golden.hash)
+            << std::hex << "0x" << ScheduleHash(result);
+    }
 }
 
 TEST_F(ServingFixture, ServingWorksOverBaselineEnginesToo)
