@@ -96,7 +96,6 @@ TraceTinyReplay(const char* sink_path)
     ServingCostModel costs(engine, qwen, soc);
 
     ServingOptions options;
-    options.policy = SchedPolicy::kFcfs;
     options.num_requests = 6;
     options.rate_rps = 50.0;
     options.seed = 7;

@@ -78,7 +78,6 @@ RunTracedScenario(const char* path, ServingCostModel& costs,
     tracer.Reset();
 
     ServingOptions options;
-    options.policy = SchedPolicy::kFcfs;
     options.num_requests = 6;
     options.rate_rps = 50.0;
     options.seed = 7;
@@ -154,7 +153,7 @@ Run(const char* trace_path, uint64_t seed)
         const double rate = ratio * capacity_rps;
         for (SchedPolicy policy : policies) {
             ServingOptions options;
-            options.policy = policy;
+            options.queue_policy = MakeQueuePolicy(policy);
             options.rate_rps = rate;
             options.num_requests = num_requests;
             options.seed = seed;
@@ -241,7 +240,6 @@ Run(const char* trace_path, uint64_t seed)
                          : nullptr;
         for (int depth : batch_depths) {
             ServingOptions options;
-            options.policy = SchedPolicy::kFcfs;
             options.placement_policy = policy_object;
             options.rate_rps = (smoke ? 1.5 : 1.2) * capacity_rps;
             options.num_requests = num_requests;
@@ -259,7 +257,7 @@ Run(const char* trace_path, uint64_t seed)
                  HumanMs(report.tpot_mean_ms), HumanMs(report.ttft_p99_ms),
                  HumanMs(report.e2e_p99_ms),
                  StrFormat("%d", report.preemptions)});
-            EmitMetric("decode_placement", options.policy, options.rate_rps,
+            EmitMetric("decode_placement", SchedPolicy::kFcfs, options.rate_rps,
                        smoke ? 1.5 : 1.2, report, row_name,
                        options.max_decode_batch);
         }
@@ -326,7 +324,6 @@ Run(const char* trace_path, uint64_t seed)
                 LlmNpuEngine placed_engine(engine_options);
                 ServingCostModel placed_costs(placed_engine, config, soc);
                 ServingOptions options;
-                options.policy = SchedPolicy::kFcfs;
                 options.rate_rps = ratio * sweep_capacity_rps;
                 options.num_requests = sweep_requests;
                 options.seed = seed;
@@ -401,7 +398,6 @@ Run(const char* trace_path, uint64_t seed)
             for (const std::string& admission_name :
                  AdmissionPolicyRegistry()) {
                 ServingOptions options;
-                options.policy = SchedPolicy::kFcfs;
                 options.rate_rps = ratio * sweep_capacity_rps;
                 options.num_requests = sweep_requests;
                 options.seed = seed;
@@ -464,7 +460,6 @@ Run(const char* trace_path, uint64_t seed)
                   : std::vector<int64_t>{64, 128, 256, 512};
         for (int64_t pool : pool_sizes) {
             ServingOptions options;
-            options.policy = SchedPolicy::kFcfs;
             options.rate_rps = kv_ratio * capacity_rps;
             options.num_requests = kv_requests;
             options.seed = seed;
@@ -527,7 +522,6 @@ Run(const char* trace_path, uint64_t seed)
         for (int64_t pool : shared_pools) {
             for (double fraction : fractions) {
                 ServingOptions options;
-                options.policy = SchedPolicy::kFcfs;
                 options.rate_rps = 3.0 * shared_capacity_rps;
                 options.num_requests = 48;  // pinned across smoke/full
                 options.seed = seed;
@@ -586,11 +580,10 @@ Run(const char* trace_path, uint64_t seed)
     closed.think_time_ms = 500.0;
     closed.num_requests = num_requests;
     closed.seed = seed;
-    closed.policy = SchedPolicy::kFcfs;
     ServingSimulator closed_sim(costs, mix, closed);
     const ServingReport closed_report = closed_sim.Run().Report();
     std::printf("  %s\n", closed_report.Summary().c_str());
-    EmitMetric("closed", closed.policy, 0.0, 0.0, closed_report,
+    EmitMetric("closed", SchedPolicy::kFcfs, 0.0, 0.0, closed_report,
                DecodePlacementName(engine.options().decode_placement),
                closed.max_decode_batch);
 
@@ -616,7 +609,6 @@ Run(const char* trace_path, uint64_t seed)
         for (double rate : fault_rates) {
             for (bool breaker : {false, true}) {
                 ServingOptions options;
-                options.policy = SchedPolicy::kFcfs;
                 options.rate_rps = 0.8 * capacity_rps;
                 options.num_requests = fault_requests;
                 options.seed = seed;
@@ -664,7 +656,6 @@ Run(const char* trace_path, uint64_t seed)
     {
         std::printf("\nMid-run KV pool shrink (fcfs, 256 -> 64 pages):\n");
         ServingOptions options;
-        options.policy = SchedPolicy::kFcfs;
         // Arrivals burst in well ahead of the shrink so the pressure hits
         // admitted, in-flight work (evictions + backpressure), not the
         // admission check.

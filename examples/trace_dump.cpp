@@ -41,7 +41,6 @@ GenerateDemoTrace()
     LlmNpuEngine engine;
     ServingCostModel costs(engine, Qwen15_1_8B(), SocSpec::RedmiK70Pro());
     ServingOptions options;
-    options.policy = SchedPolicy::kFcfs;
     options.num_requests = 4;
     options.rate_rps = 100.0;
     options.seed = 7;

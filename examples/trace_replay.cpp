@@ -32,7 +32,6 @@ main()
     LlmNpuEngine engine;
     ServingCostModel costs(engine, Qwen15_1_8B(), SocSpec::RedmiK70Pro());
     ServingOptions options;
-    options.policy = SchedPolicy::kFcfs;
     options.num_requests = 6;
     options.rate_rps = 100.0;  // heavy load so decode actually batches
     options.seed = 7;

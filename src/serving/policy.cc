@@ -60,13 +60,13 @@ Before(SchedPolicy policy, const QueueEntry& a, const QueueEntry& b,
 }  // namespace
 
 size_t
-PickNext(SchedPolicy policy, const std::vector<QueueEntry>& queue,
-         double now_ms)
+SchedQueuePolicy::Pick(const std::vector<QueueEntry>& queue,
+                       double now_ms) const
 {
     LLMNPU_CHECK(!queue.empty());
     size_t best = 0;
     for (size_t i = 1; i < queue.size(); ++i) {
-        if (Before(policy, queue[i], queue[best], now_ms)) best = i;
+        if (Before(policy_, queue[i], queue[best], now_ms)) best = i;
     }
     return best;
 }

@@ -37,13 +37,9 @@
 
 namespace llmnpu {
 
-/** How the scheduler orders the prefill queue.
- *
- *  Deprecated spelling: this enum predates the QueuePolicy interface
- *  below and is kept source-compatible — ServingOptions::policy still
- *  takes it and constructs the matching SchedQueuePolicy when no
- *  queue_policy object is set. New call sites should set
- *  ServingOptions::queue_policy directly. */
+/** The built-in prefill-queue orders, named for sweeps and bench rows;
+ *  MakeQueuePolicy() turns one into the QueuePolicy the simulator takes
+ *  through ServingOptions::queue_policy. */
 enum class SchedPolicy {
     /** First-come-first-served by arrival time. */
     kFcfs,
@@ -68,17 +64,6 @@ struct QueueEntry {
      *  (deadlines are end-to-end, so feasibility must price decode too). */
     double remaining_total_ms = 0.0;
 };
-
-/**
- * Picks the queue index to run next. `now_ms` lets deadline policies tell
- * feasible requests from already-expired ones. Requires non-empty queue;
- * deterministic (ties break toward the lowest request id).
- *
- * Deprecated spelling of SchedQueuePolicy::Pick; kept for existing call
- * sites.
- */
-size_t PickNext(SchedPolicy policy, const std::vector<QueueEntry>& queue,
-                double now_ms);
 
 // ---------------------------------------------------------------- signals
 
@@ -106,30 +91,28 @@ struct PolicySignals {
 
 // ----------------------------------------------------------- queue policy
 
-/** Orders the prefill queue (interface form of SchedPolicy). */
+/** Orders the prefill queue. */
 class QueuePolicy
 {
   public:
     virtual ~QueuePolicy() = default;
     virtual std::string Name() const = 0;
-    /** Same contract as PickNext(): index of the entry to run next;
+    /** Index of the entry to run next. `now_ms` lets deadline policies
+     *  tell feasible requests from already-expired ones. Requires a
      *  non-empty queue; deterministic. */
     virtual size_t Pick(const std::vector<QueueEntry>& queue,
                         double now_ms) const = 0;
 };
 
-/** The legacy enum behaviors as one named implementation. */
+/** The built-in orders as one named implementation; ties break toward
+ *  the lowest request id. */
 class SchedQueuePolicy : public QueuePolicy
 {
   public:
     explicit SchedQueuePolicy(SchedPolicy policy) : policy_(policy) {}
     std::string Name() const override { return PolicyName(policy_); }
     size_t Pick(const std::vector<QueueEntry>& queue,
-                double now_ms) const override
-    {
-        return PickNext(policy_, queue, now_ms);
-    }
-    SchedPolicy policy() const { return policy_; }
+                double now_ms) const override;
 
   private:
     SchedPolicy policy_;
@@ -308,7 +291,7 @@ const std::vector<std::string>& AdmissionPolicyRegistry();
 std::shared_ptr<AdmissionPolicy> MakeAdmissionPolicy(
     const std::string& name);
 
-/** The QueuePolicy form of a legacy SchedPolicy value. */
+/** The QueuePolicy form of a SchedPolicy value. */
 std::shared_ptr<QueuePolicy> MakeQueuePolicy(SchedPolicy policy);
 
 }  // namespace llmnpu

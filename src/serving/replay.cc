@@ -378,18 +378,4 @@ ReplayServingTrace(const std::vector<ReplayStep>& steps,
     return outcome;
 }
 
-ReplayOutcome
-ReplayServingTrace(const std::vector<ReplayStep>& steps,
-                   const std::vector<RequestRecord>& records,
-                   const Transformer& model, DecodeBackend& backend,
-                   const ReplayPlacement& placement,
-                   const ReplayOptions& options)
-{
-    ReplayOptions unified = options;
-    unified.placement = placement;
-    return ReplayServingTrace(steps, records, model,
-                              static_cast<LinearExecutor&>(backend),
-                              unified);
-}
-
 }  // namespace llmnpu

@@ -123,18 +123,6 @@ ReplayOutcome ReplayServingTrace(const std::vector<ReplayStep>& steps,
                                  LinearExecutor& linears,
                                  const ReplayOptions& options = {});
 
-/**
- * Deprecated spelling of the placement-aware replay; thin wrapper that
- * copies `placement` into ReplayOptions::placement. Prefer the single
- * entry point above.
- */
-ReplayOutcome ReplayServingTrace(const std::vector<ReplayStep>& steps,
-                                 const std::vector<RequestRecord>& records,
-                                 const Transformer& model,
-                                 DecodeBackend& backend,
-                                 const ReplayPlacement& placement,
-                                 const ReplayOptions& options = {});
-
 }  // namespace llmnpu
 
 #endif  // LLMNPU_SERVING_REPLAY_H

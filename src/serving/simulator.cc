@@ -6,6 +6,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/serving/kv_ledger.h"
 #include "src/sim/thermal.h"
 #include "src/util/check.h"
 #include "src/util/format.h"
@@ -35,6 +36,1021 @@ struct PendingPrefill {
         }
         return total;
     }
+};
+
+/** Per-request decode fault-defense state, indexed by request id. */
+struct RequestState {
+    int decode_attempt = 0;        ///< retries of the *current* token
+    int consec_faults = 0;         ///< consecutive NPU faults (breaker)
+    double decode_ready_ms = 0.0;  ///< decode backoff gate
+};
+
+/** One simulation run: the machine, the queues, the KV ledger and the
+ *  fault plane's live state, driven event by event by Run(). */
+class ServingRun
+{
+  public:
+    ServingRun(ServingCostModel& costs,
+               const std::vector<DatasetProfile>& mix,
+               const ServingOptions& options)
+        : costs_(costs),
+          options_(options),
+          fopts_(options.faults),
+          queue_policy_(options.queue_policy
+                            ? options.queue_policy
+                            : MakeQueuePolicy(SchedPolicy::kFcfs)),
+          placement_policy_(options.placement_policy
+                                ? options.placement_policy
+                                : std::make_shared<StaticPlacement>()),
+          admission_policy_(options.admission_policy
+                                ? options.admission_policy
+                                : std::make_shared<ThresholdAdmission>()),
+          dynamic_placement_(placement_policy_->IsDynamic()),
+          fault_plane_(options.faults),
+          inject_on_(options.faults.Enabled()),
+          thermal_(options.faults.thermal),
+          peak_temp_c_(thermal_.temperature_c()),
+          shrink_pending_(options.faults.pool_shrink_at_ms >= 0.0),
+          ledger_(options.num_requests, options.kv_pool_pages,
+                  options.kv_page_size, options.shared_prefix.prefix_len),
+          state_(static_cast<size_t>(options.num_requests)),
+          sampler_(mix, options.seed)
+    {
+        // Off-profile pricing through the calibrated oracle uses the
+        // serving layer's batch marginal.
+        costs_.set_default_batch_marginal(options_.decode_batch_marginal);
+        result_.records.reserve(static_cast<size_t>(options_.num_requests));
+        sampler_.SetSharedPrefix(options_.shared_prefix);
+        if (options_.closed_loop) {
+            const int first_wave =
+                std::min(options_.num_clients, options_.num_requests);
+            client_wakeups_.assign(static_cast<size_t>(first_wave), 0.0);
+            issued_ = first_wave;
+        } else {
+            open_arrivals_ = GeneratePoissonArrivals(
+                mix, options_.rate_rps, options_.num_requests,
+                options_.seed, options_.shared_prefix);
+            issued_ = options_.num_requests;
+        }
+    }
+
+    /** Advances to the earliest of {arrival, chunk completion, decode-step
+     *  completion at the current interference-dependent rate, fault-plane
+     *  wake-up} and handles it; false once all is quiet. A wake-up (retry
+     *  backoff or queued deadline expiring, the pool shrink) is handled by
+     *  the sweeps and dispatch attempts that follow every event. */
+    bool HandleNextEvent()
+    {
+        double t_arrival = kInf;
+        if (options_.closed_loop) {
+            for (double t : client_wakeups_) t_arrival = std::min(t_arrival, t);
+        } else if (next_open_ < open_arrivals_.size()) {
+            t_arrival = open_arrivals_[next_open_].arrival_ms;
+        }
+        const double t_npu = npu_busy_ ? npu_end_ : kInf;
+        const double t_step =
+            step_active_
+                ? step_last_update_ + step_remaining_work_ / DecodeRate()
+                : kInf;
+        double t_aux = kInf;
+        if (inject_on_ || options_.shed_expired_queued) {
+            for (const PendingPrefill& pending : prefill_queue_) {
+                if (pending.ready_ms > now_) {
+                    t_aux = std::min(t_aux, pending.ready_ms);
+                }
+                if (options_.shed_expired_queued) {
+                    const double deadline =
+                        Record(pending.id).request.deadline_ms;
+                    if (deadline > now_) t_aux = std::min(t_aux, deadline);
+                }
+            }
+            for (int id : decode_pool_) {
+                const double ready =
+                    state_[static_cast<size_t>(id)].decode_ready_ms;
+                if (ready > now_) t_aux = std::min(t_aux, ready);
+            }
+            if (shrink_pending_ && fopts_.pool_shrink_at_ms > now_) {
+                t_aux = std::min(t_aux, fopts_.pool_shrink_at_ms);
+            }
+        }
+        const double t_next = std::min({t_arrival, t_npu, t_step, t_aux});
+        if (t_next == kInf) return false;
+        AdvanceTo(t_next);
+        if (t_next == t_arrival) {
+            Arrive();
+        } else if (npu_busy_ && t_next == t_npu) {
+            FinishChunk();
+        } else if (step_active_ && t_next == t_step) {
+            FinishStep();
+        }
+        return true;
+    }
+
+    /** The fault plane's shedding sweeps, run after every event. */
+    void Sweep()
+    {
+        if (shrink_pending_ && now_ >= fopts_.pool_shrink_at_ms) Shrink();
+        if (options_.shed_expired_queued) {
+            // Deadline expiry while queued: a request whose SLO deadline
+            // passed before it ever dispatched is a lost cause — shed it
+            // at the deadline (an accounted SLO miss) and release any
+            // reserved pages instead of burning prefill on it.
+            ShedQueuedIf(
+                [this](const PendingPrefill& pending) {
+                    return Record(pending.id).request.deadline_ms <= now_;
+                },
+                "deadline_expired");
+        }
+        if (ledger_.prefix_pages() > 0 && ledger_.bounded() &&
+            ledger_.prefix_holders() == 0) {
+            // A sharer admitted while the prefix was resident was charged
+            // only its private suffix. With the prefix dropped, one whose
+            // whole once-counted demand no longer fits the live budget can
+            // never dispatch — shed it rather than starving the queue.
+            ShedQueuedIf(
+                [this](const PendingPrefill& pending) {
+                    return ledger_.held(pending.id) == 0 &&
+                           Record(pending.id).request.shared_prefix_len > 0 &&
+                           WholeDemand(pending.id) > ledger_.live_budget();
+                },
+                "prefix_dropped");
+        }
+        if (inject_on_ && fopts_.brownout_shedding && thermal_.Throttled()) {
+            // Brownout: while the die is throttled, queued requests whose
+            // deadline is infeasible even optimistically (remaining prefill
+            // at the current slowdown plus their decode stream) are shed
+            // rather than heating the NPU for work that can only miss.
+            const double scale = thermal_.ServiceScale();
+            ShedQueuedIf(
+                [this, scale](const PendingPrefill& pending) {
+                    const ServingRequest& request =
+                        Record(pending.id).request;
+                    if (request.deadline_ms >= 1e300) return false;
+                    return now_ + pending.RemainingMs() * scale +
+                               pending.profile->decode_token_ms *
+                                   request.output_len >
+                           request.deadline_ms;
+                },
+                "brownout");
+        }
+    }
+
+    void StartChunkIfIdle()
+    {
+        if (npu_busy_ || prefill_queue_.empty()) return;
+        std::vector<QueueEntry> entries;
+        std::vector<size_t> eligible;  // entries[i] <- prefill_queue_ index
+        entries.reserve(prefill_queue_.size());
+        for (size_t qi = 0; qi < prefill_queue_.size(); ++qi) {
+            const PendingPrefill& pending = prefill_queue_[qi];
+            const RequestRecord& record = Record(pending.id);
+            // Backoff gate: a chunk that faulted waits out its capped
+            // exponential delay before redispatching.
+            if (pending.ready_ms > now_) continue;
+            // A first chunk reserves its prompt's pages up front. Skip
+            // candidates the pool cannot hold right now (they stay queued
+            // until retirements or evictions free pages). Requests already
+            // holding their reservation — mid-prefill, or a faulted chunk
+            // 0 awaiting retry — stay eligible.
+            if (ledger_.bounded() && pending.next_chunk == 0 &&
+                ledger_.held(pending.id) == 0 &&
+                ledger_.ReserveCharge(record.request) > ledger_.free()) {
+                continue;
+            }
+            QueueEntry entry;
+            entry.request_id = pending.id;
+            entry.arrival_ms = record.request.arrival_ms;
+            entry.deadline_ms = record.request.deadline_ms;
+            entry.remaining_prefill_ms = pending.RemainingMs();
+            entry.remaining_total_ms =
+                entry.remaining_prefill_ms +
+                pending.profile->decode_token_ms * record.request.output_len;
+            entries.push_back(entry);
+            eligible.push_back(qi);
+        }
+        if (entries.empty()) return;  // backpressured: NPU idles for pages
+        const size_t pick = eligible[queue_policy_->Pick(entries, now_)];
+        npu_job_ = prefill_queue_[pick];
+        prefill_queue_.erase(prefill_queue_.begin() +
+                             static_cast<long>(pick));
+        RequestRecord& record = Record(npu_job_.id);
+        if (npu_job_.next_chunk == 0) {
+            // Queueing delay is measured to the *first ever* dispatch; an
+            // eviction's re-prefill must not reset it.
+            if (record.first_dispatch_ms < 0.0) {
+                record.first_dispatch_ms = now_;
+            }
+            if (ledger_.held(npu_job_.id) == 0) {
+                ledger_.Reserve(record.request, now_);
+            }
+        }
+        double duration = npu_job_.profile->chunk_ms[static_cast<size_t>(
+            npu_job_.next_chunk)];
+        // Thermal throttling inflates the whole chunk by the service scale
+        // at dispatch (gated so thermal-off runs never touch the value).
+        if (fopts_.thermal.enabled) duration *= thermal_.ServiceScale();
+        // Fate of this attempt. A kFail attempt dies partway through; a
+        // kStall attempt hangs until the watchdog declares it dead at
+        // timeout_factor x the nominal service time.
+        npu_fate_ = fault_plane_.Chunk(npu_job_.id, npu_job_.next_chunk,
+                                       npu_job_.attempt);
+        if (npu_fate_ == FaultPlane::ChunkFate::kFail) {
+            duration *= fault_plane_.ChunkFailFraction(
+                npu_job_.id, npu_job_.next_chunk, npu_job_.attempt);
+        } else if (npu_fate_ == FaultPlane::ChunkFate::kStall) {
+            duration *= fopts_.timeout_factor;
+        }
+        npu_busy_ = true;
+        ++npu_attempts_;
+        npu_start_ = now_;
+        npu_end_ = now_ + duration;
+        // The factor matching where this run's decode lives: the float
+        // processor the chunk's float stages hold, or the NPU itself.
+        // Dynamic placement keeps both factors at hand — the active step
+        // may sit on either side of the profile's own placement.
+        npu_interference_ = npu_job_.profile->DecodeInterference();
+        chunk_float_interference_ =
+            npu_job_.profile->float_decode_interference;
+        chunk_npu_interference_ = npu_job_.profile->npu_decode_interference;
+        if (npu_fate_ == FaultPlane::ChunkFate::kOk) {
+            result_.npu_busy_ms += duration;
+        } else {
+            result_.npu_faulted_ms += duration;
+        }
+        if (step_active_) {
+            // The chunk's float stages steal decode bandwidth from the
+            // step already in flight: that's a preemption.
+            ++result_.preemptions;
+            for (int id : step_members_) ++Record(id).preemptions;
+            Instant("sim.preempt", npu_job_.id);
+        }
+    }
+
+    void StartStepIfIdle()
+    {
+        if (step_active_ || decode_pool_.empty()) return;
+        step_members_.clear();
+        step_placements_.clear();
+        std::vector<int> to_shed;
+        double token_ms = 0.0;
+        double engine_marginal = -1.0;
+        // Placement decisions see the depth this step would run at and one
+        // signal snapshot per step boundary (not per member), so every
+        // decision is a pure function of the boundary's state and the
+        // recorded placements replay bitwise.
+        const int step_depth =
+            std::min(options_.max_decode_batch,
+                     static_cast<int>(decode_pool_.size()));
+        const PolicySignals step_signals = Signals();
+        for (size_t pi = 0;
+             pi < decode_pool_.size() &&
+             static_cast<int>(step_members_.size()) <
+                 options_.max_decode_batch;
+             ++pi) {
+            const int id = decode_pool_[pi];
+            RequestRecord& record = Record(id);
+            RequestState& state = State(id);
+            const ServingCostProfile& profile =
+                costs_.Costs(record.request.ServedInference());
+            PlacementQuery query;
+            query.record = &record;
+            query.profile = &profile;
+            query.context_len =
+                static_cast<int64_t>(record.request.prompt_len) +
+                record.tokens_out;
+            query.batch_depth = step_depth;
+            query.default_batch_marginal = options_.decode_batch_marginal;
+            query.signals = step_signals;
+            DecodePlacement place = placement_policy_->Place(query);
+            if (inject_on_) {
+                // Backoff gate after a faulted dispatch.
+                if (state.decode_ready_ms > now_) continue;
+                if (place == DecodePlacement::kNpuQuant &&
+                    fault_plane_.DecodeFaults(id, record.tokens_out,
+                                              state.decode_attempt)) {
+                    // The NPU dispatch for this member faults: it sits the
+                    // step out (replay membership stays exactly what was
+                    // executed) and either fails over, retries after
+                    // backoff, or — retry budget gone — is shed.
+                    ++npu_attempts_;  // tried and lost
+                    CountFault(id);
+                    FaultEvent("fault.decode", id, now_, now_,
+                               StrFormat("\"token\": %d, \"attempt\": %d",
+                                         record.tokens_out,
+                                         state.decode_attempt));
+                    ++state.decode_attempt;
+                    MaybeFailover(id);
+                    if (record.failed_over) {
+                        // Breaker fired: this very step runs on the CPU
+                        // fallback — the mid-stream switch happens at a
+                        // step boundary, never inside one.
+                        place = DecodePlacement::kCpuFloat;
+                    } else if (state.decode_attempt >= fopts_.max_attempts) {
+                        to_shed.push_back(id);
+                        continue;
+                    } else {
+                        CountRetry(id);
+                        state.decode_ready_ms =
+                            now_ +
+                            fault_plane_.BackoffMs(state.decode_attempt);
+                        continue;
+                    }
+                }
+                // Successful NPU dispatch heals the breaker window; the
+                // token's retry counter starts fresh for the next token.
+                if (place == DecodePlacement::kNpuQuant) {
+                    state.consec_faults = 0;
+                }
+                state.decode_attempt = 0;
+            }
+            double price = profile.decode_token_ms;
+            double member_marginal = profile.decode_batch_marginal;
+            if (record.failed_over ||
+                (place != profile.decode_placement &&
+                 place == DecodePlacement::kCpuFloat)) {
+                // After a failover, or when a dynamic policy moved the
+                // member off an NPU profile: the engine's CPU fallback
+                // path, batched at the serving layer's CPU marginal.
+                price = profile.cpu_decode_token_ms > 0.0
+                            ? profile.cpu_decode_token_ms
+                            : profile.decode_token_ms;
+                member_marginal = options_.decode_batch_marginal;
+            } else if (place != profile.decode_placement) {
+                // Off-profile NPU member. Policies *decide* with whatever
+                // oracle they hold, but the simulator *prices* executed
+                // work through the calibrated one, so virtual time stays
+                // in the calibrated plane whatever the policy believes.
+                const double one = costs_.StepMs(DecodePlacement::kNpuQuant,
+                                                 query.context_len, 1);
+                const double two = costs_.StepMs(DecodePlacement::kNpuQuant,
+                                                 query.context_len, 2);
+                price = one;
+                member_marginal = one > 0.0
+                                      ? std::max(0.0, two / one - 1.0)
+                                      : options_.decode_batch_marginal;
+            }
+            if (fopts_.thermal.enabled &&
+                place == DecodePlacement::kNpuQuant) {
+                price *= thermal_.ServiceScale();
+            }
+            token_ms = std::max(token_ms, price);
+            // Engines that know their own batching marginal override the
+            // configured default; the max across members keeps the step
+            // cost conservative and pool-order independent, like token_ms.
+            engine_marginal = std::max(engine_marginal, member_marginal);
+            step_members_.push_back(id);
+            step_placements_.push_back(place);
+        }
+        for (int id : to_shed) {
+            EraseFromDecodePool(id);
+            Shed(id, "decode_retry_budget");
+        }
+        if (step_members_.empty()) return;  // everyone backing off or shed
+        step_on_npu_ = false;
+        for (DecodePlacement member_place : step_placements_) {
+            if (member_place == DecodePlacement::kNpuQuant) {
+                step_on_npu_ = true;
+                ++npu_attempts_;
+            }
+        }
+        const double marginal = engine_marginal >= 0.0
+                                    ? engine_marginal
+                                    : options_.decode_batch_marginal;
+        step_active_ = true;
+        step_remaining_work_ =
+            token_ms *
+            (1.0 +
+             (static_cast<double>(step_members_.size()) - 1.0) * marginal);
+        step_last_update_ = now_;
+        step_start_ = now_;
+    }
+
+    ServingResult Finish()
+    {
+        if (result_.makespan_ms > 0.0) {
+            result_.kv_pages_mean = ledger_.integral() / result_.makespan_ms;
+            result_.npu_throttled_frac = throttled_ms_ / result_.makespan_ms;
+        }
+        result_.peak_temp_c = peak_temp_c_;
+        result_.kv_pool_pages = options_.kv_pool_pages;
+        result_.kv_pool_pages_live = ledger_.live_budget();
+        result_.kv_pages_peak = ledger_.peak();
+        result_.kv_pages_peak_post_shrink = ledger_.post_shrink_peak();
+        result_.shared_prefix_pages = ledger_.prefix_pages();
+        result_.shared_prefix_materializations = ledger_.materializations();
+        result_.shared_prefix_drops = ledger_.drops();
+        result_.shared_prefix_refs_peak = ledger_.refs_peak();
+
+        // The execution trace as a TimelineResult so the shared
+        // schedule-validity helpers apply (per-unit busy, spans, makespan).
+        TimelineResult& trace = result_.trace;
+        trace.makespan_ms = result_.makespan_ms;
+        for (size_t i = 0; i < result_.trace_tasks.size(); ++i) {
+            const size_t unit =
+                static_cast<size_t>(result_.trace_tasks[i].unit);
+            const TaskRecord& record = trace.records[i];
+            trace.busy_ms[unit] += record.end_ms - record.start_ms;
+            if (trace.span_end_ms[unit] == 0.0) {
+                trace.span_start_ms[unit] = record.start_ms;
+            }
+            trace.span_start_ms[unit] =
+                std::min(trace.span_start_ms[unit], record.start_ms);
+            trace.span_end_ms[unit] =
+                std::max(trace.span_end_ms[unit], record.end_ms);
+        }
+
+        // The process-wide registry gets the finished run's totals. Nothing
+        // in the result is read back from it, so runs on concurrent
+        // threads never see each other's numbers.
+        obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+        reg.GetCounter("sim.evictions").Add(result_.evictions);
+        reg.GetCounter("sim.preemptions").Add(result_.preemptions);
+        reg.GetCounter("sim.rejections").Add(result_.rejected);
+        reg.GetCounter("sim.faults").Add(result_.faults);
+        reg.GetCounter("sim.retries").Add(result_.retries);
+        reg.GetCounter("sim.shed").Add(result_.shed);
+        reg.GetCounter("sim.failovers").Add(result_.failovers);
+        obs::Gauge& kv_gauge = reg.GetGauge("sim.kv_used_pages");
+        kv_gauge.Reset();
+        kv_gauge.Set(static_cast<double>(result_.kv_pages_peak));
+        kv_gauge.Set(static_cast<double>(ledger_.used()));
+        if (fopts_.thermal.enabled) {
+            reg.GetGauge("sim.npu_temp_c").Set(thermal_.temperature_c());
+        }
+        return std::move(result_);
+    }
+
+  private:
+    /** Drains decode work, KV occupancy and die heat up to `t_ms`. */
+    void AdvanceTo(double t_ms)
+    {
+        if (step_active_) {
+            step_remaining_work_ -=
+                (t_ms - step_last_update_) * DecodeRate();
+            step_last_update_ = t_ms;
+        }
+        ledger_.Accrue(t_ms - now_);
+        if (fopts_.thermal.enabled) {
+            thermal_.Advance(t_ms - now_, npu_busy_);
+            if (thermal_.Throttled()) throttled_ms_ += t_ms - now_;
+            peak_temp_c_ = std::max(peak_temp_c_, thermal_.temperature_c());
+            if (obs::TraceEnabled()) {
+                obs::SimEvent event;
+                event.name = "sim.npu_temp_c";
+                event.phase = obs::TracePhase::kCounter;
+                event.lane = obs::SimLane::kFaults;
+                event.t0_ms = t_ms;
+                event.value = thermal_.temperature_c();
+                obs::Tracer::Global().RecordSim(std::move(event));
+            }
+        }
+        now_ = t_ms;
+        result_.makespan_ms = std::max(result_.makespan_ms, now_);
+    }
+
+    void Arrive()
+    {
+        if (options_.closed_loop) {
+            client_wakeups_.erase(std::min_element(client_wakeups_.begin(),
+                                                   client_wakeups_.end()));
+            ArrivalEvent event = sampler_.Sample();
+            event.arrival_ms = now_;
+            Admit(event);
+        } else {
+            Admit(open_arrivals_[next_open_++]);
+        }
+    }
+
+    void FinishChunk()
+    {
+        npu_busy_ = false;
+        if (npu_fate_ != FaultPlane::ChunkFate::kOk) {
+            // Faulted attempt: discarded work. No trace task, no replay
+            // step (precedent: an eviction's cancelled in-flight chunk) —
+            // the occupancy lives on the faults lane instead, so the trace
+            // still shows where the NPU's time actually went.
+            CountFault(npu_job_.id);
+            FaultEvent(npu_fate_ == FaultPlane::ChunkFate::kFail
+                           ? "fault.chunk_fail"
+                           : "fault.chunk_stall",
+                       npu_job_.id, npu_start_, npu_end_,
+                       StrFormat("\"chunk\": %d, \"attempt\": %d",
+                                 npu_job_.next_chunk, npu_job_.attempt));
+            npu_fate_ = FaultPlane::ChunkFate::kOk;
+            MaybeFailover(npu_job_.id);
+            ++npu_job_.attempt;
+            if (npu_job_.attempt >= fopts_.max_attempts) {
+                // Retry budget exhausted: the request terminates as shed —
+                // accounted, pages released, never goodput.
+                Shed(npu_job_.id, "chunk_retry_budget");
+                return;
+            }
+            CountRetry(npu_job_.id);
+            npu_job_.ready_ms =
+                now_ + fault_plane_.BackoffMs(npu_job_.attempt);
+            FaultEvent("fault.retry", npu_job_.id, now_, now_,
+                       StrFormat("\"attempt\": %d, \"not_before\": %.3f",
+                                 npu_job_.attempt, npu_job_.ready_ms));
+            prefill_queue_.push_back(npu_job_);
+            return;
+        }
+        const std::string label =
+            StrFormat("req%d.chunk%d", npu_job_.id, npu_job_.next_chunk);
+        result_.trace_tasks.push_back({label, Unit::kNpu,
+                                       npu_end_ - npu_start_, {},
+                                       npu_job_.next_chunk, -1});
+        result_.trace.records.push_back({npu_start_, npu_end_});
+        Trace(obs::SimLane::kNpu, label, npu_job_.id, npu_start_, npu_end_,
+              StrFormat("\"chunk\": %d", npu_job_.next_chunk));
+        result_.replay_steps.push_back(
+            {/*is_prefill=*/true, {npu_job_.id}, npu_job_.next_chunk,
+             static_cast<int>(npu_job_.profile->chunk_ms.size()), {}});
+        State(npu_job_.id).consec_faults = 0;
+        ++npu_job_.next_chunk;
+        npu_job_.attempt = 0;
+        npu_job_.ready_ms = 0.0;
+        if (static_cast<size_t>(npu_job_.next_chunk) <
+            npu_job_.profile->chunk_ms.size()) {
+            prefill_queue_.push_back(npu_job_);
+        } else {
+            Record(npu_job_.id).prefill_done_ms = now_;
+            decode_pool_.push_back(npu_job_.id);
+        }
+    }
+
+    void FinishStep()
+    {
+        const double elapsed = now_ - step_start_;
+        // Decode steps are traced on the CPU lane even when NPU-placed: an
+        // NPU-resident step time-slices the accelerator with in-flight
+        // chunks (priced by npu_decode_interference), so it is not an
+        // exclusive NPU interval and would break the trace's
+        // one-task-per-unit invariant. npu_busy_ms stays chunks-only.
+        result_.trace_tasks.push_back(
+            {StrFormat("decode.step%d(B=%zu)", step_counter_,
+                       step_members_.size()),
+             Unit::kCpu, elapsed, {}, -1, -1});
+        result_.trace.records.push_back({step_start_, now_});
+        Trace(obs::SimLane::kDecode,
+              StrFormat("decode.step%d", step_counter_), -1, step_start_,
+              now_,
+              StrFormat("\"batch\": %d",
+                        static_cast<int>(step_members_.size())));
+        ReplayStep replay;
+        replay.request_ids = step_members_;
+        if (inject_on_ || dynamic_placement_) {
+            replay.placements = step_placements_;
+        }
+        result_.replay_steps.push_back(std::move(replay));
+        ++step_counter_;
+        result_.decode_busy_ms += elapsed;
+        step_active_ = false;
+        for (int id : step_members_) {
+            RequestRecord& record = Record(id);
+            // A mid-step pool shrink can shed or evict a member while its
+            // step is still draining; the discarded computation emits
+            // nothing.
+            if (record.shed || !InDecodePool(id)) continue;
+            ++record.tokens_out;
+            // TTFT is to the first token *ever* emitted; an evicted
+            // request's re-decode must not reset it.
+            if (record.tokens_out == 1 && record.first_token_ms < 0.0) {
+                record.first_token_ms = now_;
+                Instant("sim.first_token", id);
+            }
+            if (record.tokens_out >= record.request.output_len) {
+                record.finish_ms = now_;
+                Instant("sim.complete", id);
+                EraseFromDecodePool(id);
+                ledger_.Release(id, now_);
+                ClientReturns();
+            }
+        }
+        // KV growth for the members that stay in the pool: each just
+        // appended one position, charged against its private pages
+        // (generated tokens extend the suffix, never the shared prefix).
+        // Growth past the free pages runs the eviction order.
+        for (int id : step_members_) {
+            if (!InDecodePool(id)) continue;  // finished, shed, or evicted
+            const RequestRecord& record = Record(id);
+            int64_t delta =
+                ledger_.Shortfall(record.request, record.tokens_out);
+            if (delta <= 0) continue;
+            while (ledger_.bounded() && delta > ledger_.free()) {
+                if (EvictOneFor(id)) continue;
+                // Only holders older than the grower remain: the grower
+                // itself is preempted and recomputes later.
+                EraseFromDecodePool(id);
+                prefill_queue_.push_back(Evict(id));
+                delta = 0;
+                break;
+            }
+            if (delta > 0) ledger_.Grow(id, delta, now_);
+        }
+        step_members_.clear();
+        step_placements_.clear();
+    }
+
+    RequestRecord& Record(int id)
+    {
+        return result_.records[static_cast<size_t>(id)];
+    }
+    const RequestRecord& Record(int id) const
+    {
+        return result_.records[static_cast<size_t>(id)];
+    }
+    RequestState& State(int id) { return state_[static_cast<size_t>(id)]; }
+    int64_t WholeDemand(int id) const
+    {
+        return ledger_.Demand(Record(id).request);
+    }
+    bool InDecodePool(int id) const
+    {
+        return std::find(decode_pool_.begin(), decode_pool_.end(), id) !=
+               decode_pool_.end();
+    }
+    void EraseFromDecodePool(int id)
+    {
+        decode_pool_.erase(
+            std::find(decode_pool_.begin(), decode_pool_.end(), id));
+    }
+    /** A queue entry that prefills `id` from chunk 0. */
+    PendingPrefill FreshPrefill(int id)
+    {
+        PendingPrefill pending;
+        pending.id = id;
+        pending.profile =
+            &costs_.Costs(Record(id).request.ServedInference());
+        return pending;
+    }
+
+    double DecodeRate() const
+    {
+        double interference = npu_interference_;
+        if (dynamic_placement_ && step_active_) {
+            interference = step_on_npu_ ? chunk_npu_interference_
+                                        : chunk_float_interference_;
+        }
+        return npu_busy_ ? std::max(0.05, 1.0 - interference) : 1.0;
+    }
+
+    /** Live degradation + load signals for policy decisions: thermal
+     *  state, the observed fault rate and lost NPU time, current load. */
+    PolicySignals Signals() const
+    {
+        PolicySignals signals;
+        signals.now_ms = now_;
+        signals.npu_service_scale =
+            fopts_.thermal.enabled ? thermal_.ServiceScale() : 1.0;
+        signals.npu_throttled =
+            fopts_.thermal.enabled && thermal_.Throttled();
+        signals.npu_temp_c = thermal_.temperature_c();
+        signals.npu_fault_rate =
+            npu_attempts_ > 0 ? static_cast<double>(result_.faults) /
+                                    static_cast<double>(npu_attempts_)
+                              : 0.0;
+        signals.npu_faulted_ms = result_.npu_faulted_ms;
+        signals.decode_pool_depth = static_cast<int>(decode_pool_.size());
+        signals.kv_free_pages = ledger_.bounded() ? ledger_.free() : 0;
+        return signals;
+    }
+
+    void Admit(const ArrivalEvent& event)
+    {
+        RequestRecord record;
+        record.request.id = static_cast<int>(result_.records.size());
+        record.request.arrival_ms = event.arrival_ms;
+        record.request.prompt_len = event.request.prompt_len;
+        record.request.output_len = event.request.output_len;
+        record.request.profile_index = event.profile_index;
+        record.request.shared_prefix_len = event.shared_prefix_len;
+        // Sharers are costed on what they actually compute: the private
+        // suffix (the shared prefix's KV is served from the cache, not
+        // re-prefilled). Their SLO baseline tightens accordingly.
+        const double isolated_e2e =
+            costs_.IsolatedE2eMs(record.request.ServedInference());
+        if (options_.slo_factor > 0.0) {
+            record.request.deadline_ms =
+                event.arrival_ms + options_.slo_factor * isolated_e2e;
+        }
+        // Admission control. Every conforming policy refuses a request
+        // whose *whole* KV demand exceeds the pool budget — it could never
+        // run to completion, only starve or thrash the pool. Predictive
+        // policies additionally turn away arrivals whose predicted finish
+        // already misses their deadline. Requests that merely don't fit
+        // right now are not rejected; they queue and wait for pages.
+        AdmissionQuery admission;
+        admission.request = &record.request;
+        admission.isolated_e2e_ms = isolated_e2e;
+        admission.queued_prefill_ms = npu_busy_ ? npu_end_ - now_ : 0.0;
+        for (const PendingPrefill& pending : prefill_queue_) {
+            admission.queued_prefill_ms += pending.RemainingMs();
+        }
+        admission.queue_depth = static_cast<int>(prefill_queue_.size());
+        admission.kv_demand_pages = ledger_.AdmissionCharge(record.request);
+        admission.kv_live_budget = ledger_.live_budget();  // 0 = unbounded
+        admission.decode_batch_marginal = options_.decode_batch_marginal;
+        admission.signals = Signals();
+        record.rejected = !admission_policy_->Admit(admission);
+        result_.records.push_back(record);
+        if (record.rejected) {
+            ++result_.rejected;
+            Instant("sim.reject", record.request.id);
+            ClientReturns();
+            return;
+        }
+        if (record.request.shared_prefix_len > 0) ++result_.shared_requests;
+        prefill_queue_.push_back(FreshPrefill(record.request.id));
+        Instant("sim.arrive", record.request.id);
+    }
+
+    /** One trace event on `lane`: a span over [t0, t1] when t1 > t0,
+     *  else an instant. Recorded only while tracing is on. */
+    void Trace(obs::SimLane lane, const std::string& name, int req,
+               double t0, double t1, std::string args = {}) const
+    {
+        if (!obs::TraceEnabled()) return;
+        obs::SimEvent event;
+        event.name = name;
+        event.lane = lane;
+        event.phase = t1 > t0 ? obs::TracePhase::kSpan
+                              : obs::TracePhase::kInstant;
+        event.t0_ms = t0;
+        event.t1_ms = t1;
+        event.req = req;
+        event.args_json = std::move(args);
+        obs::Tracer::Global().RecordSim(std::move(event));
+    }
+    void Instant(const char* name, int req) const
+    {
+        Trace(obs::SimLane::kEvents, name, req, now_, now_);
+    }
+    /** Fault-plane events render on their own Perfetto lane so degraded
+     *  runs read as "what went wrong / what the defense did". */
+    void FaultEvent(const char* name, int req, double t0, double t1,
+                    std::string args) const
+    {
+        Trace(obs::SimLane::kFaults, name, req, t0, t1, std::move(args));
+    }
+
+    /** A closed-loop client whose request just ended (completed, shed or
+     *  rejected) comes back after its think time. */
+    void ClientReturns()
+    {
+        if (options_.closed_loop && issued_ < options_.num_requests) {
+            client_wakeups_.push_back(now_ + options_.think_time_ms);
+            ++issued_;
+        }
+    }
+    void CountFault(int id)
+    {
+        ++Record(id).faults;
+        ++result_.faults;
+        ++State(id).consec_faults;
+    }
+    void CountRetry(int id)
+    {
+        ++Record(id).retries;
+        ++result_.retries;
+    }
+
+    // Circuit breaker: after K consecutive NPU faults on one request
+    // (chunk faults during its prefill, decode-dispatch faults during its
+    // stream), its decode placement fails over to the packed-fp32 CPU
+    // fallback — permanently, mid-stream, at the next step boundary.
+    void MaybeFailover(int id)
+    {
+        if (fopts_.circuit_breaker_k <= 0) return;
+        if (State(id).consec_faults < fopts_.circuit_breaker_k) return;
+        RequestRecord& record = Record(id);
+        if (record.failed_over) return;
+        record.failed_over = true;
+        record.failover_ms = now_;
+        ++result_.failovers;
+        FaultEvent("fault.failover", id, now_, now_,
+                   "\"to\": \"cpu_float\"");
+    }
+
+    // Terminal degraded-mode outcome for an admitted request: its pages go
+    // back to the pool and it counts as an SLO miss (never goodput). The
+    // caller removes the request from whatever container held it.
+    void Shed(int id, const char* reason)
+    {
+        ledger_.Release(id, now_);
+        RequestRecord& record = Record(id);
+        record.shed = true;
+        record.shed_ms = now_;
+        ++result_.shed;
+        FaultEvent("fault.shed", id, now_, now_,
+                   StrFormat("\"reason\": \"%s\"", reason));
+        ClientReturns();
+    }
+
+    /** Sheds every queued request `pred` picks, youngest first. */
+    template <typename Pred>
+    void ShedQueuedIf(Pred pred, const char* reason)
+    {
+        for (size_t j = prefill_queue_.size(); j-- > 0;) {
+            if (!pred(prefill_queue_[j])) continue;
+            const int id = prefill_queue_[j].id;
+            prefill_queue_.erase(prefill_queue_.begin() +
+                                 static_cast<long>(j));
+            Shed(id, reason);
+        }
+    }
+
+    // Cancels the in-flight chunk. Its partial execution is discarded
+    // untimed (no trace task, full duration backed out of the matching
+    // busy accumulator) so trace busy-time conservation and the
+    // trace↔replay parallelism hold.
+    void CancelInFlight()
+    {
+        if (npu_fate_ == FaultPlane::ChunkFate::kOk) {
+            result_.npu_busy_ms -= npu_end_ - npu_start_;
+        } else {
+            result_.npu_faulted_ms -= npu_end_ - npu_start_;
+        }
+        npu_busy_ = false;
+    }
+
+    // Preemption by recompute: `id`'s pages go back to the pool and its
+    // prefill restarts from chunk 0. Returns the restarted queue entry;
+    // the caller has already taken the request out of wherever it was.
+    PendingPrefill Evict(int id)
+    {
+        ledger_.Release(id, now_);
+        RequestRecord& record = Record(id);
+        record.tokens_out = 0;
+        record.prefill_done_ms = -1.0;
+        ++record.evictions;
+        ++result_.evictions;
+        State(id).decode_attempt = 0;
+        State(id).decode_ready_ms = 0.0;
+        Instant("sim.evict", id);
+        return FreshPrefill(id);
+    }
+
+    // KV growth past the free pages preempts other page holders —
+    // preemption by recompute (pages released, prefill restarted from
+    // chunk 0). Also the back-pressure valve of the fault plane's pool
+    // shrink, with grower = -1 ("the pool itself shrank; any holder is
+    // fair game, youngest first").
+    //
+    // Victim order is what makes this terminate: (1) decode-pool members
+    // strictly *younger* than the grower, youngest first; (2) queued
+    // mid-prefill reservations; (3) the in-flight chunk; (4) the grower
+    // itself, only when members older than it hold the pages. The oldest
+    // decode member is thus never evicted — victims are always younger
+    // than whoever demands the pages — so it always reaches completion and
+    // frees its pages, and by induction every request eventually does.
+    // (Evicting victims *older* than the grower would livelock: two
+    // requests whose reservations overlap can ping-pong evictions forever,
+    // neither ever finishing.)
+    bool EvictOneFor(int grower)
+    {
+        long grower_pos = -1;  // -1: no grower, every member evictable
+        if (grower >= 0) {
+            grower_pos = std::find(decode_pool_.begin(), decode_pool_.end(),
+                                   grower) -
+                         decode_pool_.begin();
+        }
+        // Prefer dropping private suffix pages: within each tier, a victim
+        // whose eviction would take the shared prefix down with it (the
+        // last referencer) is passed over on the first sweep and picked
+        // only when that tier has nobody else — the prefix drops only when
+        // its last referencing sequence is the eviction choice. The tier
+        // *order* (younger-than-grower decode members, then queued
+        // reservations, then the in-flight chunk) is untouched; that order
+        // is what makes eviction terminate.
+        const int passes = ledger_.prefix_pages() > 0 ? 2 : 1;
+        for (int pass = 0; pass < passes; ++pass) {
+            for (size_t j = decode_pool_.size();
+                 j-- > 0 && static_cast<long>(j) > grower_pos;) {
+                const int victim = decode_pool_[j];
+                if (pass == 0 && ledger_.DropsPrefix(victim)) continue;
+                decode_pool_.erase(decode_pool_.begin() +
+                                   static_cast<long>(j));
+                prefill_queue_.push_back(Evict(victim));
+                return true;
+            }
+        }
+        for (int pass = 0; pass < passes; ++pass) {
+            for (size_t j = prefill_queue_.size(); j-- > 0;) {
+                PendingPrefill& pending = prefill_queue_[j];
+                // Queued entries holding a reservation (mid-prefill, or a
+                // faulted chunk 0 awaiting retry) are evictable; entries
+                // that never dispatched hold nothing.
+                if (ledger_.held(pending.id) == 0) continue;
+                if (pass == 0 && ledger_.DropsPrefix(pending.id)) continue;
+                pending = Evict(pending.id);
+                return true;
+            }
+        }
+        if (npu_busy_ && npu_job_.id != grower) {
+            CancelInFlight();
+            prefill_queue_.push_back(Evict(npu_job_.id));
+            return true;
+        }
+        return false;
+    }
+
+    // Memory pressure: the rest of the device claims pages back and the
+    // live budget drops mid-run. Defense, in order: shed every admitted
+    // request whose *whole* demand no longer fits (it could never complete
+    // and would thrash the smaller pool forever), then evict youngest-
+    // first through the termination-safe order until usage fits.
+    void Shrink()
+    {
+        shrink_pending_ = false;
+        ledger_.Shrink(std::max<int64_t>(
+            1, static_cast<int64_t>(
+                   static_cast<double>(options_.kv_pool_pages) *
+                   fopts_.pool_shrink_to)));
+        const int64_t budget = ledger_.live_budget();
+        FaultEvent("fault.pool_shrink", -1, now_, now_,
+                   StrFormat("\"live_pages\": %lld",
+                             static_cast<long long>(budget)));
+        ShedQueuedIf(
+            [this, budget](const PendingPrefill& pending) {
+                return WholeDemand(pending.id) > budget;
+            },
+            "pool_shrink");
+        if (npu_busy_ && WholeDemand(npu_job_.id) > budget) {
+            CancelInFlight();
+            Shed(npu_job_.id, "pool_shrink");
+        }
+        for (size_t j = decode_pool_.size(); j-- > 0;) {
+            const int id = decode_pool_[j];
+            if (WholeDemand(id) > budget) {
+                decode_pool_.erase(decode_pool_.begin() +
+                                   static_cast<long>(j));
+                Shed(id, "pool_shrink");
+            }
+        }
+        while (ledger_.free() < 0) LLMNPU_CHECK(EvictOneFor(-1));
+        // The degraded-mode invariant starts *after* the defense settles:
+        // from here on, usage never exceeds the live budget.
+        ledger_.SettleShrink();
+    }
+
+    ServingCostModel& costs_;
+    const ServingOptions& options_;
+    const FaultOptions& fopts_;
+
+    // Control plane; null ServingOptions fields resolve to the defaults.
+    const std::shared_ptr<QueuePolicy> queue_policy_;
+    const std::shared_ptr<PlacementPolicy> placement_policy_;
+    const std::shared_ptr<AdmissionPolicy> admission_policy_;
+    const bool dynamic_placement_;
+
+    // Fault plane. A rate-zero plane draws nothing, so every path
+    // degenerates bitwise to the fault-free simulator.
+    const FaultPlane fault_plane_;
+    const bool inject_on_;
+    ThermalModel thermal_;
+    double throttled_ms_ = 0.0;
+    double peak_temp_c_;
+    bool shrink_pending_;
+
+    ServingResult result_;
+    KvLedger ledger_;
+    std::vector<RequestState> state_;
+
+    // Arrivals. Open loop: the whole Poisson trace up front. Closed loop:
+    // a sampler plus the scheduled client wake-ups.
+    RequestSampler sampler_;
+    std::vector<ArrivalEvent> open_arrivals_;
+    size_t next_open_ = 0;
+    std::vector<double> client_wakeups_;  // closed loop, unsorted
+    int issued_ = 0;
+
+    // Machine state.
+    double now_ = 0.0;
+    std::vector<PendingPrefill> prefill_queue_;
+    bool npu_busy_ = false;
+    double npu_end_ = 0.0;
+    double npu_interference_ = 0.0;  // of the in-flight chunk's profile
+    PendingPrefill npu_job_;
+    double npu_start_ = 0.0;
+    // Fate of the in-flight chunk attempt, drawn at dispatch.
+    FaultPlane::ChunkFate npu_fate_ = FaultPlane::ChunkFate::kOk;
+
+    std::vector<int> decode_pool_;  // prefilled requests, admission order
+    std::vector<int> step_members_;
+    std::vector<DecodePlacement> step_placements_;  // parallel
+    bool step_active_ = false;
+    double step_remaining_work_ = 0.0;  // unscaled service ms still owed
+    double step_last_update_ = 0.0;
+    double step_start_ = 0.0;
+    int step_counter_ = 0;
+    // NPU dispatch attempts so far (chunk dispatches + NPU-placed decode
+    // dispatches), denominator of the live fault-rate policy signal.
+    int64_t npu_attempts_ = 0;
+    // The in-flight chunk's interference on each side, for dynamic
+    // placement: the chunk slows whichever side the active step runs on.
+    double chunk_float_interference_ = 0.0;
+    double chunk_npu_interference_ = 0.0;
+    bool step_on_npu_ = false;  // any member of the active step NPU-placed
 };
 
 }  // namespace
@@ -67,6 +1083,13 @@ ServingOptions::Validate() const
     LLMNPU_FATAL_IF(shared_prefix.share_fraction < 0.0 ||
                         shared_prefix.share_fraction > 1.0,
                     "serving shared_prefix.share_fraction must be in [0, 1]");
+    LLMNPU_FATAL_IF(faults.pool_shrink_at_ms >= 0.0 && kv_pool_pages == 0,
+                    "serving faults.pool_shrink_at_ms needs kv_pool_pages > 0");
+    LLMNPU_FATAL_IF(faults.brownout_shedding && !faults.thermal.enabled,
+                    "serving faults.brownout_shedding needs thermal.enabled");
+    LLMNPU_FATAL_IF(faults.brownout_shedding && slo_factor <= 0.0,
+                    "serving faults.brownout_shedding needs slo_factor > 0 "
+                    "(no deadlines to shed against otherwise)");
     faults.Validate();
 }
 
@@ -96,1217 +1119,13 @@ ServingSimulator::ServingSimulator(ServingCostModel& costs,
 ServingResult
 ServingSimulator::Run()
 {
-    ServingResult result;
-    result.records.reserve(static_cast<size_t>(options_.num_requests));
-
-    // ---- Control plane. Null policy fields resolve to the legacy
-    // defaults here; a run with the defaults — explicit or null — is
-    // bit-identical to the pre-policy-object simulator. The cost model's
-    // default batch marginal is synced so off-profile pricing through the
-    // calibrated oracle uses the serving layer's configuration.
-    const std::shared_ptr<QueuePolicy> queue_policy =
-        options_.queue_policy ? options_.queue_policy
-                              : MakeQueuePolicy(options_.policy);
-    const std::shared_ptr<PlacementPolicy> placement_policy =
-        options_.placement_policy ? options_.placement_policy
-                                  : std::make_shared<StaticPlacement>();
-    const std::shared_ptr<AdmissionPolicy> admission_policy =
-        options_.admission_policy ? options_.admission_policy
-                                  : std::make_shared<ThresholdAdmission>();
-    const bool dynamic_placement = placement_policy->IsDynamic();
-    costs_.set_default_batch_marginal(options_.decode_batch_marginal);
-
-    // ---- Fault plane. All injection is counter-based (a pure function of
-    // the fault seed and the draw coordinates), so a rate-zero plane draws
-    // nothing and every code path below degenerates bitwise to the
-    // fault-free simulator.
-    const FaultOptions& fopts = options_.faults;
-    const FaultPlane fault_plane(fopts);
-    const bool inject_on = fopts.Enabled();
-    ThermalModel thermal(fopts.thermal);
-    double throttled_ms = 0.0;
-    double peak_temp_c = thermal.temperature_c();
-
-    // ---- Registry bookkeeping. The KV-occupancy peak and the eviction
-    // count live in the process-wide registry; the ServingResult fields
-    // are read back from it at the end of the run (thin reads), so the
-    // registry is the single source of truth. Sim-lane trace events carry
-    // virtual timestamps and are recorded only while tracing is on.
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    obs::Gauge& kv_gauge = reg.GetGauge("sim.kv_used_pages");
-    obs::Counter& evict_counter = reg.GetCounter("sim.evictions");
-    obs::Counter& preempt_counter = reg.GetCounter("sim.preemptions");
-    obs::Counter& reject_counter = reg.GetCounter("sim.rejections");
-    obs::Counter& fault_counter = reg.GetCounter("sim.faults");
-    obs::Counter& retry_counter = reg.GetCounter("sim.retries");
-    obs::Counter& shed_counter = reg.GetCounter("sim.shed");
-    obs::Counter& failover_counter = reg.GetCounter("sim.failovers");
-    const int64_t evict_base = evict_counter.value();
-    kv_gauge.Set(0.0);
-    kv_gauge.ResetPeak();
-    auto sim_emit = [&](obs::SimEvent event) {
-        if (obs::TraceEnabled()) {
-            obs::Tracer::Global().RecordSim(std::move(event));
-        }
-    };
-    // Fault-plane events render on their own Perfetto lane so degraded-mode
-    // runs read as "what went wrong / what the defense did" at a glance.
-    auto fault_event = [&](const char* name, int req, double t0, double t1,
-                           std::string args) {
-        obs::SimEvent event;
-        event.name = name;
-        event.lane = obs::SimLane::kFaults;
-        event.phase = t1 > t0 ? obs::TracePhase::kSpan
-                              : obs::TracePhase::kInstant;
-        event.t0_ms = t0;
-        event.t1_ms = t1;
-        event.req = req;
-        event.args_json = std::move(args);
-        sim_emit(std::move(event));
-    };
-
-    // ---- Arrival stream. Open loop: the whole Poisson trace up front.
-    // Closed loop: a sampler plus a list of scheduled client wake-ups.
-    RequestSampler sampler(mix_, options_.seed);
-    sampler.SetSharedPrefix(options_.shared_prefix);
-    std::vector<ArrivalEvent> open_arrivals;
-    size_t next_open = 0;
-    std::vector<double> client_wakeups;  // closed loop, unsorted
-    int issued = 0;
-    if (options_.closed_loop) {
-        const int first_wave =
-            std::min(options_.num_clients, options_.num_requests);
-        for (int i = 0; i < first_wave; ++i) client_wakeups.push_back(0.0);
-        issued = first_wave;
-    } else {
-        open_arrivals = GeneratePoissonArrivals(
-            mix_, options_.rate_rps, options_.num_requests, options_.seed,
-            options_.shared_prefix);
-        issued = options_.num_requests;
+    ServingRun run(costs_, mix_, options_);
+    while (run.HandleNextEvent()) {
+        run.Sweep();
+        run.StartChunkIfIdle();
+        run.StartStepIfIdle();
     }
-
-    // ---- Machine state.
-    double now = 0.0;
-    std::vector<PendingPrefill> prefill_queue;
-    bool npu_busy = false;
-    double npu_end = 0.0;
-    double npu_interference = 0.0;  // of the in-flight chunk's profile
-    PendingPrefill npu_job;
-    double npu_start = 0.0;
-    // Fate of the in-flight chunk attempt, drawn at dispatch. A faulted
-    // attempt's occupancy is discarded work: it goes to npu_faulted_ms,
-    // never npu_busy_ms, and emits neither a trace task nor a replay step.
-    FaultPlane::ChunkFate npu_fate = FaultPlane::ChunkFate::kOk;
-
-    std::vector<int> decode_pool;  // prefilled requests, admission order
-    std::vector<int> step_members;
-    std::vector<DecodePlacement> step_placements;  // parallel, fault runs
-    bool step_active = false;
-    double step_remaining_work = 0.0;  // unscaled service ms still owed
-    double step_last_update = 0.0;
-    double step_start = 0.0;
-    int step_counter = 0;
-    // NPU dispatch attempts so far (chunk dispatches + NPU-placed decode
-    // dispatches), denominator of the live fault-rate policy signal.
-    int64_t npu_attempts = 0;
-    // The in-flight chunk profile's two interference factors, kept
-    // separately for dynamic placement: the policy can put the active step
-    // on either side regardless of where the profile placed decode, and
-    // the chunk steals bandwidth from whichever side is actually decoding.
-    double chunk_float_interference = 0.0;
-    double chunk_npu_interference = 0.0;
-    bool step_on_npu = false;  // any member of the active step NPU-placed
-
-    // Per-request fault-defense state, indexed by request id.
-    std::vector<int> decode_attempt;  // retries of the *current* token
-    std::vector<int> consec_faults;   // consecutive NPU faults (breaker)
-    std::vector<double> decode_ready;  // decode backoff gate
-
-    auto decode_rate = [&]() {
-        double interference = npu_interference;
-        if (dynamic_placement && step_active) {
-            interference = step_on_npu ? chunk_npu_interference
-                                       : chunk_float_interference;
-        }
-        return npu_busy ? std::max(0.05, 1.0 - interference) : 1.0;
-    };
-
-    // ---- KV page accounting. Usage (held pages per request, peak, time
-    // integral) is tracked for every run; the budget gates admission,
-    // dispatch and decode growth only when bounded (kv_pool_pages > 0).
-    // `live_budget` is the budget currently in force: it starts at the
-    // configured pool and drops when the fault plane's mid-run shrink
-    // fires (memory pressure from the rest of the device).
-    const bool kv_bounded = options_.kv_pool_pages > 0;
-    const int64_t kv_page = options_.kv_page_size;
-    int64_t live_budget = options_.kv_pool_pages;
-    bool shrink_pending = kv_bounded && fopts.pool_shrink_at_ms >= 0.0;
-    bool shrink_fired = false;
-    int64_t post_shrink_peak = 0;
-    auto pages_for = [&](int64_t positions) {
-        return (positions + kv_page - 1) / kv_page;
-    };
-    std::vector<int64_t> kv_held;  // pages reserved, indexed by request id
-    int64_t kv_free = options_.kv_pool_pages;
-    int64_t kv_used = 0;
-    double kv_integral = 0.0;  // pages x ms, for the time-mean occupancy
-    result.kv_pool_pages = options_.kv_pool_pages;
-    result.kv_pool_pages_live = live_budget;
-
-    // ---- Shared system prefix (SharedPrefixOptions). The prefix's pages
-    // are a refcounted shared asset, never in any kv_held entry: they are
-    // charged to the pool once when the first referencing request takes
-    // its reservation and freed when the last referencer's pages drop —
-    // the serving mirror of KvPagePool refcounts. `kv_held` stays private
-    // suffix pages only, so nothing below double-counts a shared page.
-    const bool sharing_on = options_.shared_prefix.Enabled();
-    const int64_t prefix_pages =
-        sharing_on ? pages_for(options_.shared_prefix.prefix_len) : 0;
-    int prefix_holders = 0;  // requests whose reservation references it
-    std::vector<char> holds_prefix;  // indexed by request id
-    result.shared_prefix_pages = prefix_pages;
-    auto is_sharer = [&](int id) {
-        return result.records[static_cast<size_t>(id)]
-                   .request.shared_prefix_len > 0;
-    };
-    // Once-counted whole demand: private suffix + output growth, plus the
-    // prefix exactly once. Equals the legacy prompt+output arithmetic for
-    // independent requests (and for sharers too, since the prefix is
-    // page-aligned) — what it prevents is charging the prefix per sharer.
-    auto whole_demand_of = [&](const ServingRequest& request) {
-        return (request.shared_prefix_len > 0 ? prefix_pages : 0) +
-               pages_for(
-                   static_cast<int64_t>(request.PrivatePromptLen()) +
-                   request.output_len);
-    };
-
-    auto kv_note_usage = [&]() {
-        kv_gauge.Set(static_cast<double>(kv_used));
-        if (shrink_fired) {
-            post_shrink_peak = std::max(post_shrink_peak, kv_used);
-        }
-        obs::SimEvent event;
-        event.name = "sim.kv_used_pages";
-        event.phase = obs::TracePhase::kCounter;
-        event.t0_ms = now;
-        event.value = static_cast<double>(kv_used);
-        sim_emit(std::move(event));
-    };
-    auto kv_take = [&](int id, int64_t pages) {
-        kv_free -= pages;
-        kv_used += pages;
-        kv_held[static_cast<size_t>(id)] += pages;
-        kv_note_usage();
-    };
-    // Takes one reference on the shared prefix for `id` (no-op for
-    // non-sharers); the first referencer materializes the prefix pages.
-    auto kv_acquire_prefix = [&](int id) {
-        if (!sharing_on || !is_sharer(id)) return;
-        char& holds = holds_prefix[static_cast<size_t>(id)];
-        if (holds) return;
-        holds = 1;
-        if (prefix_holders++ == 0) {
-            kv_free -= prefix_pages;
-            kv_used += prefix_pages;
-            ++result.shared_prefix_materializations;
-        }
-        result.shared_prefix_refs_peak =
-            std::max(result.shared_prefix_refs_peak, prefix_holders);
-        kv_note_usage();
-    };
-    auto kv_drop_all = [&](int id) {
-        int64_t& held = kv_held[static_cast<size_t>(id)];
-        kv_free += held;
-        kv_used -= held;
-        held = 0;
-        // Release this request's prefix reference with its pages; the
-        // prefix itself is freed only when the last referencer goes — a
-        // victim's eviction never strands a sibling's shared pages.
-        if (sharing_on && holds_prefix[static_cast<size_t>(id)]) {
-            holds_prefix[static_cast<size_t>(id)] = 0;
-            if (--prefix_holders == 0) {
-                kv_free += prefix_pages;
-                kv_used -= prefix_pages;
-                ++result.shared_prefix_drops;
-            }
-        }
-        kv_note_usage();
-    };
-
-    // Terminal degraded-mode outcome for an admitted request: its pages go
-    // back to the pool, it counts as an SLO miss (never goodput), and a
-    // closed-loop client behind it comes back after think time. The caller
-    // removes the request from whatever container held it.
-    auto shed_request = [&](int id, const char* reason) {
-        kv_drop_all(id);
-        RequestRecord& record = result.records[static_cast<size_t>(id)];
-        record.shed = true;
-        record.shed_ms = now;
-        ++result.shed;
-        shed_counter.Add(1);
-        fault_event("fault.shed", id, now, now,
-                    StrFormat("\"reason\": \"%s\"", reason));
-        if (options_.closed_loop && issued < options_.num_requests) {
-            client_wakeups.push_back(now + options_.think_time_ms);
-            ++issued;
-        }
-    };
-
-    // Live degradation + load signals for policy decisions. This is the
-    // PR-8 fault plane feeding the control plane: thermal state, the
-    // observed fault rate and lost NPU time, plus current load.
-    auto make_signals = [&]() {
-        PolicySignals signals;
-        signals.now_ms = now;
-        signals.npu_service_scale =
-            fopts.thermal.enabled ? thermal.ServiceScale() : 1.0;
-        signals.npu_throttled =
-            fopts.thermal.enabled && thermal.Throttled();
-        signals.npu_temp_c = thermal.temperature_c();
-        signals.npu_fault_rate =
-            npu_attempts > 0 ? static_cast<double>(result.faults) /
-                                   static_cast<double>(npu_attempts)
-                             : 0.0;
-        signals.npu_faulted_ms = result.npu_faulted_ms;
-        signals.decode_pool_depth = static_cast<int>(decode_pool.size());
-        signals.kv_free_pages = kv_bounded ? kv_free : 0;
-        return signals;
-    };
-
-    auto admit = [&](const ArrivalEvent& event) {
-        RequestRecord record;
-        record.request.id = static_cast<int>(result.records.size());
-        record.request.arrival_ms = event.arrival_ms;
-        record.request.prompt_len = event.request.prompt_len;
-        record.request.output_len = event.request.output_len;
-        record.request.profile_index = event.profile_index;
-        record.request.shared_prefix_len = event.shared_prefix_len;
-        // Sharers are costed on what they actually compute: the private
-        // suffix (the shared prefix's KV is served from the cache, not
-        // re-prefilled). Their SLO baseline tightens accordingly.
-        const double isolated_e2e =
-            costs_.IsolatedE2eMs(record.request.ServedInference());
-        if (options_.slo_factor > 0.0) {
-            record.request.deadline_ms =
-                event.arrival_ms + options_.slo_factor * isolated_e2e;
-        }
-        // Admission control. Every conforming policy refuses a request
-        // whose *whole* KV demand exceeds the pool budget — it could never
-        // run to completion, only starve or thrash the pool. Shared prefix
-        // pages count once across referencing sequences: a sharer's demand
-        // is its private suffix, plus the prefix only when no live
-        // referencer already holds it (the old per-request prompt+output
-        // arithmetic re-charged the prefix for every concurrent sharer).
-        // Predictive policies additionally turn away arrivals whose
-        // predicted finish already misses their deadline. Requests that
-        // merely don't fit right now are not rejected; they queue and wait
-        // for pages.
-        int64_t demand = whole_demand_of(record.request);
-        if (record.request.shared_prefix_len > 0 && prefix_holders > 0) {
-            demand -= prefix_pages;
-        }
-        AdmissionQuery admission;
-        admission.request = &record.request;
-        admission.isolated_e2e_ms = isolated_e2e;
-        admission.queued_prefill_ms = npu_busy ? npu_end - now : 0.0;
-        for (const PendingPrefill& pending : prefill_queue) {
-            admission.queued_prefill_ms += pending.RemainingMs();
-        }
-        admission.queue_depth = static_cast<int>(prefill_queue.size());
-        admission.kv_demand_pages = demand;
-        admission.kv_live_budget = kv_bounded ? live_budget : 0;
-        admission.decode_batch_marginal = options_.decode_batch_marginal;
-        admission.signals = make_signals();
-        if (!admission_policy->Admit(admission)) {
-            record.rejected = true;
-            result.records.push_back(record);
-            kv_held.push_back(0);
-            holds_prefix.push_back(0);
-            decode_attempt.push_back(0);
-            consec_faults.push_back(0);
-            decode_ready.push_back(0.0);
-            ++result.rejected;
-            reject_counter.Add(1);
-            obs::SimEvent ev;
-            ev.name = "sim.reject";
-            ev.t0_ms = event.arrival_ms;
-            ev.req = record.request.id;
-            sim_emit(std::move(ev));
-            // A closed-loop client whose request was refused comes back
-            // after its think time, same as after a completion.
-            if (options_.closed_loop && issued < options_.num_requests) {
-                client_wakeups.push_back(event.arrival_ms +
-                                         options_.think_time_ms);
-                ++issued;
-            }
-            return;
-        }
-        result.records.push_back(record);
-        kv_held.push_back(0);
-        holds_prefix.push_back(0);
-        decode_attempt.push_back(0);
-        consec_faults.push_back(0);
-        decode_ready.push_back(0.0);
-        if (record.request.shared_prefix_len > 0) ++result.shared_requests;
-        PendingPrefill pending;
-        pending.id = record.request.id;
-        pending.profile = &costs_.Costs(record.request.ServedInference());
-        prefill_queue.push_back(pending);
-        obs::SimEvent ev;
-        ev.name = "sim.arrive";
-        ev.t0_ms = event.arrival_ms;
-        ev.req = record.request.id;
-        sim_emit(std::move(ev));
-    };
-
-    // Circuit breaker: after K consecutive NPU faults on one request
-    // (chunk faults during its prefill, decode-dispatch faults during its
-    // stream), its decode placement fails over to the packed-fp32 CPU
-    // fallback — permanently, mid-stream, at the next step boundary.
-    auto maybe_failover = [&](int id) {
-        if (fopts.circuit_breaker_k <= 0) return;
-        if (consec_faults[static_cast<size_t>(id)] <
-            fopts.circuit_breaker_k) {
-            return;
-        }
-        RequestRecord& record = result.records[static_cast<size_t>(id)];
-        if (record.failed_over) return;
-        record.failed_over = true;
-        record.failover_ms = now;
-        ++result.failovers;
-        failover_counter.Add(1);
-        fault_event("fault.failover", id, now, now,
-                    "\"to\": \"cpu_float\"");
-    };
-
-    auto start_chunk_if_idle = [&]() {
-        if (npu_busy || prefill_queue.empty()) return;
-        std::vector<QueueEntry> entries;
-        std::vector<size_t> eligible;  // entries[i] <- prefill_queue index
-        entries.reserve(prefill_queue.size());
-        for (size_t qi = 0; qi < prefill_queue.size(); ++qi) {
-            const PendingPrefill& pending = prefill_queue[qi];
-            const RequestRecord& record =
-                result.records[static_cast<size_t>(pending.id)];
-            // Backoff gate: a chunk that faulted waits out its capped
-            // exponential delay before redispatching.
-            if (pending.ready_ms > now) continue;
-            // A first chunk reserves its prompt's pages up front: the
-            // private suffix, plus the shared prefix only when no live
-            // referencer holds it yet (counted once — the dispatch-side
-            // half of the shared-page accounting). Skip candidates the
-            // pool cannot hold right now (they stay queued until
-            // retirements or evictions free pages). Requests already
-            // holding their reservation — mid-prefill, or a faulted
-            // chunk 0 awaiting retry — stay eligible.
-            if (kv_bounded && pending.next_chunk == 0 &&
-                kv_held[static_cast<size_t>(pending.id)] == 0) {
-                int64_t need =
-                    pages_for(record.request.PrivatePromptLen());
-                if (record.request.shared_prefix_len > 0 &&
-                    prefix_holders == 0) {
-                    need += prefix_pages;
-                }
-                if (need > kv_free) continue;
-            }
-            QueueEntry entry;
-            entry.request_id = pending.id;
-            entry.arrival_ms = record.request.arrival_ms;
-            entry.deadline_ms = record.request.deadline_ms;
-            entry.remaining_prefill_ms = pending.RemainingMs();
-            entry.remaining_total_ms =
-                entry.remaining_prefill_ms +
-                pending.profile->decode_token_ms *
-                    record.request.output_len;
-            entries.push_back(entry);
-            eligible.push_back(qi);
-        }
-        if (entries.empty()) return;  // backpressured: NPU idles for pages
-        const size_t pick = eligible[queue_policy->Pick(entries, now)];
-        npu_job = prefill_queue[pick];
-        prefill_queue.erase(prefill_queue.begin() +
-                            static_cast<long>(pick));
-        RequestRecord& record =
-            result.records[static_cast<size_t>(npu_job.id)];
-        if (npu_job.next_chunk == 0) {
-            // Queueing delay is measured to the *first ever* dispatch; an
-            // eviction's re-prefill must not reset it.
-            if (record.first_dispatch_ms < 0.0) {
-                record.first_dispatch_ms = now;
-            }
-            if (kv_held[static_cast<size_t>(npu_job.id)] == 0) {
-                kv_acquire_prefix(npu_job.id);
-                kv_take(npu_job.id,
-                        pages_for(record.request.PrivatePromptLen()));
-            }
-        }
-        double duration =
-            npu_job.profile->chunk_ms[static_cast<size_t>(
-                npu_job.next_chunk)];
-        // Thermal throttling inflates the whole chunk by the service scale
-        // at dispatch (gated so thermal-off runs never touch the value).
-        if (fopts.thermal.enabled) duration *= thermal.ServiceScale();
-        // Fate of this attempt. A kFail attempt dies partway through; a
-        // kStall attempt hangs until the watchdog declares it dead at
-        // timeout_factor x the nominal service time.
-        npu_fate = fault_plane.Chunk(npu_job.id, npu_job.next_chunk,
-                                     npu_job.attempt);
-        if (npu_fate == FaultPlane::ChunkFate::kFail) {
-            duration *= fault_plane.ChunkFailFraction(
-                npu_job.id, npu_job.next_chunk, npu_job.attempt);
-        } else if (npu_fate == FaultPlane::ChunkFate::kStall) {
-            duration *= fopts.timeout_factor;
-        }
-        npu_busy = true;
-        ++npu_attempts;
-        npu_start = now;
-        npu_end = now + duration;
-        // The factor matching where this run's decode lives: the float
-        // processor the chunk's float stages hold, or the NPU itself.
-        // Dynamic placement keeps both factors at hand — the active step
-        // may sit on either side of the profile's own placement.
-        npu_interference = npu_job.profile->DecodeInterference();
-        chunk_float_interference =
-            npu_job.profile->float_decode_interference;
-        chunk_npu_interference = npu_job.profile->npu_decode_interference;
-        if (npu_fate == FaultPlane::ChunkFate::kOk) {
-            result.npu_busy_ms += duration;
-        } else {
-            result.npu_faulted_ms += duration;
-        }
-        if (step_active) {
-            // The chunk's float stages steal decode bandwidth from the
-            // step already in flight: that's a preemption.
-            ++result.preemptions;
-            preempt_counter.Add(1);
-            for (int id : step_members) {
-                ++result.records[static_cast<size_t>(id)].preemptions;
-            }
-            obs::SimEvent ev;
-            ev.name = "sim.preempt";
-            ev.t0_ms = now;
-            ev.req = npu_job.id;
-            sim_emit(std::move(ev));
-        }
-    };
-
-    auto start_step_if_idle = [&]() {
-        if (step_active || decode_pool.empty()) return;
-        step_members.clear();
-        step_placements.clear();
-        std::vector<int> to_shed;
-        double token_ms = 0.0;
-        double engine_marginal = -1.0;
-        // Placement decisions see the depth this step would run at and one
-        // signal snapshot per step boundary (not per member), so every
-        // decision is a pure function of the boundary's state and the
-        // recorded placements replay bitwise.
-        const int step_depth = std::min(
-            options_.max_decode_batch, static_cast<int>(decode_pool.size()));
-        const PolicySignals step_signals = make_signals();
-        for (size_t pi = 0;
-             pi < decode_pool.size() &&
-             static_cast<int>(step_members.size()) <
-                 options_.max_decode_batch;
-             ++pi) {
-            const int id = decode_pool[pi];
-            RequestRecord& record =
-                result.records[static_cast<size_t>(id)];
-            const ServingCostProfile& profile =
-                costs_.Costs(record.request.ServedInference());
-            PlacementQuery query;
-            query.record = &record;
-            query.profile = &profile;
-            query.context_len =
-                static_cast<int64_t>(record.request.prompt_len) +
-                record.tokens_out;
-            query.batch_depth = step_depth;
-            query.default_batch_marginal = options_.decode_batch_marginal;
-            query.signals = step_signals;
-            DecodePlacement place = placement_policy->Place(query);
-            if (inject_on) {
-                // Backoff gate after a faulted dispatch.
-                if (decode_ready[static_cast<size_t>(id)] > now) continue;
-                if (place == DecodePlacement::kNpuQuant &&
-                    fault_plane.DecodeFaults(
-                        id, record.tokens_out,
-                        decode_attempt[static_cast<size_t>(id)])) {
-                    // The NPU dispatch for this member faults: it sits the
-                    // step out (replay membership stays exactly what was
-                    // executed) and either fails over, retries after
-                    // backoff, or — retry budget gone — is shed.
-                    ++npu_attempts;  // tried and lost
-                    ++record.faults;
-                    ++result.faults;
-                    fault_counter.Add(1);
-                    ++consec_faults[static_cast<size_t>(id)];
-                    fault_event(
-                        "fault.decode", id, now, now,
-                        StrFormat("\"token\": %d, \"attempt\": %d",
-                                  record.tokens_out,
-                                  decode_attempt[static_cast<size_t>(id)]));
-                    ++decode_attempt[static_cast<size_t>(id)];
-                    maybe_failover(id);
-                    if (record.failed_over) {
-                        // Breaker fired: this very step runs on the CPU
-                        // fallback — the mid-stream switch happens at a
-                        // step boundary, never inside one.
-                        place = DecodePlacement::kCpuFloat;
-                    } else if (decode_attempt[static_cast<size_t>(id)] >=
-                               fopts.max_attempts) {
-                        to_shed.push_back(id);
-                        continue;
-                    } else {
-                        ++record.retries;
-                        ++result.retries;
-                        retry_counter.Add(1);
-                        decode_ready[static_cast<size_t>(id)] =
-                            now + fault_plane.BackoffMs(
-                                      decode_attempt[static_cast<size_t>(
-                                          id)]);
-                        continue;
-                    }
-                }
-                // Successful NPU dispatch heals the breaker window; the
-                // token's retry counter starts fresh for the next token.
-                if (place == DecodePlacement::kNpuQuant) {
-                    consec_faults[static_cast<size_t>(id)] = 0;
-                }
-                decode_attempt[static_cast<size_t>(id)] = 0;
-            }
-            double price = profile.decode_token_ms;
-            double member_marginal = profile.decode_batch_marginal;
-            if (record.failed_over) {
-                // Post-failover pricing: the engine's CPU fallback path,
-                // batched at the serving layer's CPU marginal.
-                price = profile.cpu_decode_token_ms > 0.0
-                            ? profile.cpu_decode_token_ms
-                            : profile.decode_token_ms;
-                member_marginal = options_.decode_batch_marginal;
-            } else if (place != profile.decode_placement) {
-                // Off-profile member: a dynamic policy disagreed with the
-                // engine profile. Policies *decide* with whatever oracle
-                // they hold, but the simulator *prices* executed work
-                // through the calibrated one, so virtual time stays in the
-                // calibrated plane regardless of what the policy believes.
-                if (place == DecodePlacement::kCpuFloat) {
-                    price = profile.cpu_decode_token_ms > 0.0
-                                ? profile.cpu_decode_token_ms
-                                : profile.decode_token_ms;
-                    member_marginal = options_.decode_batch_marginal;
-                } else {
-                    const double one = costs_.StepMs(
-                        DecodePlacement::kNpuQuant, query.context_len, 1);
-                    const double two = costs_.StepMs(
-                        DecodePlacement::kNpuQuant, query.context_len, 2);
-                    price = one;
-                    member_marginal =
-                        one > 0.0 ? std::max(0.0, two / one - 1.0)
-                                  : options_.decode_batch_marginal;
-                }
-            }
-            if (fopts.thermal.enabled &&
-                place == DecodePlacement::kNpuQuant) {
-                price *= thermal.ServiceScale();
-            }
-            token_ms = std::max(token_ms, price);
-            // Engines that know their own batching marginal (NPU-resident
-            // decode shares one weight stream per step) override the
-            // configured default; the max across members keeps the step
-            // cost conservative and independent of pool order, matching
-            // token_ms.
-            engine_marginal = std::max(engine_marginal, member_marginal);
-            step_members.push_back(id);
-            step_placements.push_back(place);
-        }
-        for (int id : to_shed) {
-            decode_pool.erase(std::find(decode_pool.begin(),
-                                        decode_pool.end(), id));
-            shed_request(id, "decode_retry_budget");
-        }
-        if (step_members.empty()) return;  // everyone backing off or shed
-        step_on_npu = false;
-        for (DecodePlacement member_place : step_placements) {
-            if (member_place == DecodePlacement::kNpuQuant) {
-                step_on_npu = true;
-                ++npu_attempts;
-            }
-        }
-        const double marginal = engine_marginal >= 0.0
-                                    ? engine_marginal
-                                    : options_.decode_batch_marginal;
-        step_active = true;
-        step_remaining_work =
-            token_ms *
-            (1.0 +
-             (static_cast<double>(step_members.size()) - 1.0) * marginal);
-        step_last_update = now;
-        step_start = now;
-    };
-
-    // KV growth past the free pages preempts other page holders —
-    // preemption by recompute (pages released, prefill restarted from
-    // chunk 0). Also the back-pressure valve of the fault plane's pool
-    // shrink, with grower = -1 ("the pool itself shrank; any holder is
-    // fair game, youngest first").
-    //
-    // Victim order is what makes this terminate: (1) decode-pool members
-    // strictly *younger* than the grower, youngest first; (2) queued
-    // mid-prefill reservations; (3) the in-flight chunk; (4) the grower
-    // itself, only when members older than it hold the pages. The oldest
-    // decode member is thus never evicted — victims are always younger
-    // than whoever demands the pages — so it always reaches completion and
-    // frees its pages, and by induction every request eventually does.
-    // (Evicting victims *older* than the grower would livelock: two
-    // requests whose reservations overlap can ping-pong evictions forever,
-    // neither ever finishing.)
-    auto evict_one_for = [&](int grower) {
-        auto requeue = [&](int victim) {
-            kv_drop_all(victim);
-            RequestRecord& vrec =
-                result.records[static_cast<size_t>(victim)];
-            vrec.tokens_out = 0;
-            vrec.prefill_done_ms = -1.0;
-            ++vrec.evictions;
-            evict_counter.Add(1);
-            decode_attempt[static_cast<size_t>(victim)] = 0;
-            decode_ready[static_cast<size_t>(victim)] = 0.0;
-            obs::SimEvent ev;
-            ev.name = "sim.evict";
-            ev.t0_ms = now;
-            ev.req = victim;
-            sim_emit(std::move(ev));
-        };
-        long grower_pos = -1;  // -1: no grower, every member evictable
-        if (grower >= 0) {
-            grower_pos = std::find(decode_pool.begin(), decode_pool.end(),
-                                   grower) -
-                         decode_pool.begin();
-        }
-        // Prefer dropping private suffix pages: within each tier, a victim
-        // whose eviction would take the shared prefix down with it (the
-        // last referencer) is passed over on the first sweep and picked
-        // only when that tier has nobody else — the prefix drops only when
-        // its last referencing sequence is the eviction choice. The tier
-        // *order* (younger-than-grower decode members, then queued
-        // reservations, then the in-flight chunk) is untouched; that order
-        // is what makes eviction terminate.
-        auto drops_prefix = [&](int id) {
-            return sharing_on && holds_prefix[static_cast<size_t>(id)] &&
-                   prefix_holders == 1;
-        };
-        for (int pass = 0; pass < (sharing_on ? 2 : 1); ++pass) {
-            for (size_t j = decode_pool.size();
-                 j-- > 0 && static_cast<long>(j) > grower_pos;) {
-                const int victim = decode_pool[j];
-                if (pass == 0 && drops_prefix(victim)) continue;
-                decode_pool.erase(decode_pool.begin() +
-                                  static_cast<long>(j));
-                requeue(victim);
-                PendingPrefill again;
-                again.id = victim;
-                again.profile =
-                    &costs_.Costs(result.records[static_cast<size_t>(
-                        victim)].request.ServedInference());
-                prefill_queue.push_back(again);
-                return true;
-            }
-        }
-        for (int pass = 0; pass < (sharing_on ? 2 : 1); ++pass) {
-            for (size_t j = prefill_queue.size(); j-- > 0;) {
-                PendingPrefill& pending = prefill_queue[j];
-                // Queued entries holding a reservation (mid-prefill, or a
-                // faulted chunk 0 awaiting retry) are evictable; entries
-                // that never dispatched hold nothing.
-                if (kv_held[static_cast<size_t>(pending.id)] == 0) continue;
-                if (pass == 0 && drops_prefix(pending.id)) continue;
-                requeue(pending.id);
-                pending.next_chunk = 0;  // recompute from chunk 0
-                pending.attempt = 0;
-                pending.ready_ms = 0.0;
-                return true;
-            }
-        }
-        if (npu_busy && npu_job.id != grower) {
-            // Cancel the in-flight chunk. Its partial execution is
-            // discarded untimed (no trace task, full duration backed out
-            // of the matching busy accumulator) so trace busy-time
-            // conservation and the trace↔replay parallelism hold.
-            if (npu_fate == FaultPlane::ChunkFate::kOk) {
-                result.npu_busy_ms -= npu_end - npu_start;
-            } else {
-                result.npu_faulted_ms -= npu_end - npu_start;
-            }
-            npu_busy = false;
-            requeue(npu_job.id);
-            npu_job.next_chunk = 0;
-            npu_job.attempt = 0;
-            npu_job.ready_ms = 0.0;
-            prefill_queue.push_back(npu_job);
-            return true;
-        }
-        return false;
-    };
-
-    // Memory pressure: the rest of the device claims pages back and the
-    // live budget drops mid-run. Defense, in order: shed every admitted
-    // request whose *whole* demand no longer fits (it could never complete
-    // and would thrash the smaller pool forever), then evict youngest-
-    // first through the termination-safe order until usage fits.
-    auto do_shrink = [&]() {
-        shrink_pending = false;
-        const int64_t new_budget = std::max<int64_t>(
-            1, static_cast<int64_t>(
-                   static_cast<double>(options_.kv_pool_pages) *
-                   fopts.pool_shrink_to));
-        live_budget = std::min(live_budget, new_budget);
-        result.kv_pool_pages_live = live_budget;
-        fault_event("fault.pool_shrink", -1, now, now,
-                    StrFormat("\"live_pages\": %lld",
-                              static_cast<long long>(live_budget)));
-        auto demand_of = [&](int id) {
-            return whole_demand_of(
-                result.records[static_cast<size_t>(id)].request);
-        };
-        for (size_t j = prefill_queue.size(); j-- > 0;) {
-            const int id = prefill_queue[j].id;
-            if (demand_of(id) > live_budget) {
-                prefill_queue.erase(prefill_queue.begin() +
-                                    static_cast<long>(j));
-                shed_request(id, "pool_shrink");
-            }
-        }
-        if (npu_busy && demand_of(npu_job.id) > live_budget) {
-            // Cancel the in-flight chunk untimed, same discipline as an
-            // eviction's category (3).
-            if (npu_fate == FaultPlane::ChunkFate::kOk) {
-                result.npu_busy_ms -= npu_end - npu_start;
-            } else {
-                result.npu_faulted_ms -= npu_end - npu_start;
-            }
-            npu_busy = false;
-            shed_request(npu_job.id, "pool_shrink");
-        }
-        for (size_t j = decode_pool.size(); j-- > 0;) {
-            const int id = decode_pool[j];
-            if (demand_of(id) > live_budget) {
-                decode_pool.erase(decode_pool.begin() +
-                                  static_cast<long>(j));
-                shed_request(id, "pool_shrink");
-            }
-        }
-        kv_free = live_budget - kv_used;
-        while (kv_used > live_budget) {
-            LLMNPU_CHECK(evict_one_for(-1));
-        }
-        // The degraded-mode invariant starts *after* the defense settles:
-        // from here on, usage never exceeds the live budget.
-        shrink_fired = true;
-        post_shrink_peak = kv_used;
-    };
-
-    // Deadline expiry while queued: a request whose SLO deadline passed
-    // before it ever dispatched is a lost cause — shed it at the deadline
-    // (an accounted SLO miss) and release any reserved pages instead of
-    // burning prefill on it.
-    auto expire_sweep = [&]() {
-        for (size_t j = prefill_queue.size(); j-- > 0;) {
-            const int id = prefill_queue[j].id;
-            const RequestRecord& record =
-                result.records[static_cast<size_t>(id)];
-            if (record.request.deadline_ms <= now) {
-                prefill_queue.erase(prefill_queue.begin() +
-                                    static_cast<long>(j));
-                shed_request(id, "deadline_expired");
-            }
-        }
-    };
-
-    // Brownout mode: while the die is throttled, queued requests whose
-    // deadline is infeasible even optimistically (remaining prefill at the
-    // current slowdown plus their decode stream) are shed rather than
-    // heating the NPU further for work that can only miss.
-    auto brownout_sweep = [&]() {
-        const double scale = thermal.ServiceScale();
-        for (size_t j = prefill_queue.size(); j-- > 0;) {
-            const PendingPrefill& pending = prefill_queue[j];
-            const RequestRecord& record =
-                result.records[static_cast<size_t>(pending.id)];
-            if (record.request.deadline_ms >= 1e300) continue;  // no SLO
-            const double finish_estimate =
-                now + pending.RemainingMs() * scale +
-                pending.profile->decode_token_ms *
-                    record.request.output_len;
-            if (finish_estimate > record.request.deadline_ms) {
-                const int id = pending.id;
-                prefill_queue.erase(prefill_queue.begin() +
-                                    static_cast<long>(j));
-                shed_request(id, "brownout");
-            }
-        }
-    };
-
-    // A sharer admitted while the prefix was resident was charged only its
-    // private suffix. If the prefix has since been dropped (last
-    // referencer left) and the whole once-counted demand no longer fits
-    // the live budget, the request can never dispatch — shed it rather
-    // than starving the queue (same discipline as do_shrink's misfits).
-    auto prefix_feasibility_sweep = [&]() {
-        if (prefix_holders > 0) return;  // resident: everyone feasible
-        for (size_t j = prefill_queue.size(); j-- > 0;) {
-            const int id = prefill_queue[j].id;
-            if (kv_held[static_cast<size_t>(id)] != 0) continue;
-            if (!is_sharer(id)) continue;
-            if (whole_demand_of(
-                    result.records[static_cast<size_t>(id)].request) <=
-                live_budget) {
-                continue;
-            }
-            prefill_queue.erase(prefill_queue.begin() +
-                                static_cast<long>(j));
-            shed_request(id, "prefix_dropped");
-        }
-    };
-
-    auto next_arrival_time = [&]() {
-        if (options_.closed_loop) {
-            double best = kInf;
-            for (double t : client_wakeups) best = std::min(best, t);
-            return best;
-        }
-        return next_open < open_arrivals.size()
-                   ? open_arrivals[next_open].arrival_ms
-                   : kInf;
-    };
-
-    // ---- Event loop: next event is the earliest of {arrival, chunk
-    // completion, decode-step completion at the current rate, fault-plane
-    // wake-ups (retry backoffs expiring, queued deadlines expiring, the
-    // pool shrink)}. Decode work drains continuously at a rate that drops
-    // while a chunk is in flight, so its completion time is re-derived
-    // whenever the NPU state changes.
-    while (true) {
-        const double t_arrival = next_arrival_time();
-        const double t_npu = npu_busy ? npu_end : kInf;
-        const double t_step =
-            step_active
-                ? step_last_update + step_remaining_work / decode_rate()
-                : kInf;
-        double t_aux = kInf;
-        if (inject_on || options_.shed_expired_queued) {
-            for (const PendingPrefill& pending : prefill_queue) {
-                if (pending.ready_ms > now) {
-                    t_aux = std::min(t_aux, pending.ready_ms);
-                }
-                if (options_.shed_expired_queued) {
-                    const double deadline =
-                        result.records[static_cast<size_t>(pending.id)]
-                            .request.deadline_ms;
-                    if (deadline > now) t_aux = std::min(t_aux, deadline);
-                }
-            }
-            for (int id : decode_pool) {
-                if (decode_ready[static_cast<size_t>(id)] > now) {
-                    t_aux = std::min(
-                        t_aux, decode_ready[static_cast<size_t>(id)]);
-                }
-            }
-            if (shrink_pending && fopts.pool_shrink_at_ms > now) {
-                t_aux = std::min(t_aux, fopts.pool_shrink_at_ms);
-            }
-        }
-        const double t_next = std::min({t_arrival, t_npu, t_step, t_aux});
-        if (t_next == kInf) break;  // all quiet: run complete
-
-        if (step_active) {
-            step_remaining_work -= (t_next - step_last_update) *
-                                   decode_rate();
-            step_last_update = t_next;
-        }
-        kv_integral += static_cast<double>(kv_used) * (t_next - now);
-        if (fopts.thermal.enabled) {
-            thermal.Advance(t_next - now, npu_busy);
-            if (thermal.Throttled()) throttled_ms += t_next - now;
-            peak_temp_c = std::max(peak_temp_c, thermal.temperature_c());
-            reg.GetGauge("sim.npu_temp_c").Set(thermal.temperature_c());
-            obs::SimEvent ev;
-            ev.name = "sim.npu_temp_c";
-            ev.phase = obs::TracePhase::kCounter;
-            ev.lane = obs::SimLane::kFaults;
-            ev.t0_ms = t_next;
-            ev.value = thermal.temperature_c();
-            sim_emit(std::move(ev));
-        }
-        now = t_next;
-        result.makespan_ms = std::max(result.makespan_ms, now);
-
-        if (t_next == t_arrival) {
-            if (options_.closed_loop) {
-                auto it = std::min_element(client_wakeups.begin(),
-                                           client_wakeups.end());
-                client_wakeups.erase(it);
-                ArrivalEvent event = sampler.Sample();
-                event.arrival_ms = now;
-                admit(event);
-            } else {
-                admit(open_arrivals[next_open++]);
-            }
-        } else if (npu_busy && t_next == t_npu) {
-            if (npu_fate != FaultPlane::ChunkFate::kOk) {
-                // Faulted attempt: discarded work. No trace task, no
-                // replay step (precedent: an eviction's cancelled
-                // in-flight chunk) — the occupancy lives on the faults
-                // lane instead, so the trace still shows where the NPU's
-                // time actually went.
-                RequestRecord& record =
-                    result.records[static_cast<size_t>(npu_job.id)];
-                ++record.faults;
-                ++result.faults;
-                fault_counter.Add(1);
-                ++consec_faults[static_cast<size_t>(npu_job.id)];
-                fault_event(
-                    npu_fate == FaultPlane::ChunkFate::kFail
-                        ? "fault.chunk_fail"
-                        : "fault.chunk_stall",
-                    npu_job.id, npu_start, npu_end,
-                    StrFormat("\"chunk\": %d, \"attempt\": %d",
-                              npu_job.next_chunk, npu_job.attempt));
-                npu_busy = false;
-                npu_fate = FaultPlane::ChunkFate::kOk;
-                maybe_failover(npu_job.id);
-                ++npu_job.attempt;
-                if (npu_job.attempt >= fopts.max_attempts) {
-                    // Retry budget exhausted: the request terminates as
-                    // shed — accounted, pages released, never goodput.
-                    shed_request(npu_job.id, "chunk_retry_budget");
-                } else {
-                    ++record.retries;
-                    ++result.retries;
-                    retry_counter.Add(1);
-                    npu_job.ready_ms =
-                        now + fault_plane.BackoffMs(npu_job.attempt);
-                    fault_event(
-                        "fault.retry", npu_job.id, now, now,
-                        StrFormat("\"attempt\": %d, \"not_before\": %.3f",
-                                  npu_job.attempt, npu_job.ready_ms));
-                    prefill_queue.push_back(npu_job);
-                }
-            } else {
-                result.trace_tasks.push_back(
-                    {StrFormat("req%d.chunk%d", npu_job.id,
-                               npu_job.next_chunk),
-                     Unit::kNpu, npu_end - npu_start, {},
-                     npu_job.next_chunk, -1});
-                result.trace.records.push_back({npu_start, npu_end});
-                {
-                    obs::SimEvent ev;
-                    ev.name = StrFormat("req%d.chunk%d", npu_job.id,
-                                        npu_job.next_chunk);
-                    ev.phase = obs::TracePhase::kSpan;
-                    ev.lane = obs::SimLane::kNpu;
-                    ev.t0_ms = npu_start;
-                    ev.t1_ms = npu_end;
-                    ev.req = npu_job.id;
-                    ev.args_json =
-                        StrFormat("\"chunk\": %d", npu_job.next_chunk);
-                    sim_emit(std::move(ev));
-                }
-                result.replay_steps.push_back(
-                    {/*is_prefill=*/true,
-                     {npu_job.id},
-                     npu_job.next_chunk,
-                     static_cast<int>(npu_job.profile->chunk_ms.size()),
-                     {}});
-                npu_busy = false;
-                consec_faults[static_cast<size_t>(npu_job.id)] = 0;
-                ++npu_job.next_chunk;
-                npu_job.attempt = 0;
-                npu_job.ready_ms = 0.0;
-                if (static_cast<size_t>(npu_job.next_chunk) <
-                    npu_job.profile->chunk_ms.size()) {
-                    prefill_queue.push_back(npu_job);
-                } else {
-                    RequestRecord& record =
-                        result.records[static_cast<size_t>(npu_job.id)];
-                    record.prefill_done_ms = now;
-                    decode_pool.push_back(npu_job.id);
-                }
-            }
-        } else if (step_active && t_next == t_step) {  // step completes
-            const double elapsed = now - step_start;
-            // Decode steps are always traced on the CPU lane, even when
-            // their placement is the NPU: an NPU-resident decode step
-            // time-slices the accelerator with in-flight prefill chunks
-            // (that contention is priced by npu_decode_interference), so
-            // its NPU occupancy is not an exclusive interval and cannot
-            // join the chunk rows on the kNpu lane without violating the
-            // trace's one-task-per-unit invariant. The CPU lane records
-            // the step's wall-clock residency; npu_busy_ms stays
-            // chunks-only either way.
-            result.trace_tasks.push_back(
-                {StrFormat("decode.step%d(B=%zu)", step_counter,
-                           step_members.size()),
-                 Unit::kCpu, elapsed, {}, -1, -1});
-            result.trace.records.push_back({step_start, now});
-            {
-                obs::SimEvent ev;
-                ev.name = StrFormat("decode.step%d", step_counter);
-                ev.phase = obs::TracePhase::kSpan;
-                ev.lane = obs::SimLane::kDecode;
-                ev.t0_ms = step_start;
-                ev.t1_ms = now;
-                ev.args_json = StrFormat(
-                    "\"batch\": %d",
-                    static_cast<int>(step_members.size()));
-                sim_emit(std::move(ev));
-            }
-            {
-                ReplayStep rstep;
-                rstep.is_prefill = false;
-                rstep.request_ids = step_members;
-                if (inject_on || dynamic_placement) {
-                    rstep.placements = step_placements;
-                }
-                result.replay_steps.push_back(std::move(rstep));
-            }
-            ++step_counter;
-            result.decode_busy_ms += elapsed;
-            step_active = false;
-            for (int id : step_members) {
-                RequestRecord& record =
-                    result.records[static_cast<size_t>(id)];
-                // A mid-step pool shrink can shed or evict a member while
-                // its step is still draining; the discarded computation
-                // emits nothing.
-                if (record.shed) continue;
-                if (std::find(decode_pool.begin(), decode_pool.end(),
-                              id) == decode_pool.end()) {
-                    continue;  // evicted mid-step
-                }
-                ++record.tokens_out;
-                // TTFT is to the first token *ever* emitted; an evicted
-                // request's re-decode must not reset it.
-                if (record.tokens_out == 1 && record.first_token_ms < 0.0) {
-                    record.first_token_ms = now;
-                    obs::SimEvent ev;
-                    ev.name = "sim.first_token";
-                    ev.t0_ms = now;
-                    ev.req = id;
-                    sim_emit(std::move(ev));
-                }
-                if (record.tokens_out >= record.request.output_len) {
-                    record.finish_ms = now;
-                    obs::SimEvent ev;
-                    ev.name = "sim.complete";
-                    ev.t0_ms = now;
-                    ev.req = id;
-                    sim_emit(std::move(ev));
-                    decode_pool.erase(std::find(decode_pool.begin(),
-                                                decode_pool.end(), id));
-                    kv_drop_all(id);
-                    if (options_.closed_loop &&
-                        issued < options_.num_requests) {
-                        client_wakeups.push_back(now +
-                                                 options_.think_time_ms);
-                        ++issued;
-                    }
-                }
-            }
-            // KV growth for the members that stay in the pool: each just
-            // appended one position; growth past the free pages runs the
-            // eviction order above.
-            for (int id : step_members) {
-                if (std::find(decode_pool.begin(), decode_pool.end(), id) ==
-                    decode_pool.end()) {
-                    continue;  // finished, shed, or evicted earlier
-                }
-                const RequestRecord& record =
-                    result.records[static_cast<size_t>(id)];
-                // Growth is charged against the private pages: generated
-                // tokens extend the suffix, never the page-aligned shared
-                // prefix, so the prefix stays counted once.
-                const int64_t needed = pages_for(
-                    static_cast<int64_t>(record.request.PrivatePromptLen()) +
-                    record.tokens_out);
-                int64_t delta = needed - kv_held[static_cast<size_t>(id)];
-                if (delta <= 0) continue;
-                while (kv_bounded && delta > kv_free) {
-                    if (evict_one_for(id)) continue;
-                    // Only holders older than the grower remain: the
-                    // grower itself is preempted and recomputes later.
-                    decode_pool.erase(std::find(decode_pool.begin(),
-                                                decode_pool.end(), id));
-                    kv_drop_all(id);
-                    RequestRecord& vrec =
-                        result.records[static_cast<size_t>(id)];
-                    vrec.tokens_out = 0;
-                    vrec.prefill_done_ms = -1.0;
-                    ++vrec.evictions;
-                    evict_counter.Add(1);
-                    {
-                        obs::SimEvent ev;
-                        ev.name = "sim.evict";
-                        ev.t0_ms = now;
-                        ev.req = id;
-                        sim_emit(std::move(ev));
-                    }
-                    PendingPrefill again;
-                    again.id = id;
-                    again.profile =
-                        &costs_.Costs(vrec.request.ServedInference());
-                    prefill_queue.push_back(again);
-                    delta = 0;
-                    break;
-                }
-                if (delta > 0) kv_take(id, delta);
-            }
-            step_members.clear();
-            step_placements.clear();
-        }
-        // (Otherwise: a fault-plane wake-up — a retry backoff or queued
-        // deadline expiring, or the pool shrink. The sweeps and dispatch
-        // attempts below do the actual work.)
-
-        if (shrink_pending && now >= fopts.pool_shrink_at_ms) do_shrink();
-        if (options_.shed_expired_queued) expire_sweep();
-        if (sharing_on && kv_bounded) prefix_feasibility_sweep();
-        if (inject_on && fopts.brownout_shedding && thermal.Throttled()) {
-            brownout_sweep();
-        }
-        start_chunk_if_idle();
-        start_step_if_idle();
-    }
-
-    if (result.makespan_ms > 0.0) {
-        result.kv_pages_mean = kv_integral / result.makespan_ms;
-        result.npu_throttled_frac = throttled_ms / result.makespan_ms;
-    }
-    result.peak_temp_c = peak_temp_c;
-    result.kv_pages_peak_post_shrink = post_shrink_peak;
-
-    // Thin reads back from the registry: peak occupancy came from the
-    // gauge watermark, evictions from the counter delta over this run.
-    result.kv_pages_peak = static_cast<int64_t>(kv_gauge.peak());
-    result.evictions =
-        static_cast<int>(evict_counter.value() - evict_base);
-
-    // ---- Finalize the execution trace as a TimelineResult so the shared
-    // schedule-validity helpers apply (per-unit busy, spans, makespan).
-    result.trace.makespan_ms = result.makespan_ms;
-    for (size_t i = 0; i < result.trace_tasks.size(); ++i) {
-        const size_t unit =
-            static_cast<size_t>(result.trace_tasks[i].unit);
-        const TaskRecord& record = result.trace.records[i];
-        result.trace.busy_ms[unit] += record.end_ms - record.start_ms;
-        if (result.trace.span_end_ms[unit] == 0.0) {
-            result.trace.span_start_ms[unit] = record.start_ms;
-        }
-        result.trace.span_start_ms[unit] =
-            std::min(result.trace.span_start_ms[unit], record.start_ms);
-        result.trace.span_end_ms[unit] =
-            std::max(result.trace.span_end_ms[unit], record.end_ms);
-    }
-    return result;
+    return run.Finish();
 }
 
 }  // namespace llmnpu

@@ -37,17 +37,12 @@ namespace llmnpu {
 
 /** Serving simulation parameters. */
 struct ServingOptions {
-    /** Deprecated spelling: prefer `queue_policy`. Kept source-compatible;
-     *  when queue_policy is null the simulator constructs the matching
-     *  SchedQueuePolicy from this enum at Run() start. */
-    SchedPolicy policy = SchedPolicy::kFcfs;
-
     /**
      * The pluggable control plane (src/serving/policy.h). Null fields
-     * fall back to the legacy defaults above/below at Run() start:
-     * SchedQueuePolicy(policy), StaticPlacement (follow the engine
-     * profile), ThresholdAdmission (whole-demand KV check). A run with
-     * the defaults — explicit or null — is bit-identical to the
+     * fall back to the defaults at Run() start: FCFS queue order
+     * (MakeQueuePolicy(SchedPolicy::kFcfs)), StaticPlacement (follow the
+     * engine profile), ThresholdAdmission (whole-demand KV check). A run
+     * with the defaults — explicit or null — is bit-identical to the
      * pre-policy-object simulator.
      *
      * A dynamic placement policy (PlacementPolicy::IsDynamic()) is
@@ -104,19 +99,13 @@ struct ServingOptions {
 
     /**
      * Shared-system-prompt scenario (src/workloads/arrivals.h): one
-     * page-aligned prefix carried by `share_fraction` of arrivals. The
-     * prefix's KV is a shared-cache asset:
-     *  - its pages are charged *once* across all referencing requests —
-     *    materialized at the first referencer's reservation, dropped when
-     *    the last referencer's pages are released;
-     *  - admission counts a sharer's demand as its private suffix plus the
-     *    prefix only when no referencer currently holds it;
-     *  - sharers prefill (and are cost-priced on) the private suffix only;
-     *  - eviction prefers victims whose pages are all private: within each
-     *    tier of the termination-safe victim order, a victim whose removal
-     *    would drop the shared prefix is picked only when no other victim
-     *    in that tier exists.
-     * Disabled (prefix_len == 0) is bit-identical to the legacy simulator.
+     * page-aligned prefix carried by `share_fraction` of arrivals. Its KV
+     * is a shared-cache asset, charged to the pool *once* across all
+     * referencing requests (src/serving/kv_ledger.h); sharers prefill
+     * (and are cost-priced on) the private suffix only; eviction picks a
+     * victim whose removal would drop the prefix only when its tier of
+     * the victim order has no other. Disabled (prefix_len == 0) is
+     * bit-identical to the legacy simulator.
      */
     SharedPrefixOptions shared_prefix;
 
@@ -131,9 +120,11 @@ struct ServingOptions {
     bool shed_expired_queued = false;
 
     /** Exits with a fatal user error on invalid parameters (bad pool
-     *  sizes, non-positive rates, out-of-range fault probabilities, ...).
-     *  Called at simulator construction so a bad sweep fails loudly at the
-     *  first run, not with a corrupted report. */
+     *  sizes, non-positive rates, out-of-range fault probabilities, ...)
+     *  and on options the run would silently ignore (a pool shrink on an
+     *  unbounded pool, brownout shedding without the thermal model or
+     *  without SLO deadlines). Called at simulator construction so a bad
+     *  sweep fails loudly at the first run, not with a corrupted report. */
     void Validate() const;
 };
 

@@ -338,7 +338,6 @@ class TraceReplayTest : public TinyModelTest
         ServingCostModel costs(engine, Qwen15_1_8B(),
                                SocSpec::RedmiK70Pro());
         ServingOptions options;
-        options.policy = SchedPolicy::kFcfs;
         options.num_requests = num_requests;
         options.rate_rps = 100.0;  // overlapping requests => real batches
         options.seed = 7;
@@ -421,9 +420,10 @@ TEST_F(TraceReplayTest, RandomizedDecodePlacementsReplayBitwise)
         Fp32LinearExecutor fp32(tiny_.weights);
         NpuShadowExecutor shadow(tiny_.weights, tiny_.profile, 0.5);
         DecodeBackend backend(fp32, shadow);
+        options.placement = placement;
         const ReplayOutcome outcome =
             ReplayServingTrace(result.replay_steps, result.records,
-                               tiny_.model, backend, placement, options);
+                               tiny_.model, backend, options);
         EXPECT_TRUE(outcome.bitwise_match)
             << "seed " << seed << ": " << outcome.first_mismatch;
         EXPECT_EQ(outcome.sequences, 6) << "seed " << seed;

@@ -407,7 +407,6 @@ class NpuDecodeReplayTest : public TinyModelTest
         ServingCostModel costs(engine, Qwen15_1_8B(),
                                SocSpec::RedmiK70Pro());
         ServingOptions serving;
-        serving.policy = SchedPolicy::kFcfs;
         serving.num_requests = num_requests;
         serving.rate_rps = 100.0;  // overlapping requests => real batches
         serving.seed = 11;
@@ -430,9 +429,10 @@ TEST_F(NpuDecodeReplayTest, NpuDecodeScheduleReplaysBitwise)
     placement.default_decode = DecodePlacement::kNpuQuant;
     ReplayOptions options;
     options.max_output_tokens = 64;  // replay every decode membership
+    options.placement = placement;
     const ReplayOutcome outcome =
         ReplayServingTrace(result.replay_steps, result.records, tiny_.model,
-                           backend, placement, options);
+                           backend, options);
     EXPECT_TRUE(outcome.bitwise_match) << outcome.first_mismatch;
     EXPECT_EQ(outcome.sequences, 5);
     EXPECT_GT(outcome.prefill_steps, 0);

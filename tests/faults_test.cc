@@ -279,7 +279,6 @@ class FaultServingTest : public PaperDeviceTest
     BaseOptions(int num_requests = 10, double rate_rps = 20.0)
     {
         ServingOptions options;
-        options.policy = SchedPolicy::kFcfs;
         options.num_requests = num_requests;
         options.rate_rps = rate_rps;
         options.seed = 17;
@@ -551,7 +550,6 @@ class FailoverReplayTest : public TinyModelTest
         ServingCostModel costs(engine, Qwen15_1_8B(),
                                SocSpec::RedmiK70Pro());
         ServingOptions options;
-        options.policy = SchedPolicy::kFcfs;
         options.num_requests = num_requests;
         options.rate_rps = 100.0;  // overlapping requests => real batches
         options.seed = 11;
@@ -607,9 +605,10 @@ TEST_F(FailoverReplayTest, MidStreamFailoverReplaysBitwise)
     placement.default_decode = DecodePlacement::kNpuQuant;
     ReplayOptions options;
     options.max_output_tokens = 64;  // replay every decode membership
+    options.placement = placement;
     const ReplayOutcome outcome =
         ReplayServingTrace(result.replay_steps, result.records, tiny_.model,
-                           backend, placement, options);
+                           backend, options);
     EXPECT_TRUE(outcome.bitwise_match) << outcome.first_mismatch;
     EXPECT_GT(outcome.decode_steps, 0);
     EXPECT_EQ(outcome.truncated_memberships, 0);

@@ -575,7 +575,6 @@ class PagedServingTest : public PaperDeviceTest
         LlmNpuEngine engine;
         ServingCostModel costs(engine, qwen_, soc_);
         ServingOptions options;
-        options.policy = SchedPolicy::kFcfs;
         options.num_requests = num_requests;
         options.rate_rps = rate_rps;
         options.seed = 9;

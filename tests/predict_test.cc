@@ -423,15 +423,16 @@ class SimulatorPolicyTest : public PaperDeviceTest
 
 TEST_F(SimulatorPolicyTest, ExplicitDefaultPoliciesAreBitIdentical)
 {
+    // Null policy fields (the defaults) against the same defaults spelled
+    // out as policy objects.
     ServingOptions base;
-    base.policy = SchedPolicy::kSloEdf;
     base.num_requests = 16;
     base.rate_rps = 0.25;
     base.seed = 11;
     const ServingResult legacy = RunWith(base);
 
     ServingOptions explicit_options = base;
-    explicit_options.queue_policy = MakeQueuePolicy(SchedPolicy::kSloEdf);
+    explicit_options.queue_policy = MakeQueuePolicy(SchedPolicy::kFcfs);
     explicit_options.placement_policy = std::make_shared<StaticPlacement>();
     explicit_options.admission_policy =
         std::make_shared<ThresholdAdmission>();
@@ -477,7 +478,6 @@ TEST_F(DynamicPlacementReplayTest, DynamicScheduleFlipsAndReplaysBitwise)
     // boundaries, record every executed placement, and the recorded
     // schedule must still replay bitwise on real tensors.
     ServingOptions options;
-    options.policy = SchedPolicy::kFcfs;
     options.num_requests = 24;
     options.rate_rps = 0.5;
     options.seed = 13;

@@ -40,7 +40,7 @@ TEST(PolicyTest, FcfsPicksEarliestArrival)
     const std::vector<QueueEntry> queue = {Entry(0, 50.0, 1e9, 10.0),
                                            Entry(1, 10.0, 1e9, 99.0),
                                            Entry(2, 30.0, 1e9, 1.0)};
-    EXPECT_EQ(PickNext(SchedPolicy::kFcfs, queue, 100.0), 1u);
+    EXPECT_EQ(SchedQueuePolicy(SchedPolicy::kFcfs).Pick(queue, 100.0), 1u);
 }
 
 TEST(PolicyTest, SpfPicksShortestRemainingPrefill)
@@ -48,7 +48,9 @@ TEST(PolicyTest, SpfPicksShortestRemainingPrefill)
     const std::vector<QueueEntry> queue = {Entry(0, 50.0, 1e9, 10.0),
                                            Entry(1, 10.0, 1e9, 99.0),
                                            Entry(2, 30.0, 1e9, 1.0)};
-    EXPECT_EQ(PickNext(SchedPolicy::kShortestPromptFirst, queue, 100.0), 2u);
+    EXPECT_EQ(
+        SchedQueuePolicy(SchedPolicy::kShortestPromptFirst).Pick(queue, 100.0),
+        2u);
 }
 
 TEST(PolicyTest, SloEdfPrefersFeasibleEarliestDeadline)
@@ -58,7 +60,7 @@ TEST(PolicyTest, SloEdfPrefersFeasibleEarliestDeadline)
     const std::vector<QueueEntry> queue = {Entry(0, 0.0, 90.0, 10.0),
                                            Entry(1, 10.0, 500.0, 50.0),
                                            Entry(2, 20.0, 300.0, 50.0)};
-    EXPECT_EQ(PickNext(SchedPolicy::kSloEdf, queue, 100.0), 2u);
+    EXPECT_EQ(SchedQueuePolicy(SchedPolicy::kSloEdf).Pick(queue, 100.0), 2u);
 }
 
 TEST(PolicyTest, SloEdfPricesDecodeIntoFeasibility)
@@ -69,14 +71,14 @@ TEST(PolicyTest, SloEdfPricesDecodeIntoFeasibility)
     const std::vector<QueueEntry> queue = {
         Entry(0, 0.0, 200.0, 10.0, 500.0),
         Entry(1, 10.0, 400.0, 50.0, 100.0)};
-    EXPECT_EQ(PickNext(SchedPolicy::kSloEdf, queue, 100.0), 1u);
+    EXPECT_EQ(SchedQueuePolicy(SchedPolicy::kSloEdf).Pick(queue, 100.0), 1u);
 }
 
 TEST(PolicyTest, SloEdfFallsBackToFcfsWhenAllExpired)
 {
     const std::vector<QueueEntry> queue = {Entry(0, 40.0, 10.0, 50.0),
                                            Entry(1, 5.0, 20.0, 50.0)};
-    EXPECT_EQ(PickNext(SchedPolicy::kSloEdf, queue, 1000.0), 1u);
+    EXPECT_EQ(SchedQueuePolicy(SchedPolicy::kSloEdf).Pick(queue, 1000.0), 1u);
 }
 
 TEST(PolicyTest, NamesAreStable)
@@ -160,7 +162,7 @@ RunSim(ServingCostModel& costs, const std::vector<DatasetProfile>& mix,
        uint64_t seed = 7)
 {
     ServingOptions options;
-    options.policy = policy;
+    options.queue_policy = MakeQueuePolicy(policy);
     options.rate_rps = rate_rps;
     options.num_requests = num_requests;
     options.seed = seed;
