@@ -4,13 +4,14 @@
  * histograms, looked up by stable dotted names.
  *
  * This is the single source of truth the scattered ad-hoc stats migrated
- * onto: DecodeBackend's HandoffStats, the serving simulator's KV-pool
- * peak/eviction bookkeeping, KvPagePool occupancy, ThreadPool queue depth
- * and per-thread busy time, and the per-request TTFT/TPOT histograms
- * behind ServingReport. Old accessors remain as thin reads (usually
- * "global counter minus a snapshot taken at construction/reset"), so
- * callers and tests are unchanged while every number flows through one
- * place.
+ * onto: DecodeBackend's HandoffStats, KvPagePool occupancy, ThreadPool
+ * queue depth and per-thread busy time, and the per-request TTFT/TPOT
+ * histograms behind ServingReport. Old accessors remain as thin reads
+ * (usually "global counter minus a snapshot taken at construction/reset"),
+ * so callers and tests are unchanged while every number flows through one
+ * place. The serving simulator is the exception: its counts are per-run
+ * state (concurrent runs must not share them), published here once each
+ * run finishes and never read back.
  *
  * Concurrency: GetCounter/GetGauge/GetHistogram take a mutex (cache the
  * returned reference on hot paths); the returned objects have stable

@@ -74,12 +74,12 @@ struct FaultOptions {
     ThermalOptions thermal;
     /** Brownout mode: while the die is throttled, shed queued requests
      *  whose SLO deadline is no longer feasible instead of burning hot
-     *  cycles on lost causes. */
+     *  cycles on lost causes. Requires `thermal` on and SLO deadlines. */
     bool brownout_shedding = false;
 
     // ---- (c) memory pressure.
     /** Virtual time at which the live KV page budget shrinks; < 0 means
-     *  never. Only meaningful with a bounded ServingOptions pool. */
+     *  never. Requires a bounded ServingOptions pool. */
     double pool_shrink_at_ms = -1.0;
     /** Fraction of the configured budget that survives the shrink. */
     double pool_shrink_to = 1.0;

@@ -258,6 +258,26 @@ TEST(FaultValidationDeathTest, ServingOptionsValidateIsLoud)
     EXPECT_DEATH(options.Validate(), "fatal");
 }
 
+TEST(FaultValidationDeathTest, RejectsOptionsTheRunWouldIgnore)
+{
+    // A shrink of an unbounded pool never fires.
+    ServingOptions options;
+    options.faults.pool_shrink_at_ms = 100.0;
+    options.faults.pool_shrink_to = 0.5;
+    EXPECT_DEATH(options.Validate(), "pool_shrink_at_ms");
+    options.kv_pool_pages = 64;
+    options.Validate();  // bounded: fine
+
+    // Brownout shedding keys on throttling and on deadlines.
+    options = ServingOptions{};
+    options.faults.brownout_shedding = true;
+    EXPECT_DEATH(options.Validate(), "thermal");
+    options.faults.thermal.enabled = true;
+    options.Validate();  // thermal on, default SLOs: fine
+    options.slo_factor = 0.0;
+    EXPECT_DEATH(options.Validate(), "slo_factor");
+}
+
 // --------------------------------------------- degraded-mode serving runs
 
 class FaultServingTest : public PaperDeviceTest

@@ -13,14 +13,18 @@
  * fused PagedCausalAttention kernel (bitwise equality to the per-sequence
  * reference and 1/2/4-thread determinism), B=64 ragged batched forward vs
  * sequential, the serving layer's KV admission/eviction model (including
- * eviction-then-readmit bitwise replay), and the empty-input guards of the
- * metrics path (Percentile, all-rejected reports, config validation).
+ * eviction-then-readmit bitwise replay), the simulator's KvLedger page
+ * accounting, per-run KV state under concurrent simulator runs, and the
+ * empty-input guards of the metrics path (Percentile, all-rejected
+ * reports, config validation).
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "src/core/llmnpu_engine.h"
@@ -28,6 +32,7 @@
 #include "src/model/kv_page_pool.h"
 #include "src/model/paged_attention.h"
 #include "src/model/weights.h"
+#include "src/serving/kv_ledger.h"
 #include "src/serving/replay.h"
 #include "src/serving/simulator.h"
 #include "src/tensor/ops.h"
@@ -35,6 +40,7 @@
 #include "src/util/stats.h"
 #include "src/util/threadpool.h"
 #include "src/workloads/datasets.h"
+#include "tests/support/schedule_hash.h"
 #include "tests/support/tiny_model.h"
 #include "tests/support/token_streams.h"
 
@@ -828,6 +834,167 @@ TEST_F(PagedServingTest, SharedPrefixScheduleReplaysBitwiseThroughCow)
     EXPECT_GT(outcome.shared_prefix_forks, 0);
     EXPECT_GT(outcome.cow_page_clones, 0);
     EXPECT_GT(outcome.prefill_steps, 0);
+}
+
+// ----------------------------------------------- serving: the KV ledger
+
+TEST(KvLedgerTest, RandomOpsKeepPagesConservedAndPrefixChargedOnce)
+{
+    // A seeded mix of reserve / grow / release / shrink, with sharers
+    // taking and dropping the prefix, checked against a plain model after
+    // every op. Reserve and grow are only attempted when they fit, as the
+    // simulator's dispatch gate and eviction loop guarantee.
+    constexpr int kRequests = 8;
+    constexpr int64_t kPageSize = 16;
+    constexpr int64_t kPrefixLen = 48;  // 3 pages
+    constexpr int64_t kBudget = 160;
+    KvLedger ledger(kRequests, kBudget, kPageSize, kPrefixLen);
+    std::vector<ServingRequest> requests(kRequests);
+    for (int id = 0; id < kRequests; ++id) {
+        requests[static_cast<size_t>(id)].id = id;
+        requests[static_cast<size_t>(id)].prompt_len = 70 + 29 * id;
+        requests[static_cast<size_t>(id)].output_len = 20;
+        requests[static_cast<size_t>(id)].shared_prefix_len =
+            id % 2 == 0 ? static_cast<int>(kPrefixLen) : 0;
+    }
+    const int64_t prefix_pages = ledger.prefix_pages();
+    ASSERT_EQ(prefix_pages, 3);
+
+    std::vector<int64_t> held(kRequests, 0);
+    std::set<int> holders;
+    int materializations = 0;
+    int drops = 0;
+    int64_t last_peak = 0;
+    bool shrunk = false;
+    Rng rng(0x1ed9e7);
+    for (int op = 0; op < 300; ++op) {
+        const int id = static_cast<int>(rng.UniformInt(kRequests));
+        const ServingRequest& request = requests[static_cast<size_t>(id)];
+        const bool sharer = request.shared_prefix_len > 0;
+        const int kind = static_cast<int>(rng.UniformInt(uint64_t{10}));
+        const int64_t used_before = ledger.used();
+        if (kind < 4 && held[static_cast<size_t>(id)] == 0) {
+            const int64_t charge = ledger.ReserveCharge(request);
+            EXPECT_EQ(charge, ledger.PagesFor(request.PrivatePromptLen()) +
+                                  (sharer && holders.empty() ? prefix_pages
+                                                             : 0));
+            if (charge > ledger.free()) continue;
+            ledger.Reserve(request, op);
+            held[static_cast<size_t>(id)] =
+                ledger.PagesFor(request.PrivatePromptLen());
+            if (sharer) {
+                if (holders.empty()) ++materializations;
+                holders.insert(id);
+            }
+            // The prefix is charged only by the reservation that
+            // materializes it.
+            EXPECT_EQ(ledger.used() - used_before, charge);
+        } else if (kind < 7 && held[static_cast<size_t>(id)] > 0) {
+            const int64_t pages = rng.UniformInt(int64_t{1}, int64_t{3});
+            if (pages > ledger.free()) continue;
+            ledger.Grow(id, pages, op);
+            held[static_cast<size_t>(id)] += pages;
+        } else if (kind < 9) {
+            ledger.Release(id, op);
+            held[static_cast<size_t>(id)] = 0;
+            if (holders.erase(id) == 1 && holders.empty()) ++drops;
+        } else if (!shrunk && op > 150) {
+            ledger.Shrink(kBudget / 2);
+            for (int victim = kRequests - 1; ledger.free() < 0; --victim) {
+                ledger.Release(victim, op);
+                held[static_cast<size_t>(victim)] = 0;
+                if (holders.erase(victim) == 1 && holders.empty()) ++drops;
+            }
+            ledger.SettleShrink();
+            shrunk = true;
+        }
+
+        int64_t sum_held = 0;
+        for (int r = 0; r < kRequests; ++r) {
+            EXPECT_EQ(ledger.held(r), held[static_cast<size_t>(r)]);
+            EXPECT_EQ(ledger.holds_prefix(r), holders.count(r) == 1);
+            sum_held += held[static_cast<size_t>(r)];
+        }
+        ASSERT_EQ(ledger.used(),
+                  sum_held + (holders.empty() ? 0 : prefix_pages))
+            << "op " << op;
+        EXPECT_EQ(ledger.prefix_holders(), static_cast<int>(holders.size()));
+        EXPECT_EQ(ledger.free(), ledger.live_budget() - ledger.used());
+        EXPECT_GE(ledger.peak(), last_peak);
+        EXPECT_GE(ledger.peak(), ledger.used());
+        last_peak = ledger.peak();
+        if (shrunk) {
+            EXPECT_LE(ledger.post_shrink_peak(), ledger.live_budget());
+        }
+        EXPECT_EQ(ledger.materializations(), materializations);
+        EXPECT_EQ(ledger.drops(), drops);
+    }
+    EXPECT_TRUE(shrunk);
+    EXPECT_GT(materializations, 1);  // the prefix was dropped and rebuilt
+    EXPECT_GE(ledger.refs_peak(), 2);
+}
+
+TEST(KvLedgerTest, ChargesCountTheResidentPrefixOnce)
+{
+    KvLedger ledger(/*num_requests=*/2, /*budget_pages=*/0,
+                    /*page_size=*/16, /*prefix_len=*/32);
+    ServingRequest a;
+    a.id = 0;
+    a.prompt_len = 32 + 40;  // 3 private prompt pages
+    a.output_len = 10;       // 4 private pages with the output
+    a.shared_prefix_len = 32;
+    ServingRequest b = a;
+    b.id = 1;
+    EXPECT_FALSE(ledger.bounded());
+    EXPECT_EQ(ledger.Demand(a), 4 + 2);
+    EXPECT_EQ(ledger.AdmissionCharge(a), 4 + 2);
+    EXPECT_EQ(ledger.ReserveCharge(a), 3 + 2);
+    ledger.Reserve(a, 0.0);
+    EXPECT_EQ(ledger.used(), 5);
+    // With the prefix resident, a second sharer pays its private pages
+    // only; its whole demand still counts the prefix.
+    EXPECT_EQ(ledger.AdmissionCharge(b), 4);
+    EXPECT_EQ(ledger.ReserveCharge(b), 3);
+    EXPECT_EQ(ledger.Demand(b), 6);
+    EXPECT_TRUE(ledger.DropsPrefix(a.id));  // the only referencer
+    ledger.Reserve(b, 1.0);
+    EXPECT_FALSE(ledger.DropsPrefix(a.id));
+    EXPECT_EQ(ledger.used(), 8);
+    EXPECT_EQ(ledger.Shortfall(b, /*tokens_out=*/8), 0);
+    EXPECT_EQ(ledger.Shortfall(b, /*tokens_out=*/9), 1);
+    ledger.Release(a.id, 2.0);
+    EXPECT_TRUE(ledger.DropsPrefix(b.id));
+    ledger.Release(b.id, 3.0);
+    EXPECT_EQ(ledger.used(), 0);
+    EXPECT_EQ(ledger.peak(), 8);
+    EXPECT_EQ(ledger.materializations(), 1);
+    EXPECT_EQ(ledger.drops(), 1);
+    EXPECT_EQ(ledger.refs_peak(), 2);
+}
+
+TEST_F(PagedServingTest, ConcurrentRunsKeepPerRunKvAccounting)
+{
+    // KV peak and eviction counts are per-run state: a bounded and an
+    // unbounded simulation on two threads must each reproduce their
+    // sequential result exactly, golden hash included.
+    const ServingResult bounded = RunBounded(90, 40, 50.0);
+    const ServingResult unbounded = RunBounded(0, 40, 50.0);
+    ASSERT_LE(bounded.kv_pages_peak, 90);
+    ASSERT_GT(unbounded.kv_pages_peak, 90);
+    for (int iteration = 0; iteration < 20; ++iteration) {
+        ServingResult a;
+        ServingResult b;
+        std::thread first([&] { a = RunBounded(90, 40, 50.0); });
+        std::thread second([&] { b = RunBounded(0, 40, 50.0); });
+        first.join();
+        second.join();
+        EXPECT_EQ(a.kv_pages_peak, bounded.kv_pages_peak) << iteration;
+        EXPECT_EQ(a.evictions, bounded.evictions) << iteration;
+        EXPECT_EQ(ScheduleHash(a), ScheduleHash(bounded)) << iteration;
+        EXPECT_EQ(b.kv_pages_peak, unbounded.kv_pages_peak) << iteration;
+        EXPECT_EQ(b.evictions, unbounded.evictions) << iteration;
+        EXPECT_EQ(ScheduleHash(b), ScheduleHash(unbounded)) << iteration;
+    }
 }
 
 // ----------------------------------------------- empty-input bug guards
