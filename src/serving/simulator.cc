@@ -470,6 +470,8 @@ class ServingRun
         reg.GetCounter("sim.retries").Add(result_.retries);
         reg.GetCounter("sim.shed").Add(result_.shed);
         reg.GetCounter("sim.failovers").Add(result_.failovers);
+        // The KV gauge ends at the final usage with this run's peak as its
+        // watermark.
         obs::Gauge& kv_gauge = reg.GetGauge("sim.kv_used_pages");
         kv_gauge.Reset();
         kv_gauge.Set(static_cast<double>(result_.kv_pages_peak));
