@@ -9,8 +9,7 @@ namespace llmnpu {
 
 KvLedger::KvLedger(int num_requests, int64_t budget_pages,
                    int64_t page_size, int64_t prefix_len)
-    : bounded_(budget_pages > 0),
-      page_size_(page_size),
+    : page_size_(page_size),
       prefix_pages_((prefix_len + page_size - 1) / page_size),
       live_budget_(budget_pages),
       held_(static_cast<size_t>(num_requests), 0),

@@ -94,7 +94,7 @@ class KvLedger
         integral_ += static_cast<double>(used_) * dt_ms;
     }
 
-    bool bounded() const { return bounded_; }
+    bool bounded() const { return live_budget_ > 0; }
     int64_t live_budget() const { return live_budget_; }
     int64_t used() const { return used_; }
     /** Pages left under the live budget (meaningful when bounded). */
@@ -129,7 +129,6 @@ class KvLedger
     /** A usage change: peaks, plus the sim.kv_used_pages trace counter. */
     void Note(double now_ms);
 
-    const bool bounded_;
     const int64_t page_size_;
     const int64_t prefix_pages_;
     int64_t live_budget_;
