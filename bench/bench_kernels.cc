@@ -174,14 +174,67 @@ EmitKernelMetrics()
 }
 
 /**
- * Fused paged attention vs the per-sequence path it replaced: a B=16
- * batched decode step (one query row per sequence) over paged KV at
- * several context lengths. The reference materializes each sequence's
- * dense K/V and runs CausalAttention per sequence — exactly what
- * ForwardBatch did before the fused kernel — so the speedup row prices
+ * One paged-attention shape: `batch` sequences, each with `history` cached
+ * positions plus `q_rows` new rows whose K/V are already appended (decode:
+ * q_rows = 1). The per_seq_dense reference materializes each sequence's
+ * dense K/V and runs CausalAttention per sequence, single-threaded: what
+ * ForwardBatch did before the fused kernel, so the speedup column prices
  * the fusion itself (tile-parallel, page-direct reads, no dense copies).
- * Attention does 4*kv*head_dim flops per (seq, head) query row, which
- * MeasureGFlops' 2*m*k*n form matches as m=B*heads, k=2*kv, n=head_dim.
+ * Each (sequence, head) query row r does 4*head_dim flops per visible key
+ * (history + r + 1 keys), which MeasureGFlops' 2*m*k*n form matches as
+ * m = batch*heads, k = 2*keys, n = head_dim. Rows are keyed
+ * (m, k, n) = (metric_m, metric_k, heads*head_dim).
+ */
+void
+EmitPagedAttentionShape(const char* dense_variant, const char* fused_variant,
+                        int64_t metric_m, int64_t metric_k, int batch,
+                        int heads, int head_dim, int64_t history,
+                        int64_t q_rows, const std::vector<int>& thread_counts)
+{
+    const int64_t model_dim = static_cast<int64_t>(heads) * head_dim;
+    Rng rng(0x9a6ed + static_cast<uint64_t>(history + q_rows));
+    BatchedKvCache cache(1, model_dim, 0, PagedKvOptions{});
+    std::vector<int> seqs;
+    std::vector<int64_t> segments{0};
+    std::vector<int64_t> pos_offsets;
+    for (int b = 0; b < batch; ++b) {
+        const int seq = cache.AddSequence();
+        cache.Append(seq, 0, RandomTensor(rng, {history + q_rows, model_dim}),
+                     RandomTensor(rng, {history + q_rows, model_dim}));
+        seqs.push_back(seq);
+        pos_offsets.push_back(history);
+        segments.push_back(segments.back() + q_rows);
+    }
+    Tensor q = RandomTensor(rng, {batch * q_rows, model_dim});
+
+    const int64_t keys = q_rows * history + q_rows * (q_rows + 1) / 2;
+    const int64_t flop_m = static_cast<int64_t>(batch) * heads;
+    const double per_seq = MeasureGFlops(flop_m, 2 * keys, head_dim, [&] {
+        for (size_t b = 0; b < seqs.size(); ++b) {
+            benchmark::DoNotOptimize(CausalAttention(
+                q.CopyRows(segments[b], q_rows), cache.Keys(seqs[b], 0),
+                cache.Values(seqs[b], 0), heads, heads, history));
+        }
+    });
+    PrintMetric("paged_attention", dense_variant, metric_m, metric_k,
+                model_dim, 1, per_seq, 1.0);
+    for (int threads : thread_counts) {
+        ScopedNumThreads scoped(threads);
+        const double fused = MeasureGFlops(flop_m, 2 * keys, head_dim, [&] {
+            benchmark::DoNotOptimize(PagedCausalAttention(
+                q, segments, seqs, pos_offsets, cache, 0, heads, heads));
+        });
+        PrintMetric("paged_attention", fused_variant, metric_m, metric_k,
+                    model_dim, threads, fused, fused / per_seq);
+    }
+}
+
+/**
+ * Fused paged attention vs the per-sequence path it replaced. A B=16
+ * decode step at head_dim 32 over several context lengths, plus two
+ * shapes of the benchmark's proxy model (4 heads of head_dim 128): a B=16
+ * decode step at context 256, and a 256-row prefill chunk over a
+ * 512-position history (keyed m = query rows, k = history).
  */
 void
 EmitPagedAttentionMetrics()
@@ -192,50 +245,17 @@ EmitPagedAttentionMetrics()
     const std::vector<int> thread_counts =
         QuickMode() ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4};
     constexpr int kBatch = 16;
-    constexpr int kHeads = 8;
-    constexpr int kHeadDim = 32;
-    const int64_t model_dim = static_cast<int64_t>(kHeads) * kHeadDim;
-
     for (int64_t kv : contexts) {
-        Rng rng(0x9a6ed + static_cast<uint64_t>(kv));
-        BatchedKvCache cache(1, model_dim, 0, PagedKvOptions{});
-        std::vector<int> seqs;
-        std::vector<int64_t> segments{0};
-        std::vector<int64_t> pos_offsets;
-        for (int b = 0; b < kBatch; ++b) {
-            const int seq = cache.AddSequence();
-            cache.Append(seq, 0, RandomTensor(rng, {kv, model_dim}),
-                         RandomTensor(rng, {kv, model_dim}));
-            seqs.push_back(seq);
-            // Decode semantics: the step's K/V row is already appended, so
-            // the query sits at the last cached position.
-            pos_offsets.push_back(kv - 1);
-            segments.push_back(segments.back() + 1);
-        }
-        Tensor q = RandomTensor(rng, {kBatch, model_dim});
-
-        const int64_t flop_m = static_cast<int64_t>(kBatch) * kHeads;
-        const double per_seq = MeasureGFlops(flop_m, 2 * kv, kHeadDim, [&] {
-            for (int seq : seqs) {
-                benchmark::DoNotOptimize(CausalAttention(
-                    q.CopyRows(seq, 1), cache.Keys(seq, 0),
-                    cache.Values(seq, 0), kHeads, kHeads, kv - 1));
-            }
-        });
-        PrintMetric("paged_attention", "per_seq_dense", kBatch, kv,
-                    model_dim, 1, per_seq, 1.0);
-        for (int threads : thread_counts) {
-            ScopedNumThreads scoped(threads);
-            const double fused =
-                MeasureGFlops(flop_m, 2 * kv, kHeadDim, [&] {
-                    benchmark::DoNotOptimize(PagedCausalAttention(
-                        q, segments, seqs, pos_offsets, cache, 0, kHeads,
-                        kHeads));
-                });
-            PrintMetric("paged_attention", "fused", kBatch, kv, model_dim,
-                        threads, fused, fused / per_seq);
-        }
+        EmitPagedAttentionShape("per_seq_dense", "fused", kBatch, kv, kBatch,
+                                /*heads=*/8, /*head_dim=*/32, kv - 1, 1,
+                                thread_counts);
     }
+    EmitPagedAttentionShape("per_seq_dense", "fused", kBatch, 256, kBatch,
+                            /*heads=*/4, /*head_dim=*/128, 255, 1,
+                            thread_counts);
+    EmitPagedAttentionShape("prefill_dense", "prefill_fused", 256, 512, 1,
+                            /*heads=*/4, /*head_dim=*/128, 512, 256,
+                            thread_counts);
 }
 
 // ----------------------------------------------------- google-benchmark

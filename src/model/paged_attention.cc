@@ -1,9 +1,7 @@
 #include "src/model/paged_attention.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "src/obs/trace.h"
+#include "src/tensor/attention_kernel.h"
 #include "src/util/check.h"
 #include "src/util/threadpool.h"
 
@@ -30,7 +28,6 @@ PagedCausalAttention(const Tensor& q, const std::vector<int64_t>& segments,
                     cache.kv_dim());
 
     const int heads_per_kv = num_heads / num_kv_heads;
-    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
     const int64_t kv_dim = cache.kv_dim();
     const int64_t ps = cache.page_size();
     const KvPagePool& pool = cache.pool();
@@ -48,83 +45,41 @@ PagedCausalAttention(const Tensor& q, const std::vector<int64_t>& segments,
     float* po = out.Data<float>();
     const int64_t q_cols = q.Cols();
 
-    // One tile = one (sequence, head) pair: disjoint output regions, a
-    // fixed per-tile reduction order, hence bitwise-deterministic output
-    // for any block partition the pool picks.
+    // One tile = one (sequence, head) pair: disjoint output regions, and
+    // each row's arithmetic fixed by CausalAttentionHead, hence
+    // bitwise-deterministic output for any block partition the pool picks.
     const int64_t tiles = static_cast<int64_t>(b) * num_heads;
     LLMNPU_TRACE_SPAN_ID("attention.paged", "attention", -1, -1, layer);
     ThreadPool::Global().ParallelFor(
         tiles, /*grain=*/1, [&](int64_t begin, int64_t end) {
-            std::vector<float> scores;
-            std::vector<float> acc(static_cast<size_t>(head_dim));
+            std::vector<const float*> k_pages, v_pages;
             for (int64_t tile = begin; tile < end; ++tile) {
                 const size_t i = static_cast<size_t>(tile / num_heads);
                 const int h = static_cast<int>(tile % num_heads);
                 LLMNPU_TRACE_SPAN_TILE("attention.tile", "attention", -1,
                                        seqs[i], layer, "head", h);
-                const int kv_h = h / heads_per_kv;
                 const int64_t q_off = static_cast<int64_t>(h) * head_dim;
                 const int64_t kv_off =
-                    static_cast<int64_t>(kv_h) * head_dim;
+                    static_cast<int64_t>(h / heads_per_kv) * head_dim;
                 const int64_t r0 = segments[i];
                 const int64_t q_len = segments[i + 1] - r0;
                 const std::vector<int64_t>& pages =
                     cache.PageTable(seqs[i]);
-
-                for (int64_t r = 0; r < q_len; ++r) {
-                    const int64_t visible = pos_offsets[i] + r + 1;
-                    scores.assign(static_cast<size_t>(visible), 0.0f);
-                    const float* qrow = pq + (r0 + r) * q_cols + q_off;
-                    float mx = -1e30f;
-                    // Walk page-contiguous runs: the page lookup and
-                    // div/mod happen once per page, not once per position.
-                    // The position order (and hence float op order) is
-                    // unchanged, preserving the bitwise contract.
-                    for (int64_t j = 0; j < visible;) {
-                        const int64_t run =
-                            std::min(visible - j, ps - j % ps);
-                        const float* krow =
-                            pool.PageK(pages[static_cast<size_t>(j / ps)],
-                                       layer) +
-                            (j % ps) * kv_dim + kv_off;
-                        for (const int64_t e = j + run; j < e;
-                             ++j, krow += kv_dim) {
-                            float dot = 0.0f;
-                            for (int d = 0; d < head_dim; ++d) {
-                                dot += qrow[d] * krow[d];
-                            }
-                            scores[static_cast<size_t>(j)] = dot * scale;
-                            mx = std::max(mx,
-                                          scores[static_cast<size_t>(j)]);
-                        }
-                    }
-                    double sum = 0.0;
-                    for (int64_t j = 0; j < visible; ++j) {
-                        scores[static_cast<size_t>(j)] =
-                            std::exp(scores[static_cast<size_t>(j)] - mx);
-                        sum += scores[static_cast<size_t>(j)];
-                    }
-                    const float inv = static_cast<float>(1.0 / sum);
-                    std::fill(acc.begin(), acc.end(), 0.0f);
-                    for (int64_t j = 0; j < visible;) {
-                        const int64_t run =
-                            std::min(visible - j, ps - j % ps);
-                        const float* vrow =
-                            pool.PageV(pages[static_cast<size_t>(j / ps)],
-                                       layer) +
-                            (j % ps) * kv_dim + kv_off;
-                        for (const int64_t e = j + run; j < e;
-                             ++j, vrow += kv_dim) {
-                            const float w =
-                                scores[static_cast<size_t>(j)] * inv;
-                            for (int d = 0; d < head_dim; ++d) {
-                                acc[static_cast<size_t>(d)] += w * vrow[d];
-                            }
-                        }
-                    }
-                    float* orow = po + (r0 + r) * q_cols + q_off;
-                    std::copy(acc.begin(), acc.end(), orow);
+                const int64_t visible = pos_offsets[i] + q_len;
+                const size_t used =
+                    static_cast<size_t>((visible + ps - 1) / ps);
+                k_pages.resize(used);
+                v_pages.resize(used);
+                for (size_t p = 0; p < used; ++p) {
+                    k_pages[p] = pool.PageK(pages[p], layer) + kv_off;
+                    v_pages[p] = pool.PageV(pages[p], layer) + kv_off;
                 }
+                CausalAttentionHead(pq + r0 * q_cols + q_off, q_cols, q_len,
+                                    pos_offsets[i],
+                                    KvHeadRows{k_pages.data(), v_pages.data(),
+                                               ps, kv_dim},
+                                    head_dim, po + r0 * q_cols + q_off,
+                                    q_cols);
             }
         });
     return out;

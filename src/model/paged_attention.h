@@ -2,24 +2,26 @@
  * @file
  * Fused batched causal attention over paged KV.
  *
- * The old batched path looped attention per sequence, each iteration
- * copying the sequence's Q segment out of the stacked activation,
- * materializing its whole K/V history into dense tensors, and pasting the
- * result back — three copies per sequence per layer on the decode hot
- * path. This kernel fuses the loop: one call covers every sequence of the
- * batch, reads K/V directly out of the pool pages through each sequence's
- * page table, writes straight into the stacked output, and tile-parallels
- * the work across the persistent ThreadPool.
+ * One call covers every sequence of the batch: it reads K/V directly out
+ * of the pool pages through each sequence's page table, writes straight
+ * into the stacked output, and tile-parallels the work across the
+ * persistent ThreadPool. One tile = one (sequence, query head) pair, so B
+ * sequences x H heads tiles per call.
  *
- * Parallel shape: one tile = one (sequence, query head) pair, so B
- * sequences x H heads tiles per call — enough parallelism at B=64+ decode
- * to keep every core busy on what is otherwise the float-side critical
- * path of NPU decode. Tiles write disjoint output regions and the per-tile
- * arithmetic is a fixed sequential reduction, so output is bitwise
- * identical at any thread count and bitwise identical to the per-sequence
- * CausalAttention reference (same dot/softmax/accumulate ordering) — the
- * batched-equals-sequential contract extends through this kernel
- * unchanged.
+ * The arithmetic is CausalAttentionHead (src/tensor/attention_kernel.h),
+ * the kernel dense CausalAttention also calls: each tile hands it the
+ * sequence's pages as page-contiguous K/V runs, where the dense path hands
+ * it one run. Its two primitives, the q.k scores over a run of K rows and
+ * the w.V accumulate over a run of V rows, fix every reduction order by
+ * head_dim alone. A dot takes 8-float chunks alternately into two 8-lane
+ * accumulators, reduces the lanes as (i, i+4) -> (i, i+2) -> (0, 1), then
+ * adds the head_dim % 8 tail in ascending d; each output element sums its
+ * weighted V values in ascending position. No order depends on the page
+ * size, where a position sits in its page, how many query rows a tile
+ * computes together or the thread count. Output is therefore bitwise
+ * identical at any thread count and bitwise identical to the
+ * per-sequence CausalAttention reference by construction, and the
+ * batched-equals-sequential contract extends through this kernel.
  */
 #ifndef LLMNPU_MODEL_PAGED_ATTENTION_H
 #define LLMNPU_MODEL_PAGED_ATTENTION_H

@@ -1,6 +1,7 @@
 #include "src/model/transformer.h"
 
 #include <cstring>
+#include <numeric>
 
 #include "src/model/decode_backend.h"
 #include "src/model/paged_attention.h"
@@ -140,7 +141,8 @@ Transformer::Normed(const Tensor& x, const Tensor& gamma,
 
 Tensor
 Transformer::ForwardBlock(int layer, const Tensor& x, KvCache& cache,
-                          int64_t pos_offset, LinearExecutor& linears) const
+                          int64_t pos_offset, const RopeTable& rope,
+                          LinearExecutor& linears) const
 {
     const auto& c = weights_.config;
     const auto& lw = weights_.layers[static_cast<size_t>(layer)];
@@ -158,8 +160,8 @@ Transformer::ForwardBlock(int layer, const Tensor& x, KvCache& cache,
     Tensor k = traced(LinearKind::kWk, normed);
     Tensor v = traced(LinearKind::kWv, normed);
 
-    ApplyRope(q, c.num_heads, c.head_dim, pos_offset);
-    ApplyRope(k, c.num_kv_heads, c.head_dim, pos_offset);
+    rope.Apply(q, c.num_heads);
+    rope.Apply(k, c.num_kv_heads);
     cache.Append(layer, k, v);
 
     Tensor keys = cache.Keys(layer);
@@ -197,7 +199,7 @@ Transformer::ForwardBlockBatch(int layer, const Tensor& x,
                                const std::vector<BatchSeq>& batch,
                                const BatchSegments& segments,
                                const std::vector<int64_t>& pos_offsets,
-                               BatchedKvCache& cache,
+                               const RopeTable& rope, BatchedKvCache& cache,
                                LinearExecutor& linears) const
 {
     const auto& c = weights_.config;
@@ -211,23 +213,22 @@ Transformer::ForwardBlockBatch(int layer, const Tensor& x,
     };
 
     // --- Attention sub-block. Norms are row-wise and the QKV projections
-    // run as stacked matmuls; RoPE and the cache appends are per-sequence
-    // (own position offset, own page table) but write in place on the
-    // stacked tensors, and attention is one fused tile-parallel kernel
-    // reading K/V straight out of the pool pages.
+    // run as stacked matmuls; RoPE rotates every stacked row by its own
+    // sequence's position (one table per step), the cache appends are
+    // per-sequence (own page table) but read the stacked tensors, and
+    // attention is one fused tile-parallel kernel reading K/V straight out
+    // of the pool pages.
     Tensor normed = Normed(x, lw.attn_norm_gamma, lw.attn_norm_beta);
     Tensor q = traced(LinearKind::kWq, normed);
     Tensor k = traced(LinearKind::kWk, normed);
     Tensor v = traced(LinearKind::kWv, normed);
 
+    rope.Apply(q, c.num_heads);
+    rope.Apply(k, c.num_kv_heads);
     std::vector<int> seqs(b, 0);
     for (size_t i = 0; i < b; ++i) {
         const int64_t r0 = segments[i];
-        const int64_t rows = segments[i + 1] - r0;
-        const int64_t pos = pos_offsets[i];
-        ApplyRopeRows(q, r0, rows, c.num_heads, c.head_dim, pos);
-        ApplyRopeRows(k, r0, rows, c.num_kv_heads, c.head_dim, pos);
-        cache.AppendRows(batch[i].seq, layer, k, v, r0, rows);
+        cache.AppendRows(batch[i].seq, layer, k, v, r0, segments[i + 1] - r0);
         seqs[i] = batch[i].seq;
     }
     Tensor attn = PagedCausalAttention(q, segments, seqs, pos_offsets, cache,
@@ -270,6 +271,7 @@ Transformer::ForwardBatch(const std::vector<BatchSeq>& batch,
     // offsets (captured before any append), and the stacked embedding.
     BatchSegments segments(b + 1, 0);
     std::vector<int64_t> pos_offsets(b, 0);
+    std::vector<int64_t> positions;
     std::vector<int> stacked_tokens;
     for (size_t i = 0; i < b; ++i) {
         LLMNPU_CHECK(!batch[i].tokens.empty());
@@ -279,16 +281,20 @@ Transformer::ForwardBatch(const std::vector<BatchSeq>& batch,
         segments[i + 1] =
             segments[i] + static_cast<int64_t>(batch[i].tokens.size());
         pos_offsets[i] = cache.SeqLen(batch[i].seq);
+        for (size_t t = 0; t < batch[i].tokens.size(); ++t) {
+            positions.push_back(pos_offsets[i] + static_cast<int64_t>(t));
+        }
         stacked_tokens.insert(stacked_tokens.end(), batch[i].tokens.begin(),
                               batch[i].tokens.end());
     }
 
     LLMNPU_TRACE_SPAN_TILE("transformer.forward_batch", "model", -1, -1,
                            -1, "rows", static_cast<int>(segments.back()));
+    const RopeTable rope(positions, weights_.config.head_dim);
     Tensor x = Embed(stacked_tokens);
     for (int l = 0; l < weights_.config.num_layers; ++l) {
-        x = ForwardBlockBatch(l, x, batch, segments, pos_offsets, cache,
-                              linears);
+        x = ForwardBlockBatch(l, x, batch, segments, pos_offsets, rope,
+                              cache, linears);
     }
     return Normed(x, weights_.final_norm_gamma, weights_.final_norm_beta);
 }
@@ -312,9 +318,12 @@ Transformer::Forward(const std::vector<int>& tokens, KvCache& cache,
     const int64_t pos_offset = cache.SeqLen();
     LLMNPU_TRACE_SPAN_TILE("transformer.forward", "model", -1, -1, -1,
                            "rows", static_cast<int>(tokens.size()));
+    std::vector<int64_t> positions(tokens.size());
+    std::iota(positions.begin(), positions.end(), pos_offset);
+    const RopeTable rope(positions, weights_.config.head_dim);
     Tensor x = Embed(tokens);
     for (int l = 0; l < weights_.config.num_layers; ++l) {
-        x = ForwardBlock(l, x, cache, pos_offset, linears);
+        x = ForwardBlock(l, x, cache, pos_offset, rope, linears);
     }
     return Normed(x, weights_.final_norm_gamma, weights_.final_norm_beta);
 }

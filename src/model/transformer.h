@@ -25,6 +25,7 @@
 namespace llmnpu {
 
 class DecodeBackend;
+class RopeTable;
 
 /**
  * Segment boundaries of a stacked batch activation: rows
@@ -192,14 +193,17 @@ class Transformer
                               LinearExecutor& linears) const;
 
   private:
+    /** `rope` holds the rotation of every row of `x`, built once per
+     *  forward step and shared by all layers. */
     Tensor ForwardBlock(int layer, const Tensor& x, KvCache& cache,
-                        int64_t pos_offset, LinearExecutor& linears) const;
+                        int64_t pos_offset, const RopeTable& rope,
+                        LinearExecutor& linears) const;
 
     Tensor ForwardBlockBatch(int layer, const Tensor& x,
                              const std::vector<BatchSeq>& batch,
                              const BatchSegments& segments,
                              const std::vector<int64_t>& pos_offsets,
-                             BatchedKvCache& cache,
+                             const RopeTable& rope, BatchedKvCache& cache,
                              LinearExecutor& linears) const;
 
     Tensor Normed(const Tensor& x, const Tensor& gamma, const Tensor& beta)

@@ -16,18 +16,24 @@
  *    accumulation order, so results do not depend on the thread count
  *    (bitwise for the INT8 kernels).
  *
+ * The attention inner loops (CausalAttentionHead, attention_kernel.h) live
+ * here too, so the dense and paged attention paths share one vectorized
+ * implementation.
+ *
  * This file may be compiled with target SIMD flags (see LLMNPU_KERNEL_SIMD
  * in CMakeLists.txt); the reference kernels in matmul.cc keep the portable
  * default flags and serve as the equivalence oracle.
  */
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
-#if defined(__AVX2__)
+#if defined(__AVX__)
 #include <immintrin.h>
 #endif
 
 #include "src/obs/trace.h"
+#include "src/tensor/attention_kernel.h"
 #include "src/tensor/matmul.h"
 #include "src/util/threadpool.h"
 
@@ -590,6 +596,317 @@ MatMulRowSubset(const Tensor& a_sub, const Tensor& w,
         }
     });
     return c;
+}
+
+// ------------------------------------------------------------- attention
+
+namespace {
+
+#ifndef LLMNPU_VECTOR_EXT
+#error "the attention primitives need GCC/Clang vector extensions"
+#endif
+
+/** Query rows a prefill tile computes per loaded K/V row. */
+constexpr int kAttnRowBlock = 4;
+
+/** The eight floats at p as one vector. A reference, not a value:
+ *  vector arguments and returns would change the ABI in builds without
+ *  AVX (-Wpsabi). */
+const VecF32x8&
+LoadF32x8(const float* p)
+{
+    return *reinterpret_cast<const VecF32x8*>(p);
+}
+
+/**
+ * c + a * b for the scalar tails: one rounding where the target has FMA,
+ * two otherwise. Spelled out because under -ffp-contract=fast the compiler
+ * decides per loop whether to fuse: vectorizing a tail's j-loop as an
+ * in-order reduction keeps the multiply separate, the scalar loop fuses
+ * it, and the result would then depend on the run length.
+ */
+float
+MulAdd(float a, float b, float c)
+{
+#if defined(__FMA__)
+    return std::fma(a, b, c);
+#else
+    return c + a * b;
+#endif
+}
+
+/** Sums the lanes in the fixed order documented in attention_kernel.h. */
+float
+ReduceLanes(const VecF32x8& s)
+{
+#if defined(__AVX__)
+    // The same tree in three shuffles: GCC scalarizes the portable form.
+    const __m256 v = s;
+    const __m128 t = _mm_add_ps(_mm256_castps256_ps128(v),
+                                _mm256_extractf128_ps(v, 1));
+    const __m128 u = _mm_add_ps(t, _mm_movehl_ps(t, t));
+    return _mm_cvtss_f32(_mm_add_ss(u, _mm_movehdup_ps(u)));
+#else
+    const float t0 = s[0] + s[4];
+    const float t1 = s[1] + s[5];
+    const float t2 = s[2] + s[6];
+    const float t3 = s[3] + s[7];
+    return (t0 + t2) + (t1 + t3);
+#endif
+}
+
+/**
+ * Scores primitive: scores[r * ld + j] = scale * (q_r . k_j) for R query
+ * rows (q_stride apart) against a run of n K rows (stride apart). Each K
+ * row is loaded once for all R rows. The r loops are unrolled explicitly:
+ * left as loops, GCC keeps the accumulator arrays on the stack.
+ */
+template <int R>
+void
+AttentionScoresRun(const float* q, int64_t q_stride, const float* k,
+                   int64_t stride, int64_t n, int head_dim, float scale,
+                   float* scores, int64_t ld)
+{
+    for (int64_t j = 0; j < n; ++j, k += stride) {
+        VecF32x8 a0[R] = {};
+        VecF32x8 a1[R] = {};
+        int d = 0;
+        for (; d + 16 <= head_dim; d += 16) {
+            const VecF32x8 k0 = LoadF32x8(k + d);
+            const VecF32x8 k1 = LoadF32x8(k + d + 8);
+#pragma GCC unroll 4
+            for (int r = 0; r < R; ++r) {
+                a0[r] += LoadF32x8(q + r * q_stride + d) * k0;
+                a1[r] += LoadF32x8(q + r * q_stride + d + 8) * k1;
+            }
+        }
+        if (d + 8 <= head_dim) {
+            const VecF32x8 k0 = LoadF32x8(k + d);
+#pragma GCC unroll 4
+            for (int r = 0; r < R; ++r) {
+                a0[r] += LoadF32x8(q + r * q_stride + d) * k0;
+            }
+            d += 8;
+        }
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            const float* qr = q + r * q_stride;
+            float dot = ReduceLanes(a0[r] + a1[r]);
+            for (int t = d; t < head_dim; ++t) dot = MulAdd(qr[t], k[t], dot);
+            scores[r * ld + j] = dot * scale;
+        }
+    }
+}
+
+/** out_r[c] += w_r[j] * v_j[c] over 8*V columns, j ascending; the R*V
+ *  output vectors stay in registers for the whole run. */
+template <int R, int V>
+void
+AccumulateColumns(const float* w, int64_t ld, const float* v,
+                  int64_t stride, int64_t n, float* out, int64_t out_stride)
+{
+    VecF32x8 acc[R][V];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+        for (int c = 0; c < V; ++c) {
+            acc[r][c] = LoadF32x8(out + r * out_stride + 8 * c);
+        }
+    }
+    for (int64_t j = 0; j < n; ++j, v += stride) {
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            const float wr = w[r * ld + j];
+#pragma GCC unroll 8
+            for (int c = 0; c < V; ++c) {
+                acc[r][c] += wr * LoadF32x8(v + 8 * c);
+            }
+        }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+        for (int c = 0; c < V; ++c) {
+            *reinterpret_cast<VecF32x8*>(out + r * out_stride + 8 * c) =
+                acc[r][c];
+        }
+    }
+}
+
+/** Covers columns [d, head_dim) in blocks of V vectors, then V/2, ...,
+ *  then one; advances d past the last whole vector. */
+template <int R, int V>
+void
+AccumulateColumnBlocks(const float* w, int64_t ld, const float* v,
+                       int64_t stride, int64_t n, int head_dim, int& d,
+                       float* out, int64_t out_stride)
+{
+    for (; d + 8 * V <= head_dim; d += 8 * V) {
+        AccumulateColumns<R, V>(w, ld, v + d, stride, n, out + d,
+                                out_stride);
+    }
+    if constexpr (V > 1) {
+        AccumulateColumnBlocks<R, V / 2>(w, ld, v, stride, n, head_dim, d,
+                                         out, out_stride);
+    }
+}
+
+/**
+ * Accumulate primitive: out_r += w_r[j] * v_j for R output rows
+ * (out_stride apart) over a run of n V rows (stride apart), j ascending.
+ * Column blocks hold about eight vector chains in total, so the j-ordered
+ * chains do not leave the FMA units waiting on latency.
+ */
+template <int R>
+void
+AttentionAccumulateRun(const float* w, int64_t ld, const float* v,
+                       int64_t stride, int64_t n, int head_dim, float* out,
+                       int64_t out_stride)
+{
+    int d = 0;
+    AccumulateColumnBlocks<R, (R >= 4 ? 2 : 8 / R)>(w, ld, v, stride, n,
+                                                    head_dim, d, out,
+                                                    out_stride);
+    for (int r = 0; r < R; ++r) {
+        const float* wr = w + r * ld;
+        float* o = out + r * out_stride;
+        for (int t = d; t < head_dim; ++t) {
+            float acc = o[t];
+            for (int64_t j = 0; j < n; ++j) {
+                acc = MulAdd(wr[j], v[j * stride + t], acc);
+            }
+            o[t] = acc;
+        }
+    }
+}
+
+/** Calls fn(j, k_row, v_row, len) for each page-contiguous run of the
+ *  positions [j0, j1). */
+template <typename Fn>
+void
+ForEachKvRun(const KvHeadRows& kv, int64_t j0, int64_t j1, const Fn& fn)
+{
+    for (int64_t j = j0; j < j1;) {
+        const int64_t page = j / kv.page_size;
+        const int64_t off = j - page * kv.page_size;
+        const int64_t len = std::min(j1 - j, kv.page_size - off);
+        fn(j, kv.k_pages[page] + off * kv.stride,
+           kv.v_pages[page] + off * kv.stride, len);
+        j += len;
+    }
+}
+
+/**
+ * Softmax over n scores, in place: max, exp, a double sum, then one
+ * multiply by the float reciprocal per weight. The max is exact in any
+ * order, so it runs eight lanes wide; the sum keeps four partial sums by
+ * position mod 4, an order fixed by n alone.
+ */
+void
+SoftmaxWeights(float* s, int64_t n)
+{
+    VecF32x8 lanes = {-1e30f, -1e30f, -1e30f, -1e30f,
+                      -1e30f, -1e30f, -1e30f, -1e30f};
+    const int64_t n8 = n / 8 * 8;
+    for (int64_t j = 0; j < n8; j += 8) {
+        const VecF32x8& x = LoadF32x8(s + j);
+        lanes = x > lanes ? x : lanes;
+    }
+    float mx = -1e30f;
+    for (int l = 0; l < 8; ++l) mx = std::max(mx, lanes[l]);
+    for (int64_t j = n8; j < n; ++j) mx = std::max(mx, s[j]);
+    for (int64_t j = 0; j < n; ++j) s[j] = std::exp(s[j] - mx);
+    double part[4] = {0.0, 0.0, 0.0, 0.0};
+    const int64_t n4 = n / 4 * 4;
+    for (int64_t j = 0; j < n4; j += 4) {
+        for (int l = 0; l < 4; ++l) part[l] += s[j + l];
+    }
+    for (int64_t j = n4; j < n; ++j) part[0] += s[j];
+    const float inv =
+        static_cast<float>(1.0 / ((part[0] + part[1]) + (part[2] + part[3])));
+    for (int64_t j = 0; j < n; ++j) s[j] *= inv;
+}
+
+/**
+ * R consecutive query rows; row r sees positions [0, visible + r). The
+ * score pass covers the last row's window for all rows (entries past a
+ * row's own window are never read); the accumulate pass covers the
+ * positions every row sees for the whole block, then each row's ragged
+ * tail on its own. Either way each output element is one j-ascending
+ * chain, so the result equals computing the row alone.
+ */
+template <int R>
+void
+AttendRowBlock(const float* q, int64_t q_stride, int64_t visible,
+               const KvHeadRows& kv, int head_dim, float scale,
+               float* scores, int64_t ld, float* out, int64_t out_stride)
+{
+    ForEachKvRun(kv, 0, visible + R - 1,
+                 [&](int64_t j, const float* k, const float*, int64_t len) {
+                     AttentionScoresRun<R>(q, q_stride, k, kv.stride, len,
+                                           head_dim, scale, scores + j, ld);
+                 });
+    for (int r = 0; r < R; ++r) {
+        SoftmaxWeights(scores + r * ld, visible + r);
+        std::fill(out + r * out_stride, out + r * out_stride + head_dim,
+                  0.0f);
+    }
+    ForEachKvRun(kv, 0, visible,
+                 [&](int64_t j, const float*, const float* v, int64_t len) {
+                     AttentionAccumulateRun<R>(scores + j, ld, v, kv.stride,
+                                               len, head_dim, out,
+                                               out_stride);
+                 });
+    for (int r = 1; r < R; ++r) {
+        float* w = scores + r * ld;
+        float* o = out + r * out_stride;
+        ForEachKvRun(
+            kv, visible, visible + r,
+            [&](int64_t j, const float*, const float* v, int64_t len) {
+                AttentionAccumulateRun<1>(w + j, ld, v, kv.stride, len,
+                                          head_dim, o, out_stride);
+            });
+    }
+}
+
+}  // namespace
+
+void
+CausalAttentionHead(const float* q, int64_t q_stride, int64_t rows,
+                    int64_t first_pos, const KvHeadRows& kv, int head_dim,
+                    float* out, int64_t out_stride)
+{
+    if (rows <= 0) return;
+    LLMNPU_CHECK_GT(kv.page_size, 0);
+    LLMNPU_CHECK_GE(first_pos, 0);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+    const int64_t ld = first_pos + rows;
+    std::vector<float> scores(
+        static_cast<size_t>(std::min<int64_t>(rows, kAttnRowBlock) * ld));
+    int64_t r = 0;
+    for (; r + kAttnRowBlock <= rows; r += kAttnRowBlock) {
+        AttendRowBlock<kAttnRowBlock>(q + r * q_stride, q_stride,
+                                      first_pos + r + 1, kv, head_dim, scale,
+                                      scores.data(), ld,
+                                      out + r * out_stride, out_stride);
+    }
+    const float* qr = q + r * q_stride;
+    float* outr = out + r * out_stride;
+    switch (rows - r) {
+      case 3:
+        AttendRowBlock<3>(qr, q_stride, first_pos + r + 1, kv, head_dim,
+                          scale, scores.data(), ld, outr, out_stride);
+        break;
+      case 2:
+        AttendRowBlock<2>(qr, q_stride, first_pos + r + 1, kv, head_dim,
+                          scale, scores.data(), ld, outr, out_stride);
+        break;
+      case 1:
+        AttendRowBlock<1>(qr, q_stride, first_pos + r + 1, kv, head_dim,
+                          scale, scores.data(), ld, outr, out_stride);
+        break;
+      default: break;
+    }
 }
 
 }  // namespace llmnpu

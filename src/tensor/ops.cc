@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
+
+#include "src/tensor/attention_kernel.h"
 
 namespace llmnpu {
 
@@ -137,6 +140,57 @@ Mul(const Tensor& a, const Tensor& b)
     return out;
 }
 
+RopeTable::RopeTable(const std::vector<int64_t>& positions, int head_dim,
+                     float theta)
+    : head_dim_(head_dim)
+{
+    LLMNPU_CHECK_GT(head_dim, 0);
+    LLMNPU_CHECK_EQ(head_dim % 2, 0);
+    const int half = head_dim / 2;
+    std::vector<double> freq(static_cast<size_t>(half));
+    for (int d = 0; d < half; ++d) {
+        freq[static_cast<size_t>(d)] =
+            std::pow(static_cast<double>(theta),
+                     -2.0 * static_cast<double>(d) / head_dim);
+    }
+    cos_.resize(positions.size() * static_cast<size_t>(half));
+    sin_.resize(cos_.size());
+    size_t i = 0;
+    for (const int64_t position : positions) {
+        const double pos = static_cast<double>(position);
+        for (int d = 0; d < half; ++d, ++i) {
+            const double angle = pos * freq[static_cast<size_t>(d)];
+            cos_[i] = static_cast<float>(std::cos(angle));
+            sin_[i] = static_cast<float>(std::sin(angle));
+        }
+    }
+}
+
+void
+RopeTable::Apply(Tensor& x, int num_heads, int64_t row_begin) const
+{
+    LLMNPU_CHECK_EQ(x.Rank(), 2);
+    LLMNPU_CHECK_EQ(x.Cols(), static_cast<int64_t>(num_heads) * head_dim_);
+    LLMNPU_CHECK_GE(row_begin, 0);
+    LLMNPU_CHECK_LE(row_begin + Rows(), x.Rows());
+    const int half = head_dim_ / 2;
+    const int64_t cols = x.Cols();
+    float* p = x.Data<float>() + row_begin * cols;
+    for (int64_t s = 0; s < Rows(); ++s) {
+        const float* cos_row = cos_.data() + s * half;
+        const float* sin_row = sin_.data() + s * half;
+        for (int h = 0; h < num_heads; ++h) {
+            float* head = p + s * cols + static_cast<int64_t>(h) * head_dim_;
+            for (int d = 0; d < half; ++d) {
+                const float x0 = head[d];
+                const float x1 = head[d + half];
+                head[d] = x0 * cos_row[d] - x1 * sin_row[d];
+                head[d + half] = x0 * sin_row[d] + x1 * cos_row[d];
+            }
+        }
+    }
+}
+
 void
 ApplyRope(Tensor& x, int num_heads, int head_dim, int64_t pos_offset,
           float theta)
@@ -148,32 +202,10 @@ void
 ApplyRopeRows(Tensor& x, int64_t row_begin, int64_t row_count, int num_heads,
               int head_dim, int64_t pos_offset, float theta)
 {
-    LLMNPU_CHECK_EQ(x.Rank(), 2);
-    LLMNPU_CHECK_EQ(x.Cols(), static_cast<int64_t>(num_heads) * head_dim);
-    LLMNPU_CHECK_EQ(head_dim % 2, 0);
-    LLMNPU_CHECK_GE(row_begin, 0);
-    LLMNPU_CHECK_LE(row_begin + row_count, x.Rows());
-    const int half = head_dim / 2;
-    float* p = x.Data<float>() + row_begin * x.Cols();
-    const int64_t seq = row_count;
-    for (int64_t s = 0; s < seq; ++s) {
-        const double pos = static_cast<double>(pos_offset + s);
-        for (int h = 0; h < num_heads; ++h) {
-            float* head = p + s * x.Cols() + static_cast<int64_t>(h) * head_dim;
-            for (int d = 0; d < half; ++d) {
-                const double freq =
-                    std::pow(static_cast<double>(theta),
-                             -2.0 * static_cast<double>(d) / head_dim);
-                const double angle = pos * freq;
-                const float cos_a = static_cast<float>(std::cos(angle));
-                const float sin_a = static_cast<float>(std::sin(angle));
-                const float x0 = head[d];
-                const float x1 = head[d + half];
-                head[d] = x0 * cos_a - x1 * sin_a;
-                head[d + half] = x0 * sin_a + x1 * cos_a;
-            }
-        }
-    }
+    LLMNPU_CHECK_GE(row_count, 0);
+    std::vector<int64_t> positions(static_cast<size_t>(row_count));
+    std::iota(positions.begin(), positions.end(), pos_offset);
+    RopeTable(positions, head_dim, theta).Apply(x, num_heads, row_begin);
 }
 
 Tensor
@@ -193,45 +225,21 @@ CausalAttention(const Tensor& q, const Tensor& k, const Tensor& v,
     const int64_t kv_len = k.Rows();
     LLMNPU_CHECK_GE(kv_len, q_pos_offset + q_len);
     const int heads_per_kv = num_heads / num_kv_heads;
-    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
 
-    Tensor out = Tensor::Zeros({q_len, q.Cols()});
+    // Every element is written: each head's rows go through the shared
+    // attention kernel, the whole K/V history as a single page.
+    Tensor out({q_len, q.Cols()}, DType::kF32);
     const float* pq = q.Data<float>();
-    const float* pk = k.Data<float>();
-    const float* pv = v.Data<float>();
     float* po = out.Data<float>();
-
-    std::vector<float> scores;
     for (int h = 0; h < num_heads; ++h) {
-        const int kv_h = h / heads_per_kv;
         const int64_t q_off = static_cast<int64_t>(h) * head_dim;
-        const int64_t kv_off = static_cast<int64_t>(kv_h) * head_dim;
-        for (int64_t i = 0; i < q_len; ++i) {
-            const int64_t visible = q_pos_offset + i + 1;  // causal mask
-            scores.assign(static_cast<size_t>(visible), 0.0f);
-            const float* qrow = pq + i * q.Cols() + q_off;
-            float mx = -1e30f;
-            for (int64_t j = 0; j < visible; ++j) {
-                const float* krow = pk + j * k.Cols() + kv_off;
-                float dot = 0.0f;
-                for (int d = 0; d < head_dim; ++d) dot += qrow[d] * krow[d];
-                scores[static_cast<size_t>(j)] = dot * scale;
-                mx = std::max(mx, scores[static_cast<size_t>(j)]);
-            }
-            double sum = 0.0;
-            for (int64_t j = 0; j < visible; ++j) {
-                scores[static_cast<size_t>(j)] =
-                    std::exp(scores[static_cast<size_t>(j)] - mx);
-                sum += scores[static_cast<size_t>(j)];
-            }
-            const float inv = static_cast<float>(1.0 / sum);
-            float* orow = po + i * q.Cols() + q_off;
-            for (int64_t j = 0; j < visible; ++j) {
-                const float w = scores[static_cast<size_t>(j)] * inv;
-                const float* vrow = pv + j * v.Cols() + kv_off;
-                for (int d = 0; d < head_dim; ++d) orow[d] += w * vrow[d];
-            }
-        }
+        const int64_t kv_off =
+            static_cast<int64_t>(h / heads_per_kv) * head_dim;
+        const float* k_page = k.Data<float>() + kv_off;
+        const float* v_page = v.Data<float>() + kv_off;
+        const KvHeadRows kv{&k_page, &v_page, kv_len, k.Cols()};
+        CausalAttentionHead(pq + q_off, q.Cols(), q_len, q_pos_offset, kv,
+                            head_dim, po + q_off, q.Cols());
     }
     return out;
 }

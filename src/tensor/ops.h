@@ -7,6 +7,9 @@
 #ifndef LLMNPU_TENSOR_OPS_H
 #define LLMNPU_TENSOR_OPS_H
 
+#include <cstdint>
+#include <vector>
+
 #include "src/tensor/tensor.h"
 
 namespace llmnpu {
@@ -37,6 +40,41 @@ void AddInPlace(Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 
 /**
+ * Rotary position embedding factors for a stack of rows, each row at its
+ * own position: the float cos/sin of every (row, frequency) pair, computed
+ * once and then applied to any number of heads and tensors (the Q and K
+ * of every layer of a forward step). The angles are the double-precision
+ * pos * theta^(-2d/head_dim) of the per-element formula, so applying a
+ * table is bitwise identical to evaluating that formula per element.
+ */
+class RopeTable
+{
+  public:
+    /**
+     * @param positions global position of each row.
+     * @param head_dim per-head dimension (must be even).
+     * @param theta RoPE base (10000 for all paper models).
+     */
+    RopeTable(const std::vector<int64_t>& positions, int head_dim,
+              float theta = 10000.0f);
+
+    /** Rotates rows [row_begin, row_begin + Rows()) of `x` in place; `x`
+     *  packs num_heads heads of head_dim per row. */
+    void Apply(Tensor& x, int num_heads, int64_t row_begin = 0) const;
+
+    int64_t
+    Rows() const
+    {
+        return static_cast<int64_t>(cos_.size()) / (head_dim_ / 2);
+    }
+
+  private:
+    int head_dim_;
+    std::vector<float> cos_;  ///< [rows x head_dim/2]
+    std::vector<float> sin_;  ///< [rows x head_dim/2]
+};
+
+/**
  * Applies rotary position embeddings in place.
  *
  * @param x [seq x (heads * head_dim)] packed Q or K rows.
@@ -50,10 +88,8 @@ void ApplyRope(Tensor& x, int num_heads, int head_dim, int64_t pos_offset,
 
 /**
  * ApplyRope restricted to rows [row_begin, row_begin + row_count) of `x`,
- * with row `row_begin` at global position `pos_offset`. Used by the batched
- * forward path, where each sequence's segment of a stacked [sum(m_i) x d]
- * tensor carries its own position offset. Bitwise identical to calling the
- * whole-tensor overload on a copy of the segment.
+ * with row `row_begin` at global position `pos_offset`. Bitwise identical
+ * to calling the whole-tensor overload on a copy of the segment.
  */
 void ApplyRopeRows(Tensor& x, int64_t row_begin, int64_t row_count,
                    int num_heads, int head_dim, int64_t pos_offset,

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
 #include "tests/support/random.h"
+#include "tests/support/rope_reference.h"
 
 namespace llmnpu {
 namespace {
@@ -165,6 +168,49 @@ TEST(RopeTest, OffsetMatchesInSequencePosition)
     Tensor tail = base.CopyRows(4, 2);
     ApplyRope(tail, 1, 16, 4);
     EXPECT_LT(MaxAbsDiff(tail, full.CopyRows(4, 2)), 1e-5);
+}
+
+TEST(RopeTest, RowsMatchPerElementFormulaBitwise)
+{
+    // The cos/sin table must reproduce the per-element double formula
+    // exactly, at large positions too, and only touch the named rows.
+    for (const int head_dim : {2, 64, 128}) {
+        for (const int64_t pos_offset : {int64_t{0}, int64_t{511},
+                                         int64_t{4095}, int64_t{1} << 20}) {
+            SCOPED_TRACE(::testing::Message() << "head_dim=" << head_dim
+                                              << " pos=" << pos_offset);
+            const int heads = 3;
+            Rng rng(static_cast<uint64_t>(head_dim + pos_offset));
+            const Tensor base = RandomTensor(rng, {11, heads * head_dim});
+            Tensor got = base;
+            Tensor want = base;
+            ApplyRopeRows(got, 3, 6, heads, head_dim, pos_offset);
+            ReferenceRopeRows(want, 3, 6, heads, head_dim, pos_offset);
+            EXPECT_EQ(std::memcmp(got.Data<float>(), want.Data<float>(),
+                                  static_cast<size_t>(got.NumElements()) *
+                                      sizeof(float)),
+                      0);
+        }
+    }
+}
+
+TEST(RopeTest, StackedTableMatchesPerSegmentRows)
+{
+    // One table over a stacked batch (each segment at its own position
+    // offset) equals rotating every segment on its own.
+    Rng rng(12);
+    const Tensor base = RandomTensor(rng, {7, 2 * 64});
+    const std::vector<int64_t> positions = {40, 41, 42, 0, 9000, 9001, 9002};
+    Tensor got = base;
+    RopeTable(positions, 64).Apply(got, 2);
+    Tensor want = base;
+    ReferenceRopeRows(want, 0, 3, 2, 64, 40);
+    ReferenceRopeRows(want, 3, 1, 2, 64, 0);
+    ReferenceRopeRows(want, 4, 3, 2, 64, 9000);
+    EXPECT_EQ(std::memcmp(got.Data<float>(), want.Data<float>(),
+                          static_cast<size_t>(got.NumElements()) *
+                              sizeof(float)),
+              0);
 }
 
 TEST(AttentionTest, SingleTokenAttendsToItself)

@@ -9,10 +9,11 @@
  * access, CoW fork-write divergence and randomized refcount accounting),
  * the shared-system-prompt serving scenario (once-counted admission,
  * eviction with a resident prefix, nested fraction marking, bitwise
- * replay through CoW forks), the
- * fused PagedCausalAttention kernel (bitwise equality to the per-sequence
- * reference and 1/2/4-thread determinism), B=64 ragged batched forward vs
- * sequential, the serving layer's KV admission/eviction model (including
+ * replay through CoW forks), the fused PagedCausalAttention kernel
+ * (bitwise equality to the per-sequence reference and 1/2/4-thread
+ * determinism, and agreement with a double oracle across head_dim, page
+ * size and query-row counts), B=64 ragged batched forward vs sequential,
+ * the serving layer's KV admission/eviction model (including
  * eviction-then-readmit bitwise replay), the simulator's KvLedger page
  * accounting, per-run KV state under concurrent simulator runs, and the
  * empty-input guards of the metrics path (Percentile, all-rejected
@@ -20,11 +21,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <map>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/llmnpu_engine.h"
@@ -411,9 +414,9 @@ struct AttentionScenario {
     AttentionScenario(int num_heads_in, int num_kv_heads_in, int head_dim,
                       const std::vector<std::pair<int64_t, int64_t>>&
                           history_and_step,
-                      uint64_t seed)
+                      uint64_t seed, int64_t page_size = 4)
         : cache(1, static_cast<int64_t>(num_kv_heads_in) * head_dim, 0,
-                PagedKvOptions{/*page_size=*/4}),
+                PagedKvOptions{page_size}),
           num_heads(num_heads_in),
           num_kv_heads(num_kv_heads_in)
     {
@@ -459,6 +462,65 @@ struct AttentionScenario {
         }
         return out;
     }
+
+    /**
+     * Independent oracle: every score, softmax weight and output in
+     * double, straight from the per-element definition. Also returns,
+     * per output element, sum_j w_j * |v_j[d]| — the magnitude against
+     * which the float result's rounding error is measured.
+     */
+    std::pair<std::vector<double>, std::vector<double>>
+    RunDoubleReference() const
+    {
+        const int64_t cols = q.Cols();
+        const int head_dim = static_cast<int>(cols / num_heads);
+        const int heads_per_kv = num_heads / num_kv_heads;
+        std::vector<double> out(static_cast<size_t>(q.NumElements()));
+        std::vector<double> mag(out.size());
+        for (size_t i = 0; i + 1 < segments.size(); ++i) {
+            const Tensor keys = cache.Keys(seqs[i], 0);
+            const Tensor values = cache.Values(seqs[i], 0);
+            for (int64_t r = segments[i]; r < segments[i + 1]; ++r) {
+                const int64_t visible = pos_offsets[i] + r - segments[i] + 1;
+                for (int h = 0; h < num_heads; ++h) {
+                    const int64_t kv_off =
+                        static_cast<int64_t>(h / heads_per_kv) * head_dim;
+                    std::vector<double> w(static_cast<size_t>(visible));
+                    double mx = -1e300;
+                    for (int64_t j = 0; j < visible; ++j) {
+                        double dot = 0.0;
+                        for (int d = 0; d < head_dim; ++d) {
+                            dot += static_cast<double>(
+                                       q.At(r, h * head_dim + d)) *
+                                   keys.At(j, kv_off + d);
+                        }
+                        w[static_cast<size_t>(j)] =
+                            dot / std::sqrt(static_cast<double>(head_dim));
+                        mx = std::max(mx, w[static_cast<size_t>(j)]);
+                    }
+                    double sum = 0.0;
+                    for (double& x : w) {
+                        x = std::exp(x - mx);
+                        sum += x;
+                    }
+                    for (int d = 0; d < head_dim; ++d) {
+                        double acc = 0.0, abs_acc = 0.0;
+                        for (int64_t j = 0; j < visible; ++j) {
+                            const double vj = values.At(j, kv_off + d);
+                            acc += w[static_cast<size_t>(j)] / sum * vj;
+                            abs_acc +=
+                                w[static_cast<size_t>(j)] / sum * std::abs(vj);
+                        }
+                        const size_t idx =
+                            static_cast<size_t>(r * cols + h * head_dim + d);
+                        out[idx] = acc;
+                        mag[idx] = abs_acc;
+                    }
+                }
+            }
+        }
+        return {out, mag};
+    }
 };
 
 TEST(PagedAttentionTest, MatchesPerSequenceReferenceBitwise)
@@ -502,6 +564,53 @@ TEST(PagedAttentionTest, BitwiseDeterministicAcrossThreadCounts)
     EXPECT_TRUE(BitwiseEqual(at1, at2));
     EXPECT_TRUE(BitwiseEqual(at1, at4));
     EXPECT_TRUE(BitwiseEqual(at1, scenario.RunReference()));
+}
+
+TEST(PagedAttentionTest, MatchesDoubleOracleAcrossShapes)
+{
+    // Dense and paged attention share one kernel, so comparing them
+    // cannot catch a wrong kernel; this checks it against the double
+    // oracle. head_dim covers the scalar-only, vector-plus-tail and
+    // full-vector cases; page size 1 makes every position its own run;
+    // the 7- and 5-row prefill segments are not multiples of the query
+    // row block. Output is also bitwise equal at 1, 2 and 4 threads and to
+    // the dense path, whatever the page size.
+    for (const int head_dim : {4, 12, 20, 32, 128}) {
+        for (const int64_t page_size : {1, 3, 16}) {
+            SCOPED_TRACE(::testing::Message() << "head_dim=" << head_dim
+                                              << " page_size=" << page_size);
+            AttentionScenario scenario(
+                /*num_heads=*/4, /*num_kv_heads=*/2, head_dim,
+                {{0, 7}, {13, 5}, {30, 1}, {2, 2}},
+                /*seed=*/53 + static_cast<uint64_t>(head_dim), page_size);
+            Tensor at1, at2, at4;
+            {
+                ScopedNumThreads threads(1);
+                at1 = scenario.Run();
+            }
+            {
+                ScopedNumThreads threads(2);
+                at2 = scenario.Run();
+            }
+            {
+                ScopedNumThreads threads(4);
+                at4 = scenario.Run();
+            }
+            EXPECT_TRUE(BitwiseEqual(at1, at2));
+            EXPECT_TRUE(BitwiseEqual(at1, at4));
+            EXPECT_TRUE(BitwiseEqual(at1, scenario.RunReference()));
+
+            const auto [ref, mag] = scenario.RunDoubleReference();
+            const float* got = at1.Data<float>();
+            int bad = 0;
+            for (size_t e = 0; e < ref.size(); ++e) {
+                if (std::abs(got[e] - ref[e]) > 1e-5 * mag[e]) {
+                    ++bad;
+                }
+            }
+            EXPECT_EQ(bad, 0);
+        }
+    }
 }
 
 // ----------------------------------------- B=64 ragged batch, end to end
