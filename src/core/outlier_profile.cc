@@ -92,7 +92,7 @@ OutlierProfile::Collect(const Transformer& model, const CalibrationData& calib,
     // Counting pass over the corpus.
     CountingExecutor counter(model.weights(), out.per_layer_);
     for (const auto& tokens : corpus) {
-        KvCache cache = model.MakeCache();
+        BatchedKvCache cache = model.MakeCache();
         model.Forward(tokens, cache, counter);
     }
 

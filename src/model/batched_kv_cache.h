@@ -1,10 +1,12 @@
 /**
  * @file
- * Paged multi-sequence KV cache.
+ * Paged multi-sequence KV cache, the model's only KV cache.
  *
- * The batched forward path (Transformer::ForwardBatch) runs B sequences of
- * possibly different lengths through one set of stacked matmuls, with
- * attention reading each sequence's own K/V history. Storage is
+ * The cache is what makes chunk-wise prefill exact: chunk i's attention
+ * reads the keys/values of chunks 0..i (paper §3.2, Figure 7). The forward
+ * path (Transformer::ForwardBatch; Forward is its one-slot case) runs B
+ * sequences of possibly different lengths through one set of stacked
+ * matmuls, with attention reading each sequence's own K/V history. Storage is
  * page-granular: every sequence owns a page table into one shared
  * KvPagePool instead of a private dense buffer, so
  *
@@ -147,6 +149,10 @@ class BatchedKvCache
     std::vector<SeqState> seqs_;
     int live_ = 0;
 };
+
+/** Old name of the one-slot cache Transformer::MakeCache() returns; kept
+ *  only for benchmark/src/workloads.cc. */
+using KvCache = BatchedKvCache;
 
 }  // namespace llmnpu
 

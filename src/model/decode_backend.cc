@@ -101,20 +101,7 @@ DecodeBackend::Name() const
 Tensor
 DecodeBackend::Forward(int layer, LinearKind kind, const Tensor& x)
 {
-    const DecodePlacement placement = PlacementFor(0);
-    if (placement == DecodePlacement::kNpuQuant) {
-        HandoffCounters& c = Counters();
-        c.npu_linear_calls.Add(1);
-        c.handoffs.Add(1);
-        c.quantized_elems.Add(x.NumElements());
-        LLMNPU_TRACE_SPAN_TILE("handoff.npu_linear", "handoff", -1, -1,
-                               layer, "rows", static_cast<int>(x.Rows()));
-        Tensor y = npu_quant_.Forward(layer, kind, x);
-        c.dequantized_elems.Add(y.NumElements());
-        return y;
-    }
-    Counters().cpu_linear_calls.Add(1);
-    return cpu_float_.Forward(layer, kind, x);
+    return ForwardBatch(layer, kind, x, {0, x.Rows()});
 }
 
 Tensor

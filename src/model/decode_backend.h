@@ -72,8 +72,8 @@ class DecodeBackend : public LinearExecutor
     /**
      * Per-segment routing for the next ForwardBatch call(s): segment i of
      * the stacked activation executes on `placements[i]`. Size must match
-     * the batch handed to ForwardBatch (checked there); Forward uses
-     * placements[0].
+     * the batch handed to ForwardBatch (checked there); Forward is a
+     * one-segment ForwardBatch, so it needs exactly one placement.
      */
     void SetStepPlacements(std::vector<DecodePlacement> placements);
 

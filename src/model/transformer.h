@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/model/batched_kv_cache.h"
-#include "src/model/kv_cache.h"
 #include "src/model/placement.h"
 #include "src/model/weights.h"
 #include "src/tensor/tensor.h"
@@ -55,7 +54,8 @@ class LinearExecutor
      *
      * Contract: rows of the result are bitwise identical to calling
      * Forward() on each segment alone. The base implementation does exactly
-     * that (slice, forward, scatter); executors whose per-row math is
+     * that (slice, forward, scatter; a single segment goes straight to
+     * Forward, with no copy); executors whose per-row math is
      * independent of the other rows (fp32, static-scale and per-row-scale
      * quantizers, the shadow executor's NPU term) override it with one
      * stacked kernel call so B concurrent m=1 matvecs become a single m=B
@@ -104,7 +104,7 @@ struct BatchSeq {
  * Chunk-exactness contract: Forward(tokens[0..n)) in one call produces
  * bit-comparable hidden states to any sequence of Forward calls over a
  * partition of the same tokens with the same cache (§3.2; verified by
- * tests/model/transformer_test.cc).
+ * tests/model_test.cc).
  */
 class Transformer
 {
@@ -114,8 +114,8 @@ class Transformer
     const ModelConfig& config() const { return weights_.config; }
     const ModelWeights& weights() const { return weights_; }
 
-    /** Creates an empty cache sized for this model. */
-    KvCache MakeCache() const;
+    /** Creates an empty one-slot cache for Forward: MakeBatchedCache(1). */
+    BatchedKvCache MakeCache() const;
 
     /** Creates an empty batched cache with `num_sequences` slots. */
     BatchedKvCache MakeBatchedCache(int num_sequences = 0) const;
@@ -129,11 +129,13 @@ class Transformer
     Tensor Embed(const std::vector<int>& tokens) const;
 
     /**
-     * Runs all blocks over `tokens`, appending K/V to `cache`.
-     * Positions are cache.SeqLen() .. cache.SeqLen() + tokens.size() - 1.
+     * Runs all blocks over `tokens`, appending K/V to the one slot of
+     * `cache` (which must hold exactly one sequence, as MakeCache() does):
+     * a one-slot ForwardBatch({{0, tokens}}).
+     * Positions are cache.SeqLen(0) .. cache.SeqLen(0) + tokens.size() - 1.
      * @return final-norm hidden states [seq x hidden].
      */
-    Tensor Forward(const std::vector<int>& tokens, KvCache& cache,
+    Tensor Forward(const std::vector<int>& tokens, BatchedKvCache& cache,
                    LinearExecutor& linears) const;
 
     /**
@@ -145,7 +147,7 @@ class Transformer
      * turns B concurrent m=1 matvecs into one m=B matmul); norms and
      * activations are row-wise; RoPE and causal attention run per sequence
      * with that sequence's cache length as its position offset, each
-     * sequence appending to and reading only its own KvCache slot.
+     * sequence appending to and reading only its own cache slot.
      *
      * Batch-exactness contract (extends the chunk-exactness contract):
      * segment i of the result is bitwise identical to calling Forward() on
@@ -195,10 +197,6 @@ class Transformer
   private:
     /** `rope` holds the rotation of every row of `x`, built once per
      *  forward step and shared by all layers. */
-    Tensor ForwardBlock(int layer, const Tensor& x, KvCache& cache,
-                        int64_t pos_offset, const RopeTable& rope,
-                        LinearExecutor& linears) const;
-
     Tensor ForwardBlockBatch(int layer, const Tensor& x,
                              const std::vector<BatchSeq>& batch,
                              const BatchSegments& segments,

@@ -54,7 +54,8 @@ bool SamplesFromBenchResults(const std::string& json_text,
  * complete ("X") spans:
  *
  *  - handoff.npu_linear / handoff.npu_batch / handoff.npu_run with a
- *    "rows" arg -> kHandoff;
+ *    "rows" arg -> kHandoff (npu_linear is no longer emitted, but older
+ *    recorded traces hold it);
  *  - replay.prefill with a "rows" arg (chunk token count) ->
  *    kChunkDispatch.
  *

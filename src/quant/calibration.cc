@@ -81,7 +81,7 @@ CalibrationData::Collect(const Transformer& model,
     RecordingExecutor recorder(model.weights(), data);
     for (const auto& tokens : corpus) {
         LLMNPU_CHECK(!tokens.empty());
-        KvCache cache = model.MakeCache();
+        BatchedKvCache cache = model.MakeCache();
         model.Forward(tokens, cache, recorder);
     }
     // Convert mean-abs accumulators into means.

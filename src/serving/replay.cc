@@ -284,12 +284,12 @@ ReplayTraceImpl(const std::vector<ReplayStep>& steps,
 
     if (!options.check_bitwise) return outcome;
 
-    // ---- Reference: every sequence alone, same per-step token groups, the
-    // single-sequence Forward path. Bitwise comparison against the batched
-    // rows catches any batch-size dependence anywhere in the stack.
+    // ---- Reference: every sequence alone, same per-step token groups,
+    // through Forward on a one-slot cache. Bitwise comparison against the
+    // batched rows catches any batch-size dependence anywhere in the stack.
     for (auto& [id, state] : seqs) {
         if (state.slot < 0) continue;  // never dispatched in the trace
-        KvCache solo = model.MakeCache();
+        BatchedKvCache solo = model.MakeCache();
         std::vector<float> hidden_rows, logit_rows;
         if (state.prefix_len > 0) {
             // The sharer's solo reference owns no template: it prefills

@@ -42,12 +42,12 @@ EvaluateAgreement(const Transformer& model, LinearExecutor& candidate,
     AccuracyResult result;
     double mse_sum = 0.0;
     for (const auto& tokens : contexts) {
-        KvCache ref_cache = model.MakeCache();
+        BatchedKvCache ref_cache = model.MakeCache();
         Tensor ref_hidden = model.Forward(tokens, ref_cache, reference);
         Tensor ref_logits =
             model.Logits(ref_hidden.CopyRows(ref_hidden.Rows() - 1, 1));
 
-        KvCache cand_cache = model.MakeCache();
+        BatchedKvCache cand_cache = model.MakeCache();
         Tensor cand_hidden = model.Forward(tokens, cand_cache, candidate);
         Tensor cand_logits =
             model.Logits(cand_hidden.CopyRows(cand_hidden.Rows() - 1, 1));

@@ -3,11 +3,14 @@
  * Batched numeric plane tests (CTest label `batched`).
  *
  * The core property: Transformer::ForwardBatch produces bitwise-identical
- * per-sequence hidden states and logits to sequential single-sequence
- * Forward, for every LinearExecutor, across ragged batch shapes — B=1..4,
- * mixed prefill/decode steps, chunked prefill inside a batch. Plus the
- * KvCache layer-lockstep invariant, BatchedKvCache accounting, and the
- * serving→numeric trace replay bridge end-to-end.
+ * per-sequence hidden states and logits to running each sequence alone
+ * (Forward, the one-slot ForwardBatch), for every LinearExecutor, across
+ * ragged batch shapes — B=1..4, mixed prefill/decode steps, chunked prefill
+ * inside a batch. Since both sides then reach the executor through
+ * ForwardBatch, each executor's ForwardBatch is also checked against its
+ * own Forward per segment. Plus the cache's layer-lockstep invariant,
+ * BatchedKvCache accounting, and the serving→numeric trace replay bridge
+ * end-to-end.
  */
 #include <gtest/gtest.h>
 
@@ -26,6 +29,7 @@
 #include "src/util/rng.h"
 #include "src/util/threadpool.h"
 #include "src/workloads/arrivals.h"
+#include "tests/support/random.h"
 #include "tests/support/tiny_model.h"
 #include "tests/support/token_streams.h"
 
@@ -51,37 +55,37 @@ TEST(BatchedKvCacheTest, SlotsAreIndependent)
     EXPECT_EQ(cache.num_sequences(), 3);
 }
 
-// ----------------------------------------------------- KvCache layer lockstep
+// ---------------------------------------------------- layer lockstep, slot 0
 
 TEST(KvCacheLockstepTest, InOrderChunksPass)
 {
-    KvCache cache(3, 4);
+    BatchedKvCache cache(3, 4, 1);
     for (int chunk : {2, 5, 1}) {  // chunk sizes may vary across chunks
         Tensor k = Tensor::Full({chunk, 4}, 1.0f);
         Tensor v = Tensor::Full({chunk, 4}, 2.0f);
-        for (int l = 0; l < 3; ++l) cache.Append(l, k, v);
+        for (int l = 0; l < 3; ++l) cache.Append(0, l, k, v);
     }
-    EXPECT_EQ(cache.SeqLen(), 8);
+    EXPECT_EQ(cache.SeqLen(0), 8);
 }
 
 TEST(KvCacheLockstepDeathTest, SecondChunkBeforeOtherLayersPanics)
 {
-    KvCache cache(2, 4);
+    BatchedKvCache cache(2, 4, 1);
     Tensor k = Tensor::Full({3, 4}, 1.0f);
     Tensor v = Tensor::Full({3, 4}, 2.0f);
-    cache.Append(0, k, v);  // layer 1 now lags by the in-flight chunk: fine
-    EXPECT_DEATH(cache.Append(0, k, v), "CHECK failed");
+    cache.Append(0, 0, k, v);  // layer 1 now lags by the in-flight chunk
+    EXPECT_DEATH(cache.Append(0, 0, k, v), "CHECK failed");
 }
 
 TEST(KvCacheLockstepDeathTest, OversizedLaterChunkPanics)
 {
-    KvCache cache(2, 4);
+    BatchedKvCache cache(2, 4, 1);
     Tensor k3 = Tensor::Full({3, 4}, 1.0f);
     Tensor v3 = Tensor::Full({3, 4}, 2.0f);
-    cache.Append(0, k3, v3);
+    cache.Append(0, 0, k3, v3);
     Tensor k5 = Tensor::Full({5, 4}, 1.0f);
     Tensor v5 = Tensor::Full({5, 4}, 2.0f);
-    EXPECT_DEATH(cache.Append(1, k5, v5), "CHECK failed");
+    EXPECT_DEATH(cache.Append(0, 1, k5, v5), "CHECK failed");
 }
 
 // ----------------------------------------- batched vs sequential, bitwise
@@ -138,7 +142,7 @@ RunScriptBitwise(const Transformer& model, LinearExecutor& linears,
 
     // Sequential reference: same token groups, one sequence at a time.
     for (const auto& [seq, seq_groups] : groups) {
-        KvCache solo = model.MakeCache();
+        BatchedKvCache solo = model.MakeCache();
         std::vector<float> ref_hidden, ref_logits;
         for (const std::vector<int>& tokens : seq_groups) {
             Tensor h = model.Forward(tokens, solo, linears);
@@ -250,6 +254,43 @@ TEST_P(BatchedExecutorTest, BatchedEqualsSequentialAcrossThreadCounts)
     }
 }
 
+TEST_P(BatchedExecutorTest, ForwardBatchRowsEqualPerSegmentForwardBitwise)
+{
+    // The executor-level contract itself: each segment's rows of
+    // ForwardBatch equal Forward on that segment alone. The scripts above
+    // reach the executor through ForwardBatch on both sides (Forward is a
+    // one-slot ForwardBatch), so only this test compares the two entries.
+    auto executor = MakeExecutor();
+    ASSERT_NE(executor, nullptr);
+    const BatchSegments segments = {0, 1, 4, 5, 11};
+    Rng rng(29);
+    for (const LinearSpec& spec : tiny_.config.LayerLinears()) {
+        Tensor x = RandomTensor(rng, {segments.back(), spec.k});
+        // Outlier spikes on different channels in different segments, so
+        // the shadow executor extracts a different set per sequence.
+        x.At(2, 3) = 40.0f;
+        x.At(6, spec.k - 1) = -50.0f;
+        x.At(10, spec.k / 2) = 60.0f;
+        const Tensor batched =
+            executor->ForwardBatch(0, spec.kind, x, segments);
+        for (size_t i = 0; i + 1 < segments.size(); ++i) {
+            const int64_t r0 = segments[i];
+            const int64_t rows = segments[i + 1] - r0;
+            const Tensor alone =
+                executor->Forward(0, spec.kind, x.CopyRows(r0, rows));
+            const Tensor part = batched.CopyRows(r0, rows);
+            ASSERT_EQ(part.NumElements(), alone.NumElements());
+            EXPECT_EQ(std::memcmp(part.Data<float>(), alone.Data<float>(),
+                                  static_cast<size_t>(part.NumElements()) *
+                                      sizeof(float)),
+                      0)
+                << executor->Name() << " " << LinearKindName(spec.kind)
+                << ": segment " << i
+                << " of ForwardBatch differs from Forward on it alone";
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllExecutors, BatchedExecutorTest,
                          ::testing::Values("fp32", "per_tensor", "kquant",
                                            "awq", "smoothquant", "llmint8",
@@ -297,7 +338,7 @@ TEST_F(BatchedExecutorShapeTest, ShadowStatsMatchSequential)
 
     BatchedKvCache cache = tiny_.model.MakeBatchedCache(2);
     std::vector<int> cursor(2, 0);
-    std::vector<KvCache> solo;
+    std::vector<BatchedKvCache> solo;
     solo.push_back(tiny_.model.MakeCache());
     solo.push_back(tiny_.model.MakeCache());
     const int vocab = tiny_.config.vocab_size;

@@ -221,7 +221,7 @@ TEST_F(ShadowFixture, Equation1RecoversOutliers)
 TEST_F(ShadowFixture, RuntimeStatsTrackExtractions)
 {
     NpuShadowExecutor executor(*weights_, *profile_, 0.0);
-    KvCache cache = model_->MakeCache();
+    BatchedKvCache cache = model_->MakeCache();
     model_->Forward((*corpus_)[0], cache, executor);
     const auto& stats = executor.stats();
     EXPECT_GT(stats.linear_calls, 0);
@@ -235,7 +235,7 @@ TEST_F(ShadowFixture, RuntimeStatsTrackExtractions)
 TEST_F(ShadowFixture, FullyPrunedExecutorRunsNoShadow)
 {
     NpuShadowExecutor executor(*weights_, *profile_, 1.0);
-    KvCache cache = model_->MakeCache();
+    BatchedKvCache cache = model_->MakeCache();
     model_->Forward((*corpus_)[0], cache, executor);
     EXPECT_EQ(executor.stats().shadow_calls, 0);
     EXPECT_EQ(executor.ResidentShadowWeightBytes(), 0);

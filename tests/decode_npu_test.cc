@@ -55,8 +55,8 @@ TEST_F(DecodeBackendTest, UniformNpuPlacementMatchesShadowExecutorBitwise)
     backend.SetUniformPlacement(DecodePlacement::kNpuQuant);
 
     const std::vector<int> tokens = {3, 77, 150, 201};
-    KvCache cache_a = tiny_.model.MakeCache();
-    KvCache cache_b = tiny_.model.MakeCache();
+    BatchedKvCache cache_a = tiny_.model.MakeCache();
+    BatchedKvCache cache_b = tiny_.model.MakeCache();
     Tensor via_backend = tiny_.model.Forward(tokens, cache_a, backend);
     Tensor direct = tiny_.model.Forward(tokens, cache_b, shadow_direct);
     EXPECT_TRUE(via_backend.BitEquals(direct));
@@ -71,8 +71,8 @@ TEST_F(DecodeBackendTest, UniformCpuPlacementMatchesFp32Bitwise)
     backend.SetUniformPlacement(DecodePlacement::kCpuFloat);
 
     const std::vector<int> tokens = {9, 18, 27};
-    KvCache cache_a = tiny_.model.MakeCache();
-    KvCache cache_b = tiny_.model.MakeCache();
+    BatchedKvCache cache_a = tiny_.model.MakeCache();
+    BatchedKvCache cache_b = tiny_.model.MakeCache();
     Tensor via_backend = tiny_.model.Forward(tokens, cache_a, backend);
     Tensor direct = tiny_.model.Forward(tokens, cache_b, fp32_direct);
     EXPECT_TRUE(via_backend.BitEquals(direct));
@@ -89,7 +89,7 @@ TEST_F(DecodeBackendTest, HandoffStatsCountBoundaryCrossings)
 
     // CPU-placed step: no boundary crossings.
     backend.SetUniformPlacement(DecodePlacement::kCpuFloat);
-    KvCache cache = tiny_.model.MakeCache();
+    BatchedKvCache cache = tiny_.model.MakeCache();
     tiny_.model.Forward({1, 2}, cache, backend);
     EXPECT_EQ(backend.stats().cpu_linear_calls, linears_per_forward);
     EXPECT_EQ(backend.stats().npu_linear_calls, 0);
@@ -126,6 +126,30 @@ TEST_F(DecodeBackendTest, PlacementSizeMismatchPanics)
                      {{0, {1}}, {1, {2}}}, {DecodePlacement::kNpuQuant},
                      cache, backend),
                  "CHECK failed");
+}
+
+TEST_F(DecodeBackendTest, ForwardAfterMultiEntryStepPlacementsPanics)
+{
+    // Forward is a one-segment ForwardBatch: a step placement list sized
+    // for a larger batch is a caller bug, not "use placements[0]".
+    Fp32LinearExecutor fp32(tiny_.weights);
+    NpuShadowExecutor shadow(tiny_.weights, tiny_.profile, 0.5);
+    DecodeBackend backend(fp32, shadow);
+    backend.SetStepPlacements(
+        {DecodePlacement::kNpuQuant, DecodePlacement::kCpuFloat});
+    const Tensor x = Tensor::Full({1, tiny_.config.hidden_size}, 0.5f);
+    EXPECT_DEATH(backend.Forward(0, LinearKind::kWq, x), "CHECK failed");
+}
+
+TEST_F(DecodeBackendTest, TransformerForwardOnTwoSlotCachePanics)
+{
+    // Forward runs slot 0 of a one-slot cache; handing it a batched cache
+    // must fail loudly rather than silently advance slot 0 only.
+    Fp32LinearExecutor fp32(tiny_.weights);
+    NpuShadowExecutor shadow(tiny_.weights, tiny_.profile, 0.5);
+    DecodeBackend backend(fp32, shadow);
+    BatchedKvCache cache = tiny_.model.MakeBatchedCache(2);
+    EXPECT_DEATH(tiny_.model.Forward({1, 2}, cache, backend), "CHECK failed");
 }
 
 // ------------------------- batched vs sequential NPU decode, bitwise
@@ -183,7 +207,7 @@ RunPlacedScriptBitwise(const TinyModelContext& tiny,
     // Sequential reference: same token groups, same placement, alone.
     for (const auto& [seq, seq_groups] : groups) {
         backend.SetUniformPlacement(placement_of.at(seq));
-        KvCache solo = tiny.model.MakeCache();
+        BatchedKvCache solo = tiny.model.MakeCache();
         std::vector<float> ref_hidden, ref_logits;
         for (const std::vector<int>& tokens : seq_groups) {
             Tensor h = tiny.model.Forward(tokens, solo, backend);
@@ -278,7 +302,7 @@ TEST_F(NpuDecodeBatchedTest, BitwiseDeterministicAcrossThreadCounts)
         NpuShadowExecutor shadow(tiny_.weights, tiny_.profile, 0.5);
         DecodeBackend backend(fp32, shadow);
 
-        KvCache cache = tiny_.model.MakeCache();
+        BatchedKvCache cache = tiny_.model.MakeCache();
         backend.SetUniformPlacement(DecodePlacement::kCpuFloat);
         tiny_.model.Forward({5, 10, 15, 20, 25}, cache, backend);
         backend.SetUniformPlacement(DecodePlacement::kNpuQuant);
@@ -332,8 +356,8 @@ TEST_F(NpuDecodeDivergenceTest, DivergenceVsFp32WithinGoldenBands)
     double max_abs = 0.0;
     for (size_t c = 0; c < tiny_.eval_corpus.size(); ++c) {
         const std::vector<int>& prompt = tiny_.eval_corpus[c];
-        KvCache ref_cache = tiny_.model.MakeCache();
-        KvCache npu_cache = tiny_.model.MakeCache();
+        BatchedKvCache ref_cache = tiny_.model.MakeCache();
+        BatchedKvCache npu_cache = tiny_.model.MakeCache();
         tiny_.model.Forward(prompt, ref_cache, fp32);
         backend.SetUniformPlacement(DecodePlacement::kCpuFloat);
         tiny_.model.Forward(prompt, npu_cache, backend);

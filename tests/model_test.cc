@@ -160,21 +160,29 @@ TEST(WeightsTest, LinearAccessorCoversAllKinds)
 
 TEST(KvCacheTest, AppendAndReadBack)
 {
+    // Slot 0 of a one-slot cache (what Transformer::MakeCache() returns),
+    // with small pages so the second chunk crosses a page boundary.
     // Chunks go to every layer in turn (Append enforces layer lockstep).
-    KvCache cache(2, 8);
+    BatchedKvCache cache(2, 8, 1, PagedKvOptions{/*page_size=*/4});
     Tensor k = Tensor::Full({3, 8}, 1.0f);
     Tensor v = Tensor::Full({3, 8}, 2.0f);
-    cache.Append(0, k, v);
-    EXPECT_EQ(cache.SeqLen(0), 3);
-    EXPECT_EQ(cache.SeqLen(1), 0);
-    EXPECT_EQ(cache.Keys(0).At(2, 7), 1.0f);
-    EXPECT_EQ(cache.Values(0).At(0, 0), 2.0f);
-    cache.Append(1, k, v);
-    cache.Append(0, k, v);
-    cache.Append(1, k, v);
-    EXPECT_EQ(cache.SeqLen(0), 6);
-    EXPECT_EQ(cache.SeqLen(1), 6);
-    EXPECT_EQ(cache.SizeBytes(), 2 * 2 * 6 * 8 * 4);
+    cache.Append(0, 0, k, v);
+    EXPECT_EQ(cache.SeqLen(0, 0), 3);
+    EXPECT_EQ(cache.SeqLen(0, 1), 0);
+    EXPECT_EQ(cache.Keys(0, 0).At(2, 7), 1.0f);
+    EXPECT_EQ(cache.Values(0, 0).At(0, 0), 2.0f);
+    cache.Append(0, 1, k, v);
+    cache.Append(0, 0, Tensor::Full({3, 8}, 3.0f), Tensor::Full({3, 8}, 4.0f));
+    cache.Append(0, 1, k, v);
+    EXPECT_EQ(cache.SeqLen(0, 0), 6);
+    EXPECT_EQ(cache.SeqLen(0, 1), 6);
+    EXPECT_EQ(cache.Keys(0, 0).At(2, 0), 1.0f);
+    EXPECT_EQ(cache.Keys(0, 0).At(5, 7), 3.0f);
+    EXPECT_EQ(cache.Values(0, 0).At(3, 0), 4.0f);
+    EXPECT_EQ(cache.Values(0, 1).At(5, 0), 2.0f);
+    // Page-granular: 6 positions hold two 4-position pages, each with K
+    // and V for both layers.
+    EXPECT_EQ(cache.SizeBytes(), 2 * 2 * 2 * 4 * 8 * 4);
 }
 
 class TransformerChunkTest : public ::testing::TestWithParam<int>
@@ -183,7 +191,8 @@ class TransformerChunkTest : public ::testing::TestWithParam<int>
 TEST_P(TransformerChunkTest, ChunkedPrefillEqualsOneShot)
 {
     // The enabling insight of §3.2: decoder-only models make chunked
-    // prefill exact. Verified end-to-end through all blocks here.
+    // prefill exact. Verified end-to-end through all blocks here, bit for
+    // bit.
     const int chunk = GetParam();
     const ModelConfig config = TinyTestConfig();
     ModelWeights mw = GenerateSyntheticWeights(config);
@@ -193,10 +202,10 @@ TEST_P(TransformerChunkTest, ChunkedPrefillEqualsOneShot)
     std::vector<int> tokens;
     for (int i = 0; i < 13; ++i) tokens.push_back((i * 37) % 256);
 
-    KvCache full_cache = model.MakeCache();
+    BatchedKvCache full_cache = model.MakeCache();
     Tensor full = model.Forward(tokens, full_cache, fp32);
 
-    KvCache chunk_cache = model.MakeCache();
+    BatchedKvCache chunk_cache = model.MakeCache();
     std::vector<Tensor> parts;
     for (size_t start = 0; start < tokens.size();
          start += static_cast<size_t>(chunk)) {
@@ -210,12 +219,11 @@ TEST_P(TransformerChunkTest, ChunkedPrefillEqualsOneShot)
     int64_t row = 0;
     for (const Tensor& part : parts) {
         for (int64_t r = 0; r < part.Rows(); ++r, ++row) {
-            EXPECT_LT(MaxAbsDiff(part.CopyRows(r, 1), full.CopyRows(row, 1)),
-                      2e-3)
+            EXPECT_TRUE(part.CopyRows(r, 1).BitEquals(full.CopyRows(row, 1)))
                 << "chunk=" << chunk << " row=" << row;
         }
     }
-    EXPECT_EQ(chunk_cache.SeqLen(), full_cache.SeqLen());
+    EXPECT_EQ(chunk_cache.SeqLen(0), full_cache.SeqLen(0));
 }
 
 INSTANTIATE_TEST_SUITE_P(ChunkLens, TransformerChunkTest,
@@ -244,7 +252,7 @@ TEST(TransformerTest, LogitsShape)
     ModelWeights mw = GenerateSyntheticWeights(config);
     Transformer model(mw);
     Fp32LinearExecutor fp32(mw);
-    KvCache cache = model.MakeCache();
+    BatchedKvCache cache = model.MakeCache();
     Tensor hidden = model.Forward({1, 2, 3}, cache, fp32);
     Tensor logits = model.Logits(hidden);
     EXPECT_EQ(logits.Rows(), 3);

@@ -660,7 +660,7 @@ TEST_F(PagedForwardTest, B64RaggedBatchMatchesSequentialBitwise)
     }
 
     for (int s = 0; s < kBatch; ++s) {
-        KvCache solo = tiny_.model.MakeCache();
+        BatchedKvCache solo = tiny_.model.MakeCache();
         std::vector<float> ref;
         for (const std::vector<int>& tokens :
              groups[static_cast<size_t>(s)]) {
