@@ -94,9 +94,40 @@ PrintMetric(const char* kernel, const char* variant, int64_t m, int64_t k,
                 threads, gflops, speedup);
 }
 
+/** W8A8 per-tensor rows for one [m x k] @ [k x n] shape: naive at one
+ *  thread, pre-packed tiled at each thread count. */
+void
+EmitW8A8Metrics(const Tensor& a, const Tensor& w,
+                const std::vector<int>& thread_counts)
+{
+    const int64_t m = a.Rows(), k = a.Cols(), n = w.Cols();
+    const QuantParams params = ComputeSymmetricScale(a);
+    Tensor a_q = QuantizeSymmetric(a, params);
+    PerColumnWeights wq = QuantizePerColumn(w);
+    const double i8_naive = MeasureGFlops(m, k, n, [&] {
+        benchmark::DoNotOptimize(
+            MatMulW8A8PerTensorNaive(a_q, params.scale, wq.q, wq.scales));
+    });
+    PrintMetric("matmul_w8a8_per_tensor", "naive", m, k, n, 1, i8_naive,
+                1.0);
+    const PackedWeightsI8 packed_q = PackWeightsI8(wq.q, wq.scales);
+    for (int threads : thread_counts) {
+        ScopedNumThreads scoped(threads);
+        const double tiled = MeasureGFlops(m, k, n, [&] {
+            benchmark::DoNotOptimize(
+                MatMulW8A8PerTensorPacked(a_q, params.scale, packed_q));
+        });
+        PrintMetric("matmul_w8a8_per_tensor", "tiled_packed", m, k, n,
+                    threads, tiled, tiled / i8_naive);
+    }
+}
+
 /**
  * The METRIC sweep: naive vs tiled (and pre-packed) kernels, m=32 prefill
- * chunks, square K=N weights, thread counts 1/2/4.
+ * chunks, square K=N weights, thread counts 1/2/4; then W8A8 at the
+ * benchmark's ui_automation prefill shapes, a 256-row chunk through the
+ * proxy model's attention (512 x 512) and FFN (512 x 1376, 1376 x 512)
+ * linears.
  */
 void
 EmitKernelMetrics()
@@ -134,26 +165,7 @@ EmitKernelMetrics()
         }
 
         // --- W8A8 per-tensor: naive vs pre-packed tiled. ---
-        const QuantParams params = ComputeSymmetricScale(a);
-        Tensor a_q = QuantizeSymmetric(a, params);
-        PerColumnWeights wq = QuantizePerColumn(w);
-        const double i8_naive = MeasureGFlops(kM, n, n, [&] {
-            benchmark::DoNotOptimize(
-                MatMulW8A8PerTensorNaive(a_q, params.scale, wq.q,
-                                         wq.scales));
-        });
-        PrintMetric("matmul_w8a8_per_tensor", "naive", kM, n, n, 1,
-                    i8_naive, 1.0);
-        const PackedWeightsI8 packed_q = PackWeightsI8(wq.q, wq.scales);
-        for (int threads : thread_counts) {
-            ScopedNumThreads scoped(threads);
-            const double tiled = MeasureGFlops(kM, n, n, [&] {
-                benchmark::DoNotOptimize(
-                    MatMulW8A8PerTensorPacked(a_q, params.scale, packed_q));
-            });
-            PrintMetric("matmul_w8a8_per_tensor", "tiled_packed", kM, n, n,
-                        threads, tiled, tiled / i8_naive);
-        }
+        EmitW8A8Metrics(a, w, thread_counts);
 
         // --- Per-group W8A8 (the NPU-hostile form): naive vs tiled. ---
         PerGroupWeights pg = QuantizePerGroup(w, 32);
@@ -170,6 +182,15 @@ EmitKernelMetrics()
             PrintMetric("matmul_per_group", "tiled", kM, n, n, threads,
                         tiled, tiled / pg_naive);
         }
+    }
+
+    constexpr int64_t kPrefillM = 256;
+    for (const auto& [k, n] : {std::pair<int64_t, int64_t>{512, 512},
+                               std::pair<int64_t, int64_t>{512, 1376},
+                               std::pair<int64_t, int64_t>{1376, 512}}) {
+        Rng rng(0x9f11 + static_cast<uint64_t>(k + n));
+        EmitW8A8Metrics(RandomTensor(rng, {kPrefillM, k}),
+                        RandomTensor(rng, {k, n}), thread_counts);
     }
 }
 

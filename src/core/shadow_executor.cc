@@ -1,10 +1,11 @@
 #include "src/core/shadow_executor.h"
 
-#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "src/tensor/matmul.h"
 #include "src/tensor/ops.h"
+#include "src/tensor/quantize.h"
 
 namespace llmnpu {
 
@@ -47,18 +48,25 @@ NpuShadowExecutor::AddShadowTerm(const PreparedLinear& pl,
                                  Tensor& y)
 {
     // Extract the channels where any row of [r0, r1) exceeded the clip and
-    // compute the residual x - s*q at float precision on the CPU.
+    // compute the residual x - s*q at float precision on the CPU. One
+    // row-major pass ORs per-channel flags (a branch-free loop the compiler
+    // vectorizes); the channels then come out in ascending order.
     const float s = op.clip_scale;
     const float clip = op.ClipValue();
     const int64_t k = x.Cols();
     const float* px = x.Data<float>();
+    std::vector<uint8_t> over(static_cast<size_t>(k), 0);
+    for (int64_t r = r0; r < r1; ++r) {
+        const float* row = px + r * k;
+        uint8_t* flags = over.data();
+        for (int64_t c = 0; c < k; ++c) {
+            flags[c] |= static_cast<uint8_t>(std::fabs(row[c]) > clip);
+        }
+    }
     std::vector<int> extracted;
     for (int64_t c = 0; c < k; ++c) {
-        for (int64_t r = r0; r < r1; ++r) {
-            if (std::abs(px[r * k + c]) > clip) {
-                extracted.push_back(static_cast<int>(c));
-                break;
-            }
+        if (over[static_cast<size_t>(c)]) {
+            extracted.push_back(static_cast<int>(c));
         }
     }
     if (extracted.empty()) return;
@@ -114,20 +122,11 @@ NpuShadowExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
     stats_.linear_calls += static_cast<int64_t>(segments.size()) - 1;
 
     const float s = op.clip_scale;
-    const float inv_s = 1.0f / s;
 
     // NPU part: per-tensor quantize with the offline clip scale, one packed
     // W8A8 matmul over the whole stack (element-wise quantization and
     // row-independent accumulation make this exact for every segment).
-    Tensor x_q(x.shape(), DType::kI8);
-    {
-        const float* px = x.Data<float>();
-        int8_t* pq = x_q.Data<int8_t>();
-        for (int64_t i = 0; i < x.NumElements(); ++i) {
-            pq[i] = static_cast<int8_t>(std::clamp(
-                std::nearbyint(px[i] * inv_s), -127.0f, 127.0f));
-        }
-    }
+    const Tensor x_q = QuantizePerTensorI8(x, 1.0f / s);
     Tensor y = MatMulW8A8PerTensorPacked(x_q, s, pl.npu_packed);
 
     if (!pl.shadow_enabled) return y;

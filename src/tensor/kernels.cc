@@ -1,49 +1,69 @@
 /**
  * @file
- * Tiled, multi-threaded numeric-plane kernels (the public MatMul* entry
- * points declared in matmul.h).
+ * Tiled, multi-threaded numeric-plane kernels: the public MatMul* entry
+ * points of matmul.h, the explicit-level INT8 entry points of
+ * kernel_isa.h, and QuantizePerTensorI8.
  *
  * Structure, for every kernel:
  *
- *  - Weights are packed panel-major (PackWeights*): kPanelWidth output
- *    columns per panel with the K dimension contiguous, so the inner loop
- *    streams one cache line of B per K step regardless of N.
- *  - A register-tiled micro-kernel computes a kMR x kPanelWidth block of C
+ *  - Weights are packed panel-major (PackWeights*), kPanelWidth output
+ *    columns per panel. f32 panels hold one 64-byte row per k; INT8 panels
+ *    hold one 64-byte block per quad of k (layout, ISA levels and the
+ *    exactness argument are in matmul.h).
+ *  - A register-tiled micro-kernel computes an MR x kPanelWidth block of C
  *    with all accumulators in registers: unlike the naive saxpy form there
  *    are no loads/stores of C inside the K loop.
- *  - Row blocks are distributed over the shared ThreadPool; each output row
+ *  - ParallelTiles hands each participant of the shared ThreadPool a range
+ *    of rows, or of panels when m is small. Either way each output element
  *    is computed entirely by one thread with a fixed K-ascending
- *    accumulation order, so results do not depend on the thread count
- *    (bitwise for the INT8 kernels).
+ *    accumulation order, so results do not depend on the thread count or
+ *    the split (bitwise, for f32 and INT8 alike).
+ *  - The INT8 micro-kernel has three levels, each a plain or
+ *    `target`-attributed function of this TU: AVX-512-VNNI, AVX2, scalar.
+ *    SelectedKernelIsa() picks one once, from __builtin_cpu_supports; the
+ *    tile loops are templates over the level. Each participant first copies
+ *    its activation rows into a zero-padded scratch in the level's encoding
+ *    (u8 x ^ 0x80 for VNNI), so the 4-byte quad loads never read past a
+ *    row and a zero byte contributes nothing at any level.
  *
  * The attention inner loops (CausalAttentionHead, attention_kernel.h) live
  * here too, so the dense and paged attention paths share one vectorized
  * implementation.
  *
  * This file may be compiled with target SIMD flags (see LLMNPU_KERNEL_SIMD
- * in CMakeLists.txt); the reference kernels in matmul.cc keep the portable
- * default flags and serve as the equivalence oracle.
+ * in CMakeLists.txt) for the f32 and quantize paths; the INT8 levels need
+ * no flags. The reference kernels in matmul.cc keep the portable default
+ * flags and serve as the equivalence oracle.
  */
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
-#if defined(__AVX__)
+#if defined(__x86_64__) || defined(__i386__)
+#define LLMNPU_X86 1
 #include <immintrin.h>
 #endif
 
 #include "src/obs/trace.h"
 #include "src/tensor/attention_kernel.h"
+#include "src/tensor/kernel_isa.h"
 #include "src/tensor/matmul.h"
+#include "src/tensor/quantize.h"
 #include "src/util/threadpool.h"
 
 namespace llmnpu {
 
 namespace {
 
-/** Rows per micro-kernel invocation. 4 x kPanelWidth f32 accumulators fill
- *  eight 256-bit registers — the sweet spot for FMA auto-vectorization. */
+/** f32 rows per micro-kernel invocation. 4 x kPanelWidth f32 accumulators
+ *  fill eight 256-bit registers — the sweet spot for FMA
+ *  auto-vectorization. */
 constexpr int kMR = 4;
+
+/** Bytes of one packed INT8 block: kPanelWidth columns x kQuad k. */
+constexpr int64_t kBlockBytes = kPanelWidth * kQuad;
 
 #if defined(__GNUC__) || defined(__clang__)
 #define LLMNPU_VECTOR_EXT 1
@@ -69,6 +89,13 @@ static_assert(2 * sizeof(VecF32x8) == kPanelWidth * sizeof(float),
 /** Below this many multiply-accumulates, threading overhead dominates. */
 constexpr int64_t kParallelFlopCutoff = 64 * 1024;
 
+/** From this many rows on, a matmul is split over rows: every participant
+ *  then gets whole micro-kernel blocks. Below it, over panels. */
+constexpr int64_t kRowSplitMinRows = 64;
+
+/** Elements below which QuantizePerTensorI8 stays on one thread. */
+constexpr int64_t kQuantizeGrain = 32 * 1024;
+
 /** Splits rows [0, m) over the pool when the matmul is big enough. */
 template <typename Fn>
 void
@@ -82,6 +109,42 @@ RowParallel(int64_t m, int64_t work_per_row, const Fn& fn)
     ThreadPool::Global().ParallelFor(m, 1, fn);
 }
 
+/**
+ * Runs fn(r0, r1, p0, p1) over the output tiles [0, m) x [0, panels):
+ * inline when small, else over the pool by rows (m >= kRowSplitMinRows)
+ * or by panels. A decode matvec (m = 1) thus uses every thread.
+ */
+template <typename Fn>
+void
+ParallelTiles(int64_t m, int64_t panels, int64_t work_per_row, const Fn& fn)
+{
+    if (m <= 0 || panels <= 0) return;
+    if (m * work_per_row < kParallelFlopCutoff) {
+        fn(static_cast<int64_t>(0), m, static_cast<int64_t>(0), panels);
+    } else if (m >= kRowSplitMinRows) {
+        ThreadPool::Global().ParallelFor(m, 1, [&](int64_t r0, int64_t r1) {
+            fn(r0, r1, static_cast<int64_t>(0), panels);
+        });
+    } else {
+        ThreadPool::Global().ParallelFor(panels, 1,
+                                         [&](int64_t p0, int64_t p1) {
+            fn(static_cast<int64_t>(0), m, p0, p1);
+        });
+    }
+}
+
+/** Covers [i0, i1) (rows or panels) with blocks [i, i + B), calling
+ *  fn(i, std::integral_constant<int, B>()): B = N while N items remain,
+ *  then halving (7 = 4 + 2 + 1). */
+template <int N, typename Fn>
+void
+ForEachBlock(int64_t i0, int64_t i1, const Fn& fn)
+{
+    int64_t i = i0;
+    for (; i + N <= i1; i += N) fn(i, std::integral_constant<int, N>());
+    if constexpr (N > 1) ForEachBlock<N / 2>(i, i1, fn);
+}
+
 int64_t
 NumPanels(int64_t n)
 {
@@ -89,217 +152,495 @@ NumPanels(int64_t n)
 }
 
 /**
- * MR x kPanelWidth f32 micro-kernel over one packed panel.
+ * f32 micro-kernel: MR rows x NP consecutive packed panels.
  *
  * Accumulators live in registers for the whole K loop; the single store at
  * the end fully overwrites the C block (callers hand out uninitialized C).
+ * Every variant adds each product into its element's own chain in k
+ * order, so an element's bits depend on neither MR nor NP. MR * NP = kMR
+ * keeps eight independent chains in flight, which a lone decode row
+ * (MR = 1) needs to hide the FMA latency. Only the last panel may be
+ * partial (ncols_last columns).
  */
-template <int MR>
+template <int MR, int NP>
 void
 MicroKernelF32(const float* __restrict a, int64_t lda,
                const float* __restrict bp, int64_t k, float* __restrict c,
-               int64_t ldc, int64_t ncols)
+               int64_t ldc, int64_t ncols_last)
 {
+    const int64_t panel_stride = k * kPanelWidth;
 #ifdef LLMNPU_VECTOR_EXT
-    VecF32x8 acc_lo[MR] = {};
-    VecF32x8 acc_hi[MR] = {};
+    VecF32x8 acc[MR][2 * NP] = {};
     for (int64_t kk = 0; kk < k; ++kk) {
-        const float* brow = bp + kk * kPanelWidth;
-        const VecF32x8 b_lo = *reinterpret_cast<const VecF32x8*>(brow);
-        const VecF32x8 b_hi = *reinterpret_cast<const VecF32x8*>(brow + 8);
+        VecF32x8 b[2 * NP];
+        for (int q = 0; q < NP; ++q) {
+            const float* brow = bp + q * panel_stride + kk * kPanelWidth;
+            b[2 * q] = *reinterpret_cast<const VecF32x8*>(brow);
+            b[2 * q + 1] = *reinterpret_cast<const VecF32x8*>(brow + 8);
+        }
         for (int r = 0; r < MR; ++r) {
             const float av = a[r * lda + kk];
-            acc_lo[r] += av * b_lo;
-            acc_hi[r] += av * b_hi;
+            for (int v = 0; v < 2 * NP; ++v) acc[r][v] += av * b[v];
         }
     }
-    if (ncols == kPanelWidth) {
-        for (int r = 0; r < MR; ++r) {
-            *reinterpret_cast<VecF32x8*>(c + r * ldc) = acc_lo[r];
-            *reinterpret_cast<VecF32x8*>(c + r * ldc + 8) = acc_hi[r];
-        }
-    } else {
-        for (int r = 0; r < MR; ++r) {
-            for (int64_t j = 0; j < ncols; ++j) {
-                c[r * ldc + j] =
-                    j < 8 ? acc_lo[r][j] : acc_hi[r][j - 8];
+    for (int r = 0; r < MR; ++r) {
+        for (int q = 0; q < NP; ++q) {
+            float* crow = c + r * ldc + q * kPanelWidth;
+            const VecF32x8& lo = acc[r][2 * q];
+            const VecF32x8& hi = acc[r][2 * q + 1];
+            const int64_t ncols = q + 1 < NP ? kPanelWidth : ncols_last;
+            if (ncols == kPanelWidth) {
+                *reinterpret_cast<VecF32x8*>(crow) = lo;
+                *reinterpret_cast<VecF32x8*>(crow + 8) = hi;
+            } else {
+                for (int64_t j = 0; j < ncols; ++j) {
+                    crow[j] = j < 8 ? lo[j] : hi[j - 8];
+                }
             }
         }
     }
 #else
-    float acc[MR][kPanelWidth] = {};
+    float acc[MR][NP * kPanelWidth] = {};
     for (int64_t kk = 0; kk < k; ++kk) {
-        const float* __restrict brow = bp + kk * kPanelWidth;
         for (int r = 0; r < MR; ++r) {
             const float av = a[r * lda + kk];
-            for (int j = 0; j < kPanelWidth; ++j) {
-                acc[r][j] += av * brow[j];
+            for (int q = 0; q < NP; ++q) {
+                const float* __restrict brow =
+                    bp + q * panel_stride + kk * kPanelWidth;
+                for (int j = 0; j < kPanelWidth; ++j) {
+                    acc[r][q * kPanelWidth + j] += av * brow[j];
+                }
             }
         }
     }
+    const int64_t ncols = (NP - 1) * kPanelWidth + ncols_last;
     for (int r = 0; r < MR; ++r) {
         for (int64_t j = 0; j < ncols; ++j) c[r * ldc + j] = acc[r][j];
     }
 #endif
 }
 
-/** Runs the f32 micro-kernel over rows [r0, r1) of A for every panel. The
- *  panel loop is outermost so the packed panel stays cache-hot across row
- *  blocks. */
+/** Runs the f32 micro-kernel over rows [r0, r1) of A for panels [p0, p1).
+ *  Whole kMR-row blocks go panel by panel, so the packed panel stays
+ *  cache-hot across row blocks; the fewer than kMR rows left over take
+ *  kMR / MR panels per call instead. */
 void
-TiledF32Rows(const float* a, int64_t lda, const PackedWeightsF32& w,
-             float* c, int64_t r0, int64_t r1)
+TiledF32(const float* a, int64_t lda, const PackedWeightsF32& w, float* c,
+         int64_t r0, int64_t r1, int64_t p0, int64_t p1)
 {
     const int64_t k = w.k, n = w.n;
-    const int64_t panels = NumPanels(n);
-    for (int64_t p = 0; p < panels; ++p) {
-        const float* bp = w.data.data() + p * k * kPanelWidth;
-        const int64_t j0 = p * kPanelWidth;
-        const int64_t ncols = std::min<int64_t>(kPanelWidth, n - j0);
-        int64_t r = r0;
-        for (; r + kMR <= r1; r += kMR) {
-            MicroKernelF32<kMR>(a + r * lda, lda, bp, k, c + r * n + j0, n,
-                                ncols);
+    const auto run = [&](int64_t r, auto rows, int64_t p, auto panels) {
+        constexpr int mr = decltype(rows)::value;
+        constexpr int np = decltype(panels)::value;
+        const int64_t last_j0 = (p + np - 1) * kPanelWidth;
+        MicroKernelF32<mr, np>(
+            a + r * lda, lda, w.data.data() + p * k * kPanelWidth, k,
+            c + r * n + p * kPanelWidth, n,
+            std::min<int64_t>(kPanelWidth, n - last_j0));
+    };
+    const int64_t r_full = r0 + (r1 - r0) / kMR * kMR;
+    for (int64_t p = p0; p < p1; ++p) {
+        for (int64_t r = r0; r < r_full; r += kMR) {
+            run(r, std::integral_constant<int, kMR>(), p,
+                std::integral_constant<int, 1>());
         }
-        switch (r1 - r) {
-          case 3:
-            MicroKernelF32<3>(a + r * lda, lda, bp, k, c + r * n + j0, n,
-                              ncols);
-            break;
-          case 2:
-            MicroKernelF32<2>(a + r * lda, lda, bp, k, c + r * n + j0, n,
-                              ncols);
-            break;
-          case 1:
-            MicroKernelF32<1>(a + r * lda, lda, bp, k, c + r * n + j0, n,
-                              ncols);
-            break;
-          default: break;
-        }
+    }
+    ForEachBlock<kMR / 2>(r_full, r1, [&](int64_t r, auto rows) {
+        ForEachBlock<kMR / decltype(rows)::value>(
+            p0, p1, [&](int64_t p, auto panels) { run(r, rows, p, panels); });
+    });
+}
+
+/** q[i] = clamp(nearbyint(x[i] * inv), -127, 127), eight at a time where
+ *  the TU has AVX2 (round-to-nearest-even, like nearbyint). */
+void
+QuantizeSpan(const float* x, int64_t n, float inv, int8_t* q)
+{
+    int64_t i = 0;
+#if defined(__AVX2__)
+    const __m256 vinv = _mm256_set1_ps(inv);
+    const __m256 lo = _mm256_set1_ps(-127.0f);
+    const __m256 hi = _mm256_set1_ps(127.0f);
+    for (; i + 8 <= n; i += 8) {
+        const __m256 r = _mm256_round_ps(
+            _mm256_mul_ps(_mm256_loadu_ps(x + i), vinv),
+            _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+        const __m256i v =
+            _mm256_cvtps_epi32(_mm256_min_ps(_mm256_max_ps(r, lo), hi));
+        const __m128i v16 = _mm_packs_epi32(_mm256_castsi256_si128(v),
+                                            _mm256_extracti128_si256(v, 1));
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(q + i),
+                         _mm_packs_epi16(v16, v16));
+    }
+#endif
+    for (; i < n; ++i) {
+        q[i] = static_cast<int8_t>(
+            std::clamp(std::nearbyint(x[i] * inv), -127.0f, 127.0f));
     }
 }
 
-/** MR x kPanelWidth INT8 micro-kernel: INT32 accumulation over one packed
- *  panel; the caller applies the dequantization scales. */
+// ------------------------------------------------------------- INT8 levels
+//
+// Every level has one signature: MR activation rows `a` (lda apart, in the
+// level's encoding, whole quads), `quads` packed blocks from `bp`, and
+// `col_sums` (the kPanelWidth column sums of w over the same k, read by
+// VNNI only). It writes the exact int32 dot products to acc[MR][16].
+
+/** The 4 activation bytes of quad q of a row, as one 32-bit lane. */
+int32_t
+LoadQuad(const int8_t* row, int64_t q)
+{
+    int32_t v;
+    std::memcpy(&v, row + q * kQuad, sizeof(v));
+    return v;
+}
+
 template <int MR>
 void
-MicroKernelI8(const int8_t* __restrict a, int64_t lda,
-              const int8_t* __restrict bp, int64_t k0, int64_t k1,
-              int32_t* __restrict acc /* [MR * kPanelWidth] */)
+MicroKernelI8Scalar(const int8_t* a, int64_t lda, const int8_t* bp,
+                    int64_t quads, const int32_t* /*col_sums*/,
+                    int32_t* acc)
 {
-#if defined(__AVX2__)
-    // Intrinsics rather than generic vectors: GCC scalarizes the
-    // int8 -> int32 widening of 8-byte vector loads (one movsbl+pinsrd per
-    // lane), where vpmovsxbd does the whole half-panel in one instruction.
-    __m256i acc_lo[MR], acc_hi[MR];
-    for (int r = 0; r < MR; ++r) {
-        acc_lo[r] = _mm256_setzero_si256();
-        acc_hi[r] = _mm256_setzero_si256();
-    }
-    for (int64_t kk = k0; kk < k1; ++kk) {
-        const __m128i raw = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(bp + kk * kPanelWidth));
-        const __m256i b_lo = _mm256_cvtepi8_epi32(raw);
-        const __m256i b_hi =
-            _mm256_cvtepi8_epi32(_mm_unpackhi_epi64(raw, raw));
+    std::fill(acc, acc + MR * kPanelWidth, 0);
+    for (int64_t q = 0; q < quads; ++q) {
+        const int8_t* blk = bp + q * kBlockBytes;
         for (int r = 0; r < MR; ++r) {
-            const __m256i av = _mm256_set1_epi32(a[r * lda + kk]);
-            acc_lo[r] = _mm256_add_epi32(acc_lo[r],
-                                         _mm256_mullo_epi32(av, b_lo));
-            acc_hi[r] = _mm256_add_epi32(acc_hi[r],
-                                         _mm256_mullo_epi32(av, b_hi));
-        }
-    }
-    for (int r = 0; r < MR; ++r) {
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(acc + r * kPanelWidth), acc_lo[r]);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(acc + r * kPanelWidth + 8),
-            acc_hi[r]);
-    }
-#else
-    for (int i = 0; i < MR * kPanelWidth; ++i) acc[i] = 0;
-    for (int64_t kk = k0; kk < k1; ++kk) {
-        const int8_t* __restrict brow = bp + kk * kPanelWidth;
-        for (int r = 0; r < MR; ++r) {
-            const int32_t av = a[r * lda + kk];
+            const int8_t* aq = a + r * lda + q * kQuad;
+            int32_t* arow = acc + r * kPanelWidth;
             for (int j = 0; j < kPanelWidth; ++j) {
-                acc[r * kPanelWidth + j] += av * brow[j];
+                for (int t = 0; t < kQuad; ++t) {
+                    arow[j] += aq[t] * blk[j * kQuad + t];
+                }
             }
         }
     }
-#endif
+}
+
+#ifdef LLMNPU_X86
+/**
+ * AVX2: each quarter of a block (4 columns x 4 k) widens to 16 int16, and
+ * `vpmaddwd` against the row's broadcast quad leaves two exact pair sums
+ * per column. The pair partials are added once, after the K loop. Two
+ * rows (eight accumulators) and the four widened weight vectors fit the
+ * 16 registers.
+ */
+template <int MR>
+__attribute__((target("avx2"))) void
+MicroKernelI8Avx2(const int8_t* a, int64_t lda, const int8_t* bp,
+                  int64_t quads, const int32_t* /*col_sums*/, int32_t* acc)
+{
+    __m256i sum[MR][4];
+    for (int r = 0; r < MR; ++r) {
+        for (int c = 0; c < 4; ++c) sum[r][c] = _mm256_setzero_si256();
+    }
+    for (int64_t q = 0; q < quads; ++q) {
+        const int8_t* blk = bp + q * kBlockBytes;
+        __m256i w[4];
+        for (int c = 0; c < 4; ++c) {
+            w[c] = _mm256_cvtepi8_epi16(_mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(blk + 16 * c)));
+        }
+        for (int r = 0; r < MR; ++r) {
+            const __m256i av = _mm256_cvtepi8_epi16(
+                _mm_set1_epi32(LoadQuad(a + r * lda, q)));
+            for (int c = 0; c < 4; ++c) {
+                sum[r][c] =
+                    _mm256_add_epi32(sum[r][c], _mm256_madd_epi16(w[c], av));
+            }
+        }
+    }
+    for (int r = 0; r < MR; ++r) {
+        for (int c = 0; c < 4; c += 2) {
+            // hadd gives columns (0 1 4 5 | 2 3 6 7) of the eight; the
+            // 64-bit permute restores their order.
+            const __m256i h = _mm256_hadd_epi32(sum[r][c], sum[r][c + 1]);
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i*>(acc + r * kPanelWidth + 4 * c),
+                _mm256_permute4x64_epi64(h, 0xD8));
+        }
+    }
 }
 
 /**
- * Shared INT8 tiled driver for rows [r0, r1). `scale_for(row, col)` returns
- * the dequantization multiplier applied as float(acc) * scale_a(row) *
- * scale_w(col) — both per-tensor and vector-wise kernels route here.
+ * AVX-512-VNNI: one non-saturating `vpdpbusd` per quad and row adds the
+ * four u8 x s8 products of every column to its int32 lane. The u8 side is
+ * x + 128, so 128 * col_sums comes off at the end.
  */
-template <typename RowScale, typename ColScale>
-void
-TiledI8Rows(const int8_t* a, int64_t lda, const PackedWeightsI8& w, float* c,
-            int64_t r0, int64_t r1, const RowScale& row_scale,
-            const ColScale& col_scale)
+template <int MR>
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) void
+MicroKernelI8Vnni(const int8_t* a, int64_t lda, const int8_t* bp,
+                  int64_t quads, const int32_t* col_sums, int32_t* acc)
 {
-    const int64_t k = w.k, n = w.n;
-    const int64_t panels = NumPanels(n);
-    int32_t acc[kMR * kPanelWidth];
+    __m512i sum[MR];
+    for (int r = 0; r < MR; ++r) sum[r] = _mm512_setzero_si512();
+    for (int64_t q = 0; q < quads; ++q) {
+        const __m512i w = _mm512_loadu_si512(bp + q * kBlockBytes);
+        for (int r = 0; r < MR; ++r) {
+            sum[r] = _mm512_dpbusd_epi32(
+                sum[r], _mm512_set1_epi32(LoadQuad(a + r * lda, q)), w);
+        }
+    }
+    const __m512i offset = _mm512_mullo_epi32(
+        _mm512_loadu_si512(col_sums), _mm512_set1_epi32(128));
+    for (int r = 0; r < MR; ++r) {
+        _mm512_storeu_si512(acc + r * kPanelWidth,
+                            _mm512_sub_epi32(sum[r], offset));
+    }
+}
+#endif
+
+/** Rows per INT8 micro-kernel call at each level (register budget). */
+template <KernelIsa kIsa>
+constexpr int kI8Rows = kIsa == KernelIsa::kAvx512Vnni ? 8
+                        : kIsa == KernelIsa::kAvx2     ? 2
+                                                       : 4;
+
+template <KernelIsa kIsa, int MR>
+void
+MicroKernelI8(const int8_t* a, int64_t lda, const int8_t* bp, int64_t quads,
+              const int32_t* col_sums, int32_t* acc)
+{
+#ifdef LLMNPU_X86
+    if constexpr (kIsa == KernelIsa::kAvx512Vnni) {
+        MicroKernelI8Vnni<MR>(a, lda, bp, quads, col_sums, acc);
+        return;
+    } else if constexpr (kIsa == KernelIsa::kAvx2) {
+        MicroKernelI8Avx2<MR>(a, lda, bp, quads, col_sums, acc);
+        return;
+    }
+#endif
+    MicroKernelI8Scalar<MR>(a, lda, bp, quads, col_sums, acc);
+}
+
+/** Copies n int8 activations (dst may equal src) in the level's encoding:
+ *  u8 x + 128 for VNNI, unchanged otherwise. */
+template <KernelIsa kIsa>
+void
+EncodeActivations(const int8_t* src, int64_t n, int8_t* dst)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        dst[i] = kIsa == KernelIsa::kAvx512Vnni
+                     ? static_cast<int8_t>(static_cast<uint8_t>(src[i]) ^
+                                           0x80u)
+                     : src[i];
+    }
+}
+
+/** Calls fn(std::integral_constant<KernelIsa, isa>()) for a runtime level
+ *  the CPU supports. */
+template <typename Fn>
+void
+WithKernelIsa(KernelIsa isa, const Fn& fn)
+{
+    LLMNPU_CHECK(isa <= SelectedKernelIsa());
+    switch (isa) {
+#ifdef LLMNPU_X86
+      case KernelIsa::kAvx512Vnni:
+        fn(std::integral_constant<KernelIsa, KernelIsa::kAvx512Vnni>());
+        return;
+      case KernelIsa::kAvx2:
+        fn(std::integral_constant<KernelIsa, KernelIsa::kAvx2>());
+        return;
+#endif
+      default:
+        fn(std::integral_constant<KernelIsa, KernelIsa::kScalar>());
+        return;
+    }
+}
+
+KernelIsa
+DetectKernelIsa()
+{
+#ifdef LLMNPU_X86
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512vnni")) {
+        return KernelIsa::kAvx512Vnni;
+    }
+    if (__builtin_cpu_supports("avx2")) return KernelIsa::kAvx2;
+#endif
+    return KernelIsa::kScalar;
+}
+
+/**
+ * Shared INT8 tile loop for rows [r0, r1) x panels [p0, p1). Writes
+ * float(acc) * row_scale(row) * col_scale(col), the naive kernels' exact
+ * expression; per-tensor and vector-wise kernels both route here.
+ */
+template <KernelIsa kIsa, typename RowScale, typename ColScale>
+void
+TiledI8(const int8_t* a, int64_t lda, const PackedWeightsI8& w, float* c,
+        int64_t r0, int64_t r1, int64_t p0, int64_t p1,
+        const RowScale& row_scale, const ColScale& col_scale)
+{
+    constexpr int kRows = kI8Rows<kIsa>;
+    const int64_t n = w.n, quads = w.Quads();
+    const int64_t lds = quads * kQuad;
+    std::vector<int8_t> scratch(static_cast<size_t>((r1 - r0) * lds), 0);
+    for (int64_t r = r0; r < r1; ++r) {
+        EncodeActivations<kIsa>(a + r * lda, w.k,
+                                scratch.data() + (r - r0) * lds);
+    }
+    int32_t acc[kRows * kPanelWidth];
     float wsc[kPanelWidth];
-    for (int64_t p = 0; p < panels; ++p) {
-        const int8_t* bp = w.data.data() + p * k * kPanelWidth;
+    for (int64_t p = p0; p < p1; ++p) {
+        const int8_t* bp = w.data.data() + p * quads * kBlockBytes;
         const int64_t j0 = p * kPanelWidth;
         const int64_t ncols = std::min<int64_t>(kPanelWidth, n - j0);
         for (int64_t j = 0; j < ncols; ++j) wsc[j] = col_scale(j0 + j);
-        int64_t r = r0;
-        auto store = [&](int64_t row_base, int rows) {
-            for (int r_local = 0; r_local < rows; ++r_local) {
-                const int64_t row = row_base + r_local;
-                const float as = row_scale(row);
-                float* crow = c + row * n + j0;
-                const int32_t* arow = acc + r_local * kPanelWidth;
+        ForEachBlock<kRows>(r0, r1, [&](int64_t r, auto rows) {
+            constexpr int mr = decltype(rows)::value;
+            MicroKernelI8<kIsa, mr>(scratch.data() + (r - r0) * lds, lds, bp,
+                                    quads, w.col_sums.data() + j0, acc);
+            for (int rr = 0; rr < mr; ++rr) {
+                const float as = row_scale(r + rr);
+                float* crow = c + (r + rr) * n + j0;
+                const int32_t* arow = acc + rr * kPanelWidth;
                 for (int64_t j = 0; j < ncols; ++j) {
                     crow[j] = static_cast<float>(arow[j]) * as * wsc[j];
                 }
             }
-        };
-        for (; r + kMR <= r1; r += kMR) {
-            MicroKernelI8<kMR>(a + r * lda, lda, bp, 0, k, acc);
-            store(r, kMR);
-        }
-        switch (r1 - r) {
-          case 3: MicroKernelI8<3>(a + r * lda, lda, bp, 0, k, acc); break;
-          case 2: MicroKernelI8<2>(a + r * lda, lda, bp, 0, k, acc); break;
-          case 1: MicroKernelI8<1>(a + r * lda, lda, bp, 0, k, acc); break;
-          default: break;
-        }
-        if (r < r1) store(r, static_cast<int>(r1 - r));
+        });
     }
 }
 
-/** Generic panel-major packer shared by the f32/int8 layouts. */
-template <typename T>
-std::vector<T>
-PackPanels(const T* w, int64_t k, int64_t n)
+/**
+ * Per-group tile loop for rows [r0, r1) x panels [p0, p1). Group g's
+ * activations sit in their own zero-padded run of whole quads at byte
+ * seg[g] of each scratch row, so a group that starts or ends inside a
+ * quad sees zeros for its neighbour's k; group_sums[g] holds the matching
+ * VNNI column sums.
+ */
+template <KernelIsa kIsa>
+void
+TiledPerGroup(const float* a, const PerGroupWeights& w,
+              const PackedWeightsI8& wp,
+              const std::vector<int32_t>& group_sums, float* c, int64_t r0,
+              int64_t r1, int64_t p0, int64_t p1)
 {
-    const int64_t panels = NumPanels(n);
-    std::vector<T> data(static_cast<size_t>(panels * k * kPanelWidth),
-                        T{0});
-    for (int64_t p = 0; p < panels; ++p) {
-        const int64_t j0 = p * kPanelWidth;
-        const int64_t ncols = std::min<int64_t>(kPanelWidth, n - j0);
-        T* dst = data.data() + p * k * kPanelWidth;
-        for (int64_t kk = 0; kk < k; ++kk) {
-            const T* src = w + kk * n + j0;
-            for (int64_t j = 0; j < ncols; ++j) {
-                dst[kk * kPanelWidth + j] = src[j];
+    constexpr int kRows = kI8Rows<kIsa>;
+    const int64_t k = wp.k, n = wp.n, quads = wp.Quads();
+    const int64_t npad = NumPanels(n) * kPanelWidth;
+    const int g_size = w.group_size;
+    const int groups = w.num_groups;
+    std::vector<int64_t> seg(static_cast<size_t>(groups) + 1, 0);
+    for (int g = 0; g < groups; ++g) {
+        const int64_t k0 = static_cast<int64_t>(g) * g_size;
+        const int64_t span =
+            (k0 + g_size + kQuad - 1) / kQuad - k0 / kQuad;
+        seg[static_cast<size_t>(g) + 1] =
+            seg[static_cast<size_t>(g)] + span * kQuad;
+    }
+    const int64_t lds = seg.back();
+    std::vector<int8_t> scratch(static_cast<size_t>(kRows * lds));
+    std::vector<float> a_scales(static_cast<size_t>(kRows * groups));
+    int32_t acc[kRows * kPanelWidth];
+    float cbuf[kRows * kPanelWidth];
+    ForEachBlock<kRows>(r0, r1, [&](int64_t r, auto rows) {
+        constexpr int mr = decltype(rows)::value;
+        // Quantize the block's rows per group, with the naive kernel's
+        // exact math, straight into their scratch runs.
+        std::fill(scratch.begin(), scratch.end(), 0);
+        for (int rr = 0; rr < mr; ++rr) {
+            const float* arow = a + (r + rr) * k;
+            for (int g = 0; g < groups; ++g) {
+                const int64_t k0 = static_cast<int64_t>(g) * g_size;
+                float absmax = 0.0f;
+                for (int t = 0; t < g_size; ++t) {
+                    absmax = std::max(absmax, std::abs(arow[k0 + t]));
+                }
+                const float a_scale = absmax > 0.0f ? absmax / 127.0f : 1.0f;
+                int8_t* dst = scratch.data() + rr * lds +
+                              seg[static_cast<size_t>(g)] + k0 % kQuad;
+                QuantizeSpan(arow + k0, g_size, 1.0f / a_scale, dst);
+                EncodeActivations<kIsa>(dst, g_size, dst);
+                a_scales[static_cast<size_t>(rr * groups + g)] = a_scale;
             }
         }
-    }
-    return data;
+        for (int64_t p = p0; p < p1; ++p) {
+            const int8_t* bp = wp.data.data() + p * quads * kBlockBytes;
+            const int64_t j0 = p * kPanelWidth;
+            const int64_t ncols = std::min<int64_t>(kPanelWidth, n - j0);
+            std::fill(cbuf, cbuf + mr * kPanelWidth, 0.0f);
+            for (int g = 0; g < groups; ++g) {
+                const size_t gi = static_cast<size_t>(g);
+                const int64_t q0 = static_cast<int64_t>(g) * g_size / kQuad;
+                MicroKernelI8<kIsa, mr>(
+                    scratch.data() + seg[gi], lds, bp + q0 * kBlockBytes,
+                    (seg[gi + 1] - seg[gi]) / kQuad,
+                    group_sums.data() + static_cast<int64_t>(g) * npad + j0,
+                    acc);
+                for (int rr = 0; rr < mr; ++rr) {
+                    const float as =
+                        a_scales[static_cast<size_t>(rr * groups + g)];
+                    const int32_t* arow = acc + rr * kPanelWidth;
+                    float* crow = cbuf + rr * kPanelWidth;
+                    for (int64_t j = 0; j < ncols; ++j) {
+                        crow[j] += static_cast<float>(arow[j]) * as *
+                                   w.GroupScale(g, j0 + j);
+                    }
+                }
+            }
+            for (int rr = 0; rr < mr; ++rr) {
+                std::copy(cbuf + rr * kPanelWidth,
+                          cbuf + rr * kPanelWidth + ncols,
+                          c + (r + rr) * n + j0);
+            }
+        }
+    });
 }
 
 }  // namespace
+
+// ------------------------------------------------------------ quantize
+
+Tensor
+QuantizePerTensorI8(const Tensor& x, float inv_scale)
+{
+    LLMNPU_CHECK(x.dtype() == DType::kF32);
+    Tensor q(x.shape(), DType::kI8);
+    const float* px = x.Data<float>();
+    int8_t* pq = q.Data<int8_t>();
+    ThreadPool::Global().ParallelFor(
+        x.NumElements(), kQuantizeGrain, [&](int64_t i0, int64_t i1) {
+            QuantizeSpan(px + i0, i1 - i0, inv_scale, pq + i0);
+        });
+    return q;
+}
+
+// ------------------------------------------------------------- dispatch
+
+const char*
+KernelIsaName(KernelIsa isa)
+{
+    switch (isa) {
+      case KernelIsa::kAvx512Vnni: return "avx512_vnni";
+      case KernelIsa::kAvx2: return "avx2";
+      case KernelIsa::kScalar: break;
+    }
+    return "scalar";
+}
+
+KernelIsa
+SelectedKernelIsa()
+{
+    static const KernelIsa isa = DetectKernelIsa();
+    return isa;
+}
+
+std::vector<KernelIsa>
+SupportedKernelIsas()
+{
+    std::vector<KernelIsa> levels;
+    for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2,
+                          KernelIsa::kAvx512Vnni}) {
+        if (isa <= SelectedKernelIsa()) levels.push_back(isa);
+    }
+    return levels;
+}
+
+// ---------------------------------------------------------------- packing
 
 PackedWeightsF32
 PackWeightsF32(const Tensor& w)
@@ -308,7 +649,19 @@ PackWeightsF32(const Tensor& w)
     PackedWeightsF32 packed;
     packed.k = w.Rows();
     packed.n = w.Cols();
-    packed.data = PackPanels(w.Data<float>(), packed.k, packed.n);
+    const int64_t k = packed.k, n = packed.n;
+    packed.data.assign(
+        static_cast<size_t>(NumPanels(n) * k * kPanelWidth), 0.0f);
+    const float* src = w.Data<float>();
+    for (int64_t p = 0; p < NumPanels(n); ++p) {
+        const int64_t j0 = p * kPanelWidth;
+        const int64_t ncols = std::min<int64_t>(kPanelWidth, n - j0);
+        float* dst = packed.data.data() + p * k * kPanelWidth;
+        for (int64_t kk = 0; kk < k; ++kk) {
+            std::copy(src + kk * n + j0, src + kk * n + j0 + ncols,
+                      dst + kk * kPanelWidth);
+        }
+    }
     return packed;
 }
 
@@ -345,12 +698,33 @@ PackWeightsI8(const Tensor& w_q, std::vector<float> scales)
     PackedWeightsI8 packed;
     packed.k = w_q.Rows();
     packed.n = w_q.Cols();
+    LLMNPU_CHECK_LE(packed.k, kMaxPackedI8K);
     LLMNPU_CHECK(scales.size() == 1 ||
                  scales.size() == static_cast<size_t>(packed.n));
-    packed.data = PackPanels(w_q.Data<int8_t>(), packed.k, packed.n);
+    const int64_t k = packed.k, n = packed.n, quads = packed.Quads();
+    const int64_t panels = NumPanels(n);
+    packed.data.assign(static_cast<size_t>(panels * quads * kBlockBytes), 0);
+    packed.col_sums.assign(static_cast<size_t>(panels * kPanelWidth), 0);
+    const int8_t* src = w_q.Data<int8_t>();
+    for (int64_t p = 0; p < panels; ++p) {
+        const int64_t j0 = p * kPanelWidth;
+        const int64_t ncols = std::min<int64_t>(kPanelWidth, n - j0);
+        int8_t* dst = packed.data.data() + p * quads * kBlockBytes;
+        int32_t* sums = packed.col_sums.data() + j0;
+        for (int64_t kk = 0; kk < k; ++kk) {
+            const int8_t* row = src + kk * n + j0;
+            int8_t* blk = dst + kk / kQuad * kBlockBytes + kk % kQuad;
+            for (int64_t j = 0; j < ncols; ++j) {
+                blk[j * kQuad] = row[j];
+                sums[j] += row[j];
+            }
+        }
+    }
     packed.scales = std::move(scales);
     return packed;
 }
+
+// ---------------------------------------------------------------- matmuls
 
 Tensor
 MatMulF32Packed(const Tensor& a, const PackedWeightsF32& w)
@@ -364,10 +738,11 @@ MatMulF32Packed(const Tensor& a, const PackedWeightsF32& w)
     float* pc = c.Data<float>();
     LLMNPU_TRACE_SPAN_TILE("matmul.f32", "kernel", -1, -1, -1, "m",
                            static_cast<int>(m));
-    RowParallel(m, k * n, [&](int64_t r0, int64_t r1) {
+    ParallelTiles(m, NumPanels(n), k * n,
+                  [&](int64_t r0, int64_t r1, int64_t p0, int64_t p1) {
         LLMNPU_TRACE_SPAN_TILE("matmul.f32.rows", "kernel", -1, -1, -1,
                                "rows", static_cast<int>(r1 - r0));
-        TiledF32Rows(pa, k, w, pc, r0, r1);
+        TiledF32(pa, k, w, pc, r0, r1, p0, p1);
     });
     return c;
 }
@@ -397,8 +772,8 @@ MatMulF32(const Tensor& a, const Tensor& b)
 }
 
 Tensor
-MatMulW8A8PerTensorPacked(const Tensor& a_q, float a_scale,
-                          const PackedWeightsI8& w)
+MatMulW8A8PerTensorPackedAt(KernelIsa isa, const Tensor& a_q, float a_scale,
+                            const PackedWeightsI8& w)
 {
     LLMNPU_CHECK(a_q.dtype() == DType::kI8);
     LLMNPU_CHECK_EQ(a_q.Cols(), w.k);
@@ -411,16 +786,27 @@ MatMulW8A8PerTensorPacked(const Tensor& a_q, float a_scale,
     const float* ws = w.scales.data();
     LLMNPU_TRACE_SPAN_TILE("matmul.w8a8", "kernel", -1, -1, -1, "m",
                            static_cast<int>(m));
-    RowParallel(m, k * n, [&](int64_t r0, int64_t r1) {
-        LLMNPU_TRACE_SPAN_TILE("matmul.w8a8.rows", "kernel", -1, -1, -1,
-                               "rows", static_cast<int>(r1 - r0));
-        TiledI8Rows(
-            pa, k, w, pc, r0, r1, [&](int64_t) { return a_scale; },
-            [&](int64_t j) {
-                return uniform ? ws0 : ws[static_cast<size_t>(j)];
-            });
+    WithKernelIsa(isa, [&](auto level) {
+        ParallelTiles(m, NumPanels(n), k * n,
+                      [&](int64_t r0, int64_t r1, int64_t p0, int64_t p1) {
+            LLMNPU_TRACE_SPAN_TILE("matmul.w8a8.rows", "kernel", -1, -1, -1,
+                                   "rows", static_cast<int>(r1 - r0));
+            TiledI8<decltype(level)::value>(
+                pa, k, w, pc, r0, r1, p0, p1,
+                [&](int64_t) { return a_scale; },
+                [&](int64_t j) {
+                    return uniform ? ws0 : ws[static_cast<size_t>(j)];
+                });
+        });
     });
     return c;
+}
+
+Tensor
+MatMulW8A8PerTensorPacked(const Tensor& a_q, float a_scale,
+                          const PackedWeightsI8& w)
+{
+    return MatMulW8A8PerTensorPackedAt(SelectedKernelIsa(), a_q, a_scale, w);
 }
 
 Tensor
@@ -437,8 +823,9 @@ MatMulW8A8PerTensor(const Tensor& a_q, float a_scale, const Tensor& w_q,
 }
 
 Tensor
-MatMulW8A8RowCol(const Tensor& a_q, const std::vector<float>& a_scales,
-                 const Tensor& w_q, const std::vector<float>& w_scales)
+MatMulW8A8RowColAt(KernelIsa isa, const Tensor& a_q,
+                   const std::vector<float>& a_scales, const Tensor& w_q,
+                   const std::vector<float>& w_scales)
 {
     LLMNPU_CHECK(a_q.dtype() == DType::kI8);
     LLMNPU_CHECK(w_q.dtype() == DType::kI8);
@@ -454,13 +841,62 @@ MatMulW8A8RowCol(const Tensor& a_q, const std::vector<float>& a_scales,
     const float* ws = w_scales.data();
     LLMNPU_TRACE_SPAN_TILE("matmul.w8a8_rowcol", "kernel", -1, -1, -1,
                            "m", static_cast<int>(m));
-    RowParallel(m, k * n, [&](int64_t r0, int64_t r1) {
-        LLMNPU_TRACE_SPAN_TILE("matmul.w8a8_rowcol.rows", "kernel", -1,
-                               -1, -1, "rows", static_cast<int>(r1 - r0));
-        TiledI8Rows(
-            pa, k, w, pc, r0, r1,
-            [&](int64_t row) { return as[static_cast<size_t>(row)]; },
-            [&](int64_t j) { return ws[static_cast<size_t>(j)]; });
+    WithKernelIsa(isa, [&](auto level) {
+        ParallelTiles(m, NumPanels(n), k * n,
+                      [&](int64_t r0, int64_t r1, int64_t p0, int64_t p1) {
+            LLMNPU_TRACE_SPAN_TILE("matmul.w8a8_rowcol.rows", "kernel", -1,
+                                   -1, -1, "rows",
+                                   static_cast<int>(r1 - r0));
+            TiledI8<decltype(level)::value>(
+                pa, k, w, pc, r0, r1, p0, p1,
+                [&](int64_t row) { return as[static_cast<size_t>(row)]; },
+                [&](int64_t j) { return ws[static_cast<size_t>(j)]; });
+        });
+    });
+    return c;
+}
+
+Tensor
+MatMulW8A8RowCol(const Tensor& a_q, const std::vector<float>& a_scales,
+                 const Tensor& w_q, const std::vector<float>& w_scales)
+{
+    return MatMulW8A8RowColAt(SelectedKernelIsa(), a_q, a_scales, w_q,
+                              w_scales);
+}
+
+Tensor
+MatMulPerGroupAt(KernelIsa isa, const Tensor& a, const PerGroupWeights& w)
+{
+    LLMNPU_CHECK(a.dtype() == DType::kF32);
+    const int64_t m = a.Rows(), k = a.Cols(), n = w.q.Cols();
+    LLMNPU_CHECK_EQ(k, w.q.Rows());
+
+    // Pack once per call: one byte per weight, amortized over M rows. The
+    // per-group column sums (VNNI's offset terms) come in the same pass
+    // over w.
+    const PackedWeightsI8 wp = PackWeightsI8(w.q, {1.0f});
+    const int64_t npad = NumPanels(n) * kPanelWidth;
+    std::vector<int32_t> group_sums(
+        static_cast<size_t>(w.num_groups * npad), 0);
+    const int8_t* pw = w.q.Data<int8_t>();
+    for (int64_t kk = 0; kk < k; ++kk) {
+        int32_t* sums = group_sums.data() + kk / w.group_size * npad;
+        for (int64_t j = 0; j < n; ++j) sums[j] += pw[kk * n + j];
+    }
+
+    Tensor c({m, n}, DType::kF32);
+    const float* pa = a.Data<float>();
+    float* pc = c.Data<float>();
+    LLMNPU_TRACE_SPAN_TILE("matmul.pergroup", "kernel", -1, -1, -1, "m",
+                           static_cast<int>(m));
+    WithKernelIsa(isa, [&](auto level) {
+        ParallelTiles(m, NumPanels(n), k * n,
+                      [&](int64_t r0, int64_t r1, int64_t p0, int64_t p1) {
+            LLMNPU_TRACE_SPAN_TILE("matmul.pergroup.rows", "kernel", -1, -1,
+                                   -1, "rows", static_cast<int>(r1 - r0));
+            TiledPerGroup<decltype(level)::value>(pa, w, wp, group_sums, pc,
+                                                  r0, r1, p0, p1);
+        });
     });
     return c;
 }
@@ -468,101 +904,7 @@ MatMulW8A8RowCol(const Tensor& a_q, const std::vector<float>& a_scales,
 Tensor
 MatMulPerGroup(const Tensor& a, const PerGroupWeights& w)
 {
-    LLMNPU_CHECK(a.dtype() == DType::kF32);
-    const int64_t m = a.Rows(), k = a.Cols(), n = w.q.Cols();
-    LLMNPU_CHECK_EQ(k, w.q.Rows());
-    const int g_size = w.group_size;
-    const int groups = w.num_groups;
-    const int64_t panels = NumPanels(n);
-
-    // Pack once per call: one byte per weight, amortized over M rows.
-    const PackedWeightsI8 wp = PackWeightsI8(w.q, {1.0f});
-
-    Tensor c({m, n}, DType::kF32);
-    const float* pa = a.Data<float>();
-    float* pc = c.Data<float>();
-
-    LLMNPU_TRACE_SPAN_TILE("matmul.pergroup", "kernel", -1, -1, -1, "m",
-                           static_cast<int>(m));
-    RowParallel(m, k * n, [&](int64_t r0, int64_t r1) {
-        LLMNPU_TRACE_SPAN_TILE("matmul.pergroup.rows", "kernel", -1, -1,
-                               -1, "rows", static_cast<int>(r1 - r0));
-        // Per-participant scratch: a kMR-row block is quantized up front,
-        // then one pass over the panels, so the int8 panel widening inside
-        // the micro-kernel is amortized over the whole row block.
-        std::vector<int8_t> a_q(static_cast<size_t>(kMR * k));
-        std::vector<float> a_scales(static_cast<size_t>(kMR * groups));
-        int32_t acc[kMR * kPanelWidth];
-        float cbuf[kMR * kPanelWidth];
-        for (int64_t r = r0; r < r1; r += kMR) {
-            const int mr = static_cast<int>(std::min<int64_t>(kMR, r1 - r));
-            for (int rr = 0; rr < mr; ++rr) {
-                const float* arow = pa + (r + rr) * k;
-                int8_t* qrow = a_q.data() + rr * k;
-                float* srow = a_scales.data() + rr * groups;
-                for (int g = 0; g < groups; ++g) {
-                    const int64_t k0 = static_cast<int64_t>(g) * g_size;
-                    // Identical quantization math to the naive kernel.
-                    float absmax = 0.0f;
-                    for (int t = 0; t < g_size; ++t) {
-                        absmax = std::max(absmax, std::abs(arow[k0 + t]));
-                    }
-                    const float a_scale =
-                        absmax > 0.0f ? absmax / 127.0f : 1.0f;
-                    const float inv = 1.0f / a_scale;
-                    for (int t = 0; t < g_size; ++t) {
-                        qrow[k0 + t] = static_cast<int8_t>(std::clamp(
-                            std::nearbyint(arow[k0 + t] * inv), -127.0f,
-                            127.0f));
-                    }
-                    srow[g] = a_scale;
-                }
-            }
-            for (int64_t p = 0; p < panels; ++p) {
-                const int8_t* bp = wp.data.data() + p * k * kPanelWidth;
-                const int64_t j0 = p * kPanelWidth;
-                const int64_t ncols = std::min<int64_t>(kPanelWidth, n - j0);
-                for (int j = 0; j < mr * kPanelWidth; ++j) cbuf[j] = 0.0f;
-                for (int g = 0; g < groups; ++g) {
-                    const int64_t k0 = static_cast<int64_t>(g) * g_size;
-                    switch (mr) {
-                      case 4:
-                        MicroKernelI8<4>(a_q.data(), k, bp, k0, k0 + g_size,
-                                         acc);
-                        break;
-                      case 3:
-                        MicroKernelI8<3>(a_q.data(), k, bp, k0, k0 + g_size,
-                                         acc);
-                        break;
-                      case 2:
-                        MicroKernelI8<2>(a_q.data(), k, bp, k0, k0 + g_size,
-                                         acc);
-                        break;
-                      default:
-                        MicroKernelI8<1>(a_q.data(), k, bp, k0, k0 + g_size,
-                                         acc);
-                        break;
-                    }
-                    for (int rr = 0; rr < mr; ++rr) {
-                        const float as = a_scales[static_cast<size_t>(
-                            rr * groups + g)];
-                        const int32_t* arow = acc + rr * kPanelWidth;
-                        float* crow = cbuf + rr * kPanelWidth;
-                        for (int64_t j = 0; j < ncols; ++j) {
-                            crow[j] += static_cast<float>(arow[j]) * as *
-                                       w.GroupScale(g, j0 + j);
-                        }
-                    }
-                }
-                for (int rr = 0; rr < mr; ++rr) {
-                    float* crow = pc + (r + rr) * n + j0;
-                    const float* brow = cbuf + rr * kPanelWidth;
-                    for (int64_t j = 0; j < ncols; ++j) crow[j] = brow[j];
-                }
-            }
-        }
-    });
-    return c;
+    return MatMulPerGroupAt(SelectedKernelIsa(), a, w);
 }
 
 Tensor

@@ -9,20 +9,43 @@
  *  - The public entry points (MatMulF32, MatMulW8A8PerTensor, ...) are
  *    cache-blocked, register-tiled and multi-threaded (src/tensor/
  *    kernels.cc): weights are packed into panel-major layout (kPanelWidth
- *    output columns per panel, contiguous along K) so the micro-kernel
- *    streams both operands, and row blocks are distributed over the shared
- *    ThreadPool (LLMNPU_NUM_THREADS).
+ *    output columns per panel) so the micro-kernel streams both operands.
+ *    Work is split over the shared ThreadPool (LLMNPU_NUM_THREADS) by
+ *    rows, or by panels when there are too few rows to go round (a decode
+ *    matvec would otherwise run on one thread).
  *  - The *Naive triple-loop variants are the original reference kernels.
  *    They define the semantics, serve as the equivalence oracle in
  *    tests/kernels_test.cc, and are what bench_kernels reports speedups
  *    against.
  *
- * Determinism: every kernel computes each output element with a fixed
- * K-ascending accumulation order that does not depend on the thread count
- * or row partition. The INT8 kernels (int32 accumulation, scale multiplies
- * only) are bitwise deterministic across thread counts; the f32 kernels are
- * deterministic up to the usual summation-order-free guarantee (each row's
- * order is fixed, so chunked prefill stays bit-comparable).
+ * INT8 layout and ISA levels. PackWeightsI8 interleaves K in quads: each
+ * 64-byte block of a panel holds kPanelWidth columns x kQuad consecutive
+ * k, column-major inside the block (byte 4*j + t is w[4q + t][j]), and K
+ * is zero-padded to a whole quad. The INT8 micro-kernel exists at three
+ * levels, chosen once at start-up from the host CPU (kernel_isa.h):
+ *
+ *  - AVX-512-VNNI: one `vpdpbusd` per quad and row multiplies 64 u8 x s8
+ *    pairs into 16 int32 sums. The activations enter as u8, x + 128 (x ^
+ *    0x80), and the kernel subtracts 128 * sum_k w[k][j] per column, from
+ *    the column sums packed next to the panels, so the result is the
+ *    signed product. Only the non-saturating form is used.
+ *  - AVX2: int8 widened to int16 and multiplied with `vpmaddwd`, which
+ *    adds the two products of a k pair without saturation; the pair
+ *    partials of a column are added once, after the K loop.
+ *  - portable scalar.
+ *
+ * Exactness: |x + 128| <= 255 and |w| <= 128, so with K <= kMaxPackedI8K
+ * (65792 = floor((2^31 - 1) / (255 * 128))) even the offset u8 sum stays
+ * inside int32; PackWeightsI8 CHECKs the bound. Every level therefore
+ * produces the exact int32 dot product, equal to the naive kernel's.
+ *
+ * Determinism: every kernel computes each output element on one thread
+ * with a fixed K-ascending accumulation order that does not depend on the
+ * thread count, the row/panel partition or the ISA level. The INT8 kernels
+ * (exact int32 accumulation, scale multiplies only) are bitwise equal to
+ * their naive oracles; the f32 kernels are bitwise deterministic across
+ * thread counts (each element is one fixed chain), so chunked prefill
+ * stays bit-comparable.
  */
 #ifndef LLMNPU_TENSOR_MATMUL_H
 #define LLMNPU_TENSOR_MATMUL_H
@@ -59,18 +82,31 @@ PackedWeightsF32 PackWeightsF32(const Tensor& w);
  */
 PackedWeightsF32 PackWeightsF32Transposed(const Tensor& w);
 
-/** Panel-major packed INT8 weights plus their per-column (or uniform)
- *  dequantization scales. */
+/** Consecutive k per packed INT8 block: one 32-bit lane per column. */
+constexpr int kQuad = 4;
+
+/** Largest K whose offset u8 x s8 sums stay exact in int32 (see above). */
+constexpr int64_t kMaxPackedI8K = 65792;
+
+/**
+ * k-quad-interleaved packed INT8 weights plus their per-column (or
+ * uniform) dequantization scales. Block q of panel p (64 bytes at
+ * ((p * Quads() + q) * kPanelWidth * kQuad)) holds w[4q + t][16p + j] at
+ * byte 4j + t; padding columns and k are zero.
+ */
 struct PackedWeightsI8 {
     int64_t k = 0;
     int64_t n = 0;
-    std::vector<int8_t> data;   ///< [ceil(n/kPanelWidth) * k * kPanelWidth]
-    std::vector<float> scales;  ///< size 1 (uniform) or N (per column)
+    std::vector<int8_t> data;      ///< [panels * Quads() * 64]
+    std::vector<int32_t> col_sums; ///< [panels * kPanelWidth], sum_k w[k][j]
+    std::vector<float> scales;     ///< size 1 (uniform) or N (per column)
 
+    int64_t Quads() const { return (k + kQuad - 1) / kQuad; }
     bool Empty() const { return data.empty(); }
 };
 
-/** Packs per-column-quantized weights into panel-major layout. */
+/** Packs per-column-quantized weights [K x N] (K <= kMaxPackedI8K) into
+ *  the k-quad layout, with their column sums, in one pass. */
 PackedWeightsI8 PackWeightsI8(const Tensor& w_q, std::vector<float> scales);
 
 /** C = A @ B with A [M x K] f32 and B [K x N] f32 (tiled + threaded). */

@@ -36,6 +36,15 @@ QuantParams ComputeSymmetricScale(const Tensor& x);
  */
 Tensor QuantizeSymmetric(const Tensor& x, const QuantParams& params);
 
+/**
+ * The NPU input handoff: q[i] = clamp(nearbyint(x[i] * inv_scale), -127,
+ * 127) with a float multiply and round half to even. Unlike
+ * QuantizeSymmetric, the caller supplies the (offline) reciprocal scale.
+ * SIMD and split over the thread pool (src/tensor/kernels.cc), and
+ * bitwise equal to that scalar expression.
+ */
+Tensor QuantizePerTensorI8(const Tensor& x, float inv_scale);
+
 /** Dequantizes int8 -> f32 with the given scale. */
 Tensor Dequantize(const Tensor& q, const QuantParams& params);
 

@@ -16,6 +16,9 @@ namespace {
  *  parallel regions run inline instead of deadlocking on the shared pool. */
 thread_local bool tls_in_parallel = false;
 
+/** How long an idle worker polls for the next job before it sleeps. */
+constexpr std::chrono::microseconds kSpin(100);
+
 /** 0 = not a pool worker; workers get 1..N at spawn, fixed for life. */
 thread_local int tls_worker_id = 0;
 
@@ -100,15 +103,22 @@ ThreadPool::WorkerLoop(int worker_id)
     obs::Tracer::SetThreadName(
         StrFormat("pool-worker-%d", worker_id));
     uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
+        // Poll briefly before sleeping: back-to-back kernel calls then find
+        // the worker awake on its own core instead of waking it onto the
+        // submitter's, where it would wait for the submitter to yield.
+        const auto spin_until = std::chrono::steady_clock::now() + kSpin;
+        while (published_job_.load(std::memory_order_acquire) == seen &&
+               std::chrono::steady_clock::now() < spin_until) {
+            std::this_thread::yield();
+        }
+        std::unique_lock<std::mutex> lock(mu_);
         wake_cv_.wait(lock, [&] { return stop_ || job_id_ != seen; });
         if (stop_) return;
         const uint64_t id = job_id_;
         seen = id;
         lock.unlock();
         RunBlocks(id);
-        lock.lock();
     }
 }
 
@@ -178,6 +188,7 @@ ThreadPool::ParallelFor(int64_t n, int64_t grain,
         std::lock_guard<std::mutex> lock(mu_);
         EnsureWorkersLocked(threads - 1);
         id = ++job_id_;
+        published_job_.store(id, std::memory_order_release);
         job_fn_ = &fn;
         job_n_ = n;
         job_blocks_ = threads;

@@ -15,6 +15,11 @@
  *  3. Zero cost when single-threaded: with one configured thread (the
  *     default on single-core hosts) ParallelFor degenerates to a direct
  *     call with no locking.
+ *  4. Back-to-back jobs scale: an idle worker polls for the next job for
+ *     about 100 us before it sleeps on the condition variable. A worker
+ *     woken from sleep tends to be queued on the submitter's core and
+ *     to start only after the submitter has run every block itself, which
+ *     left the kernels flat from 1 to 4 threads.
  *
  * Thread count is read from LLMNPU_NUM_THREADS at every ParallelFor call
  * (falling back to std::thread::hardware_concurrency), so tests and benches
@@ -23,6 +28,7 @@
 #ifndef LLMNPU_UTIL_THREADPOOL_H
 #define LLMNPU_UTIL_THREADPOOL_H
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -132,6 +138,8 @@ class ThreadPool
 
     // Current job; valid while blocks_left_ > 0. All guarded by mu_.
     uint64_t job_id_ = 0;
+    /** job_id_, readable without mu_ by workers polling for work. */
+    std::atomic<uint64_t> published_job_{0};
     const std::function<void(int64_t, int64_t)>* job_fn_ = nullptr;
     int64_t job_n_ = 0;
     int job_blocks_ = 0;

@@ -5,18 +5,23 @@
  * The tiled/threaded kernels in src/tensor/kernels.cc are checked against
  * the naive reference kernels in src/tensor/matmul.cc across shapes that
  * exercise every remainder path (row blocks, panel tails, tiny K), and for
- * determinism across thread counts: the INT8 kernels must be bitwise
- * identical at 1/2/4 threads.
+ * determinism across thread counts: every kernel must be bitwise identical
+ * at 1/2/4 threads. The INT8 kernels are checked at every ISA level the
+ * host supports (kernel_isa.h), bitwise against the naive oracles.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/tensor/kernel_isa.h"
 #include "src/tensor/matmul.h"
 #include "src/tensor/quantize.h"
 #include "src/util/rng.h"
@@ -87,18 +92,24 @@ TEST(KernelEquivalenceTest, TransposedPackMatchesMaterializedTranspose)
 
 TEST(KernelEquivalenceTest, F32ThreadCountsAgree)
 {
+    // m = 1 and 2 split over panels, m = 16 too; each output element is
+    // one fixed chain on one thread, so the results are bitwise equal.
     Rng rng(104);
-    Tensor a = RandomTensor(rng, {17, 128});
-    Tensor b = RandomTensor(rng, {128, 130});
-    Tensor ref;
-    {
-        ScopedNumThreads one(1);
-        ref = MatMulF32(a, b);
-    }
-    for (int threads : {2, 4}) {
-        ScopedNumThreads t(threads);
-        EXPECT_LT(MaxAbsDiff(MatMulF32(a, b), ref), 1e-4)
-            << threads << " threads";
+    Tensor b = RandomTensor(rng, {256, 530});
+    const PackedWeightsF32 packed = PackWeightsF32(b);
+    for (int64_t m : {1, 2, 16}) {
+        Tensor a = RandomTensor(rng, {m, 256});
+        Tensor ref;
+        {
+            ScopedNumThreads one(1);
+            ref = MatMulF32Packed(a, packed);
+        }
+        EXPECT_LT(MaxAbsDiff(ref, MatMulF32Naive(a, b)), 1e-3);
+        for (int threads : {2, 4}) {
+            ScopedNumThreads t(threads);
+            EXPECT_TRUE(MatMulF32Packed(a, packed).BitEquals(ref))
+                << "m=" << m << " at " << threads << " threads";
+        }
     }
 }
 
@@ -228,6 +239,253 @@ TEST(KernelDeterminismTest, PerGroupBitwiseAcrossThreadCounts)
         ScopedNumThreads t(threads);
         EXPECT_TRUE(MatMulPerGroup(a, pg).BitEquals(ref))
             << threads << " threads";
+    }
+}
+
+// ------------------------------------------------------------ ISA levels
+
+/** Full int8 range, -128 included (per-tensor quantization never emits it,
+ *  but the kernels must stay exact for it). */
+Tensor
+RandomFullI8(Rng& rng, std::vector<int64_t> shape)
+{
+    Tensor t(std::move(shape), DType::kI8);
+    int8_t* p = t.Data<int8_t>();
+    for (int64_t i = 0; i < t.NumElements(); ++i) {
+        p[i] = static_cast<int8_t>(static_cast<int>(rng.UniformInt(256)) -
+                                   128);
+    }
+    return t;
+}
+
+/** Rows 0 and 1 of a pinned to the extremes -128 and 127. */
+void
+PinExtremeRows(Tensor& a)
+{
+    int8_t* p = a.Data<int8_t>();
+    for (int64_t r = 0; r < std::min<int64_t>(a.Rows(), 2); ++r) {
+        for (int64_t c = 0; c < a.Cols(); ++c) {
+            p[r * a.Cols() + c] = r == 0 ? -128 : 127;
+        }
+    }
+}
+
+/** m tails 1..5 and 9 (past one VNNI block), k % 4 in {0, 1, 2, 3}
+ *  (k = 0 included), and n % 16 tails. */
+const std::vector<std::vector<int64_t>> kIsaShapes = {
+    {1, 1, 1},    {2, 2, 17},  {3, 3, 16},  {4, 5, 31},  {5, 6, 33},
+    {9, 7, 48},   {1, 0, 20},  {4, 0, 16},  {3, 37, 130}, {5, 64, 15},
+    {2, 130, 64}, {9, 257, 47}, {17, 100, 130},
+};
+
+std::string
+ShapeName(KernelIsa isa, const std::vector<int64_t>& s)
+{
+    return std::string(KernelIsaName(isa)) + " m=" + std::to_string(s[0]) +
+           " k=" + std::to_string(s[1]) + " n=" + std::to_string(s[2]);
+}
+
+TEST(KernelIsaTest, W8A8PerTensorBitwiseAtEveryLevel)
+{
+    Rng rng(111);
+    for (const auto& s : kIsaShapes) {
+        Tensor a_q = RandomFullI8(rng, {s[0], s[1]});
+        PinExtremeRows(a_q);
+        Tensor w_q = RandomFullI8(rng, {s[1], s[2]});
+        std::vector<float> per_col;
+        for (int64_t j = 0; j < s[2]; ++j) {
+            per_col.push_back(0.01f + 0.001f * static_cast<float>(j));
+        }
+        const Tensor naive =
+            MatMulW8A8PerTensorNaive(a_q, 0.02f, w_q, per_col);
+        const PackedWeightsI8 packed = PackWeightsI8(w_q, per_col);
+        for (KernelIsa isa : SupportedKernelIsas()) {
+            EXPECT_TRUE(MatMulW8A8PerTensorPackedAt(isa, a_q, 0.02f, packed)
+                            .BitEquals(naive))
+                << ShapeName(isa, s);
+        }
+    }
+}
+
+TEST(KernelIsaTest, W8A8RowColBitwiseAtEveryLevel)
+{
+    Rng rng(112);
+    for (const auto& s : kIsaShapes) {
+        Tensor a_q = RandomFullI8(rng, {s[0], s[1]});
+        PinExtremeRows(a_q);
+        Tensor w_q = RandomFullI8(rng, {s[1], s[2]});
+        std::vector<float> a_scales, w_scales;
+        for (int64_t i = 0; i < s[0]; ++i) {
+            a_scales.push_back(0.01f + 0.002f * static_cast<float>(i));
+        }
+        for (int64_t j = 0; j < s[2]; ++j) {
+            w_scales.push_back(0.03f + 0.001f * static_cast<float>(j));
+        }
+        const Tensor naive =
+            MatMulW8A8RowColNaive(a_q, a_scales, w_q, w_scales);
+        for (KernelIsa isa : SupportedKernelIsas()) {
+            EXPECT_TRUE(MatMulW8A8RowColAt(isa, a_q, a_scales, w_q, w_scales)
+                            .BitEquals(naive))
+                << ShapeName(isa, s);
+        }
+    }
+}
+
+/** Per-group shapes {m, k, n} and group sizes; sizes that are not a
+ *  multiple of 4 start and end groups inside a packed quad. */
+const std::vector<std::pair<std::vector<int64_t>, int>> kGroupShapes = {
+    {{1, 35, 20}, 7},  {{2, 30, 17}, 5},  {{3, 6, 16}, 3},
+    {{4, 9, 33}, 9},   {{5, 66, 31}, 6},  {{9, 64, 48}, 32},
+    {{17, 128, 130}, 32}, {{3, 0, 8}, 1},
+};
+
+TEST(KernelIsaTest, PerGroupInt32ExactAtEveryLevel)
+{
+    // Dyadic operands make every float step exact: each (row, group) of
+    // activations is integers / 8 with one entry at +-127/8 (scale 1/8,
+    // so quantization is exact) and the weight scales are powers of two.
+    // FMA contraction in the float reduction then cannot round, and the
+    // output equals the naive one bitwise exactly when every group's int32
+    // sum does.
+    Rng rng(113);
+    for (const auto& [s, group] : kGroupShapes) {
+        const int64_t m = s[0], k = s[1], n = s[2];
+        Tensor a({m, k}, DType::kF32);
+        for (int64_t r = 0; r < m; ++r) {
+            for (int64_t c = 0; c < k; ++c) {
+                const bool pin = c % group == (r + c / group) % group;
+                const float q =
+                    pin ? (c % 2 ? 127.0f : -127.0f)
+                        : static_cast<float>(
+                              static_cast<int>(rng.UniformInt(253)) - 126);
+                a.At(r, c) = q / 8.0f;
+            }
+        }
+        PerGroupWeights pg;
+        pg.q = RandomFullI8(rng, {k, n});
+        pg.group_size = group;
+        pg.num_groups = static_cast<int>(k / group);
+        for (int g = 0; g < pg.num_groups; ++g) {
+            for (int64_t j = 0; j < n; ++j) {
+                pg.scales.push_back(
+                    std::ldexp(1.0f, -4 - static_cast<int>((g + j) % 3)));
+            }
+        }
+        const Tensor naive = MatMulPerGroupNaive(a, pg);
+        for (KernelIsa isa : SupportedKernelIsas()) {
+            EXPECT_TRUE(MatMulPerGroupAt(isa, a, pg).BitEquals(naive))
+                << ShapeName(isa, s) << " group=" << group;
+        }
+    }
+}
+
+TEST(KernelIsaTest, PerGroupLevelsAgreeBitwise)
+{
+    // On general operands the float reduction may fuse differently from
+    // the naive kernel, but it is the same code at every level.
+    Rng rng(115);
+    for (const auto& [s, group] : kGroupShapes) {
+        Tensor a = RandomTensor(rng, {s[0], s[1]});
+        Tensor w = RandomTensor(rng, {s[1], s[2]});
+        const PerGroupWeights pg = QuantizePerGroup(w, group);
+        const Tensor scalar = MatMulPerGroupAt(KernelIsa::kScalar, a, pg);
+        const Tensor naive = MatMulPerGroupNaive(a, pg);
+        const double scale =
+            std::max(1.0, static_cast<double>(AbsMax(naive)));
+        EXPECT_LT(MaxAbsDiff(scalar, naive) / scale, 1e-5);
+        for (KernelIsa isa : SupportedKernelIsas()) {
+            EXPECT_TRUE(MatMulPerGroupAt(isa, a, pg).BitEquals(scalar))
+                << ShapeName(isa, s) << " group=" << group;
+        }
+    }
+}
+
+TEST(KernelIsaTest, ExactAtTheKBound)
+{
+    // k = kMaxPackedI8K with x = 127 against w = -128: the offset u8 sum
+    // 255 * -128 * k is the most negative one int32 must hold.
+    const int64_t k = kMaxPackedI8K;
+    Tensor a_q({2, k}, DType::kI8);
+    Tensor w_q({k, 17}, DType::kI8);
+    PinExtremeRows(a_q);
+    int8_t* pw = w_q.Data<int8_t>();
+    for (int64_t i = 0; i < w_q.NumElements(); ++i) {
+        pw[i] = i % 17 == 3 ? 127 : -128;
+    }
+    const std::vector<float> one = {1.0f};
+    const Tensor naive = MatMulW8A8PerTensorNaive(a_q, 1.0f, w_q, one);
+    EXPECT_EQ(naive.At(1, 0), 127.0f * -128.0f * static_cast<float>(k));
+    const PackedWeightsI8 packed = PackWeightsI8(w_q, one);
+    for (KernelIsa isa : SupportedKernelIsas()) {
+        EXPECT_TRUE(MatMulW8A8PerTensorPackedAt(isa, a_q, 1.0f, packed)
+                        .BitEquals(naive))
+            << KernelIsaName(isa);
+    }
+}
+
+TEST(KernelIsaDeathTest, PackRejectsKPastTheExactBound)
+{
+    Tensor w_q({kMaxPackedI8K + 1, 1}, DType::kI8);
+    EXPECT_DEATH(PackWeightsI8(w_q, {1.0f}), "kMaxPackedI8K");
+}
+
+TEST(KernelDispatchTest, SelectsTheBestLevelTheCpuReports)
+{
+    // Asked of the CPU here, independently of the kernel's own probe, so
+    // a silent fallback to a slower level fails.
+    KernelIsa best = KernelIsa::kScalar;
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) best = KernelIsa::kAvx2;
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512vnni")) {
+        best = KernelIsa::kAvx512Vnni;
+    }
+#endif
+    EXPECT_EQ(SelectedKernelIsa(), best)
+        << "selected " << KernelIsaName(SelectedKernelIsa()) << ", CPU has "
+        << KernelIsaName(best);
+    const std::vector<KernelIsa> levels = SupportedKernelIsas();
+    ASSERT_FALSE(levels.empty());
+    EXPECT_EQ(levels.front(), KernelIsa::kScalar);
+    EXPECT_EQ(levels.back(), best);
+}
+
+TEST(QuantizePerTensorI8Test, BitwiseEqualsScalarExpression)
+{
+    const float inv = 1.0f;
+    std::vector<float> values = {
+        0.5f,     1.5f,    2.5f,    -0.5f,    -1.5f,   -2.5f,  126.5f,
+        -126.5f,  127.49f, 127.5f,  -127.5f,  128.0f,  -128.0f, 1e6f,
+        -1e6f,    0.0f,    -0.0f,   1e-40f,   -1e-40f,
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(),
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+        std::nextafter(0.5f, 1.0f), std::nextafter(0.5f, 0.0f)};
+    // Enough elements for the pool split, a length that is not a multiple
+    // of 8, and random values around the clip.
+    Rng rng(114);
+    while (values.size() < 70001) {
+        values.push_back(static_cast<float>(rng.Uniform(-140.0, 140.0)));
+    }
+    for (float scale : {1.0f, 0.37f, 3.0e38f}) {
+        Tensor x({1, static_cast<int64_t>(values.size())}, DType::kF32);
+        std::memcpy(x.Data<float>(), values.data(),
+                    values.size() * sizeof(float));
+        for (int threads : {1, 4}) {
+            ScopedNumThreads t(threads);
+            const Tensor q = QuantizePerTensorI8(x, inv * scale);
+            for (size_t i = 0; i < values.size(); ++i) {
+                const int8_t want = static_cast<int8_t>(std::clamp(
+                    std::nearbyint(values[i] * (inv * scale)), -127.0f,
+                    127.0f));
+                ASSERT_EQ(q.Data<int8_t>()[i], want)
+                    << "x=" << values[i] << " inv=" << inv * scale
+                    << " threads=" << threads;
+            }
+        }
     }
 }
 
