@@ -4,8 +4,8 @@
 #include <cstdint>
 
 #include "src/tensor/matmul.h"
-#include "src/tensor/ops.h"
 #include "src/tensor/quantize.h"
+#include "src/tensor/row_parallel.h"
 
 namespace llmnpu {
 
@@ -98,11 +98,14 @@ NpuShadowExecutor::AddShadowTerm(const PreparedLinear& pl,
         }
     }
     Tensor y_shadow = MatMulRowSubset(residual, pl.w_deq, extracted);
-    // Add into the segment's rows of the stacked output.
+    // Add into the segment's rows of the stacked output, row-parallel
+    // (element-wise, so the split does not change a bit).
     const int64_t n = y.Cols();
     float* py = y.Data<float>() + r0 * n;
     const float* ps = y_shadow.Data<float>();
-    for (int64_t i = 0; i < m * n; ++i) py[i] += ps[i];
+    RowParallel(m, n, [&](int64_t i0, int64_t i1) {
+        for (int64_t i = i0 * n; i < i1 * n; ++i) py[i] += ps[i];
+    });
 }
 
 Tensor

@@ -17,13 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "src/tensor/ops.h"  // NormKind, ActKind
+
 namespace llmnpu {
-
-/** Normalization operator used by a model (always float, Table 4). */
-enum class NormKind { kRMSNorm, kLayerNorm };
-
-/** FFN activation function. */
-enum class ActKind { kSiLU, kGeLU };
 
 /** Identifies one linear (matmul) operator inside a transformer block. */
 enum class LinearKind {

@@ -1,6 +1,7 @@
 #include "src/model/transformer.h"
 
 #include <cstring>
+#include <utility>
 
 #include "src/model/decode_backend.h"
 #include "src/model/paged_attention.h"
@@ -127,18 +128,8 @@ Transformer::Embed(const std::vector<int>& tokens) const
     return out;
 }
 
-Tensor
-Transformer::Normed(const Tensor& x, const Tensor& gamma,
-                    const Tensor& beta) const
-{
-    if (weights_.config.norm == NormKind::kRMSNorm) {
-        return RMSNorm(x, gamma);
-    }
-    return LayerNorm(x, gamma, beta);
-}
-
-Tensor
-Transformer::ForwardBlockBatch(int layer, const Tensor& x,
+void
+Transformer::ForwardBlockBatch(int layer, Tensor& x,
                                const std::vector<BatchSeq>& batch,
                                const BatchSegments& segments,
                                const std::vector<int64_t>& pos_offsets,
@@ -156,20 +147,28 @@ Transformer::ForwardBlockBatch(int layer, const Tensor& x,
         LLMNPU_TRACE_SPAN_ID(LinearSpanName(kind), "linear", -1, -1, layer);
         return linears.ForwardBatch(layer, kind, in, segments);
     };
+    // Span-per-epilogue: each float pass between two linears is one
+    // row-parallel op (ops.h) under its own name.
+    auto pass = [&](const char* name, const auto& fn) {
+        LLMNPU_TRACE_SPAN_ID(name, "model", -1, -1, layer);
+        return fn();
+    };
 
-    // --- Attention sub-block. Norms are row-wise and the QKV projections
-    // run as stacked matmuls; RoPE rotates every stacked row by its own
+    // --- Attention sub-block. The QKV projections run as stacked
+    // matmuls; RoPE rotates every stacked row of Q and K by its own
     // sequence's position (one table per step), the cache appends are
     // per-sequence (own page table) but read the stacked tensors, and
     // attention is one fused tile-parallel kernel reading K/V straight out
     // of the pool pages.
-    Tensor normed = Normed(x, lw.attn_norm_gamma, lw.attn_norm_beta);
+    Tensor normed = pass("block.norm", [&] {
+        return Norm(c.norm, x, lw.attn_norm_gamma, lw.attn_norm_beta);
+    });
     Tensor q = traced(LinearKind::kWq, normed);
     Tensor k = traced(LinearKind::kWk, normed);
     Tensor v = traced(LinearKind::kWv, normed);
 
-    rope.Apply(q, c.num_heads);
-    rope.Apply(k, c.num_kv_heads);
+    pass("block.rope",
+         [&] { rope.Apply(q, c.num_heads, k, c.num_kv_heads); });
     std::vector<int> seqs(b, 0);
     for (size_t i = 0; i < b; ++i) {
         const int64_t r0 = segments[i];
@@ -179,29 +178,25 @@ Transformer::ForwardBlockBatch(int layer, const Tensor& x,
     Tensor attn = PagedCausalAttention(q, segments, seqs, pos_offsets, cache,
                                        layer, c.num_heads, c.num_kv_heads);
     Tensor attn_out = traced(LinearKind::kWo, attn);
-    Tensor h = Add(x, attn_out);
 
-    // --- FFN sub-block: everything is row-wise or a stacked matmul.
-    Tensor ffn_in = Normed(h, lw.ffn_norm_gamma, lw.ffn_norm_beta);
+    // --- FFN sub-block: x becomes the residual h = x + attn_out in the
+    // same pass that norms it, the activation runs in place, and the
+    // down projection is added back into h.
+    Tensor ffn_in = pass("block.residual_norm", [&] {
+        return AddNormInPlace(c.norm, x, attn_out, lw.ffn_norm_gamma,
+                              lw.ffn_norm_beta);
+    });
     Tensor up = traced(LinearKind::kFfnUp, ffn_in);
+    Tensor act;
     if (c.gated_ffn) {
-        Tensor gate = traced(LinearKind::kFfnGate, ffn_in);
-        if (c.act == ActKind::kSiLU) {
-            SiluInPlace(gate);
-        } else {
-            GeluInPlace(gate);
-        }
-        up = Mul(gate, up);
+        act = traced(LinearKind::kFfnGate, ffn_in);
+        pass("block.act", [&] { GatedActInPlace(c.act, act, up); });
     } else {
-        if (c.act == ActKind::kSiLU) {
-            SiluInPlace(up);
-        } else {
-            GeluInPlace(up);
-        }
+        act = std::move(up);
+        pass("block.act", [&] { ActInPlace(c.act, act); });
     }
-    Tensor down = traced(LinearKind::kFfnDown, up);
-    AddInPlace(h, down);
-    return h;
+    Tensor down = traced(LinearKind::kFfnDown, act);
+    pass("block.residual", [&] { AddInPlace(x, down); });
 }
 
 Tensor
@@ -238,10 +233,11 @@ Transformer::ForwardBatch(const std::vector<BatchSeq>& batch,
     const RopeTable rope(positions, weights_.config.head_dim);
     Tensor x = Embed(stacked_tokens);
     for (int l = 0; l < weights_.config.num_layers; ++l) {
-        x = ForwardBlockBatch(l, x, batch, segments, pos_offsets, rope,
-                              cache, linears);
+        ForwardBlockBatch(l, x, batch, segments, pos_offsets, rope, cache,
+                          linears);
     }
-    return Normed(x, weights_.final_norm_gamma, weights_.final_norm_beta);
+    return Norm(weights_.config.norm, x, weights_.final_norm_gamma,
+                weights_.final_norm_beta);
 }
 
 Tensor

@@ -195,17 +195,15 @@ class Transformer
                               LinearExecutor& linears) const;
 
   private:
-    /** `rope` holds the rotation of every row of `x`, built once per
-     *  forward step and shared by all layers. */
-    Tensor ForwardBlockBatch(int layer, const Tensor& x,
-                             const std::vector<BatchSeq>& batch,
-                             const BatchSegments& segments,
-                             const std::vector<int64_t>& pos_offsets,
-                             const RopeTable& rope, BatchedKvCache& cache,
-                             LinearExecutor& linears) const;
-
-    Tensor Normed(const Tensor& x, const Tensor& gamma, const Tensor& beta)
-        const;
+    /** Runs block `layer` over the residual stream `x`, in place. `rope`
+     *  holds the rotation of every row of `x`, built once per forward step
+     *  and shared by all layers. */
+    void ForwardBlockBatch(int layer, Tensor& x,
+                           const std::vector<BatchSeq>& batch,
+                           const BatchSegments& segments,
+                           const std::vector<int64_t>& pos_offsets,
+                           const RopeTable& rope, BatchedKvCache& cache,
+                           LinearExecutor& linears) const;
 
     const ModelWeights& weights_;
 };

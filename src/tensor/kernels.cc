@@ -51,6 +51,7 @@
 #include "src/tensor/kernel_isa.h"
 #include "src/tensor/matmul.h"
 #include "src/tensor/quantize.h"
+#include "src/tensor/row_parallel.h"
 #include "src/util/threadpool.h"
 
 namespace llmnpu {
@@ -86,28 +87,12 @@ static_assert(2 * sizeof(VecF32x8) == kPanelWidth * sizeof(float),
               "two vector halves must span the panel width");
 #endif
 
-/** Below this many multiply-accumulates, threading overhead dominates. */
-constexpr int64_t kParallelFlopCutoff = 64 * 1024;
-
 /** From this many rows on, a matmul is split over rows: every participant
  *  then gets whole micro-kernel blocks. Below it, over panels. */
 constexpr int64_t kRowSplitMinRows = 64;
 
 /** Elements below which QuantizePerTensorI8 stays on one thread. */
 constexpr int64_t kQuantizeGrain = 32 * 1024;
-
-/** Splits rows [0, m) over the pool when the matmul is big enough. */
-template <typename Fn>
-void
-RowParallel(int64_t m, int64_t work_per_row, const Fn& fn)
-{
-    if (m <= 0) return;
-    if (m * work_per_row < kParallelFlopCutoff) {
-        fn(static_cast<int64_t>(0), m);
-        return;
-    }
-    ThreadPool::Global().ParallelFor(m, 1, fn);
-}
 
 /**
  * Runs fn(r0, r1, p0, p1) over the output tiles [0, m) x [0, panels):
@@ -119,7 +104,7 @@ void
 ParallelTiles(int64_t m, int64_t panels, int64_t work_per_row, const Fn& fn)
 {
     if (m <= 0 || panels <= 0) return;
-    if (m * work_per_row < kParallelFlopCutoff) {
+    if (m * work_per_row < kParallelWorkCutoff) {
         fn(static_cast<int64_t>(0), m, static_cast<int64_t>(0), panels);
     } else if (m >= kRowSplitMinRows) {
         ThreadPool::Global().ParallelFor(m, 1, [&](int64_t r0, int64_t r1) {

@@ -1,143 +1,174 @@
 #include "src/tensor/ops.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <vector>
 
 #include "src/tensor/attention_kernel.h"
+#include "src/tensor/row_parallel.h"
 
 namespace llmnpu {
 
+namespace {
+
+constexpr float kRmsNormEps = 1e-6f;
+constexpr float kLayerNormEps = 1e-5f;
+
+/** Writes the norm of one row of `cols` floats to `out`: a serial double
+ *  accumulation, then one float expression per element. */
 void
-SoftmaxRowsInPlace(Tensor& x)
+NormRow(NormKind kind, const float* row, const float* g, const float* b,
+        int64_t cols, float* out)
 {
-    LLMNPU_CHECK_EQ(x.Rank(), 2);
-    const int64_t rows = x.Rows(), cols = x.Cols();
-    float* p = x.Data<float>();
-    for (int64_t r = 0; r < rows; ++r) {
-        float* row = p + r * cols;
-        float mx = row[0];
-        for (int64_t c = 1; c < cols; ++c) mx = std::max(mx, row[c]);
-        double sum = 0.0;
-        for (int64_t c = 0; c < cols; ++c) {
-            row[c] = std::exp(row[c] - mx);
-            sum += row[c];
-        }
-        const float inv = static_cast<float>(1.0 / sum);
-        for (int64_t c = 0; c < cols; ++c) row[c] *= inv;
-    }
-}
-
-Tensor
-LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta, float eps)
-{
-    LLMNPU_CHECK_EQ(x.Rank(), 2);
-    const int64_t rows = x.Rows(), cols = x.Cols();
-    LLMNPU_CHECK_EQ(gamma.NumElements(), cols);
-    LLMNPU_CHECK_EQ(beta.NumElements(), cols);
-    Tensor out({rows, cols}, DType::kF32);
-    const float* in = x.Data<float>();
-    const float* g = gamma.Data<float>();
-    const float* b = beta.Data<float>();
-    float* o = out.Data<float>();
-    for (int64_t r = 0; r < rows; ++r) {
-        const float* row = in + r * cols;
-        double mean = 0.0;
-        for (int64_t c = 0; c < cols; ++c) mean += row[c];
-        mean /= static_cast<double>(cols);
-        double var = 0.0;
-        for (int64_t c = 0; c < cols; ++c) {
-            const double d = row[c] - mean;
-            var += d * d;
-        }
-        var /= static_cast<double>(cols);
-        const float inv = static_cast<float>(1.0 / std::sqrt(var + eps));
-        for (int64_t c = 0; c < cols; ++c) {
-            o[r * cols + c] =
-                (row[c] - static_cast<float>(mean)) * inv * g[c] + b[c];
-        }
-    }
-    return out;
-}
-
-Tensor
-RMSNorm(const Tensor& x, const Tensor& gamma, float eps)
-{
-    LLMNPU_CHECK_EQ(x.Rank(), 2);
-    const int64_t rows = x.Rows(), cols = x.Cols();
-    LLMNPU_CHECK_EQ(gamma.NumElements(), cols);
-    Tensor out({rows, cols}, DType::kF32);
-    const float* in = x.Data<float>();
-    const float* g = gamma.Data<float>();
-    float* o = out.Data<float>();
-    for (int64_t r = 0; r < rows; ++r) {
-        const float* row = in + r * cols;
+    if (kind == NormKind::kRMSNorm) {
         double ms = 0.0;
         for (int64_t c = 0; c < cols; ++c) {
             ms += static_cast<double>(row[c]) * row[c];
         }
         ms /= static_cast<double>(cols);
-        const float inv = static_cast<float>(1.0 / std::sqrt(ms + eps));
-        for (int64_t c = 0; c < cols; ++c) {
-            o[r * cols + c] = row[c] * inv * g[c];
+        const float inv = static_cast<float>(1.0 / std::sqrt(ms + kRmsNormEps));
+        for (int64_t c = 0; c < cols; ++c) out[c] = row[c] * inv * g[c];
+        return;
+    }
+    double mean = 0.0;
+    for (int64_t c = 0; c < cols; ++c) mean += row[c];
+    mean /= static_cast<double>(cols);
+    double var = 0.0;
+    for (int64_t c = 0; c < cols; ++c) {
+        const double d = row[c] - mean;
+        var += d * d;
+    }
+    var /= static_cast<double>(cols);
+    const float inv = static_cast<float>(1.0 / std::sqrt(var + kLayerNormEps));
+    for (int64_t c = 0; c < cols; ++c) {
+        out[c] = (row[c] - static_cast<float>(mean)) * inv * g[c] + b[c];
+    }
+}
+
+inline float
+Silu(float v)
+{
+    return v / (1.0f + std::exp(-v));
+}
+
+inline float
+Gelu(float v)
+{
+    constexpr float kSqrt2OverPi = 0.7978845608f;
+    return 0.5f * v *
+           (1.0f + std::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v)));
+}
+
+/** p[i] = act(p[i]) * up[i] (or act(p[i]) without `up`) over [0, n). */
+template <float (*Act)(float)>
+void
+ActSpan(float* p, const float* up, int64_t n)
+{
+    if (up == nullptr) {
+        for (int64_t i = 0; i < n; ++i) p[i] = Act(p[i]);
+    } else {
+        for (int64_t i = 0; i < n; ++i) {
+            const float a = Act(p[i]);
+            p[i] = a * up[i];
         }
     }
+}
+
+/** The shared body of Norm and AddNormInPlace: normalizes the rows of
+ *  [rows x cols] `in` into a new tensor. With `delta`, each row first
+ *  becomes in + delta, written to `sum` (which may be `in`). */
+Tensor
+NormRows(NormKind kind, const float* in, const float* delta, float* sum,
+         int64_t rows, int64_t cols, const Tensor& gamma, const Tensor& beta)
+{
+    LLMNPU_CHECK_EQ(gamma.NumElements(), cols);
+    const float* g = gamma.Data<float>();
+    const float* b = nullptr;
+    if (kind == NormKind::kLayerNorm) {
+        LLMNPU_CHECK_EQ(beta.NumElements(), cols);
+        b = beta.Data<float>();
+    }
+    Tensor out({rows, cols}, DType::kF32);
+    float* o = out.Data<float>();
+    RowParallel(rows, cols, [&](int64_t r0, int64_t r1) {
+        for (int64_t r = r0; r < r1; ++r) {
+            const float* row = in + r * cols;
+            if (delta != nullptr) {
+                float* s = sum + r * cols;
+                const float* d = delta + r * cols;
+                for (int64_t c = 0; c < cols; ++c) s[c] = row[c] + d[c];
+                row = s;
+            }
+            NormRow(kind, row, g, b, cols, o + r * cols);
+        }
+    });
     return out;
 }
 
+/** The shared body of ActInPlace and GatedActInPlace. */
 void
-SiluInPlace(Tensor& x)
+ActRows(ActKind act, Tensor& x, const float* up)
 {
+    LLMNPU_CHECK_EQ(x.Rank(), 2);
+    const int64_t cols = x.Cols();
     float* p = x.Data<float>();
-    for (int64_t i = 0; i < x.NumElements(); ++i) {
-        p[i] = p[i] / (1.0f + std::exp(-p[i]));
-    }
+    RowParallel(x.Rows(), cols, [&](int64_t r0, int64_t r1) {
+        float* span = p + r0 * cols;
+        const float* up_span = up != nullptr ? up + r0 * cols : nullptr;
+        const int64_t n = (r1 - r0) * cols;
+        if (act == ActKind::kSiLU) {
+            ActSpan<Silu>(span, up_span, n);
+        } else {
+            ActSpan<Gelu>(span, up_span, n);
+        }
+    });
 }
 
-void
-GeluInPlace(Tensor& x)
+}  // namespace
+
+Tensor
+Norm(NormKind kind, const Tensor& x, const Tensor& gamma, const Tensor& beta)
 {
-    constexpr float kSqrt2OverPi = 0.7978845608f;
-    float* p = x.Data<float>();
-    for (int64_t i = 0; i < x.NumElements(); ++i) {
-        const float v = p[i];
-        p[i] = 0.5f * v *
-               (1.0f + std::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v)));
-    }
+    LLMNPU_CHECK_EQ(x.Rank(), 2);
+    return NormRows(kind, x.Data<float>(), nullptr, nullptr, x.Rows(),
+                    x.Cols(), gamma, beta);
 }
 
 Tensor
-Add(const Tensor& a, const Tensor& b)
+AddNormInPlace(NormKind kind, Tensor& h, const Tensor& delta,
+               const Tensor& gamma, const Tensor& beta)
 {
-    LLMNPU_CHECK(a.shape() == b.shape());
-    Tensor out(a.shape(), DType::kF32);
-    const float* pa = a.Data<float>();
-    const float* pb = b.Data<float>();
-    float* po = out.Data<float>();
-    for (int64_t i = 0; i < a.NumElements(); ++i) po[i] = pa[i] + pb[i];
-    return out;
+    LLMNPU_CHECK_EQ(h.Rank(), 2);
+    LLMNPU_CHECK(h.shape() == delta.shape());
+    float* ph = h.Data<float>();
+    return NormRows(kind, ph, delta.Data<float>(), ph, h.Rows(), h.Cols(),
+                    gamma, beta);
+}
+
+void
+ActInPlace(ActKind act, Tensor& x)
+{
+    ActRows(act, x, nullptr);
+}
+
+void
+GatedActInPlace(ActKind act, Tensor& gate, const Tensor& up)
+{
+    LLMNPU_CHECK(gate.shape() == up.shape());
+    ActRows(act, gate, up.Data<float>());
 }
 
 void
 AddInPlace(Tensor& a, const Tensor& b)
 {
     LLMNPU_CHECK(a.shape() == b.shape());
+    LLMNPU_CHECK_EQ(a.Rank(), 2);
+    const int64_t cols = a.Cols();
     float* pa = a.Data<float>();
     const float* pb = b.Data<float>();
-    for (int64_t i = 0; i < a.NumElements(); ++i) pa[i] += pb[i];
-}
-
-Tensor
-Mul(const Tensor& a, const Tensor& b)
-{
-    LLMNPU_CHECK(a.shape() == b.shape());
-    Tensor out(a.shape(), DType::kF32);
-    const float* pa = a.Data<float>();
-    const float* pb = b.Data<float>();
-    float* po = out.Data<float>();
-    for (int64_t i = 0; i < a.NumElements(); ++i) po[i] = pa[i] * pb[i];
-    return out;
+    RowParallel(a.Rows(), cols, [&](int64_t r0, int64_t r1) {
+        for (int64_t i = r0 * cols; i < r1 * cols; ++i) pa[i] += pb[i];
+    });
 }
 
 RopeTable::RopeTable(const std::vector<int64_t>& positions, int head_dim,
@@ -167,16 +198,13 @@ RopeTable::RopeTable(const std::vector<int64_t>& positions, int head_dim,
 }
 
 void
-RopeTable::Apply(Tensor& x, int num_heads, int64_t row_begin) const
+RopeTable::Rotate(Tensor& x, int num_heads, int64_t row_begin, int64_t s0,
+                  int64_t s1) const
 {
-    LLMNPU_CHECK_EQ(x.Rank(), 2);
-    LLMNPU_CHECK_EQ(x.Cols(), static_cast<int64_t>(num_heads) * head_dim_);
-    LLMNPU_CHECK_GE(row_begin, 0);
-    LLMNPU_CHECK_LE(row_begin + Rows(), x.Rows());
     const int half = head_dim_ / 2;
     const int64_t cols = x.Cols();
     float* p = x.Data<float>() + row_begin * cols;
-    for (int64_t s = 0; s < Rows(); ++s) {
+    for (int64_t s = s0; s < s1; ++s) {
         const float* cos_row = cos_.data() + s * half;
         const float* sin_row = sin_.data() + s * half;
         for (int h = 0; h < num_heads; ++h) {
@@ -189,6 +217,33 @@ RopeTable::Apply(Tensor& x, int num_heads, int64_t row_begin) const
             }
         }
     }
+}
+
+void
+RopeTable::Apply(Tensor& x, int num_heads, int64_t row_begin) const
+{
+    LLMNPU_CHECK_EQ(x.Rank(), 2);
+    LLMNPU_CHECK_EQ(x.Cols(), static_cast<int64_t>(num_heads) * head_dim_);
+    LLMNPU_CHECK_GE(row_begin, 0);
+    LLMNPU_CHECK_LE(row_begin + Rows(), x.Rows());
+    RowParallel(Rows(), x.Cols(), [&](int64_t s0, int64_t s1) {
+        Rotate(x, num_heads, row_begin, s0, s1);
+    });
+}
+
+void
+RopeTable::Apply(Tensor& q, int q_heads, Tensor& k, int k_heads) const
+{
+    for (const Tensor* x : {&q, &k}) {
+        LLMNPU_CHECK_EQ(x->Rank(), 2);
+        LLMNPU_CHECK_EQ(x->Rows(), Rows());
+    }
+    LLMNPU_CHECK_EQ(q.Cols(), static_cast<int64_t>(q_heads) * head_dim_);
+    LLMNPU_CHECK_EQ(k.Cols(), static_cast<int64_t>(k_heads) * head_dim_);
+    RowParallel(Rows(), q.Cols() + k.Cols(), [&](int64_t s0, int64_t s1) {
+        Rotate(q, q_heads, 0, s0, s1);
+        Rotate(k, k_heads, 0, s0, s1);
+    });
 }
 
 void

@@ -3,6 +3,23 @@
  * Float transformer operators: the "orange" ops of Figure 5 that stay in
  * floating point in every quantized inference pipeline (Table 4) —
  * normalization, attention, activation functions, RoPE.
+ *
+ * The norm, residual, activation and RoPE passes are row-parallel: each
+ * splits its rows over ThreadPool::Global() through RowParallel
+ * (row_parallel.h), inline below kParallelWorkCutoff elements. The passes
+ * the transformer block runs back to back on the same rows are fused
+ * (AddNormInPlace, GatedActInPlace, RopeTable::Apply over Q and K), so
+ * each gap between two linears is one pass.
+ *
+ * Bitwise rule: every element keeps its exact expression and operand
+ * order, whatever thread computes its row. The norms accumulate each row
+ * serially in double; act(gate) is rounded to float before the multiply
+ * by up. So results do not depend on the thread count, and equal the
+ * per-element serial formulas (tests/support/epilogue_reference.h,
+ * rope_reference.h). ops.cc keeps the portable compile flags on purpose:
+ * with -mfma the compiler may contract RoPE's x0 * cos - x1 * sin into
+ * one fused multiply-add, which rounds once instead of twice and changes
+ * the bits.
  */
 #ifndef LLMNPU_TENSOR_OPS_H
 #define LLMNPU_TENSOR_OPS_H
@@ -14,30 +31,35 @@
 
 namespace llmnpu {
 
-/** Row-wise numerically-stable softmax, in place, on a rank-2 f32 tensor. */
-void SoftmaxRowsInPlace(Tensor& x);
+/** Normalization operator used by a model (always float, Table 4):
+ *  RMSNorm (gain, eps 1e-6) or LayerNorm (gain and bias, eps 1e-5). */
+enum class NormKind { kRMSNorm, kLayerNorm };
 
-/** LayerNorm over the last dimension with learned gain/bias. */
-Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
-                 float eps = 1e-5f);
+/** FFN activation function: SiLU, or GeLU in its tanh approximation. */
+enum class ActKind { kSiLU, kGeLU };
 
-/** RMSNorm over the last dimension with learned gain (LlaMA-style). */
-Tensor RMSNorm(const Tensor& x, const Tensor& gamma, float eps = 1e-6f);
+/**
+ * Normalizes every row of rank-2 `x` over its last dimension with learned
+ * gain `gamma`; `beta` is the LayerNorm bias, unread by RMSNorm.
+ */
+Tensor Norm(NormKind kind, const Tensor& x, const Tensor& gamma,
+            const Tensor& beta);
 
-/** SiLU (x * sigmoid(x)), in place. */
-void SiluInPlace(Tensor& x);
+/**
+ * The residual add and the next norm in one pass: h += delta, then
+ * @return Norm(kind, h, gamma, beta).
+ */
+Tensor AddNormInPlace(NormKind kind, Tensor& h, const Tensor& delta,
+                      const Tensor& gamma, const Tensor& beta);
 
-/** GeLU (tanh approximation), in place. */
-void GeluInPlace(Tensor& x);
+/** x = act(x), in place (the ungated FFN). */
+void ActInPlace(ActKind act, Tensor& x);
 
-/** Elementwise a + b. */
-Tensor Add(const Tensor& a, const Tensor& b);
+/** gate = act(gate) * up, in place (the gated FFN). */
+void GatedActInPlace(ActKind act, Tensor& gate, const Tensor& up);
 
 /** Elementwise a += b. */
 void AddInPlace(Tensor& a, const Tensor& b);
-
-/** Elementwise a * b. */
-Tensor Mul(const Tensor& a, const Tensor& b);
 
 /**
  * Rotary position embedding factors for a stack of rows, each row at its
@@ -62,6 +84,10 @@ class RopeTable
      *  packs num_heads heads of head_dim per row. */
     void Apply(Tensor& x, int num_heads, int64_t row_begin = 0) const;
 
+    /** Rotates every row of `q` and of `k` in one pass (a forward step's
+     *  Q and K, each packing its own head count). */
+    void Apply(Tensor& q, int q_heads, Tensor& k, int k_heads) const;
+
     int64_t
     Rows() const
     {
@@ -69,6 +95,10 @@ class RopeTable
     }
 
   private:
+    /** Rotates table rows [s0, s1) onto rows row_begin + [s0, s1) of `x`. */
+    void Rotate(Tensor& x, int num_heads, int64_t row_begin, int64_t s0,
+                int64_t s1) const;
+
     int head_dim_;
     std::vector<float> cos_;  ///< [rows x head_dim/2]
     std::vector<float> sin_;  ///< [rows x head_dim/2]

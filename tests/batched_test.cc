@@ -8,12 +8,15 @@
  * ragged batch shapes — B=1..4, mixed prefill/decode steps, chunked prefill
  * inside a batch. Since both sides then reach the executor through
  * ForwardBatch, each executor's ForwardBatch is also checked against its
- * own Forward per segment. Plus the cache's layer-lockstep invariant,
+ * own Forward per segment. Proxies of Qwen, Gemma and Phi-2 (every norm,
+ * activation and gating variant) must also give the same bits at 1, 2
+ * and 4 threads. Plus the cache's layer-lockstep invariant,
  * BatchedKvCache accounting, and the serving→numeric trace replay bridge
  * end-to-end.
  */
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -29,6 +32,7 @@
 #include "src/util/rng.h"
 #include "src/util/threadpool.h"
 #include "src/workloads/arrivals.h"
+#include "src/workloads/corpus.h"
 #include "tests/support/random.h"
 #include "tests/support/tiny_model.h"
 #include "tests/support/token_streams.h"
@@ -93,23 +97,23 @@ TEST(KvCacheLockstepDeathTest, OversizedLaterChunkPanics)
 /** One batched step: (sequence, token count) pairs, ragged by design. */
 using ScriptStep = std::vector<std::pair<int, int>>;
 
-/**
- * Runs `script` through ForwardBatch, then re-runs every sequence alone
- * with the same per-step token groups through Forward, and asserts the
- * per-sequence hidden states and logits are bitwise identical.
- */
-void
-RunScriptBitwise(const Transformer& model, LinearExecutor& linears,
+/** Per-sequence rows of a script run: hidden states, logits, and the
+ *  token group each step fed. */
+struct ScriptRows {
+    std::map<int, std::vector<float>> hidden;
+    std::map<int, std::vector<float>> logits;
+    std::map<int, std::vector<std::vector<int>>> groups;
+};
+
+/** Runs `script` through ForwardBatch on a fresh cache. */
+ScriptRows
+RunScriptBatched(const Transformer& model, LinearExecutor& linears,
                  const std::vector<ScriptStep>& script)
 {
     const int vocab = model.config().vocab_size;
-
-    // Batched pass.
-    std::map<int, int> slots;                       // seq -> cache slot
-    std::map<int, int> cursor;                      // seq -> tokens fed
-    std::map<int, std::vector<float>> hidden_rows;  // per seq, batched
-    std::map<int, std::vector<float>> logit_rows;
-    std::map<int, std::vector<std::vector<int>>> groups;  // per-step tokens
+    ScriptRows out;
+    std::map<int, int> slots;   // seq -> cache slot
+    std::map<int, int> cursor;  // seq -> tokens fed
     BatchedKvCache cache = model.MakeBatchedCache();
     for (const ScriptStep& step : script) {
         std::vector<BatchSeq> batch;
@@ -119,7 +123,7 @@ RunScriptBitwise(const Transformer& model, LinearExecutor& linears,
             for (int i = 0; i < count; ++i) {
                 tokens.push_back(TestTokenAt(seq, cursor[seq]++, vocab));
             }
-            groups[seq].push_back(tokens);
+            out.groups[seq].push_back(tokens);
             batch.push_back({slots[seq], std::move(tokens)});
         }
         Tensor hidden = model.ForwardBatch(batch, cache, linears);
@@ -130,8 +134,8 @@ RunScriptBitwise(const Transformer& model, LinearExecutor& linears,
                 static_cast<int64_t>(batch[i].tokens.size());
             const Tensor h = hidden.CopyRows(row, rows);
             const Tensor lg = logits.CopyRows(row, rows);
-            auto& hr = hidden_rows[step[i].first];
-            auto& lr = logit_rows[step[i].first];
+            auto& hr = out.hidden[step[i].first];
+            auto& lr = out.logits[step[i].first];
             hr.insert(hr.end(), h.Data<float>(),
                       h.Data<float>() + h.NumElements());
             lr.insert(lr.end(), lg.Data<float>(),
@@ -139,9 +143,30 @@ RunScriptBitwise(const Transformer& model, LinearExecutor& linears,
             row += rows;
         }
     }
+    return out;
+}
+
+/** Bytes-equal float vectors. */
+bool
+SameBits(const std::vector<float>& a, const std::vector<float>& b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/**
+ * Runs `script` through ForwardBatch, then re-runs every sequence alone
+ * with the same per-step token groups through Forward, and asserts the
+ * per-sequence hidden states and logits are bitwise identical.
+ */
+void
+RunScriptBitwise(const Transformer& model, LinearExecutor& linears,
+                 const std::vector<ScriptStep>& script)
+{
+    const ScriptRows batched = RunScriptBatched(model, linears, script);
 
     // Sequential reference: same token groups, one sequence at a time.
-    for (const auto& [seq, seq_groups] : groups) {
+    for (const auto& [seq, seq_groups] : batched.groups) {
         BatchedKvCache solo = model.MakeCache();
         std::vector<float> ref_hidden, ref_logits;
         for (const std::vector<int>& tokens : seq_groups) {
@@ -152,16 +177,10 @@ RunScriptBitwise(const Transformer& model, LinearExecutor& linears,
             ref_logits.insert(ref_logits.end(), lg.Data<float>(),
                               lg.Data<float>() + lg.NumElements());
         }
-        ASSERT_EQ(ref_hidden.size(), hidden_rows[seq].size()) << "seq " << seq;
-        EXPECT_EQ(std::memcmp(ref_hidden.data(), hidden_rows[seq].data(),
-                              ref_hidden.size() * sizeof(float)),
-                  0)
+        EXPECT_TRUE(SameBits(ref_hidden, batched.hidden.at(seq)))
             << linears.Name() << ": hidden states of seq " << seq
             << " differ between batched and sequential execution";
-        ASSERT_EQ(ref_logits.size(), logit_rows[seq].size()) << "seq " << seq;
-        EXPECT_EQ(std::memcmp(ref_logits.data(), logit_rows[seq].data(),
-                              ref_logits.size() * sizeof(float)),
-                  0)
+        EXPECT_TRUE(SameBits(ref_logits, batched.logits.at(seq)))
             << linears.Name() << ": logits of seq " << seq
             << " differ between batched and sequential execution";
     }
@@ -299,6 +318,73 @@ INSTANTIATE_TEST_SUITE_P(AllExecutors, BatchedExecutorTest,
                              std::string name = info.param;
                              for (char& c : name) {
                                  if (c == '-') c = '_';
+                             }
+                             return name;
+                         });
+
+// ------------------------------ paper-model proxies, across thread counts
+
+/**
+ * Scaled proxies of the paper models that cover every epilogue variant:
+ * Qwen (RMSNorm, gated SiLU), Gemma (RMSNorm, gated GeLU) and Phi-2
+ * (LayerNorm, ungated GeLU). The first step stacks 447 prefill rows, so
+ * every row-parallel pass (norms, RoPE, residual, activation, shadow
+ * term) splits over the pool at 2 and 4 threads; the decode step stays
+ * under the cutoff. Hidden states and logits must not move by a bit with
+ * the thread count, and batched must still equal sequential.
+ */
+class ProxyThreadCountTest : public ::testing::TestWithParam<const char*>
+{};
+
+TEST_P(ProxyThreadCountTest, ForwardBatchBitwiseAcrossThreadCounts)
+{
+    const ModelConfig config =
+        ScaledProxy(ModelByName(GetParam()), 256, 2, 512);
+    const ModelWeights weights = GenerateSyntheticWeights(config);
+    const Transformer model(weights);
+    const auto corpus = MakeCorpus(TinyCalibCorpusOptions(config));
+    const CalibrationData calib = CalibrationData::Collect(model, corpus);
+    const OutlierProfile profile =
+        OutlierProfile::Collect(model, calib, corpus);
+    Fp32LinearExecutor fp32(weights);
+    NpuShadowExecutor shadow(weights, profile, /*pruning_rate=*/0.5);
+    const std::vector<ScriptStep> script = {{{0, 300}, {1, 7}, {2, 140}},
+                                            {{0, 1}, {1, 1}, {2, 1}}};
+    for (LinearExecutor* linears : {static_cast<LinearExecutor*>(&fp32),
+                                    static_cast<LinearExecutor*>(&shadow)}) {
+        ScriptRows want;
+        for (const int threads : {1, 2, 4}) {
+            ScopedNumThreads scoped(threads);
+            const ScriptRows got = RunScriptBatched(model, *linears, script);
+            if (threads == 1) {
+                want = got;
+                continue;
+            }
+            for (const auto& [seq, rows] : want.hidden) {
+                EXPECT_TRUE(SameBits(got.hidden.at(seq), rows))
+                    << linears->Name() << ": hidden states of seq " << seq
+                    << " differ at " << threads << " threads";
+                EXPECT_TRUE(SameBits(got.logits.at(seq), want.logits.at(seq)))
+                    << linears->Name() << ": logits of seq " << seq
+                    << " differ at " << threads << " threads";
+            }
+        }
+        ScopedNumThreads scoped(4);
+        RunScriptBitwise(model, *linears, script);
+    }
+    EXPECT_GT(shadow.stats().shadow_calls, 0) << "no shadow term was added";
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperModels, ProxyThreadCountTest,
+                         ::testing::Values("Qwen1.5-1.8B", "Gemma-2B",
+                                           "Phi-2-2.7B"),
+                         [](const auto& info) {
+                             std::string name = info.param;
+                             for (char& c : name) {
+                                 if (!std::isalnum(
+                                         static_cast<unsigned char>(c))) {
+                                     c = '_';
+                                 }
                              }
                              return name;
                          });

@@ -270,7 +270,8 @@ TEST(TransformerTest, ActivationOutliersAppearAtHotChannels)
     std::vector<int> tokens;
     for (int i = 0; i < 24; ++i) tokens.push_back((i * 13 + 5) % 256);
     Tensor x = model.Embed(tokens);
-    Tensor normed = RMSNorm(x, mw.layers[0].attn_norm_gamma);
+    Tensor normed = Norm(NormKind::kRMSNorm, x, mw.layers[0].attn_norm_gamma,
+                         mw.layers[0].attn_norm_beta);
 
     double hot_absmax = 0.0, cold_absmax = 0.0;
     for (int64_t r = 0; r < normed.Rows(); ++r) {

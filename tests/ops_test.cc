@@ -2,7 +2,9 @@
  * @file
  * Tests for the float operators (Figure 5's "orange" ops) — including the
  * load-bearing property of §3.2: chunked causal attention with a KV cache is
- * exactly equivalent to full-prompt attention.
+ * exactly equivalent to full-prompt attention — and the bitwise contract
+ * of the row-parallel, fused epilogue ops against their serial
+ * per-element references at 1, 2 and 4 threads.
  */
 #include <gtest/gtest.h>
 
@@ -10,37 +12,17 @@
 #include <cstring>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/tensor/ops.h"
+#include "src/tensor/row_parallel.h"
 #include "src/util/rng.h"
+#include "src/util/threadpool.h"
+#include "tests/support/epilogue_reference.h"
 #include "tests/support/random.h"
 #include "tests/support/rope_reference.h"
 
 namespace llmnpu {
 namespace {
-
-TEST(SoftmaxTest, RowsSumToOne)
-{
-    Rng rng(1);
-    Tensor x = RandomTensor(rng, {5, 9});
-    SoftmaxRowsInPlace(x);
-    for (int64_t r = 0; r < 5; ++r) {
-        double sum = 0.0;
-        for (int64_t c = 0; c < 9; ++c) {
-            EXPECT_GT(x.At(r, c), 0.0f);
-            sum += x.At(r, c);
-        }
-        EXPECT_NEAR(sum, 1.0, 1e-5);
-    }
-}
-
-TEST(SoftmaxTest, StableUnderLargeInputs)
-{
-    Tensor x = Tensor::FromValues({1, 3}, {1000.0f, 1000.0f, 999.0f});
-    SoftmaxRowsInPlace(x);
-    EXPECT_FALSE(std::isnan(x.At(0, 0)));
-    EXPECT_NEAR(x.At(0, 0), x.At(0, 1), 1e-6);
-    EXPECT_LT(x.At(0, 2), x.At(0, 0));
-}
 
 TEST(LayerNormTest, ProducesZeroMeanUnitVar)
 {
@@ -48,7 +30,7 @@ TEST(LayerNormTest, ProducesZeroMeanUnitVar)
     Tensor x = RandomTensor(rng, {4, 64});
     Tensor gamma = Tensor::Full({1, 64}, 1.0f);
     Tensor beta = Tensor::Zeros({1, 64});
-    Tensor y = LayerNorm(x, gamma, beta);
+    Tensor y = Norm(NormKind::kLayerNorm, x, gamma, beta);
     for (int64_t r = 0; r < 4; ++r) {
         double mean = 0.0, var = 0.0;
         for (int64_t c = 0; c < 64; ++c) mean += y.At(r, c);
@@ -67,7 +49,7 @@ TEST(LayerNormTest, GammaBetaApplied)
     Tensor x = Tensor::FromValues({1, 2}, {-1.0f, 1.0f});
     Tensor gamma = Tensor::FromValues({1, 2}, {2.0f, 2.0f});
     Tensor beta = Tensor::FromValues({1, 2}, {5.0f, 5.0f});
-    Tensor y = LayerNorm(x, gamma, beta);
+    Tensor y = Norm(NormKind::kLayerNorm, x, gamma, beta);
     EXPECT_NEAR(y.At(0, 0), 5.0f - 2.0f, 1e-3);
     EXPECT_NEAR(y.At(0, 1), 5.0f + 2.0f, 1e-3);
 }
@@ -77,7 +59,7 @@ TEST(RmsNormTest, UnitRmsAfterNorm)
     Rng rng(3);
     Tensor x = RandomTensor(rng, {3, 128});
     Tensor gamma = Tensor::Full({1, 128}, 1.0f);
-    Tensor y = RMSNorm(x, gamma);
+    Tensor y = Norm(NormKind::kRMSNorm, x, gamma, Tensor());
     for (int64_t r = 0; r < 3; ++r) {
         double ms = 0.0;
         for (int64_t c = 0; c < 128; ++c) ms += y.At(r, c) * y.At(r, c);
@@ -93,7 +75,7 @@ TEST(RmsNormTest, AmplifiedGainCreatesChannelOutliers)
     Tensor x = RandomTensor(rng, {8, 64});
     Tensor gamma = Tensor::Full({1, 64}, 1.0f);
     gamma.Data<float>()[7] = 30.0f;
-    Tensor y = RMSNorm(x, gamma);
+    Tensor y = Norm(NormKind::kRMSNorm, x, gamma, Tensor());
     double hot = 0.0, cold = 0.0;
     for (int64_t r = 0; r < 8; ++r) {
         hot += std::abs(y.At(r, 7));
@@ -107,7 +89,7 @@ TEST(RmsNormTest, AmplifiedGainCreatesChannelOutliers)
 TEST(ActivationTest, SiluKnownValues)
 {
     Tensor x = Tensor::FromValues({1, 3}, {0.0f, 10.0f, -10.0f});
-    SiluInPlace(x);
+    ActInPlace(ActKind::kSiLU, x);
     EXPECT_NEAR(x.At(0, 0), 0.0f, 1e-6);
     EXPECT_NEAR(x.At(0, 1), 10.0f, 1e-3);   // ~identity for large +
     EXPECT_NEAR(x.At(0, 2), 0.0f, 1e-3);    // ~0 for large -
@@ -116,20 +98,193 @@ TEST(ActivationTest, SiluKnownValues)
 TEST(ActivationTest, GeluKnownValues)
 {
     Tensor x = Tensor::FromValues({1, 3}, {0.0f, 5.0f, -5.0f});
-    GeluInPlace(x);
+    ActInPlace(ActKind::kGeLU, x);
     EXPECT_NEAR(x.At(0, 0), 0.0f, 1e-6);
     EXPECT_NEAR(x.At(0, 1), 5.0f, 1e-3);
     EXPECT_NEAR(x.At(0, 2), 0.0f, 1e-3);
 }
 
-TEST(ElementwiseTest, AddMulAndInPlace)
+// ------------------------------------------- row-parallel epilogue ops
+
+/** Bytes-equal, with a message naming the first differing element. */
+::testing::AssertionResult
+BitwiseEqual(const Tensor& got, const Tensor& want)
 {
-    Tensor a = Tensor::FromValues({1, 2}, {1, 2});
-    Tensor b = Tensor::FromValues({1, 2}, {3, 4});
-    EXPECT_EQ(Add(a, b).At(0, 1), 6.0f);
-    EXPECT_EQ(Mul(a, b).At(0, 1), 8.0f);
-    AddInPlace(a, b);
-    EXPECT_EQ(a.At(0, 0), 4.0f);
+    if (got.shape() != want.shape()) {
+        return ::testing::AssertionFailure() << "shapes differ";
+    }
+    const float* g = got.Data<float>();
+    const float* w = want.Data<float>();
+    for (int64_t i = 0; i < got.NumElements(); ++i) {
+        if (std::memcmp(g + i, w + i, sizeof(float)) != 0) {
+            return ::testing::AssertionFailure()
+                   << "element " << i << ": " << g[i] << " vs " << w[i];
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** The smallest row count at which a pass of `work_per_row` splits. */
+int64_t
+CutoffRows(int64_t work_per_row)
+{
+    return (kParallelWorkCutoff + work_per_row - 1) / work_per_row;
+}
+
+/** Row counts every epilogue op is checked at: a decode row, an m=16
+ *  decode batch, both sides of the inline cutoff, a 256-row prefill chunk
+ *  and a 798-token prompt. */
+std::vector<int64_t>
+EpilogueRowCounts(int64_t work_per_row)
+{
+    const int64_t cut = CutoffRows(work_per_row);
+    return {1, 16, cut - 1, cut, cut + 1, 256, 798};
+}
+
+constexpr int kEpilogueThreads[] = {1, 2, 4};
+
+TEST(RowParallelTest, SplitsOnlyFromTheCutoff)
+{
+    // The work cutoff is what keeps m=16 decode inline: below it no pool
+    // job is submitted, from it on one is.
+    obs::Counter& jobs =
+        obs::MetricsRegistry::Global().GetCounter("threadpool.jobs");
+    ScopedNumThreads scoped(2);
+    const int64_t cols = 512;
+    const int64_t cut = CutoffRows(cols);
+    for (const int64_t rows : {cut - 1, cut}) {
+        std::vector<char> seen(static_cast<size_t>(rows), 0);
+        const int64_t before = jobs.value();
+        RowParallel(rows, cols, [&](int64_t r0, int64_t r1) {
+            for (int64_t r = r0; r < r1; ++r) ++seen[static_cast<size_t>(r)];
+        });
+        EXPECT_EQ(jobs.value() - before, rows < cut ? 0 : 1) << rows;
+        for (const char n : seen) EXPECT_EQ(n, 1);
+    }
+}
+
+class NormEpilogueTest : public ::testing::TestWithParam<NormKind>
+{};
+
+TEST_P(NormEpilogueTest, NormMatchesSerialBitwise)
+{
+    const NormKind kind = GetParam();
+    const int64_t cols = 512;
+    Rng rng(21);
+    const Tensor gamma = RandomTensor(rng, {1, cols});
+    const Tensor beta = RandomTensor(rng, {1, cols});
+    for (const int64_t rows : EpilogueRowCounts(cols)) {
+        const Tensor x = RandomTensor(rng, {rows, cols}, 3.0);
+        const Tensor want = ReferenceNorm(kind, x, gamma, beta);
+        for (const int threads : kEpilogueThreads) {
+            ScopedNumThreads scoped(threads);
+            EXPECT_TRUE(BitwiseEqual(Norm(kind, x, gamma, beta), want))
+                << rows << " rows, " << threads << " threads";
+        }
+    }
+}
+
+TEST_P(NormEpilogueTest, AddNormMatchesSerialBitwise)
+{
+    // h = x + delta and Norm(h) in one pass equal the add pass followed
+    // by the norm pass, for both outputs.
+    const NormKind kind = GetParam();
+    const int64_t cols = 512;
+    Rng rng(22);
+    const Tensor gamma = RandomTensor(rng, {1, cols});
+    const Tensor beta = RandomTensor(rng, {1, cols});
+    for (const int64_t rows : EpilogueRowCounts(cols)) {
+        const Tensor x = RandomTensor(rng, {rows, cols}, 3.0);
+        const Tensor delta = RandomTensor(rng, {rows, cols});
+        const Tensor want_h = ReferenceAdd(x, delta);
+        const Tensor want = ReferenceNorm(kind, want_h, gamma, beta);
+        for (const int threads : kEpilogueThreads) {
+            ScopedNumThreads scoped(threads);
+            Tensor h = x;
+            const Tensor got = AddNormInPlace(kind, h, delta, gamma, beta);
+            EXPECT_TRUE(BitwiseEqual(h, want_h))
+                << rows << " rows, " << threads << " threads";
+            EXPECT_TRUE(BitwiseEqual(got, want))
+                << rows << " rows, " << threads << " threads";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, NormEpilogueTest,
+                         ::testing::Values(NormKind::kRMSNorm,
+                                           NormKind::kLayerNorm),
+                         [](const auto& info) {
+                             return info.param == NormKind::kRMSNorm
+                                        ? "RMSNorm"
+                                        : "LayerNorm";
+                         });
+
+class ActEpilogueTest : public ::testing::TestWithParam<ActKind>
+{};
+
+TEST_P(ActEpilogueTest, ActMatchesSerialBitwise)
+{
+    const ActKind act = GetParam();
+    const int64_t cols = 1376;
+    Rng rng(23);
+    for (const int64_t rows : EpilogueRowCounts(cols)) {
+        const Tensor x = RandomTensor(rng, {rows, cols}, 4.0);
+        Tensor want = x;
+        ReferenceActInPlace(act, want);
+        for (const int threads : kEpilogueThreads) {
+            ScopedNumThreads scoped(threads);
+            Tensor got = x;
+            ActInPlace(act, got);
+            EXPECT_TRUE(BitwiseEqual(got, want))
+                << rows << " rows, " << threads << " threads";
+        }
+    }
+}
+
+TEST_P(ActEpilogueTest, GatedActMatchesSerialBitwise)
+{
+    // act(gate) is rounded to float before the multiply by up, exactly as
+    // an activation pass followed by a multiply pass.
+    const ActKind act = GetParam();
+    const int64_t cols = 1376;
+    Rng rng(24);
+    for (const int64_t rows : EpilogueRowCounts(cols)) {
+        const Tensor gate = RandomTensor(rng, {rows, cols}, 4.0);
+        const Tensor up = RandomTensor(rng, {rows, cols});
+        const Tensor want = ReferenceGatedAct(act, gate, up);
+        for (const int threads : kEpilogueThreads) {
+            ScopedNumThreads scoped(threads);
+            Tensor got = gate;
+            GatedActInPlace(act, got, up);
+            EXPECT_TRUE(BitwiseEqual(got, want))
+                << rows << " rows, " << threads << " threads";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, ActEpilogueTest,
+                         ::testing::Values(ActKind::kSiLU, ActKind::kGeLU),
+                         [](const auto& info) {
+                             return info.param == ActKind::kSiLU ? "SiLU"
+                                                                 : "GeLU";
+                         });
+
+TEST(ElementwiseTest, AddInPlaceMatchesSerialBitwise)
+{
+    const int64_t cols = 512;
+    Rng rng(25);
+    for (const int64_t rows : EpilogueRowCounts(cols)) {
+        const Tensor a = RandomTensor(rng, {rows, cols});
+        const Tensor b = RandomTensor(rng, {rows, cols});
+        const Tensor want = ReferenceAdd(a, b);
+        for (const int threads : kEpilogueThreads) {
+            ScopedNumThreads scoped(threads);
+            Tensor got = a;
+            AddInPlace(got, b);
+            EXPECT_TRUE(BitwiseEqual(got, want))
+                << rows << " rows, " << threads << " threads";
+        }
+    }
 }
 
 TEST(RopeTest, PreservesNorm)
@@ -211,6 +366,42 @@ TEST(RopeTest, StackedTableMatchesPerSegmentRows)
                           static_cast<size_t>(got.NumElements()) *
                               sizeof(float)),
               0);
+}
+
+TEST(RopeTest, QkPassMatchesPerElementFormulaBitwise)
+{
+    // One row-parallel pass over Q and K (different head counts, as with
+    // GQA) equals the per-element formula on each, at any thread count.
+    const int head_dim = 64, q_heads = 4, k_heads = 2;
+    const int64_t work = (q_heads + k_heads) * head_dim;
+    Rng rng(13);
+    for (const int64_t rows : EpilogueRowCounts(work)) {
+        const Tensor q = RandomTensor(rng, {rows, q_heads * head_dim});
+        const Tensor k = RandomTensor(rng, {rows, k_heads * head_dim});
+        // Two segments at their own offsets, as in a stacked batch.
+        const int64_t split = rows / 2;
+        std::vector<int64_t> positions;
+        for (int64_t r = 0; r < split; ++r) positions.push_back(700 + r);
+        for (int64_t r = split; r < rows; ++r) positions.push_back(r - split);
+        Tensor want_q = q;
+        Tensor want_k = k;
+        for (Tensor* t : {&want_q, &want_k}) {
+            const int heads = t == &want_q ? q_heads : k_heads;
+            ReferenceRopeRows(*t, 0, split, heads, head_dim, 700);
+            ReferenceRopeRows(*t, split, rows - split, heads, head_dim, 0);
+        }
+        const RopeTable table(positions, head_dim);
+        for (const int threads : kEpilogueThreads) {
+            ScopedNumThreads scoped(threads);
+            Tensor got_q = q;
+            Tensor got_k = k;
+            table.Apply(got_q, q_heads, got_k, k_heads);
+            EXPECT_TRUE(BitwiseEqual(got_q, want_q))
+                << rows << " rows, " << threads << " threads";
+            EXPECT_TRUE(BitwiseEqual(got_k, want_k))
+                << rows << " rows, " << threads << " threads";
+        }
+    }
 }
 
 TEST(AttentionTest, SingleTokenAttendsToItself)
