@@ -17,7 +17,7 @@
  *                 iteration (two clock reads + a ring write)
  *
  * Each row reports median ns/iteration over repeated trials plus its
- * ratio to baseline. CI (cmake/check_bench_metrics.cmake) asserts the
+ * ratio to baseline. CI (bench/check_bench_metrics) asserts the
  * `disabled` ratio stays ~1: instrumentation that is not being observed
  * must be free. `enabled_hot` is informational — it is the price of
  * looking, dominated by the two steady_clock reads.

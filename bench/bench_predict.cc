@@ -181,7 +181,7 @@ Run()
 
     // Per-class held-in error: the tracked prediction-quality METRIC.
     // Classes trained from the committed bench JSON carry a CI band
-    // (median relative error <= 25%, cmake/check_bench_metrics.cmake);
+    // (median relative error <= 25%, bench/bench_check.cc);
     // wall-clock trace classes report but do not gate.
     const struct {
         OpClass op;

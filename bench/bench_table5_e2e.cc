@@ -22,7 +22,7 @@ Cell(const EngineResult& result)
 
 /** Decode-placement METRIC row: where llm.npu decodes and how fast. The
  *  values are simulator outputs (host-independent), so CI band-checks them
- *  against the committed baseline (cmake/check_bench_metrics.cmake). */
+ *  against the committed baseline (bench/check_bench_metrics). */
 void
 EmitDecodePlacementMetric(const std::string& dataset,
                           const std::string& model, const char* placement,
