@@ -20,13 +20,13 @@ NpuShadowExecutor::NpuShadowExecutor(const ModelWeights& weights,
         prepared_[static_cast<size_t>(l)].resize(kNumLinearKinds);
         for (const auto& spec : config.LayerLinears()) {
             PreparedLinear pl;
-            const Tensor& w = weights.Linear(l, spec.kind);
-            // The row-major quantized copy is construction-only scratch:
-            // Forward reads the packed panels and the dequantized floats.
-            const PerColumnWeights npu_weights = QuantizePerColumn(w);
+            // The unpacked f32 matrix and its row-major quantized copy are
+            // construction-only scratch: Forward reads the INT8 panels,
+            // for the NPU term and the shadow term alike.
+            const PerColumnWeights npu_weights =
+                QuantizePerColumn(weights.Linear(l, spec.kind));
             pl.npu_packed =
                 PackWeightsI8(npu_weights.q, npu_weights.scales);
-            pl.w_deq = DequantizePerColumn(npu_weights);
             pl.shadow_enabled =
                 profile.ShadowEnabled(l, spec.kind, pruning_rate);
             pl.is_hot.assign(static_cast<size_t>(spec.k), false);
@@ -97,7 +97,7 @@ NpuShadowExecutor::AddShadowTerm(const PreparedLinear& pl,
             }
         }
     }
-    Tensor y_shadow = MatMulRowSubset(residual, pl.w_deq, extracted);
+    Tensor y_shadow = MatMulRowSubset(residual, pl.npu_packed, extracted);
     // Add into the segment's rows of the stacked output, row-parallel
     // (element-wise, so the split does not change a bit).
     const int64_t n = y.Cols();

@@ -12,6 +12,11 @@
  * over only the channels whose activations exceeded the clip. With the
  * shadow term enabled the outlier channels are computed at float precision;
  * pruned layers simply clip them (the accuracy-speed dial of Figure 16).
+ *
+ * Each linear is resident once, as its packed INT8 panels. The W_deq rows
+ * of the extracted channels, float(q) * scale per column, are dequantized
+ * from those panels on every call (MatMulRowSubset); no float copy of the
+ * weights is held.
  */
 #ifndef LLMNPU_CORE_SHADOW_EXECUTOR_H
 #define LLMNPU_CORE_SHADOW_EXECUTOR_H
@@ -46,7 +51,8 @@ class NpuShadowExecutor : public LinearExecutor
 {
   public:
     /**
-     * @param weights fp32 master weights (quantized per-column at prepare).
+     * @param weights model weights; each linear is unpacked and quantized
+     *        per column here, then held only as INT8 panels.
      * @param profile offline outlier profile (clip scales, hot channels,
      *        importance ranks).
      * @param pruning_rate fraction of least-important linears whose shadow
@@ -75,8 +81,13 @@ class NpuShadowExecutor : public LinearExecutor
 
     double pruning_rate() const { return pruning_rate_; }
 
-    /** Resident shadow weight bytes: f32 rows for hot channels of unpruned
-     *  linears (the Figure 17 "Ours-Outliers" black segment). */
+    /**
+     * The paper's modelled resident shadow-weight size: f32 rows for the
+     * hot channels of unpruned linears (the Figure 17 "Ours-Outliers"
+     * black segment, a hot-row cache). This executor holds no such cache,
+     * since it dequantizes every extracted row from the INT8 panels, so
+     * the value is the model's figure, not an allocation.
+     */
     int64_t ResidentShadowWeightBytes() const;
 
   private:
@@ -89,8 +100,9 @@ class NpuShadowExecutor : public LinearExecutor
                        const Tensor& x_q, int64_t r0, int64_t r1, Tensor& y);
 
     struct PreparedLinear {
-        PackedWeightsI8 npu_packed;  ///< int8 panels + per-column scales
-        Tensor w_deq;                ///< dequantized copy for the shadow term
+        /** int8 panels + per-column scales: the NPU term's weights, and
+         *  the source of the shadow term's dequantized outlier rows. */
+        PackedWeightsI8 npu_packed;
         bool shadow_enabled = false;
         std::vector<bool> is_hot;      ///< per input channel
         int64_t hot_rows = 0;

@@ -35,6 +35,14 @@ enum class LinearKind {
 /** Number of LinearKind values (dense 0..N-1 indexing). */
 constexpr int kNumLinearKinds = static_cast<int>(LinearKind::kFfnDown) + 1;
 
+/** Dense index of a LinearKind in 0..kNumLinearKinds-1 (declaration
+ *  order), for per-kind tables. */
+constexpr int
+LinearKindIndex(LinearKind kind)
+{
+    return static_cast<int>(kind);
+}
+
 /** Human-readable name of a LinearKind ("q_proj", "up_proj", ...). */
 std::string LinearKindName(LinearKind kind);
 

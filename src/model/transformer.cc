@@ -67,8 +67,8 @@ LinearExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
 Tensor
 Fp32LinearExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
 {
-    // Packed panels are built once at load (ModelWeights::PackAllLinears),
-    // so every forward hits the tiled kernel with zero packing cost.
+    // The weights hold every linear as packed panels only, so every
+    // forward hits the tiled kernel with zero packing cost.
     return MatMulF32Packed(x, weights_.PackedLinear(layer, kind));
 }
 
@@ -264,7 +264,7 @@ Transformer::Logits(const Tensor& hidden) const
 {
     // Tied embedding: logits = hidden @ embedding^T, via the packed
     // transposed embedding built at load.
-    return MatMulF32Packed(hidden, weights_.PackedLmHead());
+    return MatMulF32Packed(hidden, weights_.lm_head);
 }
 
 int

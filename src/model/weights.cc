@@ -35,86 +35,22 @@ OnesWithJitter(Rng& rng, int64_t n)
 
 }  // namespace
 
-namespace {
-
-/** Dense index of a LinearKind (enum declaration order). */
-size_t
-KindSlot(LinearKind kind)
-{
-    const auto slot = static_cast<size_t>(kind);
-    LLMNPU_CHECK_LT(slot, static_cast<size_t>(kNumLinearKinds));
-    return slot;
-}
-
-}  // namespace
-
-const Tensor&
-ModelWeights::Linear(int layer, LinearKind kind) const
-{
-    LLMNPU_CHECK_GE(layer, 0);
-    LLMNPU_CHECK_LT(layer, static_cast<int>(layers.size()));
-    const LayerWeights& lw = layers[static_cast<size_t>(layer)];
-    switch (kind) {
-      case LinearKind::kWq: return lw.wq;
-      case LinearKind::kWk: return lw.wk;
-      case LinearKind::kWv: return lw.wv;
-      case LinearKind::kWo: return lw.wo;
-      case LinearKind::kFfnGate:
-        LLMNPU_CHECK(config.gated_ffn);
-        return lw.w_gate;
-      case LinearKind::kFfnUp: return lw.w_up;
-      case LinearKind::kFfnDown: return lw.w_down;
-    }
-    LLMNPU_CHECK(false);
-    return lw.wq;
-}
-
-Tensor&
-ModelWeights::MutableLinear(int layer, LinearKind kind)
-{
-    // The caller may mutate the weights; drop the stale packed panels so
-    // PackedLinear() re-packs on next use.
-    if (static_cast<size_t>(layer) < packed_linears_.size()) {
-        packed_linears_[static_cast<size_t>(layer)][KindSlot(kind)] =
-            PackedWeightsF32{};
-    }
-    return const_cast<Tensor&>(Linear(layer, kind));
-}
-
 const PackedWeightsF32&
 ModelWeights::PackedLinear(int layer, LinearKind kind) const
 {
     LLMNPU_CHECK_GE(layer, 0);
     LLMNPU_CHECK_LT(layer, static_cast<int>(layers.size()));
-    if (packed_linears_.size() != layers.size()) {
-        packed_linears_.assign(
-            layers.size(),
-            std::vector<PackedWeightsF32>(kNumLinearKinds));
-    }
-    PackedWeightsF32& entry =
-        packed_linears_[static_cast<size_t>(layer)][KindSlot(kind)];
-    if (entry.Empty()) entry = PackWeightsF32(Linear(layer, kind));
-    return entry;
+    const PackedWeightsF32& w = layers[static_cast<size_t>(layer)]
+                                    .linears[static_cast<size_t>(
+                                        LinearKindIndex(kind))];
+    LLMNPU_CHECK(!w.Empty());  // kFfnGate of a non-gated FFN
+    return w;
 }
 
-const PackedWeightsF32&
-ModelWeights::PackedLmHead() const
+Tensor
+ModelWeights::Linear(int layer, LinearKind kind) const
 {
-    if (packed_lm_head_.Empty()) {
-        packed_lm_head_ = PackWeightsF32Transposed(embedding);
-    }
-    return packed_lm_head_;
-}
-
-void
-ModelWeights::PackAllLinears()
-{
-    for (int l = 0; l < static_cast<int>(layers.size()); ++l) {
-        for (const auto& spec : config.LayerLinears()) {
-            PackedLinear(l, spec.kind);
-        }
-    }
-    PackedLmHead();
+    return UnpackWeightsF32(PackedLinear(layer, kind));
 }
 
 ModelWeights
@@ -252,25 +188,17 @@ GenerateSyntheticWeights(const ModelConfig& config,
             } else if (spec.kind == LinearKind::kFfnUp) {
                 amplify_columns(w, mw.ffn_hot_channels, 0.04);
             }
-            switch (spec.kind) {
-              case LinearKind::kWq: lw.wq = std::move(w); break;
-              case LinearKind::kWk: lw.wk = std::move(w); break;
-              case LinearKind::kWv: lw.wv = std::move(w); break;
-              case LinearKind::kWo: lw.wo = std::move(w); break;
-              case LinearKind::kFfnGate: lw.w_gate = std::move(w); break;
-              case LinearKind::kFfnUp: lw.w_up = std::move(w); break;
-              case LinearKind::kFfnDown: lw.w_down = std::move(w); break;
-            }
+            // Packed as soon as it exists: the row-major matrix is
+            // generation scratch, never resident.
+            lw.linears[static_cast<size_t>(LinearKindIndex(spec.kind))] =
+                PackWeightsF32(w);
         }
         mw.layers.push_back(std::move(lw));
     }
 
     mw.final_norm_gamma = OnesWithJitter(rng, hidden);
     mw.final_norm_beta = Tensor::Zeros({1, hidden});
-
-    // Pack every linear (and the tied lm_head) once at load so the tiled
-    // kernels never pay a per-forward packing cost.
-    mw.PackAllLinears();
+    mw.lm_head = PackWeightsF32Transposed(mw.embedding);
     return mw;
 }
 

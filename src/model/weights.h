@@ -13,6 +13,7 @@
 #ifndef LLMNPU_MODEL_WEIGHTS_H
 #define LLMNPU_MODEL_WEIGHTS_H
 
+#include <array>
 #include <vector>
 
 #include "src/model/config.h"
@@ -21,15 +22,19 @@
 
 namespace llmnpu {
 
-/** All parameters of one transformer block (f32 master copies). */
+/**
+ * All parameters of one transformer block. Each linear is held once, as
+ * the panel-major packed f32 panels (matmul.h) every CPU forward reads;
+ * no row-major copy outlives weight generation.
+ */
 struct LayerWeights {
     Tensor attn_norm_gamma;
     Tensor attn_norm_beta;  ///< used only with LayerNorm models
-    Tensor wq, wk, wv, wo;  ///< [k x n], y = x @ W
     Tensor ffn_norm_gamma;
     Tensor ffn_norm_beta;
-    Tensor w_gate;  ///< present only for gated FFN models
-    Tensor w_up, w_down;
+    /** Packed [k x n] linears, y = x @ W, indexed by LinearKindIndex; the
+     *  kFfnGate entry is empty for non-gated FFN models. */
+    std::array<PackedWeightsF32, kNumLinearKinds> linears;
 };
 
 /** Options controlling synthetic weight generation. */
@@ -59,39 +64,19 @@ struct ModelWeights {
     /** Hot output columns of w_up (make down_proj inputs outlier-prone). */
     std::vector<int> ffn_hot_channels;
 
-    /** The f32 weight matrix of one linear operator. */
-    const Tensor& Linear(int layer, LinearKind kind) const;
+    /** Packed transpose of `embedding` (the tied lm_head), [hidden x
+     *  vocab]; built with the weights, like every packed linear. */
+    PackedWeightsF32 lm_head;
 
-    /** Mutable access to one linear; invalidates its packed panels. */
-    Tensor& MutableLinear(int layer, LinearKind kind);
-
-    /**
-     * Panel-major packed panels of one linear for the tiled kernels
-     * (matmul.h). GenerateSyntheticWeights packs every linear once at
-     * load; after MutableLinear() mutations the entry is re-packed lazily
-     * on next access. Not thread-safe on a cache miss (pack at setup, not
-     * from inside kernels).
-     */
+    /** The packed panels of one linear; what every CPU forward reads. */
     const PackedWeightsF32& PackedLinear(int layer, LinearKind kind) const;
 
     /**
-     * Packed transposed embedding (the tied lm_head): [hidden x vocab],
-     * cached from the load-time embedding. Like PackedLinear(), the cache
-     * reflects the values at pack time: mutate linears only through
-     * MutableLinear() (which invalidates the panels) and treat the public
-     * `embedding`/`layers` fields as frozen after load — direct writes
-     * bypass invalidation and the packed copies go stale.
+     * The [k x n] row-major f32 matrix of one linear, unpacked by value
+     * from its panels (UnpackWeightsF32). Set-up only: the quantizers'
+     * constructors read it once to build their own layouts.
      */
-    const PackedWeightsF32& PackedLmHead() const;
-
-    /** Pre-packs every linear and the lm_head (the load-time pack step). */
-    void PackAllLinears();
-
-  private:
-    /** Packed panels per layer, indexed by LinearKind order; empty entries
-     *  are re-packed on demand. */
-    mutable std::vector<std::vector<PackedWeightsF32>> packed_linears_;
-    mutable PackedWeightsF32 packed_lm_head_;
+    Tensor Linear(int layer, LinearKind kind) const;
 };
 
 /** Generates deterministic synthetic weights for `config`. */

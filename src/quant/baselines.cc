@@ -63,16 +63,17 @@ MedianOf(std::vector<float> v)
 // --------------------------------------------------------------------------
 
 PerTensorExecutor::PerTensorExecutor(const ModelWeights& weights)
-    : weights_(weights)
 {
     const auto& config = weights.config;
     q_.resize(static_cast<size_t>(config.num_layers));
     for (int l = 0; l < config.num_layers; ++l) {
-        q_[static_cast<size_t>(l)].resize(7);
+        q_[static_cast<size_t>(l)].resize(kNumLinearKinds);
         for (const auto& spec : config.LayerLinears()) {
+            const PerColumnWeights pc =
+                QuantizePerColumn(weights.Linear(l, spec.kind));
             q_[static_cast<size_t>(l)]
               [static_cast<size_t>(LinearKindIndex(spec.kind))] =
-                QuantizePerColumn(weights.Linear(l, spec.kind));
+                PackWeightsI8(pc.q, pc.scales);
         }
     }
 }
@@ -84,7 +85,7 @@ PerTensorExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
     Tensor x_q = QuantizeSymmetric(x, params);
     const auto& w = q_[static_cast<size_t>(layer)]
                       [static_cast<size_t>(LinearKindIndex(kind))];
-    return MatMulW8A8PerTensor(x_q, params.scale, w.q, w.scales);
+    return MatMulW8A8PerTensorPacked(x_q, params.scale, w);
 }
 
 // --------------------------------------------------------------------------
@@ -92,12 +93,12 @@ PerTensorExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
 // --------------------------------------------------------------------------
 
 KQuantExecutor::KQuantExecutor(const ModelWeights& weights, int group_size)
-    : weights_(weights), group_size_(group_size)
+    : group_size_(group_size)
 {
     const auto& config = weights.config;
     q_.resize(static_cast<size_t>(config.num_layers));
     for (int l = 0; l < config.num_layers; ++l) {
-        q_[static_cast<size_t>(l)].resize(7);
+        q_[static_cast<size_t>(l)].resize(kNumLinearKinds);
         for (const auto& spec : config.LayerLinears()) {
             q_[static_cast<size_t>(l)]
               [static_cast<size_t>(LinearKindIndex(spec.kind))] =
@@ -131,14 +132,12 @@ KQuantExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
 AwqExecutor::AwqExecutor(const ModelWeights& weights,
                          const CalibrationData& calib, int group_size,
                          double alpha)
-    : weights_(weights)
 {
     const auto& config = weights.config;
     w_eff_.resize(static_cast<size_t>(config.num_layers));
     for (int l = 0; l < config.num_layers; ++l) {
-        w_eff_[static_cast<size_t>(l)].resize(7);
+        w_eff_[static_cast<size_t>(l)].resize(kNumLinearKinds);
         for (const auto& spec : config.LayerLinears()) {
-            const Tensor& w = weights.Linear(l, spec.kind);
             const auto& stats = calib.Stats(l, spec.kind);
             LLMNPU_CHECK_EQ(stats.channel_mean_abs.size(),
                             static_cast<size_t>(spec.k));
@@ -160,7 +159,7 @@ AwqExecutor::AwqExecutor(const ModelWeights& weights,
 
             // Scale weight rows, quantize per group, unscale: rows carrying
             // salient activations get finer effective resolution.
-            Tensor w_scaled = w;
+            Tensor w_scaled = weights.Linear(l, spec.kind);
             float* pw = w_scaled.Data<float>();
             for (int64_t kk = 0; kk < spec.k; ++kk) {
                 for (int64_t c = 0; c < spec.n; ++c) {
@@ -179,7 +178,7 @@ AwqExecutor::AwqExecutor(const ModelWeights& weights,
             }
             w_eff_[static_cast<size_t>(l)]
                   [static_cast<size_t>(LinearKindIndex(spec.kind))] =
-                std::move(w_deq);
+                PackWeightsF32(w_deq);
         }
     }
 }
@@ -187,8 +186,9 @@ AwqExecutor::AwqExecutor(const ModelWeights& weights,
 Tensor
 AwqExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
 {
-    return MatMulF32(x, w_eff_[static_cast<size_t>(layer)]
-                              [static_cast<size_t>(LinearKindIndex(kind))]);
+    return MatMulF32Packed(x, w_eff_[static_cast<size_t>(layer)]
+                                    [static_cast<size_t>(
+                                        LinearKindIndex(kind))]);
 }
 
 Tensor
@@ -212,14 +212,13 @@ SmoothQuantExecutor::SmoothQuantExecutor(const ModelWeights& weights,
     const auto& config = weights.config;
     q_.resize(static_cast<size_t>(config.num_layers));
     for (int l = 0; l < config.num_layers; ++l) {
-        q_[static_cast<size_t>(l)].resize(7);
+        q_[static_cast<size_t>(l)].resize(kNumLinearKinds);
         for (const auto& spec : config.LayerLinears()) {
-            const Tensor& w = weights.Linear(l, spec.kind);
+            Tensor w_smooth = weights.Linear(l, spec.kind);
             const auto& stats = calib.Stats(l, spec.kind);
 
             SmoothedLinear sl;
             sl.inv_smooth.resize(static_cast<size_t>(spec.k));
-            Tensor w_smooth = w;
             float* pw = w_smooth.Data<float>();
             float smoothed_absmax = 0.0f;
             for (int64_t kk = 0; kk < spec.k; ++kk) {
@@ -242,7 +241,8 @@ SmoothQuantExecutor::SmoothQuantExecutor(const ModelWeights& weights,
                 }
                 smoothed_absmax = std::max(smoothed_absmax, x_absmax / s);
             }
-            sl.weights = QuantizePerColumn(w_smooth);
+            const PerColumnWeights pc = QuantizePerColumn(w_smooth);
+            sl.weights = PackWeightsI8(pc.q, pc.scales);
             // Static per-tensor activation scale, profiled offline — this
             // (plus outlier migration into weights) is SmoothQuant's
             // accuracy weakness the paper measures in Table 6.
@@ -272,8 +272,7 @@ SmoothQuantExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
     }
     QuantParams params{sl.static_act_scale};
     Tensor x_q = QuantizeSymmetric(x_smooth, params);
-    return MatMulW8A8PerTensor(x_q, params.scale, sl.weights.q,
-                               sl.weights.scales);
+    return MatMulW8A8PerTensorPacked(x_q, params.scale, sl.weights);
 }
 
 Tensor
@@ -293,14 +292,13 @@ SmoothQuantExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
 LlmInt8Executor::LlmInt8Executor(const ModelWeights& weights,
                                  const CalibrationData& calib,
                                  double outlier_threshold)
-    : weights_(weights)
 {
     const auto& config = weights.config;
     q_.resize(static_cast<size_t>(config.num_layers));
     for (int l = 0; l < config.num_layers; ++l) {
-        q_[static_cast<size_t>(l)].resize(7);
+        q_[static_cast<size_t>(l)].resize(kNumLinearKinds);
         for (const auto& spec : config.LayerLinears()) {
-            const Tensor& w = weights.Linear(l, spec.kind);
+            const Tensor w = weights.Linear(l, spec.kind);
             const auto& stats = calib.Stats(l, spec.kind);
 
             DecomposedLinear dl;

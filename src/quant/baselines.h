@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/quant/calibration.h"
+#include "src/tensor/matmul.h"
 #include "src/tensor/quantize.h"
 
 namespace llmnpu {
@@ -38,8 +39,8 @@ class PerTensorExecutor : public LinearExecutor
     std::string Name() const override { return "PerTensor-W8A8"; }
 
   private:
-    const ModelWeights& weights_;
-    std::vector<std::vector<PerColumnWeights>> q_;  // [layer][kind]
+    /** Per-column int8 weights, packed once at construction. */
+    std::vector<std::vector<PackedWeightsI8>> q_;  // [layer][kind]
 };
 
 /**
@@ -61,7 +62,6 @@ class KQuantExecutor : public LinearExecutor
     int group_size() const { return group_size_; }
 
   private:
-    const ModelWeights& weights_;
     int group_size_;
     std::vector<std::vector<PerGroupWeights>> q_;  // [layer][kind]
 };
@@ -84,9 +84,8 @@ class AwqExecutor : public LinearExecutor
     std::string Name() const override { return "AWQ"; }
 
   private:
-    const ModelWeights& weights_;
-    /** Effective dequantized weights after scale/quant/unscale. */
-    std::vector<std::vector<Tensor>> w_eff_;  // [layer][kind]
+    /** Effective dequantized weights after scale/quant/unscale, packed. */
+    std::vector<std::vector<PackedWeightsF32>> w_eff_;  // [layer][kind]
 };
 
 /**
@@ -110,7 +109,7 @@ class SmoothQuantExecutor : public LinearExecutor
   private:
     struct SmoothedLinear {
         std::vector<float> inv_smooth;  ///< 1/s_k applied to activations
-        PerColumnWeights weights;       ///< quantized smoothed weights
+        PackedWeightsI8 weights;        ///< quantized smoothed weights
         float static_act_scale = 1.0f;  ///< offline-profiled per-tensor scale
     };
     std::vector<std::vector<SmoothedLinear>> q_;  // [layer][kind]
@@ -144,7 +143,6 @@ class LlmInt8Executor : public LinearExecutor
         Tensor w_normal_q;                  ///< int8 [|normal| x N]
         std::vector<float> w_scales;        ///< per column
     };
-    const ModelWeights& weights_;
     std::vector<std::vector<DecomposedLinear>> q_;  // [layer][kind]
 };
 

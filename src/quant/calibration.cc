@@ -7,12 +7,6 @@
 
 namespace llmnpu {
 
-int
-LinearKindIndex(LinearKind kind)
-{
-    return static_cast<int>(kind);
-}
-
 float
 LinearStats::ChannelAbsmaxQuantile(double q) const
 {
@@ -76,7 +70,7 @@ CalibrationData::Collect(const Transformer& model,
     CalibrationData data;
     data.per_layer_.assign(
         static_cast<size_t>(model.config().num_layers),
-        std::vector<LinearStats>(static_cast<size_t>(kNumKinds)));
+        std::vector<LinearStats>(static_cast<size_t>(kNumLinearKinds)));
 
     RecordingExecutor recorder(model.weights(), data);
     for (const auto& tokens : corpus) {

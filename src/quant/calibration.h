@@ -51,12 +51,8 @@ class CalibrationData
     int num_layers() const { return static_cast<int>(per_layer_.size()); }
 
   private:
-    static constexpr int kNumKinds = 7;
     std::vector<std::vector<LinearStats>> per_layer_;  // [layer][kind]
 };
-
-/** Dense index of a LinearKind in 0..6. */
-int LinearKindIndex(LinearKind kind);
 
 }  // namespace llmnpu
 

@@ -650,6 +650,24 @@ PackWeightsF32(const Tensor& w)
     return packed;
 }
 
+Tensor
+UnpackWeightsF32(const PackedWeightsF32& w)
+{
+    const int64_t k = w.k, n = w.n;
+    Tensor out({k, n}, DType::kF32);
+    float* dst = out.Data<float>();
+    for (int64_t p = 0; p < NumPanels(n); ++p) {
+        const int64_t j0 = p * kPanelWidth;
+        const int64_t ncols = std::min<int64_t>(kPanelWidth, n - j0);
+        const float* src = w.data.data() + p * k * kPanelWidth;
+        for (int64_t kk = 0; kk < k; ++kk) {
+            std::copy(src + kk * kPanelWidth, src + kk * kPanelWidth + ncols,
+                      dst + kk * n + j0);
+        }
+    }
+    return out;
+}
+
 PackedWeightsF32
 PackWeightsF32Transposed(const Tensor& w)
 {
@@ -893,31 +911,49 @@ MatMulPerGroup(const Tensor& a, const PerGroupWeights& w)
 }
 
 Tensor
-MatMulRowSubset(const Tensor& a_sub, const Tensor& w,
+MatMulRowSubset(const Tensor& a_sub, const PackedWeightsI8& w,
                 const std::vector<int>& rows)
 {
     LLMNPU_CHECK(a_sub.dtype() == DType::kF32);
-    LLMNPU_CHECK(w.dtype() == DType::kF32);
     LLMNPU_CHECK_EQ(a_sub.Cols(), static_cast<int64_t>(rows.size()));
-    const int64_t m = a_sub.Rows(), n = w.Cols();
+    const int64_t m = a_sub.Rows(), n = w.n;
     const int64_t num_rows = static_cast<int64_t>(rows.size());
     // Validate the subset once, outside the hot loop.
     for (int row : rows) {
         LLMNPU_CHECK_GE(row, 0);
-        LLMNPU_CHECK_LT(row, w.Rows());
+        LLMNPU_CHECK_LT(row, w.k);
+    }
+    // Dequantize just the subset rows, compact [|rows| x N]: byte
+    // 4j + kk % 4 of block kk / 4 of panel p is w[kk][16p + j].
+    const bool uniform = w.scales.size() == 1;
+    std::vector<float> w_sub(static_cast<size_t>(num_rows * n));
+    for (int64_t t = 0; t < num_rows; ++t) {
+        const int64_t kk = rows[static_cast<size_t>(t)];
+        float* dst = w_sub.data() + t * n;
+        for (int64_t p = 0; p < NumPanels(n); ++p) {
+            const int8_t* blk = w.data.data() +
+                                (p * w.Quads() + kk / kQuad) * kBlockBytes +
+                                kk % kQuad;
+            const int64_t j0 = p * kPanelWidth;
+            const int64_t ncols = std::min<int64_t>(kPanelWidth, n - j0);
+            for (int64_t j = 0; j < ncols; ++j) {
+                dst[j0 + j] =
+                    static_cast<float>(blk[j * kQuad]) *
+                    w.scales[uniform ? 0 : static_cast<size_t>(j0 + j)];
+            }
+        }
     }
     Tensor c = Tensor::Zeros({m, n});
     const float* pa = a_sub.Data<float>();
-    const float* pw = w.Data<float>();
+    const float* pw = w_sub.data();
     float* pc = c.Data<float>();
-    const int* idx = rows.data();
     RowParallel(m, num_rows * n, [&](int64_t r0, int64_t r1) {
         for (int64_t i = r0; i < r1; ++i) {
             float* __restrict crow = pc + i * n;
             for (int64_t t = 0; t < num_rows; ++t) {
                 const float av = pa[i * num_rows + t];
                 if (av == 0.0f) continue;
-                const float* __restrict wrow = pw + idx[t] * n;
+                const float* __restrict wrow = pw + t * n;
                 for (int64_t j = 0; j < n; ++j) crow[j] += av * wrow[j];
             }
         }

@@ -75,6 +75,9 @@ struct PackedWeightsF32 {
 /** Packs a [K x N] f32 weight matrix into panel-major layout. */
 PackedWeightsF32 PackWeightsF32(const Tensor& w);
 
+/** The [K x N] row-major matrix PackWeightsF32 packed, bit for bit. */
+Tensor UnpackWeightsF32(const PackedWeightsF32& w);
+
 /**
  * Packs the transpose of a [N x K] f32 matrix (e.g. a tied embedding used
  * as lm_head) into the panel-major layout of the implied [K x N] matrix,
@@ -173,15 +176,19 @@ Tensor MatMulPerGroup(const Tensor& a, const PerGroupWeights& w);
 Tensor MatMulPerGroupNaive(const Tensor& a, const PerGroupWeights& w);
 
 /**
- * fp32 matmul restricted to a subset of K rows of the weight matrix:
- * C = A_sub @ W[rows, :], where A_sub is [M x |rows|].
+ * fp32 matmul restricted to a subset of K rows of packed INT8 weights:
+ * C = A_sub @ W_deq[rows, :], where A_sub is [M x |rows|] and
+ * W_deq[k][j] = float(q[k][j]) * scale[j] (uniform or per column; the
+ * expression of DequantizePerColumn).
  *
  * This is the compact-tensor CPU kernel used by shadow outlier execution:
  * the extracted outlier channels form A_sub and `rows` are the matching
- * weight rows. Row indices are validated once up front, outside the hot
- * loop.
+ * weight rows. Only those rows are dequantized, once per call, from the
+ * INT8 panels; no float copy of W is held. Row indices are validated once
+ * up front, outside the hot loop. Each output is a k-ascending chain over
+ * the subset that skips zero activations.
  */
-Tensor MatMulRowSubset(const Tensor& a_sub, const Tensor& w,
+Tensor MatMulRowSubset(const Tensor& a_sub, const PackedWeightsI8& w,
                        const std::vector<int>& rows);
 
 }  // namespace llmnpu

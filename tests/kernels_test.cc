@@ -27,6 +27,7 @@
 #include "src/util/rng.h"
 #include "src/util/threadpool.h"
 #include "tests/support/random.h"
+#include "tests/support/row_subset_reference.h"
 
 namespace llmnpu {
 namespace {
@@ -74,6 +75,37 @@ TEST(KernelEquivalenceTest, F32PackedMatchesUnpacked)
     Tensor b = RandomTensor(rng, {75, 130});
     Tensor via_pack = MatMulF32Packed(a, PackWeightsF32(b));
     EXPECT_LT(MaxAbsDiff(via_pack, MatMulF32Naive(a, b)), 1e-3);
+}
+
+TEST(KernelEquivalenceTest, UnpackInvertsPackBitwise)
+{
+    // n % 16 tails: the zero padding of the last panel must not leak.
+    Rng rng(111);
+    for (int64_t k : {1, 5, 64}) {
+        for (int64_t n : {1, 15, 16, 17, 33, 130}) {
+            Tensor w = RandomTensor(rng, {k, n});
+            EXPECT_TRUE(UnpackWeightsF32(PackWeightsF32(w)).BitEquals(w))
+                << "k=" << k << " n=" << n;
+        }
+    }
+}
+
+TEST(KernelEquivalenceTest, F32MatvecBitwiseMatchesPacked)
+{
+    // MatMulF32 at m = 1 runs a saxpy over the row-major weights instead
+    // of the packed kernel; both are one k-ascending chain per output from
+    // +0, so they agree bit for bit and callers may hold either form.
+    Rng rng(112);
+    for (int64_t k : {1, 7, 100, 256}) {
+        for (int64_t n : {1, 15, 17, 130, 530}) {
+            Tensor a = RandomTensor(rng, {1, k});
+            a.At(0, k / 2) = 0.0f;
+            Tensor b = RandomTensor(rng, {k, n});
+            EXPECT_TRUE(MatMulF32(a, b).BitEquals(
+                MatMulF32Packed(a, PackWeightsF32(b))))
+                << "k=" << k << " n=" << n;
+        }
+    }
 }
 
 TEST(KernelEquivalenceTest, TransposedPackMatchesMaterializedTranspose)
@@ -184,7 +216,7 @@ TEST(KernelEquivalenceTest, RowSubsetMatchesMaskedNaive)
 {
     Rng rng(108);
     Tensor a = RandomTensor(rng, {6, 40});
-    Tensor w = RandomTensor(rng, {40, 33});
+    const PerColumnWeights w = QuantizePerColumn(RandomTensor(rng, {40, 33}));
     const std::vector<int> rows = {0, 3, 17, 39};
     Tensor a_sub({6, 4}, DType::kF32);
     Tensor a_masked = Tensor::Zeros({6, 40});
@@ -194,9 +226,57 @@ TEST(KernelEquivalenceTest, RowSubsetMatchesMaskedNaive)
             a_masked.At(r, rows[i]) = a.At(r, rows[i]);
         }
     }
-    EXPECT_LT(MaxAbsDiff(MatMulRowSubset(a_sub, w, rows),
-                         MatMulF32Naive(a_masked, w)),
-              1e-4);
+    EXPECT_LT(
+        MaxAbsDiff(MatMulRowSubset(a_sub, PackWeightsI8(w.q, w.scales), rows),
+                   MatMulF32Naive(a_masked, DequantizePerColumn(w))),
+        1e-4);
+}
+
+TEST(KernelEquivalenceTest, RowSubsetOnInt8PanelsBitwiseMatchesF32Rows)
+{
+    // The shadow term reads its rows from the INT8 panels; it must equal
+    // the f32 loop over DequantizePerColumn rows it replaced, bit for bit.
+    // Shapes cover k % 4 and n % 16 tails; m = 200 with three rows is
+    // past RowParallel's cutoff, so the row split runs too.
+    Rng rng(113);
+    const std::vector<std::vector<int64_t>> shapes = {
+        {3, 7, 33}, {5, 64, 48}, {4, 10, 17}, {200, 37, 130}, {1, 4, 1}};
+    for (const auto& s : shapes) {
+        const int64_t m = s[0], k = s[1], n = s[2];
+        const PerColumnWeights per_col =
+            QuantizePerColumn(RandomTensor(rng, {k, n}));
+        const std::vector<std::vector<int>> row_sets = {
+            {0},
+            {static_cast<int>(k - 1)},
+            {0, 1, 2 % static_cast<int>(k)},
+            {0, static_cast<int>(k / 2), static_cast<int>(k - 1)},
+        };
+        for (const auto& rows : row_sets) {
+            const int64_t nr = static_cast<int64_t>(rows.size());
+            Tensor a_sub = RandomTensor(rng, {m, nr});
+            for (int64_t r = 0; r < m; r += 3) a_sub.At(r, r % nr) = 0.0f;
+            for (int64_t r = 0; r < m; ++r) a_sub.At(r, nr - 1) = 0.0f;
+            a_sub.At(0, 0) = 1.5f;  // some row keeps a non-zero entry
+            for (bool uniform : {false, true}) {
+                // Uniform: one packed scale; the reference repeats it per
+                // column, the form DequantizePerColumn takes.
+                PerColumnWeights w = per_col;
+                if (uniform) w.scales.assign(static_cast<size_t>(n), 0.0123f);
+                const PackedWeightsI8 packed = PackWeightsI8(
+                    w.q, uniform ? std::vector<float>{0.0123f} : w.scales);
+                const Tensor ref =
+                    ReferenceRowSubset(a_sub, DequantizePerColumn(w), rows);
+                for (int threads : {1, 2, 4}) {
+                    ScopedNumThreads t(threads);
+                    EXPECT_TRUE(
+                        MatMulRowSubset(a_sub, packed, rows).BitEquals(ref))
+                        << "m=" << m << " k=" << k << " n=" << n
+                        << " rows=" << nr << " uniform=" << uniform
+                        << " at " << threads << " threads";
+                }
+            }
+        }
+    }
 }
 
 // --------------------------------------------------------- determinism

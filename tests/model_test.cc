@@ -108,7 +108,8 @@ TEST(WeightsTest, DeterministicGeneration)
     ModelWeights a = GenerateSyntheticWeights(config);
     ModelWeights b = GenerateSyntheticWeights(config);
     EXPECT_TRUE(a.embedding.BitEquals(b.embedding));
-    EXPECT_TRUE(a.layers[0].wq.BitEquals(b.layers[0].wq));
+    EXPECT_TRUE(a.Linear(0, LinearKind::kWq)
+                    .BitEquals(b.Linear(0, LinearKind::kWq)));
     EXPECT_EQ(a.hot_channels, b.hot_channels);
 }
 
@@ -152,7 +153,7 @@ TEST(WeightsTest, LinearAccessorCoversAllKinds)
     const ModelConfig config = TinyTestConfig();
     ModelWeights mw = GenerateSyntheticWeights(config);
     for (const auto& spec : config.LayerLinears()) {
-        const Tensor& w = mw.Linear(0, spec.kind);
+        const Tensor w = mw.Linear(0, spec.kind);
         EXPECT_EQ(w.Rows(), spec.k) << LinearKindName(spec.kind);
         EXPECT_EQ(w.Cols(), spec.n) << LinearKindName(spec.kind);
     }

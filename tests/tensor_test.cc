@@ -258,7 +258,7 @@ TEST(MatMulTest, RowSubsetEqualsMaskedMatMul)
 {
     Rng rng(20);
     Tensor a = RandomTensor(rng, {3, 10});
-    Tensor w = RandomTensor(rng, {10, 6});
+    const PerColumnWeights w = QuantizePerColumn(RandomTensor(rng, {10, 6}));
     const std::vector<int> rows = {2, 5, 7};
     // Compact activation = the selected columns of a.
     Tensor a_sub({3, 3}, DType::kF32);
@@ -267,13 +267,13 @@ TEST(MatMulTest, RowSubsetEqualsMaskedMatMul)
             a_sub.At(r, static_cast<int64_t>(i)) = a.At(r, rows[i]);
         }
     }
-    Tensor y = MatMulRowSubset(a_sub, w, rows);
+    Tensor y = MatMulRowSubset(a_sub, PackWeightsI8(w.q, w.scales), rows);
     // Reference: zero out all other channels.
     Tensor a_masked = Tensor::Zeros({3, 10});
     for (int64_t r = 0; r < 3; ++r) {
         for (int row : rows) a_masked.At(r, row) = a.At(r, row);
     }
-    Tensor y_ref = MatMulF32(a_masked, w);
+    Tensor y_ref = MatMulF32(a_masked, DequantizePerColumn(w));
     EXPECT_LT(MaxAbsDiff(y, y_ref), 1e-5);
 }
 
