@@ -16,9 +16,12 @@
  * head_dim alone. A dot takes 8-float chunks alternately into two 8-lane
  * accumulators, reduces the lanes as (i, i+4) -> (i, i+2) -> (0, 1), then
  * adds the head_dim % 8 tail in ascending d; each output element sums its
- * weighted V values in ascending position. No order depends on the page
- * size, where a position sits in its page, how many query rows a tile
- * computes together or the thread count. Output is therefore bitwise
+ * weighted V values in ascending position. The AVX-512 level keeps this
+ * order: its 16-lane accumulator is the [a0 | a1] pair, and it reduces 16
+ * dots at a time with the same three steps (attention_kernel.h explains
+ * why the bits match). No order depends on the page size, where a
+ * position sits in its page, how many query rows a tile computes together,
+ * the kernel level or the thread count. Output is therefore bitwise
  * identical at any thread count and bitwise identical to the
  * per-sequence CausalAttention reference by construction, and the
  * batched-equals-sequential contract extends through this kernel.

@@ -102,7 +102,8 @@ KQuantExecutor::KQuantExecutor(const ModelWeights& weights, int group_size)
         for (const auto& spec : config.LayerLinears()) {
             q_[static_cast<size_t>(l)]
               [static_cast<size_t>(LinearKindIndex(spec.kind))] =
-                QuantizePerGroup(weights.Linear(l, spec.kind), group_size_);
+                PackPerGroupWeights(QuantizePerGroup(
+                    weights.Linear(l, spec.kind), group_size_));
         }
     }
 }
@@ -112,7 +113,7 @@ KQuantExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
 {
     const auto& w = q_[static_cast<size_t>(layer)]
                       [static_cast<size_t>(LinearKindIndex(kind))];
-    return MatMulPerGroup(x, w);
+    return MatMulPerGroupPacked(x, w);
 }
 
 Tensor
@@ -312,11 +313,10 @@ LlmInt8Executor::LlmInt8Executor(const ModelWeights& weights,
                     dl.normal_channels.push_back(static_cast<int>(kk));
                 }
             }
-            dl.w_outlier = GatherRows(w, dl.outlier_channels);
+            dl.w_outlier = PackWeightsF32(GatherRows(w, dl.outlier_channels));
             PerColumnWeights pc =
                 QuantizePerColumn(GatherRows(w, dl.normal_channels));
-            dl.w_normal_q = std::move(pc.q);
-            dl.w_scales = std::move(pc.scales);
+            dl.w_normal = PackWeightsI8(pc.q, std::move(pc.scales));
             q_[static_cast<size_t>(l)]
               [static_cast<size_t>(LinearKindIndex(spec.kind))] =
                 std::move(dl);
@@ -361,12 +361,12 @@ LlmInt8Executor::Forward(int layer, LinearKind kind, const Tensor& x)
             }
         }
     }
-    Tensor y = MatMulW8A8RowCol(x_q, row_scales, dl.w_normal_q, dl.w_scales);
+    Tensor y = MatMulW8A8RowColPacked(x_q, row_scales, dl.w_normal);
 
     // Outlier channels: float path.
     if (!dl.outlier_channels.empty()) {
         Tensor x_out = GatherColumns(x, dl.outlier_channels);
-        Tensor y_out = MatMulF32(x_out, dl.w_outlier);
+        Tensor y_out = MatMulF32Packed(x_out, dl.w_outlier);
         AddInPlace(y, y_out);
     }
     return y;

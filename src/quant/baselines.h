@@ -63,7 +63,8 @@ class KQuantExecutor : public LinearExecutor
 
   private:
     int group_size_;
-    std::vector<std::vector<PerGroupWeights>> q_;  // [layer][kind]
+    /** Per-group int8 weights, packed once at construction. */
+    std::vector<std::vector<PackedPerGroupWeights>> q_;  // [layer][kind]
 };
 
 /**
@@ -139,9 +140,8 @@ class LlmInt8Executor : public LinearExecutor
     struct DecomposedLinear {
         std::vector<int> outlier_channels;  ///< fp path (ascending)
         std::vector<int> normal_channels;   ///< int8 path (ascending)
-        Tensor w_outlier;                   ///< f32 [|outlier| x N]
-        Tensor w_normal_q;                  ///< int8 [|normal| x N]
-        std::vector<float> w_scales;        ///< per column
+        PackedWeightsF32 w_outlier;         ///< f32 [|outlier| x N]
+        PackedWeightsI8 w_normal;  ///< int8 [|normal| x N], column scales
     };
     std::vector<std::vector<DecomposedLinear>> q_;  // [layer][kind]
 };

@@ -20,6 +20,19 @@
  * depends on the page size, a position's place within its page, the
  * number of query rows computed together or the thread count, so the
  * dense and paged paths agree bit for bit by construction.
+ *
+ * Both primitives have an AVX-512 level (kernel_isa.h) with the same
+ * order. A 16-lane load at offset d holds chunk d/8 in its low half and
+ * chunk d/8 + 1 in its high half, so one 16-lane accumulator is [a0 | a1]
+ * lane for lane, each chunk entering with the same multiply-add; the odd
+ * last chunk is added to the low half only. Its low + high half is
+ * s = a0 + a1. The scores primitive then reduces up to 16 dots (4 query
+ * rows x 4 keys for prefill, 16 keys for a decode row) together: four
+ * permute-and-add levels whose sums are, per dot, exactly a0 + a1, then
+ * (i, i+4), then (i, i+2), then (0, 1). Float addition is commutative, and
+ * every sum adds the same two partial sums as above, so each dot rounds
+ * identically; the tail stays scalar. The accumulate runs 16 columns per
+ * vector, still one chain over j ascending per element.
  */
 #ifndef LLMNPU_TENSOR_ATTENTION_KERNEL_H
 #define LLMNPU_TENSOR_ATTENTION_KERNEL_H

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tiled, multi-threaded numeric-plane kernels: the public MatMul* entry
- * points of matmul.h, the explicit-level INT8 entry points of
- * kernel_isa.h, and QuantizePerTensorI8.
+ * points of matmul.h, the explicit-level entry points of kernel_isa.h,
+ * and QuantizePerTensorI8.
  *
  * Structure, for every kernel:
  *
@@ -18,22 +18,31 @@
  *    is computed entirely by one thread with a fixed K-ascending
  *    accumulation order, so results do not depend on the thread count or
  *    the split (bitwise, for f32 and INT8 alike).
- *  - The INT8 micro-kernel has three levels, each a plain or
- *    `target`-attributed function of this TU: AVX-512-VNNI, AVX2, scalar.
- *    SelectedKernelIsa() picks one once, from __builtin_cpu_supports; the
- *    tile loops are templates over the level. Each participant first copies
- *    its activation rows into a zero-padded scratch in the level's encoding
- *    (u8 x ^ 0x80 for VNNI), so the 4-byte quad loads never read past a
- *    row and a zero byte contributes nothing at any level.
+ *  - SelectedKernelIsa() picks a level once, from __builtin_cpu_supports,
+ *    for the INT8 and the float kernels alike; each level is a plain or
+ *    `target`-attributed function of this TU, and the tile loops are
+ *    templates over the level.
+ *  - The INT8 micro-kernel has three levels: AVX-512-VNNI, AVX2, scalar.
+ *    Each participant first copies its activation rows into a zero-padded
+ *    scratch in the level's encoding (u8 x ^ 0x80 for VNNI), so the 4-byte
+ *    quad loads never read past a row and a zero byte contributes nothing
+ *    at any level.
+ *  - The f32 matmul and the attention primitives have the code this TU is
+ *    compiled for (AVX2 + FMA with LLMNPU_KERNEL_SIMD) and, where that
+ *    code has FMA, an AVX-512 level: 16 rows x one panel of zmm
+ *    accumulators for the matmul, 16-lane vectors for attention. It runs
+ *    the AVX2 code's multiply-adds, as the same `acc += a * b`
+ *    expressions, in the same order, and reduces lanes with the same tree,
+ *    so the two levels agree bit for bit (kernel_isa.h).
  *
  * The attention inner loops (CausalAttentionHead, attention_kernel.h) live
  * here too, so the dense and paged attention paths share one vectorized
  * implementation.
  *
  * This file may be compiled with target SIMD flags (see LLMNPU_KERNEL_SIMD
- * in CMakeLists.txt) for the f32 and quantize paths; the INT8 levels need
- * no flags. The reference kernels in matmul.cc keep the portable default
- * flags and serve as the equivalence oracle.
+ * in CMakeLists.txt) for the f32 and quantize paths; the INT8 and AVX-512
+ * levels need no flags. The reference kernels in matmul.cc keep the
+ * portable default flags and serve as the equivalence oracle.
  */
 #include <algorithm>
 #include <cmath>
@@ -44,6 +53,17 @@
 #if defined(__x86_64__) || defined(__i386__)
 #define LLMNPU_X86 1
 #include <immintrin.h>
+#endif
+
+#if defined(LLMNPU_X86) && defined(__FMA__)
+/**
+ * The AVX-512 float level is written with the `acc += a * b` expressions
+ * of the compiled float code, so the compiler treats both alike: fused
+ * into FMAs in an optimized build, rounded twice where it does not
+ * contract (-O0). It needs FMA in this TU: without it the compiled code
+ * cannot contract, while AVX-512F code always can.
+ */
+#define LLMNPU_F32_AVX512 1
 #endif
 
 #include "src/obs/trace.h"
@@ -235,6 +255,103 @@ TiledF32(const float* a, int64_t lda, const PackedWeightsF32& w, float* c,
             p0, p1, [&](int64_t p, auto panels) { run(r, rows, p, panels); });
     });
 }
+
+#ifdef LLMNPU_F32_AVX512
+/** Rows of A per AVX-512 f32 micro-kernel call: one zmm accumulator each,
+ *  so an m = 16 decode step streams every weight panel once. */
+constexpr int kWideRows = 16;
+
+/** Fewest rows the AVX-512 f32 kernel takes in one block. Fewer rows keep
+ *  too few chains in flight on one panel; they run the AVX2 kernel, whose
+ *  small blocks span several panels. */
+constexpr int kWideMinRows = 4;
+
+/** Panel rows (one 64-byte k row each) the AVX-512 f32 kernel prefetches
+ *  ahead of its loads, within the panel. */
+constexpr int64_t kPrefetchRows = 32;
+
+/**
+ * AVX-512 f32 micro-kernel: MR rows x one packed panel, one zmm
+ * accumulator per row. `at` holds the block's activations k-major
+ * (at[kk * MR + r] = A[r][kk]), so every broadcast comes from one stream.
+ * Each product enters its element's chain k ascending through the same
+ * `acc += av * b` as MicroKernelF32, so both levels produce the same
+ * bits.
+ */
+template <int MR>
+__attribute__((target("avx512f"))) void
+MicroKernelF32Avx512(const float* __restrict at, const float* __restrict bp,
+                     int64_t k, float* __restrict c, int64_t ldc,
+                     int64_t ncols)
+{
+    __m512 acc[MR];
+#pragma GCC unroll 16
+    for (int r = 0; r < MR; ++r) acc[r] = _mm512_setzero_ps();
+    for (int64_t kk = 0; kk < k; ++kk) {
+        _mm_prefetch(reinterpret_cast<const char*>(
+                         bp + std::min(kk + kPrefetchRows, k - 1) *
+                                  kPanelWidth),
+                     _MM_HINT_T0);
+        const __m512 b = _mm512_loadu_ps(bp + kk * kPanelWidth);
+        const float* ak = at + kk * MR;
+#pragma GCC unroll 16
+        for (int r = 0; r < MR; ++r) {
+            acc[r] += _mm512_set1_ps(ak[r]) * b;
+        }
+    }
+    const __mmask16 mask = static_cast<__mmask16>((1u << ncols) - 1);
+#pragma GCC unroll 16
+    for (int r = 0; r < MR; ++r) {
+        _mm512_mask_storeu_ps(c + r * ldc, mask, acc[r]);
+    }
+}
+
+/** MicroKernelF32Avx512<rows>, for kWideMinRows <= rows <= MR. */
+template <int MR>
+void
+WideBlockF32(int64_t rows, const float* at, const float* bp, int64_t k,
+             float* c, int64_t ldc, int64_t ncols)
+{
+    if (rows == MR) {
+        MicroKernelF32Avx512<MR>(at, bp, k, c, ldc, ncols);
+    } else if constexpr (MR > kWideMinRows) {
+        WideBlockF32<MR - 1>(rows, at, bp, k, c, ldc, ncols);
+    }
+}
+
+/**
+ * TiledF32 at the AVX-512 level: rows [r0, r1) in blocks of kWideRows and
+ * one last block of what remains. Each block is transposed k-major into a
+ * small scratch, then runs against every panel of [p0, p1). A last block
+ * of fewer than kWideMinRows rows (a whole decode matvec among them) runs
+ * TiledF32.
+ */
+void
+TiledF32Avx512(const float* a, int64_t lda, const PackedWeightsF32& w,
+               float* c, int64_t r0, int64_t r1, int64_t p0, int64_t p1)
+{
+    const int64_t k = w.k, n = w.n;
+    const int64_t tail = (r1 - r0) % kWideRows;
+    const int64_t wide_end = tail >= kWideMinRows ? r1 : r1 - tail;
+    std::vector<float> at(wide_end > r0 ? static_cast<size_t>(kWideRows * k)
+                                        : 0);
+    for (int64_t b0 = r0; b0 < wide_end; b0 += kWideRows) {
+        const int64_t rows = std::min<int64_t>(kWideRows, wide_end - b0);
+        for (int64_t r = 0; r < rows; ++r) {
+            const float* arow = a + (b0 + r) * lda;
+            for (int64_t kk = 0; kk < k; ++kk) at[kk * rows + r] = arow[kk];
+        }
+        for (int64_t p = p0; p < p1; ++p) {
+            const int64_t j0 = p * kPanelWidth;
+            WideBlockF32<kWideRows>(rows, at.data(),
+                                    w.data.data() + p * k * kPanelWidth, k,
+                                    c + b0 * n + j0, n,
+                                    std::min<int64_t>(kPanelWidth, n - j0));
+        }
+    }
+    TiledF32(a, lda, w, c, wide_end, r1, p0, p1);
+}
+#endif
 
 /** q[i] = clamp(nearbyint(x[i] * inv), -127, 127), eight at a time where
  *  the TU has AVX2 (round-to-nearest-even, like nearbyint). */
@@ -494,17 +611,16 @@ TiledI8(const int8_t* a, int64_t lda, const PackedWeightsI8& w, float* c,
  * Per-group tile loop for rows [r0, r1) x panels [p0, p1). Group g's
  * activations sit in their own zero-padded run of whole quads at byte
  * seg[g] of each scratch row, so a group that starts or ends inside a
- * quad sees zeros for its neighbour's k; group_sums[g] holds the matching
- * VNNI column sums.
+ * quad sees zeros for its neighbour's k; w.group_sums[g] holds the
+ * matching VNNI column sums.
  */
 template <KernelIsa kIsa>
 void
-TiledPerGroup(const float* a, const PerGroupWeights& w,
-              const PackedWeightsI8& wp,
-              const std::vector<int32_t>& group_sums, float* c, int64_t r0,
-              int64_t r1, int64_t p0, int64_t p1)
+TiledPerGroup(const float* a, const PackedPerGroupWeights& w, float* c,
+              int64_t r0, int64_t r1, int64_t p0, int64_t p1)
 {
     constexpr int kRows = kI8Rows<kIsa>;
+    const PackedWeightsI8& wp = w.q;
     const int64_t k = wp.k, n = wp.n, quads = wp.Quads();
     const int64_t npad = NumPanels(n) * kPanelWidth;
     const int g_size = w.group_size;
@@ -554,7 +670,8 @@ TiledPerGroup(const float* a, const PerGroupWeights& w,
                 MicroKernelI8<kIsa, mr>(
                     scratch.data() + seg[gi], lds, bp + q0 * kBlockBytes,
                     (seg[gi + 1] - seg[gi]) / kQuad,
-                    group_sums.data() + static_cast<int64_t>(g) * npad + j0,
+                    w.group_sums.data() + static_cast<int64_t>(g) * npad +
+                        j0,
                     acc);
                 for (int rr = 0; rr < mr; ++rr) {
                     const float as =
@@ -623,6 +740,21 @@ SupportedKernelIsas()
         if (isa <= SelectedKernelIsa()) levels.push_back(isa);
     }
     return levels;
+}
+
+KernelIsa
+FloatKernelIsa(KernelIsa isa)
+{
+#ifdef LLMNPU_F32_AVX512
+    if (isa == KernelIsa::kAvx512Vnni) return KernelIsa::kAvx512Vnni;
+#else
+    (void)isa;
+#endif
+#if defined(__AVX2__) && defined(__FMA__)
+    return KernelIsa::kAvx2;
+#else
+    return KernelIsa::kScalar;
+#endif
 }
 
 // ---------------------------------------------------------------- packing
@@ -727,11 +859,31 @@ PackWeightsI8(const Tensor& w_q, std::vector<float> scales)
     return packed;
 }
 
+PackedPerGroupWeights
+PackPerGroupWeights(const PerGroupWeights& w)
+{
+    PackedPerGroupWeights packed;
+    packed.q = PackWeightsI8(w.q, {1.0f});
+    const int64_t k = packed.q.k, n = packed.q.n;
+    const int64_t npad = NumPanels(n) * kPanelWidth;
+    packed.group_sums.assign(static_cast<size_t>(w.num_groups * npad), 0);
+    const int8_t* pw = w.q.Data<int8_t>();
+    for (int64_t kk = 0; kk < k; ++kk) {
+        int32_t* sums = packed.group_sums.data() + kk / w.group_size * npad;
+        for (int64_t j = 0; j < n; ++j) sums[j] += pw[kk * n + j];
+    }
+    packed.scales = w.scales;
+    packed.group_size = w.group_size;
+    packed.num_groups = w.num_groups;
+    return packed;
+}
+
 // ---------------------------------------------------------------- matmuls
 
 Tensor
-MatMulF32Packed(const Tensor& a, const PackedWeightsF32& w)
+MatMulF32PackedAt(KernelIsa isa, const Tensor& a, const PackedWeightsF32& w)
 {
+    LLMNPU_CHECK(isa <= SelectedKernelIsa());
     LLMNPU_CHECK(a.dtype() == DType::kF32);
     LLMNPU_CHECK_EQ(a.Cols(), w.k);
     const int64_t m = a.Rows(), k = w.k, n = w.n;
@@ -739,15 +891,29 @@ MatMulF32Packed(const Tensor& a, const PackedWeightsF32& w)
     Tensor c({m, n}, DType::kF32);
     const float* pa = a.Data<float>();
     float* pc = c.Data<float>();
+    const bool wide = FloatKernelIsa(isa) == KernelIsa::kAvx512Vnni;
     LLMNPU_TRACE_SPAN_TILE("matmul.f32", "kernel", -1, -1, -1, "m",
                            static_cast<int>(m));
     ParallelTiles(m, NumPanels(n), k * n,
                   [&](int64_t r0, int64_t r1, int64_t p0, int64_t p1) {
         LLMNPU_TRACE_SPAN_TILE("matmul.f32.rows", "kernel", -1, -1, -1,
                                "rows", static_cast<int>(r1 - r0));
+#ifdef LLMNPU_F32_AVX512
+        if (wide) {
+            TiledF32Avx512(pa, k, w, pc, r0, r1, p0, p1);
+            return;
+        }
+#endif
         TiledF32(pa, k, w, pc, r0, r1, p0, p1);
     });
+    (void)wide;
     return c;
+}
+
+Tensor
+MatMulF32Packed(const Tensor& a, const PackedWeightsF32& w)
+{
+    return MatMulF32PackedAt(SelectedKernelIsa(), a, w);
 }
 
 Tensor
@@ -826,22 +992,20 @@ MatMulW8A8PerTensor(const Tensor& a_q, float a_scale, const Tensor& w_q,
 }
 
 Tensor
-MatMulW8A8RowColAt(KernelIsa isa, const Tensor& a_q,
-                   const std::vector<float>& a_scales, const Tensor& w_q,
-                   const std::vector<float>& w_scales)
+MatMulW8A8RowColPackedAt(KernelIsa isa, const Tensor& a_q,
+                         const std::vector<float>& a_scales,
+                         const PackedWeightsI8& w)
 {
     LLMNPU_CHECK(a_q.dtype() == DType::kI8);
-    LLMNPU_CHECK(w_q.dtype() == DType::kI8);
-    LLMNPU_CHECK_EQ(a_q.Cols(), w_q.Rows());
-    const int64_t m = a_q.Rows(), k = a_q.Cols(), n = w_q.Cols();
+    LLMNPU_CHECK_EQ(a_q.Cols(), w.k);
+    const int64_t m = a_q.Rows(), k = w.k, n = w.n;
     LLMNPU_CHECK_EQ(a_scales.size(), static_cast<size_t>(m));
-    LLMNPU_CHECK_EQ(w_scales.size(), static_cast<size_t>(n));
-    const PackedWeightsI8 w = PackWeightsI8(w_q, w_scales);
+    LLMNPU_CHECK_EQ(w.scales.size(), static_cast<size_t>(n));
     Tensor c({m, n}, DType::kF32);
     const int8_t* pa = a_q.Data<int8_t>();
     float* pc = c.Data<float>();
     const float* as = a_scales.data();
-    const float* ws = w_scales.data();
+    const float* ws = w.scales.data();
     LLMNPU_TRACE_SPAN_TILE("matmul.w8a8_rowcol", "kernel", -1, -1, -1,
                            "m", static_cast<int>(m));
     WithKernelIsa(isa, [&](auto level) {
@@ -860,33 +1024,29 @@ MatMulW8A8RowColAt(KernelIsa isa, const Tensor& a_q,
 }
 
 Tensor
-MatMulW8A8RowCol(const Tensor& a_q, const std::vector<float>& a_scales,
-                 const Tensor& w_q, const std::vector<float>& w_scales)
+MatMulW8A8RowColPacked(const Tensor& a_q, const std::vector<float>& a_scales,
+                       const PackedWeightsI8& w)
 {
-    return MatMulW8A8RowColAt(SelectedKernelIsa(), a_q, a_scales, w_q,
-                              w_scales);
+    return MatMulW8A8RowColPackedAt(SelectedKernelIsa(), a_q, a_scales, w);
 }
 
 Tensor
-MatMulPerGroupAt(KernelIsa isa, const Tensor& a, const PerGroupWeights& w)
+MatMulW8A8RowCol(const Tensor& a_q, const std::vector<float>& a_scales,
+                 const Tensor& w_q, const std::vector<float>& w_scales)
+{
+    LLMNPU_CHECK(w_q.dtype() == DType::kI8);
+    LLMNPU_CHECK_EQ(w_scales.size(), static_cast<size_t>(w_q.Cols()));
+    return MatMulW8A8RowColPacked(a_q, a_scales,
+                                  PackWeightsI8(w_q, w_scales));
+}
+
+Tensor
+MatMulPerGroupPackedAt(KernelIsa isa, const Tensor& a,
+                       const PackedPerGroupWeights& w)
 {
     LLMNPU_CHECK(a.dtype() == DType::kF32);
-    const int64_t m = a.Rows(), k = a.Cols(), n = w.q.Cols();
-    LLMNPU_CHECK_EQ(k, w.q.Rows());
-
-    // Pack once per call: one byte per weight, amortized over M rows. The
-    // per-group column sums (VNNI's offset terms) come in the same pass
-    // over w.
-    const PackedWeightsI8 wp = PackWeightsI8(w.q, {1.0f});
-    const int64_t npad = NumPanels(n) * kPanelWidth;
-    std::vector<int32_t> group_sums(
-        static_cast<size_t>(w.num_groups * npad), 0);
-    const int8_t* pw = w.q.Data<int8_t>();
-    for (int64_t kk = 0; kk < k; ++kk) {
-        int32_t* sums = group_sums.data() + kk / w.group_size * npad;
-        for (int64_t j = 0; j < n; ++j) sums[j] += pw[kk * n + j];
-    }
-
+    const int64_t m = a.Rows(), k = a.Cols(), n = w.q.n;
+    LLMNPU_CHECK_EQ(k, w.q.k);
     Tensor c({m, n}, DType::kF32);
     const float* pa = a.Data<float>();
     float* pc = c.Data<float>();
@@ -897,17 +1057,22 @@ MatMulPerGroupAt(KernelIsa isa, const Tensor& a, const PerGroupWeights& w)
                       [&](int64_t r0, int64_t r1, int64_t p0, int64_t p1) {
             LLMNPU_TRACE_SPAN_TILE("matmul.pergroup.rows", "kernel", -1, -1,
                                    -1, "rows", static_cast<int>(r1 - r0));
-            TiledPerGroup<decltype(level)::value>(pa, w, wp, group_sums, pc,
-                                                  r0, r1, p0, p1);
+            TiledPerGroup<decltype(level)::value>(pa, w, pc, r0, r1, p0, p1);
         });
     });
     return c;
 }
 
 Tensor
+MatMulPerGroupPacked(const Tensor& a, const PackedPerGroupWeights& w)
+{
+    return MatMulPerGroupPackedAt(SelectedKernelIsa(), a, w);
+}
+
+Tensor
 MatMulPerGroup(const Tensor& a, const PerGroupWeights& w)
 {
-    return MatMulPerGroupAt(SelectedKernelIsa(), a, w);
+    return MatMulPerGroupPacked(a, PackPerGroupWeights(w));
 }
 
 Tensor
@@ -1114,22 +1279,233 @@ AccumulateColumnBlocks(const float* w, int64_t ld, const float* v,
     }
 }
 
+#ifdef LLMNPU_F32_AVX512
+// ---------------------------------------------- attention, AVX-512 level
+//
+// The same two primitives with 16-lane vectors. A zmm load at offset d
+// holds the 8-float chunks d/8 and d/8 + 1: the a0 and the a1 chunk of the
+// AVX2 level. One zmm accumulator [a0 | a1] per dot therefore takes every
+// chunk into the lane the AVX2 level takes it into, with the same
+// multiply-add, and the odd last chunk goes to its low half only (a
+// blend keeps the high half). Its lo + hi is a0 + a1.
+// Four levels of permute-and-add then reduce up to 16 such accumulators at
+// once, each level adding the operand pairs of one step of ReduceLanes:
+// (lo, hi), (i, i + 4), (i, i + 2), (0, 1). The head_dim % 8 tail stays
+// scalar. The accumulate is one FMA chain per output element over j
+// ascending at any vector width.
+
+/** Dots (query rows x keys) one AVX-512 scores block reduces together. */
+constexpr int kWideDots = 16;
+
+/** Permute indices of the four reduction levels: row 2l picks the first
+ *  and row 2l + 1 the second operand of each sum of level l from the 32
+ *  lanes of a vector pair (a, b). */
+alignas(64) constexpr int32_t kReduceIdx[8][16] = {
+    {0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23},
+    {8, 9, 10, 11, 12, 13, 14, 15, 24, 25, 26, 27, 28, 29, 30, 31},
+    {0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27},
+    {4, 5, 6, 7, 12, 13, 14, 15, 20, 21, 22, 23, 28, 29, 30, 31},
+    {0, 1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21, 24, 25, 28, 29},
+    {2, 3, 6, 7, 10, 11, 14, 15, 18, 19, 22, 23, 26, 27, 30, 31},
+    {0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30},
+    {1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31},
+};
+
+/** One reduction level: v[i] = first + second operands picked from the
+ *  pair (v[2i], v[2i + 1]), for the (N + 1) / 2 pairs of N vectors (an
+ *  odd last vector pairs with itself). */
+template <int N>
+__attribute__((target("avx512f"), always_inline)) inline void
+ReduceLevel(__m512* v, int level)
+{
+    const __m512i first = _mm512_load_si512(kReduceIdx[2 * level]);
+    const __m512i second = _mm512_load_si512(kReduceIdx[2 * level + 1]);
+#pragma GCC unroll 8
+    for (int i = 0; i < (N + 1) / 2; ++i) {
+        const __m512 a = v[2 * i];
+        const __m512 b = v[2 * i + 1 < N ? 2 * i + 1 : 2 * i];
+        v[i] = _mm512_add_ps(_mm512_permutex2var_ps(a, first, b),
+                             _mm512_permutex2var_ps(a, second, b));
+    }
+}
+
+/**
+ * R query rows x KB keys of the scores primitive (R * KB <= kWideDots):
+ * accumulator r * KB + j holds dot (r, j), and after the four levels lane
+ * r * KB + j of acc[0] holds its reduced sum.
+ */
+template <int R, int KB>
+__attribute__((target("avx512f"))) void
+ScoresBlockAvx512(const float* q, int64_t q_stride, const float* k,
+                  int64_t stride, int head_dim, float scale, float* scores,
+                  int64_t ld)
+{
+    constexpr int N = R * KB;
+    static_assert(N <= kWideDots, "one reduced vector per block");
+    __m512 acc[N];
+#pragma GCC unroll 16
+    for (int i = 0; i < N; ++i) acc[i] = _mm512_setzero_ps();
+    int d = 0;
+    for (; d + 16 <= head_dim; d += 16) {
+        __m512 qv[R];
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            qv[r] = _mm512_loadu_ps(q + r * q_stride + d);
+        }
+#pragma GCC unroll 16
+        for (int j = 0; j < KB; ++j) {
+            const __m512 kv = _mm512_loadu_ps(k + j * stride + d);
+#pragma GCC unroll 4
+            for (int r = 0; r < R; ++r) {
+                acc[r * KB + j] += qv[r] * kv;
+            }
+        }
+    }
+    if (d + 8 <= head_dim) {
+        const __mmask16 lo = 0x00FF;
+        __m512 qv[R];
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            qv[r] = _mm512_maskz_loadu_ps(lo, q + r * q_stride + d);
+        }
+#pragma GCC unroll 16
+        for (int j = 0; j < KB; ++j) {
+            const __m512 kv = _mm512_maskz_loadu_ps(lo, k + j * stride + d);
+#pragma GCC unroll 4
+            for (int r = 0; r < R; ++r) {
+                acc[r * KB + j] = _mm512_mask_blend_ps(
+                    lo, acc[r * KB + j], acc[r * KB + j] + qv[r] * kv);
+            }
+        }
+        d += 8;
+    }
+    ReduceLevel<N>(acc, 0);
+    ReduceLevel<(N + 1) / 2>(acc, 1);
+    ReduceLevel<(N + 3) / 4>(acc, 2);
+    ReduceLevel<(N + 7) / 8>(acc, 3);
+    alignas(64) float dots[kWideDots];
+    if (d == head_dim) {
+        _mm512_store_ps(dots, _mm512_mul_ps(acc[0], _mm512_set1_ps(scale)));
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            std::memcpy(scores + r * ld, dots + r * KB, KB * sizeof(float));
+        }
+        return;
+    }
+    _mm512_store_ps(dots, acc[0]);
+    for (int r = 0; r < R; ++r) {
+        const float* qr = q + r * q_stride;
+        for (int j = 0; j < KB; ++j) {
+            const float* kj = k + j * stride;
+            float dot = dots[r * KB + j];
+            for (int t = d; t < head_dim; ++t) dot = MulAdd(qr[t], kj[t], dot);
+            scores[r * ld + j] = dot * scale;
+        }
+    }
+}
+
+/** out_r[c] += w_r[j] * v_j[c] over 16*V columns, j ascending. */
+template <int R, int V>
+__attribute__((target("avx512f"))) void
+AccumulateColumnsAvx512(const float* w, int64_t ld, const float* v,
+                        int64_t stride, int64_t n, float* out,
+                        int64_t out_stride)
+{
+    __m512 acc[R][V];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+        for (int c = 0; c < V; ++c) {
+            acc[r][c] = _mm512_loadu_ps(out + r * out_stride + 16 * c);
+        }
+    }
+    for (int64_t j = 0; j < n; ++j, v += stride) {
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            const __m512 wr = _mm512_set1_ps(w[r * ld + j]);
+#pragma GCC unroll 8
+            for (int c = 0; c < V; ++c) {
+                acc[r][c] += wr * _mm512_loadu_ps(v + 16 * c);
+            }
+        }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+        for (int c = 0; c < V; ++c) {
+            _mm512_storeu_ps(out + r * out_stride + 16 * c, acc[r][c]);
+        }
+    }
+}
+
+/** AccumulateColumnBlocks with 16-lane vectors. */
+template <int R, int V>
+void
+AccumulateColumnBlocksAvx512(const float* w, int64_t ld, const float* v,
+                             int64_t stride, int64_t n, int head_dim, int& d,
+                             float* out, int64_t out_stride)
+{
+    for (; d + 16 * V <= head_dim; d += 16 * V) {
+        AccumulateColumnsAvx512<R, V>(w, ld, v + d, stride, n, out + d,
+                                      out_stride);
+    }
+    if constexpr (V > 1) {
+        AccumulateColumnBlocksAvx512<R, V / 2>(w, ld, v, stride, n, head_dim,
+                                               d, out, out_stride);
+    }
+}
+#endif
+
+/**
+ * The scores primitive of level kWide (AVX-512 when true) over a run of n
+ * K rows. The AVX-512 level reduces R rows x kWideDots / R keys at once,
+ * then halves the key block for the run's last keys.
+ */
+template <bool kWide, int R>
+void
+ScoresRun(const float* q, int64_t q_stride, const float* k, int64_t stride,
+          int64_t n, int head_dim, float scale, float* scores, int64_t ld)
+{
+#ifdef LLMNPU_F32_AVX512
+    if constexpr (kWide) {
+        constexpr int kKeys = R == 3 ? 4 : kWideDots / R;
+        ForEachBlock<kKeys>(0, n, [&](int64_t j, auto keys) {
+            ScoresBlockAvx512<R, decltype(keys)::value>(
+                q, q_stride, k + j * stride, stride, head_dim, scale,
+                scores + j, ld);
+        });
+        return;
+    }
+#endif
+    AttentionScoresRun<R>(q, q_stride, k, stride, n, head_dim, scale, scores,
+                          ld);
+}
+
 /**
  * Accumulate primitive: out_r += w_r[j] * v_j for R output rows
  * (out_stride apart) over a run of n V rows (stride apart), j ascending.
  * Column blocks hold about eight vector chains in total, so the j-ordered
- * chains do not leave the FMA units waiting on latency.
+ * chains do not leave the FMA units waiting on latency. The AVX-512 level
+ * covers whole 16-column blocks first; an 8-column chunk left over and the
+ * head_dim % 8 tail run as at the AVX2 level.
  */
-template <int R>
+template <bool kWide, int R>
 void
 AttentionAccumulateRun(const float* w, int64_t ld, const float* v,
                        int64_t stride, int64_t n, int head_dim, float* out,
                        int64_t out_stride)
 {
+    constexpr int kChains = R >= 4 ? 2 : 8 / R;
     int d = 0;
-    AccumulateColumnBlocks<R, (R >= 4 ? 2 : 8 / R)>(w, ld, v, stride, n,
-                                                    head_dim, d, out,
-                                                    out_stride);
+#ifdef LLMNPU_F32_AVX512
+    if constexpr (kWide) {
+        AccumulateColumnBlocksAvx512<R, kChains>(w, ld, v, stride, n,
+                                                 head_dim, d, out,
+                                                 out_stride);
+    }
+#endif
+    AccumulateColumnBlocks<R, kChains>(w, ld, v, stride, n, head_dim, d,
+                                       out, out_stride);
     for (int r = 0; r < R; ++r) {
         const float* wr = w + r * ld;
         float* o = out + r * out_stride;
@@ -1198,7 +1574,7 @@ SoftmaxWeights(float* s, int64_t n)
  * tail on its own. Either way each output element is one j-ascending
  * chain, so the result equals computing the row alone.
  */
-template <int R>
+template <bool kWide, int R>
 void
 AttendRowBlock(const float* q, int64_t q_stride, int64_t visible,
                const KvHeadRows& kv, int head_dim, float scale,
@@ -1206,8 +1582,8 @@ AttendRowBlock(const float* q, int64_t q_stride, int64_t visible,
 {
     ForEachKvRun(kv, 0, visible + R - 1,
                  [&](int64_t j, const float* k, const float*, int64_t len) {
-                     AttentionScoresRun<R>(q, q_stride, k, kv.stride, len,
-                                           head_dim, scale, scores + j, ld);
+                     ScoresRun<kWide, R>(q, q_stride, k, kv.stride, len,
+                                         head_dim, scale, scores + j, ld);
                  });
     for (int r = 0; r < R; ++r) {
         SoftmaxWeights(scores + r * ld, visible + r);
@@ -1216,9 +1592,10 @@ AttendRowBlock(const float* q, int64_t q_stride, int64_t visible,
     }
     ForEachKvRun(kv, 0, visible,
                  [&](int64_t j, const float*, const float* v, int64_t len) {
-                     AttentionAccumulateRun<R>(scores + j, ld, v, kv.stride,
-                                               len, head_dim, out,
-                                               out_stride);
+                     AttentionAccumulateRun<kWide, R>(scores + j, ld, v,
+                                                      kv.stride, len,
+                                                      head_dim, out,
+                                                      out_stride);
                  });
     for (int r = 1; r < R; ++r) {
         float* w = scores + r * ld;
@@ -1226,50 +1603,80 @@ AttendRowBlock(const float* q, int64_t q_stride, int64_t visible,
         ForEachKvRun(
             kv, visible, visible + r,
             [&](int64_t j, const float*, const float* v, int64_t len) {
-                AttentionAccumulateRun<1>(w + j, ld, v, kv.stride, len,
-                                          head_dim, o, out_stride);
+                AttentionAccumulateRun<kWide, 1>(w + j, ld, v, kv.stride,
+                                                 len, head_dim, o,
+                                                 out_stride);
             });
     }
 }
 
-}  // namespace
-
+/** CausalAttentionHead at level kWide: row blocks of kAttnRowBlock, then
+ *  the rows left over as one smaller block. */
+template <bool kWide>
 void
-CausalAttentionHead(const float* q, int64_t q_stride, int64_t rows,
-                    int64_t first_pos, const KvHeadRows& kv, int head_dim,
-                    float* out, int64_t out_stride)
+AttendRows(const float* q, int64_t q_stride, int64_t rows, int64_t first_pos,
+           const KvHeadRows& kv, int head_dim, float* out,
+           int64_t out_stride)
 {
-    if (rows <= 0) return;
-    LLMNPU_CHECK_GT(kv.page_size, 0);
-    LLMNPU_CHECK_GE(first_pos, 0);
     const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
     const int64_t ld = first_pos + rows;
     std::vector<float> scores(
         static_cast<size_t>(std::min<int64_t>(rows, kAttnRowBlock) * ld));
     int64_t r = 0;
     for (; r + kAttnRowBlock <= rows; r += kAttnRowBlock) {
-        AttendRowBlock<kAttnRowBlock>(q + r * q_stride, q_stride,
-                                      first_pos + r + 1, kv, head_dim, scale,
-                                      scores.data(), ld,
-                                      out + r * out_stride, out_stride);
+        AttendRowBlock<kWide, kAttnRowBlock>(
+            q + r * q_stride, q_stride, first_pos + r + 1, kv, head_dim,
+            scale, scores.data(), ld, out + r * out_stride, out_stride);
     }
     const float* qr = q + r * q_stride;
     float* outr = out + r * out_stride;
     switch (rows - r) {
       case 3:
-        AttendRowBlock<3>(qr, q_stride, first_pos + r + 1, kv, head_dim,
-                          scale, scores.data(), ld, outr, out_stride);
+        AttendRowBlock<kWide, 3>(qr, q_stride, first_pos + r + 1, kv,
+                                 head_dim, scale, scores.data(), ld, outr,
+                                 out_stride);
         break;
       case 2:
-        AttendRowBlock<2>(qr, q_stride, first_pos + r + 1, kv, head_dim,
-                          scale, scores.data(), ld, outr, out_stride);
+        AttendRowBlock<kWide, 2>(qr, q_stride, first_pos + r + 1, kv,
+                                 head_dim, scale, scores.data(), ld, outr,
+                                 out_stride);
         break;
       case 1:
-        AttendRowBlock<1>(qr, q_stride, first_pos + r + 1, kv, head_dim,
-                          scale, scores.data(), ld, outr, out_stride);
+        AttendRowBlock<kWide, 1>(qr, q_stride, first_pos + r + 1, kv,
+                                 head_dim, scale, scores.data(), ld, outr,
+                                 out_stride);
         break;
       default: break;
     }
+}
+
+}  // namespace
+
+void
+CausalAttentionHeadAt(KernelIsa isa, const float* q, int64_t q_stride,
+                      int64_t rows, int64_t first_pos, const KvHeadRows& kv,
+                      int head_dim, float* out, int64_t out_stride)
+{
+    LLMNPU_CHECK(isa <= SelectedKernelIsa());
+    if (rows <= 0) return;
+    LLMNPU_CHECK_GT(kv.page_size, 0);
+    LLMNPU_CHECK_GE(first_pos, 0);
+    if (FloatKernelIsa(isa) == KernelIsa::kAvx512Vnni) {
+        AttendRows<true>(q, q_stride, rows, first_pos, kv, head_dim, out,
+                         out_stride);
+    } else {
+        AttendRows<false>(q, q_stride, rows, first_pos, kv, head_dim, out,
+                          out_stride);
+    }
+}
+
+void
+CausalAttentionHead(const float* q, int64_t q_stride, int64_t rows,
+                    int64_t first_pos, const KvHeadRows& kv, int head_dim,
+                    float* out, int64_t out_stride)
+{
+    CausalAttentionHeadAt(SelectedKernelIsa(), q, q_stride, rows, first_pos,
+                          kv, head_dim, out, out_stride);
 }
 
 }  // namespace llmnpu

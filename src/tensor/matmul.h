@@ -39,13 +39,20 @@
  * inside int32; PackWeightsI8 CHECKs the bound. Every level therefore
  * produces the exact int32 dot product, equal to the naive kernel's.
  *
+ * The f32 kernel has the level kernels.cc is compiled for (4 rows x 16
+ * columns of AVX2 accumulators, or 1 row x 4 panels for a matvec) and,
+ * where that build has FMA, an AVX-512 level: up to 16 rows x one panel in
+ * zmm accumulators, so an m = 16 decode step reads each weight panel once.
+ * Rows left over in blocks of fewer than 4, a matvec among them, keep the
+ * AVX2 kernel.
+ *
  * Determinism: every kernel computes each output element on one thread
  * with a fixed K-ascending accumulation order that does not depend on the
  * thread count, the row/panel partition or the ISA level. The INT8 kernels
  * (exact int32 accumulation, scale multiplies only) are bitwise equal to
  * their naive oracles; the f32 kernels are bitwise deterministic across
- * thread counts (each element is one fixed chain), so chunked prefill
- * stays bit-comparable.
+ * thread counts and levels (each element is one fixed chain), so
+ * chunked prefill stays bit-comparable.
  */
 #ifndef LLMNPU_TENSOR_MATMUL_H
 #define LLMNPU_TENSOR_MATMUL_H
@@ -112,6 +119,29 @@ struct PackedWeightsI8 {
  *  the k-quad layout, with their column sums, in one pass. */
 PackedWeightsI8 PackWeightsI8(const Tensor& w_q, std::vector<float> scales);
 
+/**
+ * Per-group weights (PerGroupWeights) re-laid out for the tiled per-group
+ * kernel: the INT8 panels with a uniform scale of 1, the column sums of
+ * each group (the VNNI level's offset terms) and the group scales. Pack
+ * once at load, reuse every forward.
+ */
+struct PackedPerGroupWeights {
+    PackedWeightsI8 q;
+    std::vector<int32_t> group_sums;  ///< [num_groups * panels * kPanelWidth]
+    std::vector<float> scales;        ///< [num_groups * N], scale of (g, n)
+    int group_size = 0;
+    int num_groups = 0;
+
+    float GroupScale(int g, int64_t n) const
+    {
+        return scales[static_cast<size_t>(g) * static_cast<size_t>(q.n) +
+                      static_cast<size_t>(n)];
+    }
+};
+
+/** Packs per-group weights, their group column sums included. */
+PackedPerGroupWeights PackPerGroupWeights(const PerGroupWeights& w);
+
 /** C = A @ B with A [M x K] f32 and B [K x N] f32 (tiled + threaded). */
 Tensor MatMulF32(const Tensor& a, const Tensor& b);
 
@@ -153,6 +183,11 @@ Tensor MatMulW8A8RowCol(const Tensor& a_q, const std::vector<float>& a_scales,
                         const Tensor& w_q,
                         const std::vector<float>& w_scales);
 
+/** MatMulW8A8RowCol against pre-packed weights with per-column scales. */
+Tensor MatMulW8A8RowColPacked(const Tensor& a_q,
+                              const std::vector<float>& a_scales,
+                              const PackedWeightsI8& w);
+
 /** Reference triple-loop vector-wise W8A8 matmul. */
 Tensor MatMulW8A8RowColNaive(const Tensor& a_q,
                              const std::vector<float>& a_scales,
@@ -171,6 +206,9 @@ Tensor MatMulW8A8RowColNaive(const Tensor& a_q,
  * @param w per-group quantized weights [K x N].
  */
 Tensor MatMulPerGroup(const Tensor& a, const PerGroupWeights& w);
+
+/** MatMulPerGroup against pre-packed weights (no per-call packing). */
+Tensor MatMulPerGroupPacked(const Tensor& a, const PackedPerGroupWeights& w);
 
 /** Reference per-group W8A8 matmul. */
 Tensor MatMulPerGroupNaive(const Tensor& a, const PerGroupWeights& w);

@@ -7,12 +7,14 @@
  * exercise every remainder path (row blocks, panel tails, tiny K), and for
  * determinism across thread counts: every kernel must be bitwise identical
  * at 1/2/4 threads. The INT8 kernels are checked at every ISA level the
- * host supports (kernel_isa.h), bitwise against the naive oracles.
+ * host supports (kernel_isa.h), bitwise against the naive oracles, and
+ * the f32 matmul and attention levels bitwise against each other.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -403,8 +405,9 @@ TEST(KernelIsaTest, W8A8RowColBitwiseAtEveryLevel)
         }
         const Tensor naive =
             MatMulW8A8RowColNaive(a_q, a_scales, w_q, w_scales);
+        const PackedWeightsI8 packed = PackWeightsI8(w_q, w_scales);
         for (KernelIsa isa : SupportedKernelIsas()) {
-            EXPECT_TRUE(MatMulW8A8RowColAt(isa, a_q, a_scales, w_q, w_scales)
+            EXPECT_TRUE(MatMulW8A8RowColPackedAt(isa, a_q, a_scales, packed)
                             .BitEquals(naive))
                 << ShapeName(isa, s);
         }
@@ -452,8 +455,9 @@ TEST(KernelIsaTest, PerGroupInt32ExactAtEveryLevel)
             }
         }
         const Tensor naive = MatMulPerGroupNaive(a, pg);
+        const PackedPerGroupWeights packed = PackPerGroupWeights(pg);
         for (KernelIsa isa : SupportedKernelIsas()) {
-            EXPECT_TRUE(MatMulPerGroupAt(isa, a, pg).BitEquals(naive))
+            EXPECT_TRUE(MatMulPerGroupPackedAt(isa, a, packed).BitEquals(naive))
                 << ShapeName(isa, s) << " group=" << group;
         }
     }
@@ -468,14 +472,172 @@ TEST(KernelIsaTest, PerGroupLevelsAgreeBitwise)
         Tensor a = RandomTensor(rng, {s[0], s[1]});
         Tensor w = RandomTensor(rng, {s[1], s[2]});
         const PerGroupWeights pg = QuantizePerGroup(w, group);
-        const Tensor scalar = MatMulPerGroupAt(KernelIsa::kScalar, a, pg);
+        const PackedPerGroupWeights packed = PackPerGroupWeights(pg);
+        const Tensor scalar =
+            MatMulPerGroupPackedAt(KernelIsa::kScalar, a, packed);
         const Tensor naive = MatMulPerGroupNaive(a, pg);
         const double scale =
             std::max(1.0, static_cast<double>(AbsMax(naive)));
         EXPECT_LT(MaxAbsDiff(scalar, naive) / scale, 1e-5);
         for (KernelIsa isa : SupportedKernelIsas()) {
-            EXPECT_TRUE(MatMulPerGroupAt(isa, a, pg).BitEquals(scalar))
+            EXPECT_TRUE(
+                MatMulPerGroupPackedAt(isa, a, packed).BitEquals(scalar))
                 << ShapeName(isa, s) << " group=" << group;
+        }
+    }
+}
+
+TEST(KernelEquivalenceTest, PackedRowColAndPerGroupEqualPerCallPacking)
+{
+    // LLM.Int8() and K-Quant hold their weights packed and call the
+    // *Packed entry points; those must equal the per-call-packing forms
+    // bit for bit, as must LLM.Int8()'s packed float outlier term
+    // (MatMulF32 at m = 1 runs a saxpy instead).
+    Rng rng(118);
+    for (const auto& s : kIsaShapes) {
+        const int64_t m = s[0], k = s[1], n = s[2];
+        Tensor a_q = RandomI8(rng, {m, k});
+        Tensor w_q = RandomI8(rng, {k, n});
+        std::vector<float> a_scales, w_scales;
+        for (int64_t i = 0; i < m; ++i) {
+            a_scales.push_back(0.01f + 0.002f * static_cast<float>(i));
+        }
+        for (int64_t j = 0; j < n; ++j) {
+            w_scales.push_back(0.03f + 0.001f * static_cast<float>(j));
+        }
+        EXPECT_TRUE(MatMulW8A8RowColPacked(a_q, a_scales,
+                                           PackWeightsI8(w_q, w_scales))
+                        .BitEquals(MatMulW8A8RowCol(a_q, a_scales, w_q,
+                                                    w_scales)))
+            << "m=" << m << " k=" << k << " n=" << n;
+        Tensor a = RandomTensor(rng, {m, k});
+        Tensor w = RandomTensor(rng, {k, n});
+        EXPECT_TRUE(MatMulF32Packed(a, PackWeightsF32(w))
+                        .BitEquals(MatMulF32(a, w)))
+            << "m=" << m << " k=" << k << " n=" << n;
+    }
+    for (const auto& [s, group] : kGroupShapes) {
+        Tensor a = RandomTensor(rng, {s[0], s[1]});
+        const PerGroupWeights pg =
+            QuantizePerGroup(RandomTensor(rng, {s[1], s[2]}), group);
+        EXPECT_TRUE(MatMulPerGroupPacked(a, PackPerGroupWeights(pg))
+                        .BitEquals(MatMulPerGroup(a, pg)))
+            << "m=" << s[0] << " k=" << s[1] << " group=" << group;
+    }
+}
+
+// ------------------------------------------------------ float levels
+
+/** Skips a float level test where the host runs one float level only. */
+#define SKIP_UNLESS_TWO_FLOAT_LEVELS()                                      \
+    if (FloatKernelIsa(SelectedKernelIsa()) ==                              \
+        FloatKernelIsa(KernelIsa::kScalar)) {                               \
+        GTEST_SKIP() << "one float level here ("                            \
+                     << KernelIsaName(FloatKernelIsa(SelectedKernelIsa()))  \
+                     << "): the CPU lacks AVX-512 or kernels.cc lacks FMA"; \
+    }
+
+TEST(KernelIsaTest, F32LevelsAgreeBitwise)
+{
+    // Every output element is one k-ascending chain of the same
+    // multiply-adds at either level, fused alike at both by an optimized
+    // build, so the AVX-512 kernel (16-row blocks, AVX2 below 4 rows)
+    // matches the AVX2 kernel bit for bit at every row count, K, panel
+    // tail and thread count.
+    SKIP_UNLESS_TWO_FLOAT_LEVELS();
+    Rng rng(116);
+    for (int64_t m : {1, 2, 3, 5, 8, 15, 16, 17, 37, 64, 256}) {
+        for (const auto& [k, n] : std::vector<std::pair<int64_t, int64_t>>{
+                 {1, 16}, {7, 15}, {33, 130}, {130, 47}, {257, 33}}) {
+            Tensor a = RandomTensor(rng, {m, k});
+            a.At(0, k / 2) = 0.0f;
+            const PackedWeightsF32 w =
+                PackWeightsF32(RandomTensor(rng, {k, n}));
+            Tensor ref;
+            {
+                ScopedNumThreads one(1);
+                ref = MatMulF32PackedAt(KernelIsa::kScalar, a, w);
+            }
+            for (int threads : {1, 2, 4}) {
+                ScopedNumThreads t(threads);
+                for (KernelIsa isa : SupportedKernelIsas()) {
+                    EXPECT_TRUE(MatMulF32PackedAt(isa, a, w).BitEquals(ref))
+                        << ShapeName(isa, {m, k, n}) << " at " << threads
+                        << " threads";
+                }
+            }
+        }
+    }
+}
+
+/** K/V history of one head in pages allocated one by one, so a read past
+ *  a page's last row leaves the allocation. */
+struct PagedHistory {
+    std::vector<std::vector<float>> k_pages, v_pages;
+    std::vector<const float*> k_ptrs, v_ptrs;
+    KvHeadRows rows;
+
+    PagedHistory(Rng& rng, int64_t positions, int64_t page_size,
+                 int64_t stride)
+    {
+        for (int64_t p0 = 0; p0 < positions; p0 += page_size) {
+            for (auto* pages : {&k_pages, &v_pages}) {
+                pages->emplace_back(static_cast<size_t>(page_size * stride));
+                for (float& x : pages->back()) {
+                    x = static_cast<float>(rng.Normal(0.0, 1.0));
+                }
+            }
+            k_ptrs.push_back(k_pages.back().data());
+            v_ptrs.push_back(v_pages.back().data());
+        }
+        rows = {k_ptrs.data(), v_ptrs.data(), page_size, stride};
+    }
+};
+
+TEST(KernelIsaTest, AttentionLevelsAgreeBitwise)
+{
+    // The AVX-512 scores reduce [a0 | a1] accumulators with the tree of
+    // ReduceLanes and the accumulate keeps each element's j chain, so both
+    // levels give the same bits: head_dim % 16 == 8 takes the odd-chunk
+    // path, 36 the scalar tail, rows 1..9 every row block, first_pos a
+    // page boundary and its neighbours, page_size 1 one-key runs.
+    SKIP_UNLESS_TWO_FLOAT_LEVELS();
+    Rng rng(117);
+    std::vector<int64_t> row_counts = {1, 2, 3, 4, 5, 6, 7, 8, 9, 256};
+    for (int head_dim : {8, 24, 36, 40, 64, 80, 128, 256}) {
+        // Two heads per row, so the strides differ from head_dim.
+        const int64_t stride = 2 * head_dim;
+        for (int64_t rows : row_counts) {
+            for (int64_t first_pos : {0, 15, 16, 17, 512}) {
+                for (int64_t page_size : {1, 16}) {
+                    const int64_t positions = first_pos + rows;
+                    PagedHistory kv(rng, positions, page_size, stride);
+                    const Tensor q = RandomTensor(rng, {rows, stride});
+                    Tensor ref({rows, stride}, DType::kF32);
+                    CausalAttentionHeadAt(KernelIsa::kScalar,
+                                          q.Data<float>(), stride, rows,
+                                          first_pos, kv.rows, head_dim,
+                                          ref.Data<float>(), stride);
+                    for (KernelIsa isa : SupportedKernelIsas()) {
+                        Tensor out({rows, stride}, DType::kF32);
+                        CausalAttentionHeadAt(isa, q.Data<float>(), stride,
+                                              rows, first_pos, kv.rows,
+                                              head_dim, out.Data<float>(),
+                                              stride);
+                        bool same = true;
+                        for (int64_t r = 0; r < rows; ++r) {
+                            same = same &&
+                                   std::memcmp(out.Data<float>() + r * stride,
+                                               ref.Data<float>() + r * stride,
+                                               head_dim * sizeof(float)) == 0;
+                        }
+                        EXPECT_TRUE(same)
+                            << KernelIsaName(isa) << " head_dim=" << head_dim
+                            << " rows=" << rows << " first_pos=" << first_pos
+                            << " page_size=" << page_size;
+                    }
+                }
+            }
         }
     }
 }
@@ -530,6 +692,28 @@ TEST(KernelDispatchTest, SelectsTheBestLevelTheCpuReports)
     ASSERT_FALSE(levels.empty());
     EXPECT_EQ(levels.front(), KernelIsa::kScalar);
     EXPECT_EQ(levels.back(), best);
+    std::printf("kernel level: int8 %s, float %s\n",
+                KernelIsaName(SelectedKernelIsa()),
+                KernelIsaName(FloatKernelIsa(SelectedKernelIsa())));
+}
+
+TEST(KernelDispatchTest, Avx512FloatLevelOnlyWhereKernelsHaveFma)
+{
+    // Without FMA the compiled float code rounds every product, so FMA
+    // chains would change the bits: a portable build (LLMNPU_KERNEL_SIMD
+    // OFF) must run its own float code at every level. The witness is a
+    // test file built with the kernels' flags.
+    const bool avx512 = SelectedKernelIsa() == KernelIsa::kAvx512Vnni;
+    EXPECT_EQ(FloatKernelIsa(SelectedKernelIsa()) == KernelIsa::kAvx512Vnni,
+              avx512 && KernelFlagsHaveFma());
+    for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
+        EXPECT_NE(FloatKernelIsa(isa), KernelIsa::kAvx512Vnni)
+            << KernelIsaName(isa);
+    }
+    if (!KernelFlagsHaveFma()) {
+        EXPECT_EQ(FloatKernelIsa(KernelIsa::kAvx512Vnni),
+                  FloatKernelIsa(KernelIsa::kScalar));
+    }
 }
 
 TEST(QuantizePerTensorI8Test, BitwiseEqualsScalarExpression)

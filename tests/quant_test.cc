@@ -11,6 +11,7 @@
 #include "src/quant/calibration.h"
 #include "src/workloads/accuracy.h"
 #include "src/workloads/corpus.h"
+#include "tests/support/random.h"
 #include "tests/support/tiny_model.h"
 
 namespace llmnpu {
@@ -151,6 +152,25 @@ TEST_F(QuantFixture, ExecutorNames)
     EXPECT_EQ(int8.Name(), "LLM.Int8()");
     AwqExecutor awq(*weights_, *calib_);
     EXPECT_EQ(awq.Name(), "AWQ");
+}
+
+TEST_F(QuantFixture, KQuantPackedForwardBitwiseEqualsPerCallPacking)
+{
+    // The executor packs each linear once at construction; its forward
+    // must equal quantizing and packing the same weights on every call.
+    Rng rng(7);
+    KQuantExecutor kquant(*weights_, 32);
+    for (int64_t m : {1, 3, 16}) {
+        for (const auto& spec : config_->LayerLinears()) {
+            for (int l = 0; l < config_->num_layers; ++l) {
+                const Tensor x = RandomTensor(rng, {m, spec.k});
+                const Tensor per_call = MatMulPerGroup(
+                    x, QuantizePerGroup(weights_->Linear(l, spec.kind), 32));
+                EXPECT_TRUE(kquant.Forward(l, spec.kind, x).BitEquals(per_call))
+                    << "layer " << l << " m=" << m;
+            }
+        }
+    }
 }
 
 TEST_F(QuantFixture, KQuantGroupSizeRespected)

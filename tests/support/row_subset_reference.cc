@@ -34,4 +34,14 @@ ReferenceRowSubset(const Tensor& a_sub, const Tensor& w,
     return c;
 }
 
+bool
+KernelFlagsHaveFma()
+{
+#if defined(__FMA__)
+    return true;
+#else
+    return false;
+#endif
+}
+
 }  // namespace llmnpu

@@ -23,6 +23,10 @@ namespace llmnpu {
 Tensor ReferenceRowSubset(const Tensor& a_sub, const Tensor& w,
                           const std::vector<int>& rows);
 
+/** Whether this file, built with the flags of src/tensor/kernels.cc, has
+ *  FMA: the build condition of the AVX-512 float level (kernel_isa.h). */
+bool KernelFlagsHaveFma();
+
 }  // namespace llmnpu
 
 #endif  // LLMNPU_TESTS_SUPPORT_ROW_SUBSET_REFERENCE_H
