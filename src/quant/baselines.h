@@ -141,7 +141,7 @@ class LlmInt8Executor : public LinearExecutor
         std::vector<int> outlier_channels;  ///< fp path (ascending)
         std::vector<int> normal_channels;   ///< int8 path (ascending)
         PackedWeightsF32 w_outlier;         ///< f32 [|outlier| x N]
-        PackedWeightsI8 w_normal;  ///< int8 [|normal| x N], column scales
+        PackedWeightsI8 w_normal;           ///< int8 [|normal| x N]
     };
     std::vector<std::vector<DecomposedLinear>> q_;  // [layer][kind]
 };
