@@ -3,17 +3,14 @@
  * Microbenchmarks of the numeric-plane kernels. These measure *this host's*
  * kernel throughput (the numeric plane), not the simulated phone.
  *
- * Two layers:
- *
- *  1. A hand-rolled sweep that prints "METRIC {json}" rows — GFLOP/s per
- *     kernel x size x thread count, plus the speedup of each tiled kernel
- *     over its naive reference — which bench/run_all captures into
- *     BENCH_results.json so kernel perf is tracked per commit.
- *  2. The google-benchmark suites (kept for interactive use: perf deltas,
- *     --benchmark_filter, counters).
+ * A sweep that prints "METRIC {json}" rows — GFLOP/s per kernel x size x
+ * thread count, plus the speedup of each tiled kernel over its naive
+ * reference — which bench/run_all captures into BENCH_results.json so
+ * kernel perf is tracked per commit. Every tiled kernel runs the entry
+ * point a forward calls, against weights packed once.
  *
  * LLMNPU_BENCH_QUICK=1 (set by `run_all --quick`) shrinks the sweep to one
- * size and skips the google-benchmark pass so CI smoke runs stay fast.
+ * size so CI smoke runs stay fast.
  */
 #include <benchmark/benchmark.h>
 
@@ -21,15 +18,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "src/core/outlier_profile.h"
-#include "src/core/shadow_executor.h"
 #include "src/model/batched_kv_cache.h"
 #include "src/model/paged_attention.h"
 #include "src/tensor/matmul.h"
-#include "src/tensor/ops.h"
 #include "src/util/rng.h"
 #include "src/util/threadpool.h"
 
@@ -123,7 +117,7 @@ EmitW8A8Metrics(const Tensor& a, const Tensor& w,
 }
 
 /**
- * The METRIC sweep: naive vs tiled (and pre-packed) kernels, m=32 prefill
+ * The METRIC sweep: naive vs pre-packed tiled kernels, m=32 prefill
  * chunks, square K=N weights, thread counts 1/2/4; then W8A8 at the
  * benchmark's ui_automation prefill shapes, a 256-row chunk through the
  * proxy model's attention (512 x 512) and FFN (512 x 1376, 1376 x 512)
@@ -144,7 +138,7 @@ EmitKernelMetrics()
         Tensor a = RandomTensor(rng, {kM, n});
         Tensor w = RandomTensor(rng, {n, n});
 
-        // --- f32: naive vs tiled vs pre-packed tiled. ---
+        // --- f32: naive vs pre-packed tiled. ---
         const double f32_naive = MeasureGFlops(kM, n, n, [&] {
             benchmark::DoNotOptimize(MatMulF32Naive(a, w));
         });
@@ -152,11 +146,6 @@ EmitKernelMetrics()
         const PackedWeightsF32 packed = PackWeightsF32(w);
         for (int threads : thread_counts) {
             ScopedNumThreads scoped(threads);
-            const double tiled = MeasureGFlops(kM, n, n, [&] {
-                benchmark::DoNotOptimize(MatMulF32(a, w));
-            });
-            PrintMetric("matmul_f32", "tiled", kM, n, n, threads, tiled,
-                        tiled / f32_naive);
             const double tiled_packed = MeasureGFlops(kM, n, n, [&] {
                 benchmark::DoNotOptimize(MatMulF32Packed(a, packed));
             });
@@ -167,20 +156,22 @@ EmitKernelMetrics()
         // --- W8A8 per-tensor: naive vs pre-packed tiled. ---
         EmitW8A8Metrics(a, w, thread_counts);
 
-        // --- Per-group W8A8 (the NPU-hostile form): naive vs tiled. ---
+        // --- Per-group W8A8 (the NPU-hostile form): naive vs pre-packed
+        // tiled. ---
         PerGroupWeights pg = QuantizePerGroup(w, 32);
         const double pg_naive = MeasureGFlops(kM, n, n, [&] {
             benchmark::DoNotOptimize(MatMulPerGroupNaive(a, pg));
         });
         PrintMetric("matmul_per_group", "naive", kM, n, n, 1, pg_naive,
                     1.0);
+        const PackedPerGroupWeights packed_pg = PackPerGroupWeights(pg);
         for (int threads : thread_counts) {
             ScopedNumThreads scoped(threads);
             const double tiled = MeasureGFlops(kM, n, n, [&] {
-                benchmark::DoNotOptimize(MatMulPerGroup(a, pg));
+                benchmark::DoNotOptimize(MatMulPerGroupPacked(a, packed_pg));
             });
-            PrintMetric("matmul_per_group", "tiled", kM, n, n, threads,
-                        tiled, tiled / pg_naive);
+            PrintMetric("matmul_per_group", "tiled_packed", kM, n, n,
+                        threads, tiled, tiled / pg_naive);
         }
     }
 
@@ -197,20 +188,18 @@ EmitKernelMetrics()
 /**
  * One paged-attention shape: `batch` sequences, each with `history` cached
  * positions plus `q_rows` new rows whose K/V are already appended (decode:
- * q_rows = 1). The per_seq_dense reference materializes each sequence's
- * dense K/V and runs CausalAttention per sequence, single-threaded: what
- * ForwardBatch did before the fused kernel, so the speedup column prices
- * the fusion itself (tile-parallel, page-direct reads, no dense copies).
- * Each (sequence, head) query row r does 4*head_dim flops per visible key
- * (history + r + 1 keys), which MeasureGFlops' 2*m*k*n form matches as
- * m = batch*heads, k = 2*keys, n = head_dim. Rows are keyed
- * (m, k, n) = (metric_m, metric_k, heads*head_dim).
+ * q_rows = 1). Each (sequence, head) query row r does 4*head_dim flops per
+ * visible key (history + r + 1 keys), which MeasureGFlops' 2*m*k*n form
+ * matches as m = batch*heads, k = 2*keys, n = head_dim. Rows are keyed
+ * (m, k, n) = (metric_m, metric_k, heads*head_dim). There is no naive
+ * attention kernel to compare with, so speedup_vs_naive is 1.0, as on the
+ * naive matmul rows.
  */
 void
-EmitPagedAttentionShape(const char* dense_variant, const char* fused_variant,
-                        int64_t metric_m, int64_t metric_k, int batch,
-                        int heads, int head_dim, int64_t history,
-                        int64_t q_rows, const std::vector<int>& thread_counts)
+EmitPagedAttentionShape(const char* variant, int64_t metric_m,
+                        int64_t metric_k, int batch, int heads, int head_dim,
+                        int64_t history, int64_t q_rows,
+                        const std::vector<int>& thread_counts)
 {
     const int64_t model_dim = static_cast<int64_t>(heads) * head_dim;
     Rng rng(0x9a6ed + static_cast<uint64_t>(history + q_rows));
@@ -230,32 +219,23 @@ EmitPagedAttentionShape(const char* dense_variant, const char* fused_variant,
 
     const int64_t keys = q_rows * history + q_rows * (q_rows + 1) / 2;
     const int64_t flop_m = static_cast<int64_t>(batch) * heads;
-    const double per_seq = MeasureGFlops(flop_m, 2 * keys, head_dim, [&] {
-        for (size_t b = 0; b < seqs.size(); ++b) {
-            benchmark::DoNotOptimize(CausalAttention(
-                q.CopyRows(segments[b], q_rows), cache.Keys(seqs[b], 0),
-                cache.Values(seqs[b], 0), heads, heads, history));
-        }
-    });
-    PrintMetric("paged_attention", dense_variant, metric_m, metric_k,
-                model_dim, 1, per_seq, 1.0);
     for (int threads : thread_counts) {
         ScopedNumThreads scoped(threads);
         const double fused = MeasureGFlops(flop_m, 2 * keys, head_dim, [&] {
             benchmark::DoNotOptimize(PagedCausalAttention(
                 q, segments, seqs, pos_offsets, cache, 0, heads, heads));
         });
-        PrintMetric("paged_attention", fused_variant, metric_m, metric_k,
-                    model_dim, threads, fused, fused / per_seq);
+        PrintMetric("paged_attention", variant, metric_m, metric_k,
+                    model_dim, threads, fused, 1.0);
     }
 }
 
 /**
- * Fused paged attention vs the per-sequence path it replaced. A B=16
- * decode step at head_dim 32 over several context lengths, plus two
- * shapes of the benchmark's proxy model (4 heads of head_dim 128): a B=16
- * decode step at context 256, and a 256-row prefill chunk over a
- * 512-position history (keyed m = query rows, k = history).
+ * Fused paged attention: a B=16 decode step at head_dim 32 over several
+ * context lengths, plus two shapes of the benchmark's proxy model (4 heads
+ * of head_dim 128): a B=16 decode step at context 256, and a 256-row
+ * prefill chunk over a 512-position history (keyed m = query rows,
+ * k = history).
  */
 void
 EmitPagedAttentionMetrics()
@@ -267,146 +247,22 @@ EmitPagedAttentionMetrics()
         QuickMode() ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4};
     constexpr int kBatch = 16;
     for (int64_t kv : contexts) {
-        EmitPagedAttentionShape("per_seq_dense", "fused", kBatch, kv, kBatch,
-                                /*heads=*/8, /*head_dim=*/32, kv - 1, 1,
-                                thread_counts);
+        EmitPagedAttentionShape("fused", kBatch, kv, kBatch, /*heads=*/8,
+                                /*head_dim=*/32, kv - 1, 1, thread_counts);
     }
-    EmitPagedAttentionShape("per_seq_dense", "fused", kBatch, 256, kBatch,
-                            /*heads=*/4, /*head_dim=*/128, 255, 1,
-                            thread_counts);
-    EmitPagedAttentionShape("prefill_dense", "prefill_fused", 256, 512, 1,
-                            /*heads=*/4, /*head_dim=*/128, 512, 256,
-                            thread_counts);
+    EmitPagedAttentionShape("fused", kBatch, 256, kBatch, /*heads=*/4,
+                            /*head_dim=*/128, 255, 1, thread_counts);
+    EmitPagedAttentionShape("prefill_fused", 256, 512, 1, /*heads=*/4,
+                            /*head_dim=*/128, 512, 256, thread_counts);
 }
-
-// ----------------------------------------------------- google-benchmark
-
-void
-BM_MatMulF32Naive(benchmark::State& state)
-{
-    const int64_t n = state.range(0);
-    Rng rng(1);
-    Tensor a = RandomTensor(rng, {32, n});
-    Tensor w = RandomTensor(rng, {n, n});
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(MatMulF32Naive(a, w));
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * 32 * n * n);
-}
-BENCHMARK(BM_MatMulF32Naive)->Arg(128)->Arg(256)->Arg(512);
-
-void
-BM_MatMulF32(benchmark::State& state)
-{
-    const int64_t n = state.range(0);
-    Rng rng(1);
-    Tensor a = RandomTensor(rng, {32, n});
-    Tensor w = RandomTensor(rng, {n, n});
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(MatMulF32(a, w));
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * 32 * n * n);
-}
-BENCHMARK(BM_MatMulF32)->Arg(128)->Arg(256)->Arg(512);
-
-void
-BM_MatMulF32Packed(benchmark::State& state)
-{
-    const int64_t n = state.range(0);
-    Rng rng(1);
-    Tensor a = RandomTensor(rng, {32, n});
-    PackedWeightsF32 w = PackWeightsF32(RandomTensor(rng, {n, n}));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(MatMulF32Packed(a, w));
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * 32 * n * n);
-}
-BENCHMARK(BM_MatMulF32Packed)->Arg(128)->Arg(256)->Arg(512);
-
-void
-BM_MatMulW8A8PerTensor(benchmark::State& state)
-{
-    const int64_t n = state.range(0);
-    Rng rng(2);
-    Tensor a = RandomTensor(rng, {32, n});
-    Tensor w = RandomTensor(rng, {n, n});
-    const QuantParams params = ComputeSymmetricScale(a);
-    Tensor a_q = QuantizeSymmetric(a, params);
-    PerColumnWeights wq = QuantizePerColumn(w);
-    PackedWeightsI8 packed = PackWeightsI8(wq.q, wq.scales);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            MatMulW8A8PerTensorPacked(a_q, params.scale, packed));
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * 32 * n * n);
-}
-BENCHMARK(BM_MatMulW8A8PerTensor)->Arg(128)->Arg(256)->Arg(512);
-
-void
-BM_MatMulPerGroup(benchmark::State& state)
-{
-    const int64_t n = state.range(0);
-    Rng rng(3);
-    Tensor a = RandomTensor(rng, {32, n});
-    Tensor w = RandomTensor(rng, {n, n});
-    PerGroupWeights pg = QuantizePerGroup(w, 32);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(MatMulPerGroup(a, pg));
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * 32 * n * n);
-}
-BENCHMARK(BM_MatMulPerGroup)->Arg(128)->Arg(256)->Arg(512);
-
-void
-BM_CausalAttention(benchmark::State& state)
-{
-    const int64_t kv = state.range(0);
-    Rng rng(4);
-    Tensor q = RandomTensor(rng, {32, 256});
-    Tensor k = RandomTensor(rng, {kv, 256});
-    Tensor v = RandomTensor(rng, {kv, 256});
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(CausalAttention(q, k, v, 4, 4, kv - 32));
-    }
-}
-BENCHMARK(BM_CausalAttention)->Arg(64)->Arg(256)->Arg(512);
-
-void
-BM_QuantizeSymmetric(benchmark::State& state)
-{
-    Rng rng(5);
-    Tensor x = RandomTensor(rng, {256, state.range(0)});
-    const QuantParams params = ComputeSymmetricScale(x);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(QuantizeSymmetric(x, params));
-    }
-    state.SetItemsProcessed(state.iterations() * x.NumElements());
-}
-BENCHMARK(BM_QuantizeSymmetric)->Arg(512)->Arg(2048);
 
 }  // namespace
 }  // namespace llmnpu
 
 int
-main(int argc, char** argv)
+main()
 {
-    // Parse flags first so a mistyped flag (or an interactive
-    // --benchmark_filter run) fails fast instead of paying for the full
-    // METRIC sweep.
-    const bool plain_run = argc == 1;
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    // The METRIC sweep is the per-commit record (captured by run_all);
-    // the google-benchmark pass is for interactive use — with benchmark
-    // flags given, run only that pass, and skip it in quick (CI smoke)
-    // runs.
-    if (plain_run) {
-        llmnpu::EmitKernelMetrics();
-        llmnpu::EmitPagedAttentionMetrics();
-    }
-    if (!plain_run || !llmnpu::QuickMode()) {
-        benchmark::RunSpecifiedBenchmarks();
-    }
-    benchmark::Shutdown();
+    llmnpu::EmitKernelMetrics();
+    llmnpu::EmitPagedAttentionMetrics();
     return 0;
 }

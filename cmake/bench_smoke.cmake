@@ -44,7 +44,7 @@ foreach(needle
     "\"name\": \"bench_kernels\""
     "\"bench\": \"kernels\""
     "\"kernel\": \"matmul_f32\""
-    "\"variant\": \"tiled\""
+    "\"variant\": \"tiled_packed\""
     "\"gflops\""
     "\"speedup_vs_naive\""
     "\"name\": \"bench_obs\""

@@ -187,20 +187,4 @@ OutlierProfile::ShadowEnabled(int layer, LinearKind kind,
     return ImportanceRank(layer, kind) < kept;
 }
 
-double
-OutlierProfile::MeanHotChannelFraction() const
-{
-    double sum = 0.0;
-    int count = 0;
-    for (const auto& layer : per_layer_) {
-        for (const auto& profile : layer) {
-            if (profile.exceed_count.empty()) continue;
-            sum += static_cast<double>(profile.hot_channels.size()) /
-                   static_cast<double>(profile.exceed_count.size());
-            ++count;
-        }
-    }
-    return count > 0 ? sum / count : 0.0;
-}
-
 }  // namespace llmnpu

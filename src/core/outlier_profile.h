@@ -91,9 +91,6 @@ class OutlierProfile
 
     int num_layers() const { return static_cast<int>(per_layer_.size()); }
 
-    /** Mean over NPU-relevant linears of hot-channel fraction (memory). */
-    double MeanHotChannelFraction() const;
-
   private:
     std::vector<std::vector<LinearOutlierProfile>> per_layer_;  // [layer][kind]
     std::vector<std::vector<int>> rank_;                        // [layer][kind]

@@ -37,13 +37,6 @@ struct ShadowRuntimeStats {
     int64_t extracted_channels = 0; ///< compact-tensor channels, total
     int64_t hot_hits = 0;           ///< extracted channels in the hot set
     int64_t cold_misses = 0;        ///< extracted channels fetched from disk
-
-    double MeanExtractedPerShadowCall() const
-    {
-        return shadow_calls ? static_cast<double>(extracted_channels) /
-                                  static_cast<double>(shadow_calls)
-                            : 0.0;
-    }
 };
 
 /** The llm.npu linear executor (preparation output of Figure 6). */

@@ -8,10 +8,9 @@
  * persistent ThreadPool. One tile = one (sequence, query head) pair, so B
  * sequences x H heads tiles per call.
  *
- * The arithmetic is CausalAttentionHead (src/tensor/attention_kernel.h),
- * the kernel dense CausalAttention also calls: each tile hands it the
- * sequence's pages as page-contiguous K/V runs, where the dense path hands
- * it one run. Its two primitives, the q.k scores over a run of K rows and
+ * The arithmetic is CausalAttentionHead (src/tensor/attention_kernel.h):
+ * each tile hands it the sequence's pages as page-contiguous K/V runs.
+ * Its two primitives, the q.k scores over a run of K rows and
  * the w.V accumulate over a run of V rows, fix every reduction order by
  * head_dim alone. A dot takes 8-float chunks alternately into two 8-lane
  * accumulators, reduces the lanes as (i, i+4) -> (i, i+2) -> (0, 1), then
@@ -22,9 +21,9 @@
  * why the bits match). No order depends on the page size, where a
  * position sits in its page, how many query rows a tile computes together,
  * the kernel level or the thread count. Output is therefore bitwise
- * identical at any thread count and bitwise identical to the
- * per-sequence CausalAttention reference by construction, and the
- * batched-equals-sequential contract extends through this kernel.
+ * identical at any thread count, at any page size and to each sequence
+ * attended alone, and the batched-equals-sequential contract extends
+ * through this kernel.
  */
 #ifndef LLMNPU_MODEL_PAGED_ATTENTION_H
 #define LLMNPU_MODEL_PAGED_ATTENTION_H

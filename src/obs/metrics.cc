@@ -51,15 +51,6 @@ MetricsRegistry::GetHistogram(const std::string& name,
     return *slot;
 }
 
-void
-MetricsRegistry::ResetAll()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [name, counter] : counters_) counter->Reset();
-    for (auto& [name, gauge] : gauges_) gauge->Reset();
-    for (auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
 std::vector<std::string>
 MetricsRegistry::CounterNames() const
 {
@@ -67,49 +58,6 @@ MetricsRegistry::CounterNames() const
     std::vector<std::string> names;
     for (const auto& [name, counter] : counters_) names.push_back(name);
     return names;
-}
-
-std::vector<std::string>
-MetricsRegistry::GaugeNames() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::string> names;
-    for (const auto& [name, gauge] : gauges_) names.push_back(name);
-    return names;
-}
-
-std::vector<std::string>
-MetricsRegistry::HistogramNames() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::string> names;
-    for (const auto& [name, histogram] : histograms_) {
-        names.push_back(name);
-    }
-    return names;
-}
-
-std::string
-MetricsRegistry::DumpText() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::string out;
-    for (const auto& [name, counter] : counters_) {
-        out += StrFormat("%s %lld\n", name.c_str(),
-                         static_cast<long long>(counter->value()));
-    }
-    for (const auto& [name, gauge] : gauges_) {
-        out += StrFormat("%s %.3f (peak %.3f)\n", name.c_str(),
-                         gauge->value(), gauge->peak());
-    }
-    for (const auto& [name, histogram] : histograms_) {
-        out += StrFormat(
-            "%s count=%lld mean=%.3f p50=%.3f p99=%.3f max=%.3f\n",
-            name.c_str(), static_cast<long long>(histogram->count()),
-            histogram->mean(), histogram->Percentile(50.0),
-            histogram->Percentile(99.0), histogram->max());
-    }
-    return out;
 }
 
 std::string

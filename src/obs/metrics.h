@@ -133,16 +133,8 @@ class MetricsRegistry
     Histogram& GetHistogram(const std::string& name,
                             std::vector<double> bounds = {});
 
-    /** Zeroes every registered metric (names stay registered). */
-    void ResetAll();
-
-    /** Registered metric names by kind, sorted (for tests/tools). */
+    /** Registered counter names, sorted. */
     std::vector<std::string> CounterNames() const;
-    std::vector<std::string> GaugeNames() const;
-    std::vector<std::string> HistogramNames() const;
-
-    /** "name value" lines, sorted by name — the human dump. */
-    std::string DumpText() const;
 
     /** One JSON object {"counters": {...}, "gauges": {...},
      *  "histograms": {...}} — embedded in the trace export. */

@@ -146,13 +146,6 @@ Tracer::NumThreadBuffers() const
     return buffers_.size();
 }
 
-size_t
-Tracer::NumSimEvents() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return sim_events_.size();
-}
-
 std::vector<TraceEvent>
 Tracer::StoredEvents() const
 {

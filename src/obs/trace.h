@@ -175,7 +175,6 @@ class Tracer
     /** Wall-lane events currently held in the rings. */
     uint64_t TotalStored() const;
     size_t NumThreadBuffers() const;
-    size_t NumSimEvents() const;
 
     /** Every stored wall-lane event, grouped by thread, oldest first
      *  within each thread. */

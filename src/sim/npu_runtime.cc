@@ -86,16 +86,4 @@ NpuRuntime::Free(const NpuGraphDesc& desc)
     return ms;
 }
 
-double
-NpuRuntime::FreeAll()
-{
-    double ms = 0.0;
-    for (const auto& [key, desc] : built_) {
-        ms += CostsFor(desc).free_ms;
-    }
-    built_.clear();
-    resident_bytes_ = 0;
-    return ms;
-}
-
 }  // namespace llmnpu

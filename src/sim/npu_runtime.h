@@ -71,9 +71,6 @@ class NpuRuntime
     /** Frees one graph; @return free latency (ms). */
     double Free(const NpuGraphDesc& desc);
 
-    /** Frees everything; @return total free latency (ms). */
-    double FreeAll();
-
     /** Bytes of graph memory currently resident on the NPU region. */
     int64_t ResidentBytes() const { return resident_bytes_; }
 

@@ -1,12 +1,11 @@
 /**
  * @file
- * The attention inner loops shared by dense CausalAttention (ops.cc) and
- * the fused PagedCausalAttention (src/model/paged_attention.cc).
+ * The attention inner loops of the fused PagedCausalAttention
+ * (src/model/paged_attention.cc).
  *
- * Both callers hand one (sequence, query head) tile to
- * CausalAttentionHead, which walks the K/V history as page-contiguous runs
- * (a dense tensor is a single page) and calls two run-level primitives in
- * kernels.cc, the TU built with target SIMD flags:
+ * It hands one (sequence, query head) tile to CausalAttentionHead, which
+ * walks the K/V history as page-contiguous runs and calls two run-level
+ * primitives in kernels.cc, the TU built with target SIMD flags:
  *
  *  - scores: q . k_j * scale for a run of K rows `stride` floats apart;
  *  - accumulate: out += w_j * v_j over a run of V rows, j ascending.
@@ -18,8 +17,9 @@
  * the head_dim % 8 tail is added to that sum in ascending d. Each output
  * element of the accumulate is a chain over j ascending. Neither order
  * depends on the page size, a position's place within its page, the
- * number of query rows computed together or the thread count, so the
- * dense and paged paths agree bit for bit by construction.
+ * number of query rows computed together or the thread count, so a
+ * sequence's output is the same bits whatever its page size and whatever
+ * else shares its batch.
  *
  * Both primitives have an AVX-512 level (kernel_isa.h) with the same
  * order. A 16-lane load at offset d holds chunk d/8 in its low half and

@@ -36,8 +36,7 @@
  *    so the two levels agree bit for bit (kernel_isa.h).
  *
  * The attention inner loops (CausalAttentionHead, attention_kernel.h) live
- * here too, so the dense and paged attention paths share one vectorized
- * implementation.
+ * here too, so PagedCausalAttention gets the same flags and levels.
  *
  * This file may be compiled with target SIMD flags (see LLMNPU_KERNEL_SIMD
  * in CMakeLists.txt) for the f32 and quantize paths; the INT8 and AVX-512
@@ -917,30 +916,6 @@ MatMulF32Packed(const Tensor& a, const PackedWeightsF32& w)
 }
 
 Tensor
-MatMulF32(const Tensor& a, const Tensor& b)
-{
-    LLMNPU_CHECK(a.dtype() == DType::kF32);
-    LLMNPU_CHECK(b.dtype() == DType::kF32);
-    LLMNPU_CHECK_EQ(a.Cols(), b.Rows());
-    const int64_t m = a.Rows(), k = a.Cols(), n = b.Cols();
-    if (m == 1) {
-        // Matvec: packing would cost as much as the multiply itself; a
-        // branchless saxpy over the row-major weights streams B once.
-        Tensor c = Tensor::Zeros({1, n});
-        const float* pa = a.Data<float>();
-        const float* pb = b.Data<float>();
-        float* __restrict pc = c.Data<float>();
-        for (int64_t kk = 0; kk < k; ++kk) {
-            const float av = pa[kk];
-            const float* __restrict brow = pb + kk * n;
-            for (int64_t j = 0; j < n; ++j) pc[j] += av * brow[j];
-        }
-        return c;
-    }
-    return MatMulF32Packed(a, PackWeightsF32(b));
-}
-
-Tensor
 MatMulW8A8PerTensorPackedAt(KernelIsa isa, const Tensor& a_q, float a_scale,
                             const PackedWeightsI8& w)
 {
@@ -976,19 +951,6 @@ MatMulW8A8PerTensorPacked(const Tensor& a_q, float a_scale,
                           const PackedWeightsI8& w)
 {
     return MatMulW8A8PerTensorPackedAt(SelectedKernelIsa(), a_q, a_scale, w);
-}
-
-Tensor
-MatMulW8A8PerTensor(const Tensor& a_q, float a_scale, const Tensor& w_q,
-                    const std::vector<float>& w_scales)
-{
-    LLMNPU_CHECK(a_q.dtype() == DType::kI8);
-    LLMNPU_CHECK(w_q.dtype() == DType::kI8);
-    LLMNPU_CHECK_EQ(a_q.Cols(), w_q.Rows());
-    LLMNPU_CHECK(w_scales.size() == 1 ||
-                 w_scales.size() == static_cast<size_t>(w_q.Cols()));
-    return MatMulW8A8PerTensorPacked(a_q, a_scale,
-                                     PackWeightsI8(w_q, w_scales));
 }
 
 Tensor
@@ -1031,16 +993,6 @@ MatMulW8A8RowColPacked(const Tensor& a_q, const std::vector<float>& a_scales,
 }
 
 Tensor
-MatMulW8A8RowCol(const Tensor& a_q, const std::vector<float>& a_scales,
-                 const Tensor& w_q, const std::vector<float>& w_scales)
-{
-    LLMNPU_CHECK(w_q.dtype() == DType::kI8);
-    LLMNPU_CHECK_EQ(w_scales.size(), static_cast<size_t>(w_q.Cols()));
-    return MatMulW8A8RowColPacked(a_q, a_scales,
-                                  PackWeightsI8(w_q, w_scales));
-}
-
-Tensor
 MatMulPerGroupPackedAt(KernelIsa isa, const Tensor& a,
                        const PackedPerGroupWeights& w)
 {
@@ -1067,12 +1019,6 @@ Tensor
 MatMulPerGroupPacked(const Tensor& a, const PackedPerGroupWeights& w)
 {
     return MatMulPerGroupPackedAt(SelectedKernelIsa(), a, w);
-}
-
-Tensor
-MatMulPerGroup(const Tensor& a, const PerGroupWeights& w)
-{
-    return MatMulPerGroupPacked(a, PackPerGroupWeights(w));
 }
 
 Tensor

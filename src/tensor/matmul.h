@@ -6,13 +6,14 @@
  *
  * Two implementations exist for every kernel:
  *
- *  - The public entry points (MatMulF32, MatMulW8A8PerTensor, ...) are
- *    cache-blocked, register-tiled and multi-threaded (src/tensor/
- *    kernels.cc): weights are packed into panel-major layout (kPanelWidth
- *    output columns per panel) so the micro-kernel streams both operands.
- *    Work is split over the shared ThreadPool (LLMNPU_NUM_THREADS) by
- *    rows, or by panels when there are too few rows to go round (a decode
- *    matvec would otherwise run on one thread).
+ *  - The public entry points (MatMulF32Packed, MatMulW8A8PerTensorPacked,
+ *    ...) are cache-blocked, register-tiled and multi-threaded
+ *    (src/tensor/kernels.cc). They take weights packed once, at load, into
+ *    panel-major layout (kPanelWidth output columns per panel) so the
+ *    micro-kernel streams both operands. Work is split over the shared
+ *    ThreadPool (LLMNPU_NUM_THREADS) by rows, or by panels when there are
+ *    too few rows to go round (a decode matvec would otherwise run on one
+ *    thread).
  *  - The *Naive triple-loop variants are the original reference kernels.
  *    They define the semantics, serve as the equivalence oracle in
  *    tests/kernels_test.cc, and are what bench_kernels reports speedups
@@ -142,17 +143,16 @@ struct PackedPerGroupWeights {
 /** Packs per-group weights, their group column sums included. */
 PackedPerGroupWeights PackPerGroupWeights(const PerGroupWeights& w);
 
-/** C = A @ B with A [M x K] f32 and B [K x N] f32 (tiled + threaded). */
-Tensor MatMulF32(const Tensor& a, const Tensor& b);
-
-/** MatMulF32 against pre-packed weights (no per-call packing cost). */
+/** C = A @ W with A [M x K] f32 and W [K x N] f32, packed by
+ *  PackWeightsF32 (tiled + threaded). */
 Tensor MatMulF32Packed(const Tensor& a, const PackedWeightsF32& w);
 
-/** Reference triple-loop MatMulF32 (equivalence oracle / bench baseline). */
+/** Reference triple-loop f32 matmul (equivalence oracle / bench baseline). */
 Tensor MatMulF32Naive(const Tensor& a, const Tensor& b);
 
 /**
- * Per-tensor-activation W8A8 matmul: C = (A_q @ W_q) * a_scale * w_scale[n].
+ * Per-tensor-activation W8A8 matmul: C = (A_q @ W_q) * a_scale * w_scale[n],
+ * against weights packed by PackWeightsI8.
  *
  * INT32 accumulation over the full K dimension, one dequantization at the
  * end — exactly the MatMul shape mobile NPUs accelerate (Figure 3(a)).
@@ -162,11 +162,6 @@ Tensor MatMulF32Naive(const Tensor& a, const Tensor& b);
  *
  * Bitwise identical to the *Naive variant at any thread count.
  */
-Tensor MatMulW8A8PerTensor(const Tensor& a_q, float a_scale,
-                           const Tensor& w_q,
-                           const std::vector<float>& w_scales);
-
-/** MatMulW8A8PerTensor against pre-packed weights. */
 Tensor MatMulW8A8PerTensorPacked(const Tensor& a_q, float a_scale,
                                  const PackedWeightsI8& w);
 
@@ -177,13 +172,9 @@ Tensor MatMulW8A8PerTensorNaive(const Tensor& a_q, float a_scale,
 
 /**
  * Vector-wise W8A8 matmul (LLM.Int8()-style): per-row activation scales and
- * per-column weight scales, C[m, n] = acc * a_scales[m] * w_scales[n].
+ * per-column weight scales, C[m, n] = acc * a_scales[m] * w_scales[n],
+ * against weights packed by PackWeightsI8 with per-column scales.
  */
-Tensor MatMulW8A8RowCol(const Tensor& a_q, const std::vector<float>& a_scales,
-                        const Tensor& w_q,
-                        const std::vector<float>& w_scales);
-
-/** MatMulW8A8RowCol against pre-packed weights with per-column scales. */
 Tensor MatMulW8A8RowColPacked(const Tensor& a_q,
                               const std::vector<float>& a_scales,
                               const PackedWeightsI8& w);
@@ -195,7 +186,8 @@ Tensor MatMulW8A8RowColNaive(const Tensor& a_q,
                              const std::vector<float>& w_scales);
 
 /**
- * Per-group W8A8 matmul (Figure 3(b)).
+ * Per-group W8A8 matmul (Figure 3(b)), against weights packed by
+ * PackPerGroupWeights.
  *
  * Activations are quantized per (row, group) on the fly; each group's INT32
  * partial product is dequantized and accumulated in float, modeling the
@@ -203,11 +195,8 @@ Tensor MatMulW8A8RowColNaive(const Tensor& a_q,
  * NPU-hostile pattern.
  *
  * @param a f32 activations [M x K].
- * @param w per-group quantized weights [K x N].
+ * @param w packed per-group quantized weights [K x N].
  */
-Tensor MatMulPerGroup(const Tensor& a, const PerGroupWeights& w);
-
-/** MatMulPerGroup against pre-packed weights (no per-call packing). */
 Tensor MatMulPerGroupPacked(const Tensor& a, const PackedPerGroupWeights& w);
 
 /** Reference per-group W8A8 matmul. */

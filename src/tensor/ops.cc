@@ -1,10 +1,8 @@
 #include "src/tensor/ops.h"
 
 #include <cmath>
-#include <numeric>
 #include <vector>
 
-#include "src/tensor/attention_kernel.h"
 #include "src/tensor/row_parallel.h"
 
 namespace llmnpu {
@@ -244,59 +242,6 @@ RopeTable::Apply(Tensor& q, int q_heads, Tensor& k, int k_heads) const
         Rotate(q, q_heads, 0, s0, s1);
         Rotate(k, k_heads, 0, s0, s1);
     });
-}
-
-void
-ApplyRope(Tensor& x, int num_heads, int head_dim, int64_t pos_offset,
-          float theta)
-{
-    ApplyRopeRows(x, 0, x.Rows(), num_heads, head_dim, pos_offset, theta);
-}
-
-void
-ApplyRopeRows(Tensor& x, int64_t row_begin, int64_t row_count, int num_heads,
-              int head_dim, int64_t pos_offset, float theta)
-{
-    LLMNPU_CHECK_GE(row_count, 0);
-    std::vector<int64_t> positions(static_cast<size_t>(row_count));
-    std::iota(positions.begin(), positions.end(), pos_offset);
-    RopeTable(positions, head_dim, theta).Apply(x, num_heads, row_begin);
-}
-
-Tensor
-CausalAttention(const Tensor& q, const Tensor& k, const Tensor& v,
-                int num_heads, int num_kv_heads, int64_t q_pos_offset)
-{
-    LLMNPU_CHECK_EQ(q.Rank(), 2);
-    LLMNPU_CHECK_EQ(k.Rank(), 2);
-    LLMNPU_CHECK(k.shape() == v.shape());
-    LLMNPU_CHECK_EQ(q.Cols() % num_heads, 0);
-    LLMNPU_CHECK_EQ(k.Cols() % num_kv_heads, 0);
-    LLMNPU_CHECK_EQ(num_heads % num_kv_heads, 0);
-    const int head_dim = static_cast<int>(q.Cols()) / num_heads;
-    LLMNPU_CHECK_EQ(static_cast<int>(k.Cols()) / num_kv_heads, head_dim);
-
-    const int64_t q_len = q.Rows();
-    const int64_t kv_len = k.Rows();
-    LLMNPU_CHECK_GE(kv_len, q_pos_offset + q_len);
-    const int heads_per_kv = num_heads / num_kv_heads;
-
-    // Every element is written: each head's rows go through the shared
-    // attention kernel, the whole K/V history as a single page.
-    Tensor out({q_len, q.Cols()}, DType::kF32);
-    const float* pq = q.Data<float>();
-    float* po = out.Data<float>();
-    for (int h = 0; h < num_heads; ++h) {
-        const int64_t q_off = static_cast<int64_t>(h) * head_dim;
-        const int64_t kv_off =
-            static_cast<int64_t>(h / heads_per_kv) * head_dim;
-        const float* k_page = k.Data<float>() + kv_off;
-        const float* v_page = v.Data<float>() + kv_off;
-        const KvHeadRows kv{&k_page, &v_page, kv_len, k.Cols()};
-        CausalAttentionHead(pq + q_off, q.Cols(), q_len, q_pos_offset, kv,
-                            head_dim, po + q_off, q.Cols());
-    }
-    return out;
 }
 
 }  // namespace llmnpu

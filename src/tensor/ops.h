@@ -2,7 +2,8 @@
  * @file
  * Float transformer operators: the "orange" ops of Figure 5 that stay in
  * floating point in every quantized inference pipeline (Table 4) —
- * normalization, attention, activation functions, RoPE.
+ * normalization, activation functions, RoPE. Attention is the fused
+ * PagedCausalAttention (src/model/paged_attention.h).
  *
  * The norm, residual, activation and RoPE passes are row-parallel: each
  * splits its rows over ThreadPool::Global() through RowParallel
@@ -103,44 +104,6 @@ class RopeTable
     std::vector<float> cos_;  ///< [rows x head_dim/2]
     std::vector<float> sin_;  ///< [rows x head_dim/2]
 };
-
-/**
- * Applies rotary position embeddings in place.
- *
- * @param x [seq x (heads * head_dim)] packed Q or K rows.
- * @param num_heads number of heads packed into the row.
- * @param head_dim per-head dimension (must be even).
- * @param pos_offset global position of row 0 (for chunked prefill).
- * @param theta RoPE base (10000 for all paper models).
- */
-void ApplyRope(Tensor& x, int num_heads, int head_dim, int64_t pos_offset,
-               float theta = 10000.0f);
-
-/**
- * ApplyRope restricted to rows [row_begin, row_begin + row_count) of `x`,
- * with row `row_begin` at global position `pos_offset`. Bitwise identical
- * to calling the whole-tensor overload on a copy of the segment.
- */
-void ApplyRopeRows(Tensor& x, int64_t row_begin, int64_t row_count,
-                   int num_heads, int head_dim, int64_t pos_offset,
-                   float theta = 10000.0f);
-
-/**
- * Causal multi-head attention with grouped-query support.
- *
- * The Q rows sit at global positions [q_pos_offset, q_pos_offset + q_len);
- * K/V hold *all* positions [0, kv_len). Row i of Q may attend to K/V
- * positions <= q_pos_offset + i — this is exactly the chunk-level causal
- * dependency that makes chunk-wise prefill equivalent to full prefill
- * (paper §3.2).
- *
- * @param q [q_len x (num_heads * head_dim)]
- * @param k [kv_len x (num_kv_heads * head_dim)]
- * @param v [kv_len x (num_kv_heads * head_dim)]
- * @return [q_len x (num_heads * head_dim)]
- */
-Tensor CausalAttention(const Tensor& q, const Tensor& k, const Tensor& v,
-                       int num_heads, int num_kv_heads, int64_t q_pos_offset);
 
 }  // namespace llmnpu
 

@@ -125,7 +125,7 @@ TEST(BenchCheckTest, BaselineAgainstItselfPassesWithExactCounts)
     const BenchCheckReport report = CheckBenchResults(Baseline(), Baseline());
     EXPECT_TRUE(report.failures.empty()) << report.failures.front();
     const std::map<std::string, int> counts = Counts(report);
-    EXPECT_EQ(counts.at("kernel GFLOP/s"), 77);
+    EXPECT_EQ(counts.at("kernel GFLOP/s"), 63);
     EXPECT_EQ(counts.at("decode-placement tokens/s"), 50);
     EXPECT_EQ(counts.at("paged-KV mean pages"), 4);
     EXPECT_EQ(counts.at("shared-prefix served/100 pages"), 15);
@@ -336,7 +336,7 @@ TEST(BenchCheckTest, RowLackingAKeyFieldIsANamedFailureNotAnEmptyKey)
     Metrics(&fresh, "bench_kernels")[0].object.erase("m");
     const BenchCheckReport report = CheckMutated(fresh);
     ExpectFailsOnly(report, "kernel GFLOP/s", "lacks key field 'm'");
-    EXPECT_EQ(Counts(report).at("kernel GFLOP/s"), 76);
+    EXPECT_EQ(Counts(report).at("kernel GFLOP/s"), 62);
 }
 
 TEST(BenchCheckTest, RowLackingItsValueFieldFails)
@@ -356,7 +356,7 @@ TEST(BenchCheckTest, NonNumericValueFails)
     const BenchCheckReport report = CheckMutated(fresh);
     ExpectFailsOnly(report, "kernel GFLOP/s",
                     "field 'gflops' is not a number");
-    EXPECT_EQ(Counts(report).at("kernel GFLOP/s"), 76);
+    EXPECT_EQ(Counts(report).at("kernel GFLOP/s"), 62);
 }
 
 TEST(BenchCheckTest, MutatedFileExitsOne)

@@ -203,7 +203,7 @@ TEST_F(ShadowFixture, Equation1RecoversOutliers)
 
     PerColumnWeights wq = QuantizePerColumn(weights_->Linear(0, kind));
     Tensor w_deq = DequantizePerColumn(wq);
-    Tensor y_ref = MatMulF32(x, w_deq);
+    Tensor y_ref = MatMulF32Naive(x, w_deq);
 
     NpuShadowExecutor with_shadow(*weights_, *profile_, /*pruning_rate=*/0.0);
     NpuShadowExecutor no_shadow(*weights_, *profile_, /*pruning_rate=*/1.0);

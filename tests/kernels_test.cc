@@ -59,24 +59,17 @@ const std::vector<std::vector<int64_t>> kShapes = {
 TEST(KernelEquivalenceTest, F32MatchesNaiveAcrossShapes)
 {
     Rng rng(101);
-    for (const auto& s : kShapes) {
+    std::vector<std::vector<int64_t>> shapes = kShapes;
+    shapes.push_back({9, 75, 130});
+    for (const auto& s : shapes) {
         Tensor a = RandomTensor(rng, {s[0], s[1]});
         Tensor b = RandomTensor(rng, {s[1], s[2]});
-        Tensor tiled = MatMulF32(a, b);
+        Tensor tiled = MatMulF32Packed(a, PackWeightsF32(b));
         Tensor naive = MatMulF32Naive(a, b);
         ASSERT_EQ(tiled.shape(), naive.shape());
         EXPECT_LT(MaxAbsDiff(tiled, naive), 1e-3)
             << "m=" << s[0] << " k=" << s[1] << " n=" << s[2];
     }
-}
-
-TEST(KernelEquivalenceTest, F32PackedMatchesUnpacked)
-{
-    Rng rng(102);
-    Tensor a = RandomTensor(rng, {9, 75});
-    Tensor b = RandomTensor(rng, {75, 130});
-    Tensor via_pack = MatMulF32Packed(a, PackWeightsF32(b));
-    EXPECT_LT(MaxAbsDiff(via_pack, MatMulF32Naive(a, b)), 1e-3);
 }
 
 TEST(KernelEquivalenceTest, UnpackInvertsPackBitwise)
@@ -87,24 +80,6 @@ TEST(KernelEquivalenceTest, UnpackInvertsPackBitwise)
         for (int64_t n : {1, 15, 16, 17, 33, 130}) {
             Tensor w = RandomTensor(rng, {k, n});
             EXPECT_TRUE(UnpackWeightsF32(PackWeightsF32(w)).BitEquals(w))
-                << "k=" << k << " n=" << n;
-        }
-    }
-}
-
-TEST(KernelEquivalenceTest, F32MatvecBitwiseMatchesPacked)
-{
-    // MatMulF32 at m = 1 runs a saxpy over the row-major weights instead
-    // of the packed kernel; both are one k-ascending chain per output from
-    // +0, so they agree bit for bit and callers may hold either form.
-    Rng rng(112);
-    for (int64_t k : {1, 7, 100, 256}) {
-        for (int64_t n : {1, 15, 17, 130, 530}) {
-            Tensor a = RandomTensor(rng, {1, k});
-            a.At(0, k / 2) = 0.0f;
-            Tensor b = RandomTensor(rng, {k, n});
-            EXPECT_TRUE(MatMulF32(a, b).BitEquals(
-                MatMulF32Packed(a, PackWeightsF32(b))))
                 << "k=" << k << " n=" << n;
         }
     }
@@ -160,13 +135,15 @@ TEST(KernelEquivalenceTest, W8A8PerTensorBitwiseMatchesNaive)
             per_col.push_back(0.01f + 0.001f * static_cast<float>(j));
         }
         // Per-column scales.
-        Tensor tiled = MatMulW8A8PerTensor(a_q, 0.02f, w_q, per_col);
+        Tensor tiled = MatMulW8A8PerTensorPacked(
+            a_q, 0.02f, PackWeightsI8(w_q, per_col));
         EXPECT_TRUE(tiled.BitEquals(
             MatMulW8A8PerTensorNaive(a_q, 0.02f, w_q, per_col)))
             << "per-col m=" << s[0] << " k=" << s[1] << " n=" << s[2];
         // Uniform scale.
         const std::vector<float> uniform = {0.05f};
-        Tensor tiled_u = MatMulW8A8PerTensor(a_q, 0.02f, w_q, uniform);
+        Tensor tiled_u = MatMulW8A8PerTensorPacked(
+            a_q, 0.02f, PackWeightsI8(w_q, uniform));
         EXPECT_TRUE(tiled_u.BitEquals(
             MatMulW8A8PerTensorNaive(a_q, 0.02f, w_q, uniform)))
             << "uniform m=" << s[0] << " k=" << s[1] << " n=" << s[2];
@@ -188,7 +165,8 @@ TEST(KernelEquivalenceTest, W8A8RowColBitwiseMatchesNaive)
         for (int64_t j = 0; j < s[2]; ++j) {
             w_scales.push_back(0.03f + 0.001f * static_cast<float>(j));
         }
-        Tensor tiled = MatMulW8A8RowCol(a_q, a_scales, w_q, w_scales);
+        Tensor tiled = MatMulW8A8RowColPacked(a_q, a_scales,
+                                              PackWeightsI8(w_q, w_scales));
         EXPECT_TRUE(tiled.BitEquals(
             MatMulW8A8RowColNaive(a_q, a_scales, w_q, w_scales)))
             << "m=" << s[0] << " k=" << s[1] << " n=" << s[2];
@@ -205,7 +183,7 @@ TEST(KernelEquivalenceTest, PerGroupMatchesNaiveAcrossShapes)
         Tensor a = RandomTensor(rng, {s[0], s[1]});
         Tensor w = RandomTensor(rng, {s[1], s[2]});
         PerGroupWeights pg = QuantizePerGroup(w, 32);
-        Tensor tiled = MatMulPerGroup(a, pg);
+        Tensor tiled = MatMulPerGroupPacked(a, PackPerGroupWeights(pg));
         Tensor naive = MatMulPerGroupNaive(a, pg);
         ASSERT_EQ(tiled.shape(), naive.shape());
         const double scale = std::max(1.0, static_cast<double>(AbsMax(naive)));
@@ -293,15 +271,16 @@ TEST(KernelDeterminismTest, W8A8BitwiseAcrossThreadCounts)
     for (int64_t j = 0; j < 130; ++j) {
         w_scales.push_back(0.01f + 0.0005f * static_cast<float>(j));
     }
+    const PackedWeightsI8 packed = PackWeightsI8(w_q, w_scales);
     Tensor ref;
     {
         ScopedNumThreads one(1);
-        ref = MatMulW8A8PerTensor(a_q, 0.015f, w_q, w_scales);
+        ref = MatMulW8A8PerTensorPacked(a_q, 0.015f, packed);
     }
     for (int threads : {2, 4}) {
         ScopedNumThreads t(threads);
         EXPECT_TRUE(
-            MatMulW8A8PerTensor(a_q, 0.015f, w_q, w_scales).BitEquals(ref))
+            MatMulW8A8PerTensorPacked(a_q, 0.015f, packed).BitEquals(ref))
             << threads << " threads";
     }
 }
@@ -311,15 +290,16 @@ TEST(KernelDeterminismTest, PerGroupBitwiseAcrossThreadCounts)
     Rng rng(110);
     Tensor a = RandomTensor(rng, {16, 128});
     Tensor w = RandomTensor(rng, {128, 130});
-    PerGroupWeights pg = QuantizePerGroup(w, 32);
+    const PackedPerGroupWeights pg =
+        PackPerGroupWeights(QuantizePerGroup(w, 32));
     Tensor ref;
     {
         ScopedNumThreads one(1);
-        ref = MatMulPerGroup(a, pg);
+        ref = MatMulPerGroupPacked(a, pg);
     }
     for (int threads : {2, 4}) {
         ScopedNumThreads t(threads);
-        EXPECT_TRUE(MatMulPerGroup(a, pg).BitEquals(ref))
+        EXPECT_TRUE(MatMulPerGroupPacked(a, pg).BitEquals(ref))
             << threads << " threads";
     }
 }
@@ -484,45 +464,6 @@ TEST(KernelIsaTest, PerGroupLevelsAgreeBitwise)
                 MatMulPerGroupPackedAt(isa, a, packed).BitEquals(scalar))
                 << ShapeName(isa, s) << " group=" << group;
         }
-    }
-}
-
-TEST(KernelEquivalenceTest, PackedRowColAndPerGroupEqualPerCallPacking)
-{
-    // LLM.Int8() and K-Quant hold their weights packed and call the
-    // *Packed entry points; those must equal the per-call-packing forms
-    // bit for bit, as must LLM.Int8()'s packed float outlier term
-    // (MatMulF32 at m = 1 runs a saxpy instead).
-    Rng rng(118);
-    for (const auto& s : kIsaShapes) {
-        const int64_t m = s[0], k = s[1], n = s[2];
-        Tensor a_q = RandomI8(rng, {m, k});
-        Tensor w_q = RandomI8(rng, {k, n});
-        std::vector<float> a_scales, w_scales;
-        for (int64_t i = 0; i < m; ++i) {
-            a_scales.push_back(0.01f + 0.002f * static_cast<float>(i));
-        }
-        for (int64_t j = 0; j < n; ++j) {
-            w_scales.push_back(0.03f + 0.001f * static_cast<float>(j));
-        }
-        EXPECT_TRUE(MatMulW8A8RowColPacked(a_q, a_scales,
-                                           PackWeightsI8(w_q, w_scales))
-                        .BitEquals(MatMulW8A8RowCol(a_q, a_scales, w_q,
-                                                    w_scales)))
-            << "m=" << m << " k=" << k << " n=" << n;
-        Tensor a = RandomTensor(rng, {m, k});
-        Tensor w = RandomTensor(rng, {k, n});
-        EXPECT_TRUE(MatMulF32Packed(a, PackWeightsF32(w))
-                        .BitEquals(MatMulF32(a, w)))
-            << "m=" << m << " k=" << k << " n=" << n;
-    }
-    for (const auto& [s, group] : kGroupShapes) {
-        Tensor a = RandomTensor(rng, {s[0], s[1]});
-        const PerGroupWeights pg =
-            QuantizePerGroup(RandomTensor(rng, {s[1], s[2]}), group);
-        EXPECT_TRUE(MatMulPerGroupPacked(a, PackPerGroupWeights(pg))
-                        .BitEquals(MatMulPerGroup(a, pg)))
-            << "m=" << s[0] << " k=" << s[1] << " group=" << group;
     }
 }
 

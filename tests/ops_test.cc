@@ -1,15 +1,15 @@
 /**
  * @file
- * Tests for the float operators (Figure 5's "orange" ops) — including the
- * load-bearing property of §3.2: chunked causal attention with a KV cache is
- * exactly equivalent to full-prompt attention — and the bitwise contract
- * of the row-parallel, fused epilogue ops against their serial
- * per-element references at 1, 2 and 4 threads.
+ * Tests for the float operators (Figure 5's "orange" ops): the bitwise
+ * contract of the row-parallel, fused epilogue ops and the RoPE table
+ * against their serial per-element references at 1, 2 and 4 threads.
+ * Attention is tested with the fused kernel in paged_kv_test.cc.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -295,7 +295,7 @@ TEST(RopeTest, PreservesNorm)
     for (int64_t i = 0; i < q.NumElements(); ++i) {
         before += q.Data<float>()[i] * q.Data<float>()[i];
     }
-    ApplyRope(q, 2, 16, 3);
+    RopeTable({3, 4, 5, 6}, 16).Apply(q, 2);
     double after = 0.0;
     for (int64_t i = 0; i < q.NumElements(); ++i) {
         after += q.Data<float>()[i] * q.Data<float>()[i];
@@ -308,7 +308,7 @@ TEST(RopeTest, PositionZeroIsIdentity)
     Rng rng(6);
     Tensor q = RandomTensor(rng, {1, 16});
     Tensor orig = q;
-    ApplyRope(q, 1, 16, 0);
+    RopeTable({0}, 16).Apply(q, 1);
     EXPECT_LT(MaxAbsDiff(q, orig), 1e-6);
 }
 
@@ -319,9 +319,9 @@ TEST(RopeTest, OffsetMatchesInSequencePosition)
     Rng rng(7);
     Tensor base = RandomTensor(rng, {6, 16});
     Tensor full = base;
-    ApplyRope(full, 1, 16, 0);
+    RopeTable({0, 1, 2, 3, 4, 5}, 16).Apply(full, 1);
     Tensor tail = base.CopyRows(4, 2);
-    ApplyRope(tail, 1, 16, 4);
+    RopeTable({4, 5}, 16).Apply(tail, 1);
     EXPECT_LT(MaxAbsDiff(tail, full.CopyRows(4, 2)), 1e-5);
 }
 
@@ -339,7 +339,9 @@ TEST(RopeTest, RowsMatchPerElementFormulaBitwise)
             const Tensor base = RandomTensor(rng, {11, heads * head_dim});
             Tensor got = base;
             Tensor want = base;
-            ApplyRopeRows(got, 3, 6, heads, head_dim, pos_offset);
+            std::vector<int64_t> positions(6);
+            std::iota(positions.begin(), positions.end(), pos_offset);
+            RopeTable(positions, head_dim).Apply(got, heads, /*row_begin=*/3);
             ReferenceRopeRows(want, 3, 6, heads, head_dim, pos_offset);
             EXPECT_EQ(std::memcmp(got.Data<float>(), want.Data<float>(),
                                   static_cast<size_t>(got.NumElements()) *
@@ -403,77 +405,6 @@ TEST(RopeTest, QkPassMatchesPerElementFormulaBitwise)
         }
     }
 }
-
-TEST(AttentionTest, SingleTokenAttendsToItself)
-{
-    Rng rng(8);
-    Tensor q = RandomTensor(rng, {1, 8});
-    Tensor k = q;
-    Tensor v = RandomTensor(rng, {1, 8});
-    Tensor out = CausalAttention(q, k, v, 1, 1, 0);
-    EXPECT_LT(MaxAbsDiff(out, v), 1e-5);
-}
-
-TEST(AttentionTest, CausalMaskBlocksFuture)
-{
-    // Token 0 must not see token 1: its output is exactly v[0].
-    Rng rng(9);
-    Tensor q = RandomTensor(rng, {2, 8});
-    Tensor k = RandomTensor(rng, {2, 8});
-    Tensor v = RandomTensor(rng, {2, 8});
-    Tensor out = CausalAttention(q, k, v, 1, 1, 0);
-    EXPECT_LT(MaxAbsDiff(out.CopyRows(0, 1), v.CopyRows(0, 1)), 1e-5);
-}
-
-TEST(AttentionTest, GqaSharesKvHeads)
-{
-    // With 2 q-heads per kv-head, duplicated q-head content yields
-    // identical per-head outputs.
-    Rng rng(10);
-    Tensor q({1, 16}, DType::kF32);
-    Tensor head = RandomTensor(rng, {1, 8});
-    for (int64_t d = 0; d < 8; ++d) {
-        q.At(0, d) = head.At(0, d);
-        q.At(0, 8 + d) = head.At(0, d);
-    }
-    Tensor k = RandomTensor(rng, {1, 8});
-    Tensor v = RandomTensor(rng, {1, 8});
-    Tensor out = CausalAttention(q, k, v, 2, 1, 0);
-    EXPECT_LT(MaxAbsDiff(out.CopyRows(0, 1).Reshape({2, 8}).CopyRows(0, 1),
-                         out.CopyRows(0, 1).Reshape({2, 8}).CopyRows(1, 1)),
-              1e-5);
-}
-
-/** The §3.2 exactness property, parameterized over chunk lengths. */
-class ChunkedAttentionTest : public ::testing::TestWithParam<int>
-{};
-
-TEST_P(ChunkedAttentionTest, ChunkedEqualsFull)
-{
-    const int chunk = GetParam();
-    const int seq = 12, heads = 2, kv_heads = 1, head_dim = 8;
-    Rng rng(42);
-    Tensor q = RandomTensor(rng, {seq, heads * head_dim});
-    Tensor k = RandomTensor(rng, {seq, kv_heads * head_dim});
-    Tensor v = RandomTensor(rng, {seq, kv_heads * head_dim});
-
-    Tensor full = CausalAttention(q, k, v, heads, kv_heads, 0);
-
-    for (int start = 0; start < seq; start += chunk) {
-        const int len = std::min(chunk, seq - start);
-        Tensor q_chunk = q.CopyRows(start, len);
-        // K/V visible so far: positions [0, start+len).
-        Tensor k_part = k.CopyRows(0, start + len);
-        Tensor v_part = v.CopyRows(0, start + len);
-        Tensor out = CausalAttention(q_chunk, k_part, v_part, heads,
-                                     kv_heads, start);
-        EXPECT_LT(MaxAbsDiff(out, full.CopyRows(start, len)), 1e-4)
-            << "chunk=" << chunk << " start=" << start;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(ChunkLens, ChunkedAttentionTest,
-                         ::testing::Values(1, 2, 3, 4, 6, 12));
 
 }  // namespace
 }  // namespace llmnpu

@@ -10,9 +10,11 @@
  * the shared-system-prompt serving scenario (once-counted admission,
  * eviction with a resident prefix, nested fraction marking, bitwise
  * replay through CoW forks), the fused PagedCausalAttention kernel
- * (bitwise equality to the per-sequence reference and 1/2/4-thread
- * determinism, and agreement with a double oracle across head_dim, page
- * size and query-row counts), B=64 ragged batched forward vs sequential,
+ * (causal mask and GQA head sharing, chunked prefill bitwise equal to
+ * full-prompt attention (§3.2), bitwise equality to each sequence
+ * attended alone from one page and 1/2/4-thread determinism, and
+ * agreement with a double oracle across head_dim, page size and
+ * query-row counts), B=64 ragged batched forward vs sequential,
  * the serving layer's KV admission/eviction model (including
  * eviction-then-readmit bitwise replay), the simulator's KvLedger page
  * accounting, per-run KV state under concurrent simulator runs, and the
@@ -38,7 +40,6 @@
 #include "src/serving/kv_ledger.h"
 #include "src/serving/replay.h"
 #include "src/serving/simulator.h"
-#include "src/tensor/ops.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/threadpool.h"
@@ -446,19 +447,26 @@ struct AttentionScenario {
                                     /*layer=*/0, num_heads, num_kv_heads);
     }
 
-    /** The old per-sequence path: dense K/V materialization + the
-     *  reference CausalAttention, pasted back segment by segment. */
+    /** Each sequence attended alone, from a one-sequence cache holding
+     *  its whole K/V history in one page, pasted back segment by segment:
+     *  the output must not depend on the batch or on the page size. */
     Tensor RunReference() const
     {
         Tensor out({q.Rows(), q.Cols()}, DType::kF32);
         for (size_t i = 0; i + 1 < segments.size(); ++i) {
             const int64_t r0 = segments[i];
             const int64_t rows = segments[i + 1] - r0;
-            Tensor attn = CausalAttention(
-                q.CopyRows(r0, rows), cache.Keys(seqs[i], 0),
-                cache.Values(seqs[i], 0), num_heads, num_kv_heads,
-                pos_offsets[i]);
-            out.PasteRows(attn, r0);
+            BatchedKvCache solo(1, cache.kv_dim(), 0,
+                                PagedKvOptions{cache.SeqLen(seqs[i])});
+            const int seq = solo.AddSequence();
+            solo.Append(seq, 0, cache.Keys(seqs[i], 0),
+                        cache.Values(seqs[i], 0));
+            out.PasteRows(PagedCausalAttention(q.CopyRows(r0, rows),
+                                               {0, rows}, {seq},
+                                               {pos_offsets[i]}, solo,
+                                               /*layer=*/0, num_heads,
+                                               num_kv_heads),
+                          r0);
         }
         return out;
     }
@@ -568,13 +576,13 @@ TEST(PagedAttentionTest, BitwiseDeterministicAcrossThreadCounts)
 
 TEST(PagedAttentionTest, MatchesDoubleOracleAcrossShapes)
 {
-    // Dense and paged attention share one kernel, so comparing them
-    // cannot catch a wrong kernel; this checks it against the double
+    // The per-sequence reference runs the same kernel, so comparing with
+    // it cannot catch a wrong kernel; this checks it against the double
     // oracle. head_dim covers the scalar-only, vector-plus-tail and
     // full-vector cases; page size 1 makes every position its own run;
     // the 7- and 5-row prefill segments are not multiples of the query
     // row block. Output is also bitwise equal at 1, 2 and 4 threads and to
-    // the dense path, whatever the page size.
+    // each sequence attended alone from one page, whatever the page size.
     for (const int head_dim : {4, 12, 20, 32, 128}) {
         for (const int64_t page_size : {1, 3, 16}) {
             SCOPED_TRACE(::testing::Message() << "head_dim=" << head_dim
@@ -612,6 +620,97 @@ TEST(PagedAttentionTest, MatchesDoubleOracleAcrossShapes)
         }
     }
 }
+
+TEST(AttentionTest, SingleTokenAttendsToItself)
+{
+    Rng rng(8);
+    Tensor q = RandomTensor(rng, 1, 8);
+    Tensor v = RandomTensor(rng, 1, 8);
+    BatchedKvCache cache(1, 8);
+    const int seq = cache.AddSequence();
+    cache.Append(seq, 0, /*k=*/q, v);
+    Tensor out = PagedCausalAttention(q, {0, 1}, {seq}, {0}, cache,
+                                      /*layer=*/0, 1, 1);
+    EXPECT_LT(MaxAbsDiff(out, v), 1e-5);
+}
+
+TEST(AttentionTest, CausalMaskBlocksFuture)
+{
+    // Token 0 must not see token 1: its output is exactly v[0].
+    Rng rng(9);
+    Tensor q = RandomTensor(rng, 2, 8);
+    Tensor k = RandomTensor(rng, 2, 8);
+    Tensor v = RandomTensor(rng, 2, 8);
+    BatchedKvCache cache(1, 8);
+    const int seq = cache.AddSequence();
+    cache.Append(seq, 0, k, v);
+    Tensor out = PagedCausalAttention(q, {0, 2}, {seq}, {0}, cache,
+                                      /*layer=*/0, 1, 1);
+    EXPECT_LT(MaxAbsDiff(out.CopyRows(0, 1), v.CopyRows(0, 1)), 1e-5);
+}
+
+TEST(AttentionTest, GqaSharesKvHeads)
+{
+    // With 2 q-heads per kv-head, duplicated q-head content yields
+    // identical per-head outputs.
+    Rng rng(10);
+    Tensor q({1, 16}, DType::kF32);
+    Tensor head = RandomTensor(rng, 1, 8);
+    for (int64_t d = 0; d < 8; ++d) {
+        q.At(0, d) = head.At(0, d);
+        q.At(0, 8 + d) = head.At(0, d);
+    }
+    Tensor k = RandomTensor(rng, 1, 8);
+    Tensor v = RandomTensor(rng, 1, 8);
+    BatchedKvCache cache(1, 8);
+    const int seq = cache.AddSequence();
+    cache.Append(seq, 0, k, v);
+    Tensor out = PagedCausalAttention(q, {0, 1}, {seq}, {0}, cache,
+                                      /*layer=*/0, 2, 1);
+    EXPECT_LT(MaxAbsDiff(out.CopyRows(0, 1).Reshape({2, 8}).CopyRows(0, 1),
+                         out.CopyRows(0, 1).Reshape({2, 8}).CopyRows(1, 1)),
+              1e-5);
+}
+
+/** The §3.2 exactness property, parameterized over chunk lengths: chunked
+ *  prefill, each chunk appending its K/V to the cache and attending to
+ *  everything cached so far, equals full-prompt attention bit for bit. */
+class ChunkedAttentionTest : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(ChunkedAttentionTest, ChunkedEqualsFull)
+{
+    const int chunk = GetParam();
+    const int seq = 12, heads = 2, kv_heads = 1, head_dim = 8;
+    Rng rng(42);
+    Tensor q = RandomTensor(rng, seq, heads * head_dim);
+    Tensor k = RandomTensor(rng, seq, kv_heads * head_dim);
+    Tensor v = RandomTensor(rng, seq, kv_heads * head_dim);
+
+    BatchedKvCache full_cache(1, kv_heads * head_dim);
+    const int full_seq = full_cache.AddSequence();
+    full_cache.Append(full_seq, 0, k, v);
+    Tensor full = PagedCausalAttention(q, {0, seq}, {full_seq}, {0},
+                                       full_cache, /*layer=*/0, heads,
+                                       kv_heads);
+
+    // Pages of 5 positions, so chunks start and end inside pages.
+    BatchedKvCache cache(1, kv_heads * head_dim, 0, PagedKvOptions{5});
+    const int chunked_seq = cache.AddSequence();
+    for (int start = 0; start < seq; start += chunk) {
+        const int len = std::min(chunk, seq - start);
+        cache.Append(chunked_seq, 0, k.CopyRows(start, len),
+                     v.CopyRows(start, len));
+        Tensor out = PagedCausalAttention(q.CopyRows(start, len), {0, len},
+                                          {chunked_seq}, {start}, cache,
+                                          /*layer=*/0, heads, kv_heads);
+        EXPECT_TRUE(out.BitEquals(full.CopyRows(start, len)))
+            << "chunk=" << chunk << " start=" << start;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(ChunkLens, ChunkedAttentionTest,
+                         ::testing::Values(1, 2, 3, 4, 6, 12));
 
 // ----------------------------------------- B=64 ragged batch, end to end
 

@@ -334,7 +334,7 @@ TEST(FailureInjectionDeathTest, MatMulShapeMismatchIsRejected)
 {
     Tensor a = Tensor::Zeros({2, 3});
     Tensor b = Tensor::Zeros({4, 2});
-    EXPECT_DEATH(MatMulF32(a, b), "CHECK failed");
+    EXPECT_DEATH(MatMulF32Packed(a, PackWeightsF32(b)), "CHECK failed");
 }
 
 }  // namespace

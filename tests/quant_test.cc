@@ -157,16 +157,17 @@ TEST_F(QuantFixture, ExecutorNames)
 TEST_F(QuantFixture, KQuantPackedForwardBitwiseEqualsPerCallPacking)
 {
     // The executor packs each linear once at construction; its forward
-    // must equal quantizing and packing the same weights on every call.
+    // must equal quantizing and packing the same weights here.
     Rng rng(7);
     KQuantExecutor kquant(*weights_, 32);
     for (int64_t m : {1, 3, 16}) {
         for (const auto& spec : config_->LayerLinears()) {
             for (int l = 0; l < config_->num_layers; ++l) {
                 const Tensor x = RandomTensor(rng, {m, spec.k});
-                const Tensor per_call = MatMulPerGroup(
-                    x, QuantizePerGroup(weights_->Linear(l, spec.kind), 32));
-                EXPECT_TRUE(kquant.Forward(l, spec.kind, x).BitEquals(per_call))
+                const Tensor repacked = MatMulPerGroupPacked(
+                    x, PackPerGroupWeights(QuantizePerGroup(
+                           weights_->Linear(l, spec.kind), 32)));
+                EXPECT_TRUE(kquant.Forward(l, spec.kind, x).BitEquals(repacked))
                     << "layer " << l << " m=" << m;
             }
         }

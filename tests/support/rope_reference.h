@@ -1,7 +1,7 @@
 /**
  * @file
  * The per-element RoPE formula: pow, cos and sin evaluated in double for
- * every (row, head, dim) element. ApplyRopeRows computes each (position,
+ * every (row, head, dim) element. RopeTable computes each (position,
  * frequency) pair once instead; this is the reference it must match bit
  * for bit.
  */

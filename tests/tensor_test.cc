@@ -74,7 +74,7 @@ TEST(MatMulTest, F32KnownResult)
 {
     Tensor a = Tensor::FromValues({2, 2}, {1, 2, 3, 4});
     Tensor b = Tensor::FromValues({2, 2}, {5, 6, 7, 8});
-    Tensor c = MatMulF32(a, b);
+    Tensor c = MatMulF32Packed(a, PackWeightsF32(b));
     EXPECT_FLOAT_EQ(c.At(0, 0), 19.0f);
     EXPECT_FLOAT_EQ(c.At(0, 1), 22.0f);
     EXPECT_FLOAT_EQ(c.At(1, 0), 43.0f);
@@ -87,7 +87,7 @@ TEST(MatMulTest, F32IdentityIsNoOp)
     Tensor a = RandomTensor(rng, {3, 4});
     Tensor eye = Tensor::Zeros({4, 4});
     for (int64_t i = 0; i < 4; ++i) eye.At(i, i) = 1.0f;
-    Tensor c = MatMulF32(a, eye);
+    Tensor c = MatMulF32Packed(a, PackWeightsF32(eye));
     EXPECT_LT(MaxAbsDiff(a, c), 1e-6);
 }
 
@@ -181,9 +181,10 @@ TEST(MatMulTest, W8A8PerTensorMatchesDequantizedFloat)
     PerColumnWeights wq = QuantizePerColumn(w);
 
     Tensor a_q = QuantizeSymmetric(a, a_params);
-    Tensor y_int = MatMulW8A8PerTensor(a_q, a_params.scale, wq.q, wq.scales);
-    Tensor y_ref = MatMulF32(Dequantize(a_q, a_params),
-                             DequantizePerColumn(wq));
+    Tensor y_int = MatMulW8A8PerTensorPacked(a_q, a_params.scale,
+                                             PackWeightsI8(wq.q, wq.scales));
+    Tensor y_ref = MatMulF32Naive(Dequantize(a_q, a_params),
+                                  DequantizePerColumn(wq));
     // INT32 accumulation then dequantize == float matmul of dequantized
     // operands (up to float rounding).
     EXPECT_LT(MaxAbsDiff(y_int, y_ref), 1e-3);
@@ -198,11 +199,11 @@ TEST(MatMulTest, W8A8UniformScaleOverloadAgrees)
     const QuantParams w_params = ComputeSymmetricScale(w);
     Tensor a_q = QuantizeSymmetric(a, a_params);
     Tensor w_q = QuantizeSymmetric(w, w_params);
-    Tensor y1 = MatMulW8A8PerTensor(a_q, a_params.scale, w_q,
-                                    {w_params.scale});
-    Tensor y2 = MatMulW8A8PerTensor(
-        a_q, a_params.scale, w_q,
-        std::vector<float>(4, w_params.scale));
+    Tensor y1 = MatMulW8A8PerTensorPacked(
+        a_q, a_params.scale, PackWeightsI8(w_q, {w_params.scale}));
+    Tensor y2 = MatMulW8A8PerTensorPacked(
+        a_q, a_params.scale,
+        PackWeightsI8(w_q, std::vector<float>(4, w_params.scale)));
     EXPECT_LT(MaxAbsDiff(y1, y2), 1e-6);
 }
 
@@ -224,8 +225,9 @@ TEST(MatMulTest, W8A8RowColMatchesReference)
         }
     }
     PerColumnWeights wq = QuantizePerColumn(w);
-    Tensor y = MatMulW8A8RowCol(a_q, row_scales, wq.q, wq.scales);
-    Tensor y_ref = MatMulF32(a, w);
+    Tensor y = MatMulW8A8RowColPacked(a_q, row_scales,
+                                      PackWeightsI8(wq.q, wq.scales));
+    Tensor y_ref = MatMulF32Naive(a, w);
     // Quantization error only: bounded well below signal magnitude.
     EXPECT_LT(MaxAbsDiff(y, y_ref), 0.2);
 }
@@ -236,8 +238,8 @@ TEST(MatMulTest, PerGroupCloseToFloatReference)
     Tensor a = RandomTensor(rng, {4, 64});
     Tensor w = RandomTensor(rng, {64, 8});
     PerGroupWeights pg = QuantizePerGroup(w, 16);
-    Tensor y = MatMulPerGroup(a, pg);
-    Tensor y_ref = MatMulF32(a, w);
+    Tensor y = MatMulPerGroupPacked(a, PackPerGroupWeights(pg));
+    Tensor y_ref = MatMulF32Naive(a, w);
     EXPECT_LT(MaxAbsDiff(y, y_ref), 0.25);
 }
 
@@ -249,8 +251,8 @@ TEST(MatMulTest, PerGroupHandlesActivationOutliers)
     a.At(0, 3) = 500.0f;
     Tensor w = RandomTensor(rng, {64, 8});
     PerGroupWeights pg = QuantizePerGroup(w, 16);
-    Tensor y = MatMulPerGroup(a, pg);
-    Tensor y_ref = MatMulF32(a, w);
+    Tensor y = MatMulPerGroupPacked(a, PackPerGroupWeights(pg));
+    Tensor y_ref = MatMulF32Naive(a, w);
     EXPECT_LT(MaxAbsDiff(y, y_ref) / AbsMax(y_ref), 0.05);
 }
 
@@ -273,7 +275,7 @@ TEST(MatMulTest, RowSubsetEqualsMaskedMatMul)
     for (int64_t r = 0; r < 3; ++r) {
         for (int row : rows) a_masked.At(r, row) = a.At(r, row);
     }
-    Tensor y_ref = MatMulF32(a_masked, DequantizePerColumn(w));
+    Tensor y_ref = MatMulF32Naive(a_masked, DequantizePerColumn(w));
     EXPECT_LT(MaxAbsDiff(y, y_ref), 1e-5);
 }
 
@@ -290,9 +292,9 @@ TEST_P(QuantErrorSweep, RelativeErrorBounded)
                                               static_cast<double>(k)));
     const QuantParams ap = ComputeSymmetricScale(a);
     PerColumnWeights wq = QuantizePerColumn(w);
-    Tensor y = MatMulW8A8PerTensor(QuantizeSymmetric(a, ap), ap.scale, wq.q,
-                                   wq.scales);
-    Tensor y_ref = MatMulF32(a, w);
+    Tensor y = MatMulW8A8PerTensorPacked(QuantizeSymmetric(a, ap), ap.scale,
+                                         PackWeightsI8(wq.q, wq.scales));
+    Tensor y_ref = MatMulF32Naive(a, w);
     const double rel = MaxAbsDiff(y, y_ref) /
                        std::max(1e-9f, AbsMax(y_ref));
     EXPECT_LT(rel, 0.08) << "k=" << k;
