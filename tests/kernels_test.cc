@@ -59,9 +59,7 @@ const std::vector<std::vector<int64_t>> kShapes = {
 TEST(KernelEquivalenceTest, F32MatchesNaiveAcrossShapes)
 {
     Rng rng(101);
-    std::vector<std::vector<int64_t>> shapes = kShapes;
-    shapes.push_back({9, 75, 130});
-    for (const auto& s : shapes) {
+    for (const auto& s : kShapes) {
         Tensor a = RandomTensor(rng, {s[0], s[1]});
         Tensor b = RandomTensor(rng, {s[1], s[2]});
         Tensor tiled = MatMulF32Packed(a, PackWeightsF32(b));
@@ -72,6 +70,15 @@ TEST(KernelEquivalenceTest, F32MatchesNaiveAcrossShapes)
     }
 }
 
+TEST(KernelEquivalenceTest, F32PackedMatchesUnpacked)
+{
+    Rng rng(102);
+    Tensor a = RandomTensor(rng, {9, 75});
+    Tensor b = RandomTensor(rng, {75, 130});
+    Tensor via_pack = MatMulF32Packed(a, PackWeightsF32(b));
+    EXPECT_LT(MaxAbsDiff(via_pack, MatMulF32Naive(a, b)), 1e-3);
+}
+
 TEST(KernelEquivalenceTest, UnpackInvertsPackBitwise)
 {
     // n % 16 tails: the zero padding of the last panel must not leak.
@@ -80,6 +87,25 @@ TEST(KernelEquivalenceTest, UnpackInvertsPackBitwise)
         for (int64_t n : {1, 15, 16, 17, 33, 130}) {
             Tensor w = RandomTensor(rng, {k, n});
             EXPECT_TRUE(UnpackWeightsF32(PackWeightsF32(w)).BitEquals(w))
+                << "k=" << k << " n=" << n;
+        }
+    }
+}
+
+TEST(KernelEquivalenceTest, F32MatvecBitwiseMatchesPacked)
+{
+    // A decode step is an m = 1 call of the packed kernel; every output is
+    // one k-ascending chain from +0 whatever the row block, so it must
+    // equal the same row of a multi-row (prefill) call bit for bit.
+    Rng rng(112);
+    for (int64_t k : {1, 7, 100, 256}) {
+        for (int64_t n : {1, 15, 17, 130, 530}) {
+            Tensor a = RandomTensor(rng, {6, k});
+            a.At(5, k / 2) = 0.0f;
+            const PackedWeightsF32 w =
+                PackWeightsF32(RandomTensor(rng, {k, n}));
+            EXPECT_TRUE(MatMulF32Packed(a.CopyRows(5, 1), w).BitEquals(
+                MatMulF32Packed(a, w).CopyRows(5, 1)))
                 << "k=" << k << " n=" << n;
         }
     }
@@ -464,6 +490,51 @@ TEST(KernelIsaTest, PerGroupLevelsAgreeBitwise)
                 MatMulPerGroupPackedAt(isa, a, packed).BitEquals(scalar))
                 << ShapeName(isa, s) << " group=" << group;
         }
+    }
+}
+
+TEST(KernelEquivalenceTest, PackedRowColAndPerGroupEqualPerCallPacking)
+{
+    // LLM.Int8() and K-Quant pack their weights once and reuse them for
+    // every call; a held packing, after serving calls of other row counts,
+    // must equal packing afresh for the call bit for bit, as must
+    // LLM.Int8()'s packed float outlier term.
+    Rng rng(118);
+    for (const auto& s : kIsaShapes) {
+        const int64_t m = s[0], k = s[1], n = s[2];
+        Tensor a_q = RandomI8(rng, {m, k});
+        Tensor w_q = RandomI8(rng, {k, n});
+        std::vector<float> a_scales, w_scales;
+        for (int64_t i = 0; i < m; ++i) {
+            a_scales.push_back(0.01f + 0.002f * static_cast<float>(i));
+        }
+        for (int64_t j = 0; j < n; ++j) {
+            w_scales.push_back(0.03f + 0.001f * static_cast<float>(j));
+        }
+        const PackedWeightsI8 held_q = PackWeightsI8(w_q, w_scales);
+        MatMulW8A8RowColPacked(RandomI8(rng, {1, k}), {0.02f}, held_q);
+        EXPECT_TRUE(MatMulW8A8RowColPacked(a_q, a_scales, held_q)
+                        .BitEquals(MatMulW8A8RowColPacked(
+                            a_q, a_scales, PackWeightsI8(w_q, w_scales))))
+            << "m=" << m << " k=" << k << " n=" << n;
+        Tensor a = RandomTensor(rng, {m, k});
+        Tensor w = RandomTensor(rng, {k, n});
+        const PackedWeightsF32 held = PackWeightsF32(w);
+        MatMulF32Packed(RandomTensor(rng, {m + 3, k}), held);
+        EXPECT_TRUE(MatMulF32Packed(a, held)
+                        .BitEquals(MatMulF32Packed(a, PackWeightsF32(w))))
+            << "m=" << m << " k=" << k << " n=" << n;
+    }
+    for (const auto& [s, group] : kGroupShapes) {
+        Tensor a = RandomTensor(rng, {s[0], s[1]});
+        const PerGroupWeights pg =
+            QuantizePerGroup(RandomTensor(rng, {s[1], s[2]}), group);
+        const PackedPerGroupWeights held = PackPerGroupWeights(pg);
+        MatMulPerGroupPacked(RandomTensor(rng, {s[0] + 1, s[1]}), held);
+        EXPECT_TRUE(MatMulPerGroupPacked(a, held)
+                        .BitEquals(MatMulPerGroupPacked(
+                            a, PackPerGroupWeights(pg))))
+            << "m=" << s[0] << " k=" << s[1] << " group=" << group;
     }
 }
 
