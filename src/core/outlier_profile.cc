@@ -4,31 +4,47 @@
 #include <cmath>
 #include <numeric>
 
-#include "src/tensor/matmul.h"
-
 namespace llmnpu {
 
 namespace {
 
-/** fp32 executor that counts per-channel clip exceedances. */
-class CountingExecutor : public LinearExecutor
-{
-  public:
-    CountingExecutor(const ModelWeights& weights,
-                     std::vector<std::vector<LinearOutlierProfile>>& profiles)
-        : weights_(weights), profiles_(profiles)
-    {}
+/** Channel-absmax quantile defining "normal" values; everything above is
+ *  an outlier handled by the shadow path. It sits below the hot-channel
+ *  fraction so the scale covers normal channels at full resolution and
+ *  outliers exceed the clip. */
+constexpr double kClipQuantile = 0.96;
+/** Share of all exceedances the resident hot-channel set covers. */
+constexpr double kHotCoverage = 0.85;
 
-    Tensor
-    Forward(int layer, LinearKind kind, const Tensor& x) override
-    {
-        auto& profile = profiles_[static_cast<size_t>(layer)]
-                                 [static_cast<size_t>(
-                                     LinearKindIndex(kind))];
+}  // namespace
+
+OutlierProfile
+OutlierProfile::Collect(const Transformer& model, const CalibrationData& calib,
+                        const std::vector<std::vector<int>>& corpus)
+{
+    const ModelConfig& config = model.config();
+    OutlierProfile out;
+
+    // Derive the clip scale s per linear from the calibration pass: the
+    // kClipQuantile of the per-channel absmax distribution is the largest
+    // "normal" magnitude; s maps it to 127 (Equation 1).
+    out.profiles_ = PerLinear<LinearOutlierProfile>(
+        config, [&](int l, const LinearSpec& spec) {
+            LinearOutlierProfile profile;
+            const float normal_max = std::max(
+                1e-6f,
+                calib.Stats(l, spec.kind).ChannelAbsmaxQuantile(kClipQuantile));
+            profile.clip_scale = normal_max / 127.0f;
+            profile.exceed_count.assign(static_cast<size_t>(spec.k), 0);
+            return profile;
+        });
+
+    // Counting pass over the corpus.
+    TapLinearInputs(model, corpus, [&](int layer, LinearKind kind,
+                                       const Tensor& x) {
+        LinearOutlierProfile& profile = out.profiles_(layer, kind);
         const int64_t rows = x.Rows(), cols = x.Cols();
-        if (profile.exceed_count.empty()) {
-            profile.exceed_count.assign(static_cast<size_t>(cols), 0);
-        }
+        LLMNPU_CHECK_EQ(static_cast<size_t>(cols), profile.exceed_count.size());
         const float clip = profile.ClipValue();
         const float* p = x.Data<float>();
         for (int64_t r = 0; r < rows; ++r) {
@@ -49,52 +65,7 @@ class CountingExecutor : public LinearExecutor
                 static_cast<double>(cols);
         }
         profile.tokens_seen += rows;
-        return MatMulF32Packed(x, weights_.PackedLinear(layer, kind));
-    }
-
-    std::string Name() const override { return "outlier-profiler"; }
-
-  private:
-    const ModelWeights& weights_;
-    std::vector<std::vector<LinearOutlierProfile>>& profiles_;
-};
-
-}  // namespace
-
-OutlierProfile
-OutlierProfile::Collect(const Transformer& model, const CalibrationData& calib,
-                        const std::vector<std::vector<int>>& corpus,
-                        const Options& options)
-{
-    const ModelConfig& config = model.config();
-    OutlierProfile out;
-    out.per_layer_.assign(static_cast<size_t>(config.num_layers),
-                          std::vector<LinearOutlierProfile>(7));
-    out.rank_.assign(static_cast<size_t>(config.num_layers),
-                     std::vector<int>(7, -1));
-
-    // Derive the clip scale s per linear from the calibration pass: the
-    // clip_quantile of the per-channel absmax distribution is the largest
-    // "normal" magnitude; s maps it to 127 (Equation 1).
-    for (int l = 0; l < config.num_layers; ++l) {
-        for (const auto& spec : config.LayerLinears()) {
-            const auto& stats = calib.Stats(l, spec.kind);
-            auto& profile =
-                out.per_layer_[static_cast<size_t>(l)]
-                              [static_cast<size_t>(
-                                  LinearKindIndex(spec.kind))];
-            const float normal_max = std::max(
-                1e-6f, stats.ChannelAbsmaxQuantile(options.clip_quantile));
-            profile.clip_scale = normal_max / 127.0f;
-        }
-    }
-
-    // Counting pass over the corpus.
-    CountingExecutor counter(model.weights(), out.per_layer_);
-    for (const auto& tokens : corpus) {
-        BatchedKvCache cache = model.MakeCache();
-        model.Forward(tokens, cache, counter);
-    }
+    });
 
     // Finalize per-linear statistics and hot channel sets.
     struct Ranked {
@@ -105,10 +76,7 @@ OutlierProfile::Collect(const Transformer& model, const CalibrationData& calib,
     std::vector<Ranked> ranked;
     for (int l = 0; l < config.num_layers; ++l) {
         for (const auto& spec : config.LayerLinears()) {
-            auto& profile =
-                out.per_layer_[static_cast<size_t>(l)]
-                              [static_cast<size_t>(
-                                  LinearKindIndex(spec.kind))];
+            LinearOutlierProfile& profile = out.profiles_(l, spec.kind);
             if (profile.tokens_seen > 0) {
                 profile.mean_outliers_per_token /=
                     static_cast<double>(profile.tokens_seen);
@@ -116,7 +84,7 @@ OutlierProfile::Collect(const Transformer& model, const CalibrationData& calib,
                     static_cast<double>(profile.tokens_seen);
             }
             // Hot channels: smallest prefix (by descending count) covering
-            // hot_coverage of all exceedances.
+            // kHotCoverage of all exceedances.
             const int64_t total = std::accumulate(
                 profile.exceed_count.begin(), profile.exceed_count.end(),
                 static_cast<int64_t>(0));
@@ -135,7 +103,7 @@ OutlierProfile::Collect(const Transformer& model, const CalibrationData& calib,
                     profile.hot_channels.push_back(c);
                     covered += profile.exceed_count[static_cast<size_t>(c)];
                     if (static_cast<double>(covered) >=
-                        options.hot_coverage * static_cast<double>(total)) {
+                        kHotCoverage * static_cast<double>(total)) {
                         break;
                     }
                 }
@@ -148,32 +116,23 @@ OutlierProfile::Collect(const Transformer& model, const CalibrationData& calib,
     }
 
     // Importance ranking (0 = most important).
+    out.rank_ = PerLinear<int>(config, [](int, const LinearSpec&) {
+        return 0;
+    });
     std::sort(ranked.begin(), ranked.end(), [](const Ranked& a,
                                                const Ranked& b) {
         return a.importance > b.importance;
     });
     for (size_t i = 0; i < ranked.size(); ++i) {
-        out.rank_[static_cast<size_t>(ranked[i].layer)]
-                 [static_cast<size_t>(LinearKindIndex(ranked[i].kind))] =
-            static_cast<int>(i);
+        out.rank_(ranked[i].layer, ranked[i].kind) = static_cast<int>(i);
     }
     return out;
-}
-
-const LinearOutlierProfile&
-OutlierProfile::Stats(int layer, LinearKind kind) const
-{
-    return per_layer_[static_cast<size_t>(layer)]
-                     [static_cast<size_t>(LinearKindIndex(kind))];
 }
 
 int
 OutlierProfile::ImportanceRank(int layer, LinearKind kind) const
 {
-    const int rank = rank_[static_cast<size_t>(layer)]
-                          [static_cast<size_t>(LinearKindIndex(kind))];
-    LLMNPU_CHECK_GE(rank, 0);
-    return rank;
+    return rank_(layer, kind);
 }
 
 bool

@@ -36,7 +36,7 @@ struct LinearOutlierProfile {
     /** Importance: largest observed |x| over the clip value (Figure 12:
      *  ratio between the largest outlier and the quantization scale). */
     double importance = 0.0;
-    /** Channels covering >= hot_coverage of exceedances, hottest first. */
+    /** Channels covering >= 85% of exceedances, hottest first. */
     std::vector<int> hot_channels;
 
     /** Fraction of all exceedances covered by the hot channel set. */
@@ -47,34 +47,19 @@ struct LinearOutlierProfile {
 class OutlierProfile
 {
   public:
-    struct Options {
-        /** Channel-absmax quantile defining "normal" values; everything
-         *  above is an outlier handled by the shadow path. Must sit below
-         *  the hot-channel fraction so the scale covers normal channels
-         *  at full resolution and outliers exceed the clip. */
-        double clip_quantile = 0.96;
-        /** Target coverage of the resident hot-channel weight set. */
-        double hot_coverage = 0.85;
-    };
-
     /**
      * Profiles the model over `corpus`: derives clip scales from `calib`,
      * then runs a counting pass over the corpus.
      */
     static OutlierProfile Collect(const Transformer& model,
                                   const CalibrationData& calib,
-                                  const std::vector<std::vector<int>>& corpus,
-                                  const Options& options);
+                                  const std::vector<std::vector<int>>& corpus);
 
-    /** Collect() with default options. */
-    static OutlierProfile
-    Collect(const Transformer& model, const CalibrationData& calib,
-            const std::vector<std::vector<int>>& corpus)
+    const LinearOutlierProfile&
+    Stats(int layer, LinearKind kind) const
     {
-        return Collect(model, calib, corpus, Options());
+        return profiles_(layer, kind);
     }
-
-    const LinearOutlierProfile& Stats(int layer, LinearKind kind) const;
 
     /**
      * Importance rank of a linear: 0 = most important. Pruning at rate p
@@ -89,11 +74,9 @@ class OutlierProfile
     /** Linears profiled (layers x kinds present in the model). */
     int NumLinears() const { return num_linears_; }
 
-    int num_layers() const { return static_cast<int>(per_layer_.size()); }
-
   private:
-    std::vector<std::vector<LinearOutlierProfile>> per_layer_;  // [layer][kind]
-    std::vector<std::vector<int>> rank_;                        // [layer][kind]
+    PerLinear<LinearOutlierProfile> profiles_;
+    PerLinear<int> rank_;
     int num_linears_ = 0;
 };
 

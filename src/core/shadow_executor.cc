@@ -14,19 +14,15 @@ NpuShadowExecutor::NpuShadowExecutor(const ModelWeights& weights,
                                      double pruning_rate)
     : weights_(weights), profile_(profile), pruning_rate_(pruning_rate)
 {
-    const auto& config = weights.config;
-    prepared_.resize(static_cast<size_t>(config.num_layers));
-    for (int l = 0; l < config.num_layers; ++l) {
-        prepared_[static_cast<size_t>(l)].resize(kNumLinearKinds);
-        for (const auto& spec : config.LayerLinears()) {
+    prepared_ = PerLinear<PreparedLinear>(
+        weights.config, [&](int l, const LinearSpec& spec) {
             PreparedLinear pl;
             // The unpacked f32 matrix and its row-major quantized copy are
             // construction-only scratch: Forward reads the INT8 panels,
             // for the NPU term and the shadow term alike.
             const PerColumnWeights npu_weights =
                 QuantizePerColumn(weights.Linear(l, spec.kind));
-            pl.npu_packed =
-                PackWeightsI8(npu_weights.q, npu_weights.scales);
+            pl.npu_packed = PackWeightsI8(npu_weights.q, npu_weights.scales);
             pl.shadow_enabled =
                 profile.ShadowEnabled(l, spec.kind, pruning_rate);
             pl.is_hot.assign(static_cast<size_t>(spec.k), false);
@@ -34,11 +30,8 @@ NpuShadowExecutor::NpuShadowExecutor(const ModelWeights& weights,
                 pl.is_hot[static_cast<size_t>(hot)] = true;
                 ++pl.hot_rows;
             }
-            prepared_[static_cast<size_t>(l)]
-                     [static_cast<size_t>(LinearKindIndex(spec.kind))] =
-                std::move(pl);
-        }
-    }
+            return pl;
+        });
 }
 
 void
@@ -119,8 +112,7 @@ NpuShadowExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
                                 const BatchSegments& segments)
 {
     CheckBatchSegments(x, segments);
-    auto& pl = prepared_[static_cast<size_t>(layer)]
-                        [static_cast<size_t>(LinearKindIndex(kind))];
+    const PreparedLinear& pl = prepared_(layer, kind);
     const auto& op = profile_.Stats(layer, kind);
     stats_.linear_calls += static_cast<int64_t>(segments.size()) - 1;
 
@@ -151,9 +143,7 @@ NpuShadowExecutor::ResidentShadowWeightBytes() const
     const auto& config = weights_.config;
     for (int l = 0; l < config.num_layers; ++l) {
         for (const auto& spec : config.LayerLinears()) {
-            const auto& pl = prepared_[static_cast<size_t>(l)]
-                                      [static_cast<size_t>(
-                                          LinearKindIndex(spec.kind))];
+            const PreparedLinear& pl = prepared_(l, spec.kind);
             if (!pl.shadow_enabled) continue;
             bytes += pl.hot_rows * spec.n * 4;  // f32 rows for hot channels
         }

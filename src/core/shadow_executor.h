@@ -104,7 +104,7 @@ class NpuShadowExecutor : public LinearExecutor
     const ModelWeights& weights_;
     const OutlierProfile& profile_;
     double pruning_rate_;
-    std::vector<std::vector<PreparedLinear>> prepared_;  // [layer][kind]
+    PerLinear<PreparedLinear> prepared_;
     ShadowRuntimeStats stats_;
 };
 

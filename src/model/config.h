@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/tensor/ops.h"  // NormKind, ActKind
+#include "src/util/check.h"
 
 namespace llmnpu {
 
@@ -93,6 +94,65 @@ struct ModelConfig {
 
     /** INT8 weight bytes streamed per forward pass of the blocks. */
     int64_t MatMulWeightBytesInt8() const { return MatMulParams(); }
+};
+
+/**
+ * One value per (layer, linear) of a model: the layout of everything the
+ * offline preparation keeps per linear (calibration stats, clip scales,
+ * importance ranks, each executor's prepared weights). A flat
+ * num_layers x kNumLinearKinds table; reading the slot of a layer out of
+ * range, or of a kind the model lacks (the gate of an ungated FFN), panics.
+ */
+template <typename T>
+class PerLinear
+{
+  public:
+    PerLinear() = default;
+
+    /** Fills t(l, spec.kind) = build(l, spec) for every layer and every
+     *  spec of config.LayerLinears(), layer-major, in execution order. */
+    template <typename Build>
+    PerLinear(const ModelConfig& config, Build&& build)
+        : num_layers_(config.num_layers),
+          table_(static_cast<size_t>(config.num_layers) * kNumLinearKinds)
+    {
+        const std::vector<LinearSpec> specs = config.LayerLinears();
+        for (const LinearSpec& spec : specs) {
+            kinds_ |= 1u << LinearKindIndex(spec.kind);
+        }
+        for (int l = 0; l < num_layers_; ++l) {
+            for (const LinearSpec& spec : specs) {
+                (*this)(l, spec.kind) = build(l, spec);
+            }
+        }
+    }
+
+    T&
+    operator()(int layer, LinearKind kind)
+    {
+        return table_[Slot(layer, kind)];
+    }
+
+    const T&
+    operator()(int layer, LinearKind kind) const
+    {
+        return table_[Slot(layer, kind)];
+    }
+
+  private:
+    size_t
+    Slot(int layer, LinearKind kind) const
+    {
+        LLMNPU_CHECK_GE(layer, 0);
+        LLMNPU_CHECK_LT(layer, num_layers_);
+        LLMNPU_CHECK((kinds_ >> LinearKindIndex(kind)) & 1u);
+        return static_cast<size_t>(layer) * kNumLinearKinds +
+               static_cast<size_t>(LinearKindIndex(kind));
+    }
+
+    int num_layers_ = 0;
+    uint32_t kinds_ = 0;  ///< bit LinearKindIndex(k) set if k is present
+    std::vector<T> table_;
 };
 
 /** Qwen1.5-1.8B [27]: 24L, d=2048, 16 heads (MHA), FFN 5504, 32K context. */

@@ -31,44 +31,21 @@ Counters()
     return *c;
 }
 
-HandoffStats
-RegistryTotals()
+/** Adds `delta` to one of a backend's own counters and to its
+ *  process-wide registry twin. */
+void
+Add(int64_t& own, obs::Counter& global, int64_t delta)
 {
-    HandoffCounters& c = Counters();
-    HandoffStats s;
-    s.npu_linear_calls = c.npu_linear_calls.value();
-    s.cpu_linear_calls = c.cpu_linear_calls.value();
-    s.handoffs = c.handoffs.value();
-    s.quantized_elems = c.quantized_elems.value();
-    s.dequantized_elems = c.dequantized_elems.value();
-    return s;
+    own += delta;
+    global.Add(delta);
 }
 
 }  // namespace
 
 DecodeBackend::DecodeBackend(LinearExecutor& cpu_float,
                              LinearExecutor& npu_quant)
-    : cpu_float_(cpu_float), npu_quant_(npu_quant), base_(RegistryTotals())
+    : cpu_float_(cpu_float), npu_quant_(npu_quant)
 {}
-
-HandoffStats
-DecodeBackend::stats() const
-{
-    const HandoffStats now = RegistryTotals();
-    HandoffStats s;
-    s.npu_linear_calls = now.npu_linear_calls - base_.npu_linear_calls;
-    s.cpu_linear_calls = now.cpu_linear_calls - base_.cpu_linear_calls;
-    s.handoffs = now.handoffs - base_.handoffs;
-    s.quantized_elems = now.quantized_elems - base_.quantized_elems;
-    s.dequantized_elems = now.dequantized_elems - base_.dequantized_elems;
-    return s;
-}
-
-void
-DecodeBackend::ResetStats()
-{
-    base_ = RegistryTotals();
-}
 
 void
 DecodeBackend::SetUniformPlacement(DecodePlacement placement)
@@ -116,33 +93,10 @@ DecodeBackend::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
 
     HandoffCounters& c = Counters();
 
-    // Uniform fast path: the whole stack goes to one executor.
-    bool uniform = true;
-    for (size_t i = 1; i < num_segments; ++i) {
-        if (PlacementFor(i) != PlacementFor(0)) {
-            uniform = false;
-            break;
-        }
-    }
-    if (uniform) {
-        const DecodePlacement placement = PlacementFor(0);
-        if (placement == DecodePlacement::kNpuQuant) {
-            c.npu_linear_calls.Add(static_cast<int64_t>(num_segments));
-            c.handoffs.Add(1);
-            c.quantized_elems.Add(x.NumElements());
-            LLMNPU_TRACE_SPAN_TILE("handoff.npu_batch", "handoff", -1, -1,
-                                   layer, "rows", static_cast<int>(x.Rows()));
-            Tensor y = npu_quant_.ForwardBatch(layer, kind, x, segments);
-            c.dequantized_elems.Add(y.NumElements());
-            return y;
-        }
-        c.cpu_linear_calls.Add(static_cast<int64_t>(num_segments));
-        return cpu_float_.ForwardBatch(layer, kind, x, segments);
-    }
-
-    // Mixed step: split into maximal contiguous same-placement runs, route
-    // each run's sub-stack through its executor's ForwardBatch (bitwise
-    // per-segment by both executors' contracts), scatter rows back.
+    // Split into maximal contiguous same-placement runs, route each run's
+    // sub-stack through its executor's ForwardBatch (bitwise per-segment by
+    // both executors' contracts), scatter rows back. A run that spans the
+    // whole stack passes x and segments on without a copy.
     Tensor out;
     for (size_t first = 0; first < num_segments;) {
         const DecodePlacement placement = PlacementFor(first);
@@ -150,26 +104,37 @@ DecodeBackend::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
         while (last < num_segments && PlacementFor(last) == placement) {
             ++last;
         }
+        const bool whole = first == 0 && last == num_segments;
         const int64_t r0 = segments[first];
-        const int64_t rows = segments[last] - r0;
-        Tensor sub = x.CopyRows(r0, rows);
-        BatchSegments sub_segments(last - first + 1);
-        for (size_t i = first; i <= last; ++i) {
-            sub_segments[i - first] = segments[i] - r0;
+        Tensor sub;
+        BatchSegments sub_segments;
+        if (!whole) {
+            sub = x.CopyRows(r0, segments[last] - r0);
+            sub_segments.resize(last - first + 1);
+            for (size_t i = first; i <= last; ++i) {
+                sub_segments[i - first] = segments[i] - r0;
+            }
         }
+        const Tensor& run = whole ? x : sub;
+        const BatchSegments& run_segments = whole ? segments : sub_segments;
+        const auto run_length = static_cast<int64_t>(last - first);
         Tensor y;
         if (placement == DecodePlacement::kNpuQuant) {
-            c.npu_linear_calls.Add(static_cast<int64_t>(last - first));
-            c.handoffs.Add(1);
-            c.quantized_elems.Add(sub.NumElements());
-            LLMNPU_TRACE_SPAN_TILE("handoff.npu_run", "handoff", -1, -1,
-                                   layer, "rows", static_cast<int>(sub.Rows()));
-            y = npu_quant_.ForwardBatch(layer, kind, sub, sub_segments);
-            c.dequantized_elems.Add(y.NumElements());
+            Add(stats_.npu_linear_calls, c.npu_linear_calls, run_length);
+            Add(stats_.handoffs, c.handoffs, 1);
+            Add(stats_.quantized_elems, c.quantized_elems, run.NumElements());
+            LLMNPU_TRACE_SPAN_TILE(whole ? "handoff.npu_batch"
+                                         : "handoff.npu_run",
+                                   "handoff", -1, -1, layer, "rows",
+                                   static_cast<int>(run.Rows()));
+            y = npu_quant_.ForwardBatch(layer, kind, run, run_segments);
+            Add(stats_.dequantized_elems, c.dequantized_elems,
+                y.NumElements());
         } else {
-            c.cpu_linear_calls.Add(static_cast<int64_t>(last - first));
-            y = cpu_float_.ForwardBatch(layer, kind, sub, sub_segments);
+            Add(stats_.cpu_linear_calls, c.cpu_linear_calls, run_length);
+            y = cpu_float_.ForwardBatch(layer, kind, run, run_segments);
         }
+        if (whole) return y;
         if (out.Rank() == 0) out = Tensor({x.Rows(), y.Cols()}, DType::kF32);
         out.PasteRows(y, r0);
         first = last;

@@ -33,9 +33,9 @@ namespace llmnpu {
 
 /** Boundary-crossing counters of the CPU/NPU handoff (per linear routed to
  *  the NPU: one f32->int8 quantize of the inputs, one accumulator
- *  dequantize of the outputs, one round trip). Backed by the process-wide
- *  obs::MetricsRegistry ("handoff.*" counters); DecodeBackend::stats()
- *  reads them relative to the last ResetStats() snapshot. */
+ *  dequantize of the outputs, one round trip). Each DecodeBackend holds its
+ *  own; every increment also goes to the process-wide obs::MetricsRegistry
+ *  ("handoff.*" counters), which sums all backends' traffic. */
 struct HandoffStats {
     int64_t npu_linear_calls = 0;  ///< per-segment linears routed to the NPU
     int64_t cpu_linear_calls = 0;  ///< per-segment linears kept on the CPU
@@ -82,12 +82,11 @@ class DecodeBackend : public LinearExecutor
                         const BatchSegments& segments) override;
     std::string Name() const override;
 
-    /** Handoff counters accumulated since construction / last ResetStats().
-     *  Reads the registry's "handoff.*" counters minus the snapshot, so a
-     *  single live backend sees exactly its own traffic. */
-    HandoffStats stats() const;
-    /** Re-bases stats() at the registry's current totals. */
-    void ResetStats();
+    /** This backend's handoff counters since construction / ResetStats(),
+     *  whatever other backends in the process route. */
+    const HandoffStats& stats() const { return stats_; }
+    /** Zeroes stats(); the registry counters keep their totals. */
+    void ResetStats() { stats_ = HandoffStats{}; }
 
     /** The placement segment i of the current step routes to. */
     DecodePlacement PlacementFor(size_t segment) const;
@@ -97,7 +96,7 @@ class DecodeBackend : public LinearExecutor
     LinearExecutor& npu_quant_;
     DecodePlacement uniform_ = DecodePlacement::kCpuFloat;
     std::vector<DecodePlacement> step_placements_;  ///< empty => uniform_
-    HandoffStats base_;  ///< registry totals at construction / ResetStats
+    HandoffStats stats_;
 };
 
 }  // namespace llmnpu

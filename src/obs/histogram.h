@@ -1,27 +1,19 @@
 /**
  * @file
- * Fixed-bucket histogram + the single exact-quantile implementation.
+ * The single exact-quantile implementation.
  *
  * Every percentile in the codebase routes through SamplePercentile: the
- * serving report quantiles (src/serving/metrics.cc), the generic
- * util/stats.h Percentile helper, and Histogram::Percentile all share this
- * one definition, so a quantile printed by a bench and a quantile asserted
- * by a test can never drift apart. Header-only so util/stats.h can include
- * it without a library cycle (obs sits below util in the link graph).
- *
- * The histogram keeps two views of its samples: fixed bucket counts (cheap
- * to export, stable memory) and the exact sample list (exact percentiles —
- * the sample volumes here are per-request latencies, thousands per run,
- * not per-event rates). Add() is mutex-guarded: histograms record cold
- * per-request aggregates, never per-tile hot-path events (those go through
- * the tracer's lock-free ring buffers instead).
+ * serving report quantiles (src/serving/metrics.cc) and the generic
+ * util/stats.h Percentile helper share this one definition, so a quantile
+ * printed by a bench and a quantile asserted by a test can never drift
+ * apart. Header-only so util/stats.h can include it without a library
+ * cycle (obs sits below util in the link graph).
  */
 #ifndef LLMNPU_OBS_HISTOGRAM_H
 #define LLMNPU_OBS_HISTOGRAM_H
 
 #include <algorithm>
-#include <cstdint>
-#include <mutex>
+#include <cstddef>
 #include <vector>
 
 #include "src/util/check.h"
@@ -45,131 +37,6 @@ SamplePercentile(std::vector<double> xs, double p)
     const double frac = rank - static_cast<double>(lo);
     return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
-
-/** Bucket upper bounds for millisecond latencies: a 1-2-5 series from
- *  0.1 ms to 100 s (values above the last bound land in the overflow
- *  bucket). */
-inline std::vector<double>
-DefaultLatencyBucketsMs()
-{
-    std::vector<double> bounds;
-    for (double decade = 0.1; decade < 2e5; decade *= 10.0) {
-        bounds.push_back(decade);
-        bounds.push_back(decade * 2.0);
-        bounds.push_back(decade * 5.0);
-    }
-    return bounds;
-}
-
-/**
- * Thread-safe fixed-bucket histogram with exact retained samples.
- *
- * `bounds` are ascending bucket upper bounds; bucket i counts samples
- * x <= bounds[i] (first match), with one extra overflow bucket past the
- * last bound.
- */
-class Histogram
-{
-  public:
-    explicit Histogram(std::vector<double> bounds = DefaultLatencyBucketsMs())
-        : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0)
-    {
-        for (size_t i = 1; i < bounds_.size(); ++i) {
-            LLMNPU_CHECK_GT(bounds_[i], bounds_[i - 1]);
-        }
-    }
-
-    void
-    Add(double x)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        const auto it =
-            std::lower_bound(bounds_.begin(), bounds_.end(), x);
-        ++buckets_[static_cast<size_t>(it - bounds_.begin())];
-        samples_.push_back(x);
-        sum_ += x;
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-
-    int64_t
-    count() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return static_cast<int64_t>(samples_.size());
-    }
-
-    double
-    sum() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return sum_;
-    }
-
-    double
-    mean() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return samples_.empty()
-                   ? 0.0
-                   : sum_ / static_cast<double>(samples_.size());
-    }
-
-    double
-    min() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return samples_.empty() ? 0.0 : min_;
-    }
-
-    double
-    max() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return samples_.empty() ? 0.0 : max_;
-    }
-
-    /** Exact percentile over every sample added since the last Reset. */
-    double
-    Percentile(double p) const
-    {
-        std::vector<double> copy;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            copy = samples_;
-        }
-        return SamplePercentile(std::move(copy), p);
-    }
-
-    const std::vector<double>& bounds() const { return bounds_; }
-
-    std::vector<int64_t>
-    BucketCounts() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return buckets_;
-    }
-
-    void
-    Reset()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        std::fill(buckets_.begin(), buckets_.end(), 0);
-        samples_.clear();
-        sum_ = 0.0;
-        min_ = 1e300;
-        max_ = -1e300;
-    }
-
-  private:
-    mutable std::mutex mu_;
-    std::vector<double> bounds_;
-    std::vector<int64_t> buckets_;
-    std::vector<double> samples_;
-    double sum_ = 0.0;
-    double min_ = 1e300;
-    double max_ = -1e300;
-};
 
 }  // namespace obs
 }  // namespace llmnpu

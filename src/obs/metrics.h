@@ -1,23 +1,20 @@
 /**
  * @file
- * Process-wide metrics registry: counters, gauges, fixed-bucket
- * histograms, looked up by stable dotted names.
+ * Process-wide metrics registry: counters and gauges, looked up by stable
+ * dotted names.
  *
- * This is the single source of truth the scattered ad-hoc stats migrated
- * onto: DecodeBackend's HandoffStats, KvPagePool occupancy, ThreadPool
- * queue depth and per-thread busy time, and the per-request TTFT/TPOT
- * histograms behind ServingReport. Old accessors remain as thin reads
- * (usually "global counter minus a snapshot taken at construction/reset"),
- * so callers and tests are unchanged while every number flows through one
- * place. The serving simulator is the exception: its counts are per-run
- * state (concurrent runs must not share them), published here once each
- * run finishes and never read back.
+ * Components publish what they count here: DecodeBackend's CPU/NPU handoff
+ * crossings, KvPagePool occupancy, ThreadPool queue depth and per-thread
+ * busy time, and the serving simulator's per-run totals. Nothing in the
+ * program reads the registry back: a component that reports a number
+ * keeps it itself (DecodeBackend::stats(), a run's ServingReport) and adds
+ * the same increments here, so two concurrent users never see each
+ * other's counts. The readers are the trace export, which embeds
+ * DumpJson(), and harnesses that read counters by name.
  *
- * Concurrency: GetCounter/GetGauge/GetHistogram take a mutex (cache the
- * returned reference on hot paths); the returned objects have stable
- * addresses for the registry's lifetime. Counter/Gauge updates are
- * lock-free atomics; Histogram::Add is mutex-guarded (cold, per-request
- * granularity).
+ * Concurrency: GetCounter/GetGauge take a mutex (cache the returned
+ * reference on hot paths); the returned objects have stable addresses for
+ * the registry's lifetime. Counter/Gauge updates are lock-free atomics.
  */
 #ifndef LLMNPU_OBS_METRICS_H
 #define LLMNPU_OBS_METRICS_H
@@ -29,8 +26,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "src/obs/histogram.h"
 
 namespace llmnpu {
 namespace obs {
@@ -128,16 +123,12 @@ class MetricsRegistry
      *  already registered as a different metric type. */
     Counter& GetCounter(const std::string& name);
     Gauge& GetGauge(const std::string& name);
-    /** `bounds` applies only on first creation (empty = default
-     *  millisecond-latency buckets). */
-    Histogram& GetHistogram(const std::string& name,
-                            std::vector<double> bounds = {});
 
     /** Registered counter names, sorted. */
     std::vector<std::string> CounterNames() const;
 
-    /** One JSON object {"counters": {...}, "gauges": {...},
-     *  "histograms": {...}} — embedded in the trace export. */
+    /** One JSON object {"counters": {...}, "gauges": {...}}, embedded in
+     *  the trace export. */
     std::string DumpJson() const;
 
   private:
@@ -146,7 +137,6 @@ class MetricsRegistry
     mutable std::mutex mu_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace obs

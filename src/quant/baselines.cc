@@ -46,6 +46,15 @@ GatherRows(const Tensor& w, const std::vector<int>& rows)
     return out;
 }
 
+/** AWQ's quantization group along K and its activation-importance
+ *  exponent: s_k = mean|x_k|^alpha. */
+constexpr int kAwqGroupSize = 32;
+constexpr double kAwqAlpha = 0.5;
+/** SmoothQuant's migration strength: s_k = max|x_k|^a / max|w_k|^(1-a). */
+constexpr double kSmoothAlpha = 0.5;
+/** LLM.Int8()'s outlier cut, in multiples of the median channel absmax. */
+constexpr double kOutlierThreshold = 6.0;
+
 /** Median of a copy of `v`. */
 float
 MedianOf(std::vector<float> v)
@@ -63,29 +72,19 @@ MedianOf(std::vector<float> v)
 // --------------------------------------------------------------------------
 
 PerTensorExecutor::PerTensorExecutor(const ModelWeights& weights)
-{
-    const auto& config = weights.config;
-    q_.resize(static_cast<size_t>(config.num_layers));
-    for (int l = 0; l < config.num_layers; ++l) {
-        q_[static_cast<size_t>(l)].resize(kNumLinearKinds);
-        for (const auto& spec : config.LayerLinears()) {
-            const PerColumnWeights pc =
-                QuantizePerColumn(weights.Linear(l, spec.kind));
-            q_[static_cast<size_t>(l)]
-              [static_cast<size_t>(LinearKindIndex(spec.kind))] =
-                PackWeightsI8(pc.q, pc.scales);
-        }
-    }
-}
+    : q_(weights.config, [&](int l, const LinearSpec& spec) {
+          const PerColumnWeights pc =
+              QuantizePerColumn(weights.Linear(l, spec.kind));
+          return PackWeightsI8(pc.q, pc.scales);
+      })
+{}
 
 Tensor
 PerTensorExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
 {
     const QuantParams params = ComputeSymmetricScale(x);
     Tensor x_q = QuantizeSymmetric(x, params);
-    const auto& w = q_[static_cast<size_t>(layer)]
-                      [static_cast<size_t>(LinearKindIndex(kind))];
-    return MatMulW8A8PerTensorPacked(x_q, params.scale, w);
+    return MatMulW8A8PerTensorPacked(x_q, params.scale, q_(layer, kind));
 }
 
 // --------------------------------------------------------------------------
@@ -93,27 +92,17 @@ PerTensorExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
 // --------------------------------------------------------------------------
 
 KQuantExecutor::KQuantExecutor(const ModelWeights& weights, int group_size)
-    : group_size_(group_size)
-{
-    const auto& config = weights.config;
-    q_.resize(static_cast<size_t>(config.num_layers));
-    for (int l = 0; l < config.num_layers; ++l) {
-        q_[static_cast<size_t>(l)].resize(kNumLinearKinds);
-        for (const auto& spec : config.LayerLinears()) {
-            q_[static_cast<size_t>(l)]
-              [static_cast<size_t>(LinearKindIndex(spec.kind))] =
-                PackPerGroupWeights(QuantizePerGroup(
-                    weights.Linear(l, spec.kind), group_size_));
-        }
-    }
-}
+    : group_size_(group_size),
+      q_(weights.config, [&](int l, const LinearSpec& spec) {
+          return PackPerGroupWeights(
+              QuantizePerGroup(weights.Linear(l, spec.kind), group_size));
+      })
+{}
 
 Tensor
 KQuantExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
 {
-    const auto& w = q_[static_cast<size_t>(layer)]
-                      [static_cast<size_t>(LinearKindIndex(kind))];
-    return MatMulPerGroupPacked(x, w);
+    return MatMulPerGroupPacked(x, q_(layer, kind));
 }
 
 Tensor
@@ -131,14 +120,10 @@ KQuantExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
 // --------------------------------------------------------------------------
 
 AwqExecutor::AwqExecutor(const ModelWeights& weights,
-                         const CalibrationData& calib, int group_size,
-                         double alpha)
+                         const CalibrationData& calib)
 {
-    const auto& config = weights.config;
-    w_eff_.resize(static_cast<size_t>(config.num_layers));
-    for (int l = 0; l < config.num_layers; ++l) {
-        w_eff_[static_cast<size_t>(l)].resize(kNumLinearKinds);
-        for (const auto& spec : config.LayerLinears()) {
+    w_eff_ = PerLinear<PackedWeightsF32>(
+        weights.config, [&](int l, const LinearSpec& spec) {
             const auto& stats = calib.Stats(l, spec.kind);
             LLMNPU_CHECK_EQ(stats.channel_mean_abs.size(),
                             static_cast<size_t>(spec.k));
@@ -151,7 +136,7 @@ AwqExecutor::AwqExecutor(const ModelWeights& weights,
                     std::max(1e-5, static_cast<double>(
                                        stats.channel_mean_abs
                                            [static_cast<size_t>(kk)]));
-                s[static_cast<size_t>(kk)] = std::pow(a, alpha);
+                s[static_cast<size_t>(kk)] = std::pow(a, kAwqAlpha);
                 log_sum += std::log(s[static_cast<size_t>(kk)]);
             }
             const double norm = std::exp(
@@ -168,7 +153,7 @@ AwqExecutor::AwqExecutor(const ModelWeights& weights,
                         static_cast<float>(s[static_cast<size_t>(kk)]);
                 }
             }
-            PerGroupWeights pg = QuantizePerGroup(w_scaled, group_size);
+            PerGroupWeights pg = QuantizePerGroup(w_scaled, kAwqGroupSize);
             Tensor w_deq = DequantizePerGroup(pg);
             float* pd = w_deq.Data<float>();
             for (int64_t kk = 0; kk < spec.k; ++kk) {
@@ -177,19 +162,14 @@ AwqExecutor::AwqExecutor(const ModelWeights& weights,
                         static_cast<float>(s[static_cast<size_t>(kk)]);
                 }
             }
-            w_eff_[static_cast<size_t>(l)]
-                  [static_cast<size_t>(LinearKindIndex(spec.kind))] =
-                PackWeightsF32(w_deq);
-        }
-    }
+            return PackWeightsF32(w_deq);
+        });
 }
 
 Tensor
 AwqExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
 {
-    return MatMulF32Packed(x, w_eff_[static_cast<size_t>(layer)]
-                                    [static_cast<size_t>(
-                                        LinearKindIndex(kind))]);
+    return MatMulF32Packed(x, w_eff_(layer, kind));
 }
 
 Tensor
@@ -207,14 +187,10 @@ AwqExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
 // --------------------------------------------------------------------------
 
 SmoothQuantExecutor::SmoothQuantExecutor(const ModelWeights& weights,
-                                         const CalibrationData& calib,
-                                         double alpha)
+                                         const CalibrationData& calib)
 {
-    const auto& config = weights.config;
-    q_.resize(static_cast<size_t>(config.num_layers));
-    for (int l = 0; l < config.num_layers; ++l) {
-        q_[static_cast<size_t>(l)].resize(kNumLinearKinds);
-        for (const auto& spec : config.LayerLinears()) {
+    q_ = PerLinear<SmoothedLinear>(
+        weights.config, [&](int l, const LinearSpec& spec) {
             Tensor w_smooth = weights.Linear(l, spec.kind);
             const auto& stats = calib.Stats(l, spec.kind);
 
@@ -234,8 +210,9 @@ SmoothQuantExecutor::SmoothQuantExecutor(const ModelWeights& weights,
                 const float s = std::max(
                     1e-5f,
                     static_cast<float>(
-                        std::pow(x_absmax, alpha) /
-                        std::pow(std::max(w_absmax, 1e-5f), 1.0 - alpha)));
+                        std::pow(x_absmax, kSmoothAlpha) /
+                        std::pow(std::max(w_absmax, 1e-5f),
+                                 1.0 - kSmoothAlpha)));
                 sl.inv_smooth[static_cast<size_t>(kk)] = 1.0f / s;
                 for (int64_t c = 0; c < spec.n; ++c) {
                     pw[kk * spec.n + c] *= s;
@@ -250,18 +227,14 @@ SmoothQuantExecutor::SmoothQuantExecutor(const ModelWeights& weights,
             sl.static_act_scale = smoothed_absmax > 0.0f
                                       ? smoothed_absmax / 127.0f
                                       : 1.0f;
-            q_[static_cast<size_t>(l)]
-              [static_cast<size_t>(LinearKindIndex(spec.kind))] =
-                std::move(sl);
-        }
-    }
+            return sl;
+        });
 }
 
 Tensor
 SmoothQuantExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
 {
-    const auto& sl = q_[static_cast<size_t>(layer)]
-                       [static_cast<size_t>(LinearKindIndex(kind))];
+    const SmoothedLinear& sl = q_(layer, kind);
     Tensor x_smooth = x;
     float* px = x_smooth.Data<float>();
     const int64_t m = x.Rows(), k = x.Cols();
@@ -291,21 +264,17 @@ SmoothQuantExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
 // --------------------------------------------------------------------------
 
 LlmInt8Executor::LlmInt8Executor(const ModelWeights& weights,
-                                 const CalibrationData& calib,
-                                 double outlier_threshold)
+                                 const CalibrationData& calib)
 {
-    const auto& config = weights.config;
-    q_.resize(static_cast<size_t>(config.num_layers));
-    for (int l = 0; l < config.num_layers; ++l) {
-        q_[static_cast<size_t>(l)].resize(kNumLinearKinds);
-        for (const auto& spec : config.LayerLinears()) {
+    q_ = PerLinear<DecomposedLinear>(
+        weights.config, [&](int l, const LinearSpec& spec) {
             const Tensor w = weights.Linear(l, spec.kind);
             const auto& stats = calib.Stats(l, spec.kind);
 
             DecomposedLinear dl;
             const float median = MedianOf(stats.channel_absmax);
-            const float cut =
-                static_cast<float>(outlier_threshold) * std::max(median, 1e-5f);
+            const float cut = static_cast<float>(kOutlierThreshold) *
+                              std::max(median, 1e-5f);
             for (int64_t kk = 0; kk < spec.k; ++kk) {
                 if (stats.channel_absmax[static_cast<size_t>(kk)] > cut) {
                     dl.outlier_channels.push_back(static_cast<int>(kk));
@@ -317,26 +286,20 @@ LlmInt8Executor::LlmInt8Executor(const ModelWeights& weights,
             PerColumnWeights pc =
                 QuantizePerColumn(GatherRows(w, dl.normal_channels));
             dl.w_normal = PackWeightsI8(pc.q, std::move(pc.scales));
-            q_[static_cast<size_t>(l)]
-              [static_cast<size_t>(LinearKindIndex(spec.kind))] =
-                std::move(dl);
-        }
-    }
+            return dl;
+        });
 }
 
 size_t
 LlmInt8Executor::NumOutlierChannels(int layer, LinearKind kind) const
 {
-    return q_[static_cast<size_t>(layer)]
-             [static_cast<size_t>(LinearKindIndex(kind))]
-                 .outlier_channels.size();
+    return q_(layer, kind).outlier_channels.size();
 }
 
 Tensor
 LlmInt8Executor::Forward(int layer, LinearKind kind, const Tensor& x)
 {
-    const auto& dl = q_[static_cast<size_t>(layer)]
-                       [static_cast<size_t>(LinearKindIndex(kind))];
+    const DecomposedLinear& dl = q_(layer, kind);
     const int64_t m = x.Rows();
 
     // Normal channels: vector-wise int8 (per-row activation scales).

@@ -40,7 +40,7 @@ class PerTensorExecutor : public LinearExecutor
 
   private:
     /** Per-column int8 weights, packed once at construction. */
-    std::vector<std::vector<PackedWeightsI8>> q_;  // [layer][kind]
+    PerLinear<PackedWeightsI8> q_;
 };
 
 /**
@@ -64,7 +64,7 @@ class KQuantExecutor : public LinearExecutor
   private:
     int group_size_;
     /** Per-group int8 weights, packed once at construction. */
-    std::vector<std::vector<PackedPerGroupWeights>> q_;  // [layer][kind]
+    PerLinear<PackedPerGroupWeights> q_;
 };
 
 /**
@@ -75,8 +75,7 @@ class KQuantExecutor : public LinearExecutor
 class AwqExecutor : public LinearExecutor
 {
   public:
-    AwqExecutor(const ModelWeights& weights, const CalibrationData& calib,
-                int group_size = 32, double alpha = 0.5);
+    AwqExecutor(const ModelWeights& weights, const CalibrationData& calib);
 
     Tensor Forward(int layer, LinearKind kind, const Tensor& x) override;
     /** Stacked: per-row dynamics only, so one kernel call is exact. */
@@ -86,7 +85,7 @@ class AwqExecutor : public LinearExecutor
 
   private:
     /** Effective dequantized weights after scale/quant/unscale, packed. */
-    std::vector<std::vector<PackedWeightsF32>> w_eff_;  // [layer][kind]
+    PerLinear<PackedWeightsF32> w_eff_;
 };
 
 /**
@@ -99,7 +98,7 @@ class SmoothQuantExecutor : public LinearExecutor
 {
   public:
     SmoothQuantExecutor(const ModelWeights& weights,
-                        const CalibrationData& calib, double alpha = 0.5);
+                        const CalibrationData& calib);
 
     Tensor Forward(int layer, LinearKind kind, const Tensor& x) override;
     /** Stacked: per-row dynamics only, so one kernel call is exact. */
@@ -113,7 +112,7 @@ class SmoothQuantExecutor : public LinearExecutor
         PackedWeightsI8 weights;        ///< quantized smoothed weights
         float static_act_scale = 1.0f;  ///< offline-profiled per-tensor scale
     };
-    std::vector<std::vector<SmoothedLinear>> q_;  // [layer][kind]
+    PerLinear<SmoothedLinear> q_;
 };
 
 /**
@@ -124,8 +123,7 @@ class SmoothQuantExecutor : public LinearExecutor
 class LlmInt8Executor : public LinearExecutor
 {
   public:
-    LlmInt8Executor(const ModelWeights& weights, const CalibrationData& calib,
-                    double outlier_threshold = 6.0);
+    LlmInt8Executor(const ModelWeights& weights, const CalibrationData& calib);
 
     Tensor Forward(int layer, LinearKind kind, const Tensor& x) override;
     /** Stacked: per-row dynamics only, so one kernel call is exact. */
@@ -143,7 +141,7 @@ class LlmInt8Executor : public LinearExecutor
         PackedWeightsF32 w_outlier;         ///< f32 [|outlier| x N]
         PackedWeightsI8 w_normal;           ///< int8 [|normal| x N]
     };
-    std::vector<std::vector<DecomposedLinear>> q_;  // [layer][kind]
+    PerLinear<DecomposedLinear> q_;
 };
 
 }  // namespace llmnpu

@@ -22,23 +22,62 @@ LinearStats::ChannelAbsmaxQuantile(double q) const
 
 namespace {
 
-/** fp32 executor that records activation stats before each matmul. */
-class RecordingExecutor : public LinearExecutor
+/** fp32 executor that shows each linear's input to a tap first. It derives
+ *  from LinearExecutor, not Fp32LinearExecutor: the base ForwardBatch
+ *  hands the one segment of a solo forward to Forward, where the tap is. */
+class TapExecutor : public LinearExecutor
 {
   public:
-    RecordingExecutor(const ModelWeights& weights, CalibrationData& data)
-        : weights_(weights), data_(data)
+    TapExecutor(const ModelWeights& weights, const LinearInputTap& tap)
+        : weights_(weights), tap_(tap)
     {}
 
     Tensor
     Forward(int layer, LinearKind kind, const Tensor& x) override
     {
-        LinearStats& stats = data_.MutableStats(layer, kind);
+        tap_(layer, kind, x);
+        return MatMulF32Packed(x, weights_.PackedLinear(layer, kind));
+    }
+
+    std::string Name() const override { return "fp32-tap"; }
+
+  private:
+    const ModelWeights& weights_;
+    const LinearInputTap& tap_;
+};
+
+}  // namespace
+
+void
+TapLinearInputs(const Transformer& model,
+                const std::vector<std::vector<int>>& corpus,
+                const LinearInputTap& tap)
+{
+    TapExecutor executor(model.weights(), tap);
+    for (const auto& tokens : corpus) {
+        LLMNPU_CHECK(!tokens.empty());
+        BatchedKvCache cache = model.MakeCache();
+        model.Forward(tokens, cache, executor);
+    }
+}
+
+CalibrationData
+CalibrationData::Collect(const Transformer& model,
+                         const std::vector<std::vector<int>>& corpus)
+{
+    CalibrationData data;
+    data.stats_ = PerLinear<LinearStats>(
+        model.config(), [](int, const LinearSpec& spec) {
+            LinearStats stats;
+            stats.channel_absmax.assign(static_cast<size_t>(spec.k), 0.0f);
+            stats.channel_mean_abs.assign(static_cast<size_t>(spec.k), 0.0f);
+            return stats;
+        });
+    TapLinearInputs(model, corpus, [&](int layer, LinearKind kind,
+                                       const Tensor& x) {
+        LinearStats& stats = data.stats_(layer, kind);
         const int64_t rows = x.Rows(), cols = x.Cols();
-        if (stats.channel_absmax.empty()) {
-            stats.channel_absmax.assign(static_cast<size_t>(cols), 0.0f);
-            stats.channel_mean_abs.assign(static_cast<size_t>(cols), 0.0f);
-        }
+        LLMNPU_CHECK_EQ(static_cast<size_t>(cols), stats.channel_absmax.size());
         const float* p = x.Data<float>();
         for (int64_t r = 0; r < rows; ++r) {
             for (int64_t c = 0; c < cols; ++c) {
@@ -51,36 +90,12 @@ class RecordingExecutor : public LinearExecutor
             }
         }
         stats.rows_seen += rows;
-        return MatMulF32Packed(x, weights_.PackedLinear(layer, kind));
-    }
-
-    std::string Name() const override { return "calibration"; }
-
-  private:
-    const ModelWeights& weights_;
-    CalibrationData& data_;
-};
-
-}  // namespace
-
-CalibrationData
-CalibrationData::Collect(const Transformer& model,
-                         const std::vector<std::vector<int>>& corpus)
-{
-    CalibrationData data;
-    data.per_layer_.assign(
-        static_cast<size_t>(model.config().num_layers),
-        std::vector<LinearStats>(static_cast<size_t>(kNumLinearKinds)));
-
-    RecordingExecutor recorder(model.weights(), data);
-    for (const auto& tokens : corpus) {
-        LLMNPU_CHECK(!tokens.empty());
-        BatchedKvCache cache = model.MakeCache();
-        model.Forward(tokens, cache, recorder);
-    }
+    });
     // Convert mean-abs accumulators into means.
-    for (auto& layer : data.per_layer_) {
-        for (auto& stats : layer) {
+    const ModelConfig& config = model.config();
+    for (int l = 0; l < config.num_layers; ++l) {
+        for (const auto& spec : config.LayerLinears()) {
+            LinearStats& stats = data.stats_(l, spec.kind);
             if (stats.rows_seen == 0) continue;
             for (auto& v : stats.channel_mean_abs) {
                 v /= static_cast<float>(stats.rows_seen);
@@ -88,20 +103,6 @@ CalibrationData::Collect(const Transformer& model,
         }
     }
     return data;
-}
-
-const LinearStats&
-CalibrationData::Stats(int layer, LinearKind kind) const
-{
-    return per_layer_[static_cast<size_t>(layer)]
-                     [static_cast<size_t>(LinearKindIndex(kind))];
-}
-
-LinearStats&
-CalibrationData::MutableStats(int layer, LinearKind kind)
-{
-    return per_layer_[static_cast<size_t>(layer)]
-                     [static_cast<size_t>(LinearKindIndex(kind))];
 }
 
 }  // namespace llmnpu

@@ -12,11 +12,26 @@
 #ifndef LLMNPU_QUANT_CALIBRATION_H
 #define LLMNPU_QUANT_CALIBRATION_H
 
+#include <functional>
 #include <vector>
 
 #include "src/model/transformer.h"
 
 namespace llmnpu {
+
+/** Receives one linear's f32 input activation [rows x k]. */
+using LinearInputTap =
+    std::function<void(int layer, LinearKind kind, const Tensor& x)>;
+
+/**
+ * The offline corpus pass shared by calibration and outlier profiling:
+ * runs each sequence of `corpus` (token ids, none empty) alone through the
+ * fp32 model and hands every linear's input to `tap` before its packed
+ * matmul, in forward order.
+ */
+void TapLinearInputs(const Transformer& model,
+                     const std::vector<std::vector<int>>& corpus,
+                     const LinearInputTap& tap);
 
 /** Per-linear activation statistics gathered during calibration. */
 struct LinearStats {
@@ -45,13 +60,14 @@ class CalibrationData
                                    const std::vector<std::vector<int>>& corpus);
 
     /** Stats of one linear operator. */
-    const LinearStats& Stats(int layer, LinearKind kind) const;
-    LinearStats& MutableStats(int layer, LinearKind kind);
-
-    int num_layers() const { return static_cast<int>(per_layer_.size()); }
+    const LinearStats&
+    Stats(int layer, LinearKind kind) const
+    {
+        return stats_(layer, kind);
+    }
 
   private:
-    std::vector<std::vector<LinearStats>> per_layer_;  // [layer][kind]
+    PerLinear<LinearStats> stats_;
 };
 
 }  // namespace llmnpu

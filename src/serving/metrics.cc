@@ -1,10 +1,22 @@
 #include "src/serving/metrics.h"
 
 #include "src/obs/histogram.h"
-#include "src/obs/metrics.h"
 #include "src/util/format.h"
 
 namespace llmnpu {
+
+namespace {
+
+/** Mean of `xs` summed in order; 0.0 when empty. */
+double
+MeanOf(const std::vector<double>& xs)
+{
+    double sum = 0.0;
+    for (double x : xs) sum += x;
+    return xs.empty() ? 0.0 : sum / static_cast<double>(xs.size());
+}
+
+}  // namespace
 
 ServingReport
 BuildReport(const std::vector<RequestRecord>& records, double makespan_ms,
@@ -14,23 +26,9 @@ BuildReport(const std::vector<RequestRecord>& records, double makespan_ms,
     report.makespan_ms = makespan_ms;
     report.preemptions = preemptions;
 
-    // Per-request latency samples live in the process-wide registry
-    // ("serving.*" histograms); the report quantiles below are thin reads
-    // of them, so a trace export carries the same numbers. Each report
-    // rebuilds the histograms from its record set (last-writer wins).
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    obs::Histogram& ttft = reg.GetHistogram("serving.ttft_ms",
-                                            obs::DefaultLatencyBucketsMs());
-    obs::Histogram& e2e = reg.GetHistogram("serving.e2e_ms",
-                                           obs::DefaultLatencyBucketsMs());
-    obs::Histogram& tpot = reg.GetHistogram("serving.tpot_ms",
-                                            obs::DefaultLatencyBucketsMs());
-    obs::Histogram& queueing = reg.GetHistogram(
-        "serving.queueing_ms", obs::DefaultLatencyBucketsMs());
-    ttft.Reset();
-    e2e.Reset();
-    tpot.Reset();
-    queueing.Reset();
+    // Per-request latency samples of the completed requests, in record
+    // order; the report owns them, so concurrent reports never interact.
+    std::vector<double> ttft, e2e, tpot, queueing;
 
     int met_slo = 0;
     int64_t tokens_out = 0;
@@ -48,24 +46,24 @@ BuildReport(const std::vector<RequestRecord>& records, double makespan_ms,
         tokens_out += record.tokens_out;
         if (!record.Completed()) continue;
         ++report.completed;
-        ttft.Add(record.TtftMs());
-        e2e.Add(record.E2eMs());
-        tpot.Add(record.TpotMs());
-        queueing.Add(record.QueueingMs());
+        ttft.push_back(record.TtftMs());
+        e2e.push_back(record.E2eMs());
+        tpot.push_back(record.TpotMs());
+        queueing.push_back(record.QueueingMs());
         met_slo += record.MetSlo() ? 1 : 0;
     }
     // Each block below is guarded only by its own denominator, so a
     // degenerate run (all rejected, nothing completed, zero makespan)
-    // still yields an all-defined report: Histogram percentiles and means
-    // both return 0.0 on empty samples, never NaN.
-    report.ttft_p50_ms = ttft.Percentile(50.0);
-    report.ttft_p95_ms = ttft.Percentile(95.0);
-    report.ttft_p99_ms = ttft.Percentile(99.0);
-    report.e2e_p50_ms = e2e.Percentile(50.0);
-    report.e2e_p95_ms = e2e.Percentile(95.0);
-    report.e2e_p99_ms = e2e.Percentile(99.0);
-    report.tpot_mean_ms = tpot.mean();
-    report.queueing_mean_ms = queueing.mean();
+    // still yields an all-defined report: percentiles and means both
+    // return 0.0 on empty samples, never NaN.
+    report.ttft_p50_ms = obs::SamplePercentile(ttft, 50.0);
+    report.ttft_p95_ms = obs::SamplePercentile(ttft, 95.0);
+    report.ttft_p99_ms = obs::SamplePercentile(ttft, 99.0);
+    report.e2e_p50_ms = obs::SamplePercentile(e2e, 50.0);
+    report.e2e_p95_ms = obs::SamplePercentile(e2e, 95.0);
+    report.e2e_p99_ms = obs::SamplePercentile(e2e, 99.0);
+    report.tpot_mean_ms = MeanOf(tpot);
+    report.queueing_mean_ms = MeanOf(queueing);
     if (makespan_ms > 0.0) {
         report.throughput_rps = report.completed / (makespan_ms / 1e3);
         report.goodput_rps = met_slo / (makespan_ms / 1e3);

@@ -196,12 +196,11 @@ RopeTable::RopeTable(const std::vector<int64_t>& positions, int head_dim,
 }
 
 void
-RopeTable::Rotate(Tensor& x, int num_heads, int64_t row_begin, int64_t s0,
-                  int64_t s1) const
+RopeTable::Rotate(Tensor& x, int num_heads, int64_t s0, int64_t s1) const
 {
     const int half = head_dim_ / 2;
     const int64_t cols = x.Cols();
-    float* p = x.Data<float>() + row_begin * cols;
+    float* p = x.Data<float>();
     for (int64_t s = s0; s < s1; ++s) {
         const float* cos_row = cos_.data() + s * half;
         const float* sin_row = sin_.data() + s * half;
@@ -218,18 +217,6 @@ RopeTable::Rotate(Tensor& x, int num_heads, int64_t row_begin, int64_t s0,
 }
 
 void
-RopeTable::Apply(Tensor& x, int num_heads, int64_t row_begin) const
-{
-    LLMNPU_CHECK_EQ(x.Rank(), 2);
-    LLMNPU_CHECK_EQ(x.Cols(), static_cast<int64_t>(num_heads) * head_dim_);
-    LLMNPU_CHECK_GE(row_begin, 0);
-    LLMNPU_CHECK_LE(row_begin + Rows(), x.Rows());
-    RowParallel(Rows(), x.Cols(), [&](int64_t s0, int64_t s1) {
-        Rotate(x, num_heads, row_begin, s0, s1);
-    });
-}
-
-void
 RopeTable::Apply(Tensor& q, int q_heads, Tensor& k, int k_heads) const
 {
     for (const Tensor* x : {&q, &k}) {
@@ -239,8 +226,8 @@ RopeTable::Apply(Tensor& q, int q_heads, Tensor& k, int k_heads) const
     LLMNPU_CHECK_EQ(q.Cols(), static_cast<int64_t>(q_heads) * head_dim_);
     LLMNPU_CHECK_EQ(k.Cols(), static_cast<int64_t>(k_heads) * head_dim_);
     RowParallel(Rows(), q.Cols() + k.Cols(), [&](int64_t s0, int64_t s1) {
-        Rotate(q, q_heads, 0, s0, s1);
-        Rotate(k, k_heads, 0, s0, s1);
+        Rotate(q, q_heads, s0, s1);
+        Rotate(k, k_heads, s0, s1);
     });
 }
 

@@ -81,12 +81,9 @@ class RopeTable
     RopeTable(const std::vector<int64_t>& positions, int head_dim,
               float theta = 10000.0f);
 
-    /** Rotates rows [row_begin, row_begin + Rows()) of `x` in place; `x`
-     *  packs num_heads heads of head_dim per row. */
-    void Apply(Tensor& x, int num_heads, int64_t row_begin = 0) const;
-
-    /** Rotates every row of `q` and of `k` in one pass (a forward step's
-     *  Q and K, each packing its own head count). */
+    /** Rotates every row of `q` and of `k` in place, in one pass (a
+     *  forward step's Q and K, each packing its own head count of
+     *  head_dim per row). */
     void Apply(Tensor& q, int q_heads, Tensor& k, int k_heads) const;
 
     int64_t
@@ -96,9 +93,8 @@ class RopeTable
     }
 
   private:
-    /** Rotates table rows [s0, s1) onto rows row_begin + [s0, s1) of `x`. */
-    void Rotate(Tensor& x, int num_heads, int64_t row_begin, int64_t s0,
-                int64_t s1) const;
+    /** Rotates rows [s0, s1) of `x` by the same rows of the table. */
+    void Rotate(Tensor& x, int num_heads, int64_t s0, int64_t s1) const;
 
     int head_dim_;
     std::vector<float> cos_;  ///< [rows x head_dim/2]

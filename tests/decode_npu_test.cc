@@ -21,6 +21,7 @@
 #include "src/core/llmnpu_engine.h"
 #include "src/core/shadow_executor.h"
 #include "src/model/decode_backend.h"
+#include "src/obs/metrics.h"
 #include "src/serving/replay.h"
 #include "src/serving/simulator.h"
 #include "src/util/format.h"
@@ -114,6 +115,35 @@ TEST_F(DecodeBackendTest, HandoffStatsCountBoundaryCrossings)
     expected_dequantized *= tiny_.config.num_layers;
     EXPECT_EQ(backend.stats().quantized_elems, expected_quantized);
     EXPECT_EQ(backend.stats().dequantized_elems, expected_dequantized);
+}
+
+TEST_F(DecodeBackendTest, TwoBackendsCountOnlyTheirOwnTraffic)
+{
+    // Two live backends in one process (a traced and an untraced one, as a
+    // benchmark holds): traffic through one leaves the other's stats zero,
+    // while the registry counters still see every crossing.
+    Fp32LinearExecutor fp32(tiny_.weights);
+    NpuShadowExecutor shadow(tiny_.weights, tiny_.profile, 0.5);
+    DecodeBackend busy(fp32, shadow);
+    DecodeBackend idle(fp32, shadow);
+    obs::Counter& round_trips =
+        obs::MetricsRegistry::Global().GetCounter("handoff.round_trips");
+    const int64_t registry_before = round_trips.value();
+
+    busy.SetStepPlacements(
+        {DecodePlacement::kNpuQuant, DecodePlacement::kCpuFloat});
+    BatchedKvCache cache = tiny_.model.MakeBatchedCache(2);
+    tiny_.model.ForwardBatch({{0, {1, 2}}, {1, {3}}}, cache, busy);
+    EXPECT_GT(busy.stats().npu_linear_calls, 0);
+    EXPECT_GT(busy.stats().cpu_linear_calls, 0);
+    EXPECT_EQ(round_trips.value() - registry_before, busy.stats().handoffs);
+
+    const HandoffStats& s = idle.stats();
+    EXPECT_EQ(s.npu_linear_calls, 0);
+    EXPECT_EQ(s.cpu_linear_calls, 0);
+    EXPECT_EQ(s.handoffs, 0);
+    EXPECT_EQ(s.quantized_elems, 0);
+    EXPECT_EQ(s.dequantized_elems, 0);
 }
 
 TEST_F(DecodeBackendTest, PlacementSizeMismatchPanics)

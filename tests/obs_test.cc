@@ -3,8 +3,8 @@
  * Observability plane: tracer ring semantics (wrap, drop accounting,
  * multi-threaded emission), Chrome trace-event export validated by the
  * in-tree JSON reader, the metrics registry under concurrency, the one
- * shared quantile implementation (golden values matching util_test), and
- * the compile-time disabled path.
+ * shared quantile implementation (golden values matching util_test),
+ * serving reports built concurrently, and the compile-time disabled path.
  */
 #include <gtest/gtest.h>
 
@@ -12,12 +12,14 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/obs/histogram.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/obs/trace_reader.h"
+#include "src/serving/metrics.h"
 #include "src/util/stats.h"
 #include "src/util/threadpool.h"
 
@@ -63,57 +65,6 @@ TEST(SamplePercentileTest, UnsortedInputIsSorted)
                      3.0);
 }
 
-// --------------------------------------------------------------- histogram
-
-TEST(HistogramTest, CountSumMeanMinMax)
-{
-    obs::Histogram h({1.0, 10.0, 100.0});
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-    h.Add(0.5);
-    h.Add(5.0);
-    h.Add(50.0);
-    h.Add(500.0);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_DOUBLE_EQ(h.sum(), 555.5);
-    EXPECT_DOUBLE_EQ(h.mean(), 555.5 / 4.0);
-    EXPECT_DOUBLE_EQ(h.min(), 0.5);
-    EXPECT_DOUBLE_EQ(h.max(), 500.0);
-    // One sample per bucket: (-inf,1), [1,10), [10,100), [100,+inf).
-    const std::vector<int64_t> buckets = h.BucketCounts();
-    ASSERT_EQ(buckets.size(), 4u);
-    for (int64_t c : buckets) EXPECT_EQ(c, 1);
-}
-
-TEST(HistogramTest, PercentileUsesExactSamples)
-{
-    obs::Histogram h(obs::DefaultLatencyBucketsMs());
-    for (double x : {1.0, 2.0, 3.0, 4.0, 5.0}) h.Add(x);
-    EXPECT_DOUBLE_EQ(h.Percentile(0.0), 1.0);
-    EXPECT_DOUBLE_EQ(h.Percentile(50.0), 3.0);
-    EXPECT_DOUBLE_EQ(h.Percentile(100.0), 5.0);
-}
-
-TEST(HistogramTest, ResetClearsEverything)
-{
-    obs::Histogram h({1.0});
-    h.Add(2.0);
-    h.Reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.sum(), 0.0);
-    EXPECT_DOUBLE_EQ(h.Percentile(50.0), 0.0);
-    for (int64_t c : h.BucketCounts()) EXPECT_EQ(c, 0);
-}
-
-TEST(HistogramTest, DefaultLatencyBucketsAscend)
-{
-    const std::vector<double> bounds = obs::DefaultLatencyBucketsMs();
-    ASSERT_GT(bounds.size(), 4u);
-    for (size_t i = 1; i < bounds.size(); ++i) {
-        EXPECT_LT(bounds[i - 1], bounds[i]);
-    }
-}
-
 // ---------------------------------------------------------------- registry
 
 TEST(MetricsRegistryTest, StableAddressesAndKinds)
@@ -124,9 +75,6 @@ TEST(MetricsRegistryTest, StableAddressesAndKinds)
     EXPECT_EQ(&c1, &c2);
     obs::Gauge& g1 = reg.GetGauge("obs_test.gauge");
     EXPECT_EQ(&g1, &reg.GetGauge("obs_test.gauge"));
-    obs::Histogram& h1 =
-        reg.GetHistogram("obs_test.hist", obs::DefaultLatencyBucketsMs());
-    EXPECT_EQ(&h1, &reg.GetHistogram("obs_test.hist"));
 }
 
 TEST(MetricsRegistryTest, GaugePeakWatermark)
@@ -160,8 +108,6 @@ TEST(MetricsRegistryTest, DumpJsonParses)
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
     reg.GetCounter("obs_test.dump_counter").Add(3);
     reg.GetGauge("obs_test.dump_gauge").Set(1.5);
-    reg.GetHistogram("obs_test.dump_hist", obs::DefaultLatencyBucketsMs())
-        .Add(2.0);
     obs::JsonValue doc;
     std::string error;
     ASSERT_TRUE(obs::ParseJson(reg.DumpJson(), &doc, &error)) << error;
@@ -170,9 +116,59 @@ TEST(MetricsRegistryTest, DumpJsonParses)
         doc.At("counters").At("obs_test.dump_counter").number, 3.0);
     EXPECT_DOUBLE_EQ(
         doc.At("gauges").At("obs_test.dump_gauge").At("value").number, 1.5);
-    EXPECT_DOUBLE_EQ(
-        doc.At("histograms").At("obs_test.dump_hist").At("count").number,
-        1.0);
+}
+
+// ------------------------------------------------------- serving reports
+
+/** `n` completed requests whose latencies scale with `scale`. */
+std::vector<RequestRecord>
+ReportRecords(int n, double scale)
+{
+    std::vector<RequestRecord> records(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+        RequestRecord& r = records[static_cast<size_t>(i)];
+        r.request.arrival_ms = i * 3.0;
+        r.request.output_len = 4 + i % 5;
+        r.request.deadline_ms = r.request.arrival_ms + 40.0 * scale;
+        r.first_dispatch_ms = r.request.arrival_ms + (i % 7) * scale;
+        r.first_token_ms = r.first_dispatch_ms + (5 + i % 11) * scale;
+        r.finish_ms = r.first_token_ms + (2 + i % 13) * scale;
+        r.tokens_out = r.request.output_len;
+    }
+    return records;
+}
+
+bool
+SameReport(const ServingReport& a, const ServingReport& b)
+{
+    return a.completed == b.completed && a.ttft_p50_ms == b.ttft_p50_ms &&
+           a.ttft_p95_ms == b.ttft_p95_ms && a.ttft_p99_ms == b.ttft_p99_ms &&
+           a.e2e_p50_ms == b.e2e_p50_ms && a.e2e_p95_ms == b.e2e_p95_ms &&
+           a.e2e_p99_ms == b.e2e_p99_ms && a.tpot_mean_ms == b.tpot_mean_ms &&
+           a.queueing_mean_ms == b.queueing_mean_ms &&
+           a.goodput_rps == b.goodput_rps;
+}
+
+// BuildReport keeps its latency samples to itself: two threads building
+// reports from different record sets at once each get the report a lone
+// call gives (under TSan this also checks there is no shared state).
+TEST(ServingReportTest, ConcurrentReportsMatchSequential)
+{
+    const std::vector<RequestRecord> a = ReportRecords(300, 1.0);
+    const std::vector<RequestRecord> b = ReportRecords(200, 7.5);
+    const ServingReport want_a = BuildReport(a, 1000.0, 10.0, 20.0, 0);
+    const ServingReport want_b = BuildReport(b, 2000.0, 10.0, 20.0, 0);
+    ASSERT_FALSE(SameReport(want_a, want_b));
+    for (int round = 0; round < 20; ++round) {
+        ServingReport got_a, got_b;
+        std::thread other([&] {
+            got_b = BuildReport(b, 2000.0, 10.0, 20.0, 0);
+        });
+        got_a = BuildReport(a, 1000.0, 10.0, 20.0, 0);
+        other.join();
+        EXPECT_TRUE(SameReport(got_a, want_a)) << "round " << round;
+        EXPECT_TRUE(SameReport(got_b, want_b)) << "round " << round;
+    }
 }
 
 // ------------------------------------------------------------- tracer rings

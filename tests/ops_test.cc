@@ -287,29 +287,39 @@ TEST(ElementwiseTest, AddInPlaceMatchesSerialBitwise)
     }
 }
 
+/** Sum of squares of every element of `t`. */
+double
+SquaredNorm(const Tensor& t)
+{
+    double sum = 0.0;
+    for (int64_t i = 0; i < t.NumElements(); ++i) {
+        sum += t.Data<float>()[i] * t.Data<float>()[i];
+    }
+    return sum;
+}
+
 TEST(RopeTest, PreservesNorm)
 {
     Rng rng(5);
     Tensor q = RandomTensor(rng, {4, 32});  // 2 heads x 16
-    double before = 0.0;
-    for (int64_t i = 0; i < q.NumElements(); ++i) {
-        before += q.Data<float>()[i] * q.Data<float>()[i];
-    }
-    RopeTable({3, 4, 5, 6}, 16).Apply(q, 2);
-    double after = 0.0;
-    for (int64_t i = 0; i < q.NumElements(); ++i) {
-        after += q.Data<float>()[i] * q.Data<float>()[i];
-    }
-    EXPECT_NEAR(before, after, before * 1e-5);
+    Tensor k = RandomTensor(rng, {4, 16});  // 1 head x 16
+    const double q_before = SquaredNorm(q);
+    const double k_before = SquaredNorm(k);
+    RopeTable({3, 4, 5, 6}, 16).Apply(q, 2, k, 1);
+    EXPECT_NEAR(q_before, SquaredNorm(q), q_before * 1e-5);
+    EXPECT_NEAR(k_before, SquaredNorm(k), k_before * 1e-5);
 }
 
 TEST(RopeTest, PositionZeroIsIdentity)
 {
     Rng rng(6);
     Tensor q = RandomTensor(rng, {1, 16});
-    Tensor orig = q;
-    RopeTable({0}, 16).Apply(q, 1);
-    EXPECT_LT(MaxAbsDiff(q, orig), 1e-6);
+    Tensor k = RandomTensor(rng, {1, 16});
+    const Tensor q_orig = q;
+    const Tensor k_orig = k;
+    RopeTable({0}, 16).Apply(q, 1, k, 1);
+    EXPECT_LT(MaxAbsDiff(q, q_orig), 1e-6);
+    EXPECT_LT(MaxAbsDiff(k, k_orig), 1e-6);
 }
 
 TEST(RopeTest, OffsetMatchesInSequencePosition)
@@ -317,36 +327,41 @@ TEST(RopeTest, OffsetMatchesInSequencePosition)
     // Row r with offset p must equal row (r+p) of the same content placed
     // at offset 0 — the property chunked prefill relies on.
     Rng rng(7);
-    Tensor base = RandomTensor(rng, {6, 16});
-    Tensor full = base;
-    RopeTable({0, 1, 2, 3, 4, 5}, 16).Apply(full, 1);
-    Tensor tail = base.CopyRows(4, 2);
-    RopeTable({4, 5}, 16).Apply(tail, 1);
-    EXPECT_LT(MaxAbsDiff(tail, full.CopyRows(4, 2)), 1e-5);
+    const Tensor base_q = RandomTensor(rng, {6, 16});
+    const Tensor base_k = RandomTensor(rng, {6, 32});
+    Tensor full_q = base_q;
+    Tensor full_k = base_k;
+    RopeTable({0, 1, 2, 3, 4, 5}, 16).Apply(full_q, 1, full_k, 2);
+    Tensor tail_q = base_q.CopyRows(4, 2);
+    Tensor tail_k = base_k.CopyRows(4, 2);
+    RopeTable({4, 5}, 16).Apply(tail_q, 1, tail_k, 2);
+    EXPECT_LT(MaxAbsDiff(tail_q, full_q.CopyRows(4, 2)), 1e-5);
+    EXPECT_LT(MaxAbsDiff(tail_k, full_k.CopyRows(4, 2)), 1e-5);
 }
 
 TEST(RopeTest, RowsMatchPerElementFormulaBitwise)
 {
     // The cos/sin table must reproduce the per-element double formula
-    // exactly, at large positions too, and only touch the named rows.
+    // exactly, at large positions too.
     for (const int head_dim : {2, 64, 128}) {
         for (const int64_t pos_offset : {int64_t{0}, int64_t{511},
                                          int64_t{4095}, int64_t{1} << 20}) {
             SCOPED_TRACE(::testing::Message() << "head_dim=" << head_dim
                                               << " pos=" << pos_offset);
-            const int heads = 3;
+            const int q_heads = 3, k_heads = 1;
             Rng rng(static_cast<uint64_t>(head_dim + pos_offset));
-            const Tensor base = RandomTensor(rng, {11, heads * head_dim});
-            Tensor got = base;
-            Tensor want = base;
+            const Tensor q = RandomTensor(rng, {6, q_heads * head_dim});
+            const Tensor k = RandomTensor(rng, {6, k_heads * head_dim});
+            Tensor got_q = q, got_k = k;
+            Tensor want_q = q, want_k = k;
             std::vector<int64_t> positions(6);
             std::iota(positions.begin(), positions.end(), pos_offset);
-            RopeTable(positions, head_dim).Apply(got, heads, /*row_begin=*/3);
-            ReferenceRopeRows(want, 3, 6, heads, head_dim, pos_offset);
-            EXPECT_EQ(std::memcmp(got.Data<float>(), want.Data<float>(),
-                                  static_cast<size_t>(got.NumElements()) *
-                                      sizeof(float)),
-                      0);
+            RopeTable(positions, head_dim).Apply(got_q, q_heads, got_k,
+                                                 k_heads);
+            ReferenceRopeRows(want_q, 0, 6, q_heads, head_dim, pos_offset);
+            ReferenceRopeRows(want_k, 0, 6, k_heads, head_dim, pos_offset);
+            EXPECT_TRUE(BitwiseEqual(got_q, want_q));
+            EXPECT_TRUE(BitwiseEqual(got_k, want_k));
         }
     }
 }
@@ -356,18 +371,20 @@ TEST(RopeTest, StackedTableMatchesPerSegmentRows)
     // One table over a stacked batch (each segment at its own position
     // offset) equals rotating every segment on its own.
     Rng rng(12);
-    const Tensor base = RandomTensor(rng, {7, 2 * 64});
+    const Tensor q = RandomTensor(rng, {7, 2 * 64});
+    const Tensor k = RandomTensor(rng, {7, 64});
     const std::vector<int64_t> positions = {40, 41, 42, 0, 9000, 9001, 9002};
-    Tensor got = base;
-    RopeTable(positions, 64).Apply(got, 2);
-    Tensor want = base;
-    ReferenceRopeRows(want, 0, 3, 2, 64, 40);
-    ReferenceRopeRows(want, 3, 1, 2, 64, 0);
-    ReferenceRopeRows(want, 4, 3, 2, 64, 9000);
-    EXPECT_EQ(std::memcmp(got.Data<float>(), want.Data<float>(),
-                          static_cast<size_t>(got.NumElements()) *
-                              sizeof(float)),
-              0);
+    Tensor got_q = q, got_k = k;
+    RopeTable(positions, 64).Apply(got_q, 2, got_k, 1);
+    Tensor want_q = q, want_k = k;
+    for (Tensor* t : {&want_q, &want_k}) {
+        const int heads = t == &want_q ? 2 : 1;
+        ReferenceRopeRows(*t, 0, 3, heads, 64, 40);
+        ReferenceRopeRows(*t, 3, 1, heads, 64, 0);
+        ReferenceRopeRows(*t, 4, 3, heads, 64, 9000);
+    }
+    EXPECT_TRUE(BitwiseEqual(got_q, want_q));
+    EXPECT_TRUE(BitwiseEqual(got_k, want_k));
 }
 
 TEST(RopeTest, QkPassMatchesPerElementFormulaBitwise)
