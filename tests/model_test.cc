@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "src/model/config.h"
 #include "src/model/transformer.h"
@@ -65,6 +67,43 @@ TEST(ConfigTest, LayerLinearsShapesChain)
             EXPECT_GT(spec.n, 0) << config.name;
         }
     }
+}
+
+TEST(PerLinearTest, BuildsLayerMajorInLayerLinearsOrder)
+{
+    const ModelConfig config = TinyTestConfig();
+    const std::vector<LinearSpec> specs = config.LayerLinears();
+    std::vector<std::pair<int, LinearKind>> calls;
+    const PerLinear<int> table(config, [&](int layer, const LinearSpec& spec) {
+        calls.emplace_back(layer, spec.kind);
+        return static_cast<int>(calls.size()) - 1;
+    });
+    ASSERT_EQ(calls.size(), static_cast<size_t>(config.num_layers) *
+                                specs.size());
+    int order = 0;
+    for (int l = 0; l < config.num_layers; ++l) {
+        for (const LinearSpec& spec : specs) {
+            EXPECT_EQ(calls[static_cast<size_t>(order)].first, l);
+            EXPECT_TRUE(calls[static_cast<size_t>(order)].second == spec.kind)
+                << LinearKindName(spec.kind);
+            EXPECT_EQ(table(l, spec.kind), order) << LinearKindName(spec.kind);
+            ++order;
+        }
+    }
+}
+
+TEST(PerLinearDeathTest, OutOfRangeLayerOrMissingKindPanics)
+{
+    ModelConfig config = TinyTestConfig();
+    config.gated_ffn = false;
+    const PerLinear<int> table(config,
+                               [](int, const LinearSpec&) { return 1; });
+    EXPECT_EQ(table(config.num_layers - 1, LinearKind::kFfnUp), 1);
+    EXPECT_DEATH(table(-1, LinearKind::kWq), "CHECK failed");
+    EXPECT_DEATH(table(config.num_layers, LinearKind::kWq), "CHECK failed");
+    EXPECT_DEATH(table(0, LinearKind::kFfnGate), "CHECK failed");
+    const PerLinear<int> empty;
+    EXPECT_DEATH(empty(0, LinearKind::kWq), "CHECK failed");
 }
 
 TEST(ConfigTest, MaxContextMatchesTable1)

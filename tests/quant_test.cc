@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/model/transformer.h"
 #include "src/quant/baselines.h"
 #include "src/quant/calibration.h"
@@ -58,6 +60,61 @@ TEST_F(QuantFixture, CalibrationDetectsInjectedHotChannels)
         if (stats.channel_absmax[static_cast<size_t>(hot)] > q90) ++detected;
     }
     EXPECT_GE(detected, static_cast<int>(weights_->hot_channels.size()) - 1);
+}
+
+TEST_F(QuantFixture, TapLinearInputsRunsEachSequenceAlone)
+{
+    struct Tap {
+        int layer;
+        LinearKind kind;
+        Tensor x;
+    };
+    auto collect = [&](const std::vector<std::vector<int>>& corpus) {
+        std::vector<Tap> taps;
+        TapLinearInputs(*model_, corpus,
+                        [&](int layer, LinearKind kind, const Tensor& x) {
+                            taps.push_back({layer, kind, x});
+                        });
+        return taps;
+    };
+    const std::vector<int> first = {3, 1, 4, 1, 5};
+    const std::vector<int> second = {9, 2, 6};
+    const std::vector<Tap> both = collect({first, second});
+    const std::vector<Tap> alone = collect({second});
+
+    // One tap per (layer, linear) per sequence, layer by layer, each seeing
+    // the whole sequence at the linear's input width.
+    const std::vector<LinearSpec> specs = config_->LayerLinears();
+    const size_t per_seq = static_cast<size_t>(config_->num_layers) *
+                           specs.size();
+    ASSERT_EQ(both.size(), 2 * per_seq);
+    ASSERT_EQ(alone.size(), per_seq);
+    for (size_t i = 0; i < both.size(); ++i) {
+        const size_t seq_len = i < per_seq ? first.size() : second.size();
+        const Tap& tap = both[i];
+        EXPECT_EQ(tap.layer, static_cast<int>((i % per_seq) / specs.size()));
+        EXPECT_EQ(tap.x.Rows(), static_cast<int64_t>(seq_len));
+        bool known = false;
+        for (const LinearSpec& spec : specs) {
+            if (spec.kind != tap.kind) continue;
+            known = true;
+            EXPECT_EQ(tap.x.Cols(), spec.k) << LinearKindName(spec.kind);
+        }
+        EXPECT_TRUE(known);
+    }
+    // The second sequence sees no state of the first: its taps are bitwise
+    // those of running it by itself.
+    for (size_t i = 0; i < per_seq; ++i) {
+        const Tap& a = both[per_seq + i];
+        const Tap& b = alone[i];
+        EXPECT_EQ(a.layer, b.layer);
+        EXPECT_TRUE(a.kind == b.kind);
+        ASSERT_EQ(a.x.shape(), b.x.shape());
+        EXPECT_EQ(std::memcmp(a.x.Data<float>(), b.x.Data<float>(),
+                              a.x.SizeBytes()),
+                  0)
+            << "layer " << a.layer << " " << LinearKindName(a.kind);
+    }
 }
 
 TEST_F(QuantFixture, ChannelQuantileMonotone)
