@@ -24,7 +24,6 @@ NpuPrefillMs(const ModelConfig& config, ExecFormat format)
     ExecPolicy policy;
     policy.linear_format = format;
     policy.group_size = cal::kPerGroupSize;
-    policy.square_optimized = false;
     double ms = 0.0;
     for (int l = 0; l < config.num_layers; ++l) {
         ms += BlockLinearsMs(config, soc.Processor(Unit::kNpu), 512, policy);
@@ -54,11 +53,8 @@ Run()
     Table accuracy({"Model proxy", "K-Quant", "AWQ", "SmoothQuant"});
     for (const ModelConfig& base : {Llama2_7B(), Qwen15_1_8B()}) {
         const ModelConfig proxy = ScaledProxy(base, 192, 4, 512);
-        SyntheticWeightsOptions weight_options;
-        weight_options.seed =
-            0x11f ^ std::hash<std::string>{}(base.name);
-        ModelWeights weights =
-            GenerateSyntheticWeights(proxy, weight_options);
+        ModelWeights weights = GenerateSyntheticWeights(
+            proxy, 0x11f ^ std::hash<std::string>{}(base.name));
         Transformer model(weights);
         CorpusOptions corpus_options;
         corpus_options.vocab_size = proxy.vocab_size;

@@ -21,11 +21,8 @@ RunModel(const ModelConfig& base)
 {
     const SocSpec soc = SocSpec::RedmiK70Pro();
     const ModelConfig proxy = ScaledProxy(base, 192, 4, 512);
-    SyntheticWeightsOptions weight_options;
-        weight_options.seed =
-            0x11f ^ std::hash<std::string>{}(base.name);
-        ModelWeights weights =
-            GenerateSyntheticWeights(proxy, weight_options);
+    ModelWeights weights = GenerateSyntheticWeights(
+        proxy, 0x11f ^ std::hash<std::string>{}(base.name));
     Transformer model(weights);
 
     CorpusOptions corpus_options;

@@ -8,6 +8,7 @@
 #include "src/core/chunk_graph.h"
 #include "src/core/llmnpu_engine.h"
 #include "src/engines/baselines.h"
+#include "src/sim/calibration.h"
 
 namespace llmnpu {
 namespace {
@@ -42,7 +43,7 @@ Run()
         const EngineResult our_result = ours.Run(config, soc, req);
         const double kept = 1.0 - ours.options().pruning_rate;
         const int64_t shadow_bytes = static_cast<int64_t>(
-            kept * ours.options().hot_channel_frac *
+            kept * cal::kShadowHotChannelFrac *
             static_cast<double>(config.MatMulParams()) * 4.0);
         table.AddRow(
             {config.name, HumanBytes(static_cast<uint64_t>(lcpp_bytes)),

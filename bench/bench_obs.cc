@@ -106,8 +106,7 @@ Run()
                 "observability must not tax the numeric plane "
                 "(disabled site == one relaxed atomic load)");
 
-    const bool quick = std::getenv("LLMNPU_BENCH_QUICK") != nullptr ||
-                       std::getenv("LLMNPU_SERVING_SMOKE") != nullptr;
+    const bool quick = std::getenv("LLMNPU_BENCH_QUICK") != nullptr;
     const size_t iters = quick ? (1u << 16) : (1u << 20);
     const int trials = quick ? 5 : 9;
 

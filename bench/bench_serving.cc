@@ -11,7 +11,8 @@
  *
  * Machine-readable rows are emitted as "METRIC {json}" lines, which
  * bench/run_all.cc folds into BENCH_results.json (schema llmnpu-bench-v2).
- * LLMNPU_SERVING_SMOKE=1 shrinks the sweep for CI smoke runs.
+ * LLMNPU_BENCH_QUICK=1 (set by `run_all --quick`) shrinks the sweep for CI
+ * smoke runs.
  *
  * `--trace [PATH]` (or LLMNPU_TRACE_FILE=PATH, exported by
  * `run_all --trace`) additionally runs one dedicated traced scenario —
@@ -110,7 +111,7 @@ RunTracedScenario(const char* path, ServingCostModel& costs,
 void
 Run(const char* trace_path, uint64_t seed)
 {
-    const bool smoke = std::getenv("LLMNPU_SERVING_SMOKE") != nullptr;
+    const bool smoke = std::getenv("LLMNPU_BENCH_QUICK") != nullptr;
     BenchHeader(
         "Serving: continuous batching + SLO-aware scheduling under load",
         "beyond-paper experiment: the Table 5 workloads as concurrent "
@@ -464,7 +465,6 @@ Run(const char* trace_path, uint64_t seed)
             options.num_requests = kv_requests;
             options.seed = seed;
             options.kv_pool_pages = pool;
-            options.kv_page_size = 16;
             ServingSimulator sim(costs, mix, options);
             const ServingReport report = sim.Run().Report();
             kv_table.AddRow(
@@ -526,7 +526,6 @@ Run(const char* trace_path, uint64_t seed)
                 options.num_requests = 48;  // pinned across smoke/full
                 options.seed = seed;
                 options.kv_pool_pages = pool;
-                options.kv_page_size = 16;
                 options.shared_prefix.prefix_len = prefix_len;
                 options.shared_prefix.share_fraction = fraction;
                 options.shed_expired_queued = true;
@@ -663,7 +662,6 @@ Run(const char* trace_path, uint64_t seed)
         options.num_requests = 24;  // pinned across smoke/full for CI
         options.seed = seed;
         options.kv_pool_pages = 256;
-        options.kv_page_size = 16;
         options.faults.seed = seed;
         options.faults.pool_shrink_at_ms = 2000.0;
         options.faults.pool_shrink_to = 0.25;

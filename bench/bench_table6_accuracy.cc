@@ -42,11 +42,8 @@ Run()
 
     for (const ModelConfig& base : models) {
         const ModelConfig proxy = ScaledProxy(base, 192, 4, 512);
-        SyntheticWeightsOptions weight_options;
-        weight_options.seed =
-            0x11f ^ std::hash<std::string>{}(base.name);
-        ModelWeights weights =
-            GenerateSyntheticWeights(proxy, weight_options);
+        ModelWeights weights = GenerateSyntheticWeights(
+            proxy, 0x11f ^ std::hash<std::string>{}(base.name));
         Transformer model(weights);
 
         CorpusOptions corpus_options;

@@ -11,11 +11,11 @@
  *   --filter     only run benches whose name starts with PREFIX
  *   --quiet      don't echo bench output (stdout is still piped through
  *                run_all to collect METRIC lines; stderr is discarded)
- *   --quick      exports LLMNPU_BENCH_QUICK=1 and LLMNPU_SERVING_SMOKE=1 to
- *                the benches: smaller sweeps and iteration caps for CI
- *                smoke runs (the full sweep keeps the real sizes). The JSON
- *                records "quick": true so trajectory tooling never compares
- *                quick numbers against full runs.
+ *   --quick      exports LLMNPU_BENCH_QUICK=1 to the benches: smaller
+ *                sweeps and iteration caps for CI smoke runs (the full
+ *                sweep keeps the real sizes). The JSON records
+ *                "quick": true so trajectory tooling never compares quick
+ *                numbers against full runs.
  *   --trace      exports LLMNPU_TRACE_FILE=FILE: benches that know how to
  *                trace themselves (bench_serving) run one extra traced
  *                scenario and write Chrome trace-event JSON there
@@ -137,7 +137,6 @@ main(int argc, char** argv)
         // Benches that know a smaller configuration pick it up from the
         // environment (popen children inherit it).
         setenv("LLMNPU_BENCH_QUICK", "1", 1);
-        setenv("LLMNPU_SERVING_SMOKE", "1", 1);
     }
     if (!trace_file.empty()) {
         setenv("LLMNPU_TRACE_FILE", trace_file.c_str(), 1);

@@ -1,7 +1,7 @@
 # CTest script behind the `bench-smoke` label: runs the whole bench sweep in
-# --quick mode (smaller sizes / iteration caps; LLMNPU_BENCH_QUICK and
-# LLMNPU_SERVING_SMOKE exported to the benches) through the run_all driver,
-# then asserts the BENCH_results.json it wrote still carries the
+# --quick mode (smaller sizes / iteration caps; LLMNPU_BENCH_QUICK exported
+# to the benches) through the run_all driver, then asserts the
+# BENCH_results.json it wrote still carries the
 # llmnpu-bench-v2 schema plus the serving and kernel metric fields that
 # downstream tooling keys on. Catches schema regressions on push without
 # paying for the full bench sweep (full runs keep the real sizes).

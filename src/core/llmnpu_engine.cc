@@ -31,11 +31,11 @@ LlmNpuEngine::ShadowCompensationMs(const ProcessorModel& fproc, int64_t m,
     // partial sum back (§3.3). Cold channels fetched from disk overlap the
     // NPU matmul; charge only the miss-rate-weighted latency.
     const int64_t k_out = std::max<int64_t>(
-        1, static_cast<int64_t>(std::lround(options_.runtime_outlier_frac *
+        1, static_cast<int64_t>(std::lround(cal::kShadowOutlierFrac *
                                             static_cast<double>(k))));
     double ms = fproc.VectorOpMs(static_cast<double>(m * k), 1.0);
     ms += fproc.MatMulMs({m, k_out, n}, ExecFormat::kFp32, 0, false);
-    ms += options_.cold_miss_rate *
+    ms += cal::kShadowColdMissRate *
           (cal::kDiskLatencyMs +
            static_cast<double>(k_out * n) / (cal::kDiskReadGBs * 1e9) * 1e3);
     ms += cal::kShadowSyncMs;
@@ -97,6 +97,12 @@ LlmNpuEngine::ChunkStageTimings(const ModelConfig& config, const SocSpec& soc,
     auto shadow_ms = [&](int64_t k, int64_t n) {
         return ShadowCompensationMs(fproc, m, k, n);
     };
+    // §4 optimization (1): the preparation stage profiles equivalent
+    // square input shapes.
+    auto npu_matmul_ms = [&](const MatMulShape& shape) {
+        return npu.MatMulMs(shape, npu_fmt, cal::kPerGroupSize,
+                            /*square_optimized=*/true);
+    };
 
     std::vector<StageTiming> timings(
         static_cast<size_t>(config.num_layers) * kStagesPerLayer);
@@ -119,9 +125,7 @@ LlmNpuEngine::ChunkStageTimings(const ModelConfig& config, const SocSpec& soc,
                 break;
               case StageKind::kQkvLinear:
                 t.duration_ms =
-                    npu.MatMulMs({m, hidden, q_dim + 2 * kv_dim}, npu_fmt,
-                                 cal::kPerGroupSize,
-                                 options_.square_optimized) +
+                    npu_matmul_ms({m, hidden, q_dim + 2 * kv_dim}) +
                     npu.DispatchMs();
                 if (shadow_on) {
                     t.shadow_ms = shadow_ms(hidden, q_dim + 2 * kv_dim);
@@ -139,21 +143,14 @@ LlmNpuEngine::ChunkStageTimings(const ModelConfig& config, const SocSpec& soc,
               }
               case StageKind::kOProj:
                 t.duration_ms =
-                    npu.MatMulMs({m, q_dim, hidden}, npu_fmt,
-                                 cal::kPerGroupSize,
-                                 options_.square_optimized) +
-                    npu.DispatchMs();
+                    npu_matmul_ms({m, q_dim, hidden}) + npu.DispatchMs();
                 if (shadow_on) t.shadow_ms = shadow_ms(q_dim, hidden);
                 break;
               case StageKind::kFfn: {
                 const int64_t up_n = (config.gated_ffn ? 2 : 1) *
                                      config.ffn_hidden;
-                double ms = npu.MatMulMs({m, hidden, up_n}, npu_fmt,
-                                         cal::kPerGroupSize,
-                                         options_.square_optimized);
-                ms += npu.MatMulMs({m, config.ffn_hidden, hidden}, npu_fmt,
-                                   cal::kPerGroupSize,
-                                   options_.square_optimized);
+                double ms = npu_matmul_ms({m, hidden, up_n});
+                ms += npu_matmul_ms({m, config.ffn_hidden, hidden});
                 ms += static_cast<double>(m * config.ffn_hidden) /
                       kNpuActLutElemsPerSec * 1e3;
                 // Swapped-out graphs (NPU region overflow on 7B models)
@@ -196,7 +193,7 @@ LlmNpuEngine::NpuDecodeStep(const ModelConfig& config, const SocSpec& soc,
         for (const auto& spec : config.LayerLinears()) {
             costs.npu_matvec_ms +=
                 npu.MatMulMs({m, spec.k, spec.n}, npu_fmt,
-                             cal::kPerGroupSize, options_.square_optimized);
+                             cal::kPerGroupSize, /*square_optimized=*/true);
             // Ops run inside the prebuilt decode graph: per-op overhead,
             // not a per-linear QNN execute call.
             costs.npu_dispatch_ms += cal::kNpuOpDispatchMs;
@@ -229,12 +226,9 @@ LlmNpuEngine::SimulatePrefill(const ModelConfig& config, const SocSpec& soc,
     LLMNPU_CHECK_GT(prompt_len, 0);
     PrefillDetail detail;
 
-    const int chunk_len =
-        options_.enable_chunking ? options_.chunk_len : prompt_len;
-    const bool sharing = options_.enable_chunking && options_.enable_sharing;
-    ChunkGraphPlan plan(config, chunk_len, sharing);
-    const int num_chunks =
-        options_.enable_chunking ? plan.NumChunks(prompt_len) : 1;
+    const int chunk_len = options_.chunk_len;
+    ChunkGraphPlan plan(config, chunk_len, /*share_static=*/true);
+    const int num_chunks = plan.NumChunks(prompt_len);
     detail.num_chunks = num_chunks;
 
     // ---- Preparation: build + optimize the NPU graphs. Resident graphs
@@ -279,17 +273,12 @@ LlmNpuEngine::SimulatePrefill(const ModelConfig& config, const SocSpec& soc,
 
     detail.prepare_ms = prep_ms;
     detail.prefill_ms = detail.timeline.makespan_ms;
-    if (!options_.enable_chunking) {
-        // Variable-length prompts force a rebuild inside every inference
-        // (§2.3 gap 1): preparation lands on the critical path.
-        detail.prefill_ms += prep_ms;
-    }
 
     // ---- Memory.
     const double kept_frac =
         options_.enable_shadow ? 1.0 - options_.pruning_rate : 0.0;
     const int64_t shadow_bytes = static_cast<int64_t>(
-        kept_frac * options_.hot_channel_frac *
+        kept_frac * cal::kShadowHotChannelFrac *
         static_cast<double>(config.MatMulParams()) * 4.0);
     detail.memory_bytes =
         plan.GraphMemoryBytes(num_chunks) +         // weights + graph buffers
@@ -313,8 +302,7 @@ LlmNpuEngine::ServingCosts(const ModelConfig& config, const SocSpec& soc,
     // Split the prefill makespan into per-chunk quanta proportional to each
     // chunk's stage work (later chunks attend to longer kv and cost more),
     // so the quanta sum to exactly the single-shot prefill latency.
-    const int chunk_len = options_.enable_chunking ? options_.chunk_len
-                                                   : request.prompt_len;
+    const int chunk_len = options_.chunk_len;
     std::vector<double> work(static_cast<size_t>(detail.num_chunks), 0.0);
     double total_work = 0.0;
     for (int c = 0; c < detail.num_chunks; ++c) {
@@ -354,23 +342,15 @@ LlmNpuEngine::ServingCosts(const ModelConfig& config, const SocSpec& soc,
     // when decode nominally runs on the NPU, the serving layer's circuit
     // breaker can fail a request over to this packed-fp32 CPU path
     // mid-stream, and it needs the fallback price without re-decomposing.
-    const ProcessorModel& dproc = soc.Processor(float_unit);
-    ExecPolicy decode_policy;
-    decode_policy.linear_format = ExecFormat::kInt8PerTensor;
     profile.cpu_decode_token_ms =
-        DecodeMs(config, dproc, request.prompt_len, request.output_len,
-                 decode_policy) /
+        RequestDecode(config, soc, request, DecodePlacement::kCpuFloat).ms /
         std::max(1, request.output_len);
 
     if (options_.decode_placement == DecodePlacement::kNpuQuant) {
-        double decode_ms = 0.0;
-        for (int t = 0; t < request.output_len; ++t) {
-            decode_ms +=
-                NpuDecodeStep(config, soc, request.prompt_len + t, 1)
-                    .TotalMs();
-        }
         profile.decode_token_ms =
-            decode_ms / std::max(1, request.output_len);
+            RequestDecode(config, soc, request, DecodePlacement::kNpuQuant)
+                .ms /
+            std::max(1, request.output_len);
         // The M=B decode matmul shares one weight stream across rows, so
         // the engine knows its own (small) batching marginal.
         const double b1 =
@@ -382,6 +362,34 @@ LlmNpuEngine::ServingCosts(const ModelConfig& config, const SocSpec& soc,
         profile.decode_token_ms = profile.cpu_decode_token_ms;
     }
     return profile;
+}
+
+LlmNpuEngine::DecodeCost
+LlmNpuEngine::RequestDecode(const ModelConfig& config, const SocSpec& soc,
+                            const InferenceRequest& request,
+                            DecodePlacement placement) const
+{
+    // Decode on the MLLM CPU backend (or GPU under §4.6 coordination), or
+    // the NPU decode graphs when the placement asks for them.
+    const Unit float_unit = options_.use_gpu_float ? Unit::kGpu : Unit::kCpu;
+    DecodeCost cost;
+    if (placement == DecodePlacement::kNpuQuant) {
+        for (int t = 0; t < request.output_len; ++t) {
+            const NpuDecodeStepCosts step =
+                NpuDecodeStep(config, soc, request.prompt_len + t, 1);
+            cost.ms += step.TotalMs();
+            cost.busy_ms[static_cast<size_t>(Unit::kNpu)] +=
+                step.npu_matvec_ms + step.npu_dispatch_ms;
+            cost.busy_ms[static_cast<size_t>(float_unit)] +=
+                step.float_ms + step.handoff_ms + step.shadow_ms;
+        }
+        return cost;
+    }
+    cost.ms = DecodeMs(config, soc.Processor(float_unit), request.prompt_len,
+                       request.output_len,
+                       ExecPolicy{ExecFormat::kInt8PerTensor});
+    cost.busy_ms[static_cast<size_t>(float_unit)] = cost.ms;
+    return cost;
 }
 
 double
@@ -413,30 +421,10 @@ LlmNpuEngine::Run(const ModelConfig& config, const SocSpec& soc,
         soc.EnergyMj(detail.timeline.busy_ms, detail.timeline.makespan_ms,
                      cal::kCpuServicePowerW);
 
-    // Decode on the MLLM CPU backend (or GPU under §4.6 coordination), or
-    // the NPU decode graphs when the placement asks for them.
-    const Unit decode_unit =
-        options_.use_gpu_float ? Unit::kGpu : Unit::kCpu;
-    std::array<double, kNumUnits> decode_busy{};
-    if (options_.decode_placement == DecodePlacement::kNpuQuant) {
-        for (int t = 0; t < request.output_len; ++t) {
-            const NpuDecodeStepCosts step =
-                NpuDecodeStep(config, soc, request.prompt_len + t, 1);
-            result.decode_ms += step.TotalMs();
-            decode_busy[static_cast<size_t>(Unit::kNpu)] +=
-                step.npu_matvec_ms + step.npu_dispatch_ms;
-            decode_busy[static_cast<size_t>(decode_unit)] +=
-                step.float_ms + step.handoff_ms + step.shadow_ms;
-        }
-    } else {
-        const ProcessorModel& dproc = soc.Processor(decode_unit);
-        ExecPolicy decode_policy;
-        decode_policy.linear_format = ExecFormat::kInt8PerTensor;
-        result.decode_ms = DecodeMs(config, dproc, request.prompt_len,
-                                    request.output_len, decode_policy);
-        decode_busy[static_cast<size_t>(decode_unit)] = result.decode_ms;
-    }
-    result.decode_energy_mj = soc.EnergyMj(decode_busy, result.decode_ms);
+    const DecodeCost decode =
+        RequestDecode(config, soc, request, options_.decode_placement);
+    result.decode_ms = decode.ms;
+    result.decode_energy_mj = soc.EnergyMj(decode.busy_ms, decode.ms);
     return result;
 }
 

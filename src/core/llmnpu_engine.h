@@ -4,13 +4,17 @@
  * shadow outlier execution (§3.3) + out-of-order subgraph scheduling (§3.4)
  * on the simulated mobile SoC.
  *
- * Feature flags expose the Figure 19 ablation ladder:
+ * Prefill always runs in fixed-length chunks on prebuilt, shared graphs;
+ * `enable_shadow` and `enable_ooo` expose the rest of the Figure 19
+ * ablation ladder (CPU and naive NPU are LlamaCppEngine and
+ * NaiveNpuEngine):
  *   CPU -> naive NPU -> +chunk -> +outlier(shadow) -> +OoO (= full llm.npu)
- * and the Figure 18 GPU-NPU coordination variant.
+ * and `use_gpu_float` the Figure 18 GPU-NPU coordination variant.
  */
 #ifndef LLMNPU_CORE_LLMNPU_ENGINE_H
 #define LLMNPU_CORE_LLMNPU_ENGINE_H
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -25,11 +29,6 @@ namespace llmnpu {
 struct LlmNpuOptions {
     /** Fixed chunk length (Figure 8: 256 is the paper's choice). */
     int chunk_len = 256;
-    /** §3.2 chunked prefill + prebuilt graphs. When false the whole-prompt
-     *  graph is built and optimized inside every inference (naive NPU). */
-    bool enable_chunking = true;
-    /** §3.2 chunk-sharing (share static subgraphs across chunks). */
-    bool enable_sharing = true;
     /** §3.3 per-tensor W8A8 + shadow outliers. When false the engine falls
      *  back to per-group INT8 on the NPU to preserve accuracy. */
     bool enable_shadow = true;
@@ -44,15 +43,6 @@ struct LlmNpuOptions {
      *  with shadow compensation and an explicit handoff boundary (the
      *  beyond-paper mode this reproduction adds; see NpuDecodeStep). */
     DecodePlacement decode_placement = DecodePlacement::kCpuFloat;
-    /** §4 optimization (1): profile equivalent square input shapes. */
-    bool square_optimized = true;
-    /** Mean fraction of input channels shadow-extracted per linear call
-     *  (Figure 10: 0.1-0.3%). */
-    double runtime_outlier_frac = 0.002;
-    /** Fraction of channels whose shadow weights stay resident (Fig 11). */
-    double hot_channel_frac = 0.03;
-    /** Extracted channels missing the resident set (disk fetch, §3.3). */
-    double cold_miss_rate = 0.05;
     /** Display label. */
     std::string label = "llm.npu (Ours)";
 };
@@ -89,7 +79,7 @@ class LlmNpuEngine : public InferenceEngine
         std::vector<SimTask> tasks;
         TimelineResult timeline;
         double prepare_ms = 0.0;   ///< one-time graph prebuild (+ env setup)
-        double prefill_ms = 0.0;   ///< execution (includes prep when naive)
+        double prefill_ms = 0.0;   ///< execution; prepare_ms is offline
         int num_chunks = 0;
         int64_t memory_bytes = 0;
     };
@@ -142,6 +132,18 @@ class LlmNpuEngine : public InferenceEngine
      *  never drift apart. */
     double ShadowCompensationMs(const ProcessorModel& fproc, int64_t m,
                                 int64_t k, int64_t n) const;
+
+    /** Latency and per-unit busy time of decoding `request`'s output
+     *  tokens one row per step at `placement`: NpuDecodeStep summed per
+     *  token on the NPU, per-tensor INT8 matvecs on the float processor
+     *  otherwise. */
+    struct DecodeCost {
+        double ms = 0.0;
+        std::array<double, kNumUnits> busy_ms{};
+    };
+    DecodeCost RequestDecode(const ModelConfig& config, const SocSpec& soc,
+                             const InferenceRequest& request,
+                             DecodePlacement placement) const;
 
     /** Shadow-enabled linear count given the pruning rate. */
     int KeptShadowLinears(const ModelConfig& config) const;

@@ -209,7 +209,6 @@ PowerInferV2Engine::Run(const ModelConfig& config, const SocSpec& soc,
     ExecPolicy npu_policy;
     npu_policy.linear_format = ExecFormat::kInt8PerGroup;
     npu_policy.group_size = 128;     // coarser neuron-cluster grouping
-    npu_policy.square_optimized = false;
 
     EngineResult result;
     double npu_ms_total = 0.0;
@@ -278,7 +277,6 @@ NaiveNpuEngine::Run(const ModelConfig& config, const SocSpec& soc,
     ExecPolicy policy;
     policy.linear_format = ExecFormat::kInt8PerGroup;
     policy.group_size = cal::kPerGroupSize;
-    policy.square_optimized = false;
 
     EngineResult result;
     double ms = cal::kNpuEnvSetupMs + costs.TotalPrepareMs();

@@ -31,7 +31,7 @@ BlockLinearsMs(const ModelConfig& config, const ProcessorModel& proc,
         const MatMulShape shape{m, spec.k, spec.n};
         const double ms = proc.MatMulMs(shape, policy.linear_format,
                                         policy.group_size,
-                                        policy.square_optimized);
+                                        /*square_optimized=*/false);
         total += ApplyPolicy(ms, shape.Ops(), policy) + proc.DispatchMs();
     }
     return total;
@@ -71,7 +71,7 @@ SequentialPrefillMs(const ModelConfig& config, const ProcessorModel& proc,
     ms += proc.VectorOpMs(static_cast<double>(config.hidden_size), 8.0);
     ms += proc.MatMulMs({1, config.hidden_size, config.vocab_size},
                         policy.linear_format, policy.group_size,
-                        policy.square_optimized);
+                        /*square_optimized=*/false);
     return ms;
 }
 
@@ -86,7 +86,7 @@ DecodeTokenMs(const ModelConfig& config, const ProcessorModel& proc,
     }
     ms += proc.MatMulMs({1, config.hidden_size, config.vocab_size},
                         policy.linear_format, policy.group_size,
-                        policy.square_optimized);
+                        /*square_optimized=*/false);
     return ms;
 }
 

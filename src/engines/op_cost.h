@@ -17,7 +17,6 @@ namespace llmnpu {
 struct ExecPolicy {
     ExecFormat linear_format = ExecFormat::kInt8PerTensor;
     int group_size = 32;
-    bool square_optimized = false;
     /** Multiplier on linear throughput (engine kernel quality). */
     double linear_speed_mult = 1.0;
     /** Hard cap on effective linear throughput in TFLOPS/TOPS (0 = none);

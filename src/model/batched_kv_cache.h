@@ -12,8 +12,10 @@
  *
  *  - retiring a sequence returns its pages to the pool immediately (the
  *    free list feeds the next admission),
- *  - a bounded pool turns KV memory into the admission-control resource
- *    the serving simulator models (CanAppend is the backpressure signal),
+ *  - a bounded pool turns KV memory into an admission-control resource:
+ *    CanAppend says whether an append fits before it is made (the serving
+ *    simulator keeps the same page arithmetic in its own KvLedger,
+ *    src/serving/kv_ledger.h, and does not call CanAppend),
  *  - sequences can share the pages of a common prompt prefix (refcounted),
  *    with copy-on-write isolation: appending into a page another sequence
  *    still references clones the page, rewrites only the appender's page

@@ -32,11 +32,15 @@ namespace llmnpu {
  *  not the pool, so consumers comparing demand against it always fit. */
 constexpr int64_t kUnboundedFreePages = std::numeric_limits<int64_t>::max();
 
+/** Token positions per KV page, in the numeric pool and in the serving
+ *  simulator's page ledger. 16 keeps page tables short for mobile context
+ *  lengths while wasting at most 15 positions per sequence. */
+constexpr int64_t kKvPageSize = 16;
+
 /** Geometry and budget of a paged KV allocation. */
 struct PagedKvOptions {
-    /** Token positions per page. 16 keeps page tables short for mobile
-     *  context lengths while wasting at most 15 positions per sequence. */
-    int64_t page_size = 16;
+    /** Token positions per page (tests shrink it for page-edge cases). */
+    int64_t page_size = kKvPageSize;
     /** Total pages the pool may hand out; 0 = grow on demand (no budget,
      *  the legacy dense behavior's memory envelope). */
     int64_t max_pages = 0;

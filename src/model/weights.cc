@@ -9,6 +9,15 @@ namespace llmnpu {
 
 namespace {
 
+/** Fraction of hidden channels designated as outlier-prone ("hot"). */
+constexpr double kHotChannelFrac = 0.03;
+/** Mean multiplicative amplification of hot channels in the important
+ *  linears. Real LLMs show outliers 20-100x the typical magnitude
+ *  [33, 84]; SmoothQuant-style migration only absorbs ~sqrt of it. */
+constexpr double kOutlierAmplitude = 40.0;
+/** Probability a given token activates a given hot channel. */
+constexpr double kTokenActivationProb = 0.4;
+
 /** Gaussian matrix with std 1/sqrt(k) so y = x @ W keeps unit variance. */
 Tensor
 RandomLinear(Rng& rng, int64_t k, int64_t n)
@@ -54,11 +63,10 @@ ModelWeights::Linear(int layer, LinearKind kind) const
 }
 
 ModelWeights
-GenerateSyntheticWeights(const ModelConfig& config,
-                         const SyntheticWeightsOptions& opts)
+GenerateSyntheticWeights(const ModelConfig& config, uint64_t seed)
 {
     config.Validate();  // fail loudly before any tensor gets a shape
-    Rng rng(opts.seed);
+    Rng rng(seed);
     ModelWeights mw;
     mw.config = config;
 
@@ -68,7 +76,7 @@ GenerateSyntheticWeights(const ModelConfig& config,
     // Pick the hot channels that will carry activation outliers (Figure 11:
     // <3% of channels contribute >80% of outliers).
     const int num_hot = std::max<int>(
-        2, static_cast<int>(std::lround(opts.hot_channel_frac *
+        2, static_cast<int>(std::lround(kHotChannelFrac *
                                         static_cast<double>(hidden))));
     std::vector<int> all(static_cast<size_t>(hidden));
     for (int64_t i = 0; i < hidden; ++i) {
@@ -93,7 +101,7 @@ GenerateSyntheticWeights(const ModelConfig& config,
         }
         for (int hot : mw.hot_channels) {
             for (int64_t t = 0; t < vocab; ++t) {
-                if (rng.Bernoulli(opts.token_activation_prob)) {
+                if (rng.Bernoulli(kTokenActivationProb)) {
                     p[t * hidden + hot] *=
                         static_cast<float>(2.5 * std::exp(rng.Normal(0, 0.3)));
                 }
@@ -132,7 +140,7 @@ GenerateSyntheticWeights(const ModelConfig& config,
     auto amplify_hot = [&](Tensor& gamma, double strength) {
         float* p = gamma.Data<float>();
         for (int hot : mw.hot_channels) {
-            p[hot] *= static_cast<float>(strength * opts.outlier_amplitude *
+            p[hot] *= static_cast<float>(strength * kOutlierAmplitude *
                                          std::exp(rng.Normal(0.0, 0.35)));
         }
     };
@@ -157,9 +165,9 @@ GenerateSyntheticWeights(const ModelConfig& config,
         chosen.erase(std::unique(chosen.begin(), chosen.end()), chosen.end());
         return chosen;
     };
-    mw.v_hot_channels = pick_channels(kv_dim, opts.hot_channel_frac * 0.7);
+    mw.v_hot_channels = pick_channels(kv_dim, kHotChannelFrac * 0.7);
     mw.ffn_hot_channels =
-        pick_channels(config.ffn_hidden, opts.hot_channel_frac * 0.3);
+        pick_channels(config.ffn_hidden, kHotChannelFrac * 0.3);
 
     auto amplify_columns = [&](Tensor& w, const std::vector<int>& cols,
                                double strength) {
@@ -167,7 +175,7 @@ GenerateSyntheticWeights(const ModelConfig& config,
         const int64_t n = w.Cols();
         for (int c : cols) {
             const float f = static_cast<float>(
-                strength * opts.outlier_amplitude *
+                strength * kOutlierAmplitude *
                 std::exp(rng.Normal(0.0, 0.3)));
             for (int64_t r = 0; r < w.Rows(); ++r) p[r * n + c] *= f;
         }

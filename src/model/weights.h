@@ -14,6 +14,7 @@
 #define LLMNPU_MODEL_WEIGHTS_H
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "src/model/config.h"
@@ -35,19 +36,6 @@ struct LayerWeights {
     /** Packed [k x n] linears, y = x @ W, indexed by LinearKindIndex; the
      *  kFfnGate entry is empty for non-gated FFN models. */
     std::array<PackedWeightsF32, kNumLinearKinds> linears;
-};
-
-/** Options controlling synthetic weight generation. */
-struct SyntheticWeightsOptions {
-    uint64_t seed = 0x11f;
-    /** Fraction of hidden channels designated as outlier-prone ("hot"). */
-    double hot_channel_frac = 0.03;
-    /** Mean multiplicative amplification of hot channels in the important
-     *  linears. Real LLMs show outliers 20-100x the typical magnitude
-     *  [33, 84]; SmoothQuant-style migration only absorbs ~sqrt of it. */
-    double outlier_amplitude = 40.0;
-    /** Probability a given token activates a given hot channel. */
-    double token_activation_prob = 0.4;
 };
 
 /** A full model: config + embedding + blocks + final norm. */
@@ -79,9 +67,9 @@ struct ModelWeights {
     Tensor Linear(int layer, LinearKind kind) const;
 };
 
-/** Generates deterministic synthetic weights for `config`. */
+/** Generates deterministic synthetic weights for `config` from `seed`. */
 ModelWeights GenerateSyntheticWeights(const ModelConfig& config,
-                                      const SyntheticWeightsOptions& opts = {});
+                                      uint64_t seed = 0x11f);
 
 }  // namespace llmnpu
 

@@ -1,7 +1,6 @@
 #include "src/obs/trace.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace llmnpu {
 namespace obs {
@@ -20,13 +19,7 @@ Tracer::Global()
     return *tracer;
 }
 
-Tracer::Tracer() : epoch_(std::chrono::steady_clock::now())
-{
-    if (const char* env = std::getenv("LLMNPU_TRACE_CAPACITY")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0) capacity_ = static_cast<size_t>(v);
-    }
-}
+Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 
 uint64_t
 Tracer::NowNs() const

@@ -128,11 +128,11 @@ class Tracer
     static Tracer& Global();
 
     /** Default ring capacity per thread (events), overridable per Enable
-     *  call or via LLMNPU_TRACE_CAPACITY. */
+     *  call. */
     static constexpr size_t kDefaultCapacity = 1 << 15;
 
     /** Turns recording on. `capacity_per_thread` = 0 keeps the current
-     *  capacity (env LLMNPU_TRACE_CAPACITY or the default); a nonzero
+     *  capacity (the default until a call sets one); a nonzero
      *  value resizes existing (quiescent) rings. */
     void Enable(size_t capacity_per_thread = 0);
 

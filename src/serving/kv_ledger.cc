@@ -8,9 +8,8 @@
 namespace llmnpu {
 
 KvLedger::KvLedger(int num_requests, int64_t budget_pages,
-                   int64_t page_size, int64_t prefix_len)
-    : page_size_(page_size),
-      prefix_pages_((prefix_len + page_size - 1) / page_size),
+                   int64_t prefix_len)
+    : prefix_pages_(PagesFor(prefix_len)),
       live_budget_(budget_pages),
       held_(static_cast<size_t>(num_requests), 0),
       holds_prefix_(static_cast<size_t>(num_requests), 0)

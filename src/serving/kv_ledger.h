@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/model/kv_page_pool.h"
 #include "src/serving/request.h"
 
 namespace llmnpu {
@@ -27,14 +28,14 @@ class KvLedger
 {
   public:
     /** Tracks request ids [0, num_requests) against `budget_pages` (0 =
-     *  unbounded); `prefix_len` is the page-aligned shared-prefix length
+     *  unbounded) in pages of kKvPageSize positions, the numeric pool's
+     *  default page; `prefix_len` is the page-aligned shared-prefix length
      *  in positions (0 = none). */
-    KvLedger(int num_requests, int64_t budget_pages, int64_t page_size,
-             int64_t prefix_len);
+    KvLedger(int num_requests, int64_t budget_pages, int64_t prefix_len);
 
-    int64_t PagesFor(int64_t positions) const
+    static int64_t PagesFor(int64_t positions)
     {
-        return (positions + page_size_ - 1) / page_size_;
+        return (positions + kKvPageSize - 1) / kKvPageSize;
     }
     /** Whole once-counted demand of `request` through its last token. */
     int64_t Demand(const ServingRequest& request) const
@@ -129,7 +130,6 @@ class KvLedger
     /** A usage change: peaks, plus the sim.kv_used_pages trace counter. */
     void Note(double now_ms);
 
-    const int64_t page_size_;
     const int64_t prefix_pages_;
     int64_t live_budget_;
     int64_t used_ = 0;

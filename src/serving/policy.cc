@@ -132,8 +132,7 @@ PredictedSloAdmission::Admit(const AdmissionQuery& query) const
                         (1.0 + std::max(0.0, query.decode_batch_marginal) *
                                    query.signals.decode_pool_depth);
     const double predicted_finish =
-        query.signals.now_ms + query.queued_prefill_ms +
-        service_ms * headroom_;
+        query.signals.now_ms + query.queued_prefill_ms + service_ms;
     return predicted_finish <= query.request->deadline_ms;
 }
 

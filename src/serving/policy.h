@@ -248,16 +248,8 @@ class ThresholdAdmission : public AdmissionPolicy
 class PredictedSloAdmission : public AdmissionPolicy
 {
   public:
-    /** `headroom` scales the predicted service before the comparison
-     *  (>1 = more conservative admission). */
-    explicit PredictedSloAdmission(double headroom = 1.0)
-        : headroom_(headroom)
-    {}
     std::string Name() const override { return "predicted-slo"; }
     bool Admit(const AdmissionQuery& query) const override;
-
-  private:
-    double headroom_;
 };
 
 // --------------------------------------------------------------- registry

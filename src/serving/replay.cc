@@ -13,6 +13,9 @@ namespace llmnpu {
 
 namespace {
 
+/** Seed of the per-request synthetic token streams. */
+constexpr uint64_t kTokenSeed = 0xb47c;
+
 /** Per-request replay state: synthetic streams and collected outputs. */
 struct SeqState {
     int slot = -1;  ///< BatchedKvCache slot, -1 until first prefill chunk
@@ -115,7 +118,7 @@ ReplayTraceImpl(const std::vector<ReplayStep>& steps,
             auto [it, fresh] =
                 prefix_tokens.try_emplace(state.prefix_key);
             if (fresh) {
-                Rng group_rng(options.seed ^
+                Rng group_rng(kTokenSeed ^
                               (0xda3e39cb94b95bdbULL *
                                static_cast<uint64_t>(state.prefix_key)));
                 for (int i = 0; i < state.prefix_len; ++i) {
@@ -124,8 +127,8 @@ ReplayTraceImpl(const std::vector<ReplayStep>& steps,
                 }
             }
         }
-        Rng rng(options.seed ^ (0x9e3779b97f4a7c15ULL *
-                                static_cast<uint64_t>(id + 1)));
+        Rng rng(kTokenSeed ^ (0x9e3779b97f4a7c15ULL *
+                              static_cast<uint64_t>(id + 1)));
         for (int i = 0; i < prompt_len; ++i) {
             state.prompt.push_back(
                 static_cast<int>(rng.Next() % static_cast<uint64_t>(vocab)));

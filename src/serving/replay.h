@@ -57,8 +57,6 @@ struct ReplayOptions {
     /** Decode tokens replayed per request; members past the cap drop out of
      *  later decode steps (their truncated memberships are counted). */
     int max_output_tokens = 4;
-    /** Seed for the per-request synthetic token streams. */
-    uint64_t seed = 0xb47c;
     /** Re-run every sequence alone and compare hidden states and logits
      *  bitwise against the batched replay. */
     bool check_bitwise = true;

@@ -72,7 +72,7 @@ class ServingRun
           peak_temp_c_(thermal_.temperature_c()),
           shrink_pending_(options.faults.pool_shrink_at_ms >= 0.0),
           ledger_(options.num_requests, options.kv_pool_pages,
-                  options.kv_page_size, options.shared_prefix.prefix_len),
+                  options.shared_prefix.prefix_len),
           state_(static_cast<size_t>(options.num_requests)),
           sampler_(mix, options.seed)
     {
@@ -1067,7 +1067,6 @@ ServingOptions::Validate() const
                     "serving decode_batch_marginal must be >= 0");
     LLMNPU_FATAL_IF(kv_pool_pages < 0,
                     "serving kv_pool_pages must be >= 0 (0 = unbounded)");
-    LLMNPU_FATAL_IF(kv_page_size <= 0, "serving kv_page_size must be > 0");
     LLMNPU_FATAL_IF(!closed_loop && rate_rps <= 0.0,
                     "serving rate_rps must be > 0 in open-loop mode");
     LLMNPU_FATAL_IF(closed_loop && num_clients <= 0,
@@ -1079,7 +1078,7 @@ ServingOptions::Validate() const
                     "(no deadlines to expire otherwise)");
     LLMNPU_FATAL_IF(shared_prefix.prefix_len < 0,
                     "serving shared_prefix.prefix_len must be >= 0");
-    LLMNPU_FATAL_IF(shared_prefix.prefix_len % kv_page_size != 0,
+    LLMNPU_FATAL_IF(shared_prefix.prefix_len % kKvPageSize != 0,
                     "serving shared_prefix.prefix_len must be page-aligned "
                     "(whole shared pages are what admission counts once)");
     LLMNPU_FATAL_IF(shared_prefix.share_fraction < 0.0 ||

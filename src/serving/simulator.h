@@ -79,8 +79,9 @@ struct ServingOptions {
     double decode_batch_marginal = 0.15;
 
     /**
-     * KV page pool budget in pages (the serving-side mirror of
-     * KvPagePool's max_pages); 0 = unbounded, the legacy behavior. A
+     * KV page pool budget in pages of kKvPageSize positions (the
+     * serving-side mirror of KvPagePool's max_pages); 0 = unbounded, the
+     * legacy behavior. A
      * bounded pool turns KV memory into a scheduled resource:
      *  - arrival: a request whose whole demand (prompt + output pages)
      *    exceeds the budget is rejected outright — it could never run;
@@ -92,10 +93,6 @@ struct ServingOptions {
      *    paper's preemption-by-recompute under memory pressure.
      */
     int64_t kv_pool_pages = 0;
-    /** Positions per KV page for the admission/eviction arithmetic; must
-     *  match the numeric plane's PagedKvOptions::page_size for honest
-     *  accounting. */
-    int64_t kv_page_size = 16;
 
     /**
      * Shared-system-prompt scenario (src/workloads/arrivals.h): one

@@ -128,6 +128,15 @@ inline constexpr double kNpuMemoryRegionBytes = 4.0 * 1024 * 1024 * 1024;
 /** Shared-buffer synchronization of a shadow-outlier partial sum (§3.3:
  *  un-pruned layers cost 29.7% e2e latency on Qwen1.5-1.8B at rate 0). */
 inline constexpr double kShadowSyncMs = 0.55;
+/** Mean fraction of input channels shadow-extracted per linear call
+ *  (Figure 10: 0.1-0.3%). */
+inline constexpr double kShadowOutlierFrac = 0.002;
+/** Fraction of channels whose shadow weights stay resident (Figure 11:
+ *  <3% of channels carry >80% of outliers). */
+inline constexpr double kShadowHotChannelFrac = 0.03;
+/** Extracted channels missing the resident set and fetched from disk
+ *  (§3.3). */
+inline constexpr double kShadowColdMissRate = 0.05;
 /** Per-layer CPU<->NPU round trip of the prebuilt decode graph (quantized
  *  activations in, per-column-scaled accumulators out). Decode buffers are
  *  tiny (M <= 8 rows), so this is latency- not bandwidth-bound. Modeled,

@@ -17,12 +17,10 @@ ThermalOptions::Validate() const
                     "thermal throttle_full_c must exceed throttle_start_c");
     LLMNPU_FATAL_IF(max_slowdown < 1.0,
                     "thermal max_slowdown must be >= 1");
-    LLMNPU_FATAL_IF(start_c < ambient_c,
-                    "thermal start_c must be >= ambient_c");
 }
 
 ThermalModel::ThermalModel(const ThermalOptions& options)
-    : options_(options), temp_c_(options.start_c)
+    : options_(options)
 {
     options_.Validate();
 }
@@ -34,8 +32,8 @@ ThermalModel::Advance(double dt_ms, bool npu_busy)
     // Cooling toward ambient over the whole interval, heating added on top
     // when the accelerator was busy. Evaluated per event interval, so the
     // trajectory is deterministic for a given schedule.
-    temp_c_ = options_.ambient_c +
-              (temp_c_ - options_.ambient_c) *
+    temp_c_ = kThermalAmbientC +
+              (temp_c_ - kThermalAmbientC) *
                   std::exp(-dt_ms / options_.cool_tau_ms);
     if (npu_busy) temp_c_ += options_.heat_c_per_busy_ms * dt_ms;
 }

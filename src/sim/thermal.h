@@ -10,8 +10,9 @@
  * serving simulator can price thermal throttling into chunk service times
  * and trigger brownout-mode load shedding.
  *
- * The model is exact virtual-time arithmetic (no RNG): temperature decays
- * toward ambient with time constant `cool_tau_ms` and rises by
+ * The model is exact virtual-time arithmetic (no RNG): the die starts at
+ * ambient (kThermalAmbientC), temperature decays toward ambient with time
+ * constant `cool_tau_ms` and rises by
  * `heat_c_per_busy_ms` per millisecond of NPU busy time. The throttle
  * curve is a linear ramp: service times scale by 1.0 below
  * `throttle_start_c`, rising linearly to `max_slowdown` at
@@ -22,15 +23,14 @@
 
 namespace llmnpu {
 
+/** Chassis/ambient temperature: the die starts here and cools toward it. */
+inline constexpr double kThermalAmbientC = 25.0;
+
 /** Thermal-model parameters. Disabled (the default) means ServiceScale()
  *  is the constant 1.0 and no state is ever advanced, so simulations with
  *  thermal modeling off are bit-identical to pre-thermal builds. */
 struct ThermalOptions {
     bool enabled = false;
-    /** Chassis/ambient temperature the die cools toward. */
-    double ambient_c = 25.0;
-    /** Die temperature at simulation start. */
-    double start_c = 25.0;
     /** Heating per millisecond of NPU busy time. */
     double heat_c_per_busy_ms = 0.02;
     /** Exponential cooling time constant toward ambient. */
@@ -70,7 +70,7 @@ class ThermalModel
 
   private:
     ThermalOptions options_;
-    double temp_c_ = 25.0;
+    double temp_c_ = kThermalAmbientC;
 };
 
 }  // namespace llmnpu

@@ -42,7 +42,8 @@ struct ArrivalEvent {
  */
 struct SharedPrefixOptions {
     /** Shared prefix length in tokens; 0 disables the scenario. The
-     *  serving simulator requires it page-aligned (kv_page_size). */
+     *  serving simulator requires it page-aligned (a multiple of
+     *  kKvPageSize). */
     int prefix_len = 0;
     /** Fraction of arrivals carrying the prefix, in [0, 1]. */
     double share_fraction = 0.0;

@@ -5,6 +5,13 @@
 
 namespace llmnpu {
 
+namespace {
+
+/** Zipf exponent of the token frequencies (natural-language-like). */
+constexpr double kZipfExponent = 1.1;
+
+}  // namespace
+
 std::vector<std::vector<int>>
 MakeCorpus(const CorpusOptions& options)
 {
@@ -21,7 +28,7 @@ MakeCorpus(const CorpusOptions& options)
         for (int t = 0; t < len; ++t) {
             seq.push_back(static_cast<int>(rng.Zipf(
                 static_cast<uint64_t>(options.vocab_size),
-                options.zipf_exponent)));
+                kZipfExponent)));
         }
         corpus.push_back(std::move(seq));
     }

@@ -18,11 +18,11 @@ struct CorpusOptions {
     int num_sequences = 8;
     int min_len = 32;
     int max_len = 64;
-    double zipf_exponent = 1.1;  ///< natural-language-like token frequencies
     uint64_t seed = 0xc0de;
 };
 
-/** Generates deterministic token-id sequences. */
+/** Generates deterministic token-id sequences with Zipf(1.1) token
+ *  frequencies. */
 std::vector<std::vector<int>> MakeCorpus(const CorpusOptions& options);
 
 }  // namespace llmnpu

@@ -9,6 +9,8 @@
 
 #include "src/core/llmnpu_engine.h"
 #include "src/engines/baselines.h"
+#include "src/sim/calibration.h"
+#include "src/sim/npu_runtime.h"
 #include "src/workloads/datasets.h"
 #include "tests/support/tiny_model.h"
 
@@ -283,15 +285,24 @@ TEST_F(EngineFixture, DecodeShareGrowsWithOutputLength)
 TEST_F(EngineFixture, PreparationAmortizedOnlyWhenChunked)
 {
     LlmNpuEngine chunked;
-    LlmNpuOptions naive_options;
-    naive_options.enable_chunking = false;
-    LlmNpuEngine unchunked(naive_options);
+    NaiveNpuEngine unchunked;
     const EngineResult a = chunked.Run(qwen_, soc_, req1024_);
     const EngineResult b = unchunked.Run(qwen_, soc_, req1024_);
-    // Chunked: preparation is offline; prefill excludes it.
-    EXPECT_LT(a.prefill_ms, a.prepare_ms + a.prefill_ms);
-    // Unchunked: the rebuild lands inside prefill, dominating it.
-    EXPECT_GT(b.prefill_ms, b.prepare_ms * 0.9);
+    // Chunked: the fixed-shape graphs are prepared offline; prefill is the
+    // execution makespan alone.
+    EXPECT_GT(a.prepare_ms, 0.0);
+    EXPECT_EQ(a.prefill_ms,
+              chunked.SimulatePrefill(qwen_, soc_, req1024_.prompt_len)
+                  .timeline.makespan_ms);
+    // Unchunked: the whole-prompt graph is built for this prompt length
+    // inside the inference, so the build lands inside prefill.
+    NpuGraphDesc whole_prompt;
+    whole_prompt.num_ops = qwen_.num_layers * 13;
+    whole_prompt.const_bytes =
+        qwen_.MatMulParams() + qwen_.vocab_size * qwen_.hidden_size;
+    const double build_ms = cal::kNpuEnvSetupMs +
+                            NpuRuntime::CostsFor(whole_prompt).TotalPrepareMs();
+    EXPECT_GT(b.prefill_ms, build_ms);
     EXPECT_GT(b.prefill_ms, a.prefill_ms * 2.0);
 }
 

@@ -155,10 +155,8 @@ TEST(WeightsTest, DeterministicGeneration)
 TEST(WeightsTest, DifferentSeedsDiffer)
 {
     const ModelConfig config = TinyTestConfig();
-    SyntheticWeightsOptions opts;
-    opts.seed = 99;
     ModelWeights a = GenerateSyntheticWeights(config);
-    ModelWeights b = GenerateSyntheticWeights(config, opts);
+    ModelWeights b = GenerateSyntheticWeights(config, /*seed=*/99);
     EXPECT_FALSE(a.embedding.BitEquals(b.embedding));
 }
 

@@ -793,7 +793,6 @@ class PagedServingTest : public PaperDeviceTest
         options.rate_rps = rate_rps;
         options.seed = 9;
         options.kv_pool_pages = pool_pages;
-        options.kv_page_size = 16;
         return ServingSimulator(costs, std::move(mix), options).Run();
     }
 };
@@ -886,7 +885,6 @@ TEST_F(PagedServingTest, ClosedLoopAllRejectedStillTerminates)
     options.num_requests = 9;
     options.seed = 5;
     options.kv_pool_pages = 4;  // nothing fits
-    options.kv_page_size = 16;
     const ServingResult result =
         ServingSimulator(costs, {PersonaChatProfile()}, options).Run();
     EXPECT_EQ(result.rejected, 9);  // every client retried to the cap
@@ -921,7 +919,6 @@ TEST_F(PagedServingTest, SharedPrefixChargedOnceAcrossConcurrentSharers)
     // 9 pages hold the prefix plus TWO full private sides only because
     // the prefix is charged once — double-charging would need 12.
     options.kv_pool_pages = 9;
-    options.kv_page_size = 16;
     options.shared_prefix.prefix_len = 48;
     options.shared_prefix.share_fraction = 1.0;
     const ServingResult result =
@@ -947,7 +944,6 @@ TEST_F(PagedServingTest, EvictionWithResidentPrefixStaysWithinBudget)
     options.num_requests = 8;
     options.rate_rps = 300.0;
     options.seed = 9;
-    options.kv_page_size = 16;
     options.shared_prefix.prefix_len = 48;
     options.shared_prefix.share_fraction = 1.0;
     // Shrink until decode growth forces evictions while sharers hold the
@@ -1022,7 +1018,6 @@ TEST_F(PagedServingTest, SharedPrefixScheduleReplaysBitwiseThroughCow)
     options.rate_rps = 100.0;
     options.seed = 21;
     options.kv_pool_pages = 16;
-    options.kv_page_size = 16;
     options.shared_prefix.prefix_len = 16;
     options.shared_prefix.share_fraction = 0.75;
     const ServingResult result =
@@ -1053,10 +1048,9 @@ TEST(KvLedgerTest, RandomOpsKeepPagesConservedAndPrefixChargedOnce)
     // every op. Reserve and grow are only attempted when they fit, as the
     // simulator's dispatch gate and eviction loop guarantee.
     constexpr int kRequests = 8;
-    constexpr int64_t kPageSize = 16;
-    constexpr int64_t kPrefixLen = 48;  // 3 pages
+    constexpr int64_t kPrefixLen = 3 * kKvPageSize;
     constexpr int64_t kBudget = 160;
-    KvLedger ledger(kRequests, kBudget, kPageSize, kPrefixLen);
+    KvLedger ledger(kRequests, kBudget, kPrefixLen);
     std::vector<ServingRequest> requests(kRequests);
     for (int id = 0; id < kRequests; ++id) {
         requests[static_cast<size_t>(id)].id = id;
@@ -1145,7 +1139,7 @@ TEST(KvLedgerTest, RandomOpsKeepPagesConservedAndPrefixChargedOnce)
 TEST(KvLedgerTest, ChargesCountTheResidentPrefixOnce)
 {
     KvLedger ledger(/*num_requests=*/2, /*budget_pages=*/0,
-                    /*page_size=*/16, /*prefix_len=*/32);
+                    /*prefix_len=*/32);
     ServingRequest a;
     a.id = 0;
     a.prompt_len = 32 + 40;  // 3 private prompt pages
