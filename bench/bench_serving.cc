@@ -40,6 +40,31 @@
 namespace llmnpu {
 namespace {
 
+/** The placement sweeps' rows, in print order: the two engine profiles
+ *  followed as-is, then PredictedPlacement deciding per step from a
+ *  CPU-placed profile. */
+struct PlacementRow {
+    const char* name;
+    DecodePlacement profile_placement;
+    bool predicted;
+};
+constexpr PlacementRow kPlacementRows[] = {
+    {"static-cpu", DecodePlacement::kCpuFloat, false},
+    {"static-npu", DecodePlacement::kNpuQuant, false},
+    {"predicted", DecodePlacement::kCpuFloat, true},
+};
+
+/** The overload admission rows: the whole-demand KV check alone, then
+ *  with the predicted-SLO gate. */
+struct AdmissionRow {
+    const char* name;
+    bool predicted_slo;
+};
+constexpr AdmissionRow kAdmissionRows[] = {
+    {"threshold", false},
+    {"predicted-slo", true},
+};
+
 /** One METRIC row; `decode_placement` and `max_decode_batch` must be the
  *  values the run actually used (engine placement / options batch cap). */
 void
@@ -191,12 +216,11 @@ Run(const char* trace_path, uint64_t seed)
         LlmNpuEngine npu_engine(npu_options);
         const double cpu_token_ms =
             costs.Costs({512, 1}).decode_token_ms;
-        const double cpu_marginal = ServingOptions().decode_batch_marginal;
         Table step_table({"batch", "cpu ms/tok", "npu ms/tok", "winner"});
         for (int batch : {1, 2, 4, 8, 16, 32}) {
             const double cpu_tpot =
                 cpu_token_ms *
-                (1.0 + (batch - 1) * cpu_marginal) / batch;
+                (1.0 + (batch - 1) * kDecodeBatchMarginal) / batch;
             const double npu_tpot =
                 npu_engine.NpuDecodeStep(config, soc, 512, batch)
                     .TotalMs() /
@@ -214,13 +238,11 @@ Run(const char* trace_path, uint64_t seed)
     }
 
     // Decode placement x batch depth inside the full serving loop, one row
-    // set per *registered placement policy* (src/serving/policy.h): the
-    // static rows pin that the placement knob composes with the serving
-    // loop (at these prefill-bound loads the decode pool stays shallow and
-    // the CPU placement wins end-to-end), and the dynamic row runs the
-    // predicted-cost policy deciding per step through the calibrated
-    // oracle. A new policy registered there appears here with no bench
-    // change.
+    // set per kPlacementRows entry: the static rows pin that the placement
+    // knob composes with the serving loop (at these prefill-bound loads
+    // the decode pool stays shallow and the CPU placement wins
+    // end-to-end), and the predicted row runs PredictedPlacement deciding
+    // per step through the calibrated oracle.
     std::printf("\nPlacement policy x batch depth (fcfs, load %.1fx "
                 "capacity):\n",
                 smoke ? 1.5 : 1.2);
@@ -228,20 +250,20 @@ Run(const char* trace_path, uint64_t seed)
                            "ttft p99", "e2e p99", "preempt"});
     const std::vector<int> batch_depths =
         smoke ? std::vector<int>{8, 32} : std::vector<int>{4, 8, 32};
-    for (const PlacementPolicySpec& spec : PlacementPolicyRegistry()) {
+    for (const PlacementRow& row : kPlacementRows) {
         LlmNpuOptions engine_options;
-        engine_options.decode_placement = spec.profile_placement;
+        engine_options.decode_placement = row.profile_placement;
         LlmNpuEngine placed_engine(engine_options);
         ServingCostModel placed_costs(placed_engine, config, soc);
-        // Static specs run the legacy null-policy path (bit-identical to
-        // the pre-policy simulator); the dynamic spec decides through the
-        // calibrated step-cost oracle.
-        const std::shared_ptr<PlacementPolicy> policy_object =
-            spec.dynamic ? MakePlacementPolicy(spec.name, &placed_costs)
-                         : nullptr;
+        // Static rows follow the engine profile (no predictor); the
+        // predicted row decides through the calibrated step-cost oracle.
+        const std::shared_ptr<const PredictedPlacement> predictor =
+            row.predicted
+                ? std::make_shared<PredictedPlacement>(placed_costs)
+                : nullptr;
         for (int depth : batch_depths) {
             ServingOptions options;
-            options.placement_policy = policy_object;
+            options.placement_policy = predictor;
             options.rate_rps = (smoke ? 1.5 : 1.2) * capacity_rps;
             options.num_requests = num_requests;
             options.seed = seed;
@@ -249,8 +271,8 @@ Run(const char* trace_path, uint64_t seed)
             ServingSimulator sim(placed_costs, mix, options);
             const ServingReport report = sim.Run().Report();
             const std::string row_name =
-                spec.dynamic ? spec.name
-                             : DecodePlacementName(spec.profile_placement);
+                row.predicted ? row.name
+                              : DecodePlacementName(row.profile_placement);
             placement_table.AddRow(
                 {row_name, StrFormat("%d", depth),
                  StrFormat("%.2f", report.throughput_rps),
@@ -318,10 +340,9 @@ Run(const char* trace_path, uint64_t seed)
         Table sweep_table({"policy", "load/cap", "req/s", "goodput",
                            "SLO%", "tok/s", "flips"});
         for (double ratio : sweep_ratios) {
-            for (const PlacementPolicySpec& spec :
-                 PlacementPolicyRegistry()) {
+            for (const PlacementRow& row : kPlacementRows) {
                 LlmNpuOptions engine_options;
-                engine_options.decode_placement = spec.profile_placement;
+                engine_options.decode_placement = row.profile_placement;
                 LlmNpuEngine placed_engine(engine_options);
                 ServingCostModel placed_costs(placed_engine, config, soc);
                 ServingOptions options;
@@ -329,16 +350,15 @@ Run(const char* trace_path, uint64_t seed)
                 options.num_requests = sweep_requests;
                 options.seed = seed;
                 options.max_decode_batch = 32;
-                if (spec.dynamic) {
+                if (row.predicted) {
                     options.placement_policy =
-                        std::make_shared<PredictedPlacement>(fitted,
-                                                             spec.name);
+                        std::make_shared<PredictedPlacement>(fitted);
                 }
                 ServingSimulator sim(placed_costs, decode_heavy, options);
                 const ServingResult result = sim.Run();
                 const ServingReport report = result.Report();
                 // Mid-run placement flips: per-request transitions across
-                // the recorded decode-step placements (dynamic runs only;
+                // the recorded decode-step placements (predicted runs only;
                 // static schedules record none and count zero).
                 int flips = 0;
                 {
@@ -361,7 +381,7 @@ Run(const char* trace_path, uint64_t seed)
                     }
                 }
                 sweep_table.AddRow(
-                    {spec.name, StrFormat("%.1f", ratio),
+                    {row.name, StrFormat("%.1f", ratio),
                      StrFormat("%.2f", report.throughput_rps),
                      StrFormat("%.2f", report.goodput_rps),
                      StrFormat("%.0f%%", report.slo_attainment * 100),
@@ -377,7 +397,7 @@ Run(const char* trace_path, uint64_t seed)
                     "\"slo_attainment\": %.3f, "
                     "\"decode_tokens_per_sec\": %.3f, "
                     "\"placement_flips\": %d}\n",
-                    spec.name.c_str(), ratio, options.rate_rps,
+                    row.name, ratio, options.rate_rps,
                     report.throughput_rps, report.goodput_rps,
                     report.slo_attainment, report.decode_tokens_per_sec,
                     flips);
@@ -396,8 +416,7 @@ Run(const char* trace_path, uint64_t seed)
             const double ratio = sweep_ratios.back();
             Table admit_table(
                 {"admission", "req/s", "goodput", "SLO%", "rejected"});
-            for (const std::string& admission_name :
-                 AdmissionPolicyRegistry()) {
+            for (const AdmissionRow& row : kAdmissionRows) {
                 ServingOptions options;
                 options.rate_rps = ratio * sweep_capacity_rps;
                 options.num_requests = sweep_requests;
@@ -406,13 +425,11 @@ Run(const char* trace_path, uint64_t seed)
                 options.slo_factor = 2.0;
                 options.placement_policy =
                     std::make_shared<PredictedPlacement>(fitted);
-                options.admission_policy =
-                    MakeAdmissionPolicy(admission_name);
+                options.predicted_slo_admission = row.predicted_slo;
                 ServingSimulator sim(costs, decode_heavy, options);
                 const ServingReport report = sim.Run().Report();
                 admit_table.AddRow(
-                    {admission_name,
-                     StrFormat("%.2f", report.throughput_rps),
+                    {row.name, StrFormat("%.2f", report.throughput_rps),
                      StrFormat("%.2f", report.goodput_rps),
                      StrFormat("%.0f%%", report.slo_attainment * 100),
                      StrFormat("%d", report.rejected)});
@@ -426,7 +443,7 @@ Run(const char* trace_path, uint64_t seed)
                     "\"slo_attainment\": %.3f, "
                     "\"decode_tokens_per_sec\": %.3f, "
                     "\"placement_flips\": -1}\n",
-                    admission_name.c_str(), ratio, options.rate_rps,
+                    row.name, ratio, options.rate_rps,
                     report.throughput_rps, report.goodput_rps,
                     report.slo_attainment, report.decode_tokens_per_sec);
             }

@@ -395,14 +395,14 @@ LlmNpuEngine::RequestDecode(const ModelConfig& config, const SocSpec& soc,
 double
 LlmNpuEngine::DecodeStepMs(const ModelConfig& config, const SocSpec& soc,
                            DecodePlacement placement, int64_t kv_len,
-                           int batch, double fallback_marginal)
+                           int batch)
 {
     if (placement == DecodePlacement::kNpuQuant) {
         return NpuDecodeStep(config, soc, kv_len, std::max(1, batch))
             .TotalMs();
     }
     return InferenceEngine::DecodeStepMs(config, soc, placement, kv_len,
-                                         batch, fallback_marginal);
+                                         batch);
 }
 
 EngineResult

@@ -66,11 +66,11 @@ class LlmNpuEngine : public InferenceEngine
 
     /** Calibrated step prices per placement: the NPU side runs through
      *  NpuDecodeStep's full decomposition regardless of where this
-     *  engine's own profile places decode, so a dynamic placement policy
-     *  can price the road not taken. */
+     *  engine's own profile places decode, so PredictedPlacement can
+     *  price the road not taken. */
     double DecodeStepMs(const ModelConfig& config, const SocSpec& soc,
-                        DecodePlacement placement, int64_t kv_len, int batch,
-                        double fallback_marginal) override;
+                        DecodePlacement placement, int64_t kv_len,
+                        int batch) override;
 
     const LlmNpuOptions& options() const { return options_; }
 

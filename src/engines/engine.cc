@@ -29,7 +29,7 @@ InferenceEngine::ServingCosts(const ModelConfig& config, const SocSpec& soc,
 double
 InferenceEngine::DecodeStepMs(const ModelConfig& config, const SocSpec& soc,
                               DecodePlacement placement, int64_t kv_len,
-                              int batch, double fallback_marginal)
+                              int batch)
 {
     InferenceRequest request;
     request.prompt_len = static_cast<int>(std::max<int64_t>(1, kv_len));
@@ -43,7 +43,7 @@ InferenceEngine::DecodeStepMs(const ModelConfig& config, const SocSpec& soc,
     }
     const double marginal = profile.decode_batch_marginal >= 0.0
                                 ? profile.decode_batch_marginal
-                                : fallback_marginal;
+                                : kDecodeBatchMarginal;
     return token_ms * (1.0 + (std::max(1, batch) - 1) * marginal);
 }
 

@@ -69,6 +69,12 @@ struct EngineResult {
     }
 };
 
+/** Marginal cost of each extra batched decode stream relative to the
+ *  first, for engines with no opinion of their own and for the CPU
+ *  fallback path (weights are streamed once per step; extra activations
+ *  are cheap): step time = token_ms * (1 + (B-1) * this). */
+constexpr double kDecodeBatchMarginal = 0.15;
+
 /**
  * Cost decomposition of one request into schedulable quanta, the contract
  * between engines and the serving layer (src/serving): prefill as a
@@ -122,10 +128,10 @@ struct ServingCostProfile {
     double cpu_decode_token_ms = 0.0;
     /** Marginal cost of each extra batched decode stream relative to the
      *  first (step time = decode_token_ms * (1 + (B-1) * marginal)).
-     *  Negative means "engine has no opinion" — the serving layer falls
-     *  back to its configured default. NPU-resident decode exposes a much
-     *  smaller marginal than CPU decode: the weight stream per step is
-     *  shared across the M=B matvec rows. */
+     *  Negative means "engine has no opinion" — kDecodeBatchMarginal
+     *  stands in. NPU-resident decode exposes a much smaller marginal than
+     *  CPU decode: the weight stream per step is shared across the M=B
+     *  matvec rows. */
     double decode_batch_marginal = -1.0;
     int64_t memory_bytes = 0;
 
@@ -182,21 +188,21 @@ class InferenceEngine
      * Prices one continuously batched decode step: `batch` streams at
      * context `kv_len`, every member placed on `placement`. This is the
      * calibrated provider behind the predict::StepCostOracle interface
-     * (src/predict/step_cost.h): ServingCostModel forwards here, dynamic
-     * placement policies decide against it, and the learned latency model
+     * (src/predict/step_cost.h): ServingCostModel forwards here,
+     * PredictedPlacement decides against it, and the learned latency model
      * is fitted from it.
      *
      * The default derives the price from ServingCosts(): the profile's
      * per-token cost at the requested placement (cpu_decode_token_ms when
      * asked for the CPU path of an NPU-placed profile, decode_token_ms
      * otherwise), under the batched-step law
-     * step = token * (1 + (B-1) * marginal), with `fallback_marginal`
+     * step = token * (1 + (B-1) * marginal), with kDecodeBatchMarginal
      * standing in when the engine has no opinion. Engines with a real
      * per-placement decomposition (LlmNpuEngine's NpuDecodeStep) override.
      */
     virtual double DecodeStepMs(const ModelConfig& config, const SocSpec& soc,
                                 DecodePlacement placement, int64_t kv_len,
-                                int batch, double fallback_marginal);
+                                int batch);
 };
 
 }  // namespace llmnpu

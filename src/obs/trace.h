@@ -21,10 +21,9 @@
  *    process so virtual time never mixes with wall time on one track;
  *    request ids in span args connect the two planes.
  *
- * Gating: `LLMNPU_TRACE_*` macros compile to no-ops when
- * LLMNPU_TRACE_DISABLED is defined (CMake -DLLMNPU_TRACE=OFF), and branch
- * on one relaxed atomic when compiled in (the default). Tracing is off at
- * process start; benches/tests call Tracer::Global().Enable().
+ * Gating: every `LLMNPU_TRACE_*` site branches on one relaxed atomic.
+ * Tracing is off at process start; benches/tests call
+ * Tracer::Global().Enable().
  *
  * Concurrency contract: Record() is safe from any thread at any time.
  * Enable/Disable/Reset/export/introspection require wall-lane quiescence —
@@ -46,12 +45,6 @@
 
 namespace llmnpu {
 namespace obs {
-
-#if defined(LLMNPU_TRACE_DISABLED)
-#define LLMNPU_TRACE_ENABLED 0
-#else
-#define LLMNPU_TRACE_ENABLED 1
-#endif
 
 /** Runtime enable flag; the one branch every compiled-in site pays. */
 extern std::atomic<bool> g_trace_runtime_enabled;
@@ -205,8 +198,7 @@ class Tracer
 /**
  * RAII span: arms on construction when tracing is enabled, records one
  * complete event on destruction. The disabled cost is the TraceEnabled()
- * branch; use the LLMNPU_TRACE_SPAN macros so even that compiles out under
- * LLMNPU_TRACE_DISABLED.
+ * branch; sites use the LLMNPU_TRACE_SPAN macros.
  */
 class ScopedSpan
 {
@@ -296,8 +288,6 @@ EmitCounter(const char* name, double value)
 #define LLMNPU_OBS_CONCAT_(a, b) a##b
 #define LLMNPU_OBS_CONCAT(a, b) LLMNPU_OBS_CONCAT_(a, b)
 
-#if LLMNPU_TRACE_ENABLED
-
 /** Span over the enclosing scope. */
 #define LLMNPU_TRACE_SPAN(name, cat)                                      \
     ::llmnpu::obs::ScopedSpan LLMNPU_OBS_CONCAT(llmnpu_span_, __LINE__)   \
@@ -327,53 +317,5 @@ EmitCounter(const char* name, double value)
 
 #define LLMNPU_TRACE_COUNTER(name, value)                                 \
     ::llmnpu::obs::EmitCounter((name), (value))
-
-#else  // !LLMNPU_TRACE_ENABLED: no-ops; sizeof keeps args "used" without
-       // evaluating them, so disabled builds stay warning-clean.
-
-#define LLMNPU_TRACE_SPAN(name, cat)                                      \
-    do {                                                                  \
-        (void)sizeof(name);                                               \
-        (void)sizeof(cat);                                                \
-    } while (0)
-#define LLMNPU_TRACE_SPAN_ID(name, cat, req, seq, layer)                  \
-    do {                                                                  \
-        (void)sizeof(name);                                               \
-        (void)sizeof(cat);                                                \
-        (void)sizeof(req);                                                \
-        (void)sizeof(seq);                                                \
-        (void)sizeof(layer);                                              \
-    } while (0)
-#define LLMNPU_TRACE_SPAN_TILE(name, cat, req, seq, layer, extra_name,    \
-                               extra)                                     \
-    do {                                                                  \
-        (void)sizeof(name);                                               \
-        (void)sizeof(cat);                                                \
-        (void)sizeof(req);                                                \
-        (void)sizeof(seq);                                                \
-        (void)sizeof(layer);                                              \
-        (void)sizeof(extra_name);                                         \
-        (void)sizeof(extra);                                              \
-    } while (0)
-#define LLMNPU_TRACE_INSTANT(name, cat)                                   \
-    do {                                                                  \
-        (void)sizeof(name);                                               \
-        (void)sizeof(cat);                                                \
-    } while (0)
-#define LLMNPU_TRACE_INSTANT_ID(name, cat, req, seq, layer)               \
-    do {                                                                  \
-        (void)sizeof(name);                                               \
-        (void)sizeof(cat);                                                \
-        (void)sizeof(req);                                                \
-        (void)sizeof(seq);                                                \
-        (void)sizeof(layer);                                              \
-    } while (0)
-#define LLMNPU_TRACE_COUNTER(name, value)                                 \
-    do {                                                                  \
-        (void)sizeof(name);                                               \
-        (void)sizeof(value);                                              \
-    } while (0)
-
-#endif  // LLMNPU_TRACE_ENABLED
 
 #endif  // LLMNPU_OBS_TRACE_H

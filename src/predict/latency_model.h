@@ -16,8 +16,8 @@
  * Two planes share the class space on purpose. The host-plane classes
  * (matmul, attention, handoff, chunk dispatch) price real kernel
  * invocations in wall-clock ms; the sim-plane decode-step classes price
- * the serving simulator's calibrated virtual-time step law. The dynamic
- * placement policy (src/serving/policy.h) decides with the step classes,
+ * the serving simulator's calibrated virtual-time step law.
+ * PredictedPlacement (src/serving/policy.h) decides with the step classes,
  * so the CPU-wins-to-B~8 / NPU-from-B~16 crossover is reproduced from
  * fitted data instead of the hand-calibrated constants directly.
  */

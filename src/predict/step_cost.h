@@ -9,7 +9,7 @@
  *  - PredictedStepCosts here, backed by a fitted LatencyModel's sim-plane
  *    decode-step classes.
  *
- * The dynamic placement policy holds whichever oracle it was built with;
+ * PredictedPlacement holds whichever oracle it was built with;
  * the serving simulator always *prices* executed steps through the
  * calibrated provider, so a mispredicting model can only misplace work,
  * never rewrite virtual time.

@@ -34,9 +34,8 @@ ServingCostModel::StepMs(DecodePlacement placement, int64_t ctx,
     auto it = step_cache_.find(key);
     if (it == step_cache_.end()) {
         it = step_cache_
-                 .emplace(key, engine_.DecodeStepMs(
-                                   config_, soc_, placement, bucket, batch,
-                                   default_batch_marginal_))
+                 .emplace(key, engine_.DecodeStepMs(config_, soc_,
+                                                    placement, bucket, batch))
                  .first;
     }
     return it->second;

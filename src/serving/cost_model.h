@@ -8,8 +8,8 @@
  * ServingCostModel is also the *calibrated* provider of the
  * predict::StepCostOracle interface: StepMs() forwards to the engine's
  * DecodeStepMs decomposition (memoized, context bucketed). The learned
- * LatencyModel (src/predict) is the other provider; dynamic placement
- * policies take either, while the simulator always prices executed steps
+ * LatencyModel (src/predict) is the other provider; PredictedPlacement
+ * takes either, while the simulator always prices executed steps
  * through this one.
  */
 #ifndef LLMNPU_SERVING_COST_MODEL_H
@@ -49,15 +49,6 @@ class ServingCostModel : public predict::StepCostOracle
     double StepMs(DecodePlacement placement, int64_t ctx,
                   int batch) const override;
 
-    /** Serving-layer default batch marginal handed to engines with no
-     *  opinion (mirrors ServingOptions::decode_batch_marginal; the
-     *  simulator syncs it at Run() start). */
-    void set_default_batch_marginal(double marginal)
-    {
-        default_batch_marginal_ = marginal;
-    }
-    double default_batch_marginal() const { return default_batch_marginal_; }
-
     const ModelConfig& config() const { return config_; }
     const SocSpec& soc() const { return soc_; }
 
@@ -65,7 +56,6 @@ class ServingCostModel : public predict::StepCostOracle
     InferenceEngine& engine_;
     ModelConfig config_;
     SocSpec soc_;
-    double default_batch_marginal_ = 0.15;
     std::map<std::pair<int, int>, ServingCostProfile> cache_;
     mutable std::map<std::tuple<int, int64_t, int>, double> step_cache_;
 };

@@ -1,7 +1,7 @@
 #include "src/serving/metrics.h"
 
-#include "src/obs/histogram.h"
 #include "src/util/format.h"
+#include "src/util/stats.h"
 
 namespace llmnpu {
 
@@ -56,12 +56,12 @@ BuildReport(const std::vector<RequestRecord>& records, double makespan_ms,
     // degenerate run (all rejected, nothing completed, zero makespan)
     // still yields an all-defined report: percentiles and means both
     // return 0.0 on empty samples, never NaN.
-    report.ttft_p50_ms = obs::SamplePercentile(ttft, 50.0);
-    report.ttft_p95_ms = obs::SamplePercentile(ttft, 95.0);
-    report.ttft_p99_ms = obs::SamplePercentile(ttft, 99.0);
-    report.e2e_p50_ms = obs::SamplePercentile(e2e, 50.0);
-    report.e2e_p95_ms = obs::SamplePercentile(e2e, 95.0);
-    report.e2e_p99_ms = obs::SamplePercentile(e2e, 99.0);
+    report.ttft_p50_ms = Percentile(ttft, 50.0);
+    report.ttft_p95_ms = Percentile(ttft, 95.0);
+    report.ttft_p99_ms = Percentile(ttft, 99.0);
+    report.e2e_p50_ms = Percentile(e2e, 50.0);
+    report.e2e_p95_ms = Percentile(e2e, 95.0);
+    report.e2e_p99_ms = Percentile(e2e, 99.0);
     report.tpot_mean_ms = MeanOf(tpot);
     report.queueing_mean_ms = MeanOf(queueing);
     if (makespan_ms > 0.0) {

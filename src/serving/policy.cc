@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/engines/engine.h"
 #include "src/util/check.h"
 
 namespace llmnpu {
@@ -60,8 +61,7 @@ Before(SchedPolicy policy, const QueueEntry& a, const QueueEntry& b,
 }  // namespace
 
 size_t
-SchedQueuePolicy::Pick(const std::vector<QueueEntry>& queue,
-                       double now_ms) const
+QueuePolicy::Pick(const std::vector<QueueEntry>& queue, double now_ms) const
 {
     LLMNPU_CHECK(!queue.empty());
     size_t best = 0;
@@ -71,24 +71,15 @@ SchedQueuePolicy::Pick(const std::vector<QueueEntry>& queue,
     return best;
 }
 
-// ------------------------------------------------------- placement policy
-
-DecodePlacement
-StaticPlacement::Place(const PlacementQuery& query) const
+std::shared_ptr<const QueuePolicy>
+MakeQueuePolicy(SchedPolicy policy)
 {
-    if (query.record != nullptr && query.record->failed_over) {
-        return DecodePlacement::kCpuFloat;
-    }
-    return query.profile != nullptr ? query.profile->decode_placement
-                                    : DecodePlacement::kCpuFloat;
+    return std::make_shared<const QueuePolicy>(policy);
 }
 
 DecodePlacement
 PredictedPlacement::Place(const PlacementQuery& query) const
 {
-    if (query.record != nullptr && query.record->failed_over) {
-        return DecodePlacement::kCpuFloat;  // breaker is permanent (PR 8)
-    }
     const int batch = std::max(1, query.batch_depth);
     const int64_t ctx = std::max<int64_t>(1, query.context_len);
     const double cpu_ms =
@@ -104,20 +95,10 @@ PredictedPlacement::Place(const PlacementQuery& query) const
                            : DecodePlacement::kCpuFloat;
 }
 
-// ------------------------------------------------------- admission policy
-
 bool
-ThresholdAdmission::Admit(const AdmissionQuery& query) const
+PredictedSloAdmits(const AdmissionQuery& query)
 {
-    return query.kv_live_budget <= 0 ||
-           query.kv_demand_pages <= query.kv_live_budget;
-}
-
-bool
-PredictedSloAdmission::Admit(const AdmissionQuery& query) const
-{
-    if (!ThresholdAdmission().Admit(query)) return false;
-    if (query.request == nullptr || query.request->deadline_ms >= 1e300) {
+    if (query.deadline_ms >= 1e300) {
         return true;  // no SLO: nothing to be infeasible against
     }
     // Inflate the predicted service by the live degradation signals (a
@@ -126,69 +107,14 @@ PredictedSloAdmission::Admit(const AdmissionQuery& query) const
     // congestion: the isolated figure prices decode solo, but this
     // arrival would join a continuous batch where every resident stream
     // adds one batch-marginal share to its steps.
-    double service_ms = query.isolated_e2e_ms *
+    const double service_ms = query.isolated_e2e_ms *
                         std::max(1.0, query.signals.npu_service_scale) *
                         (1.0 + query.signals.npu_fault_rate) *
-                        (1.0 + std::max(0.0, query.decode_batch_marginal) *
+                        (1.0 + kDecodeBatchMarginal *
                                    query.signals.decode_pool_depth);
     const double predicted_finish =
         query.signals.now_ms + query.queued_prefill_ms + service_ms;
-    return predicted_finish <= query.request->deadline_ms;
-}
-
-// --------------------------------------------------------------- registry
-
-const std::vector<PlacementPolicySpec>&
-PlacementPolicyRegistry()
-{
-    static const std::vector<PlacementPolicySpec>* const kRegistry =
-        new std::vector<PlacementPolicySpec>{
-            {"static-cpu", DecodePlacement::kCpuFloat, false},
-            {"static-npu", DecodePlacement::kNpuQuant, false},
-            {"predicted", DecodePlacement::kCpuFloat, true},
-        };
-    return *kRegistry;
-}
-
-std::shared_ptr<PlacementPolicy>
-MakePlacementPolicy(const std::string& name,
-                    const predict::StepCostOracle* oracle)
-{
-    for (const PlacementPolicySpec& spec : PlacementPolicyRegistry()) {
-        if (spec.name != name) continue;
-        if (!spec.dynamic) {
-            return std::make_shared<StaticPlacement>(spec.name);
-        }
-        LLMNPU_CHECK(oracle != nullptr);
-        return std::make_shared<PredictedPlacement>(*oracle, spec.name);
-    }
-    LLMNPU_FATAL_IF(true, "unknown placement policy '" + name + "'");
-    return nullptr;
-}
-
-const std::vector<std::string>&
-AdmissionPolicyRegistry()
-{
-    static const std::vector<std::string>* const kRegistry =
-        new std::vector<std::string>{"threshold", "predicted-slo"};
-    return *kRegistry;
-}
-
-std::shared_ptr<AdmissionPolicy>
-MakeAdmissionPolicy(const std::string& name)
-{
-    if (name == "threshold") return std::make_shared<ThresholdAdmission>();
-    if (name == "predicted-slo") {
-        return std::make_shared<PredictedSloAdmission>();
-    }
-    LLMNPU_FATAL_IF(true, "unknown admission policy '" + name + "'");
-    return nullptr;
-}
-
-std::shared_ptr<QueuePolicy>
-MakeQueuePolicy(SchedPolicy policy)
-{
-    return std::make_shared<SchedQueuePolicy>(policy);
+    return predicted_finish <= query.deadline_ms;
 }
 
 }  // namespace llmnpu

@@ -63,7 +63,7 @@ struct ReplayOptions {
     /** Placement-aware replay: set to route every step through a
      *  DecodeBackend with per-member placements — prefill chunks on
      *  placement->prefill, each decode member on the trace-recorded
-     *  placement when present (fault failovers, dynamic policies), else
+     *  placement when present (fault failovers, PredictedPlacement), else
      *  its request's static placement. Requires `linears` to actually be
      *  a DecodeBackend (fatal otherwise). */
     std::optional<ReplayPlacement> placement;

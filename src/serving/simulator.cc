@@ -57,15 +57,9 @@ class ServingRun
           options_(options),
           fopts_(options.faults),
           queue_policy_(options.queue_policy
-                            ? options.queue_policy
-                            : MakeQueuePolicy(SchedPolicy::kFcfs)),
-          placement_policy_(options.placement_policy
-                                ? options.placement_policy
-                                : std::make_shared<StaticPlacement>()),
-          admission_policy_(options.admission_policy
-                                ? options.admission_policy
-                                : std::make_shared<ThresholdAdmission>()),
-          dynamic_placement_(placement_policy_->IsDynamic()),
+                            ? *options.queue_policy
+                            : QueuePolicy(SchedPolicy::kFcfs)),
+          predictor_(options.placement_policy.get()),
           fault_plane_(options.faults),
           inject_on_(options.faults.Enabled()),
           thermal_(options.faults.thermal),
@@ -76,9 +70,6 @@ class ServingRun
           state_(static_cast<size_t>(options.num_requests)),
           sampler_(mix, options.seed)
     {
-        // Off-profile pricing through the calibrated oracle uses the
-        // serving layer's batch marginal.
-        costs_.set_default_batch_marginal(options_.decode_batch_marginal);
         result_.records.reserve(static_cast<size_t>(options_.num_requests));
         sampler_.SetSharedPrefix(options_.shared_prefix);
         if (options_.closed_loop) {
@@ -229,7 +220,7 @@ class ServingRun
             eligible.push_back(qi);
         }
         if (entries.empty()) return;  // backpressured: NPU idles for pages
-        const size_t pick = eligible[queue_policy_->Pick(entries, now_)];
+        const size_t pick = eligible[queue_policy_.Pick(entries, now_)];
         npu_job_ = prefill_queue_[pick];
         prefill_queue_.erase(prefill_queue_.begin() +
                              static_cast<long>(pick));
@@ -312,16 +303,22 @@ class ServingRun
             RequestState& state = State(id);
             const ServingCostProfile& profile =
                 costs_.Costs(record.request.ServedInference());
-            PlacementQuery query;
-            query.record = &record;
-            query.profile = &profile;
-            query.context_len =
+            const int64_t context_len =
                 static_cast<int64_t>(record.request.prompt_len) +
                 record.tokens_out;
-            query.batch_depth = step_depth;
-            query.default_batch_marginal = options_.decode_batch_marginal;
-            query.signals = step_signals;
-            DecodePlacement place = placement_policy_->Place(query);
+            // The breaker rule: failover is permanent, so a failed-over
+            // member decodes on the CPU whatever the predictor or the
+            // profile would say.
+            DecodePlacement place = profile.decode_placement;
+            if (record.failed_over) {
+                place = DecodePlacement::kCpuFloat;
+            } else if (predictor_ != nullptr) {
+                PlacementQuery query;
+                query.context_len = context_len;
+                query.batch_depth = step_depth;
+                query.signals = step_signals;
+                place = predictor_->Place(query);
+            }
             if (inject_on_) {
                 // Backoff gate after a faulted dispatch.
                 if (state.decode_ready_ms > now_) continue;
@@ -368,34 +365,35 @@ class ServingRun
             if (record.failed_over ||
                 (place != profile.decode_placement &&
                  place == DecodePlacement::kCpuFloat)) {
-                // After a failover, or when a dynamic policy moved the
+                // After a failover, or when the predictor moved the
                 // member off an NPU profile: the engine's CPU fallback
                 // path, batched at the serving layer's CPU marginal.
                 price = profile.cpu_decode_token_ms > 0.0
                             ? profile.cpu_decode_token_ms
                             : profile.decode_token_ms;
-                member_marginal = options_.decode_batch_marginal;
+                member_marginal = kDecodeBatchMarginal;
             } else if (place != profile.decode_placement) {
-                // Off-profile NPU member. Policies *decide* with whatever
-                // oracle they hold, but the simulator *prices* executed
-                // work through the calibrated one, so virtual time stays
-                // in the calibrated plane whatever the policy believes.
+                // Off-profile NPU member. The predictor *decides* with
+                // whatever oracle it holds, but the simulator *prices*
+                // executed work through the calibrated one, so virtual
+                // time stays in the calibrated plane whatever the
+                // predictor believes.
                 const double one = costs_.StepMs(DecodePlacement::kNpuQuant,
-                                                 query.context_len, 1);
+                                                 context_len, 1);
                 const double two = costs_.StepMs(DecodePlacement::kNpuQuant,
-                                                 query.context_len, 2);
+                                                 context_len, 2);
                 price = one;
                 member_marginal = one > 0.0
                                       ? std::max(0.0, two / one - 1.0)
-                                      : options_.decode_batch_marginal;
+                                      : kDecodeBatchMarginal;
             }
             if (fopts_.thermal.enabled &&
                 place == DecodePlacement::kNpuQuant) {
                 price *= thermal_.ServiceScale();
             }
             token_ms = std::max(token_ms, price);
-            // Engines that know their own batching marginal override the
-            // configured default; the max across members keeps the step
+            // Engines that know their own batching marginal override
+            // kDecodeBatchMarginal; the max across members keeps the step
             // cost conservative and pool-order independent, like token_ms.
             engine_marginal = std::max(engine_marginal, member_marginal);
             step_members_.push_back(id);
@@ -413,9 +411,8 @@ class ServingRun
                 ++npu_attempts_;
             }
         }
-        const double marginal = engine_marginal >= 0.0
-                                    ? engine_marginal
-                                    : options_.decode_batch_marginal;
+        const double marginal =
+            engine_marginal >= 0.0 ? engine_marginal : kDecodeBatchMarginal;
         step_active_ = true;
         step_remaining_work_ =
             token_ms *
@@ -600,7 +597,7 @@ class ServingRun
                         static_cast<int>(step_members_.size())));
         ReplayStep replay;
         replay.request_ids = step_members_;
-        if (inject_on_ || dynamic_placement_) {
+        if (inject_on_ || predictor_ != nullptr) {
             replay.placements = step_placements_;
         }
         result_.replay_steps.push_back(std::move(replay));
@@ -689,31 +686,26 @@ class ServingRun
     double DecodeRate() const
     {
         double interference = npu_interference_;
-        if (dynamic_placement_ && step_active_) {
+        if (predictor_ != nullptr && step_active_) {
             interference = step_on_npu_ ? chunk_npu_interference_
                                         : chunk_float_interference_;
         }
         return npu_busy_ ? std::max(0.05, 1.0 - interference) : 1.0;
     }
 
-    /** Live degradation + load signals for policy decisions: thermal
-     *  state, the observed fault rate and lost NPU time, current load. */
+    /** Live degradation + load signals for placement and admission:
+     *  thermal state, the observed fault rate, current decode load. */
     PolicySignals Signals() const
     {
         PolicySignals signals;
         signals.now_ms = now_;
         signals.npu_service_scale =
             fopts_.thermal.enabled ? thermal_.ServiceScale() : 1.0;
-        signals.npu_throttled =
-            fopts_.thermal.enabled && thermal_.Throttled();
-        signals.npu_temp_c = thermal_.temperature_c();
         signals.npu_fault_rate =
             npu_attempts_ > 0 ? static_cast<double>(result_.faults) /
                                     static_cast<double>(npu_attempts_)
                               : 0.0;
-        signals.npu_faulted_ms = result_.npu_faulted_ms;
         signals.decode_pool_depth = static_cast<int>(decode_pool_.size());
-        signals.kv_free_pages = ledger_.bounded() ? ledger_.free() : 0;
         return signals;
     }
 
@@ -735,25 +727,26 @@ class ServingRun
             record.request.deadline_ms =
                 event.arrival_ms + options_.slo_factor * isolated_e2e;
         }
-        // Admission control. Every conforming policy refuses a request
-        // whose *whole* KV demand exceeds the pool budget — it could never
-        // run to completion, only starve or thrash the pool. Predictive
-        // policies additionally turn away arrivals whose predicted finish
-        // already misses their deadline. Requests that merely don't fit
+        // Admission control. A request whose *whole* KV demand exceeds
+        // the pool budget is refused — it could never run to completion,
+        // only starve or thrash the pool. Requests that merely don't fit
         // right now are not rejected; they queue and wait for pages.
-        AdmissionQuery admission;
-        admission.request = &record.request;
-        admission.isolated_e2e_ms = isolated_e2e;
-        admission.queued_prefill_ms = npu_busy_ ? npu_end_ - now_ : 0.0;
-        for (const PendingPrefill& pending : prefill_queue_) {
-            admission.queued_prefill_ms += pending.RemainingMs();
+        // Predicted-SLO admission additionally turns away arrivals whose
+        // predicted finish already misses their deadline.
+        record.rejected =
+            ledger_.bounded() &&
+            ledger_.AdmissionCharge(record.request) > ledger_.live_budget();
+        if (!record.rejected && options_.predicted_slo_admission) {
+            AdmissionQuery admission;
+            admission.deadline_ms = record.request.deadline_ms;
+            admission.isolated_e2e_ms = isolated_e2e;
+            admission.queued_prefill_ms = npu_busy_ ? npu_end_ - now_ : 0.0;
+            for (const PendingPrefill& pending : prefill_queue_) {
+                admission.queued_prefill_ms += pending.RemainingMs();
+            }
+            admission.signals = Signals();
+            record.rejected = !PredictedSloAdmits(admission);
         }
-        admission.queue_depth = static_cast<int>(prefill_queue_.size());
-        admission.kv_demand_pages = ledger_.AdmissionCharge(record.request);
-        admission.kv_live_budget = ledger_.live_budget();  // 0 = unbounded
-        admission.decode_batch_marginal = options_.decode_batch_marginal;
-        admission.signals = Signals();
-        record.rejected = !admission_policy_->Admit(admission);
         result_.records.push_back(record);
         if (record.rejected) {
             ++result_.rejected;
@@ -999,11 +992,10 @@ class ServingRun
     const ServingOptions& options_;
     const FaultOptions& fopts_;
 
-    // Control plane; null ServingOptions fields resolve to the defaults.
-    const std::shared_ptr<QueuePolicy> queue_policy_;
-    const std::shared_ptr<PlacementPolicy> placement_policy_;
-    const std::shared_ptr<AdmissionPolicy> admission_policy_;
-    const bool dynamic_placement_;
+    // Control plane: the queue order (FCFS when unset) and the optional
+    // placement predictor (null: follow the engine profiles).
+    const QueuePolicy queue_policy_;
+    const PredictedPlacement* const predictor_;
 
     // Fault plane. A rate-zero plane draws nothing, so every path
     // degenerates bitwise to the fault-free simulator.
@@ -1063,8 +1055,6 @@ ServingOptions::Validate() const
     LLMNPU_FATAL_IF(num_requests <= 0, "serving num_requests must be > 0");
     LLMNPU_FATAL_IF(max_decode_batch <= 0,
                     "serving max_decode_batch must be > 0");
-    LLMNPU_FATAL_IF(decode_batch_marginal < 0.0,
-                    "serving decode_batch_marginal must be >= 0");
     LLMNPU_FATAL_IF(kv_pool_pages < 0,
                     "serving kv_pool_pages must be >= 0 (0 = unbounded)");
     LLMNPU_FATAL_IF(!closed_loop && rate_rps <= 0.0,
@@ -1073,6 +1063,9 @@ ServingOptions::Validate() const
                     "serving num_clients must be > 0 in closed-loop mode");
     LLMNPU_FATAL_IF(closed_loop && think_time_ms < 0.0,
                     "serving think_time_ms must be >= 0");
+    LLMNPU_FATAL_IF(predicted_slo_admission && slo_factor <= 0.0,
+                    "serving predicted_slo_admission needs slo_factor > 0 "
+                    "(no deadlines to predict against otherwise)");
     LLMNPU_FATAL_IF(shed_expired_queued && slo_factor <= 0.0,
                     "serving shed_expired_queued needs slo_factor > 0 "
                     "(no deadlines to expire otherwise)");

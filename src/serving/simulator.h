@@ -4,7 +4,7 @@
  *
  * The machine being modeled is the paper's deployment: one shared NPU runs
  * prefill chunk-by-chunk while the CPU (or GPU) decodes already-prefilled
- * requests as a continuously batched stream. A scheduling policy
+ * requests as a continuously batched stream. The queue order
  * (src/serving/policy.h) picks which request's next chunk the NPU runs;
  * decode proceeds concurrently but is slowed by the float-stage share the
  * in-flight chunk holds (an incoming chunk preempting decode bandwidth).
@@ -38,22 +38,21 @@ namespace llmnpu {
 /** Serving simulation parameters. */
 struct ServingOptions {
     /**
-     * The pluggable control plane (src/serving/policy.h). Null fields
-     * fall back to the defaults at Run() start: FCFS queue order
-     * (MakeQueuePolicy(SchedPolicy::kFcfs)), StaticPlacement (follow the
-     * engine profile), ThresholdAdmission (whole-demand KV check). A run
-     * with the defaults — explicit or null — is bit-identical to the
-     * pre-policy-object simulator.
-     *
-     * A dynamic placement policy (PlacementPolicy::IsDynamic()) is
-     * consulted per decode-pool member at every step boundary with the
-     * live degradation signals; off-profile members are priced through
-     * the calibrated StepCostOracle and the executed placements are
-     * recorded on ReplayStep::placements for bitwise replay.
+     * The control plane (src/serving/policy.h). A null `queue_policy`
+     * orders the prefill queue FCFS. A null `placement_policy` places
+     * every decode member where its engine profile says; a
+     * PredictedPlacement instead decides per member at every step
+     * boundary with the live degradation signals, off-profile members are
+     * priced through the calibrated StepCostOracle, and the executed
+     * placements are recorded on ReplayStep::placements for bitwise
+     * replay. A member the circuit breaker failed over decodes on the CPU
+     * in both modes. The whole-demand KV check always gates admission;
+     * `predicted_slo_admission` adds PredictedSloAdmits. A run with the
+     * defaults is bit-identical to the pre-control-plane simulator.
      */
-    std::shared_ptr<QueuePolicy> queue_policy;
-    std::shared_ptr<PlacementPolicy> placement_policy;
-    std::shared_ptr<AdmissionPolicy> admission_policy;
+    std::shared_ptr<const QueuePolicy> queue_policy;
+    std::shared_ptr<const PredictedPlacement> placement_policy;
+    bool predicted_slo_admission = false;
 
     /** false: open-loop Poisson at rate_rps; true: closed loop of
      *  num_clients clients with think_time_ms between requests. */
@@ -71,12 +70,10 @@ struct ServingOptions {
      *  absolute deadlines). <= 0 disables SLOs (deadline = +inf). */
     double slo_factor = 3.0;
 
-    /** Continuous-batching decode: max requests per decode step. */
+    /** Continuous-batching decode: max requests per decode step. Each
+     *  extra stream costs kDecodeBatchMarginal unless the engine knows
+     *  its own marginal. */
     int max_decode_batch = 8;
-    /** Marginal cost of each extra batched stream relative to the first
-     *  (weights are streamed once per step; extra activations are cheap).
-     *  Step time = token_ms * (1 + (B-1) * this). */
-    double decode_batch_marginal = 0.15;
 
     /**
      * KV page pool budget in pages of kKvPageSize positions (the
@@ -119,9 +116,10 @@ struct ServingOptions {
     /** Exits with a fatal user error on invalid parameters (bad pool
      *  sizes, non-positive rates, out-of-range fault probabilities, ...)
      *  and on options the run would silently ignore (a pool shrink on an
-     *  unbounded pool, brownout shedding without the thermal model or
-     *  without SLO deadlines). Called at simulator construction so a bad
-     *  sweep fails loudly at the first run, not with a corrupted report. */
+     *  unbounded pool, brownout shedding without the thermal model, SLO
+     *  admission or shedding without SLO deadlines). Called at simulator
+     *  construction so a bad sweep fails loudly at the first run, not
+     *  with a corrupted report. */
     void Validate() const;
 };
 
@@ -144,11 +142,11 @@ struct ReplayStep {
     int num_chunks = 0;
     /** Decode only: executed placement per member, parallel to
      *  request_ids. Filled by fault-plane runs (the circuit breaker can
-     *  fail a request's decode NPU->CPU mid-stream) and by dynamic
-     *  placement policies (mid-run CPU/NPU flips at step boundaries); the
-     *  replay bridge prefers these over its static per-request placement
-     *  so both kinds of schedule replay bitwise. Empty = caller decides
-     *  (legacy). */
+     *  fail a request's decode NPU->CPU mid-stream) and by
+     *  PredictedPlacement runs (mid-run CPU/NPU flips at step
+     *  boundaries); the replay bridge prefers these over its static
+     *  per-request placement so both kinds of schedule replay bitwise.
+     *  Empty = caller decides (legacy). */
     std::vector<DecodePlacement> placements;
 };
 

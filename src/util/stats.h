@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "src/obs/histogram.h"
 #include "src/util/check.h"
 
 namespace llmnpu {
@@ -72,13 +71,23 @@ GeoMean(const std::vector<double>& xs)
     return std::exp(log_sum / static_cast<double>(xs.size()));
 }
 
-/** Linear-interpolated percentile, p in [0, 100]. Thin alias of the one
- *  quantile implementation in src/obs/histogram.h (obs::SamplePercentile),
- *  kept so existing callers and the streaming-stats grouping here stay. */
+/** Linear-interpolated percentile, p in [0, 100]. Sorts a copy. The one
+ *  quantile implementation: bench tables and the serving report's
+ *  quantiles (src/serving/metrics.cc) share it. An empty sample is a
+ *  legitimate aggregate (e.g. an all-rejected serving trace) and yields a
+ *  well-defined 0.0, never NaN or a panic. */
 inline double
 Percentile(std::vector<double> xs, double p)
 {
-    return obs::SamplePercentile(std::move(xs), p);
+    if (xs.empty()) return 0.0;
+    LLMNPU_CHECK_GE(p, 0.0);
+    LLMNPU_CHECK_LE(p, 100.0);
+    std::sort(xs.begin(), xs.end());
+    const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+    const size_t lo = static_cast<size_t>(rank);
+    const size_t hi = std::min(lo + 1, xs.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
 }  // namespace llmnpu

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "src/core/llmnpu_engine.h"
 #include "src/core/shadow_executor.h"
@@ -273,6 +274,13 @@ TEST(FaultValidationDeathTest, RejectsOptionsTheRunWouldIgnore)
     options.Validate();  // thermal on, default SLOs: fine
     options.slo_factor = 0.0;
     EXPECT_DEATH(options.Validate(), "slo_factor");
+
+    // The predicted-SLO gate has no deadlines to predict against.
+    options = ServingOptions{};
+    options.predicted_slo_admission = true;
+    options.Validate();  // default SLOs: fine
+    options.slo_factor = 0.0;
+    EXPECT_DEATH(options.Validate(), "predicted_slo_admission");
 }
 
 // --------------------------------------------- degraded-mode serving runs
@@ -556,13 +564,20 @@ TEST_F(FaultServingTest, QueuedDeadlineExpiryShedsAndReleasesPages)
 class FailoverReplayTest : public TinyModelTest
 {
   protected:
-    /** A served schedule with decode priced on the NPU and NPU decode
-     *  dispatch faults hot enough to trip the circuit breaker. */
+    /** A served schedule with NPU decode dispatch faults hot enough to
+     *  trip the circuit breaker. By default every member follows an
+     *  NPU-placed decode profile. With `predicted`, a PredictedPlacement
+     *  decides each member's step from a CPU-placed profile (as the
+     *  bench's predicted rows do) over a decode-heavy mix whose pool grows
+     *  deep enough for it to pick the NPU. */
     ServingResult
-    SimulateFailoverTrace(int num_requests, double decode_failure_prob)
+    SimulateFailoverTrace(int num_requests, double decode_failure_prob,
+                          bool predicted = false)
     {
         LlmNpuOptions engine_options;
-        engine_options.decode_placement = DecodePlacement::kNpuQuant;
+        engine_options.decode_placement = predicted
+                                              ? DecodePlacement::kCpuFloat
+                                              : DecodePlacement::kNpuQuant;
         LlmNpuEngine engine(engine_options);
         ServingCostModel costs(engine, Qwen15_1_8B(),
                                SocSpec::RedmiK70Pro());
@@ -572,9 +587,54 @@ class FailoverReplayTest : public TinyModelTest
         options.seed = 11;
         options.faults.decode_failure_prob = decode_failure_prob;
         options.faults.circuit_breaker_k = 2;
-        return ServingSimulator(costs, PaperDatasets(), options).Run();
+        if (!predicted) {
+            return ServingSimulator(costs, PaperDatasets(), options).Run();
+        }
+        options.max_decode_batch = 32;
+        options.placement_policy = std::make_shared<PredictedPlacement>(costs);
+        const std::vector<DatasetProfile> decode_heavy{
+            {"decode-heavy", "breaker test", 48, 96, 160, 256}};
+        return ServingSimulator(costs, decode_heavy, options).Run();
     }
 };
+
+TEST_F(FailoverReplayTest, FailoverIsPermanentInBothPlacementModes)
+{
+    // The breaker rule: from its failover on, every decode step a
+    // failed-over request joins runs it on the CPU, whether members follow
+    // the engine profile or the predictor decides.
+    for (const bool predicted : {false, true}) {
+        SCOPED_TRACE(predicted ? "predicted placement" : "profile placement");
+        // Under the predictor a low fault rate keeps the NPU predicted
+        // cheaper at depth, so a member the rule missed would go back.
+        const ServingResult result =
+            predicted ? SimulateFailoverTrace(24, 0.1, /*predicted=*/true)
+                      : SimulateFailoverTrace(5, 0.45);
+        ASSERT_GT(result.failovers, 0);
+        ASSERT_EQ(result.replay_steps.size(), result.trace.records.size());
+        int checked = 0;
+        int back_on_npu = 0;
+        for (size_t si = 0; si < result.replay_steps.size(); ++si) {
+            const ReplayStep& step = result.replay_steps[si];
+            if (step.is_prefill) continue;
+            ASSERT_EQ(step.placements.size(), step.request_ids.size());
+            for (size_t mi = 0; mi < step.request_ids.size(); ++mi) {
+                const RequestRecord& record =
+                    result.records[static_cast<size_t>(step.request_ids[mi])];
+                if (!record.failed_over ||
+                    result.trace.records[si].start_ms < record.failover_ms) {
+                    continue;
+                }
+                ++checked;
+                if (step.placements[mi] != DecodePlacement::kCpuFloat) {
+                    ++back_on_npu;
+                }
+            }
+        }
+        EXPECT_GT(checked, 0);
+        EXPECT_EQ(back_on_npu, 0);
+    }
+}
 
 TEST_F(FailoverReplayTest, CircuitBreakerFailsOverMidStream)
 {

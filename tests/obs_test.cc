@@ -2,9 +2,8 @@
  * @file
  * Observability plane: tracer ring semantics (wrap, drop accounting,
  * multi-threaded emission), Chrome trace-event export validated by the
- * in-tree JSON reader, the metrics registry under concurrency, the one
- * shared quantile implementation (golden values matching util_test),
- * serving reports built concurrently, and the compile-time disabled path.
+ * in-tree JSON reader, the metrics registry under concurrency, and
+ * serving reports built concurrently.
  */
 #include <gtest/gtest.h>
 
@@ -15,19 +14,13 @@
 #include <thread>
 #include <vector>
 
-#include "src/obs/histogram.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/obs/trace_reader.h"
 #include "src/serving/metrics.h"
-#include "src/util/stats.h"
 #include "src/util/threadpool.h"
 
 namespace llmnpu {
-namespace obs_test {
-int EmitThroughDisabledMacros();  // tests/obs_trace_disabled.cc
-}
-
 namespace {
 
 using obs::Tracer;
@@ -40,29 +33,6 @@ FreshTracer(size_t capacity = Tracer::kDefaultCapacity)
     Tracer::Global().Disable();
     Tracer::Global().Enable(capacity);
     Tracer::Global().Reset();
-}
-
-// ---------------------------------------------------------------- quantiles
-
-// Golden values mirror tests/util_test.cc exactly: Percentile() in
-// util/stats.h is a thin alias of obs::SamplePercentile, and this pins
-// that the migration kept the math bit-identical.
-TEST(SamplePercentileTest, MatchesUtilStatsGoldens)
-{
-    const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 5.0};
-    EXPECT_DOUBLE_EQ(obs::SamplePercentile(xs, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(obs::SamplePercentile(xs, 50.0), 3.0);
-    EXPECT_DOUBLE_EQ(obs::SamplePercentile(xs, 100.0), 5.0);
-    EXPECT_DOUBLE_EQ(obs::SamplePercentile({0.0, 10.0}, 25.0), 2.5);
-    EXPECT_DOUBLE_EQ(obs::SamplePercentile({}, 50.0), 0.0);
-    // The util-layer alias routes here.
-    EXPECT_DOUBLE_EQ(Percentile(xs, 50.0), obs::SamplePercentile(xs, 50.0));
-}
-
-TEST(SamplePercentileTest, UnsortedInputIsSorted)
-{
-    EXPECT_DOUBLE_EQ(obs::SamplePercentile({5.0, 1.0, 3.0, 2.0, 4.0}, 50.0),
-                     3.0);
 }
 
 // ---------------------------------------------------------------- registry
@@ -202,12 +172,6 @@ TEST(TracerTest, RingWrapKeepsNewestAndCountsDropped)
     }
 }
 
-// The remaining tracer tests record through the LLMNPU_TRACE_* macros,
-// which are no-ops in a -DLLMNPU_TRACE=OFF build — there the no-op
-// contract itself is still covered by OffByDefaultMacrosRecordNothing
-// and TraceDisabledTest below.
-#if LLMNPU_TRACE_ENABLED
-
 TEST(TracerTest, ScopedSpanRecordsOrderedTimestamps)
 {
     FreshTracer();
@@ -252,8 +216,6 @@ TEST(TracerTest, MultiThreadedEmissionUnderParallelFor)
     EXPECT_EQ(tiles, static_cast<int>(n));
 }
 
-#endif  // LLMNPU_TRACE_ENABLED
-
 TEST(TracerTest, CurrentWorkerIdStableAndBounded)
 {
     EXPECT_EQ(ThreadPool::CurrentWorkerId(), 0);  // caller is not a worker
@@ -271,10 +233,6 @@ TEST(TracerTest, CurrentWorkerIdStableAndBounded)
 }
 
 // ----------------------------------------------------------------- export
-
-// The export tests populate the trace through the macros, so they also
-// only exist when tracing is compiled in.
-#if LLMNPU_TRACE_ENABLED
 
 TEST(TraceExportTest, SchemaValidatesWithInTreeReader)
 {
@@ -396,8 +354,6 @@ TEST(TraceExportTest, JsonEscapingSurvivesRoundTrip)
     EXPECT_TRUE(found);
 }
 
-#endif  // LLMNPU_TRACE_ENABLED
-
 // ------------------------------------------------------------- JSON parser
 
 TEST(JsonParserTest, RejectsMalformedDocuments)
@@ -426,19 +382,6 @@ TEST(JsonParserTest, ParsesNestedStructures)
     EXPECT_TRUE(doc.At("a").array[2].boolean);
     EXPECT_EQ(doc.At("a").array[4].str, "x\n");
     EXPECT_DOUBLE_EQ(doc.At("b").At("c").number, -3.0);
-}
-
-// -------------------------------------------------------- compile-time gate
-
-TEST(TraceDisabledTest, DisabledTuRecordsNothingAndNeverEvaluatesArgs)
-{
-    FreshTracer();
-    const uint64_t before = Tracer::Global().TotalRecorded();
-    // The TU below is compiled with LLMNPU_TRACE_DISABLED=1: even with the
-    // runtime flag on, its macros are no-ops and must not evaluate args.
-    const int evaluations = llmnpu::obs_test::EmitThroughDisabledMacros();
-    EXPECT_EQ(evaluations, 0);
-    EXPECT_EQ(Tracer::Global().TotalRecorded(), before);
 }
 
 }  // namespace

@@ -2,12 +2,12 @@
  * @file
  * Predictor + control-plane suite (label `predict`): the learned latency
  * model (fit recovery, monotone predictions, serialization round-trip,
- * training-set extraction from bench JSON and traces), the pluggable
- * policy interfaces' conformance contracts (determinism, no admission of
- * whole-demand KV misfits, registry instantiation), the calibrated and
- * fitted CPU/NPU decode crossover, legacy equivalence of explicit default
- * policies, and bitwise tiny-model replay of a dynamically placed
- * schedule with mid-run flips.
+ * training-set extraction from bench JSON and traces), the control
+ * plane's contracts (a deterministic PredictedPlacement, the predicted-SLO
+ * gate, no admission of whole-demand KV misfits), the calibrated and
+ * fitted CPU/NPU decode crossover, legacy equivalence of an explicit FCFS
+ * queue, and bitwise tiny-model replay of a dynamically placed schedule
+ * with mid-run flips.
  */
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include "src/predict/latency_model.h"
 #include "src/predict/step_cost.h"
 #include "src/predict/training_data.h"
+#include "src/serving/kv_ledger.h"
 #include "src/serving/policy.h"
 #include "src/serving/replay.h"
 #include "src/serving/simulator.h"
@@ -248,111 +249,59 @@ TEST_F(PolicyConformanceTest, CalibratedCrossoverMatchesPaperShape)
               costs_.StepTokenMs(DecodePlacement::kNpuQuant, ctx, 32));
 }
 
-TEST_F(PolicyConformanceTest, RegisteredPlacementPoliciesAreDeterministic)
+TEST_F(PolicyConformanceTest, PredictedPlacementIsDeterministic)
 {
-    const InferenceRequest request{96, 160};
-    const ServingCostProfile profile = engine_.ServingCosts(qwen_, soc_,
-                                                            request);
-    RequestRecord record;
-    record.request.prompt_len = request.prompt_len;
-    record.request.output_len = request.output_len;
-    for (const PlacementPolicySpec& spec : PlacementPolicyRegistry()) {
-        const std::shared_ptr<PlacementPolicy> policy =
-            MakePlacementPolicy(spec.name, spec.dynamic ? &costs_ : nullptr);
-        ASSERT_NE(policy, nullptr) << spec.name;
-        EXPECT_EQ(policy->Name(), spec.name);
-        EXPECT_EQ(policy->IsDynamic(), spec.dynamic) << spec.name;
-        for (int batch : {1, 8, 32}) {
-            PlacementQuery query;
-            query.record = &record;
-            query.profile = &profile;
-            query.context_len = 256;
-            query.batch_depth = batch;
-            // Pure function of the query: ask twice, same answer.
-            EXPECT_EQ(policy->Place(query), policy->Place(query))
-                << spec.name << " batch " << batch;
-        }
+    const PredictedPlacement predictor(costs_);
+    for (int batch : {1, 8, 32}) {
+        PlacementQuery query;
+        query.context_len = 256;
+        query.batch_depth = batch;
+        // Pure function of the query: ask twice, same answer.
+        EXPECT_EQ(predictor.Place(query), predictor.Place(query))
+            << "batch " << batch;
     }
 }
 
 TEST_F(PolicyConformanceTest, PredictedPlacementReproducesCrossover)
 {
-    const PredictedPlacement policy(costs_);
-    const InferenceRequest request{96, 160};
-    const ServingCostProfile profile = engine_.ServingCosts(qwen_, soc_,
-                                                            request);
-    RequestRecord record;
-    record.request.prompt_len = request.prompt_len;
-    record.request.output_len = request.output_len;
+    const PredictedPlacement predictor(costs_);
     PlacementQuery query;
-    query.record = &record;
-    query.profile = &profile;
     query.context_len = 512;
 
     query.batch_depth = 1;
-    EXPECT_EQ(policy.Place(query), DecodePlacement::kCpuFloat);
+    EXPECT_EQ(predictor.Place(query), DecodePlacement::kCpuFloat);
     query.batch_depth = 32;
-    EXPECT_EQ(policy.Place(query), DecodePlacement::kNpuQuant);
+    EXPECT_EQ(predictor.Place(query), DecodePlacement::kNpuQuant);
 
     // Degradation backoff: a throttled NPU (thermal service scale) makes
     // the CPU the predicted-cheaper side even at depth.
     query.signals.npu_service_scale = 10.0;
-    EXPECT_EQ(policy.Place(query), DecodePlacement::kCpuFloat);
-    query.signals.npu_service_scale = 1.0;
-
-    // Circuit-breaker failover is permanent: the policy never places a
-    // failed-over member back on the NPU.
-    record.failed_over = true;
-    EXPECT_EQ(policy.Place(query), DecodePlacement::kCpuFloat);
+    EXPECT_EQ(predictor.Place(query), DecodePlacement::kCpuFloat);
 }
 
-TEST(PolicyTest, NoAdmissionPolicyAdmitsWholeDemandMisfit)
+TEST(PolicyTest, PredictedSloAdmitsGatesOnPredictedFinish)
 {
-    // A request whose whole-demand KV footprint exceeds the live budget
-    // can never hold its pages simultaneously; every conforming policy
-    // must turn it away.
-    for (const std::string& name : AdmissionPolicyRegistry()) {
-        const std::shared_ptr<AdmissionPolicy> policy =
-            MakeAdmissionPolicy(name);
-        ASSERT_NE(policy, nullptr) << name;
-        EXPECT_EQ(policy->Name(), name);
-        AdmissionQuery query;
-        query.kv_demand_pages = 100;
-        query.kv_live_budget = 50;
-        EXPECT_FALSE(policy->Admit(query)) << name;
-        query.kv_demand_pages = 40;
-        EXPECT_TRUE(policy->Admit(query)) << name;  // fits, no SLO set
-    }
-}
-
-TEST(PolicyTest, PredictedSloAdmissionGatesOnPredictedFinish)
-{
-    const PredictedSloAdmission policy;
-    ServingRequest request;
-    request.arrival_ms = 0.0;
-    request.deadline_ms = 1000.0;
     AdmissionQuery query;
-    query.request = &request;
+    query.deadline_ms = 1000.0;
     query.isolated_e2e_ms = 400.0;
     query.signals.now_ms = 100.0;
 
     // Feasible with an idle machine.
-    EXPECT_TRUE(policy.Admit(query));
+    EXPECT_TRUE(PredictedSloAdmits(query));
     // An in-flight prefill backlog pushes the predicted finish past the
     // deadline.
     query.queued_prefill_ms = 600.0;
-    EXPECT_FALSE(policy.Admit(query));
+    EXPECT_FALSE(PredictedSloAdmits(query));
     query.queued_prefill_ms = 0.0;
     // Decode congestion alone does too: each resident stream adds one
     // batch-marginal share to every step the arrival would join.
-    query.decode_batch_marginal = 0.15;
     query.signals.decode_pool_depth = 30;
-    EXPECT_FALSE(policy.Admit(query));
+    EXPECT_FALSE(PredictedSloAdmits(query));
     query.signals.decode_pool_depth = 0;
     // No SLO: nothing to be infeasible against.
-    request.deadline_ms = 1e300;
+    query.deadline_ms = 1e300;
     query.queued_prefill_ms = 1e6;
-    EXPECT_TRUE(policy.Admit(query));
+    EXPECT_TRUE(PredictedSloAdmits(query));
 }
 
 TEST(PolicyTest, FittedOracleDrivesSamePlacementAsCalibrated)
@@ -423,8 +372,7 @@ class SimulatorPolicyTest : public PaperDeviceTest
 
 TEST_F(SimulatorPolicyTest, ExplicitDefaultPoliciesAreBitIdentical)
 {
-    // Null policy fields (the defaults) against the same defaults spelled
-    // out as policy objects.
+    // A null queue policy (the default) against FCFS spelled out.
     ServingOptions base;
     base.num_requests = 16;
     base.rate_rps = 0.25;
@@ -433,9 +381,6 @@ TEST_F(SimulatorPolicyTest, ExplicitDefaultPoliciesAreBitIdentical)
 
     ServingOptions explicit_options = base;
     explicit_options.queue_policy = MakeQueuePolicy(SchedPolicy::kFcfs);
-    explicit_options.placement_policy = std::make_shared<StaticPlacement>();
-    explicit_options.admission_policy =
-        std::make_shared<ThresholdAdmission>();
     const ServingResult with_policies = RunWith(explicit_options);
 
     EXPECT_EQ(legacy.makespan_ms, with_policies.makespan_ms);
@@ -460,6 +405,63 @@ TEST_F(SimulatorPolicyTest, ExplicitDefaultPoliciesAreBitIdentical)
         EXPECT_EQ(legacy.replay_steps[i].placements,
                   with_policies.replay_steps[i].placements);
     }
+}
+
+TEST_F(SimulatorPolicyTest, PredictedAdmissionRejectsWholeDemandMisfit)
+{
+    // A request whose whole-demand KV footprint exceeds the pool budget
+    // can never hold its pages simultaneously; the SLO gate only ever
+    // adds rejections on top of the KV check, never admits past it.
+    ServingOptions options;
+    options.num_requests = 24;
+    options.rate_rps = 0.25;
+    options.seed = 11;
+    options.kv_pool_pages = 18;  // the mix needs 13..22 pages per request
+    options.predicted_slo_admission = true;
+    const ServingResult result = RunWith(options);
+
+    int misfits = 0;
+    int admitted = 0;
+    for (const RequestRecord& record : result.records) {
+        const int64_t demand = KvLedger::PagesFor(
+            static_cast<int64_t>(record.request.prompt_len) +
+            record.request.output_len);
+        if (demand > options.kv_pool_pages) {
+            ++misfits;
+            EXPECT_TRUE(record.rejected) << "request " << record.request.id;
+        } else if (!record.rejected) {
+            ++admitted;
+        }
+    }
+    // Both sides of the check were exercised.
+    EXPECT_GT(misfits, 0);
+    EXPECT_GT(admitted, 0);
+}
+
+TEST_F(SimulatorPolicyTest, DefaultAdmissionRejectsExactlyWholeDemandMisfits)
+{
+    // Without the SLO gate the whole-demand KV check is the only
+    // admission decision: a request is turned away iff its pages cannot
+    // all be held at once, whatever the load.
+    ServingOptions options;
+    options.num_requests = 24;
+    options.rate_rps = 0.25;
+    options.seed = 11;
+    options.kv_pool_pages = 18;  // the mix needs 13..22 pages per request
+    const ServingResult result = RunWith(options);
+
+    int misfits = 0;
+    for (const RequestRecord& record : result.records) {
+        const int64_t demand = KvLedger::PagesFor(
+            static_cast<int64_t>(record.request.prompt_len) +
+            record.request.output_len);
+        const bool misfit = demand > options.kv_pool_pages;
+        misfits += misfit ? 1 : 0;
+        EXPECT_EQ(record.rejected, misfit) << "request " << record.request.id;
+    }
+    EXPECT_GT(misfits, 0);
+    EXPECT_LT(misfits, static_cast<int>(result.records.size()));
+    EXPECT_EQ(result.rejected, misfits);
 }
 
 class DynamicPlacementReplayTest : public TinyModelTest

@@ -40,7 +40,7 @@ TEST(PolicyTest, FcfsPicksEarliestArrival)
     const std::vector<QueueEntry> queue = {Entry(0, 50.0, 1e9, 10.0),
                                            Entry(1, 10.0, 1e9, 99.0),
                                            Entry(2, 30.0, 1e9, 1.0)};
-    EXPECT_EQ(SchedQueuePolicy(SchedPolicy::kFcfs).Pick(queue, 100.0), 1u);
+    EXPECT_EQ(QueuePolicy(SchedPolicy::kFcfs).Pick(queue, 100.0), 1u);
 }
 
 TEST(PolicyTest, SpfPicksShortestRemainingPrefill)
@@ -49,7 +49,7 @@ TEST(PolicyTest, SpfPicksShortestRemainingPrefill)
                                            Entry(1, 10.0, 1e9, 99.0),
                                            Entry(2, 30.0, 1e9, 1.0)};
     EXPECT_EQ(
-        SchedQueuePolicy(SchedPolicy::kShortestPromptFirst).Pick(queue, 100.0),
+        QueuePolicy(SchedPolicy::kShortestPromptFirst).Pick(queue, 100.0),
         2u);
 }
 
@@ -60,7 +60,7 @@ TEST(PolicyTest, SloEdfPrefersFeasibleEarliestDeadline)
     const std::vector<QueueEntry> queue = {Entry(0, 0.0, 90.0, 10.0),
                                            Entry(1, 10.0, 500.0, 50.0),
                                            Entry(2, 20.0, 300.0, 50.0)};
-    EXPECT_EQ(SchedQueuePolicy(SchedPolicy::kSloEdf).Pick(queue, 100.0), 2u);
+    EXPECT_EQ(QueuePolicy(SchedPolicy::kSloEdf).Pick(queue, 100.0), 2u);
 }
 
 TEST(PolicyTest, SloEdfPricesDecodeIntoFeasibility)
@@ -71,14 +71,14 @@ TEST(PolicyTest, SloEdfPricesDecodeIntoFeasibility)
     const std::vector<QueueEntry> queue = {
         Entry(0, 0.0, 200.0, 10.0, 500.0),
         Entry(1, 10.0, 400.0, 50.0, 100.0)};
-    EXPECT_EQ(SchedQueuePolicy(SchedPolicy::kSloEdf).Pick(queue, 100.0), 1u);
+    EXPECT_EQ(QueuePolicy(SchedPolicy::kSloEdf).Pick(queue, 100.0), 1u);
 }
 
 TEST(PolicyTest, SloEdfFallsBackToFcfsWhenAllExpired)
 {
     const std::vector<QueueEntry> queue = {Entry(0, 40.0, 10.0, 50.0),
                                            Entry(1, 5.0, 20.0, 50.0)};
-    EXPECT_EQ(SchedQueuePolicy(SchedPolicy::kSloEdf).Pick(queue, 1000.0), 1u);
+    EXPECT_EQ(QueuePolicy(SchedPolicy::kSloEdf).Pick(queue, 1000.0), 1u);
 }
 
 TEST(PolicyTest, NamesAreStable)
@@ -514,7 +514,7 @@ const GoldenCase kGoldenCases[] = {
          o.slo_factor = 6.0;
          o.max_decode_batch = 32;
          o.placement_policy = std::make_shared<PredictedPlacement>(costs);
-         o.admission_policy = std::make_shared<PredictedSloAdmission>();
+         o.predicted_slo_admission = true;
          ChunkAndDecodeFaults(o);
      },
      [](const ServingResult& r) {

@@ -158,6 +158,11 @@ TEST(StatsTest, PercentileInterpolates)
     EXPECT_DOUBLE_EQ(Percentile(xs, 25.0), 2.5);
 }
 
+TEST(StatsTest, UnsortedInputIsSorted)
+{
+    EXPECT_DOUBLE_EQ(Percentile({5.0, 1.0, 3.0, 2.0, 4.0}, 50.0), 3.0);
+}
+
 TEST(TableTest, RendersAlignedColumns)
 {
     Table table({"name", "value"});
