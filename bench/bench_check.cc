@@ -29,6 +29,8 @@ constexpr double kObsOverheadMax = 1.5;
 // Median relative error of the fitted latency classes trained from the
 // committed baseline.
 constexpr double kPredictErrorMax = 0.25;
+// §3.4: an online scheduling decision costs microseconds.
+constexpr double kSchedulerUsPerDecisionMax = 10.0;
 // Dynamic placement must keep this share of the best static goodput.
 constexpr double kDynamicShareOfBestStatic = 0.95;
 
@@ -440,6 +442,9 @@ Table()
          EachRow<ShrinkInsideLiveBudget>, false},
         {"obs ns_per_site", "bench_obs", nullptr, nullptr, {"mode"},
          "ns_per_site", Band::kInvariant, 0, EachRow<PositiveValue>, false},
+        {"scheduler us/decision", "bench_scheduler_overhead", nullptr,
+         nullptr, {"picker", "chunks"}, "us_per_decision", Band::kAbsolute,
+         kSchedulerUsPerDecisionMax, nullptr, false},
         {"obs overhead ratio", "bench_obs", nullptr, GatedObsMode,
          {"mode"}, "overhead_ratio", Band::kAbsolute, kObsOverheadMax,
          nullptr, false},

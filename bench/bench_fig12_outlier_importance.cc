@@ -3,7 +3,6 @@
  * Reproduces Figure 12: per-linear outlier importance (largest outlier over
  * the quantization scale) and the accuracy-vs-pruned-layers curve.
  */
-#include <cstdlib>
 
 #include "bench/bench_util.h"
 #include "src/core/outlier_profile.h"
@@ -52,7 +51,7 @@ Run()
 
     // Right panel: accuracy vs pruning rate.
     // run_all --quick: fewer eval sequences and only the key rates.
-    const bool quick = std::getenv("LLMNPU_BENCH_QUICK") != nullptr;
+    const bool quick = QuickMode();
     corpus_options.seed = 0xe;
     corpus_options.num_sequences = quick ? 6 : 12;
     const auto eval = MakeCorpus(corpus_options);

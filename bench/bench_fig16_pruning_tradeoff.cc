@@ -4,7 +4,6 @@
  * rates — accuracy from real numerics on proxies, speed from the timing
  * plane at the matching pruning rate.
  */
-#include <cstdlib>
 
 #include "bench/bench_util.h"
 #include "src/core/llmnpu_engine.h"
@@ -43,7 +42,7 @@ RunModel(const ModelConfig& base)
     Table table({"Pruning rate", "agreement (accuracy proxy)",
                  "prefill speed (tok/s)"});
     // run_all --quick: just the endpoints and the paper's default rate.
-    const bool quick = std::getenv("LLMNPU_BENCH_QUICK") != nullptr;
+    const bool quick = QuickMode();
     const std::vector<double> rates =
         quick ? std::vector<double>{0.0, 0.85, 1.0}
               : std::vector<double>{0.0, 0.25, 0.5, 0.75, 0.85, 1.0};
@@ -71,7 +70,7 @@ Run()
                 "decode-inclusive); 100% pruning: fastest but accuracy "
                 "collapses (8.1%/41.9%)");
     RunModel(Qwen15_1_8B());
-    if (std::getenv("LLMNPU_BENCH_QUICK") == nullptr) {
+    if (!QuickMode()) {
         RunModel(Gemma2B());
     }
     std::printf("\nShape check: speed rises and agreement falls "

@@ -12,15 +12,13 @@
  * LLMNPU_BENCH_QUICK=1 (set by `run_all --quick`) shrinks the sweep to one
  * size so CI smoke runs stay fast.
  */
-#include <benchmark/benchmark.h>
-
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/model/batched_kv_cache.h"
 #include "src/model/paged_attention.h"
 #include "src/tensor/matmul.h"
@@ -41,12 +39,6 @@ RandomTensor(Rng& rng, std::vector<int64_t> shape)
     return t;
 }
 
-bool
-QuickMode()
-{
-    return std::getenv("LLMNPU_BENCH_QUICK") != nullptr;
-}
-
 /** Best-of-3 throughput in GFLOP/s (2*m*k*n flops per call). */
 double
 MeasureGFlops(int64_t m, int64_t k, int64_t n,
@@ -56,21 +48,10 @@ MeasureGFlops(int64_t m, int64_t k, int64_t n,
     fn();  // warm-up (touch packed panels, grow the thread pool)
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
-        int iters = 0;
-        double elapsed = 0.0;
-        const auto start = std::chrono::steady_clock::now();
-        do {
-            fn();
-            ++iters;
-            elapsed = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-        } while (elapsed < min_seconds);
-        const double gflops = 2.0 * static_cast<double>(m) *
-                              static_cast<double>(k) *
-                              static_cast<double>(n) * iters / elapsed /
-                              1e9;
-        if (gflops > best) best = gflops;
+        best = std::max(best, 2.0 * static_cast<double>(m) *
+                                  static_cast<double>(k) *
+                                  static_cast<double>(n) /
+                                  SecondsPerCall(min_seconds, fn) / 1e9);
     }
     return best;
 }
@@ -99,8 +80,7 @@ EmitW8A8Metrics(const Tensor& a, const Tensor& w,
     Tensor a_q = QuantizeSymmetric(a, params);
     PerColumnWeights wq = QuantizePerColumn(w);
     const double i8_naive = MeasureGFlops(m, k, n, [&] {
-        benchmark::DoNotOptimize(
-            MatMulW8A8PerTensorNaive(a_q, params.scale, wq.q, wq.scales));
+        Sink(MatMulW8A8PerTensorNaive(a_q, params.scale, wq.q, wq.scales));
     });
     PrintMetric("matmul_w8a8_per_tensor", "naive", m, k, n, 1, i8_naive,
                 1.0);
@@ -108,8 +88,7 @@ EmitW8A8Metrics(const Tensor& a, const Tensor& w,
     for (int threads : thread_counts) {
         ScopedNumThreads scoped(threads);
         const double tiled = MeasureGFlops(m, k, n, [&] {
-            benchmark::DoNotOptimize(
-                MatMulW8A8PerTensorPacked(a_q, params.scale, packed_q));
+            Sink(MatMulW8A8PerTensorPacked(a_q, params.scale, packed_q));
         });
         PrintMetric("matmul_w8a8_per_tensor", "tiled_packed", m, k, n,
                     threads, tiled, tiled / i8_naive);
@@ -140,14 +119,14 @@ EmitKernelMetrics()
 
         // --- f32: naive vs pre-packed tiled. ---
         const double f32_naive = MeasureGFlops(kM, n, n, [&] {
-            benchmark::DoNotOptimize(MatMulF32Naive(a, w));
+            Sink(MatMulF32Naive(a, w));
         });
         PrintMetric("matmul_f32", "naive", kM, n, n, 1, f32_naive, 1.0);
         const PackedWeightsF32 packed = PackWeightsF32(w);
         for (int threads : thread_counts) {
             ScopedNumThreads scoped(threads);
             const double tiled_packed = MeasureGFlops(kM, n, n, [&] {
-                benchmark::DoNotOptimize(MatMulF32Packed(a, packed));
+                Sink(MatMulF32Packed(a, packed));
             });
             PrintMetric("matmul_f32", "tiled_packed", kM, n, n, threads,
                         tiled_packed, tiled_packed / f32_naive);
@@ -160,7 +139,7 @@ EmitKernelMetrics()
         // tiled. ---
         PerGroupWeights pg = QuantizePerGroup(w, 32);
         const double pg_naive = MeasureGFlops(kM, n, n, [&] {
-            benchmark::DoNotOptimize(MatMulPerGroupNaive(a, pg));
+            Sink(MatMulPerGroupNaive(a, pg));
         });
         PrintMetric("matmul_per_group", "naive", kM, n, n, 1, pg_naive,
                     1.0);
@@ -168,7 +147,7 @@ EmitKernelMetrics()
         for (int threads : thread_counts) {
             ScopedNumThreads scoped(threads);
             const double tiled = MeasureGFlops(kM, n, n, [&] {
-                benchmark::DoNotOptimize(MatMulPerGroupPacked(a, packed_pg));
+                Sink(MatMulPerGroupPacked(a, packed_pg));
             });
             PrintMetric("matmul_per_group", "tiled_packed", kM, n, n,
                         threads, tiled, tiled / pg_naive);
@@ -222,8 +201,8 @@ EmitPagedAttentionShape(const char* variant, int64_t metric_m,
     for (int threads : thread_counts) {
         ScopedNumThreads scoped(threads);
         const double fused = MeasureGFlops(flop_m, 2 * keys, head_dim, [&] {
-            benchmark::DoNotOptimize(PagedCausalAttention(
-                q, segments, seqs, pos_offsets, cache, 0, heads, heads));
+            Sink(PagedCausalAttention(q, segments, seqs, pos_offsets, cache,
+                                      0, heads, heads));
         });
         PrintMetric("paged_attention", variant, metric_m, metric_k,
                     model_dim, threads, fused, 1.0);

@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -106,7 +105,7 @@ Run()
                 "observability must not tax the numeric plane "
                 "(disabled site == one relaxed atomic load)");
 
-    const bool quick = std::getenv("LLMNPU_BENCH_QUICK") != nullptr;
+    const bool quick = QuickMode();
     const size_t iters = quick ? (1u << 16) : (1u << 20);
     const int trials = quick ? 5 : 9;
 

@@ -1,14 +1,17 @@
 /**
  * @file
  * Verifies §3.4's claim that the online C-value scheduling decision costs
- * microseconds: times one full out-of-order schedule of a realistic prefill
- * DAG and divides by the number of decisions.
+ * microseconds: times full out-of-order schedules of a realistic prefill
+ * DAG on a steady clock and divides by the number of decisions (one per
+ * task). Prints one "METRIC {json}" row of us_per_decision per picker and
+ * chunk count, which bench_check holds under an absolute ceiling.
+ *
+ * LLMNPU_BENCH_QUICK=1 (set by `run_all --quick`) shortens each timing.
  */
-#include <benchmark/benchmark.h>
-
-#include <cstdlib>
+#include <cstdio>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/core/llmnpu_engine.h"
 #include "src/core/scheduler.h"
 
@@ -29,63 +32,46 @@ MakeDag(int num_chunks)
     return BuildPrefillDag(timings, qwen.num_layers, false);
 }
 
-void
-BM_OooSchedule(benchmark::State& state)
+/** Mean wall-clock microseconds per scheduling decision over repeated
+ *  whole-DAG schedules. */
+double
+MicrosPerDecision(const std::vector<SimTask>& dag, const TaskPicker& picker)
 {
-    const auto dag = MakeDag(static_cast<int>(state.range(0)));
-    const TaskPicker picker = OooPicker();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(RunTimeline(dag, picker));
-    }
-    // Each task is one scheduling decision.
-    state.counters["us_per_decision"] = benchmark::Counter(
-        static_cast<double>(state.iterations()) *
-            static_cast<double>(dag.size()),
-        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-    state.SetLabel("paper: microsecond-level decisions");
+    const auto schedule = [&] { Sink(RunTimeline(dag, picker)); };
+    schedule();  // warm-up
+    return SecondsPerCall(QuickMode() ? 0.02 : 0.5, schedule) * 1e6 /
+           static_cast<double>(dag.size());
 }
-BENCHMARK(BM_OooSchedule)->Arg(2)->Arg(4)->Arg(8)->Unit(
-    benchmark::kMillisecond);
 
 void
-BM_Eq5Schedule(benchmark::State& state)
+Run()
 {
-    const auto dag = MakeDag(static_cast<int>(state.range(0)));
-    const TaskPicker picker = PaperEq5Picker();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(RunTimeline(dag, picker));
+    BenchHeader("§3.4: online scheduling overhead",
+                "microsecond-level scheduling decisions");
+    const struct {
+        const char* name;
+        TaskPicker picker;
+        int chunks;
+    } cases[] = {{"ooo", OooPicker(), 2},
+                 {"ooo", OooPicker(), 4},
+                 {"ooo", OooPicker(), 8},
+                 {"eq5", PaperEq5Picker(), 4}};
+    for (const auto& c : cases) {
+        const std::vector<SimTask> dag = MakeDag(c.chunks);
+        std::printf("METRIC {\"bench\": \"scheduler_overhead\", "
+                    "\"picker\": \"%s\", \"chunks\": %d, "
+                    "\"decisions\": %zu, \"us_per_decision\": %.4f}\n",
+                    c.name, c.chunks, dag.size(),
+                    MicrosPerDecision(dag, c.picker));
     }
 }
-BENCHMARK(BM_Eq5Schedule)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void
-BM_DagConstruction(benchmark::State& state)
-{
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(MakeDag(static_cast<int>(state.range(0))));
-    }
-}
-BENCHMARK(BM_DagConstruction)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace llmnpu
 
 int
-main(int argc, char** argv)
+main()
 {
-    // In run_all --quick (CI smoke) runs, cap the per-benchmark measuring
-    // time instead of google-benchmark's ~0.5 s default.
-    std::vector<char*> args(argv, argv + argc);
-    char quick_min_time[] = "--benchmark_min_time=0.01";
-    if (std::getenv("LLMNPU_BENCH_QUICK") != nullptr) {
-        args.push_back(quick_min_time);
-    }
-    int args_count = static_cast<int>(args.size());
-    benchmark::Initialize(&args_count, args.data());
-    if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
-        return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    llmnpu::Run();
     return 0;
 }

@@ -136,7 +136,7 @@ RunTracedScenario(const char* path, ServingCostModel& costs,
 void
 Run(const char* trace_path, uint64_t seed)
 {
-    const bool smoke = std::getenv("LLMNPU_BENCH_QUICK") != nullptr;
+    const bool smoke = QuickMode();
     BenchHeader(
         "Serving: continuous batching + SLO-aware scheduling under load",
         "beyond-paper experiment: the Table 5 workloads as concurrent "
@@ -202,29 +202,19 @@ Run(const char* trace_path, uint64_t seed)
     }
     table.Print();
 
-    // Step-level decode economics: per-token cost of one continuously
-    // batched decode step at depth B, CPU float path vs NPU decode graph.
-    // NPU decode pays a slower weight stream (~11.3 vs ~22 GB/s) but an
-    // engine-derived near-zero batching marginal (one stream serves all B
-    // rows), so the CPU wins at shallow batches and the NPU wins once the
-    // batch is deep enough — the crossover this table locates.
+    // Step-level decode economics, read from the calibrated oracle: per
+    // token, NPU decode pays a slower weight stream (~11.3 vs ~22 GB/s)
+    // that one step shares across its B rows, so the CPU wins at shallow
+    // batches and the NPU once the batch is deep enough.
     {
         std::printf("\nDecode step cost per token (Qwen1.5-1.8B, context "
                     "512):\n");
-        LlmNpuOptions npu_options;
-        npu_options.decode_placement = DecodePlacement::kNpuQuant;
-        LlmNpuEngine npu_engine(npu_options);
-        const double cpu_token_ms =
-            costs.Costs({512, 1}).decode_token_ms;
         Table step_table({"batch", "cpu ms/tok", "npu ms/tok", "winner"});
         for (int batch : {1, 2, 4, 8, 16, 32}) {
             const double cpu_tpot =
-                cpu_token_ms *
-                (1.0 + (batch - 1) * kDecodeBatchMarginal) / batch;
+                costs.StepTokenMs(DecodePlacement::kCpuFloat, 512, batch);
             const double npu_tpot =
-                npu_engine.NpuDecodeStep(config, soc, 512, batch)
-                    .TotalMs() /
-                batch;
+                costs.StepTokenMs(DecodePlacement::kNpuQuant, 512, batch);
             step_table.AddRow({StrFormat("%d", batch),
                                StrFormat("%.1f", cpu_tpot),
                                StrFormat("%.1f", npu_tpot),

@@ -8,7 +8,6 @@
  * on outlier-bearing synthetic models — the prediction flips quantization
  * causes, which is what orders Table 6.
  */
-#include <cstdlib>
 
 #include "bench/bench_util.h"
 #include "src/core/outlier_profile.h"
@@ -35,7 +34,7 @@ Run()
 
     // run_all --quick: two models and fewer eval contexts keep CI fast;
     // the full sweep covers all five paper models.
-    const bool quick = std::getenv("LLMNPU_BENCH_QUICK") != nullptr;
+    const bool quick = QuickMode();
     std::vector<ModelConfig> models = PaperModels();
     if (quick) models.resize(2);
     const int eval_contexts = quick ? 3 : 8;

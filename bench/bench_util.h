@@ -10,7 +10,10 @@
 #ifndef LLMNPU_BENCH_BENCH_UTIL_H
 #define LLMNPU_BENCH_BENCH_UTIL_H
 
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "src/util/format.h"
@@ -38,6 +41,41 @@ Verdict(const std::string& what, double measured, double paper_lo,
     std::printf("  %-46s measured %7.2fx   paper %.2f-%.2fx   [%s]\n",
                 what.c_str(), measured, paper_lo, paper_hi,
                 in_band ? "shape holds" : "OUT OF BAND");
+}
+
+/** Whether `run_all --quick` asked for the short CI sweep. */
+inline bool
+QuickMode()
+{
+    return std::getenv("LLMNPU_BENCH_QUICK") != nullptr;
+}
+
+/** Mean wall-clock seconds per call of `fn`, called repeatedly for at
+ *  least `min_seconds`. */
+template <typename Fn>
+double
+SecondsPerCall(double min_seconds, const Fn& fn)
+{
+    int64_t calls = 0;
+    double elapsed = 0.0;
+    const auto start = std::chrono::steady_clock::now();
+    do {
+        fn();
+        ++calls;
+        elapsed = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+    } while (elapsed < min_seconds);
+    return elapsed / static_cast<double>(calls);
+}
+
+/** Makes a timed call's result observable (an empty asm that reads its
+ *  address and clobbers memory), so the call cannot be dropped. */
+template <typename T>
+inline void
+Sink(const T& value)
+{
+    asm volatile("" : : "r"(&value) : "memory");
 }
 
 }  // namespace llmnpu

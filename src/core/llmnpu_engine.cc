@@ -338,10 +338,8 @@ LlmNpuEngine::ServingCosts(const ModelConfig& config, const SocSpec& soc,
     profile.npu_decode_interference = busy_fraction(Unit::kNpu);
     profile.decode_placement = options_.decode_placement;
 
-    // The float-processor fallback price is computed for every placement:
-    // when decode nominally runs on the NPU, the serving layer's circuit
-    // breaker can fail a request over to this packed-fp32 CPU path
-    // mid-stream, and it needs the fallback price without re-decomposing.
+    // The float-processor price is needed at every placement: it is the
+    // CPU fallback path of an NPU-placed profile.
     profile.cpu_decode_token_ms =
         RequestDecode(config, soc, request, DecodePlacement::kCpuFloat).ms /
         std::max(1, request.output_len);
@@ -353,13 +351,14 @@ LlmNpuEngine::ServingCosts(const ModelConfig& config, const SocSpec& soc,
             std::max(1, request.output_len);
         // The M=B decode matmul shares one weight stream across rows, so
         // the engine knows its own (small) batching marginal.
-        const double b1 =
-            NpuDecodeStep(config, soc, request.prompt_len, 1).TotalMs();
-        const double b2 =
-            NpuDecodeStep(config, soc, request.prompt_len, 2).TotalMs();
-        profile.decode_batch_marginal = std::max(0.0, b2 / b1 - 1.0);
+        profile.decode_batch_marginal =
+            DecodePrice::FromSteps(
+                NpuDecodeStep(config, soc, request.prompt_len, 1).TotalMs(),
+                NpuDecodeStep(config, soc, request.prompt_len, 2).TotalMs())
+                .batch_marginal;
     } else {
         profile.decode_token_ms = profile.cpu_decode_token_ms;
+        profile.decode_batch_marginal = kDecodeBatchMarginal;
     }
     return profile;
 }

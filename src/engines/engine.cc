@@ -2,7 +2,19 @@
 
 #include <algorithm>
 
+#include "src/util/check.h"
+
 namespace llmnpu {
+
+DecodePrice
+ServingCostProfile::PriceAt(DecodePlacement placement) const
+{
+    if (placement == decode_placement) {
+        return {decode_token_ms, decode_batch_marginal};
+    }
+    LLMNPU_CHECK(placement == DecodePlacement::kCpuFloat);
+    return {cpu_decode_token_ms, kDecodeBatchMarginal};
+}
 
 ServingCostProfile
 InferenceEngine::ServingCosts(const ModelConfig& config, const SocSpec& soc,
@@ -21,6 +33,7 @@ InferenceEngine::ServingCosts(const ModelConfig& config, const SocSpec& soc,
     profile.decode_placement = DecodePlacement::kCpuFloat;
     profile.decode_token_ms =
         result.decode_ms / std::max(1, request.output_len);
+    profile.decode_batch_marginal = kDecodeBatchMarginal;
     profile.cpu_decode_token_ms = profile.decode_token_ms;
     profile.memory_bytes = result.memory_bytes;
     return profile;
@@ -31,20 +44,9 @@ InferenceEngine::DecodeStepMs(const ModelConfig& config, const SocSpec& soc,
                               DecodePlacement placement, int64_t kv_len,
                               int batch)
 {
-    InferenceRequest request;
-    request.prompt_len = static_cast<int>(std::max<int64_t>(1, kv_len));
-    request.output_len = 1;
-    const ServingCostProfile profile = ServingCosts(config, soc, request);
-    double token_ms = profile.decode_token_ms;
-    if (placement == DecodePlacement::kCpuFloat &&
-        profile.decode_placement != DecodePlacement::kCpuFloat &&
-        profile.cpu_decode_token_ms > 0.0) {
-        token_ms = profile.cpu_decode_token_ms;
-    }
-    const double marginal = profile.decode_batch_marginal >= 0.0
-                                ? profile.decode_batch_marginal
-                                : kDecodeBatchMarginal;
-    return token_ms * (1.0 + (std::max(1, batch) - 1) * marginal);
+    const InferenceRequest request{
+        static_cast<int>(std::max<int64_t>(1, kv_len)), 1};
+    return ServingCosts(config, soc, request).PriceAt(placement).StepMs(batch);
 }
 
 }  // namespace llmnpu

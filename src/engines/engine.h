@@ -10,6 +10,7 @@
 #ifndef LLMNPU_ENGINES_ENGINE_H
 #define LLMNPU_ENGINES_ENGINE_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -69,11 +70,31 @@ struct EngineResult {
     }
 };
 
-/** Marginal cost of each extra batched decode stream relative to the
- *  first, for engines with no opinion of their own and for the CPU
- *  fallback path (weights are streamed once per step; extra activations
- *  are cheap): step time = token_ms * (1 + (B-1) * this). */
+/** Marginal cost of each extra batched decode stream on the CPU/GPU float
+ *  processor, relative to the first (weights are streamed once per step;
+ *  extra activations are cheap). Every CPU-resident decode price carries
+ *  it, an NPU-placed profile's CPU fallback path included. */
 constexpr double kDecodeBatchMarginal = 0.15;
+
+/** The price of one continuously batched decode step. */
+struct DecodePrice {
+    double token_ms = 0.0;        ///< the step with one stream
+    double batch_marginal = 0.0;  ///< each extra stream's share of it
+
+    /** Two-point fit of a step curve: the B=1 step, and the B=2 step's
+     *  excess over it (kDecodeBatchMarginal when the B=1 step is free). */
+    static DecodePrice FromSteps(double one_ms, double two_ms)
+    {
+        return {one_ms, one_ms > 0.0 ? std::max(0.0, two_ms / one_ms - 1.0)
+                                     : kDecodeBatchMarginal};
+    }
+
+    /** The batched-step law: token_ms * (1 + (B-1) * batch_marginal). */
+    double StepMs(int batch) const
+    {
+        return token_ms * (1.0 + (std::max(1, batch) - 1) * batch_marginal);
+    }
+};
 
 /**
  * Cost decomposition of one request into schedulable quanta, the contract
@@ -118,21 +139,17 @@ struct ServingCostProfile {
     /** Per-token decode service time at the request's context length,
      *  priced at `decode_placement`. */
     double decode_token_ms = 0.0;
-    /** Per-token decode service time on the CPU/GPU float-processor
-     *  fallback path (packed int8-per-tensor linears), priced even when
-     *  `decode_placement` is the NPU: the fault plane's circuit breaker
-     *  fails NPU-resident decode over to this path mid-stream, so the
-     *  serving layer needs both prices up front. 0 means "same as
-     *  decode_token_ms" (engines whose primary placement already is the
-     *  float processor). */
+    /** Per-token decode service time on the CPU/GPU float-processor path
+     *  (packed int8-per-tensor linears). Equal to decode_token_ms on a
+     *  CPU-placed profile; priced as well when `decode_placement` is the
+     *  NPU, because the fault plane's circuit breaker and the placement
+     *  predictor move NPU-placed members onto this path mid-stream. */
     double cpu_decode_token_ms = 0.0;
-    /** Marginal cost of each extra batched decode stream relative to the
-     *  first (step time = decode_token_ms * (1 + (B-1) * marginal)).
-     *  Negative means "engine has no opinion" — kDecodeBatchMarginal
-     *  stands in. NPU-resident decode exposes a much smaller marginal than
-     *  CPU decode: the weight stream per step is shared across the M=B
-     *  matvec rows. */
-    double decode_batch_marginal = -1.0;
+    /** Marginal of each extra batched stream at `decode_placement`:
+     *  kDecodeBatchMarginal on the float processor, the engine's own
+     *  (much smaller) figure on the NPU, where the M=B matvec rows share
+     *  one weight stream per step. */
+    double decode_batch_marginal = 0.0;
     int64_t memory_bytes = 0;
 
     double PrefillMs() const
@@ -141,6 +158,11 @@ struct ServingCostProfile {
         for (double ms : chunk_ms) total += ms;
         return total;
     }
+
+    /** What a decode member at `placement` pays: the own price at
+     *  `decode_placement`, else the CPU fallback at kDecodeBatchMarginal.
+     *  The NPU off a CPU-placed profile fails loudly. */
+    DecodePrice PriceAt(DecodePlacement placement) const;
 
     /** The interference factor matching `decode_placement`. */
     double DecodeInterference() const
@@ -192,13 +214,10 @@ class InferenceEngine
      * PredictedPlacement decides against it, and the learned latency model
      * is fitted from it.
      *
-     * The default derives the price from ServingCosts(): the profile's
-     * per-token cost at the requested placement (cpu_decode_token_ms when
-     * asked for the CPU path of an NPU-placed profile, decode_token_ms
-     * otherwise), under the batched-step law
-     * step = token * (1 + (B-1) * marginal), with kDecodeBatchMarginal
-     * standing in when the engine has no opinion. Engines with a real
-     * per-placement decomposition (LlmNpuEngine's NpuDecodeStep) override.
+     * The default prices `placement` from the profile of a one-token
+     * request at `kv_len`: ServingCosts() -> PriceAt(placement) ->
+     * StepMs(batch). Engines with a real per-placement decomposition
+     * (LlmNpuEngine's NpuDecodeStep) override.
      */
     virtual double DecodeStepMs(const ModelConfig& config, const SocSpec& soc,
                                 DecodePlacement placement, int64_t kv_len,

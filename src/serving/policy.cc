@@ -107,11 +107,12 @@ PredictedSloAdmits(const AdmissionQuery& query)
     // congestion: the isolated figure prices decode solo, but this
     // arrival would join a continuous batch where every resident stream
     // adds one batch-marginal share to its steps.
-    const double service_ms = query.isolated_e2e_ms *
-                        std::max(1.0, query.signals.npu_service_scale) *
-                        (1.0 + query.signals.npu_fault_rate) *
-                        (1.0 + kDecodeBatchMarginal *
-                                   query.signals.decode_pool_depth);
+    const double service_ms =
+        query.isolated_e2e_ms *
+        std::max(1.0, query.signals.npu_service_scale) *
+        (1.0 + query.signals.npu_fault_rate) *
+        DecodePrice{1.0, kDecodeBatchMarginal}.StepMs(
+            query.signals.decode_pool_depth + 1);
     const double predicted_finish =
         query.signals.now_ms + query.queued_prefill_ms + service_ms;
     return predicted_finish <= query.deadline_ms;

@@ -283,8 +283,7 @@ class ServingRun
         step_members_.clear();
         step_placements_.clear();
         std::vector<int> to_shed;
-        double token_ms = 0.0;
-        double engine_marginal = -1.0;
+        DecodePrice step_price;
         // Placement decisions see the depth this step would run at and one
         // signal snapshot per step boundary (not per member), so every
         // decision is a pure function of the boundary's state and the
@@ -360,42 +359,28 @@ class ServingRun
                 }
                 state.decode_attempt = 0;
             }
-            double price = profile.decode_token_ms;
-            double member_marginal = profile.decode_batch_marginal;
-            if (record.failed_over ||
-                (place != profile.decode_placement &&
-                 place == DecodePlacement::kCpuFloat)) {
-                // After a failover, or when the predictor moved the
-                // member off an NPU profile: the engine's CPU fallback
-                // path, batched at the serving layer's CPU marginal.
-                price = profile.cpu_decode_token_ms > 0.0
-                            ? profile.cpu_decode_token_ms
-                            : profile.decode_token_ms;
-                member_marginal = kDecodeBatchMarginal;
-            } else if (place != profile.decode_placement) {
-                // Off-profile NPU member. The predictor *decides* with
-                // whatever oracle it holds, but the simulator *prices*
-                // executed work through the calibrated one, so virtual
-                // time stays in the calibrated plane whatever the
-                // predictor believes.
-                const double one = costs_.StepMs(DecodePlacement::kNpuQuant,
-                                                 context_len, 1);
-                const double two = costs_.StepMs(DecodePlacement::kNpuQuant,
-                                                 context_len, 2);
-                price = one;
-                member_marginal = one > 0.0
-                                      ? std::max(0.0, two / one - 1.0)
-                                      : kDecodeBatchMarginal;
-            }
+            // The profile prices its own placement and the CPU fallback.
+            // An off-profile NPU member is priced by the calibrated oracle:
+            // the predictor *decides* with whatever oracle it holds, but
+            // executed work stays in the calibrated plane.
+            DecodePrice price =
+                place == DecodePlacement::kNpuQuant &&
+                        place != profile.decode_placement
+                    ? DecodePrice::FromSteps(
+                          costs_.StepMs(place, context_len, 1),
+                          costs_.StepMs(place, context_len, 2))
+                    : profile.PriceAt(place);
             if (fopts_.thermal.enabled &&
                 place == DecodePlacement::kNpuQuant) {
-                price *= thermal_.ServiceScale();
+                price.token_ms *= thermal_.ServiceScale();
             }
-            token_ms = std::max(token_ms, price);
-            // Engines that know their own batching marginal override
-            // kDecodeBatchMarginal; the max across members keeps the step
-            // cost conservative and pool-order independent, like token_ms.
-            engine_marginal = std::max(engine_marginal, member_marginal);
+            // The max across members keeps the step cost conservative and
+            // pool-order independent: a step with a CPU member is never
+            // batched below the CPU marginal.
+            step_price.token_ms = std::max(step_price.token_ms,
+                                           price.token_ms);
+            step_price.batch_marginal = std::max(step_price.batch_marginal,
+                                                 price.batch_marginal);
             step_members_.push_back(id);
             step_placements_.push_back(place);
         }
@@ -411,13 +396,9 @@ class ServingRun
                 ++npu_attempts_;
             }
         }
-        const double marginal =
-            engine_marginal >= 0.0 ? engine_marginal : kDecodeBatchMarginal;
         step_active_ = true;
         step_remaining_work_ =
-            token_ms *
-            (1.0 +
-             (static_cast<double>(step_members_.size()) - 1.0) * marginal);
+            step_price.StepMs(static_cast<int>(step_members_.size()));
         step_last_update_ = now_;
         step_start_ = now_;
     }

@@ -70,9 +70,9 @@ struct ServingOptions {
      *  absolute deadlines). <= 0 disables SLOs (deadline = +inf). */
     double slo_factor = 3.0;
 
-    /** Continuous-batching decode: max requests per decode step. Each
-     *  extra stream costs kDecodeBatchMarginal unless the engine knows
-     *  its own marginal. */
+    /** Continuous-batching decode: max requests per decode step. A step
+     *  is priced by DecodePrice::StepMs at the largest token price and
+     *  batch marginal among its members (ServingCostProfile::PriceAt). */
     int max_decode_batch = 8;
 
     /**

@@ -131,6 +131,7 @@ TEST(BenchCheckTest, BaselineAgainstItselfPassesWithExactCounts)
     EXPECT_EQ(counts.at("shared-prefix served/100 pages"), 15);
     EXPECT_EQ(counts.at("zero-fault goodput"), 2);
     EXPECT_EQ(counts.at("pool shrink inside live budget"), 1);
+    EXPECT_EQ(counts.at("scheduler us/decision"), 4);
     EXPECT_EQ(counts.at("obs overhead ratio"), 2);
     EXPECT_EQ(counts.at("dynamic vs best static placement"), 3);
     EXPECT_EQ(counts.at("predictor median_rel_err"), 5);
@@ -232,6 +233,15 @@ TEST(BenchCheckTest, ObsOverheadOverItsBandFails)
     }
     ExpectFailsOnly(CheckMutated(fresh), "obs overhead ratio",
                     "overhead_ratio=1.6 exceeds 1.5");
+}
+
+TEST(BenchCheckTest, SchedulerDecisionOverItsCeilingFails)
+{
+    JsonValue fresh = Baseline();
+    Metrics(&fresh, "bench_scheduler_overhead")[0].object["us_per_decision"] =
+        Number(12.5);
+    ExpectFailsOnly(CheckMutated(fresh), "scheduler us/decision",
+                    "us_per_decision=12.5 exceeds 10");
 }
 
 TEST(BenchCheckTest, NonMonotoneSharedPrefixFails)

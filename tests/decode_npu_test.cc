@@ -501,7 +501,7 @@ TEST_F(NpuDecodeReplayTest, NpuDecodeProfileReshapesTheSchedule)
 {
     // Sanity on the cost plane feeding the replayed schedule: the NPU
     // placement flows into the profile, with the engine-provided batching
-    // marginal far below the serving default (one weight stream per step).
+    // marginal far below the CPU one (one weight stream per step).
     LlmNpuOptions options;
     options.decode_placement = DecodePlacement::kNpuQuant;
     LlmNpuEngine engine(options);
@@ -509,7 +509,13 @@ TEST_F(NpuDecodeReplayTest, NpuDecodeProfileReshapesTheSchedule)
         Qwen15_1_8B(), SocSpec::RedmiK70Pro(), {512, 16});
     EXPECT_EQ(profile.decode_placement, DecodePlacement::kNpuQuant);
     EXPECT_GE(profile.decode_batch_marginal, 0.0);
-    EXPECT_LT(profile.decode_batch_marginal, 0.15);
+    EXPECT_LT(profile.decode_batch_marginal, kDecodeBatchMarginal);
+    // Off its own placement the profile's CPU fallback path is batched at
+    // the CPU marginal, not at the NPU's.
+    const DecodePrice cpu_price =
+        profile.PriceAt(DecodePlacement::kCpuFloat);
+    EXPECT_EQ(cpu_price.token_ms, profile.cpu_decode_token_ms);
+    EXPECT_EQ(cpu_price.batch_marginal, kDecodeBatchMarginal);
     EXPECT_DOUBLE_EQ(profile.DecodeInterference(),
                      profile.npu_decode_interference);
     // NPU decode at B=1 pays the slower accelerator weight stream: a

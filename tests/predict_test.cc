@@ -464,6 +464,36 @@ TEST_F(SimulatorPolicyTest, DefaultAdmissionRejectsExactlyWholeDemandMisfits)
     EXPECT_EQ(result.rejected, misfits);
 }
 
+TEST_F(SimulatorPolicyTest, PredictorUsesBothPlacementsOnAnNpuPlacedProfile)
+{
+    // Over an NPU-placed profile the oracle must still batch CPU decode at
+    // the CPU marginal: priced at the NPU's near-zero one, CPU decode looks
+    // flat in the batch and a predictor never sends a member to the NPU.
+    LlmNpuOptions engine_options;
+    engine_options.decode_placement = DecodePlacement::kNpuQuant;
+    LlmNpuEngine engine(engine_options);
+    ServingCostModel costs(engine, qwen_, soc_);
+    ServingOptions options;
+    options.num_requests = 24;
+    options.rate_rps = 100.0;  // overlapping requests => deep batches
+    options.seed = 11;
+    options.max_decode_batch = 32;
+    options.placement_policy = std::make_shared<PredictedPlacement>(costs);
+    const ServingResult result =
+        ServingSimulator(costs, DecodeHeavyMix(), options).Run();
+
+    std::map<DecodePlacement, int> members;
+    for (const ReplayStep& step : result.replay_steps) {
+        if (step.is_prefill) continue;
+        ASSERT_EQ(step.placements.size(), step.request_ids.size());
+        for (DecodePlacement placement : step.placements) {
+            ++members[placement];
+        }
+    }
+    EXPECT_GT(members[DecodePlacement::kNpuQuant], 0);
+    EXPECT_GT(members[DecodePlacement::kCpuFloat], 0);
+}
+
 class DynamicPlacementReplayTest : public TinyModelTest
 {
   protected:

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "src/core/llmnpu_engine.h"
 #include "src/engines/baselines.h"
@@ -120,11 +121,56 @@ TEST_F(ServingFixture, LlmNpuDecompositionMatchesSingleShotRun)
     EXPECT_EQ(profile.decode_placement, DecodePlacement::kCpuFloat);
     EXPECT_DOUBLE_EQ(profile.DecodeInterference(),
                      profile.float_decode_interference);
-    EXPECT_LT(profile.decode_batch_marginal, 0.0);  // no engine override
+    // A CPU-placed profile carries the CPU marginal and prices its CPU
+    // fallback path at its own decode price.
+    EXPECT_EQ(profile.decode_batch_marginal, kDecodeBatchMarginal);
+    EXPECT_EQ(profile.cpu_decode_token_ms, profile.decode_token_ms);
     // Later chunks attend to longer kv: occupancy never shrinks.
     for (size_t c = 1; c < profile.chunk_ms.size(); ++c) {
         EXPECT_GE(profile.chunk_ms[c], profile.chunk_ms[c - 1]);
     }
+}
+
+TEST_F(ServingFixture, CpuDecodeStepFollowsTheCpuLawOnEveryProfile)
+{
+    // The calibrated oracle prices a CPU decode step by one law whatever
+    // the profile's own placement: the profile's CPU token price, each
+    // extra stream adding kDecodeBatchMarginal of it.
+    std::vector<std::unique_ptr<InferenceEngine>> engines =
+        MakePaperBaselines();
+    engines.push_back(std::make_unique<LlmNpuEngine>());
+    LlmNpuOptions npu_decode;
+    npu_decode.decode_placement = DecodePlacement::kNpuQuant;
+    npu_decode.label = "llm.npu (NPU decode)";
+    engines.push_back(std::make_unique<LlmNpuEngine>(npu_decode));
+    int priced = 0;
+    for (const std::unique_ptr<InferenceEngine>& engine : engines) {
+        if (!engine->SupportsModel(qwen_)) continue;
+        SCOPED_TRACE(engine->Name());
+        ++priced;
+        ServingCostModel costs(*engine, qwen_, soc_);
+        for (int ctx : {64, 512, 1024}) {
+            const double token_ms = costs.Costs({ctx, 1}).cpu_decode_token_ms;
+            for (int batch : {1, 2, 8, 32}) {
+                EXPECT_EQ(costs.StepMs(DecodePlacement::kCpuFloat, ctx, batch),
+                          token_ms *
+                              (1.0 + (batch - 1) * kDecodeBatchMarginal))
+                    << "ctx " << ctx << " batch " << batch;
+            }
+        }
+    }
+    EXPECT_GE(priced, 3);
+}
+
+TEST(DecodePriceDeathTest, CpuPlacedProfileCannotPriceTheNpu)
+{
+    // A profile prices its own placement and the CPU fallback path only:
+    // asking a single-processor baseline for an NPU step fails loudly
+    // instead of quietly reading its CPU price.
+    LlamaCppEngine engine;
+    EXPECT_DEATH(engine.DecodeStepMs(Qwen15_1_8B(), SocSpec::RedmiK70Pro(),
+                                     DecodePlacement::kNpuQuant, 512, 4),
+                 "placement == DecodePlacement::kCpuFloat");
 }
 
 TEST_F(ServingFixture, BaselineDefaultDecompositionIsMonolithic)
@@ -508,7 +554,7 @@ const GoldenCase kGoldenCases[] = {
          EXPECT_GT(r.shed, 0);
      }},
     {"predicted_placement_admission_faults", DecodePlacement::kCpuFloat,
-     0x5443680840dd080eULL,
+     0x58900fa8163fa8e7ULL,
      [](ServingOptions& o, ServingCostModel& costs) {
          o.rate_rps = 4.0;
          o.slo_factor = 6.0;
