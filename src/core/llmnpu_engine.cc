@@ -343,23 +343,12 @@ LlmNpuEngine::ServingCosts(const ModelConfig& config, const SocSpec& soc,
     profile.cpu_decode_token_ms =
         RequestDecode(config, soc, request, DecodePlacement::kCpuFloat).ms /
         std::max(1, request.output_len);
-
-    if (options_.decode_placement == DecodePlacement::kNpuQuant) {
-        profile.decode_token_ms =
-            RequestDecode(config, soc, request, DecodePlacement::kNpuQuant)
-                .ms /
-            std::max(1, request.output_len);
-        // The M=B decode matmul shares one weight stream across rows, so
-        // the engine knows its own (small) batching marginal.
-        profile.decode_batch_marginal =
-            DecodePrice::FromSteps(
-                NpuDecodeStep(config, soc, request.prompt_len, 1).TotalMs(),
-                NpuDecodeStep(config, soc, request.prompt_len, 2).TotalMs())
-                .batch_marginal;
-    } else {
-        profile.decode_token_ms = profile.cpu_decode_token_ms;
-        profile.decode_batch_marginal = kDecodeBatchMarginal;
-    }
+    profile.decode_token_ms =
+        options_.decode_placement == DecodePlacement::kNpuQuant
+            ? RequestDecode(config, soc, request, DecodePlacement::kNpuQuant)
+                      .ms /
+                  std::max(1, request.output_len)
+            : profile.cpu_decode_token_ms;
     return profile;
 }
 

@@ -6,16 +6,6 @@
 
 namespace llmnpu {
 
-DecodePrice
-ServingCostProfile::PriceAt(DecodePlacement placement) const
-{
-    if (placement == decode_placement) {
-        return {decode_token_ms, decode_batch_marginal};
-    }
-    LLMNPU_CHECK(placement == DecodePlacement::kCpuFloat);
-    return {cpu_decode_token_ms, kDecodeBatchMarginal};
-}
-
 ServingCostProfile
 InferenceEngine::ServingCosts(const ModelConfig& config, const SocSpec& soc,
                               const InferenceRequest& request)
@@ -33,7 +23,6 @@ InferenceEngine::ServingCosts(const ModelConfig& config, const SocSpec& soc,
     profile.decode_placement = DecodePlacement::kCpuFloat;
     profile.decode_token_ms =
         result.decode_ms / std::max(1, request.output_len);
-    profile.decode_batch_marginal = kDecodeBatchMarginal;
     profile.cpu_decode_token_ms = profile.decode_token_ms;
     profile.memory_bytes = result.memory_bytes;
     return profile;
@@ -44,9 +33,11 @@ InferenceEngine::DecodeStepMs(const ModelConfig& config, const SocSpec& soc,
                               DecodePlacement placement, int64_t kv_len,
                               int batch)
 {
+    LLMNPU_CHECK(placement == DecodePlacement::kCpuFloat);
     const InferenceRequest request{
         static_cast<int>(std::max<int64_t>(1, kv_len)), 1};
-    return ServingCosts(config, soc, request).PriceAt(placement).StepMs(batch);
+    return CpuDecodeStepMs(
+        ServingCosts(config, soc, request).cpu_decode_token_ms, batch);
 }
 
 }  // namespace llmnpu

@@ -72,29 +72,17 @@ struct EngineResult {
 
 /** Marginal cost of each extra batched decode stream on the CPU/GPU float
  *  processor, relative to the first (weights are streamed once per step;
- *  extra activations are cheap). Every CPU-resident decode price carries
- *  it, an NPU-placed profile's CPU fallback path included. */
+ *  extra activations are cheap). */
 constexpr double kDecodeBatchMarginal = 0.15;
 
-/** The price of one continuously batched decode step. */
-struct DecodePrice {
-    double token_ms = 0.0;        ///< the step with one stream
-    double batch_marginal = 0.0;  ///< each extra stream's share of it
-
-    /** Two-point fit of a step curve: the B=1 step, and the B=2 step's
-     *  excess over it (kDecodeBatchMarginal when the B=1 step is free). */
-    static DecodePrice FromSteps(double one_ms, double two_ms)
-    {
-        return {one_ms, one_ms > 0.0 ? std::max(0.0, two_ms / one_ms - 1.0)
-                                     : kDecodeBatchMarginal};
-    }
-
-    /** The batched-step law: token_ms * (1 + (B-1) * batch_marginal). */
-    double StepMs(int batch) const
-    {
-        return token_ms * (1.0 + (std::max(1, batch) - 1) * batch_marginal);
-    }
-};
+/** The batched-step law of the float processor: a continuously batched
+ *  CPU decode step of `batch` streams costs the one-stream step
+ *  `token_ms`, each extra stream adding kDecodeBatchMarginal of it. */
+inline double
+CpuDecodeStepMs(double token_ms, int batch)
+{
+    return token_ms * (1.0 + (std::max(1, batch) - 1) * kDecodeBatchMarginal);
+}
 
 /**
  * Cost decomposition of one request into schedulable quanta, the contract
@@ -102,8 +90,12 @@ struct DecodePrice {
  * sequence of accelerator-occupying chunks, decode as per-token steps.
  *
  * Invariant: PrefillMs() equals Run()'s prefill_ms and
- * decode_token_ms * output_len equals Run()'s decode_ms, so serving one
- * request at zero load reproduces the single-shot latency exactly.
+ * decode_token_ms * output_len equals Run()'s decode_ms. On a CPU-placed
+ * profile serving one request at zero load therefore reproduces the
+ * single-shot latency exactly; the serving simulator prices an NPU step
+ * per step through the calibrated oracle instead (ServingCostModel::StepMs,
+ * at a 64-token context bucket), so an NPU-placed request only
+ * approximates it.
  */
 struct ServingCostProfile {
     /** One-time preparation (amortized off the serving critical path). */
@@ -126,11 +118,11 @@ struct ServingCostProfile {
      *    time-slices the NPU with the chunk; the factor is the chunk's NPU
      *    busy fraction (near 1 minus scheduling bubbles).
      *
-     * `decode_placement` names the placement `decode_token_ms` was priced
-     * at; DecodeInterference() resolves the matching factor. The serving
-     * simulator floors the residual decode rate at 5%, so 1.0 (the
-     * single-processor default: prefill and decode share one unit) means
-     * decode is effectively blocked — a 20x slowdown — not an exact stall.
+     * The serving simulator applies the factor of the side the active
+     * step runs on (the NPU's when any member is NPU-placed) and floors
+     * the residual decode rate at 5%, so 1.0 (the single-processor
+     * default: prefill and decode share one unit) means decode is
+     * effectively blocked — a 20x slowdown — not an exact stall.
      */
     double float_decode_interference = 1.0;
     double npu_decode_interference = 1.0;
@@ -140,16 +132,12 @@ struct ServingCostProfile {
      *  priced at `decode_placement`. */
     double decode_token_ms = 0.0;
     /** Per-token decode service time on the CPU/GPU float-processor path
-     *  (packed int8-per-tensor linears). Equal to decode_token_ms on a
-     *  CPU-placed profile; priced as well when `decode_placement` is the
-     *  NPU, because the fault plane's circuit breaker and the placement
-     *  predictor move NPU-placed members onto this path mid-stream. */
+     *  (packed int8-per-tensor linears), the token price of
+     *  CpuDecodeStepMs. Equal to decode_token_ms on a CPU-placed profile;
+     *  priced as well when `decode_placement` is the NPU, because the
+     *  fault plane's circuit breaker and the placement predictor move
+     *  NPU-placed members onto this path mid-stream. */
     double cpu_decode_token_ms = 0.0;
-    /** Marginal of each extra batched stream at `decode_placement`:
-     *  kDecodeBatchMarginal on the float processor, the engine's own
-     *  (much smaller) figure on the NPU, where the M=B matvec rows share
-     *  one weight stream per step. */
-    double decode_batch_marginal = 0.0;
     int64_t memory_bytes = 0;
 
     double PrefillMs() const
@@ -157,19 +145,6 @@ struct ServingCostProfile {
         double total = 0.0;
         for (double ms : chunk_ms) total += ms;
         return total;
-    }
-
-    /** What a decode member at `placement` pays: the own price at
-     *  `decode_placement`, else the CPU fallback at kDecodeBatchMarginal.
-     *  The NPU off a CPU-placed profile fails loudly. */
-    DecodePrice PriceAt(DecodePlacement placement) const;
-
-    /** The interference factor matching `decode_placement`. */
-    double DecodeInterference() const
-    {
-        return decode_placement == DecodePlacement::kNpuQuant
-                   ? npu_decode_interference
-                   : float_decode_interference;
     }
 };
 
@@ -214,9 +189,9 @@ class InferenceEngine
      * PredictedPlacement decides against it, and the learned latency model
      * is fitted from it.
      *
-     * The default prices `placement` from the profile of a one-token
-     * request at `kv_len`: ServingCosts() -> PriceAt(placement) ->
-     * StepMs(batch). Engines with a real per-placement decomposition
+     * The default prices the float processor only: CpuDecodeStepMs over
+     * the CPU token price of a one-token request at `kv_len`. Asking it
+     * for the NPU fails loudly. Engines that decode on the NPU
      * (LlmNpuEngine's NpuDecodeStep) override.
      */
     virtual double DecodeStepMs(const ModelConfig& config, const SocSpec& soc,

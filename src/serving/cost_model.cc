@@ -21,7 +21,7 @@ ServingCostModel::IsolatedE2eMs(const InferenceRequest& request)
 {
     const ServingCostProfile& profile = Costs(request);
     return profile.PrefillMs() +
-           profile.decode_token_ms * request.output_len;
+           profile.cpu_decode_token_ms * request.output_len;
 }
 
 double

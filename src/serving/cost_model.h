@@ -39,8 +39,11 @@ class ServingCostModel : public predict::StepCostOracle
     /** The engine's decomposition of `request` (cached). */
     const ServingCostProfile& Costs(const InferenceRequest& request);
 
-    /** Isolated single-request latency under this decomposition: what the
-     *  request would take with the device to itself (SLO baseline). */
+    /** Isolated single-request latency in the paper's deployment: the
+     *  profile's prefill plus decode on the float processor
+     *  (cpu_decode_token_ms per token), whatever the profile's own
+     *  decode placement. It is the SLO baseline, so every profile of
+     *  one (engine, model, device) triple sets the same deadlines. */
     double IsolatedE2eMs(const InferenceRequest& request);
 
     /** Calibrated step price: the engine's DecodeStepMs at (placement,

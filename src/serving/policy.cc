@@ -111,8 +111,7 @@ PredictedSloAdmits(const AdmissionQuery& query)
         query.isolated_e2e_ms *
         std::max(1.0, query.signals.npu_service_scale) *
         (1.0 + query.signals.npu_fault_rate) *
-        DecodePrice{1.0, kDecodeBatchMarginal}.StepMs(
-            query.signals.decode_pool_depth + 1);
+        CpuDecodeStepMs(1.0, query.signals.decode_pool_depth + 1);
     const double predicted_finish =
         query.signals.now_ms + query.queued_prefill_ms + service_ms;
     return predicted_finish <= query.deadline_ms;

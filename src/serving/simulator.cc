@@ -255,14 +255,10 @@ class ServingRun
         ++npu_attempts_;
         npu_start_ = now_;
         npu_end_ = now_ + duration;
-        // The factor matching where this run's decode lives: the float
-        // processor the chunk's float stages hold, or the NPU itself.
-        // Dynamic placement keeps both factors at hand — the active step
-        // may sit on either side of the profile's own placement.
-        npu_interference_ = npu_job_.profile->DecodeInterference();
-        chunk_float_interference_ =
-            npu_job_.profile->float_decode_interference;
-        chunk_npu_interference_ = npu_job_.profile->npu_decode_interference;
+        // The chunk slows whichever side the active step runs on: the
+        // float processor its float stages hold, or the NPU itself.
+        chunk_float_factor_ = npu_job_.profile->float_decode_interference;
+        chunk_npu_factor_ = npu_job_.profile->npu_decode_interference;
         if (npu_fate_ == FaultPlane::ChunkFate::kOk) {
             result_.npu_busy_ms += duration;
         } else {
@@ -283,7 +279,13 @@ class ServingRun
         step_members_.clear();
         step_placements_.clear();
         std::vector<int> to_shed;
-        DecodePrice step_price;
+        // The two groups of a step run on different processors: the CPU
+        // members at the largest CPU token price, the NPU members at the
+        // oracle's price for their deepest context.
+        double cpu_token_ms = 0.0;
+        int cpu_members = 0;
+        int64_t npu_ctx = 0;
+        int npu_members = 0;
         // Placement decisions see the depth this step would run at and one
         // signal snapshot per step boundary (not per member), so every
         // decision is a pure function of the boundary's state and the
@@ -359,28 +361,14 @@ class ServingRun
                 }
                 state.decode_attempt = 0;
             }
-            // The profile prices its own placement and the CPU fallback.
-            // An off-profile NPU member is priced by the calibrated oracle:
-            // the predictor *decides* with whatever oracle it holds, but
-            // executed work stays in the calibrated plane.
-            DecodePrice price =
-                place == DecodePlacement::kNpuQuant &&
-                        place != profile.decode_placement
-                    ? DecodePrice::FromSteps(
-                          costs_.StepMs(place, context_len, 1),
-                          costs_.StepMs(place, context_len, 2))
-                    : profile.PriceAt(place);
-            if (fopts_.thermal.enabled &&
-                place == DecodePlacement::kNpuQuant) {
-                price.token_ms *= thermal_.ServiceScale();
+            if (place == DecodePlacement::kNpuQuant) {
+                npu_ctx = std::max(npu_ctx, context_len);
+                ++npu_members;
+            } else {
+                cpu_token_ms =
+                    std::max(cpu_token_ms, profile.cpu_decode_token_ms);
+                ++cpu_members;
             }
-            // The max across members keeps the step cost conservative and
-            // pool-order independent: a step with a CPU member is never
-            // batched below the CPU marginal.
-            step_price.token_ms = std::max(step_price.token_ms,
-                                           price.token_ms);
-            step_price.batch_marginal = std::max(step_price.batch_marginal,
-                                                 price.batch_marginal);
             step_members_.push_back(id);
             step_placements_.push_back(place);
         }
@@ -389,16 +377,19 @@ class ServingRun
             Shed(id, "decode_retry_budget");
         }
         if (step_members_.empty()) return;  // everyone backing off or shed
-        step_on_npu_ = false;
-        for (DecodePlacement member_place : step_placements_) {
-            if (member_place == DecodePlacement::kNpuQuant) {
-                step_on_npu_ = true;
-                ++npu_attempts_;
-            }
+        // A step holding both groups lasts as long as the slower one.
+        double step_ms =
+            cpu_members > 0 ? CpuDecodeStepMs(cpu_token_ms, cpu_members) : 0.0;
+        if (npu_members > 0) {
+            double npu_ms = costs_.StepMs(DecodePlacement::kNpuQuant,
+                                          npu_ctx, npu_members);
+            if (fopts_.thermal.enabled) npu_ms *= thermal_.ServiceScale();
+            step_ms = std::max(step_ms, npu_ms);
         }
+        step_on_npu_ = npu_members > 0;
+        npu_attempts_ += npu_members;
         step_active_ = true;
-        step_remaining_work_ =
-            step_price.StepMs(static_cast<int>(step_members_.size()));
+        step_remaining_work_ = step_ms;
         step_last_update_ = now_;
         step_start_ = now_;
     }
@@ -666,11 +657,8 @@ class ServingRun
 
     double DecodeRate() const
     {
-        double interference = npu_interference_;
-        if (predictor_ != nullptr && step_active_) {
-            interference = step_on_npu_ ? chunk_npu_interference_
-                                        : chunk_float_interference_;
-        }
+        const double interference =
+            step_on_npu_ ? chunk_npu_factor_ : chunk_float_factor_;
         return npu_busy_ ? std::max(0.05, 1.0 - interference) : 1.0;
     }
 
@@ -1004,7 +992,6 @@ class ServingRun
     std::vector<PendingPrefill> prefill_queue_;
     bool npu_busy_ = false;
     double npu_end_ = 0.0;
-    double npu_interference_ = 0.0;  // of the in-flight chunk's profile
     PendingPrefill npu_job_;
     double npu_start_ = 0.0;
     // Fate of the in-flight chunk attempt, drawn at dispatch.
@@ -1021,10 +1008,10 @@ class ServingRun
     // NPU dispatch attempts so far (chunk dispatches + NPU-placed decode
     // dispatches), denominator of the live fault-rate policy signal.
     int64_t npu_attempts_ = 0;
-    // The in-flight chunk's interference on each side, for dynamic
-    // placement: the chunk slows whichever side the active step runs on.
-    double chunk_float_interference_ = 0.0;
-    double chunk_npu_interference_ = 0.0;
+    // The in-flight chunk's interference factor on each side of the
+    // active step.
+    double chunk_float_factor_ = 0.0;
+    double chunk_npu_factor_ = 0.0;
     bool step_on_npu_ = false;  // any member of the active step NPU-placed
 };
 

@@ -42,11 +42,12 @@ struct ServingOptions {
      * orders the prefill queue FCFS. A null `placement_policy` places
      * every decode member where its engine profile says; a
      * PredictedPlacement instead decides per member at every step
-     * boundary with the live degradation signals, off-profile members are
-     * priced through the calibrated StepCostOracle, and the executed
+     * boundary with the live degradation signals, and the executed
      * placements are recorded on ReplayStep::placements for bitwise
-     * replay. A member the circuit breaker failed over decodes on the CPU
-     * in both modes. The whole-demand KV check always gates admission;
+     * replay. Either way a step is priced by where its members run (see
+     * max_decode_batch), never by the profile's own placement. A member
+     * the circuit breaker failed over decodes on the CPU in both modes.
+     * The whole-demand KV check always gates admission;
      * `predicted_slo_admission` adds PredictedSloAdmits. A run with the
      * defaults is bit-identical to the pre-control-plane simulator.
      */
@@ -66,13 +67,17 @@ struct ServingOptions {
     uint64_t seed = 42;
 
     /** Deadline = arrival + slo_factor * isolated single-request latency
-     *  (per request shape, so short UI-automation requests carry tight
-     *  absolute deadlines). <= 0 disables SLOs (deadline = +inf). */
+     *  (ServingCostModel::IsolatedE2eMs, per request shape, so short
+     *  UI-automation requests carry tight absolute deadlines). <= 0
+     *  disables SLOs (deadline = +inf). */
     double slo_factor = 3.0;
 
-    /** Continuous-batching decode: max requests per decode step. A step
-     *  is priced by DecodePrice::StepMs at the largest token price and
-     *  batch marginal among its members (ServingCostProfile::PriceAt). */
+    /** Continuous-batching decode: max requests per decode step. A step's
+     *  CPU members cost CpuDecodeStepMs at their largest
+     *  cpu_decode_token_ms; its NPU members cost the calibrated oracle's
+     *  ServingCostModel::StepMs at their deepest context (scaled by the
+     *  thermal service scale); a step holding both groups lasts as long
+     *  as the slower one, since they run on different processors. */
     int max_decode_batch = 8;
 
     /**

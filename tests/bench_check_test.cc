@@ -284,12 +284,24 @@ TEST(BenchCheckTest, SharedPrefixWithNoWinFails)
 
 TEST(BenchCheckTest, DynamicBelowBestStaticFails)
 {
+    // The predicted row at 4x drops to 0.9x the best static row at 4x.
     JsonValue fresh = Baseline();
+    auto at_4x = [](const JsonValue& row) {
+        return row.object.at("mode").str == "policy_sweep" &&
+               row.object.at("offered_ratio").number == 4.0;
+    };
+    double best_static = 0.0;
+    for (const JsonValue& row : Metrics(&fresh, "bench_serving")) {
+        if (at_4x(row) &&
+            row.object.at("placement_policy").str != "predicted") {
+            best_static = std::max(best_static,
+                                   row.object.at("goodput_rps").number);
+        }
+    }
+    ASSERT_GT(best_static, 0.0);
     for (JsonValue& row : Metrics(&fresh, "bench_serving")) {
-        if (row.object["mode"].str == "policy_sweep" &&
-            row.object["placement_policy"].str == "predicted" &&
-            row.object["offered_ratio"].number == 4.0) {
-            row.object["goodput_rps"] = Number(0.2);
+        if (at_4x(row) && row.object["placement_policy"].str == "predicted") {
+            row.object["goodput_rps"] = Number(0.9 * best_static);
         }
     }
     ExpectFailsOnly(CheckMutated(fresh), "dynamic vs best static placement",

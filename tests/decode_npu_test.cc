@@ -500,24 +500,23 @@ TEST_F(NpuDecodeReplayTest, NpuDecodeScheduleReplaysBitwise)
 TEST_F(NpuDecodeReplayTest, NpuDecodeProfileReshapesTheSchedule)
 {
     // Sanity on the cost plane feeding the replayed schedule: the NPU
-    // placement flows into the profile, with the engine-provided batching
-    // marginal far below the CPU one (one weight stream per step).
+    // placement flows into the profile, and the engine's NPU step grows
+    // far slower in the batch than the CPU law (one weight stream per
+    // step).
     LlmNpuOptions options;
     options.decode_placement = DecodePlacement::kNpuQuant;
     LlmNpuEngine engine(options);
     const ServingCostProfile profile = engine.ServingCosts(
         Qwen15_1_8B(), SocSpec::RedmiK70Pro(), {512, 16});
     EXPECT_EQ(profile.decode_placement, DecodePlacement::kNpuQuant);
-    EXPECT_GE(profile.decode_batch_marginal, 0.0);
-    EXPECT_LT(profile.decode_batch_marginal, kDecodeBatchMarginal);
-    // Off its own placement the profile's CPU fallback path is batched at
-    // the CPU marginal, not at the NPU's.
-    const DecodePrice cpu_price =
-        profile.PriceAt(DecodePlacement::kCpuFloat);
-    EXPECT_EQ(cpu_price.token_ms, profile.cpu_decode_token_ms);
-    EXPECT_EQ(cpu_price.batch_marginal, kDecodeBatchMarginal);
-    EXPECT_DOUBLE_EQ(profile.DecodeInterference(),
-                     profile.npu_decode_interference);
+    const double one = engine.DecodeStepMs(Qwen15_1_8B(),
+                                           SocSpec::RedmiK70Pro(),
+                                           DecodePlacement::kNpuQuant, 512, 1);
+    const double two = engine.DecodeStepMs(Qwen15_1_8B(),
+                                           SocSpec::RedmiK70Pro(),
+                                           DecodePlacement::kNpuQuant, 512, 2);
+    EXPECT_GE(two, one);
+    EXPECT_LT(two, CpuDecodeStepMs(one, 2));
     // NPU decode at B=1 pays the slower accelerator weight stream: a
     // single-token step costs more than the CPU-resident decode token.
     LlmNpuEngine cpu_engine;

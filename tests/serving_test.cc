@@ -119,11 +119,8 @@ TEST_F(ServingFixture, LlmNpuDecompositionMatchesSingleShotRun)
     EXPECT_LE(profile.npu_decode_interference, 0.95);
     // Default placement is the paper's: decode on the float processor.
     EXPECT_EQ(profile.decode_placement, DecodePlacement::kCpuFloat);
-    EXPECT_DOUBLE_EQ(profile.DecodeInterference(),
-                     profile.float_decode_interference);
-    // A CPU-placed profile carries the CPU marginal and prices its CPU
-    // fallback path at its own decode price.
-    EXPECT_EQ(profile.decode_batch_marginal, kDecodeBatchMarginal);
+    // A CPU-placed profile prices its CPU fallback path at its own decode
+    // price.
     EXPECT_EQ(profile.cpu_decode_token_ms, profile.decode_token_ms);
     // Later chunks attend to longer kv: occupancy never shrinks.
     for (size_t c = 1; c < profile.chunk_ms.size(); ++c) {
@@ -185,7 +182,7 @@ TEST_F(ServingFixture, BaselineDefaultDecompositionIsMonolithic)
     // Single-processor: both placement factors fully blocked.
     EXPECT_DOUBLE_EQ(profile.float_decode_interference, 1.0);
     EXPECT_DOUBLE_EQ(profile.npu_decode_interference, 1.0);
-    EXPECT_DOUBLE_EQ(profile.DecodeInterference(), 1.0);
+    EXPECT_EQ(profile.decode_placement, DecodePlacement::kCpuFloat);
     EXPECT_NEAR(profile.decode_token_ms * request.output_len, run.decode_ms,
                 run.decode_ms * 1e-9);
 }
@@ -515,7 +512,7 @@ const GoldenCase kGoldenCases[] = {
          EXPECT_GT(r.shared_prefix_drops, 0);
          EXPECT_GT(r.evictions, 0);
      }},
-    {"faults_breaker_k2", DecodePlacement::kNpuQuant, 0xd450992f39207fafULL,
+    {"faults_breaker_k2", DecodePlacement::kNpuQuant, 0x86123655c3ae75acULL,
      [](ServingOptions& o, ServingCostModel&) {
          o.rate_rps = 2.0;
          ChunkAndDecodeFaults(o);
@@ -554,7 +551,7 @@ const GoldenCase kGoldenCases[] = {
          EXPECT_GT(r.shed, 0);
      }},
     {"predicted_placement_admission_faults", DecodePlacement::kCpuFloat,
-     0x58900fa8163fa8e7ULL,
+     0xe73e7946ab52e89bULL,
      [](ServingOptions& o, ServingCostModel& costs) {
          o.rate_rps = 4.0;
          o.slo_factor = 6.0;
@@ -586,6 +583,158 @@ TEST_F(ServingFixture, GoldenScheduleHashesAreUnchanged)
         EXPECT_EQ(ScheduleHash(result), golden.hash)
             << std::hex << "0x" << ScheduleHash(result);
     }
+}
+
+// ------------------------------------------------ one decode-step price
+
+/** The policy-sweep workload shape: decode-heavy, so the decode pool
+ *  deepens past the CPU/NPU crossover under load. */
+const std::vector<DatasetProfile> kDecodeHeavy{
+    {"decode-heavy", "step price", 48, 96, 160, 256}};
+
+ServingResult
+RunOnPlacement(DecodePlacement engine_decode, ServingOptions options,
+               bool predicted, const std::vector<DatasetProfile>& mix)
+{
+    LlmNpuOptions engine_options;
+    engine_options.decode_placement = engine_decode;
+    LlmNpuEngine engine(engine_options);
+    ServingCostModel costs(engine, Qwen15_1_8B(), SocSpec::RedmiK70Pro());
+    if (predicted) {
+        options.placement_policy = std::make_shared<PredictedPlacement>(costs);
+    }
+    return ServingSimulator(costs, mix, options).Run();
+}
+
+TEST_F(ServingFixture, EveryDecodeStepCostsTheOneRule)
+{
+    // The faults_breaker_k2 run without its chunk faults (a faulted chunk
+    // leaves no trace record, so a step it slowed could not be told from
+    // a clean one). Decode faults and the breaker give CPU-only, NPU-only
+    // and mixed steps. A step that overlaps no prefill chunk runs at full
+    // rate, so it lasts exactly its price: the CPU group at the CPU law
+    // over its largest CPU token price, the NPU group at the oracle's
+    // price for its deepest context, the step the slower of the two.
+    LlmNpuOptions engine_options;
+    engine_options.decode_placement = DecodePlacement::kNpuQuant;
+    LlmNpuEngine engine(engine_options);
+    ServingCostModel costs(engine, qwen_, soc_);
+    ServingOptions options = GoldenBase();
+    options.rate_rps = 2.0;
+    options.faults.decode_failure_prob = 0.2;
+    options.faults.circuit_breaker_k = 2;
+    const ServingResult result = ServingSimulator(costs, mix_, options).Run();
+    ASSERT_EQ(result.replay_steps.size(), result.trace.records.size());
+
+    std::vector<const TaskRecord*> chunks;
+    for (size_t si = 0; si < result.replay_steps.size(); ++si) {
+        if (result.replay_steps[si].is_prefill) {
+            chunks.push_back(&result.trace.records[si]);
+        }
+    }
+    std::vector<int> tokens(result.records.size(), 0);
+    int checked[3] = {0, 0, 0};  // CPU-only, NPU-only, mixed
+    for (size_t si = 0; si < result.replay_steps.size(); ++si) {
+        const ReplayStep& step = result.replay_steps[si];
+        if (step.is_prefill) continue;
+        ASSERT_EQ(step.placements.size(), step.request_ids.size());
+        double cpu_token_ms = 0.0;
+        int cpu_members = 0;
+        int64_t npu_ctx = 0;
+        int npu_members = 0;
+        for (size_t mi = 0; mi < step.request_ids.size(); ++mi) {
+            const size_t id = static_cast<size_t>(step.request_ids[mi]);
+            const ServingRequest& request = result.records[id].request;
+            const int64_t ctx =
+                static_cast<int64_t>(request.prompt_len) + tokens[id]++;
+            if (step.placements[mi] == DecodePlacement::kNpuQuant) {
+                npu_ctx = std::max(npu_ctx, ctx);
+                ++npu_members;
+            } else {
+                cpu_token_ms = std::max(
+                    cpu_token_ms,
+                    costs.Costs(request.ServedInference()).cpu_decode_token_ms);
+                ++cpu_members;
+            }
+        }
+        const TaskRecord& interval = result.trace.records[si];
+        const bool overlapped = std::any_of(
+            chunks.begin(), chunks.end(), [&](const TaskRecord* chunk) {
+                return chunk->start_ms < interval.end_ms &&
+                       interval.start_ms < chunk->end_ms;
+            });
+        if (overlapped) continue;
+        const double cpu_ms =
+            cpu_members > 0
+                ? cpu_token_ms * (1.0 + (cpu_members - 1) * kDecodeBatchMarginal)
+                : 0.0;
+        const double npu_ms =
+            npu_members > 0
+                ? costs.StepMs(DecodePlacement::kNpuQuant, npu_ctx,
+                               npu_members)
+                : 0.0;
+        const double price = std::max(cpu_ms, npu_ms);
+        EXPECT_NEAR(interval.end_ms - interval.start_ms, price, price * 1e-9)
+            << "step " << si << ": " << cpu_members << " CPU + "
+            << npu_members << " NPU members";
+        ++checked[npu_members == 0 ? 0 : cpu_members == 0 ? 1 : 2];
+    }
+    EXPECT_GT(checked[0], 0) << "no clean CPU-only step";
+    EXPECT_GT(checked[1], 0) << "no clean NPU-only step";
+    EXPECT_GT(checked[2], 0) << "no clean mixed step";
+}
+
+TEST_F(ServingFixture, PredictedRunIgnoresTheProfilesOwnPlacement)
+{
+    // Under a predictor every member's placement and every step's price
+    // come from where the member runs, so the two llm.npu profiles,
+    // identical but for their own decode placement, serve one schedule.
+    ServingOptions options;
+    options.num_requests = 24;
+    options.rate_rps = 100.0;
+    options.seed = 11;
+    options.max_decode_batch = 32;
+    const ServingResult on_npu = RunOnPlacement(
+        DecodePlacement::kNpuQuant, options, /*predicted=*/true, kDecodeHeavy);
+    const ServingResult on_cpu = RunOnPlacement(
+        DecodePlacement::kCpuFloat, options, /*predicted=*/true, kDecodeHeavy);
+    EXPECT_TRUE(RanDecodeOn(on_npu, DecodePlacement::kNpuQuant));
+    EXPECT_TRUE(RanDecodeOn(on_npu, DecodePlacement::kCpuFloat));
+    EXPECT_EQ(on_npu.makespan_ms, on_cpu.makespan_ms);
+    EXPECT_EQ(ScheduleHash(on_npu), ScheduleHash(on_cpu))
+        << std::hex << "0x" << ScheduleHash(on_npu) << " vs 0x"
+        << ScheduleHash(on_cpu);
+}
+
+TEST_F(ServingFixture, FailedOverNpuRunMatchesTheCpuPlacedRun)
+{
+    // Decode interference follows the step, not the profile: on an
+    // NPU-placed profile whose every member fails over at its first NPU
+    // dispatch (near-certain decode faults, a breaker of one), every step
+    // is a CPU step and must be slowed by the float factor, exactly as
+    // the fault-free CPU-placed run.
+    ServingOptions options;
+    options.num_requests = 24;
+    options.rate_rps = 2.0;
+    options.seed = 11;
+    const ServingResult on_cpu = RunOnPlacement(
+        DecodePlacement::kCpuFloat, options, /*predicted=*/false, kDecodeHeavy);
+    options.faults.decode_failure_prob = 0.999999;
+    options.faults.circuit_breaker_k = 1;
+    const ServingResult failed_over = RunOnPlacement(
+        DecodePlacement::kNpuQuant, options, /*predicted=*/false, kDecodeHeavy);
+    EXPECT_EQ(failed_over.failovers, 24);
+    EXPECT_GT(on_cpu.preemptions, 0);  // steps did overlap chunks
+    ASSERT_EQ(failed_over.trace.records.size(), on_cpu.trace.records.size());
+    for (size_t i = 0; i < on_cpu.trace.records.size(); ++i) {
+        EXPECT_EQ(failed_over.trace.records[i].start_ms,
+                  on_cpu.trace.records[i].start_ms)
+            << "interval " << i;
+        EXPECT_EQ(failed_over.trace.records[i].end_ms,
+                  on_cpu.trace.records[i].end_ms)
+            << "interval " << i;
+    }
+    EXPECT_EQ(failed_over.makespan_ms, on_cpu.makespan_ms);
 }
 
 TEST_F(ServingFixture, ServingWorksOverBaselineEnginesToo)
