@@ -296,8 +296,6 @@ LlmNpuEngine::ServingCosts(const ModelConfig& config, const SocSpec& soc,
     const PrefillDetail detail =
         SimulatePrefill(config, soc, request.prompt_len);
     ServingCostProfile profile;
-    profile.prepare_ms = detail.prepare_ms;
-    profile.memory_bytes = detail.memory_bytes;
 
     // Split the prefill makespan into per-chunk quanta proportional to each
     // chunk's stage work (later chunks attend to longer kv and cost more),
@@ -338,17 +336,12 @@ LlmNpuEngine::ServingCosts(const ModelConfig& config, const SocSpec& soc,
     profile.npu_decode_interference = busy_fraction(Unit::kNpu);
     profile.decode_placement = options_.decode_placement;
 
-    // The float-processor price is needed at every placement: it is the
-    // CPU fallback path of an NPU-placed profile.
+    // The float-processor price is the only per-token one: an NPU step is
+    // priced by the calibrated oracle (DecodeStepMs) at its batch and
+    // context, never from a profile mean.
     profile.cpu_decode_token_ms =
         RequestDecode(config, soc, request, DecodePlacement::kCpuFloat).ms /
         std::max(1, request.output_len);
-    profile.decode_token_ms =
-        options_.decode_placement == DecodePlacement::kNpuQuant
-            ? RequestDecode(config, soc, request, DecodePlacement::kNpuQuant)
-                      .ms /
-                  std::max(1, request.output_len)
-            : profile.cpu_decode_token_ms;
     return profile;
 }
 

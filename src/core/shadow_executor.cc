@@ -102,12 +102,6 @@ NpuShadowExecutor::AddShadowTerm(const PreparedLinear& pl,
 }
 
 Tensor
-NpuShadowExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
-{
-    return ForwardBatch(layer, kind, x, {0, x.Rows()});
-}
-
-Tensor
 NpuShadowExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
                                 const BatchSegments& segments)
 {

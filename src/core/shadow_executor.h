@@ -54,15 +54,13 @@ class NpuShadowExecutor : public LinearExecutor
     NpuShadowExecutor(const ModelWeights& weights,
                       const OutlierProfile& profile, double pruning_rate);
 
-    Tensor Forward(int layer, LinearKind kind, const Tensor& x) override;
-
     /**
-     * Batched entry: the NPU term (static clip scale, per-tensor INT8) is
-     * row-independent, so the whole stack runs as one packed W8A8 matmul;
-     * outlier extraction and the compact shadow matmul stay per sequence,
-     * since the extracted channel set is a property of one sequence's
-     * activations. Stats advance exactly as B sequential Forward calls
-     * would. Bitwise identical to per-segment Forward.
+     * The NPU term (static clip scale, per-tensor INT8) is row-independent,
+     * so the whole stack runs as one packed W8A8 matmul; outlier
+     * extraction and the compact shadow matmul stay per sequence, since
+     * the extracted channel set is a property of one sequence's
+     * activations. Stats advance exactly as B one-segment calls would.
+     * Bitwise identical to per-segment calls.
      */
     Tensor ForwardBatch(int layer, LinearKind kind, const Tensor& x,
                         const BatchSegments& segments) override;

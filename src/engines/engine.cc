@@ -12,7 +12,6 @@ InferenceEngine::ServingCosts(const ModelConfig& config, const SocSpec& soc,
 {
     const EngineResult result = Run(config, soc, request);
     ServingCostProfile profile;
-    profile.prepare_ms = result.prepare_ms;
     profile.chunk_ms = {result.prefill_ms};
     // Single-processor engines run prefill and decode on the same unit: a
     // prefill in flight leaves nothing for concurrent decode wherever that
@@ -21,10 +20,8 @@ InferenceEngine::ServingCosts(const ModelConfig& config, const SocSpec& soc,
     profile.float_decode_interference = 1.0;
     profile.npu_decode_interference = 1.0;
     profile.decode_placement = DecodePlacement::kCpuFloat;
-    profile.decode_token_ms =
+    profile.cpu_decode_token_ms =
         result.decode_ms / std::max(1, request.output_len);
-    profile.cpu_decode_token_ms = profile.decode_token_ms;
-    profile.memory_bytes = result.memory_bytes;
     return profile;
 }
 

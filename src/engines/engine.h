@@ -89,17 +89,15 @@ CpuDecodeStepMs(double token_ms, int batch)
  * between engines and the serving layer (src/serving): prefill as a
  * sequence of accelerator-occupying chunks, decode as per-token steps.
  *
- * Invariant: PrefillMs() equals Run()'s prefill_ms and
- * decode_token_ms * output_len equals Run()'s decode_ms. On a CPU-placed
- * profile serving one request at zero load therefore reproduces the
- * single-shot latency exactly; the serving simulator prices an NPU step
- * per step through the calibrated oracle instead (ServingCostModel::StepMs,
- * at a 64-token context bucket), so an NPU-placed request only
- * approximates it.
+ * Invariant: PrefillMs() equals Run()'s prefill_ms and, on a CPU-placed
+ * profile, IsolatedDecodeMs(output_len) equals Run()'s decode_ms. On a
+ * CPU-placed profile serving one request at zero load therefore
+ * reproduces the single-shot latency exactly; the serving simulator prices
+ * an NPU step per step through the calibrated oracle instead
+ * (ServingCostModel::StepMs, at a 64-token context bucket), so an
+ * NPU-placed request only approximates it.
  */
 struct ServingCostProfile {
-    /** One-time preparation (amortized off the serving critical path). */
-    double prepare_ms = 0.0;
     /** Accelerator occupancy of each prefill chunk, in execution order.
      *  Single-processor engines expose one monolithic chunk. */
     std::vector<double> chunk_ms;
@@ -128,23 +126,27 @@ struct ServingCostProfile {
     double npu_decode_interference = 1.0;
     DecodePlacement decode_placement = DecodePlacement::kCpuFloat;
 
-    /** Per-token decode service time at the request's context length,
-     *  priced at `decode_placement`. */
-    double decode_token_ms = 0.0;
     /** Per-token decode service time on the CPU/GPU float-processor path
-     *  (packed int8-per-tensor linears), the token price of
-     *  CpuDecodeStepMs. Equal to decode_token_ms on a CPU-placed profile;
-     *  priced as well when `decode_placement` is the NPU, because the
-     *  fault plane's circuit breaker and the placement predictor move
-     *  NPU-placed members onto this path mid-stream. */
+     *  (packed int8-per-tensor linears) at the request's context length,
+     *  the token price of CpuDecodeStepMs. Priced at every placement: the
+     *  paper's deployment decodes here, the fault plane's circuit breaker
+     *  and the placement predictor move NPU-placed members here
+     *  mid-stream, and SLO deadlines are set from it. */
     double cpu_decode_token_ms = 0.0;
-    int64_t memory_bytes = 0;
 
     double PrefillMs() const
     {
         double total = 0.0;
         for (double ms : chunk_ms) total += ms;
         return total;
+    }
+
+    /** Decode time of `output_len` tokens served alone on the float
+     *  processor: the decode estimate of SLO deadlines, the queue order
+     *  and brownout shedding, whatever `decode_placement` is. */
+    double IsolatedDecodeMs(int output_len) const
+    {
+        return cpu_decode_token_ms * output_len;
     }
 };
 

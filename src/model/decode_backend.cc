@@ -48,25 +48,10 @@ DecodeBackend::DecodeBackend(LinearExecutor& cpu_float,
 {}
 
 void
-DecodeBackend::SetUniformPlacement(DecodePlacement placement)
-{
-    uniform_ = placement;
-    step_placements_.clear();
-}
-
-void
 DecodeBackend::SetStepPlacements(std::vector<DecodePlacement> placements)
 {
     LLMNPU_CHECK(!placements.empty());
     step_placements_ = std::move(placements);
-}
-
-DecodePlacement
-DecodeBackend::PlacementFor(size_t segment) const
-{
-    if (step_placements_.empty()) return uniform_;
-    LLMNPU_CHECK_LT(segment, step_placements_.size());
-    return step_placements_[segment];
 }
 
 std::string
@@ -76,20 +61,12 @@ DecodeBackend::Name() const
 }
 
 Tensor
-DecodeBackend::Forward(int layer, LinearKind kind, const Tensor& x)
-{
-    return ForwardBatch(layer, kind, x, {0, x.Rows()});
-}
-
-Tensor
 DecodeBackend::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
                             const BatchSegments& segments)
 {
     CheckBatchSegments(x, segments);
     const size_t num_segments = segments.size() - 1;
-    if (!step_placements_.empty()) {
-        LLMNPU_CHECK_EQ(step_placements_.size(), num_segments);
-    }
+    LLMNPU_CHECK_EQ(step_placements_.size(), num_segments);
 
     HandoffCounters& c = Counters();
 
@@ -99,9 +76,9 @@ DecodeBackend::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
     // whole stack passes x and segments on without a copy.
     Tensor out;
     for (size_t first = 0; first < num_segments;) {
-        const DecodePlacement placement = PlacementFor(first);
+        const DecodePlacement placement = step_placements_[first];
         size_t last = first + 1;
-        while (last < num_segments && PlacementFor(last) == placement) {
+        while (last < num_segments && step_placements_[last] == placement) {
             ++last;
         }
         const bool whole = first == 0 && last == num_segments;

@@ -49,9 +49,10 @@ struct HandoffStats {
  * quantized path, per batch segment.
  *
  * The backend is itself a LinearExecutor, so Transformer::Forward /
- * ForwardBatch run through it unchanged; callers set the placement state
- * before each step (SetUniformPlacement for whole-step routing,
- * SetStepPlacements for per-sequence routing inside one batched step).
+ * ForwardBatch run through it unchanged; callers set one placement per
+ * batch segment (SetStepPlacements, or Transformer::ForwardBatchPlaced)
+ * before each step. A forward before any placement was set fails loudly:
+ * there is no default processor.
  *
  * Bitwise contract: a segment routed to placement P produces rows bitwise
  * identical to forwarding that segment alone through P's executor — mixed
@@ -66,9 +67,6 @@ class DecodeBackend : public LinearExecutor
      *  @param npu_quant the quantized path (typically NpuShadowExecutor). */
     DecodeBackend(LinearExecutor& cpu_float, LinearExecutor& npu_quant);
 
-    /** Routes every segment of subsequent steps to `placement`. */
-    void SetUniformPlacement(DecodePlacement placement);
-
     /**
      * Per-segment routing for the next ForwardBatch call(s): segment i of
      * the stacked activation executes on `placements[i]`. Size must match
@@ -77,7 +75,6 @@ class DecodeBackend : public LinearExecutor
      */
     void SetStepPlacements(std::vector<DecodePlacement> placements);
 
-    Tensor Forward(int layer, LinearKind kind, const Tensor& x) override;
     Tensor ForwardBatch(int layer, LinearKind kind, const Tensor& x,
                         const BatchSegments& segments) override;
     std::string Name() const override;
@@ -88,14 +85,10 @@ class DecodeBackend : public LinearExecutor
     /** Zeroes stats(); the registry counters keep their totals. */
     void ResetStats() { stats_ = HandoffStats{}; }
 
-    /** The placement segment i of the current step routes to. */
-    DecodePlacement PlacementFor(size_t segment) const;
-
   private:
     LinearExecutor& cpu_float_;
     LinearExecutor& npu_quant_;
-    DecodePlacement uniform_ = DecodePlacement::kCpuFloat;
-    std::vector<DecodePlacement> step_placements_;  ///< empty => uniform_
+    std::vector<DecodePlacement> step_placements_;  ///< one per segment
     HandoffStats stats_;
 };
 

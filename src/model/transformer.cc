@@ -44,32 +44,9 @@ CheckBatchSegments(const Tensor& x, const BatchSegments& segments)
 }
 
 Tensor
-LinearExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
-                             const BatchSegments& segments)
+LinearExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
 {
-    CheckBatchSegments(x, segments);
-    if (segments.size() == 2) return Forward(layer, kind, x);
-    // Reference path: each segment forwarded alone, outputs scattered back.
-    // Bitwise identical to sequential execution by construction.
-    Tensor out;
-    for (size_t i = 0; i + 1 < segments.size(); ++i) {
-        const int64_t r0 = segments[i];
-        const int64_t rows = segments[i + 1] - r0;
-        Tensor y = Forward(layer, kind, x.CopyRows(r0, rows));
-        if (out.Rank() == 0) {
-            out = Tensor({x.Rows(), y.Cols()}, DType::kF32);
-        }
-        out.PasteRows(y, r0);
-    }
-    return out;
-}
-
-Tensor
-Fp32LinearExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
-{
-    // The weights hold every linear as packed panels only, so every
-    // forward hits the tiled kernel with zero packing cost.
-    return MatMulF32Packed(x, weights_.PackedLinear(layer, kind));
+    return ForwardBatch(layer, kind, x, {0, x.Rows()});
 }
 
 Tensor
@@ -78,7 +55,7 @@ Fp32LinearExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
 {
     // The tiled f32 kernel computes every output row with a fixed
     // K-ascending accumulation that does not depend on the other rows, so
-    // the whole stack runs as one matmul.
+    // the whole stack runs as one matmul over the packed panels.
     (void)segments;
     return MatMulF32Packed(x, weights_.PackedLinear(layer, kind));
 }

@@ -44,28 +44,30 @@ class LinearExecutor
   public:
     virtual ~LinearExecutor() = default;
 
-    /** @param x f32 activations [seq x k]; @return f32 [seq x n]. */
-    virtual Tensor Forward(int layer, LinearKind kind, const Tensor& x) = 0;
-
     /**
-     * Batched entry point: `x` stacks B sequences' activations row-block by
-     * row-block ([sum(m_i) x k], boundaries in `segments`); @return the
-     * stacked [sum(m_i) x n] outputs.
+     * The one entry point every executor implements: `x` stacks B
+     * sequences' activations row-block by row-block ([sum(m_i) x k],
+     * boundaries in `segments`); @return the stacked [sum(m_i) x n]
+     * outputs.
      *
      * Contract: rows of the result are bitwise identical to calling
-     * Forward() on each segment alone. The base implementation does exactly
-     * that (slice, forward, scatter; a single segment goes straight to
-     * Forward, with no copy); executors whose per-row math is
+     * ForwardBatch on each segment alone. Executors whose per-row math is
      * independent of the other rows (fp32, static-scale and per-row-scale
-     * quantizers, the shadow executor's NPU term) override it with one
-     * stacked kernel call so B concurrent m=1 matvecs become a single m=B
-     * tiled matmul. Executors with batch-global dynamics (PerTensorExecutor
-     * derives its activation scale from all rows of x) must keep the
-     * per-segment path — a stacked call would change every sequence's
+     * quantizers, the shadow executor's NPU term) run the stack as one
+     * kernel call, so B concurrent m=1 matvecs become a single m=B tiled
+     * matmul. An executor with batch-global dynamics (PerTensorExecutor
+     * derives its activation scale from all rows of x) forwards each
+     * segment alone — a stacked call would change every sequence's
      * quantization grid.
      */
     virtual Tensor ForwardBatch(int layer, LinearKind kind, const Tensor& x,
-                                const BatchSegments& segments);
+                                const BatchSegments& segments) = 0;
+
+    /** One-sequence call: ForwardBatch(layer, kind, x, {0, x.Rows()}).
+     *  Executors do not override it; it is virtual only for the
+     *  benchmark's tracing wrapper (benchmark/src/layers.h).
+     *  @param x f32 activations [seq x k]; @return f32 [seq x n]. */
+    virtual Tensor Forward(int layer, LinearKind kind, const Tensor& x);
 
     /** Algorithm name for reports ("FP16", "SmoothQuant", ...). */
     virtual std::string Name() const = 0;
@@ -79,7 +81,6 @@ class Fp32LinearExecutor : public LinearExecutor
         : weights_(weights)
     {}
 
-    Tensor Forward(int layer, LinearKind kind, const Tensor& x) override;
     /** One stacked matmul over the packed panels (rows are independent). */
     Tensor ForwardBatch(int layer, LinearKind kind, const Tensor& x,
                         const BatchSegments& segments) override;

@@ -80,11 +80,29 @@ PerTensorExecutor::PerTensorExecutor(const ModelWeights& weights)
 {}
 
 Tensor
-PerTensorExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
+PerTensorExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
+                                const BatchSegments& segments)
 {
-    const QuantParams params = ComputeSymmetricScale(x);
-    Tensor x_q = QuantizeSymmetric(x, params);
-    return MatMulW8A8PerTensorPacked(x_q, params.scale, q_(layer, kind));
+    CheckBatchSegments(x, segments);
+    const PackedWeightsI8& w = q_(layer, kind);
+    auto forward = [&w](const Tensor& rows) {
+        const QuantParams params = ComputeSymmetricScale(rows);
+        return MatMulW8A8PerTensorPacked(QuantizeSymmetric(rows, params),
+                                         params.scale, w);
+    };
+    if (segments.size() == 2) return forward(x);
+    // Each segment quantized at its own scale, outputs scattered back:
+    // bitwise identical to sequential execution by construction.
+    Tensor out;
+    for (size_t i = 0; i + 1 < segments.size(); ++i) {
+        const int64_t r0 = segments[i];
+        Tensor y = forward(x.CopyRows(r0, segments[i + 1] - r0));
+        if (out.Rank() == 0) {
+            out = Tensor({x.Rows(), y.Cols()}, DType::kF32);
+        }
+        out.PasteRows(y, r0);
+    }
+    return out;
 }
 
 // --------------------------------------------------------------------------
@@ -100,19 +118,13 @@ KQuantExecutor::KQuantExecutor(const ModelWeights& weights, int group_size)
 {}
 
 Tensor
-KQuantExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
-{
-    return MatMulPerGroupPacked(x, q_(layer, kind));
-}
-
-Tensor
 KQuantExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
                              const BatchSegments& segments)
 {
     // Per-(row, group) activation scales never cross rows, so the stacked
     // per-group matmul is bitwise identical to per-segment calls.
     (void)segments;
-    return Forward(layer, kind, x);
+    return MatMulPerGroupPacked(x, q_(layer, kind));
 }
 
 // --------------------------------------------------------------------------
@@ -167,19 +179,13 @@ AwqExecutor::AwqExecutor(const ModelWeights& weights,
 }
 
 Tensor
-AwqExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
-{
-    return MatMulF32Packed(x, w_eff_(layer, kind));
-}
-
-Tensor
 AwqExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
                           const BatchSegments& segments)
 {
     // Weight-only quantization: activations stay float and the f32 kernel
     // computes each row with a fixed K-ascending order.
     (void)segments;
-    return Forward(layer, kind, x);
+    return MatMulF32Packed(x, w_eff_(layer, kind));
 }
 
 // --------------------------------------------------------------------------
@@ -232,8 +238,12 @@ SmoothQuantExecutor::SmoothQuantExecutor(const ModelWeights& weights,
 }
 
 Tensor
-SmoothQuantExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
+SmoothQuantExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
+                                  const BatchSegments& segments)
 {
+    // Smoothing and the static activation scale are offline constants, so
+    // quantization is element-wise and the stacked call is exact.
+    (void)segments;
     const SmoothedLinear& sl = q_(layer, kind);
     Tensor x_smooth = x;
     float* px = x_smooth.Data<float>();
@@ -247,16 +257,6 @@ SmoothQuantExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
     QuantParams params{sl.static_act_scale};
     Tensor x_q = QuantizeSymmetric(x_smooth, params);
     return MatMulW8A8PerTensorPacked(x_q, params.scale, sl.weights);
-}
-
-Tensor
-SmoothQuantExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
-                                  const BatchSegments& segments)
-{
-    // Smoothing and the static activation scale are offline constants, so
-    // quantization is element-wise and the stacked call is exact.
-    (void)segments;
-    return Forward(layer, kind, x);
 }
 
 // --------------------------------------------------------------------------
@@ -297,8 +297,12 @@ LlmInt8Executor::NumOutlierChannels(int layer, LinearKind kind) const
 }
 
 Tensor
-LlmInt8Executor::Forward(int layer, LinearKind kind, const Tensor& x)
+LlmInt8Executor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
+                              const BatchSegments& segments)
 {
+    // The outlier channel set is static (calibration-time) and activation
+    // scales are per row, so the stacked decomposition is exact.
+    (void)segments;
     const DecomposedLinear& dl = q_(layer, kind);
     const int64_t m = x.Rows();
 
@@ -333,16 +337,6 @@ LlmInt8Executor::Forward(int layer, LinearKind kind, const Tensor& x)
         AddInPlace(y, y_out);
     }
     return y;
-}
-
-Tensor
-LlmInt8Executor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
-                              const BatchSegments& segments)
-{
-    // The outlier channel set is static (calibration-time) and activation
-    // scales are per row, so the stacked decomposition is exact.
-    (void)segments;
-    return Forward(layer, kind, x);
 }
 
 }  // namespace llmnpu

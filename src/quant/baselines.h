@@ -31,11 +31,11 @@ class PerTensorExecutor : public LinearExecutor
   public:
     explicit PerTensorExecutor(const ModelWeights& weights);
 
-    Tensor Forward(int layer, LinearKind kind, const Tensor& x) override;
-    // No ForwardBatch override: the dynamic per-tensor activation scale is
-    // computed from every row of x, so a stacked call would couple the
-    // sequences' quantization grids. The per-segment base implementation is
-    // the only exact batched form.
+    /** Per segment: the dynamic per-tensor activation scale is computed
+     *  from every row of its input, so a stacked call would couple the
+     *  sequences' quantization grids. */
+    Tensor ForwardBatch(int layer, LinearKind kind, const Tensor& x,
+                        const BatchSegments& segments) override;
     std::string Name() const override { return "PerTensor-W8A8"; }
 
   private:
@@ -53,7 +53,6 @@ class KQuantExecutor : public LinearExecutor
   public:
     KQuantExecutor(const ModelWeights& weights, int group_size = 32);
 
-    Tensor Forward(int layer, LinearKind kind, const Tensor& x) override;
     /** Stacked: per-row dynamics only, so one kernel call is exact. */
     Tensor ForwardBatch(int layer, LinearKind kind, const Tensor& x,
                         const BatchSegments& segments) override;
@@ -77,7 +76,6 @@ class AwqExecutor : public LinearExecutor
   public:
     AwqExecutor(const ModelWeights& weights, const CalibrationData& calib);
 
-    Tensor Forward(int layer, LinearKind kind, const Tensor& x) override;
     /** Stacked: per-row dynamics only, so one kernel call is exact. */
     Tensor ForwardBatch(int layer, LinearKind kind, const Tensor& x,
                         const BatchSegments& segments) override;
@@ -100,7 +98,6 @@ class SmoothQuantExecutor : public LinearExecutor
     SmoothQuantExecutor(const ModelWeights& weights,
                         const CalibrationData& calib);
 
-    Tensor Forward(int layer, LinearKind kind, const Tensor& x) override;
     /** Stacked: per-row dynamics only, so one kernel call is exact. */
     Tensor ForwardBatch(int layer, LinearKind kind, const Tensor& x,
                         const BatchSegments& segments) override;
@@ -125,7 +122,6 @@ class LlmInt8Executor : public LinearExecutor
   public:
     LlmInt8Executor(const ModelWeights& weights, const CalibrationData& calib);
 
-    Tensor Forward(int layer, LinearKind kind, const Tensor& x) override;
     /** Stacked: per-row dynamics only, so one kernel call is exact. */
     Tensor ForwardBatch(int layer, LinearKind kind, const Tensor& x,
                         const BatchSegments& segments) override;

@@ -22,9 +22,8 @@ LinearStats::ChannelAbsmaxQuantile(double q) const
 
 namespace {
 
-/** fp32 executor that shows each linear's input to a tap first. It derives
- *  from LinearExecutor, not Fp32LinearExecutor: the base ForwardBatch
- *  hands the one segment of a solo forward to Forward, where the tap is. */
+/** fp32 executor that shows each linear's input to a tap first. The corpus
+ *  pass forwards one sequence at a time, so the tap sees one segment. */
 class TapExecutor : public LinearExecutor
 {
   public:
@@ -33,8 +32,10 @@ class TapExecutor : public LinearExecutor
     {}
 
     Tensor
-    Forward(int layer, LinearKind kind, const Tensor& x) override
+    ForwardBatch(int layer, LinearKind kind, const Tensor& x,
+                 const BatchSegments& segments) override
     {
+        LLMNPU_CHECK_EQ(segments.size(), 2u);
         tap_(layer, kind, x);
         return MatMulF32Packed(x, weights_.PackedLinear(layer, kind));
     }

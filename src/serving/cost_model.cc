@@ -20,8 +20,7 @@ double
 ServingCostModel::IsolatedE2eMs(const InferenceRequest& request)
 {
     const ServingCostProfile& profile = Costs(request);
-    return profile.PrefillMs() +
-           profile.cpu_decode_token_ms * request.output_len;
+    return profile.PrefillMs() + profile.IsolatedDecodeMs(request.output_len);
 }
 
 double

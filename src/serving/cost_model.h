@@ -40,10 +40,10 @@ class ServingCostModel : public predict::StepCostOracle
     const ServingCostProfile& Costs(const InferenceRequest& request);
 
     /** Isolated single-request latency in the paper's deployment: the
-     *  profile's prefill plus decode on the float processor
-     *  (cpu_decode_token_ms per token), whatever the profile's own
-     *  decode placement. It is the SLO baseline, so every profile of
-     *  one (engine, model, device) triple sets the same deadlines. */
+     *  profile's prefill plus its IsolatedDecodeMs (decode on the float
+     *  processor), whatever the profile's own decode placement. It is
+     *  the SLO baseline, so every profile of one (engine, model, device)
+     *  triple sets the same deadlines. */
     double IsolatedE2eMs(const InferenceRequest& request);
 
     /** Calibrated step price: the engine's DecodeStepMs at (placement,

@@ -53,13 +53,6 @@ FaultOptions::Validate() const
     ValidateProb(decode_failure_prob, "decode_failure_prob");
     LLMNPU_FATAL_IF(chunk_failure_prob + chunk_stall_prob >= 1.0,
                     "fault chunk_failure_prob + chunk_stall_prob must be < 1");
-    LLMNPU_FATAL_IF(timeout_factor <= 1.0,
-                    "fault timeout_factor must be > 1");
-    LLMNPU_FATAL_IF(retry_backoff_ms < 0.0,
-                    "fault retry_backoff_ms must be >= 0");
-    LLMNPU_FATAL_IF(retry_backoff_cap_ms < retry_backoff_ms,
-                    "fault retry_backoff_cap_ms must be >= retry_backoff_ms");
-    LLMNPU_FATAL_IF(max_attempts < 1, "fault max_attempts must be >= 1");
     LLMNPU_FATAL_IF(pool_shrink_at_ms >= 0.0 &&
                         !(pool_shrink_to > 0.0 && pool_shrink_to <= 1.0),
                     "fault pool_shrink_to must be in (0, 1]");
@@ -127,9 +120,9 @@ FaultPlane::BackoffMs(int attempt) const
 {
     LLMNPU_CHECK(attempt >= 1);
     const double delay =
-        options_.retry_backoff_ms *
+        kRetryBackoffMs *
         std::pow(2.0, static_cast<double>(std::min(attempt, 60) - 1));
-    return std::min(delay, options_.retry_backoff_cap_ms);
+    return std::min(delay, kRetryBackoffCapMs);
 }
 
 }  // namespace llmnpu

@@ -24,9 +24,10 @@
  * process. With every probability at zero the plane draws nothing and the
  * simulator is bit-identical to a run without it.
  *
- * The matching defenses (timeout watchdog, capped-exponential retry, the
- * per-request NPU->CPU circuit breaker, brownout shedding) are configured
- * here too so one options struct describes a whole degraded-mode scenario.
+ * The matching defenses are stated here too: the timeout watchdog and the
+ * capped-exponential retry as constants, the per-request NPU->CPU circuit
+ * breaker and brownout shedding as options, so one options struct
+ * describes a whole degraded-mode scenario.
  */
 #ifndef LLMNPU_SERVING_FAULTS_H
 #define LLMNPU_SERVING_FAULTS_H
@@ -36,6 +37,21 @@
 #include "src/sim/thermal.h"
 
 namespace llmnpu {
+
+/** Watchdog: a stalled chunk is declared dead after this multiple of its
+ *  nominal (thermally scaled) service time. */
+inline constexpr double kWatchdogTimeoutFactor = 4.0;
+/** Capped exponential retry backoff (virtual ms):
+ *  delay = min(kRetryBackoffMs * 2^(attempt-1), kRetryBackoffCapMs). */
+inline constexpr double kRetryBackoffMs = 2.0;
+inline constexpr double kRetryBackoffCapMs = 64.0;
+/** Attempts per chunk / per decode token before the request is shed
+ *  (accounted, pages released) rather than retried forever. */
+inline constexpr int kMaxFaultAttempts = 8;
+static_assert(kWatchdogTimeoutFactor > 1.0 && kRetryBackoffMs >= 0.0 &&
+                  kRetryBackoffCapMs >= kRetryBackoffMs &&
+                  kMaxFaultAttempts >= 1,
+              "fault defenses out of range");
 
 /** Fault-injection scenario plus the defense parameters. */
 struct FaultOptions {
@@ -53,17 +69,7 @@ struct FaultOptions {
      *  one request faults (the request sits the step out and retries). */
     double decode_failure_prob = 0.0;
 
-    // ---- defenses: watchdog + retry/backoff + circuit breaker.
-    /** Watchdog: a chunk is declared dead after timeout_factor x its
-     *  nominal (thermally scaled) service time. Must be > 1. */
-    double timeout_factor = 4.0;
-    /** Base of the capped exponential retry backoff (virtual ms). */
-    double retry_backoff_ms = 2.0;
-    /** Backoff cap: delay = min(base * 2^(attempt-1), cap). */
-    double retry_backoff_cap_ms = 64.0;
-    /** Attempts per chunk / per decode token before the request is shed
-     *  (accounted, pages released) rather than retried forever. */
-    int max_attempts = 8;
+    // ---- defense: circuit breaker.
     /** Circuit breaker: after this many *consecutive* faults on one
      *  request, its decode placement fails over from the NPU to the
      *  packed-fp32 CPU path (mid-stream, at a step boundary). <= 0
@@ -90,7 +96,7 @@ struct FaultOptions {
     bool Enabled() const;
 
     /** Exits with a fatal user error on out-of-range parameters (probs
-     *  outside [0,1), non-positive timeouts, empty shrink budgets, ...). */
+     *  outside [0,1), empty shrink budgets, ...). */
     void Validate() const;
 };
 

@@ -58,7 +58,8 @@ struct QueueEntry {
     /** Prefill service time still owed (sum of remaining chunk quanta). */
     double remaining_prefill_ms = 0.0;
     /** Total service still owed: remaining prefill plus the full decode
-     *  (deadlines are end-to-end, so feasibility must price decode too). */
+     *  at the price deadlines are set from (IsolatedDecodeMs); deadlines
+     *  are end-to-end, so feasibility must price decode too. */
     double remaining_total_ms = 0.0;
 };
 

@@ -301,14 +301,14 @@ ReplayTraceImpl(const std::vector<ReplayStep>& steps,
             // over that KV — bitwise-identical state to attending over
             // the shared pages.
             if (placement != nullptr) {
-                backend->SetUniformPlacement(placement->prefill);
+                backend->SetStepPlacements({placement->prefill});
             }
             (void)model.Forward(prefix_tokens.at(state.prefix_key), solo,
                                 linears);
         }
         for (int c = 0; c < state.chunks_done; ++c) {
             if (placement != nullptr) {
-                backend->SetUniformPlacement(placement->prefill);
+                backend->SetStepPlacements({placement->prefill});
             }
             Tensor h = model.Forward(
                 ChunkTokens(state.prompt, c, num_chunks.at(id)), solo,
@@ -318,8 +318,8 @@ ReplayTraceImpl(const std::vector<ReplayStep>& steps,
         }
         for (int t = 0; t < state.tokens_decoded; ++t) {
             if (placement != nullptr) {
-                backend->SetUniformPlacement(
-                    state.decode_placements[static_cast<size_t>(t)]);
+                backend->SetStepPlacements(
+                    {state.decode_placements[static_cast<size_t>(t)]});
             }
             Tensor h = model.Forward(
                 {state.outputs[static_cast<size_t>(t)]}, solo, linears);

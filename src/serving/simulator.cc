@@ -178,8 +178,8 @@ class ServingRun
                         Record(pending.id).request;
                     if (request.deadline_ms >= 1e300) return false;
                     return now_ + pending.RemainingMs() * scale +
-                               pending.profile->decode_token_ms *
-                                   request.output_len >
+                               pending.profile->IsolatedDecodeMs(
+                                   request.output_len) >
                            request.deadline_ms;
                 },
                 "brownout");
@@ -215,7 +215,7 @@ class ServingRun
             entry.remaining_prefill_ms = pending.RemainingMs();
             entry.remaining_total_ms =
                 entry.remaining_prefill_ms +
-                pending.profile->decode_token_ms * record.request.output_len;
+                pending.profile->IsolatedDecodeMs(record.request.output_len);
             entries.push_back(entry);
             eligible.push_back(qi);
         }
@@ -242,14 +242,14 @@ class ServingRun
         if (fopts_.thermal.enabled) duration *= thermal_.ServiceScale();
         // Fate of this attempt. A kFail attempt dies partway through; a
         // kStall attempt hangs until the watchdog declares it dead at
-        // timeout_factor x the nominal service time.
+        // kWatchdogTimeoutFactor x the nominal service time.
         npu_fate_ = fault_plane_.Chunk(npu_job_.id, npu_job_.next_chunk,
                                        npu_job_.attempt);
         if (npu_fate_ == FaultPlane::ChunkFate::kFail) {
             duration *= fault_plane_.ChunkFailFraction(
                 npu_job_.id, npu_job_.next_chunk, npu_job_.attempt);
         } else if (npu_fate_ == FaultPlane::ChunkFate::kStall) {
-            duration *= fopts_.timeout_factor;
+            duration *= kWatchdogTimeoutFactor;
         }
         npu_busy_ = true;
         ++npu_attempts_;
@@ -343,7 +343,7 @@ class ServingRun
                         // fallback — the mid-stream switch happens at a
                         // step boundary, never inside one.
                         place = DecodePlacement::kCpuFloat;
-                    } else if (state.decode_attempt >= fopts_.max_attempts) {
+                    } else if (state.decode_attempt >= kMaxFaultAttempts) {
                         to_shed.push_back(id);
                         continue;
                     } else {
@@ -510,7 +510,7 @@ class ServingRun
             npu_fate_ = FaultPlane::ChunkFate::kOk;
             MaybeFailover(npu_job_.id);
             ++npu_job_.attempt;
-            if (npu_job_.attempt >= fopts_.max_attempts) {
+            if (npu_job_.attempt >= kMaxFaultAttempts) {
                 // Retry budget exhausted: the request terminates as shed —
                 // accounted, pages released, never goodput.
                 Shed(npu_job_.id, "chunk_retry_budget");

@@ -275,10 +275,12 @@ TEST_P(BatchedExecutorTest, BatchedEqualsSequentialAcrossThreadCounts)
 
 TEST_P(BatchedExecutorTest, ForwardBatchRowsEqualPerSegmentForwardBitwise)
 {
-    // The executor-level contract itself: each segment's rows of
-    // ForwardBatch equal Forward on that segment alone. The scripts above
-    // reach the executor through ForwardBatch on both sides (Forward is a
-    // one-slot ForwardBatch), so only this test compares the two entries.
+    // The executor-level contract itself: each segment's rows of a
+    // multi-segment ForwardBatch equal Forward (a one-segment ForwardBatch)
+    // on that segment alone. The scripts above compare whole model runs;
+    // this test pins the contract at one executor call, where an executor
+    // with batch-global dynamics (PerTensor's activation scale) would
+    // break it if it ran the stack as one call.
     auto executor = MakeExecutor();
     ASSERT_NE(executor, nullptr);
     const BatchSegments segments = {0, 1, 4, 5, 11};

@@ -53,7 +53,7 @@ TEST_F(DecodeBackendTest, UniformNpuPlacementMatchesShadowExecutorBitwise)
     NpuShadowExecutor shadow_direct(tiny_.weights, tiny_.profile, 0.5);
     NpuShadowExecutor shadow_routed(tiny_.weights, tiny_.profile, 0.5);
     DecodeBackend backend(fp32, shadow_routed);
-    backend.SetUniformPlacement(DecodePlacement::kNpuQuant);
+    backend.SetStepPlacements({DecodePlacement::kNpuQuant});
 
     const std::vector<int> tokens = {3, 77, 150, 201};
     BatchedKvCache cache_a = tiny_.model.MakeCache();
@@ -69,7 +69,7 @@ TEST_F(DecodeBackendTest, UniformCpuPlacementMatchesFp32Bitwise)
     Fp32LinearExecutor fp32_routed(tiny_.weights);
     NpuShadowExecutor shadow(tiny_.weights, tiny_.profile, 0.5);
     DecodeBackend backend(fp32_routed, shadow);
-    backend.SetUniformPlacement(DecodePlacement::kCpuFloat);
+    backend.SetStepPlacements({DecodePlacement::kCpuFloat});
 
     const std::vector<int> tokens = {9, 18, 27};
     BatchedKvCache cache_a = tiny_.model.MakeCache();
@@ -77,6 +77,20 @@ TEST_F(DecodeBackendTest, UniformCpuPlacementMatchesFp32Bitwise)
     Tensor via_backend = tiny_.model.Forward(tokens, cache_a, backend);
     Tensor direct = tiny_.model.Forward(tokens, cache_b, fp32_direct);
     EXPECT_TRUE(via_backend.BitEquals(direct));
+}
+
+using DecodeBackendDeathTest = DecodeBackendTest;
+
+TEST_F(DecodeBackendDeathTest, ForwardWithoutPlacementsDies)
+{
+    // There is no default processor: a forward through a backend on which
+    // no placement was ever set fails instead of running the CPU path.
+    Fp32LinearExecutor fp32(tiny_.weights);
+    NpuShadowExecutor shadow(tiny_.weights, tiny_.profile, 0.5);
+    DecodeBackend backend(fp32, shadow);
+    BatchedKvCache cache = tiny_.model.MakeCache();
+    EXPECT_DEATH(tiny_.model.Forward({1, 2}, cache, backend),
+                 "step_placements_");
 }
 
 TEST_F(DecodeBackendTest, HandoffStatsCountBoundaryCrossings)
@@ -89,7 +103,7 @@ TEST_F(DecodeBackendTest, HandoffStatsCountBoundaryCrossings)
         tiny_.config.num_layers;
 
     // CPU-placed step: no boundary crossings.
-    backend.SetUniformPlacement(DecodePlacement::kCpuFloat);
+    backend.SetStepPlacements({DecodePlacement::kCpuFloat});
     BatchedKvCache cache = tiny_.model.MakeCache();
     tiny_.model.Forward({1, 2}, cache, backend);
     EXPECT_EQ(backend.stats().cpu_linear_calls, linears_per_forward);
@@ -100,7 +114,7 @@ TEST_F(DecodeBackendTest, HandoffStatsCountBoundaryCrossings)
     // NPU-placed decode step: every linear crosses the boundary — one f32
     // row quantized in, one accumulator row dequantized out, per linear.
     backend.ResetStats();
-    backend.SetUniformPlacement(DecodePlacement::kNpuQuant);
+    backend.SetStepPlacements({DecodePlacement::kNpuQuant});
     tiny_.model.Forward({3}, cache, backend);
     EXPECT_EQ(backend.stats().npu_linear_calls, linears_per_forward);
     EXPECT_EQ(backend.stats().cpu_linear_calls, 0);
@@ -236,7 +250,7 @@ RunPlacedScriptBitwise(const TinyModelContext& tiny,
 
     // Sequential reference: same token groups, same placement, alone.
     for (const auto& [seq, seq_groups] : groups) {
-        backend.SetUniformPlacement(placement_of.at(seq));
+        backend.SetStepPlacements({placement_of.at(seq)});
         BatchedKvCache solo = tiny.model.MakeCache();
         std::vector<float> ref_hidden, ref_logits;
         for (const std::vector<int>& tokens : seq_groups) {
@@ -333,9 +347,9 @@ TEST_F(NpuDecodeBatchedTest, BitwiseDeterministicAcrossThreadCounts)
         DecodeBackend backend(fp32, shadow);
 
         BatchedKvCache cache = tiny_.model.MakeCache();
-        backend.SetUniformPlacement(DecodePlacement::kCpuFloat);
+        backend.SetStepPlacements({DecodePlacement::kCpuFloat});
         tiny_.model.Forward({5, 10, 15, 20, 25}, cache, backend);
-        backend.SetUniformPlacement(DecodePlacement::kNpuQuant);
+        backend.SetStepPlacements({DecodePlacement::kNpuQuant});
         std::vector<float> logits;
         for (int t = 0; t < 6; ++t) {
             Tensor h = tiny_.model.Forward(
@@ -389,10 +403,10 @@ TEST_F(NpuDecodeDivergenceTest, DivergenceVsFp32WithinGoldenBands)
         BatchedKvCache ref_cache = tiny_.model.MakeCache();
         BatchedKvCache npu_cache = tiny_.model.MakeCache();
         tiny_.model.Forward(prompt, ref_cache, fp32);
-        backend.SetUniformPlacement(DecodePlacement::kCpuFloat);
+        backend.SetStepPlacements({DecodePlacement::kCpuFloat});
         tiny_.model.Forward(prompt, npu_cache, backend);
 
-        backend.SetUniformPlacement(DecodePlacement::kNpuQuant);
+        backend.SetStepPlacements({DecodePlacement::kNpuQuant});
         for (int t = 0; t < kDecodeSteps; ++t) {
             const int token =
                 TestTokenAt(static_cast<int>(c), t, tiny_.config.vocab_size);
@@ -518,16 +532,24 @@ TEST_F(NpuDecodeReplayTest, NpuDecodeProfileReshapesTheSchedule)
     EXPECT_GE(two, one);
     EXPECT_LT(two, CpuDecodeStepMs(one, 2));
     // NPU decode at B=1 pays the slower accelerator weight stream: a
-    // single-token step costs more than the CPU-resident decode token.
+    // single-token step costs more than the CPU-resident decode token,
+    // which both placements price alike.
     LlmNpuEngine cpu_engine;
     const ServingCostProfile cpu_profile = cpu_engine.ServingCosts(
         Qwen15_1_8B(), SocSpec::RedmiK70Pro(), {512, 16});
-    EXPECT_GT(profile.decode_token_ms, cpu_profile.decode_token_ms);
-    // Run()'s decode invariant holds for the NPU placement too.
+    EXPECT_EQ(profile.cpu_decode_token_ms, cpu_profile.cpu_decode_token_ms);
+    EXPECT_GT(one, cpu_profile.cpu_decode_token_ms);
+    // Run()'s NPU decode is the oracle's B=1 step at each context.
     const EngineResult run = engine.Run(Qwen15_1_8B(),
                                         SocSpec::RedmiK70Pro(), {512, 16});
-    EXPECT_NEAR(profile.decode_token_ms * 16, run.decode_ms,
-                run.decode_ms * 1e-9);
+    double steps_ms = 0.0;
+    for (int t = 0; t < 16; ++t) {
+        steps_ms += engine
+                        .NpuDecodeStep(Qwen15_1_8B(), SocSpec::RedmiK70Pro(),
+                                       512 + t, 1)
+                        .TotalMs();
+    }
+    EXPECT_NEAR(steps_ms, run.decode_ms, run.decode_ms * 1e-9);
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <utility>
 
 #include "src/core/llmnpu_engine.h"
 #include "src/engines/baselines.h"
@@ -108,7 +110,7 @@ TEST_F(ServingFixture, LlmNpuDecompositionMatchesSingleShotRun)
     EXPECT_EQ(profile.chunk_ms.size(), 4u);  // 1024 / 256-token chunks
     EXPECT_NEAR(profile.PrefillMs(), run.prefill_ms,
                 run.prefill_ms * 1e-9);
-    EXPECT_NEAR(profile.decode_token_ms * request.output_len, run.decode_ms,
+    EXPECT_NEAR(profile.IsolatedDecodeMs(request.output_len), run.decode_ms,
                 run.decode_ms * 1e-9);
     EXPECT_GT(profile.float_decode_interference, 0.0);
     EXPECT_LE(profile.float_decode_interference, 0.95);
@@ -119,9 +121,6 @@ TEST_F(ServingFixture, LlmNpuDecompositionMatchesSingleShotRun)
     EXPECT_LE(profile.npu_decode_interference, 0.95);
     // Default placement is the paper's: decode on the float processor.
     EXPECT_EQ(profile.decode_placement, DecodePlacement::kCpuFloat);
-    // A CPU-placed profile prices its CPU fallback path at its own decode
-    // price.
-    EXPECT_EQ(profile.cpu_decode_token_ms, profile.decode_token_ms);
     // Later chunks attend to longer kv: occupancy never shrinks.
     for (size_t c = 1; c < profile.chunk_ms.size(); ++c) {
         EXPECT_GE(profile.chunk_ms[c], profile.chunk_ms[c - 1]);
@@ -183,7 +182,7 @@ TEST_F(ServingFixture, BaselineDefaultDecompositionIsMonolithic)
     EXPECT_DOUBLE_EQ(profile.float_decode_interference, 1.0);
     EXPECT_DOUBLE_EQ(profile.npu_decode_interference, 1.0);
     EXPECT_EQ(profile.decode_placement, DecodePlacement::kCpuFloat);
-    EXPECT_NEAR(profile.decode_token_ms * request.output_len, run.decode_ms,
+    EXPECT_NEAR(profile.IsolatedDecodeMs(request.output_len), run.decode_ms,
                 run.decode_ms * 1e-9);
 }
 
@@ -233,7 +232,7 @@ TEST_F(ServingFixture, ZeroLoadReproducesSingleShotLatency)
     const ServingCostProfile& profile =
         costs.Costs(record.request.AsInference());
     EXPECT_NEAR(record.TtftMs(),
-                profile.PrefillMs() + profile.decode_token_ms,
+                profile.PrefillMs() + profile.cpu_decode_token_ms,
                 isolated * 1e-9);
 }
 
@@ -339,6 +338,57 @@ TEST_F(ServingFixture, SloEdfGoodputAtLeastFcfsUnderOverload)
     EXPECT_EQ(edf.completed, 60);
     EXPECT_GE(edf.goodput_rps, fcfs.goodput_rps);
     EXPECT_GE(edf.slo_attainment, fcfs.slo_attainment);
+}
+
+TEST_F(ServingFixture, SloEdfJudgesNpuPlacedRequestsAtTheDeadlinePrice)
+{
+    // Deadlines come from prefill plus decode at the CPU token price, so
+    // slo-edf must judge feasibility at that price on an NPU-placed
+    // profile too. Shape L (512 prompt, 16 out) meets its deadline at
+    // slo_factor 1.5 from an idle machine only at the CPU price: its
+    // decode outweighs its prefill, and the B=1 NPU token costs twice
+    // the CPU one. Shape S (2048 prompt, 1 out) has the later deadline.
+    // Ranked feasible, L finishes its prefill first under earliest
+    // deadline first; ranked a lost cause, it would wait behind S.
+    auto fixed = [](int prompt, int output) {
+        DatasetProfile profile;
+        profile.name = "fixed";
+        profile.application = "test";
+        profile.prompt_min = profile.prompt_max = prompt;
+        profile.output_min = profile.output_max = output;
+        return profile;
+    };
+    const std::vector<DatasetProfile> mix = {fixed(512, 16), fixed(2048, 1)};
+    LlmNpuOptions npu_options;
+    npu_options.decode_placement = DecodePlacement::kNpuQuant;
+    LlmNpuEngine engine(npu_options);
+    ServingCostModel costs(engine, qwen_, soc_);
+    const ServingCostProfile& shape_l = costs.Costs({512, 16});
+    ASSERT_GT(shape_l.cpu_decode_token_ms * 16, shape_l.PrefillMs());
+
+    ServingOptions options;
+    options.queue_policy = MakeQueuePolicy(SchedPolicy::kSloEdf);
+    options.slo_factor = 1.5;
+    options.rate_rps = 1000.0;  // both arrive inside the first chunk
+    options.num_requests = 2;
+    int checked = 0;
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
+        options.seed = seed;
+        const ServingResult result =
+            ServingSimulator(costs, mix, options).Run();
+        ASSERT_EQ(result.records.size(), 2u);
+        const RequestRecord* l = &result.records[0];
+        const RequestRecord* s = &result.records[1];
+        if (l->request.output_len == s->request.output_len) continue;
+        if (l->request.output_len != 16) std::swap(l, s);
+        ASSERT_TRUE(l->Completed() && s->Completed());
+        ASSERT_LT(std::abs(l->request.arrival_ms - s->request.arrival_ms),
+                  costs.Costs({512, 16}).chunk_ms[0]);
+        EXPECT_LT(l->request.deadline_ms, s->request.deadline_ms);
+        EXPECT_LT(l->prefill_done_ms, s->prefill_done_ms) << "seed " << seed;
+        ++checked;
+    }
+    EXPECT_GT(checked, 0);
 }
 
 TEST_F(ServingFixture, PrefillPreemptsDecodeBandwidth)
