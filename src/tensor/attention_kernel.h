@@ -32,7 +32,9 @@
  * (i, i+4), then (i, i+2), then (0, 1). Float addition is commutative, and
  * every sum adds the same two partial sums as above, so each dot rounds
  * identically; the tail stays scalar. The accumulate runs 16 columns per
- * vector, still one chain over j ascending per element.
+ * vector, still one chain over j ascending per element. Between the two,
+ * the softmax's exp runs eight lanes at a time with glibc's expf
+ * algorithm (kernel_isa.h), which rounds every weight as std::exp does.
  */
 #ifndef LLMNPU_TENSOR_ATTENTION_KERNEL_H
 #define LLMNPU_TENSOR_ATTENTION_KERNEL_H

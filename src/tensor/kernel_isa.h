@@ -2,7 +2,8 @@
  * @file
  * Runtime ISA dispatch of the numeric-plane kernels (src/tensor/
  * kernels.cc): the INT8 micro-kernels and the float kernels (the f32
- * matmul and the attention primitives).
+ * matmul, the attention primitives, and the exp of the softmax and of
+ * SiLU).
  *
  * The level is chosen once, at the first kernel call, from
  * __builtin_cpu_supports; there is no override. Every INT8 level computes
@@ -12,7 +13,11 @@
  * passes the kAvx512Vnni check. The AVX-512 level keeps every output
  * element's chain of multiply-adds, written as the same expressions so the
  * compiler fuses both levels alike, and every reduction tree of the AVX2
- * level, so it agrees with it bit for bit. Built without FMA, the AVX2
+ * level, so it agrees with it bit for bit. Its exp is glibc's expf
+ * (2.28 and later) run eight lanes wide in double, so it returns
+ * std::exp's bits where the AVX2 and scalar levels call std::exp; a libm
+ * with another expf fails ExpMatchesStdExpBitwise (kernels_test) rather
+ * than changing a result unnoticed. Built without FMA, the AVX2
  * code cannot fuse while AVX-512F code can, so the AVX-512 level is never
  * used. Either way the level changes speed only. The *At entry points run
  * one explicit level; they exist so tests can check every level the host
@@ -57,6 +62,20 @@ void CausalAttentionHeadAt(KernelIsa isa, const float* q, int64_t q_stride,
                            int64_t rows, int64_t first_pos,
                            const KvHeadRows& kv, int head_dim, float* out,
                            int64_t out_stride);
+
+/**
+ * out[i] = std::exp(x[i]) over [0, n) at an explicit level: the exp of the
+ * attention softmax and of SiLU. The AVX-512 float level computes glibc's
+ * expf algorithm eight lanes at a time, so it returns std::exp's bits.
+ */
+void ExpF32At(KernelIsa isa, const float* x, int64_t n, float* out);
+
+/**
+ * p[i] = p[i] / (1 + std::exp(-p[i])), then times up[i] unless `up` is
+ * null, over [0, n) at the selected float level: the SiLU pass of
+ * ActInPlace and GatedActInPlace (ops.h). Each level gives the same bits.
+ */
+void SiluSpan(float* p, const float* up, int64_t n);
 
 /** MatMulW8A8PerTensorPacked at an explicit level. */
 Tensor MatMulW8A8PerTensorPackedAt(KernelIsa isa, const Tensor& a_q,

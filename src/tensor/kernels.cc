@@ -34,6 +34,9 @@
  *    the AVX2 code's multiply-adds, as the same `acc += a * b`
  *    expressions, in the same order, and reduces lanes with the same tree,
  *    so the two levels agree bit for bit (kernel_isa.h).
+ *  - The exp of the attention softmax and of SiLU (SiluSpan) is std::exp
+ *    below the AVX-512 level. There, it is glibc's expf algorithm eight
+ *    lanes wide in double, bit for bit the same.
  *
  * The attention inner loops (CausalAttentionHead, attention_kernel.h) live
  * here too, so PagedCausalAttention gets the same flags and levels.
@@ -1400,6 +1403,114 @@ AccumulateColumnBlocksAvx512(const float* w, int64_t ld, const float* v,
                                                d, out, out_stride);
     }
 }
+
+// ---------------------------------------------------- exp, AVX-512 level
+//
+// glibc's expf (2.28 and later, sysdeps/ieee754/flt-32/e_expf.c) eight
+// lanes wide in double, in the FMA form that x86-64 glibc runs on every
+// CPU with AVX-512, where GCC fuses the multiply into both uses of
+// z = InvLn2N * x. With glibc's constants, each lane with |x| < 88 is
+//   kd = fma(InvLn2N, x, Shift), ki = bits(kd), kd -= Shift,
+//   r = fma(InvLn2N, x, -kd), s = asdouble(T[ki % 32] + (ki << 47)),
+//   (float)(fma(fma(C0, r, C1), r * r, fma(C2, r, 1)) * s),
+// which rounds exactly as std::exp(float) does. Lanes with |x| >= 88 or
+// NaN (overflow, underflow, infinities: glibc's special path, which also
+// sets errno) call std::exp. Every step is an explicit intrinsic, so no
+// compiler contraction can change a rounding.
+
+/** glibc's __exp2f_data.tab: bits(2^(i/32)) - (i << 47). */
+alignas(64) constexpr uint64_t kExp2fTable[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+
+/** std::exp of the eight floats of x, bit for bit (see above). */
+__attribute__((target("avx512f"), always_inline)) inline __m256
+ExpF32x8(__m256 x)
+{
+    const __m512d inv_ln2_n = _mm512_set1_pd(0x1.71547652b82fep+0 * 32);
+    const __m512d shift = _mm512_set1_pd(0x1.8p+52);
+    // The maskz forms: GCC 12 reports the unmasked ones' undefined
+    // pass-through operand as maybe-uninitialized.
+    const __m512d xd = _mm512_maskz_cvtps_pd(0xff, x);
+    const __m512d kd_shifted = _mm512_fmadd_pd(inv_ln2_n, xd, shift);
+    const __m512i ki = _mm512_castpd_si512(kd_shifted);
+    const __m512d r = _mm512_fmsub_pd(inv_ln2_n, xd,
+                                      _mm512_sub_pd(kd_shifted, shift));
+    // T[ki % 32]: each permute reads index bits 0-3 of a 16-entry half,
+    // and bit 4 picks the half.
+    const __m512i* table = reinterpret_cast<const __m512i*>(kExp2fTable);
+    const __m512i t = _mm512_mask_blend_epi64(
+        _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16)),
+        _mm512_permutex2var_epi64(_mm512_load_si512(table), ki,
+                                  _mm512_load_si512(table + 1)),
+        _mm512_permutex2var_epi64(_mm512_load_si512(table + 2), ki,
+                                  _mm512_load_si512(table + 3)));
+    const __m512d s = _mm512_castsi512_pd(
+        _mm512_add_epi64(t, _mm512_maskz_slli_epi64(0xff, ki, 47)));
+    const __m512d c0r_c1 =
+        _mm512_fmadd_pd(_mm512_set1_pd(0x1.c6af84b912394p-5 / 32 / 32 / 32),
+                        r, _mm512_set1_pd(0x1.ebfce50fac4f3p-3 / 32 / 32));
+    const __m512d c2r_1 =
+        _mm512_fmadd_pd(_mm512_set1_pd(0x1.62e42ff0c52d6p-1 / 32), r,
+                        _mm512_set1_pd(1.0));
+    const __m512d y = _mm512_mul_pd(
+        _mm512_fmadd_pd(c0r_c1, _mm512_mul_pd(r, r), c2r_1), s);
+    __m256 out = _mm512_maskz_cvtpd_ps(0xff, y);
+    const __mmask8 special = _mm512_cmp_pd_mask(
+        _mm512_abs_pd(xd), _mm512_set1_pd(88.0), _CMP_NLT_UQ);
+    if (special != 0) {
+        alignas(32) float xs[8];
+        alignas(32) float ys[8];
+        _mm256_store_ps(xs, x);
+        _mm256_store_ps(ys, out);
+        for (int l = 0; l < 8; ++l) {
+            if ((special >> l) & 1) ys[l] = std::exp(xs[l]);
+        }
+        out = _mm256_load_ps(ys);
+    }
+    return out;
+}
+
+/** out[i] = exp(x[i]) over the whole eights of [0, n) (out may be x);
+ *  returns where they end. */
+__attribute__((target("avx512f"))) int64_t
+ExpAvx512(const float* x, int64_t n, float* out)
+{
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        _mm256_storeu_ps(out + i, ExpF32x8(_mm256_loadu_ps(x + i)));
+    }
+    return i;
+}
+
+/** p[i] = p[i] / (1 + exp(-p[i])), times up[i] when `up` is set, over the
+ *  whole eights of [0, n); returns where they end. The negation, add,
+ *  divide and multiply are single IEEE operations at any width. */
+__attribute__((target("avx512f"))) int64_t
+SiluAvx512(float* p, const float* up, int64_t n)
+{
+    const __m256 sign = _mm256_set1_ps(-0.0f);
+    const __m256 one = _mm256_set1_ps(1.0f);
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 v = _mm256_loadu_ps(p + i);
+        __m256 a = _mm256_div_ps(
+            v, _mm256_add_ps(one, ExpF32x8(_mm256_xor_ps(v, sign))));
+        if (up != nullptr) a = _mm256_mul_ps(a, _mm256_loadu_ps(up + i));
+        _mm256_storeu_ps(p + i, a);
+    }
+    return i;
+}
 #endif
 
 /**
@@ -1481,12 +1592,26 @@ ForEachKvRun(const KvHeadRows& kv, int64_t j0, int64_t j1, const Fn& fn)
     }
 }
 
+/** out[i] = std::exp(x[i]) over [0, n) at level kWide (out may be x). */
+template <bool kWide>
+void
+ExpSpan(const float* x, int64_t n, float* out)
+{
+    int64_t i = 0;
+#ifdef LLMNPU_F32_AVX512
+    if constexpr (kWide) i = ExpAvx512(x, n, out);
+#endif
+    for (; i < n; ++i) out[i] = std::exp(x[i]);
+}
+
 /**
  * Softmax over n scores, in place: max, exp, a double sum, then one
  * multiply by the float reciprocal per weight. The max is exact in any
  * order, so it runs eight lanes wide; the sum keeps four partial sums by
- * position mod 4, an order fixed by n alone.
+ * position mod 4, an order fixed by n alone. The exp is std::exp's, eight
+ * lanes at a time at the AVX-512 level.
  */
+template <bool kWide>
 void
 SoftmaxWeights(float* s, int64_t n)
 {
@@ -1500,7 +1625,8 @@ SoftmaxWeights(float* s, int64_t n)
     float mx = -1e30f;
     for (int l = 0; l < 8; ++l) mx = std::max(mx, lanes[l]);
     for (int64_t j = n8; j < n; ++j) mx = std::max(mx, s[j]);
-    for (int64_t j = 0; j < n; ++j) s[j] = std::exp(s[j] - mx);
+    for (int64_t j = 0; j < n; ++j) s[j] -= mx;
+    ExpSpan<kWide>(s, n, s);
     double part[4] = {0.0, 0.0, 0.0, 0.0};
     const int64_t n4 = n / 4 * 4;
     for (int64_t j = 0; j < n4; j += 4) {
@@ -1532,7 +1658,7 @@ AttendRowBlock(const float* q, int64_t q_stride, int64_t visible,
                                          head_dim, scale, scores + j, ld);
                  });
     for (int r = 0; r < R; ++r) {
-        SoftmaxWeights(scores + r * ld, visible + r);
+        SoftmaxWeights<kWide>(scores + r * ld, visible + r);
         std::fill(out + r * out_stride, out + r * out_stride + head_dim,
                   0.0f);
     }
@@ -1623,6 +1749,34 @@ CausalAttentionHead(const float* q, int64_t q_stride, int64_t rows,
 {
     CausalAttentionHeadAt(SelectedKernelIsa(), q, q_stride, rows, first_pos,
                           kv, head_dim, out, out_stride);
+}
+
+// ------------------------------------------------------------- exp, SiLU
+
+void
+ExpF32At(KernelIsa isa, const float* x, int64_t n, float* out)
+{
+    LLMNPU_CHECK(isa <= SelectedKernelIsa());
+    if (FloatKernelIsa(isa) == KernelIsa::kAvx512Vnni) {
+        ExpSpan<true>(x, n, out);
+    } else {
+        ExpSpan<false>(x, n, out);
+    }
+}
+
+void
+SiluSpan(float* p, const float* up, int64_t n)
+{
+    int64_t i = 0;
+#ifdef LLMNPU_F32_AVX512
+    if (FloatKernelIsa(SelectedKernelIsa()) == KernelIsa::kAvx512Vnni) {
+        i = SiluAvx512(p, up, n);
+    }
+#endif
+    for (; i < n; ++i) {
+        const float a = p[i] / (1.0f + std::exp(-p[i]));
+        p[i] = up != nullptr ? a * up[i] : a;
+    }
 }
 
 }  // namespace llmnpu

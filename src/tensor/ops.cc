@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "src/tensor/kernel_isa.h"
 #include "src/tensor/row_parallel.h"
 
 namespace llmnpu {
@@ -44,12 +45,6 @@ NormRow(NormKind kind, const float* row, const float* g, const float* b,
 }
 
 inline float
-Silu(float v)
-{
-    return v / (1.0f + std::exp(-v));
-}
-
-inline float
 Gelu(float v)
 {
     constexpr float kSqrt2OverPi = 0.7978845608f;
@@ -57,18 +52,15 @@ Gelu(float v)
            (1.0f + std::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v)));
 }
 
-/** p[i] = act(p[i]) * up[i] (or act(p[i]) without `up`) over [0, n). */
-template <float (*Act)(float)>
+/** p[i] = Gelu(p[i]) * up[i] (or Gelu(p[i]) without `up`) over [0, n).
+ *  SiLU's span is SiluSpan in kernels.cc; GeLU's stays here, where no
+ *  multiply-add of its polynomial can be contracted. */
 void
-ActSpan(float* p, const float* up, int64_t n)
+GeluSpan(float* p, const float* up, int64_t n)
 {
-    if (up == nullptr) {
-        for (int64_t i = 0; i < n; ++i) p[i] = Act(p[i]);
-    } else {
-        for (int64_t i = 0; i < n; ++i) {
-            const float a = Act(p[i]);
-            p[i] = a * up[i];
-        }
+    for (int64_t i = 0; i < n; ++i) {
+        const float a = Gelu(p[i]);
+        p[i] = up != nullptr ? a * up[i] : a;
     }
 }
 
@@ -115,9 +107,9 @@ ActRows(ActKind act, Tensor& x, const float* up)
         const float* up_span = up != nullptr ? up + r0 * cols : nullptr;
         const int64_t n = (r1 - r0) * cols;
         if (act == ActKind::kSiLU) {
-            ActSpan<Silu>(span, up_span, n);
+            SiluSpan(span, up_span, n);
         } else {
-            ActSpan<Gelu>(span, up_span, n);
+            GeluSpan(span, up_span, n);
         }
     });
 }

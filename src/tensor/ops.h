@@ -20,7 +20,9 @@
  * rope_reference.h). ops.cc keeps the portable compile flags on purpose:
  * with -mfma the compiler may contract RoPE's x0 * cos - x1 * sin into
  * one fused multiply-add, which rounds once instead of twice and changes
- * the bits.
+ * the bits. SiLU's pass is the exception: its span is SiluSpan
+ * (kernel_isa.h), whose AVX-512 level computes std::exp's bits eight
+ * lanes at a time, and it has no multiply-add to contract.
  */
 #ifndef LLMNPU_TENSOR_OPS_H
 #define LLMNPU_TENSOR_OPS_H

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -609,45 +610,104 @@ struct PagedHistory {
 TEST(KernelIsaTest, AttentionLevelsAgreeBitwise)
 {
     // The AVX-512 scores reduce [a0 | a1] accumulators with the tree of
-    // ReduceLanes and the accumulate keeps each element's j chain, so both
-    // levels give the same bits: head_dim % 16 == 8 takes the odd-chunk
-    // path, 36 the scalar tail, rows 1..9 every row block, first_pos a
-    // page boundary and its neighbours, page_size 1 one-key runs.
+    // ReduceLanes, the softmax's exp rounds as std::exp, and the
+    // accumulate keeps each element's j chain, so both levels give the
+    // same bits: head_dim % 16 == 8 takes the odd-chunk path, 36 the
+    // scalar tail, rows 1..9 every row block, first_pos a page boundary
+    // and its neighbours, page_size 1 one-key runs. A last case scales q
+    // up so that most shifted scores fall far below -88, where the AVX-512
+    // exp must hand its lane to std::exp.
     SKIP_UNLESS_TWO_FLOAT_LEVELS();
     Rng rng(117);
-    std::vector<int64_t> row_counts = {1, 2, 3, 4, 5, 6, 7, 8, 9, 256};
-    for (int head_dim : {8, 24, 36, 40, 64, 80, 128, 256}) {
+    const auto check = [&](int head_dim, int64_t rows, int64_t first_pos,
+                           int64_t page_size, double q_scale) {
         // Two heads per row, so the strides differ from head_dim.
         const int64_t stride = 2 * head_dim;
-        for (int64_t rows : row_counts) {
+        PagedHistory kv(rng, first_pos + rows, page_size, stride);
+        const Tensor q = RandomTensor(rng, {rows, stride}, q_scale);
+        Tensor ref({rows, stride}, DType::kF32);
+        CausalAttentionHeadAt(KernelIsa::kScalar, q.Data<float>(), stride,
+                              rows, first_pos, kv.rows, head_dim,
+                              ref.Data<float>(), stride);
+        for (KernelIsa isa : SupportedKernelIsas()) {
+            Tensor out({rows, stride}, DType::kF32);
+            CausalAttentionHeadAt(isa, q.Data<float>(), stride, rows,
+                                  first_pos, kv.rows, head_dim,
+                                  out.Data<float>(), stride);
+            bool same = true;
+            for (int64_t r = 0; r < rows; ++r) {
+                same = same && std::memcmp(out.Data<float>() + r * stride,
+                                           ref.Data<float>() + r * stride,
+                                           head_dim * sizeof(float)) == 0;
+            }
+            EXPECT_TRUE(same)
+                << KernelIsaName(isa) << " head_dim=" << head_dim
+                << " rows=" << rows << " first_pos=" << first_pos
+                << " page_size=" << page_size << " q_scale=" << q_scale;
+        }
+    };
+    for (int head_dim : {8, 24, 36, 40, 64, 80, 128, 256}) {
+        for (int64_t rows : {1, 2, 3, 4, 5, 6, 7, 8, 9, 256}) {
             for (int64_t first_pos : {0, 15, 16, 17, 512}) {
                 for (int64_t page_size : {1, 16}) {
-                    const int64_t positions = first_pos + rows;
-                    PagedHistory kv(rng, positions, page_size, stride);
-                    const Tensor q = RandomTensor(rng, {rows, stride});
-                    Tensor ref({rows, stride}, DType::kF32);
-                    CausalAttentionHeadAt(KernelIsa::kScalar,
-                                          q.Data<float>(), stride, rows,
-                                          first_pos, kv.rows, head_dim,
-                                          ref.Data<float>(), stride);
-                    for (KernelIsa isa : SupportedKernelIsas()) {
-                        Tensor out({rows, stride}, DType::kF32);
-                        CausalAttentionHeadAt(isa, q.Data<float>(), stride,
-                                              rows, first_pos, kv.rows,
-                                              head_dim, out.Data<float>(),
-                                              stride);
-                        bool same = true;
-                        for (int64_t r = 0; r < rows; ++r) {
-                            same = same &&
-                                   std::memcmp(out.Data<float>() + r * stride,
-                                               ref.Data<float>() + r * stride,
-                                               head_dim * sizeof(float)) == 0;
-                        }
-                        EXPECT_TRUE(same)
-                            << KernelIsaName(isa) << " head_dim=" << head_dim
-                            << " rows=" << rows << " first_pos=" << first_pos
-                            << " page_size=" << page_size;
-                    }
+                    check(head_dim, rows, first_pos, page_size, 1.0);
+                }
+            }
+        }
+    }
+    check(64, 9, 512, 16, 1000.0);
+}
+
+TEST(KernelIsaTest, ExpMatchesStdExpBitwise)
+{
+    // The AVX-512 float level runs glibc's expf algorithm in double lanes
+    // and hands |x| >= 88 and NaN to std::exp, so every level returns
+    // std::exp's bits: over a strided sweep of all float bit patterns
+    // (the odd stride reaches every low-bit residue) and at the edges:
+    // signed zeros, denormals, both sides of the 88 cut-off, the underflow
+    // to zero near -103.9, infinities and NaN. 0x4202422f and 0xc27c65d9
+    // round differently unless InvLn2N * x is fused into both of its uses,
+    // as glibc's build fuses it; 0x3e73ade2 is the one float whose result
+    // depends on the last bit of a table entry (T[11]).
+    SKIP_UNLESS_TWO_FLOAT_LEVELS();
+    std::vector<uint32_t> bits = {
+        0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x007fffff,
+        0x807fffff, 0x00800000, 0x4202422f, 0xc27c65d9, 0x3e73ade2,
+        0x7f800000, 0xff800000, 0x7fc00000, 0xffc00000, 0x7f800001};
+    for (float x : {87.3f, -87.3f, -103.9f, -103.97f, 88.0f, -88.0f,
+                    std::nextafter(88.0f, 0.0f), std::nextafter(-88.0f, 0.0f),
+                    88.7f, 88.8f, 89.0f, -89.0f, -104.0f}) {
+        uint32_t u = 0;
+        std::memcpy(&u, &x, sizeof(u));
+        bits.push_back(u);
+    }
+    constexpr uint64_t kStride = 257;
+    constexpr size_t kChunk = 1 << 16;
+    std::vector<float> x(kChunk), want(kChunk), got(kChunk);
+    uint64_t next = 0;
+    while (next < (uint64_t{1} << 32)) {
+        // The first chunk starts with the edges; a chunk that is not a
+        // multiple of eight long ends in the scalar tail.
+        size_t n = 0;
+        if (next == 0) {
+            for (uint32_t u : bits) std::memcpy(&x[n++], &u, sizeof(float));
+        }
+        for (; n < kChunk - 3 && next < (uint64_t{1} << 32);
+             ++n, next += kStride) {
+            const uint32_t u = static_cast<uint32_t>(next);
+            std::memcpy(&x[n], &u, sizeof(float));
+        }
+        for (size_t i = 0; i < n; ++i) want[i] = std::exp(x[i]);
+        for (KernelIsa isa : SupportedKernelIsas()) {
+            ExpF32At(isa, x.data(), static_cast<int64_t>(n), got.data());
+            for (size_t i = 0; i < n; ++i) {
+                if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) {
+                    uint32_t u = 0;
+                    std::memcpy(&u, &x[i], sizeof(u));
+                    ADD_FAILURE() << KernelIsaName(isa) << " exp(0x"
+                                  << std::hex << u << ") = " << got[i]
+                                  << ", std::exp gives " << want[i];
+                    return;
                 }
             }
         }
