@@ -182,7 +182,7 @@ EmitPagedAttentionShape(const char* variant, int64_t metric_m,
 {
     const int64_t model_dim = static_cast<int64_t>(heads) * head_dim;
     Rng rng(0x9a6ed + static_cast<uint64_t>(history + q_rows));
-    BatchedKvCache cache(1, model_dim, 0, PagedKvOptions{});
+    BatchedKvCache cache(1, model_dim);
     std::vector<int> seqs;
     std::vector<int64_t> segments{0};
     std::vector<int64_t> pos_offsets;

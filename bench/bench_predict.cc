@@ -128,7 +128,7 @@ TraceTinyReplay(const char* sink_path)
     replay_options.check_bitwise = false;
     ReplayPlacement placement;
     placement.prefill = DecodePlacement::kNpuQuant;
-    placement.default_decode = DecodePlacement::kNpuQuant;
+    placement.decode = DecodePlacement::kNpuQuant;
     replay_options.placement = placement;
     replay_options.trace_sink = sink_path;
     ReplayServingTrace(served.replay_steps, served.records, model, backend,

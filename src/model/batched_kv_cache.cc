@@ -6,10 +6,8 @@
 namespace llmnpu {
 
 BatchedKvCache::BatchedKvCache(int num_layers, int64_t kv_dim,
-                               int num_sequences, PagedKvOptions options)
-    : num_layers_(num_layers),
-      kv_dim_(kv_dim),
-      pool_(num_layers, kv_dim, options)
+                               int num_sequences)
+    : num_layers_(num_layers), kv_dim_(kv_dim), pool_(num_layers, kv_dim)
 {
     LLMNPU_CHECK_GE(num_sequences, 0);
     seqs_.reserve(static_cast<size_t>(num_sequences));
@@ -58,7 +56,7 @@ BatchedKvCache::AddSequenceSharingPrefix(int src, int64_t positions)
     SeqState& state = seqs_[static_cast<size_t>(seq)];
     // A non-aligned fork shares the partial frontier page too; the first
     // write past `positions` (by either sibling) copy-on-writes it.
-    const int64_t shared_pages = pool_.PagesFor(positions);
+    const int64_t shared_pages = KvPagesFor(positions);
     state.pages.assign(source.pages.begin(),
                        source.pages.begin() + shared_pages);
     for (int64_t page : state.pages) pool_.AddRef(page);
@@ -86,26 +84,6 @@ BatchedKvCache::IsRetired(int seq) const
     return seqs_[static_cast<size_t>(seq)].retired;
 }
 
-bool
-BatchedKvCache::CanAppend(int seq, int64_t positions) const
-{
-    const SeqState& state = CheckedSeq(seq);
-    LLMNPU_CHECK_GE(positions, 0);
-    const int64_t free = pool_.free_pages();
-    if (free == kUnboundedFreePages) return true;
-    const int64_t mapped = static_cast<int64_t>(state.pages.size());
-    const int64_t len = state.layer_len[0];
-    const int64_t needed = pool_.PagesFor(len + positions);
-    // Mapped pages in the write range that a sibling still references each
-    // cost one extra page: the append copy-on-writes them, and the sibling
-    // keeps the original alive.
-    int64_t cow = 0;
-    for (int64_t p = len / page_size(); p < std::min(mapped, needed); ++p) {
-        if (pool_.RefCount(state.pages[static_cast<size_t>(p)]) > 1) ++cow;
-    }
-    return needed - mapped + cow <= free;
-}
-
 void
 BatchedKvCache::AppendRows(int seq, int layer, const Tensor& k,
                            const Tensor& v, int64_t row_begin,
@@ -121,17 +99,15 @@ BatchedKvCache::AppendRows(int seq, int layer, const Tensor& k,
     LLMNPU_CHECK_GT(row_count, 0);
     LLMNPU_CHECK_LE(row_begin + row_count, k.Rows());
 
-    const int64_t ps = page_size();
+    const int64_t ps = kKvPageSize;
     const int64_t len = state.layer_len[static_cast<size_t>(layer)];
 
     // Map any pages the new positions spill into. Layers append in
     // lockstep with layer 0 first, so this allocates on the layer-0 append
     // and is a no-op for the later layers of the same step.
-    const int64_t needed = pool_.PagesFor(len + row_count);
+    const int64_t needed = KvPagesFor(len + row_count);
     while (static_cast<int64_t>(state.pages.size()) < needed) {
-        const int64_t page = pool_.AllocPage();
-        LLMNPU_CHECK_GE(page, 0);  // exhausted: callers gate on CanAppend
-        state.pages.push_back(page);
+        state.pages.push_back(pool_.AllocPage());
     }
 
     // Copy in page-contiguous runs straight from the stacked tensor.
@@ -152,7 +128,6 @@ BatchedKvCache::AppendRows(int seq, int layer, const Tensor& k,
         // per layer-0 append; later layers of the step land on the copy.
         if (pool_.RefCount(page) > 1) {
             const int64_t clone = pool_.ClonePage(page);
-            LLMNPU_CHECK_GE(clone, 0);  // callers gate on CanAppend
             pool_.Release(page);
             state.pages[static_cast<size_t>(page_idx)] = clone;
             page = clone;
@@ -189,20 +164,21 @@ BatchedKvCache::Append(int seq, int layer, const Tensor& k, const Tensor& v)
 }
 
 Tensor
-BatchedKvCache::Keys(int seq, int layer) const
+BatchedKvCache::Gather(int seq, int layer, bool values) const
 {
     const SeqState& state = CheckedSeq(seq);
     LLMNPU_CHECK_GE(layer, 0);
     LLMNPU_CHECK_LT(layer, num_layers_);
     const int64_t len = state.layer_len[static_cast<size_t>(layer)];
-    const int64_t ps = page_size();
+    const int64_t ps = kKvPageSize;
     Tensor out({len, kv_dim_}, DType::kF32);
     float* p = out.Data<float>();
     for (int64_t pos = 0; pos < len;) {
         const int64_t run = std::min(len - pos, ps - pos % ps);
         const int64_t page = state.pages[static_cast<size_t>(pos / ps)];
-        std::memcpy(p + pos * kv_dim_,
-                    pool_.PageK(page, layer) + (pos % ps) * kv_dim_,
+        const float* block =
+            values ? pool_.PageV(page, layer) : pool_.PageK(page, layer);
+        std::memcpy(p + pos * kv_dim_, block + (pos % ps) * kv_dim_,
                     static_cast<size_t>(run * kv_dim_) * sizeof(float));
         pos += run;
     }
@@ -210,24 +186,15 @@ BatchedKvCache::Keys(int seq, int layer) const
 }
 
 Tensor
+BatchedKvCache::Keys(int seq, int layer) const
+{
+    return Gather(seq, layer, /*values=*/false);
+}
+
+Tensor
 BatchedKvCache::Values(int seq, int layer) const
 {
-    const SeqState& state = CheckedSeq(seq);
-    LLMNPU_CHECK_GE(layer, 0);
-    LLMNPU_CHECK_LT(layer, num_layers_);
-    const int64_t len = state.layer_len[static_cast<size_t>(layer)];
-    const int64_t ps = page_size();
-    Tensor out({len, kv_dim_}, DType::kF32);
-    float* p = out.Data<float>();
-    for (int64_t pos = 0; pos < len;) {
-        const int64_t run = std::min(len - pos, ps - pos % ps);
-        const int64_t page = state.pages[static_cast<size_t>(pos / ps)];
-        std::memcpy(p + pos * kv_dim_,
-                    pool_.PageV(page, layer) + (pos % ps) * kv_dim_,
-                    static_cast<size_t>(run * kv_dim_) * sizeof(float));
-        pos += run;
-    }
-    return out;
+    return Gather(seq, layer, /*values=*/true);
 }
 
 int64_t

@@ -12,10 +12,6 @@
  *
  *  - retiring a sequence returns its pages to the pool immediately (the
  *    free list feeds the next admission),
- *  - a bounded pool turns KV memory into an admission-control resource:
- *    CanAppend says whether an append fits before it is made (the serving
- *    simulator keeps the same page arithmetic in its own KvLedger,
- *    src/serving/kv_ledger.h, and does not call CanAppend),
  *  - sequences can share the pages of a common prompt prefix (refcounted),
  *    with copy-on-write isolation: appending into a page another sequence
  *    still references clones the page, rewrites only the appender's page
@@ -27,9 +23,14 @@
  *    straight out of the pages, eliminating the per-sequence dense
  *    materialization and segment copies of the old decode hot path.
  *
+ * Every page holds kKvPageSize positions and the pool grows on demand: the
+ * cache has no budget of its own. KV memory is an admission-control
+ * resource only in the serving simulator, whose KvLedger
+ * (src/serving/kv_ledger.h) charges pages by the same KvPagesFor.
+ *
  * Page tables are shared across layers: page id p of a sequence holds that
- * sequence's positions [i*page_size, (i+1)*page_size) for *every* layer
- * (the pool lays pages out as [layer][k|v][page_size x kv_dim]). Layers
+ * sequence's positions [i*kKvPageSize, (i+1)*kKvPageSize) for *every* layer
+ * (the pool lays pages out as [layer][k|v][kKvPageSize x kv_dim]). Layers
  * append in lockstep within a forward step, layer 0 first, so page
  * allocation happens on the layer-0 append and later layers land in
  * already-mapped pages.
@@ -57,10 +58,8 @@ class BatchedKvCache
      * @param num_layers number of transformer blocks.
      * @param kv_dim per-position K (and V) width = num_kv_heads * head_dim.
      * @param num_sequences initial sequence slots (may be grown later).
-     * @param options page geometry and pool budget.
      */
-    BatchedKvCache(int num_layers, int64_t kv_dim, int num_sequences = 0,
-                   PagedKvOptions options = {});
+    BatchedKvCache(int num_layers, int64_t kv_dim, int num_sequences = 0);
 
     /** Adds an empty sequence slot; @return its index. */
     int AddSequence();
@@ -84,12 +83,6 @@ class BatchedKvCache
 
     bool IsRetired(int seq) const;
 
-    /** True when the pool can absorb `positions` more positions appended
-     *  to `seq` — growth pages plus one copy-on-write clone for each
-     *  still-shared page the write range touches (the admission / eviction
-     *  backpressure signal). Always true for an unbounded pool. */
-    bool CanAppend(int seq, int64_t positions) const;
-
     /**
      * Appends rows [row_begin, row_begin + row_count) of `k`/`v`
      * ([* x kv_dim]) for one layer of one sequence, straight from a
@@ -99,8 +92,7 @@ class BatchedKvCache
      * reference on the original is released. Enforces the layer-lockstep
      * invariant: layer 0 of a step appends first, no layer may lead the
      * shortest layer by more than the in-flight chunk, and a layer > 0
-     * never leads layer 0. Panics if a bounded pool runs out of pages —
-     * callers gate on CanAppend.
+     * never leads layer 0.
      */
     void AppendRows(int seq, int layer, const Tensor& k, const Tensor& v,
                     int64_t row_begin, int64_t row_count);
@@ -126,13 +118,12 @@ class BatchedKvCache
     int live_sequences() const { return live_; }
     int num_layers() const { return num_layers_; }
     int64_t kv_dim() const { return kv_dim_; }
-    int64_t page_size() const { return pool_.page_size(); }
 
     KvPagePool& pool() { return pool_; }
     const KvPagePool& pool() const { return pool_; }
 
     /** Bytes of pool pages currently in use (page-granular, shared prefix
-     *  pages counted once — the honest footprint). */
+     *  pages counted once); see KvPagePool::SizeBytes. */
     int64_t SizeBytes() const { return pool_.SizeBytes(); }
 
   private:
@@ -144,6 +135,8 @@ class BatchedKvCache
 
     const SeqState& CheckedSeq(int seq) const;
     SeqState& CheckedSeq(int seq);
+    /** Keys (or, with `values`, Values) of one layer gathered dense. */
+    Tensor Gather(int seq, int layer, bool values) const;
 
     int num_layers_;
     int64_t kv_dim_;

@@ -13,8 +13,6 @@ struct KvPoolMetrics
 {
     obs::Counter& alloc =
         obs::MetricsRegistry::Global().GetCounter("kv_pool.alloc");
-    obs::Counter& alloc_fail =
-        obs::MetricsRegistry::Global().GetCounter("kv_pool.alloc_fail");
     obs::Counter& release =
         obs::MetricsRegistry::Global().GetCounter("kv_pool.release");
     obs::Counter& cow_clone =
@@ -32,41 +30,23 @@ PoolMetrics()
 
 }  // namespace
 
-KvPagePool::KvPagePool(int num_layers, int64_t kv_dim, PagedKvOptions options)
-    : num_layers_(num_layers), kv_dim_(kv_dim), options_(options)
+KvPagePool::KvPagePool(int num_layers, int64_t kv_dim)
+    : num_layers_(num_layers), kv_dim_(kv_dim)
 {
     LLMNPU_CHECK_GT(num_layers, 0);
     LLMNPU_CHECK_GT(kv_dim, 0);
-    LLMNPU_CHECK_GT(options_.page_size, 0);
-    LLMNPU_CHECK_GE(options_.max_pages, 0);
 }
 
 int64_t
 KvPagePool::PageFloats() const
 {
-    return static_cast<int64_t>(num_layers_) * 2 * options_.page_size *
-           kv_dim_;
+    return static_cast<int64_t>(num_layers_) * 2 * kKvPageSize * kv_dim_;
 }
 
 int64_t
 KvPagePool::PageBytes() const
 {
     return PageFloats() * static_cast<int64_t>(sizeof(float));
-}
-
-int64_t
-KvPagePool::PagesFor(int64_t positions) const
-{
-    LLMNPU_CHECK_GE(positions, 0);
-    return (positions + options_.page_size - 1) / options_.page_size;
-}
-
-int64_t
-KvPagePool::free_pages() const
-{
-    if (options_.max_pages == 0) return kUnboundedFreePages;
-    return static_cast<int64_t>(free_list_.size()) + options_.max_pages -
-           allocated_pages();
 }
 
 int64_t
@@ -77,11 +57,6 @@ KvPagePool::AllocPage()
         page = free_list_.back();
         free_list_.pop_back();
     } else {
-        if (options_.max_pages > 0 && allocated_pages() >= options_.max_pages) {
-            PoolMetrics().alloc_fail.Add(1);
-            LLMNPU_TRACE_INSTANT("kv_pool.alloc_fail", "kv");
-            return -1;
-        }
         page = allocated_pages();
         pages_.emplace_back(static_cast<size_t>(PageFloats()));
         refcount_.push_back(0);
@@ -103,7 +78,6 @@ KvPagePool::ClonePage(int64_t src)
     LLMNPU_CHECK_LT(src, allocated_pages());
     LLMNPU_CHECK_GT(refcount_[static_cast<size_t>(src)], 0);
     const int64_t clone = AllocPage();
-    if (clone < 0) return -1;
     // Whole-buffer copy: a CoW write targets one layer, but the sibling
     // layers' shared rows live in the same physical page and the cloning
     // sequence still needs them after its table points at the copy.
@@ -156,7 +130,7 @@ KvPagePool::PageK(int64_t page, int layer)
     LLMNPU_CHECK_GE(layer, 0);
     LLMNPU_CHECK_LT(layer, num_layers_);
     return pages_[static_cast<size_t>(page)].data() +
-           static_cast<int64_t>(layer) * 2 * options_.page_size * kv_dim_;
+           static_cast<int64_t>(layer) * 2 * kKvPageSize * kv_dim_;
 }
 
 const float*
@@ -168,7 +142,7 @@ KvPagePool::PageK(int64_t page, int layer) const
 float*
 KvPagePool::PageV(int64_t page, int layer)
 {
-    return PageK(page, layer) + options_.page_size * kv_dim_;
+    return PageK(page, layer) + kKvPageSize * kv_dim_;
 }
 
 const float*

@@ -29,7 +29,7 @@ PagedCausalAttention(const Tensor& q, const std::vector<int64_t>& segments,
 
     const int heads_per_kv = num_heads / num_kv_heads;
     const int64_t kv_dim = cache.kv_dim();
-    const int64_t ps = cache.page_size();
+    const int64_t ps = kKvPageSize;
     const KvPagePool& pool = cache.pool();
 
     // Every member's history (this step's rows included) must already be
@@ -66,8 +66,7 @@ PagedCausalAttention(const Tensor& q, const std::vector<int64_t>& segments,
                 const std::vector<int64_t>& pages =
                     cache.PageTable(seqs[i]);
                 const int64_t visible = pos_offsets[i] + q_len;
-                const size_t used =
-                    static_cast<size_t>((visible + ps - 1) / ps);
+                const size_t used = static_cast<size_t>(KvPagesFor(visible));
                 k_pages.resize(used);
                 v_pages.resize(used);
                 for (size_t p = 0; p < used; ++p) {

@@ -75,16 +75,10 @@ Transformer::MakeCache() const
 BatchedKvCache
 Transformer::MakeBatchedCache(int num_sequences) const
 {
-    return MakeBatchedCache(num_sequences, PagedKvOptions{});
-}
-
-BatchedKvCache
-Transformer::MakeBatchedCache(int num_sequences, PagedKvOptions options) const
-{
     const auto& c = weights_.config;
     return BatchedKvCache(c.num_layers,
                           static_cast<int64_t>(c.num_kv_heads) * c.head_dim,
-                          num_sequences, options);
+                          num_sequences);
 }
 
 Tensor

@@ -121,11 +121,6 @@ class Transformer
     /** Creates an empty batched cache with `num_sequences` slots. */
     BatchedKvCache MakeBatchedCache(int num_sequences = 0) const;
 
-    /** Batched cache with explicit page geometry / pool budget (bounded
-     *  pools are the serving layer's KV admission-control resource). */
-    BatchedKvCache MakeBatchedCache(int num_sequences,
-                                    PagedKvOptions options) const;
-
     /** Embedding lookup: tokens -> [seq x hidden]. */
     Tensor Embed(const std::vector<int>& tokens) const;
 

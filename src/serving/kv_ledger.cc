@@ -9,7 +9,7 @@ namespace llmnpu {
 
 KvLedger::KvLedger(int num_requests, int64_t budget_pages,
                    int64_t prefix_len)
-    : prefix_pages_(PagesFor(prefix_len)),
+    : prefix_pages_(KvPagesFor(prefix_len)),
       live_budget_(budget_pages),
       held_(static_cast<size_t>(num_requests), 0),
       holds_prefix_(static_cast<size_t>(num_requests), 0)
@@ -28,7 +28,7 @@ KvLedger::Reserve(const ServingRequest& request, double now_ms)
         refs_peak_ = std::max(refs_peak_, prefix_holders_);
         Note(now_ms);
     }
-    Grow(request.id, PagesFor(request.PrivatePromptLen()), now_ms);
+    Grow(request.id, KvPagesFor(request.PrivatePromptLen()), now_ms);
 }
 
 void

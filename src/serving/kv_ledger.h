@@ -28,15 +28,11 @@ class KvLedger
 {
   public:
     /** Tracks request ids [0, num_requests) against `budget_pages` (0 =
-     *  unbounded) in pages of kKvPageSize positions, the numeric pool's
-     *  default page; `prefix_len` is the page-aligned shared-prefix length
-     *  in positions (0 = none). */
+     *  unbounded) in pages of kKvPageSize positions, charged by the numeric
+     *  pool's KvPagesFor; `prefix_len` is the page-aligned shared-prefix
+     *  length in positions (0 = none). */
     KvLedger(int num_requests, int64_t budget_pages, int64_t prefix_len);
 
-    static int64_t PagesFor(int64_t positions)
-    {
-        return (positions + kKvPageSize - 1) / kKvPageSize;
-    }
     /** Whole once-counted demand of `request` through its last token. */
     int64_t Demand(const ServingRequest& request) const
     {
@@ -52,13 +48,13 @@ class KvLedger
     /** What `request`'s first reservation (its prompt) costs right now. */
     int64_t ReserveCharge(const ServingRequest& request) const
     {
-        return PagesFor(request.PrivatePromptLen()) + PrefixCharge(request);
+        return KvPagesFor(request.PrivatePromptLen()) + PrefixCharge(request);
     }
     /** Private pages `request` still lacks after `tokens_out` tokens. */
     int64_t Shortfall(const ServingRequest& request, int tokens_out) const
     {
-        return PagesFor(static_cast<int64_t>(request.PrivatePromptLen()) +
-                        tokens_out) -
+        return KvPagesFor(static_cast<int64_t>(request.PrivatePromptLen()) +
+                          tokens_out) -
                held(request.id);
     }
     /** Whether releasing `id` would drop the shared prefix with it. */
@@ -117,8 +113,8 @@ class KvLedger
   private:
     int64_t WholePrivatePages(const ServingRequest& request) const
     {
-        return PagesFor(static_cast<int64_t>(request.PrivatePromptLen()) +
-                        request.output_len);
+        return KvPagesFor(static_cast<int64_t>(request.PrivatePromptLen()) +
+                          request.output_len);
     }
     /** The prefix pages a sharer's charge adds right now. */
     int64_t PrefixCharge(const ServingRequest& request) const

@@ -224,14 +224,13 @@ ReplayTraceImpl(const std::vector<ReplayStep>& steps,
                          state.tokens_decoded)]}});
                 member_ids.push_back(id);
                 if (placement != nullptr) {
-                    // Trace-recorded placements win over the static
-                    // per-request placement: a fault-plane run's circuit
+                    // Trace-recorded placements win over the replay's
+                    // one decode placement: a fault-plane run's circuit
                     // breaker can switch a request NPU->CPU mid-stream,
                     // and the executed schedule is what must replay.
                     const DecodePlacement member_placement =
-                        mi < step.placements.size()
-                            ? step.placements[mi]
-                            : placement->DecodeFor(id);
+                        mi < step.placements.size() ? step.placements[mi]
+                                                    : placement->decode;
                     step_placements.push_back(member_placement);
                     state.decode_placements.push_back(member_placement);
                 }

@@ -27,26 +27,18 @@
 namespace llmnpu {
 
 /**
- * Decode placement of a placement-aware replay: where each request's
- * decode steps execute, and where prefill chunks execute. The bitwise
- * reference of a placed replay is the solo run with the *same* placement —
- * prefill chunks on `prefill`, decode steps on the request's placement.
+ * Placements of a placement-aware replay: where prefill chunks execute,
+ * and where a decode step executes when the trace recorded no per-member
+ * placements for it (ReplayStep::placements empty). The bitwise reference
+ * of a placed replay is the solo run with the *same* per-step placements.
  */
 struct ReplayPlacement {
     /** Placement of every prefill chunk (the paper's deployment prefills
      *  on the NPU, so the quantized path is the default). */
     DecodePlacement prefill = DecodePlacement::kNpuQuant;
-    /** Decode placement by request id; ids beyond the vector (or an empty
-     *  vector) fall back to `default_decode`. */
-    std::vector<DecodePlacement> decode;
-    DecodePlacement default_decode = DecodePlacement::kCpuFloat;
-
-    DecodePlacement DecodeFor(int request_id) const
-    {
-        return static_cast<size_t>(request_id) < decode.size()
-                   ? decode[static_cast<size_t>(request_id)]
-                   : default_decode;
-    }
+    /** Placement of every member of a decode step without recorded
+     *  placements. */
+    DecodePlacement decode = DecodePlacement::kCpuFloat;
 };
 
 /** Options scaling a served trace down to a tractable numeric replay. */
@@ -64,7 +56,7 @@ struct ReplayOptions {
      *  DecodeBackend with per-member placements — prefill chunks on
      *  placement->prefill, each decode member on the trace-recorded
      *  placement when present (fault failovers, PredictedPlacement), else
-     *  its request's static placement. Requires `linears` to actually be
+     *  on placement->decode. Requires `linears` to actually be
      *  a DecodeBackend (fatal otherwise). */
     std::optional<ReplayPlacement> placement;
     /** Non-empty: the replay runs with host-plane tracing on and writes a

@@ -81,10 +81,10 @@ struct ServingOptions {
     int max_decode_batch = 8;
 
     /**
-     * KV page pool budget in pages of kKvPageSize positions (the
-     * serving-side mirror of KvPagePool's max_pages); 0 = unbounded, the
-     * legacy behavior. A
-     * bounded pool turns KV memory into a scheduled resource:
+     * KV page pool budget in pages of kKvPageSize positions, enforced by
+     * the run's KvLedger (the numeric KvPagePool has no budget); 0 =
+     * unbounded, the legacy behavior. A bounded pool turns KV memory into
+     * a scheduled resource:
      *  - arrival: a request whose whole demand (prompt + output pages)
      *    exceeds the budget is rejected outright — it could never run;
      *  - first chunk dispatch: the prompt's pages are reserved, and a
@@ -149,9 +149,9 @@ struct ReplayStep {
      *  request_ids. Filled by fault-plane runs (the circuit breaker can
      *  fail a request's decode NPU->CPU mid-stream) and by
      *  PredictedPlacement runs (mid-run CPU/NPU flips at step
-     *  boundaries); the replay bridge prefers these over its static
-     *  per-request placement so both kinds of schedule replay bitwise.
-     *  Empty = caller decides (legacy). */
+     *  boundaries); the replay bridge prefers these over its one
+     *  ReplayPlacement::decode so both kinds of schedule replay bitwise.
+     *  Empty = every member on ReplayPlacement::decode. */
     std::vector<DecodePlacement> placements;
 };
 

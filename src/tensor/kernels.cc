@@ -37,6 +37,10 @@
  *  - The exp of the attention softmax and of SiLU (SiluSpan) is std::exp
  *    below the AVX-512 level. There, it is glibc's expf algorithm eight
  *    lanes wide in double, bit for bit the same.
+ *  - Each AVX-512 function that code of another level calls ends with
+ *    _mm256_zeroupper(). GCC emits that vzeroupper itself only when
+ *    optimizing; without it (-O0), the dirty upper zmm state makes every
+ *    later SSE instruction, libm's among them, run many times slower.
  *
  * The attention inner loops (CausalAttentionHead, attention_kernel.h) live
  * here too, so PagedCausalAttention gets the same flags and levels.
@@ -306,6 +310,7 @@ MicroKernelF32Avx512(const float* __restrict at, const float* __restrict bp,
     for (int r = 0; r < MR; ++r) {
         _mm512_mask_storeu_ps(c + r * ldc, mask, acc[r]);
     }
+    _mm256_zeroupper();
 }
 
 /** MicroKernelF32Avx512<rows>, for kWideMinRows <= rows <= MR. */
@@ -490,6 +495,7 @@ MicroKernelI8Vnni(const int8_t* a, int64_t lda, const int8_t* bp,
         _mm512_storeu_si512(acc + r * kPanelWidth,
                             _mm512_sub_epi32(sum[r], offset));
     }
+    _mm256_zeroupper();
 }
 #endif
 
@@ -1339,9 +1345,11 @@ ScoresBlockAvx512(const float* q, int64_t q_stride, const float* k,
         for (int r = 0; r < R; ++r) {
             std::memcpy(scores + r * ld, dots + r * KB, KB * sizeof(float));
         }
+        _mm256_zeroupper();
         return;
     }
     _mm512_store_ps(dots, acc[0]);
+    _mm256_zeroupper();
     for (int r = 0; r < R; ++r) {
         const float* qr = q + r * q_stride;
         for (int j = 0; j < KB; ++j) {
@@ -1385,6 +1393,7 @@ AccumulateColumnsAvx512(const float* w, int64_t ld, const float* v,
             _mm512_storeu_ps(out + r * out_stride + 16 * c, acc[r][c]);
         }
     }
+    _mm256_zeroupper();
 }
 
 /** AccumulateColumnBlocks with 16-lane vectors. */
@@ -1473,6 +1482,7 @@ ExpF32x8(__m256 x)
         alignas(32) float ys[8];
         _mm256_store_ps(xs, x);
         _mm256_store_ps(ys, out);
+        _mm256_zeroupper();  // std::exp runs SSE code
         for (int l = 0; l < 8; ++l) {
             if ((special >> l) & 1) ys[l] = std::exp(xs[l]);
         }
@@ -1490,6 +1500,7 @@ ExpAvx512(const float* x, int64_t n, float* out)
     for (; i + 8 <= n; i += 8) {
         _mm256_storeu_ps(out + i, ExpF32x8(_mm256_loadu_ps(x + i)));
     }
+    _mm256_zeroupper();
     return i;
 }
 
@@ -1509,6 +1520,7 @@ SiluAvx512(float* p, const float* up, int64_t n)
         if (up != nullptr) a = _mm256_mul_ps(a, _mm256_loadu_ps(up + i));
         _mm256_storeu_ps(p + i, a);
     }
+    _mm256_zeroupper();
     return i;
 }
 #endif

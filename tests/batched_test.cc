@@ -16,6 +16,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <map>
@@ -44,7 +45,7 @@ namespace {
 
 TEST(BatchedKvCacheTest, SlotsAreIndependent)
 {
-    BatchedKvCache cache(2, 8, 2, PagedKvOptions{/*page_size=*/4});
+    BatchedKvCache cache(2, 8, 2);
     ASSERT_EQ(cache.num_sequences(), 2);
     Tensor k = Tensor::Full({3, 8}, 1.0f);
     Tensor v = Tensor::Full({3, 8}, 2.0f);
@@ -52,9 +53,9 @@ TEST(BatchedKvCacheTest, SlotsAreIndependent)
     cache.Append(0, 1, k, v);
     EXPECT_EQ(cache.SeqLen(0), 3);
     EXPECT_EQ(cache.SeqLen(1), 0);
-    // 3 positions at page_size 4 is one page: k + v, both layers, 4 rows
-    // of kv_dim 8 floats each (page-granular accounting, not row-exact).
-    EXPECT_EQ(cache.SizeBytes(), 2 * 2 * 4 * 8 * 4);
+    // 3 positions is one page: k + v, both layers, kKvPageSize rows of
+    // kv_dim 8 floats each (page-granular accounting, not row-exact).
+    EXPECT_EQ(cache.SizeBytes(), 2 * 2 * kKvPageSize * 8 * 4);
     EXPECT_EQ(cache.AddSequence(), 2);
     EXPECT_EQ(cache.num_sequences(), 3);
 }
@@ -531,33 +532,53 @@ TEST_F(TraceReplayTest, RandomizedDecodePlacementsReplayBitwise)
     // reproduces each sequence's streams bitwise vs the solo run with the
     // same placement — even when one batched decode step mixes NPU-
     // quantized and CPU-float members and must split into placement runs.
+    // The assignment goes where the replay reads per-member placements:
+    // each decode step's ReplayStep::placements.
     const ServingResult result = SimulateTrace(6);
     ReplayOptions options;
     options.max_output_tokens = 64;
 
+    int mixed_steps = 0;
     for (uint64_t seed : {1u, 2u, 3u, 4u}) {
         Rng rng(seed);
         ReplayPlacement placement;
         placement.prefill = rng.UniformInt(2) == 0
                                 ? DecodePlacement::kCpuFloat
                                 : DecodePlacement::kNpuQuant;
+        std::vector<DecodePlacement> by_request;
         for (size_t id = 0; id < result.records.size(); ++id) {
-            placement.decode.push_back(rng.UniformInt(2) == 0
-                                           ? DecodePlacement::kCpuFloat
-                                           : DecodePlacement::kNpuQuant);
+            by_request.push_back(rng.UniformInt(2) == 0
+                                     ? DecodePlacement::kCpuFloat
+                                     : DecodePlacement::kNpuQuant);
+        }
+        std::vector<ReplayStep> steps = result.replay_steps;
+        for (ReplayStep& step : steps) {
+            if (step.is_prefill) continue;
+            step.placements.clear();
+            for (int id : step.request_ids) {
+                step.placements.push_back(
+                    by_request[static_cast<size_t>(id)]);
+            }
+            const auto npu_members =
+                std::count(step.placements.begin(), step.placements.end(),
+                           DecodePlacement::kNpuQuant);
+            mixed_steps += npu_members > 0 &&
+                           npu_members <
+                               static_cast<std::ptrdiff_t>(
+                                   step.placements.size());
         }
         Fp32LinearExecutor fp32(tiny_.weights);
         NpuShadowExecutor shadow(tiny_.weights, tiny_.profile, 0.5);
         DecodeBackend backend(fp32, shadow);
         options.placement = placement;
-        const ReplayOutcome outcome =
-            ReplayServingTrace(result.replay_steps, result.records,
-                               tiny_.model, backend, options);
+        const ReplayOutcome outcome = ReplayServingTrace(
+            steps, result.records, tiny_.model, backend, options);
         EXPECT_TRUE(outcome.bitwise_match)
             << "seed " << seed << ": " << outcome.first_mismatch;
         EXPECT_EQ(outcome.sequences, 6) << "seed " << seed;
         EXPECT_GT(outcome.decode_steps, 0) << "seed " << seed;
     }
+    EXPECT_GT(mixed_steps, 0);  // some step stacked CPU and NPU members
 }
 
 TEST_F(TraceReplayTest, ReplayHonorsOutputCap)

@@ -494,7 +494,7 @@ TEST_F(NpuDecodeReplayTest, NpuDecodeScheduleReplaysBitwise)
     DecodeBackend backend(fp32, shadow);
     ReplayPlacement placement;
     placement.prefill = DecodePlacement::kNpuQuant;
-    placement.default_decode = DecodePlacement::kNpuQuant;
+    placement.decode = DecodePlacement::kNpuQuant;
     ReplayOptions options;
     options.max_output_tokens = 64;  // replay every decode membership
     options.placement = placement;

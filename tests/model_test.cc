@@ -198,29 +198,30 @@ TEST(WeightsTest, LinearAccessorCoversAllKinds)
 
 TEST(KvCacheTest, AppendAndReadBack)
 {
-    // Slot 0 of a one-slot cache (what Transformer::MakeCache() returns),
-    // with small pages so the second chunk crosses a page boundary.
+    // Slot 0 of a one-slot cache (what Transformer::MakeCache() returns);
+    // two 12-position chunks, so the second crosses the first page edge.
     // Chunks go to every layer in turn (Append enforces layer lockstep).
-    BatchedKvCache cache(2, 8, 1, PagedKvOptions{/*page_size=*/4});
-    Tensor k = Tensor::Full({3, 8}, 1.0f);
-    Tensor v = Tensor::Full({3, 8}, 2.0f);
+    BatchedKvCache cache(2, 8, 1);
+    Tensor k = Tensor::Full({12, 8}, 1.0f);
+    Tensor v = Tensor::Full({12, 8}, 2.0f);
     cache.Append(0, 0, k, v);
-    EXPECT_EQ(cache.SeqLen(0, 0), 3);
+    EXPECT_EQ(cache.SeqLen(0, 0), 12);
     EXPECT_EQ(cache.SeqLen(0, 1), 0);
-    EXPECT_EQ(cache.Keys(0, 0).At(2, 7), 1.0f);
+    EXPECT_EQ(cache.Keys(0, 0).At(11, 7), 1.0f);
     EXPECT_EQ(cache.Values(0, 0).At(0, 0), 2.0f);
     cache.Append(0, 1, k, v);
-    cache.Append(0, 0, Tensor::Full({3, 8}, 3.0f), Tensor::Full({3, 8}, 4.0f));
+    cache.Append(0, 0, Tensor::Full({12, 8}, 3.0f),
+                 Tensor::Full({12, 8}, 4.0f));
     cache.Append(0, 1, k, v);
-    EXPECT_EQ(cache.SeqLen(0, 0), 6);
-    EXPECT_EQ(cache.SeqLen(0, 1), 6);
-    EXPECT_EQ(cache.Keys(0, 0).At(2, 0), 1.0f);
-    EXPECT_EQ(cache.Keys(0, 0).At(5, 7), 3.0f);
-    EXPECT_EQ(cache.Values(0, 0).At(3, 0), 4.0f);
-    EXPECT_EQ(cache.Values(0, 1).At(5, 0), 2.0f);
-    // Page-granular: 6 positions hold two 4-position pages, each with K
-    // and V for both layers.
-    EXPECT_EQ(cache.SizeBytes(), 2 * 2 * 2 * 4 * 8 * 4);
+    EXPECT_EQ(cache.SeqLen(0, 0), 24);
+    EXPECT_EQ(cache.SeqLen(0, 1), 24);
+    EXPECT_EQ(cache.Keys(0, 0).At(11, 0), 1.0f);
+    EXPECT_EQ(cache.Keys(0, 0).At(23, 7), 3.0f);
+    EXPECT_EQ(cache.Values(0, 0).At(12, 0), 4.0f);
+    EXPECT_EQ(cache.Values(0, 1).At(23, 0), 2.0f);
+    // Page-granular: 24 positions hold two kKvPageSize-position pages,
+    // each with K and V for both layers.
+    EXPECT_EQ(cache.SizeBytes(), 2 * 2 * 2 * kKvPageSize * 8 * 4);
 }
 
 class TransformerChunkTest : public ::testing::TestWithParam<int>

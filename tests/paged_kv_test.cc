@@ -2,19 +2,20 @@
  * @file
  * Paged KV subsystem tests (CTest label `paged-kv`).
  *
- * Covers the KvPagePool allocator (free-list reuse, bounded exhaustion,
- * refcounted prefix sharing, unbounded-headroom sentinel), the paged
- * BatchedKvCache (page-table reuse after retirement, CanAppend
- * backpressure — including pending copy-on-write clones — retired-slot
- * access, CoW fork-write divergence and randomized refcount accounting),
+ * Covers the KvPagePool allocator (free-list reuse, on-demand growth,
+ * refcounted prefix sharing, released-page misuse, the kv_pool.* registry
+ * counters), the paged BatchedKvCache (page-table reuse after retirement,
+ * retired-slot access, CoW fork-write divergence and the pages a fork
+ * write takes, randomized refcount accounting), all at kKvPageSize
+ * positions per page,
  * the shared-system-prompt serving scenario (once-counted admission,
  * eviction with a resident prefix, nested fraction marking, bitwise
  * replay through CoW forks), the fused PagedCausalAttention kernel
  * (causal mask and GQA head sharing, chunked prefill bitwise equal to
  * full-prompt attention (§3.2), bitwise equality to each sequence
- * attended alone from one page and 1/2/4-thread determinism, and
- * agreement with a double oracle across head_dim, page size and
- * query-row counts), B=64 ragged batched forward vs sequential,
+ * attended alone over its whole history and over 1- and 3-position page
+ * runs, 1/2/4-thread determinism, and agreement with a double oracle
+ * across head_dim and query-row counts), B=64 ragged batched forward vs sequential,
  * the serving layer's KV admission/eviction model (including
  * eviction-then-readmit bitwise replay), the simulator's KvLedger page
  * accounting, per-run KV state under concurrent simulator runs, and the
@@ -37,9 +38,11 @@
 #include "src/model/kv_page_pool.h"
 #include "src/model/paged_attention.h"
 #include "src/model/weights.h"
+#include "src/obs/metrics.h"
 #include "src/serving/kv_ledger.h"
 #include "src/serving/replay.h"
 #include "src/serving/simulator.h"
+#include "src/tensor/attention_kernel.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/threadpool.h"
@@ -75,7 +78,7 @@ BitwiseEqual(const Tensor& a, const Tensor& b)
 
 TEST(KvPagePoolTest, FreeListRecyclesReleasedPagesLifo)
 {
-    KvPagePool pool(2, 8, PagedKvOptions{/*page_size=*/4});
+    KvPagePool pool(2, 8);
     const int64_t a = pool.AllocPage();
     const int64_t b = pool.AllocPage();
     const int64_t c = pool.AllocPage();
@@ -85,10 +88,6 @@ TEST(KvPagePoolTest, FreeListRecyclesReleasedPagesLifo)
     pool.Release(a);
     pool.Release(c);
     EXPECT_EQ(pool.used_pages(), 1);
-    // Unbounded pools grow on demand, so their headroom is unbounded —
-    // the sentinel, not the current free-list length (which once made
-    // CanAppend refuse appends an unbounded pool would have served).
-    EXPECT_EQ(pool.free_pages(), kUnboundedFreePages);
     // LIFO: the most recently released page comes back first, and no new
     // physical storage is allocated while the free list can serve.
     EXPECT_EQ(pool.AllocPage(), c);
@@ -99,27 +98,11 @@ TEST(KvPagePoolTest, FreeListRecyclesReleasedPagesLifo)
     pool.Release(c);
     EXPECT_EQ(pool.used_pages(), 0);
     EXPECT_EQ(pool.SizeBytes(), 0);
-    EXPECT_EQ(pool.CapacityBytes(), 3 * pool.PageBytes());
-}
-
-TEST(KvPagePoolTest, BoundedPoolExhaustsInsteadOfGrowing)
-{
-    KvPagePool pool(1, 4, PagedKvOptions{/*page_size=*/2, /*max_pages=*/2});
-    EXPECT_EQ(pool.free_pages(), 2);
-    const int64_t a = pool.AllocPage();
-    const int64_t b = pool.AllocPage();
-    ASSERT_GE(a, 0);
-    ASSERT_GE(b, 0);
-    EXPECT_EQ(pool.free_pages(), 0);
-    EXPECT_EQ(pool.AllocPage(), -1);  // exhausted, never silent growth
-    pool.Release(a);
-    EXPECT_EQ(pool.free_pages(), 1);
-    EXPECT_EQ(pool.AllocPage(), a);
 }
 
 TEST(KvPagePoolTest, RefcountedSharingKeepsPagesAlive)
 {
-    KvPagePool pool(1, 4, PagedKvOptions{/*page_size=*/2});
+    KvPagePool pool(1, 4);
     const int64_t page = pool.AllocPage();
     pool.AddRef(page);
     EXPECT_EQ(pool.RefCount(page), 2);
@@ -130,14 +113,119 @@ TEST(KvPagePoolTest, RefcountedSharingKeepsPagesAlive)
     EXPECT_EQ(pool.used_pages(), 0);
 }
 
+TEST(KvPagePoolTest, PoolGrowsOnDemandInsteadOfExhausting)
+{
+    // The pool has no page budget: with the free list empty, AllocPage and
+    // ClonePage each add a fresh physical page with the next id. Budgets
+    // live in the serving simulator's KvLedger.
+    KvPagePool pool(1, 4);
+    constexpr int64_t kPages = 64;
+    for (int64_t i = 0; i < kPages; ++i) EXPECT_EQ(pool.AllocPage(), i);
+    EXPECT_EQ(pool.used_pages(), kPages);
+    EXPECT_EQ(pool.allocated_pages(), kPages);
+
+    pool.PageK(0, 0)[0] = 7.0f;
+    pool.PageV(0, 0)[kKvPageSize * 4 - 1] = 9.0f;
+    const int64_t clone = pool.ClonePage(0);
+    EXPECT_EQ(clone, kPages);
+    EXPECT_EQ(pool.allocated_pages(), kPages + 1);
+    EXPECT_EQ(pool.PageK(clone, 0)[0], 7.0f);
+    EXPECT_EQ(pool.PageV(clone, 0)[kKvPageSize * 4 - 1], 9.0f);
+    EXPECT_EQ(pool.RefCount(0), 1);  // the source keeps its reference
+
+    for (int64_t page = 0; page <= kPages; ++page) pool.Release(page);
+    EXPECT_EQ(pool.used_pages(), 0);
+    // Released storage is kept and recycled; nothing is allocated again.
+    EXPECT_EQ(pool.AllocPage(), kPages);
+    EXPECT_EQ(pool.allocated_pages(), kPages + 1);
+}
+
+TEST(KvPagePoolDeathTest, ReleaseOfFreePagePanics)
+{
+    KvPagePool pool(1, 4);
+    const int64_t page = pool.AllocPage();
+    pool.Release(page);
+    EXPECT_DEATH(pool.Release(page), "CHECK failed");
+    EXPECT_DEATH(pool.AddRef(page), "CHECK failed");
+}
+
+TEST(KvPagePoolDeathTest, CloneOfFreePagePanics)
+{
+    // A copy-on-write clone reads a live page; a released one is a
+    // use-after-free, not a page to copy.
+    KvPagePool pool(1, 4);
+    const int64_t page = pool.AllocPage();
+    pool.Release(page);
+    EXPECT_DEATH(pool.ClonePage(page), "CHECK failed");
+    EXPECT_DEATH(pool.ClonePage(page + 1), "CHECK failed");
+}
+
+TEST(KvPagePoolTest, RegistryCountersTrackPoolEvents)
+{
+    // The kv_pool.* registry entries the benchmark's kv.page_allocs and
+    // kv.pages_peak rows read, as deltas across append, a mid-page fork,
+    // a CoW write, retirement and one recycled page.
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    obs::Counter& alloc = registry.GetCounter("kv_pool.alloc");
+    obs::Counter& release = registry.GetCounter("kv_pool.release");
+    obs::Counter& cow_clone = registry.GetCounter("kv_pool.cow_clone");
+    obs::Gauge& used = registry.GetGauge("kv_pool.used_pages");
+    const int64_t alloc0 = alloc.value();
+    const int64_t release0 = release.value();
+    const int64_t cow0 = cow_clone.value();
+
+    BatchedKvCache cache(1, 4);
+    const KvPagePool& pool = cache.pool();
+    // Every hand-out minus every return is the pool's live page count, and
+    // the gauge holds it after each event.
+    auto expect_counts = [&](int64_t allocs, int64_t releases,
+                             int64_t clones) {
+        EXPECT_EQ(alloc.value() - alloc0, allocs);
+        EXPECT_EQ(release.value() - release0, releases);
+        EXPECT_EQ(cow_clone.value() - cow0, clones);
+        EXPECT_EQ(clones, pool.cow_clones());
+        EXPECT_EQ(allocs - releases, pool.used_pages());
+        EXPECT_EQ(used.value(), static_cast<double>(pool.used_pages()));
+    };
+
+    const int src = cache.AddSequence();
+    cache.Append(src, 0, Tensor::Full({2 * kKvPageSize - 4, 4}, 1.0f),
+                 Tensor::Full({2 * kKvPageSize - 4, 4}, 2.0f));
+    expect_counts(/*allocs=*/2, /*releases=*/0, /*clones=*/0);
+    EXPECT_EQ(pool.allocated_pages(), 2);
+
+    // A mid-page fork shares both pages and allocates nothing.
+    const int fork = cache.AddSequenceSharingPrefix(src, kKvPageSize + 2);
+    expect_counts(2, 0, 0);
+
+    // The fork's first write clones the shared frontier page; dropping
+    // one reference on the original returns no page.
+    cache.Append(fork, 0, Tensor::Full({1, 4}, 3.0f),
+                 Tensor::Full({1, 4}, 4.0f));
+    expect_counts(3, 0, 1);
+
+    // Retiring the source frees only the page nobody else maps.
+    cache.RetireSequence(src);
+    expect_counts(3, 1, 1);
+    cache.RetireSequence(fork);
+    expect_counts(3, 3, 1);
+
+    // A recycled page counts as a hand-out but allocates no storage.
+    const int next = cache.AddSequence();
+    cache.Append(next, 0, Tensor::Full({1, 4}, 5.0f),
+                 Tensor::Full({1, 4}, 6.0f));
+    expect_counts(4, 3, 1);
+    EXPECT_EQ(pool.allocated_pages(), 3);
+}
+
 // --------------------------------------------------- paged BatchedKvCache
 
 TEST(PagedKvCacheTest, PageTableReuseAfterRetirement)
 {
-    BatchedKvCache cache(2, 8, 0, PagedKvOptions{/*page_size=*/4});
+    BatchedKvCache cache(2, 8, 0);
     const int a = cache.AddSequence();
-    Tensor k = Tensor::Full({6, 8}, 1.0f);  // 6 positions -> 2 pages
-    Tensor v = Tensor::Full({6, 8}, 2.0f);
+    Tensor k = Tensor::Full({24, 8}, 1.0f);  // 24 positions -> 2 pages
+    Tensor v = Tensor::Full({24, 8}, 2.0f);
     for (int l = 0; l < 2; ++l) cache.Append(a, l, k, v);
     const std::vector<int64_t> a_pages = cache.PageTable(a);
     ASSERT_EQ(a_pages.size(), 2u);
@@ -152,8 +240,8 @@ TEST(PagedKvCacheTest, PageTableReuseAfterRetirement)
     // free list), with no new storage allocated.
     const int b = cache.AddSequence();
     EXPECT_NE(b, a);  // slot indices are never reused
-    Tensor k2 = Tensor::Full({8, 8}, 3.0f);
-    Tensor v2 = Tensor::Full({8, 8}, 4.0f);
+    Tensor k2 = Tensor::Full({32, 8}, 3.0f);
+    Tensor v2 = Tensor::Full({32, 8}, 4.0f);
     for (int l = 0; l < 2; ++l) cache.Append(b, l, k2, v2);
     const std::vector<int64_t>& b_pages = cache.PageTable(b);
     ASSERT_EQ(b_pages.size(), 2u);
@@ -170,16 +258,16 @@ TEST(PagedKvCacheTest, PageTableReuseAfterRetirement)
 
 TEST(PagedKvCacheTest, PrefixSharingSharesWholePagesRefcounted)
 {
-    BatchedKvCache cache(1, 4, 0, PagedKvOptions{/*page_size=*/4});
+    BatchedKvCache cache(1, 4, 0);
     const int src = cache.AddSequence();
     Rng rng(11);
-    Tensor k = RandomTensor(rng, 10, 4);  // 10 positions -> 3 pages
-    Tensor v = RandomTensor(rng, 10, 4);
+    Tensor k = RandomTensor(rng, 40, 4);  // 40 positions -> 3 pages
+    Tensor v = RandomTensor(rng, 40, 4);
     cache.Append(src, 0, k, v);
 
-    // Fork sharing the first 8 positions (= 2 whole pages).
-    const int fork = cache.AddSequenceSharingPrefix(src, 8);
-    EXPECT_EQ(cache.SeqLen(fork), 8);
+    // Fork sharing the first 32 positions (= 2 whole pages).
+    const int fork = cache.AddSequenceSharingPrefix(src, 32);
+    EXPECT_EQ(cache.SeqLen(fork), 32);
     EXPECT_EQ(cache.PageTable(fork)[0], cache.PageTable(src)[0]);
     EXPECT_EQ(cache.PageTable(fork)[1], cache.PageTable(src)[1]);
     EXPECT_EQ(cache.pool().RefCount(cache.PageTable(src)[0]), 2);
@@ -190,7 +278,7 @@ TEST(PagedKvCacheTest, PrefixSharingSharesWholePagesRefcounted)
     Tensor k2 = RandomTensor(rng, 1, 4);
     Tensor v2 = RandomTensor(rng, 1, 4);
     cache.Append(fork, 0, k2, v2);
-    EXPECT_EQ(cache.SeqLen(fork), 9);
+    EXPECT_EQ(cache.SeqLen(fork), 33);
     EXPECT_NE(cache.PageTable(fork)[2], cache.PageTable(src)[2]);
     Tensor src_keys = cache.Keys(src, 0);
     EXPECT_TRUE(BitwiseEqual(src_keys, k));
@@ -199,24 +287,10 @@ TEST(PagedKvCacheTest, PrefixSharingSharesWholePagesRefcounted)
     cache.RetireSequence(src);
     EXPECT_EQ(cache.pool().RefCount(cache.PageTable(fork)[0]), 1);
     Tensor fork_keys = cache.Keys(fork, 0);
-    EXPECT_EQ(fork_keys.Rows(), 9);
+    EXPECT_EQ(fork_keys.Rows(), 33);
     EXPECT_EQ(std::memcmp(fork_keys.Data<float>(), k.Data<float>(),
-                          8 * 4 * sizeof(float)),
+                          32 * 4 * sizeof(float)),
               0);
-}
-
-TEST(PagedKvCacheTest, CanAppendReflectsPoolBudget)
-{
-    BatchedKvCache cache(1, 4, 0,
-                         PagedKvOptions{/*page_size=*/4, /*max_pages=*/2});
-    const int seq = cache.AddSequence();
-    EXPECT_TRUE(cache.CanAppend(seq, 8));    // exactly the budget
-    EXPECT_FALSE(cache.CanAppend(seq, 9));   // would need a third page
-    Tensor k = Tensor::Full({5, 4}, 1.0f);
-    Tensor v = Tensor::Full({5, 4}, 2.0f);
-    cache.Append(seq, 0, k, v);
-    EXPECT_TRUE(cache.CanAppend(seq, 3));    // fits the mapped pages
-    EXPECT_FALSE(cache.CanAppend(seq, 4));   // spills past the budget
 }
 
 TEST(PagedKvCacheTest, CowForkWriteDivergenceIsBitwiseIsolated)
@@ -224,71 +298,89 @@ TEST(PagedKvCacheTest, CowForkWriteDivergenceIsBitwiseIsolated)
     // Non-aligned fork: the partially filled frontier page is shared too,
     // and the first write into it — from either side — copies the page
     // instead of dying on the old write-locked CHECK.
-    BatchedKvCache cache(1, 4, 0, PagedKvOptions{/*page_size=*/4});
+    BatchedKvCache cache(1, 4, 0);
     const int src = cache.AddSequence();
     Rng rng(17);
-    Tensor k = RandomTensor(rng, 10, 4);  // 10 positions -> 3 pages
-    Tensor v = RandomTensor(rng, 10, 4);
+    Tensor k = RandomTensor(rng, 40, 4);  // 40 positions -> 3 pages
+    Tensor v = RandomTensor(rng, 40, 4);
     cache.Append(src, 0, k, v);
 
-    const int fork = cache.AddSequenceSharingPrefix(src, 10);
-    EXPECT_EQ(cache.SeqLen(fork), 10);
+    const int fork = cache.AddSequenceSharingPrefix(src, 40);
+    EXPECT_EQ(cache.SeqLen(fork), 40);
     EXPECT_EQ(cache.PageTable(fork)[2], cache.PageTable(src)[2]);
     EXPECT_EQ(cache.pool().used_pages(), 3);  // partial page shared once
 
-    // Source writes first: it clones the frontier page, the fork keeps
-    // the original.
-    Tensor sk = RandomTensor(rng, 2, 4);
-    Tensor sv = RandomTensor(rng, 2, 4);
+    // Source writes first, up to the page edge: it clones the frontier
+    // page, the fork keeps the original.
+    Tensor sk = RandomTensor(rng, 8, 4);
+    Tensor sv = RandomTensor(rng, 8, 4);
     cache.Append(src, 0, sk, sv);
     EXPECT_EQ(cache.pool().cow_clones(), 1);
     EXPECT_NE(cache.PageTable(src)[2], cache.PageTable(fork)[2]);
     EXPECT_EQ(cache.pool().RefCount(cache.PageTable(fork)[2]), 1);
 
-    // The fork now owns its frontier page alone — its write is in place.
-    Tensor fk = RandomTensor(rng, 3, 4);
-    Tensor fv = RandomTensor(rng, 3, 4);
+    // The fork now owns its frontier page alone — its write is in place
+    // and spills into a fresh page.
+    Tensor fk = RandomTensor(rng, 12, 4);
+    Tensor fv = RandomTensor(rng, 12, 4);
     cache.Append(fork, 0, fk, fv);
     EXPECT_EQ(cache.pool().cow_clones(), 1);
 
     // A second fork off the grown source CoWs again on its first write.
-    const int fork2 = cache.AddSequenceSharingPrefix(src, 10);
-    Tensor gk = RandomTensor(rng, 1, 4);
-    Tensor gv = RandomTensor(rng, 1, 4);
+    const int fork2 = cache.AddSequenceSharingPrefix(src, 40);
+    Tensor gk = RandomTensor(rng, 4, 4);
+    Tensor gv = RandomTensor(rng, 4, 4);
     cache.Append(fork2, 0, gk, gv);
     EXPECT_EQ(cache.pool().cow_clones(), 2);
 
     // Every view is bitwise what an independent sequence would hold.
-    Tensor src_expect({12, 4}, DType::kF32);
+    Tensor src_expect({48, 4}, DType::kF32);
     src_expect.PasteRows(k, 0);
-    src_expect.PasteRows(sk, 10);
+    src_expect.PasteRows(sk, 40);
     EXPECT_TRUE(BitwiseEqual(cache.Keys(src, 0), src_expect));
-    Tensor fork_expect({13, 4}, DType::kF32);
+    Tensor fork_expect({52, 4}, DType::kF32);
     fork_expect.PasteRows(k, 0);
-    fork_expect.PasteRows(fk, 10);
+    fork_expect.PasteRows(fk, 40);
     EXPECT_TRUE(BitwiseEqual(cache.Keys(fork, 0), fork_expect));
-    Tensor fork2_expect({11, 4}, DType::kF32);
+    Tensor fork2_expect({44, 4}, DType::kF32);
     fork2_expect.PasteRows(k, 0);
-    fork2_expect.PasteRows(gk, 10);
+    fork2_expect.PasteRows(gk, 40);
     EXPECT_TRUE(BitwiseEqual(cache.Keys(fork2, 0), fork2_expect));
 }
 
-TEST(PagedKvCacheTest, CanAppendChargesPendingCowClones)
+TEST(PagedKvCacheTest, ForkWriteChargesCloneAndSpillPages)
 {
-    BatchedKvCache cache(1, 4, 0,
-                         PagedKvOptions{/*page_size=*/4, /*max_pages=*/3});
+    // A fork off a half-filled frontier page maps no page of its own; its
+    // first write takes one page for the copy-on-write clone, plus one per
+    // fresh page the write spills into.
+    BatchedKvCache cache(1, 4, 0);
     const int src = cache.AddSequence();
-    Tensor k = Tensor::Full({6, 4}, 1.0f);  // page 0 full, page 1 half
-    Tensor v = Tensor::Full({6, 4}, 2.0f);
-    cache.Append(src, 0, k, v);
-    const int fork = cache.AddSequenceSharingPrefix(src, 6);
-    // One free page left. A short append writes only the shared frontier
-    // page — no new mapping, but the CoW copy takes the free page.
-    EXPECT_TRUE(cache.CanAppend(fork, 1));
-    EXPECT_TRUE(cache.CanAppend(fork, 2));
-    // Three positions also map a fresh page past the frontier: clone +
-    // new page = 2 > 1 free.
-    EXPECT_FALSE(cache.CanAppend(fork, 3));
+    const int64_t src_len = kKvPageSize + 6;  // page 0 full, page 1 part
+    cache.Append(src, 0, Tensor::Full({src_len, 4}, 1.0f),
+                 Tensor::Full({src_len, 4}, 2.0f));
+    const KvPagePool& pool = cache.pool();
+    ASSERT_EQ(pool.used_pages(), 2);
+
+    // Up to the page edge: the write stays on the shared frontier page,
+    // so it costs exactly the clone.
+    const int fork = cache.AddSequenceSharingPrefix(src, src_len);
+    EXPECT_EQ(pool.used_pages(), 2);
+    const int64_t to_edge = 2 * kKvPageSize - src_len;
+    cache.Append(fork, 0, Tensor::Full({to_edge, 4}, 3.0f),
+                 Tensor::Full({to_edge, 4}, 4.0f));
+    EXPECT_EQ(pool.cow_clones(), 1);
+    EXPECT_EQ(pool.used_pages(), 3);
+    EXPECT_EQ(cache.PageTable(fork).size(), 2u);
+    EXPECT_EQ(cache.PageTable(fork)[0], cache.PageTable(src)[0]);
+
+    // One position past the edge: clone + a fresh page.
+    const int fork2 = cache.AddSequenceSharingPrefix(src, src_len);
+    cache.Append(fork2, 0, Tensor::Full({to_edge + 1, 4}, 5.0f),
+                 Tensor::Full({to_edge + 1, 4}, 6.0f));
+    EXPECT_EQ(pool.cow_clones(), 2);
+    EXPECT_EQ(pool.used_pages(), 5);
+    EXPECT_EQ(cache.PageTable(fork2).size(), 3u);
+    EXPECT_EQ(cache.SeqLen(fork2), 2 * kKvPageSize + 1);
 }
 
 TEST(PagedKvCacheTest, RandomizedForkAppendRetireKeepsRefcountsExact)
@@ -299,7 +391,7 @@ TEST(PagedKvCacheTest, RandomizedForkAppendRetireKeepsRefcountsExact)
     // sequences mapping it. Slot storage starts empty so the run also
     // reallocates the internal sequence vector many times.
     const int64_t kv_dim = 4;
-    BatchedKvCache cache(1, kv_dim, 0, PagedKvOptions{/*page_size=*/4});
+    BatchedKvCache cache(1, kv_dim, 0);
     Rng rng(123);
     std::vector<int> live;
     std::map<int, std::vector<float>> mirror;  // slot -> expected key rows
@@ -316,7 +408,7 @@ TEST(PagedKvCacheTest, RandomizedForkAppendRetireKeepsRefcountsExact)
         if (live.empty() || kind == 0) {
             const int s = cache.AddSequence();
             live.push_back(s);
-            append_rows(s, 1 + static_cast<int>(rng.Next() % 6));
+            append_rows(s, 1 + static_cast<int>(rng.Next() % 24));
         } else if (kind == 1) {
             const int src =
                 live[static_cast<size_t>(rng.Next() % live.size())];
@@ -330,7 +422,7 @@ TEST(PagedKvCacheTest, RandomizedForkAppendRetireKeepsRefcountsExact)
         } else if (kind == 2) {
             const int s =
                 live[static_cast<size_t>(rng.Next() % live.size())];
-            append_rows(s, 1 + static_cast<int>(rng.Next() % 5));
+            append_rows(s, 1 + static_cast<int>(rng.Next() % 20));
         } else {
             const size_t i =
                 static_cast<size_t>(rng.Next() % live.size());
@@ -363,40 +455,13 @@ TEST(PagedKvCacheTest, RandomizedForkAppendRetireKeepsRefcountsExact)
 
 TEST(PagedKvCacheDeathTest, RetiredSlotAccessPanics)
 {
-    BatchedKvCache cache(1, 4, 1, PagedKvOptions{/*page_size=*/4});
+    BatchedKvCache cache(1, 4, 1);
     Tensor k = Tensor::Full({1, 4}, 1.0f);
     Tensor v = Tensor::Full({1, 4}, 2.0f);
     cache.Append(0, 0, k, v);
     cache.RetireSequence(0);
     EXPECT_DEATH(cache.Append(0, 0, k, v), "CHECK failed");
     EXPECT_DEATH(cache.SeqLen(0), "CHECK failed");
-}
-
-TEST(PagedKvCacheDeathTest, BoundedExhaustionOnAppendPanics)
-{
-    BatchedKvCache cache(1, 4, 1,
-                         PagedKvOptions{/*page_size=*/2, /*max_pages=*/1});
-    Tensor k = Tensor::Full({3, 4}, 1.0f);
-    Tensor v = Tensor::Full({3, 4}, 2.0f);
-    ASSERT_FALSE(cache.CanAppend(0, 3));
-    EXPECT_DEATH(cache.Append(0, 0, k, v), "CHECK failed");
-}
-
-TEST(PagedKvCacheDeathTest, CowOnExhaustedBoundedPoolPanics)
-{
-    // Budget fully consumed by the shared pages: the append maps no new
-    // page, but the CoW copy it needs has nowhere to go.
-    BatchedKvCache cache(1, 4, 0,
-                         PagedKvOptions{/*page_size=*/4, /*max_pages=*/2});
-    const int src = cache.AddSequence();
-    Tensor k = Tensor::Full({6, 4}, 1.0f);
-    Tensor v = Tensor::Full({6, 4}, 2.0f);
-    cache.Append(src, 0, k, v);
-    const int fork = cache.AddSequenceSharingPrefix(src, 6);
-    Tensor k1 = Tensor::Full({1, 4}, 3.0f);
-    Tensor v1 = Tensor::Full({1, 4}, 4.0f);
-    ASSERT_FALSE(cache.CanAppend(fork, 1));
-    EXPECT_DEATH(cache.Append(fork, 0, k1, v1), "CHECK failed");
 }
 
 // ------------------------------------------------- fused paged attention
@@ -415,9 +480,8 @@ struct AttentionScenario {
     AttentionScenario(int num_heads_in, int num_kv_heads_in, int head_dim,
                       const std::vector<std::pair<int64_t, int64_t>>&
                           history_and_step,
-                      uint64_t seed, int64_t page_size = 4)
-        : cache(1, static_cast<int64_t>(num_kv_heads_in) * head_dim, 0,
-                PagedKvOptions{page_size}),
+                      uint64_t seed)
+        : cache(1, static_cast<int64_t>(num_kv_heads_in) * head_dim, 0),
           num_heads(num_heads_in),
           num_kv_heads(num_kv_heads_in)
     {
@@ -447,26 +511,39 @@ struct AttentionScenario {
                                     /*layer=*/0, num_heads, num_kv_heads);
     }
 
-    /** Each sequence attended alone, from a one-sequence cache holding
-     *  its whole K/V history in one page, pasted back segment by segment:
-     *  the output must not depend on the batch or on the page size. */
-    Tensor RunReference() const
+    /** Each sequence attended alone, head by head, by CausalAttentionHead
+     *  over its dense K/V history cut into runs of `page_size` positions
+     *  (0 = one run holding the whole history): the output must not depend
+     *  on the batch, the pool or the page size. */
+    Tensor RunReference(int64_t page_size = 0) const
     {
-        Tensor out({q.Rows(), q.Cols()}, DType::kF32);
+        const int64_t cols = q.Cols();
+        const int head_dim = static_cast<int>(cols / num_heads);
+        const int heads_per_kv = num_heads / num_kv_heads;
+        const int64_t kv_dim = cache.kv_dim();
+        Tensor out({q.Rows(), cols}, DType::kF32);
         for (size_t i = 0; i + 1 < segments.size(); ++i) {
+            const Tensor keys = cache.Keys(seqs[i], 0);
+            const Tensor values = cache.Values(seqs[i], 0);
+            const int64_t run = page_size > 0 ? page_size : keys.Rows();
             const int64_t r0 = segments[i];
-            const int64_t rows = segments[i + 1] - r0;
-            BatchedKvCache solo(1, cache.kv_dim(), 0,
-                                PagedKvOptions{cache.SeqLen(seqs[i])});
-            const int seq = solo.AddSequence();
-            solo.Append(seq, 0, cache.Keys(seqs[i], 0),
-                        cache.Values(seqs[i], 0));
-            out.PasteRows(PagedCausalAttention(q.CopyRows(r0, rows),
-                                               {0, rows}, {seq},
-                                               {pos_offsets[i]}, solo,
-                                               /*layer=*/0, num_heads,
-                                               num_kv_heads),
-                          r0);
+            for (int h = 0; h < num_heads; ++h) {
+                const int64_t kv_off =
+                    static_cast<int64_t>(h / heads_per_kv) * head_dim;
+                std::vector<const float*> k_pages, v_pages;
+                for (int64_t p = 0; p < keys.Rows(); p += run) {
+                    k_pages.push_back(keys.Data<float>() + p * kv_dim +
+                                      kv_off);
+                    v_pages.push_back(values.Data<float>() + p * kv_dim +
+                                      kv_off);
+                }
+                const int64_t q_off = static_cast<int64_t>(h) * head_dim;
+                CausalAttentionHead(
+                    q.Data<float>() + r0 * cols + q_off, cols,
+                    segments[i + 1] - r0, pos_offsets[i],
+                    KvHeadRows{k_pages.data(), v_pages.data(), run, kv_dim},
+                    head_dim, out.Data<float>() + r0 * cols + q_off, cols);
+            }
         }
         return out;
     }
@@ -534,20 +611,21 @@ struct AttentionScenario {
 TEST(PagedAttentionTest, MatchesPerSequenceReferenceBitwise)
 {
     // Ragged mix of fresh prefill, chunked prefill and decode, with GQA
-    // (4 heads over 2 KV heads) and histories crossing page boundaries.
+    // (4 heads over 2 KV heads): the prefills cross a page edge, one
+    // decode row opens a page and one fills the last slot of one.
     AttentionScenario scenario(
         /*num_heads=*/4, /*num_kv_heads=*/2, /*head_dim=*/16,
-        {{0, 5}, {7, 3}, {12, 1}, {3, 1}}, /*seed=*/23);
+        {{0, 21}, {31, 3}, {48, 1}, {15, 1}}, /*seed=*/23);
     EXPECT_TRUE(BitwiseEqual(scenario.Run(), scenario.RunReference()));
 }
 
 TEST(PagedAttentionTest, MhaAndMqaLayoutsMatchReference)
 {
     AttentionScenario mha(/*num_heads=*/4, /*num_kv_heads=*/4,
-                          /*head_dim=*/8, {{9, 2}, {0, 6}}, /*seed=*/31);
+                          /*head_dim=*/8, {{41, 2}, {0, 18}}, /*seed=*/31);
     EXPECT_TRUE(BitwiseEqual(mha.Run(), mha.RunReference()));
     AttentionScenario mqa(/*num_heads=*/4, /*num_kv_heads=*/1,
-                          /*head_dim=*/8, {{4, 4}, {17, 1}}, /*seed=*/37);
+                          /*head_dim=*/8, {{16, 16}, {65, 1}}, /*seed=*/37);
     EXPECT_TRUE(BitwiseEqual(mqa.Run(), mqa.RunReference()));
 }
 
@@ -555,7 +633,7 @@ TEST(PagedAttentionTest, BitwiseDeterministicAcrossThreadCounts)
 {
     AttentionScenario scenario(
         /*num_heads=*/8, /*num_kv_heads=*/4, /*head_dim=*/16,
-        {{0, 12}, {21, 1}, {5, 7}, {33, 1}, {2, 2}}, /*seed=*/41);
+        {{0, 48}, {84, 1}, {20, 28}, {132, 1}, {8, 8}}, /*seed=*/41);
     Tensor at1, at2, at4;
     {
         ScopedNumThreads threads(1);
@@ -579,45 +657,46 @@ TEST(PagedAttentionTest, MatchesDoubleOracleAcrossShapes)
     // The per-sequence reference runs the same kernel, so comparing with
     // it cannot catch a wrong kernel; this checks it against the double
     // oracle. head_dim covers the scalar-only, vector-plus-tail and
-    // full-vector cases; page size 1 makes every position its own run;
-    // the 7- and 5-row prefill segments are not multiples of the query
-    // row block. Output is also bitwise equal at 1, 2 and 4 threads and to
-    // each sequence attended alone from one page, whatever the page size.
+    // full-vector cases; the 7- and 5-row prefill segments are not
+    // multiples of the query row block, and the second crosses a page
+    // edge. Output is also bitwise equal at 1, 2 and 4 threads and to each
+    // sequence attended alone over runs of 1 position (every position its
+    // own run), 3 positions and the whole history.
     for (const int head_dim : {4, 12, 20, 32, 128}) {
-        for (const int64_t page_size : {1, 3, 16}) {
-            SCOPED_TRACE(::testing::Message() << "head_dim=" << head_dim
-                                              << " page_size=" << page_size);
-            AttentionScenario scenario(
-                /*num_heads=*/4, /*num_kv_heads=*/2, head_dim,
-                {{0, 7}, {13, 5}, {30, 1}, {2, 2}},
-                /*seed=*/53 + static_cast<uint64_t>(head_dim), page_size);
-            Tensor at1, at2, at4;
-            {
-                ScopedNumThreads threads(1);
-                at1 = scenario.Run();
-            }
-            {
-                ScopedNumThreads threads(2);
-                at2 = scenario.Run();
-            }
-            {
-                ScopedNumThreads threads(4);
-                at4 = scenario.Run();
-            }
-            EXPECT_TRUE(BitwiseEqual(at1, at2));
-            EXPECT_TRUE(BitwiseEqual(at1, at4));
-            EXPECT_TRUE(BitwiseEqual(at1, scenario.RunReference()));
-
-            const auto [ref, mag] = scenario.RunDoubleReference();
-            const float* got = at1.Data<float>();
-            int bad = 0;
-            for (size_t e = 0; e < ref.size(); ++e) {
-                if (std::abs(got[e] - ref[e]) > 1e-5 * mag[e]) {
-                    ++bad;
-                }
-            }
-            EXPECT_EQ(bad, 0);
+        SCOPED_TRACE(::testing::Message() << "head_dim=" << head_dim);
+        AttentionScenario scenario(
+            /*num_heads=*/4, /*num_kv_heads=*/2, head_dim,
+            {{0, 7}, {13, 5}, {30, 1}, {2, 2}},
+            /*seed=*/53 + static_cast<uint64_t>(head_dim));
+        Tensor at1, at2, at4;
+        {
+            ScopedNumThreads threads(1);
+            at1 = scenario.Run();
         }
+        {
+            ScopedNumThreads threads(2);
+            at2 = scenario.Run();
+        }
+        {
+            ScopedNumThreads threads(4);
+            at4 = scenario.Run();
+        }
+        EXPECT_TRUE(BitwiseEqual(at1, at2));
+        EXPECT_TRUE(BitwiseEqual(at1, at4));
+        for (const int64_t page_size : {0, 1, 3}) {
+            EXPECT_TRUE(BitwiseEqual(at1, scenario.RunReference(page_size)))
+                << "page_size=" << page_size;
+        }
+
+        const auto [ref, mag] = scenario.RunDoubleReference();
+        const float* got = at1.Data<float>();
+        int bad = 0;
+        for (size_t e = 0; e < ref.size(); ++e) {
+            if (std::abs(got[e] - ref[e]) > 1e-5 * mag[e]) {
+                ++bad;
+            }
+        }
+        EXPECT_EQ(bad, 0);
     }
 }
 
@@ -681,7 +760,7 @@ class ChunkedAttentionTest : public ::testing::TestWithParam<int>
 TEST_P(ChunkedAttentionTest, ChunkedEqualsFull)
 {
     const int chunk = GetParam();
-    const int seq = 12, heads = 2, kv_heads = 1, head_dim = 8;
+    const int seq = 40, heads = 2, kv_heads = 1, head_dim = 8;
     Rng rng(42);
     Tensor q = RandomTensor(rng, seq, heads * head_dim);
     Tensor k = RandomTensor(rng, seq, kv_heads * head_dim);
@@ -694,8 +773,9 @@ TEST_P(ChunkedAttentionTest, ChunkedEqualsFull)
                                        full_cache, /*layer=*/0, heads,
                                        kv_heads);
 
-    // Pages of 5 positions, so chunks start and end inside pages.
-    BatchedKvCache cache(1, kv_heads * head_dim, 0, PagedKvOptions{5});
+    // 40 positions cross two page edges; the chunk lengths below make
+    // chunks start and end inside pages (3, 7, 24) and on page edges (16).
+    BatchedKvCache cache(1, kv_heads * head_dim, 0);
     const int chunked_seq = cache.AddSequence();
     for (int start = 0; start < seq; start += chunk) {
         const int len = std::min(chunk, seq - start);
@@ -710,7 +790,7 @@ TEST_P(ChunkedAttentionTest, ChunkedEqualsFull)
 }
 
 INSTANTIATE_TEST_SUITE_P(ChunkLens, ChunkedAttentionTest,
-                         ::testing::Values(1, 2, 3, 4, 6, 12));
+                         ::testing::Values(1, 3, 7, 16, 24, 40));
 
 // ----------------------------------------- B=64 ragged batch, end to end
 
@@ -1077,13 +1157,13 @@ TEST(KvLedgerTest, RandomOpsKeepPagesConservedAndPrefixChargedOnce)
         const int64_t used_before = ledger.used();
         if (kind < 4 && held[static_cast<size_t>(id)] == 0) {
             const int64_t charge = ledger.ReserveCharge(request);
-            EXPECT_EQ(charge, ledger.PagesFor(request.PrivatePromptLen()) +
+            EXPECT_EQ(charge, KvPagesFor(request.PrivatePromptLen()) +
                                   (sharer && holders.empty() ? prefix_pages
                                                              : 0));
             if (charge > ledger.free()) continue;
             ledger.Reserve(request, op);
             held[static_cast<size_t>(id)] =
-                ledger.PagesFor(request.PrivatePromptLen());
+                KvPagesFor(request.PrivatePromptLen());
             if (sharer) {
                 if (holders.empty()) ++materializations;
                 holders.insert(id);
@@ -1172,6 +1252,45 @@ TEST(KvLedgerTest, ChargesCountTheResidentPrefixOnce)
     EXPECT_EQ(ledger.materializations(), 1);
     EXPECT_EQ(ledger.drops(), 1);
     EXPECT_EQ(ledger.refs_peak(), 2);
+}
+
+TEST(KvLedgerTest, BoundedBudgetGatesReserveAndDecodeGrowth)
+{
+    // The KV budget the simulator enforces: a request's first reservation
+    // and each page its decode spills into are checked against free().
+    KvLedger ledger(/*num_requests=*/1, /*budget_pages=*/2,
+                    /*prefix_len=*/0);
+    ServingRequest r;
+    r.id = 0;
+    r.prompt_len = static_cast<int>(kKvPageSize);  // one prompt page
+    r.output_len = static_cast<int>(2 * kKvPageSize);
+    EXPECT_TRUE(ledger.bounded());
+    EXPECT_EQ(ledger.Demand(r), 3);  // over the budget through its end
+    EXPECT_EQ(ledger.ReserveCharge(r), 1);
+    ASSERT_LE(ledger.ReserveCharge(r), ledger.free());
+    ledger.Reserve(r, 0.0);
+    EXPECT_EQ(ledger.free(), 1);
+
+    // Sixteen tokens out fill exactly the budget; the seventeenth would
+    // need a third page.
+    EXPECT_EQ(ledger.Shortfall(r, 0), 0);
+    EXPECT_EQ(ledger.Shortfall(r, static_cast<int>(kKvPageSize)), 1);
+    EXPECT_LE(ledger.Shortfall(r, static_cast<int>(kKvPageSize)),
+              ledger.free());
+    EXPECT_GT(ledger.Shortfall(r, static_cast<int>(kKvPageSize) + 1),
+              ledger.free());
+    ledger.Grow(r.id, 1, 1.0);
+    EXPECT_EQ(ledger.free(), 0);
+    EXPECT_EQ(ledger.held(r.id), 2);
+    EXPECT_EQ(ledger.Shortfall(r, static_cast<int>(kKvPageSize)), 0);
+
+    // A shrink below usage leaves free() negative until the caller evicts.
+    ledger.Shrink(1);
+    EXPECT_EQ(ledger.live_budget(), 1);
+    EXPECT_EQ(ledger.free(), -1);
+    ledger.Release(r.id, 2.0);
+    EXPECT_EQ(ledger.free(), 1);
+    EXPECT_EQ(ledger.peak(), 2);
 }
 
 TEST_F(PagedServingTest, ConcurrentRunsKeepPerRunKvAccounting)

@@ -423,7 +423,7 @@ TEST_F(SimulatorPolicyTest, PredictedAdmissionRejectsWholeDemandMisfit)
     int misfits = 0;
     int admitted = 0;
     for (const RequestRecord& record : result.records) {
-        const int64_t demand = KvLedger::PagesFor(
+        const int64_t demand = KvPagesFor(
             static_cast<int64_t>(record.request.prompt_len) +
             record.request.output_len);
         if (demand > options.kv_pool_pages) {
@@ -452,7 +452,7 @@ TEST_F(SimulatorPolicyTest, DefaultAdmissionRejectsExactlyWholeDemandMisfits)
 
     int misfits = 0;
     for (const RequestRecord& record : result.records) {
-        const int64_t demand = KvLedger::PagesFor(
+        const int64_t demand = KvPagesFor(
             static_cast<int64_t>(record.request.prompt_len) +
             record.request.output_len);
         const bool misfit = demand > options.kv_pool_pages;
