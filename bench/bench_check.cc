@@ -382,20 +382,23 @@ DynamicNearBestStatic(const Ctx& ctx, const std::vector<Row>& rows)
     return static_cast<int>(loads.size());
 }
 
-/** The fitted decode-step crossover keeps the paper's shape: the CPU wins
- *  at batch 1 and the NPU at batch 32. */
+/** The calibrated decode-step crossover keeps the paper's shape: the CPU
+ *  is cheaper per token at batch 1 and the NPU at batch 32 (ties go to
+ *  the CPU, as in PredictedPlacement). */
 int
 CrossoverShape(const Ctx& ctx, const std::vector<Row>& rows)
 {
     std::string at_1, at_32;
     for (const Row& row : rows) {
-        const JsonValue* winner = nullptr;
-        if (!Field(ctx.Sub(row.id), *row.json, "winner", Type::kString,
-                   &winner)) {
+        const Ctx at = ctx.Sub(row.id);
+        double cpu = 0.0, npu = 0.0;
+        if (!Number(at, *row.json, "cpu_tpot_ms", &cpu) ||
+            !Number(at, *row.json, "npu_tpot_ms", &npu)) {
             continue;
         }
-        if (row.value == 1) at_1 = winner->str;
-        if (row.value == 32) at_32 = winner->str;
+        const char* winner = npu < cpu ? "npu" : "cpu";
+        if (row.value == 1) at_1 = winner;
+        if (row.value == 32) at_32 = winner;
     }
     if (at_1 != "cpu" || at_32 != "npu") {
         ctx.Fail("batch-1 winner '" + at_1 + "' (want cpu), batch-32 winner '" +
@@ -457,8 +460,8 @@ Table()
         {"predictor bitwise round trip", "bench_predict", "roundtrip",
          nullptr, {}, nullptr, Band::kInvariant, 0,
          EachRow<BitwiseRoundTrip>, false},
-        {"predictor crossover", "bench_predict", "crossover", nullptr, {},
-         "batch", Band::kGroup, 0, CrossoverShape, false},
+        {"decode-step crossover", "bench_serving", "decode_step", nullptr,
+         {}, "batch", Band::kGroup, 0, CrossoverShape, false},
     };
     return table;
 }

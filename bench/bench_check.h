@@ -12,7 +12,7 @@
  *  - invariant: a per-row rule that holds for any parameters (peak <=
  *    pool, the shrink stays inside the live budget, ...);
  *  - group: a rule over a family of rows (monotone capacity win, dynamic
- *    vs best static placement, the fitted crossover shape).
+ *    vs best static placement, the calibrated decode crossover shape).
  * Every failure is reported, not just the first.
  */
 #ifndef LLMNPU_BENCH_BENCH_CHECK_H

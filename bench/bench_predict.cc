@@ -3,10 +3,9 @@
  * Latency-predictor benchmark: fits the per-op model from the repo's own
  * committed measurements and reports held-in prediction error per class.
  *
- * This is the offline half of the serving control plane. The committed
- * BENCH_results.json is an *input* here, not a report: kernel GFLOP/s rows
- * and decode-step TPOT rows are inverted back to milliseconds and fitted
- * per op class, while the host-plane handoff / chunk-dispatch classes are
+ * The committed BENCH_results.json is an *input* here, not a report:
+ * kernel GFLOP/s rows are inverted back to milliseconds and fitted per op
+ * class, while the handoff / chunk-dispatch classes are
  * fitted from a freshly traced tiny-model replay (the same
  * ReplayServingTrace path production schedules go through, with
  * ReplayOptions::trace_sink capturing the spans).
@@ -18,9 +17,6 @@
  *    informational (host timing noise is not a regression).
  *  - roundtrip: Serialize -> Parse fidelity (bitwise text, prediction
  *    deltas) of the fitted model.
- *  - crossover: the fitted decode-step model's CPU-vs-NPU per-token cost
- *    at each batch depth — the paper's CPU-wins-small-batch /
- *    NPU-wins-large-batch crossover, reproduced from fitted data alone.
  */
 #include <cstdint>
 #include <cstdio>
@@ -38,7 +34,6 @@
 #include "src/model/decode_backend.h"
 #include "src/model/transformer.h"
 #include "src/predict/latency_model.h"
-#include "src/predict/step_cost.h"
 #include "src/predict/training_data.h"
 #include "src/quant/calibration.h"
 #include "src/serving/cost_model.h"
@@ -141,8 +136,8 @@ Run()
 {
     BenchHeader(
         "Latency predictor: per-op model fitted from committed measurements",
-        "control-plane direction (PAPERS.md): predicted step costs drive "
-        "dynamic CPU/NPU placement instead of hand-calibrated constants");
+        "per-op latency prediction direction (PAPERS.md): kernel, handoff "
+        "and chunk-dispatch costs fitted from the repo's own measurements");
 
     // ------------------------------------------------ training extraction
     std::vector<OpSample> samples;
@@ -191,8 +186,6 @@ Run()
         {OpClass::kMatMulCpu, "bench_json", true},
         {OpClass::kMatMulNpu, "bench_json", true},
         {OpClass::kAttention, "bench_json", true},
-        {OpClass::kDecodeStepCpu, "bench_json", true},
-        {OpClass::kDecodeStepNpu, "bench_json", true},
         {OpClass::kHandoff, "trace", false},
         {OpClass::kChunkDispatch, "trace", false},
     };
@@ -249,39 +242,6 @@ Run()
                 "\"bytes\": %zu, \"bitwise\": %s, "
                 "\"max_pred_delta_ms\": %.3g}\n",
                 text.size(), bitwise ? "true" : "false", max_delta);
-
-    // --------------------------------------------------------- crossover
-    // The payoff: the fitted decode-step classes alone reproduce the
-    // paper-calibrated CPU/NPU batching crossover. This is the exact
-    // oracle PredictedPlacement consults online.
-    if (model.Fitted(OpClass::kDecodeStepCpu) &&
-        model.Fitted(OpClass::kDecodeStepNpu)) {
-        const predict::PredictedStepCosts fitted(model);
-        const int64_t ctx = 512;
-        std::printf("\nPredicted decode crossover (ctx %lld, per-token "
-                    "ms from the fitted model):\n",
-                    static_cast<long long>(ctx));
-        Table cross({"batch", "CPU tpot", "NPU tpot", "winner"});
-        for (int batch : {1, 2, 4, 8, 16, 32}) {
-            const double cpu = fitted.StepTokenMs(
-                DecodePlacement::kCpuFloat, ctx, batch);
-            const double npu = fitted.StepTokenMs(
-                DecodePlacement::kNpuQuant, ctx, batch);
-            const char* winner = npu < cpu ? "npu" : "cpu";
-            cross.AddRow({std::to_string(batch), Table::Num(cpu),
-                          Table::Num(npu), winner});
-            std::printf("METRIC {\"bench\": \"predict\", \"mode\": "
-                        "\"crossover\", \"batch\": %d, \"ctx\": %lld, "
-                        "\"cpu_tpot_ms\": %.3f, \"npu_tpot_ms\": %.3f, "
-                        "\"winner\": \"%s\"}\n",
-                        batch, static_cast<long long>(ctx), cpu, npu,
-                        winner);
-        }
-        cross.Print();
-    } else {
-        std::printf("\n(decode-step classes unfitted — crossover table "
-                    "skipped)\n");
-    }
 }
 
 }  // namespace

@@ -31,8 +31,6 @@
 #include "bench/bench_util.h"
 #include "src/core/llmnpu_engine.h"
 #include "src/obs/trace.h"
-#include "src/predict/latency_model.h"
-#include "src/predict/step_cost.h"
 #include "src/serving/replay.h"
 #include "src/serving/simulator.h"
 #include "src/workloads/corpus.h"
@@ -282,12 +280,11 @@ Run(const char* trace_path, uint64_t seed)
     // the machine across the CPU/NPU decode crossover (step-cost table
     // above): shallow pools favor CPU decode, deep ones the NPU's shared
     // weight stream. A static placement is stuck on one side; the dynamic
-    // policy — a PredictedPlacement deciding through the *fitted* latency
-    // predictor, the full offline-fit -> online-decision pipeline — flips
-    // members at step boundaries and should match the best static at every
-    // load (CI bands dynamic >= 0.95x best static per load). The scenario
-    // is pinned identically in smoke and full runs so CI values match the
-    // committed baseline.
+    // policy — a PredictedPlacement deciding through the calibrated
+    // step-cost oracle — flips members at step boundaries and should match
+    // the best static at every load (CI bands dynamic >= 0.95x best static
+    // per load). The scenario is pinned identically in smoke and full runs
+    // so CI values match the committed baseline.
     {
         const std::vector<DatasetProfile> decode_heavy{
             {"decode-heavy", "policy sweep", 48, 96, 160, 256}};
@@ -300,27 +297,6 @@ Run(const char* trace_path, uint64_t seed)
         std::printf("\nPlacement policy x load, decode-heavy mix "
                     "(isolated e2e %.0f ms -> capacity ~%.2f req/s):\n",
                     isolated_ms, sweep_capacity_rps);
-
-        // The fitted predictor: decode-step samples from the calibrated
-        // oracle over a (batch, context) grid, fitted per op class —
-        // offline fitting, standing in for BENCH_results.json rows (the
-        // bench_predict binary fits from the committed file itself).
-        std::vector<predict::OpSample> step_samples;
-        for (int64_t ctx : {128, 256, 512, 1024}) {
-            for (int batch : {1, 2, 4, 8, 16, 32}) {
-                step_samples.push_back(
-                    {predict::OpClass::kDecodeStepCpu,
-                     predict::StepFeatures(batch, ctx),
-                     costs.StepMs(DecodePlacement::kCpuFloat, ctx, batch)});
-                step_samples.push_back(
-                    {predict::OpClass::kDecodeStepNpu,
-                     predict::StepFeatures(batch, ctx),
-                     costs.StepMs(DecodePlacement::kNpuQuant, ctx, batch)});
-            }
-        }
-        predict::LatencyModel step_model;
-        step_model.Fit(step_samples);
-        predict::PredictedStepCosts fitted(step_model);
 
         // Ratios are against the *isolated* completion rate, so they run
         // well past 1: continuous batching multiplies decode capacity, and
@@ -342,7 +318,7 @@ Run(const char* trace_path, uint64_t seed)
                 options.max_decode_batch = 32;
                 if (row.predicted) {
                     options.placement_policy =
-                        std::make_shared<PredictedPlacement>(fitted);
+                        std::make_shared<PredictedPlacement>(costs);
                 }
                 ServingSimulator sim(placed_costs, decode_heavy, options);
                 const ServingResult result = sim.Run();
@@ -414,7 +390,7 @@ Run(const char* trace_path, uint64_t seed)
                 options.max_decode_batch = 32;
                 options.slo_factor = 2.0;
                 options.placement_policy =
-                    std::make_shared<PredictedPlacement>(fitted);
+                    std::make_shared<PredictedPlacement>(costs);
                 options.predicted_slo_admission = row.predicted_slo;
                 ServingSimulator sim(costs, decode_heavy, options);
                 const ServingReport report = sim.Run().Report();

@@ -65,7 +65,7 @@ foreach(needle
     "\"median_rel_err\""
     "\"mode\": \"roundtrip\""
     "\"bitwise\": true"
-    "\"mode\": \"crossover\"")
+    "\"mode\": \"decode_step\"")
   string(FIND "${content}" "${needle}" found)
   if(found EQUAL -1)
     message(FATAL_ERROR

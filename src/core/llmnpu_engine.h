@@ -66,8 +66,8 @@ class LlmNpuEngine : public InferenceEngine
 
     /** Calibrated step prices per placement: the NPU side runs through
      *  NpuDecodeStep's full decomposition regardless of where this
-     *  engine's own profile places decode, so PredictedPlacement can
-     *  price the road not taken. */
+     *  engine's own profile places decode, so PredictedPlacement, asking
+     *  through ServingCostModel, can price the road not taken. */
     double DecodeStepMs(const ModelConfig& config, const SocSpec& soc,
                         DecodePlacement placement, int64_t kv_len,
                         int batch) override;

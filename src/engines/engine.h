@@ -186,10 +186,8 @@ class InferenceEngine
     /**
      * Prices one continuously batched decode step: `batch` streams at
      * context `kv_len`, every member placed on `placement`. This is the
-     * calibrated provider behind the predict::StepCostOracle interface
-     * (src/predict/step_cost.h): ServingCostModel forwards here,
-     * PredictedPlacement decides against it, and the learned latency model
-     * is fitted from it.
+     * one decode-step oracle: ServingCostModel forwards here, and the
+     * simulator prices and PredictedPlacement decides through it.
      *
      * The default prices the float processor only: CpuDecodeStepMs over
      * the CPU token price of a one-token request at `kv_len`. Asking it

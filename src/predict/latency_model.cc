@@ -19,8 +19,6 @@ OpClassName(OpClass op)
       case OpClass::kAttention: return "attention";
       case OpClass::kHandoff: return "handoff";
       case OpClass::kChunkDispatch: return "chunk_dispatch";
-      case OpClass::kDecodeStepCpu: return "decode_step_cpu";
-      case OpClass::kDecodeStepNpu: return "decode_step_npu";
     }
     return "?";
 }
@@ -65,14 +63,6 @@ Features
 ChunkDispatchFeatures(int64_t tokens)
 {
     return {1.0, static_cast<double>(tokens) * 1e-3, 0.0, 0.0};
-}
-
-Features
-StepFeatures(int batch, int64_t ctx)
-{
-    const double b = static_cast<double>(batch);
-    const double c = static_cast<double>(ctx);
-    return {1.0, b, c * 1e-3, b * c * 1e-3};
 }
 
 namespace {

@@ -1,8 +1,7 @@
 /**
  * @file
- * Learned per-op latency model: the offline half of the serving control
- * plane ("Latency Prediction for LLM Inference on NPU Systems" direction,
- * PAPERS.md).
+ * Learned per-op latency model ("Latency Prediction for LLM Inference on
+ * NPU Systems" direction, PAPERS.md).
  *
  * Each op class gets an independent linear-in-features model fitted by
  * non-negative ridge least squares from the repo's own measurements —
@@ -13,13 +12,11 @@
  * (predicted matmul cost never drops when m, k or n grows), which the
  * predict test suite pins.
  *
- * Two planes share the class space on purpose. The host-plane classes
- * (matmul, attention, handoff, chunk dispatch) price real kernel
- * invocations in wall-clock ms; the sim-plane decode-step classes price
- * the serving simulator's calibrated virtual-time step law.
- * PredictedPlacement (src/serving/policy.h) decides with the step classes,
- * so the CPU-wins-to-B~8 / NPU-from-B~16 crossover is reproduced from
- * fitted data instead of the hand-calibrated constants directly.
+ * Every class prices real host-side work in wall-clock ms: kernel
+ * invocations (matmul, attention) and the handoff / chunk-dispatch spans
+ * of a replayed schedule. The serving simulator does not consult this
+ * model: it places and prices decode steps through the calibrated
+ * ServingCostModel (src/serving/cost_model.h).
  */
 #ifndef LLMNPU_PREDICT_LATENCY_MODEL_H
 #define LLMNPU_PREDICT_LATENCY_MODEL_H
@@ -44,20 +41,16 @@ enum class OpClass {
     kHandoff,
     /** Per-chunk prefill dispatch: one chunked forward pass. */
     kChunkDispatch,
-    /** Sim-plane batched decode step, all members on the CPU path. */
-    kDecodeStepCpu,
-    /** Sim-plane batched decode step, all members on the NPU path. */
-    kDecodeStepNpu,
 };
 
-inline constexpr int kNumOpClasses = 7;
+inline constexpr int kNumOpClasses = 5;
 
 /** Fixed feature width; unused trailing features are zero. */
 inline constexpr int kNumFeatures = 4;
 
 using Features = std::array<double, kNumFeatures>;
 
-/** "matmul_cpu", "decode_step_npu", ... (METRIC rows, serialization). */
+/** "matmul_cpu", "handoff", ... (METRIC rows, serialization). */
 const char* OpClassName(OpClass op);
 
 /** Inverse of OpClassName; false on an unknown name. */
@@ -76,8 +69,6 @@ Features AttentionFeatures(int64_t ctx, int64_t head_rows);
 Features HandoffFeatures(int64_t rows);
 /** One prefill chunk dispatch of `tokens` tokens. */
 Features ChunkDispatchFeatures(int64_t tokens);
-/** One batched decode step: `batch` members at context `ctx`. */
-Features StepFeatures(int batch, int64_t ctx);
 
 /** One training/evaluation observation. */
 struct OpSample {

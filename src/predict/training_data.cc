@@ -72,36 +72,6 @@ MineKernelRow(const obs::JsonValue& row, std::vector<OpSample>* out,
     ++stats->samples;
 }
 
-void
-MineDecodeStepRow(const obs::JsonValue& row, std::vector<OpSample>* out,
-                  ExtractionStats* stats)
-{
-    const int batch = static_cast<int>(NumberOr(row, "batch", 0));
-    const int64_t ctx = static_cast<int64_t>(NumberOr(row, "ctx", 512));
-    const double cpu_tpot = NumberOr(row, "cpu_tpot_ms", 0.0);
-    const double npu_tpot = NumberOr(row, "npu_tpot_ms", 0.0);
-    if (batch <= 0 || (cpu_tpot <= 0.0 && npu_tpot <= 0.0)) {
-        ++stats->skipped;
-        return;
-    }
-    if (cpu_tpot > 0.0) {
-        OpSample s;
-        s.op = OpClass::kDecodeStepCpu;
-        s.features = StepFeatures(batch, ctx);
-        s.measured_ms = cpu_tpot * batch;
-        out->push_back(s);
-        ++stats->samples;
-    }
-    if (npu_tpot > 0.0) {
-        OpSample s;
-        s.op = OpClass::kDecodeStepNpu;
-        s.features = StepFeatures(batch, ctx);
-        s.measured_ms = npu_tpot * batch;
-        out->push_back(s);
-        ++stats->samples;
-    }
-}
-
 }  // namespace
 
 bool
@@ -120,18 +90,14 @@ SamplesFromBenchResults(const std::string& json_text,
     }
     for (const obs::JsonValue& bench : doc.At("benches").array) {
         if (bench.type != obs::JsonValue::Type::kObject ||
+            StringOr(bench, "name") != "bench_kernels" ||
             !bench.Has("metrics") ||
             bench.At("metrics").type != obs::JsonValue::Type::kArray) {
             continue;
         }
-        const std::string name = StringOr(bench, "name");
         for (const obs::JsonValue& row : bench.At("metrics").array) {
-            if (row.type != obs::JsonValue::Type::kObject) continue;
-            if (name == "bench_kernels") {
+            if (row.type == obs::JsonValue::Type::kObject) {
                 MineKernelRow(row, out, stats);
-            } else if (name == "bench_serving" &&
-                       StringOr(row, "mode") == "decode_step") {
-                MineDecodeStepRow(row, out, stats);
             }
         }
     }

@@ -3,8 +3,8 @@
  * Training-set extraction for the latency model: BENCH_results.json is an
  * *input* here, not a report. Two sources feed LatencyModel::Fit —
  *
- *  - kernel GFLOP/s METRIC rows (bench_kernels) and decode-step TPOT rows
- *    (bench_serving), inverted back to milliseconds, and
+ *  - kernel GFLOP/s METRIC rows (bench_kernels), inverted back to
+ *    milliseconds, and
  *  - per-span durations from an obs-tracer Chrome trace of a replayed
  *    serving schedule (src/obs/trace_reader.h parses them back).
  *
@@ -32,15 +32,15 @@ struct ExtractionStats {
 
 /**
  * Extracts op samples from a BENCH_results.json document (llmnpu-bench-v2
- * schema). Mined rows:
+ * schema). Mined bench_kernels rows:
  *
- *  - bench_kernels matmul_f32/tiled_packed and
- *    matmul_w8a8_per_tensor/tiled_packed at threads=1 (ms recovered from
- *    GFLOP/s as 2*m*k*n / (gflops * 1e6)) -> kMatMulCpu / kMatMulNpu;
- *  - bench_kernels paged_attention/fused at threads=1 (4*m*k*n flops:
- *    m=batch, k=context, n=model width) -> kAttention;
- *  - bench_serving decode_step rows (step_ms = tpot_ms * batch at the
- *    row's context, default 512) -> kDecodeStepCpu / kDecodeStepNpu.
+ *  - matmul_f32/tiled_packed and matmul_w8a8_per_tensor/tiled_packed at
+ *    threads=1 (ms recovered from GFLOP/s as 2*m*k*n / (gflops * 1e6))
+ *    -> kMatMulCpu / kMatMulNpu;
+ *  - paged_attention/fused at threads=1 (4*m*k*n flops: m=batch,
+ *    k=context, n=model width) -> kAttention.
+ *
+ * Rows of every other bench are not read.
  *
  * @return false with `error` only on malformed JSON; an input with no
  * usable rows succeeds with zero samples appended.

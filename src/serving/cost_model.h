@@ -5,12 +5,10 @@
  * levels, and a full llm.npu decomposition replays the prefill timeline,
  * so the serving layer caches profiles per request shape.
  *
- * ServingCostModel is also the *calibrated* provider of the
- * predict::StepCostOracle interface: StepMs() forwards to the engine's
- * DecodeStepMs decomposition (memoized, context bucketed). The learned
- * LatencyModel (src/predict) is the other provider; PredictedPlacement
- * takes either, while the simulator always prices executed steps
- * through this one.
+ * ServingCostModel is also the one decode-step oracle: StepMs() forwards
+ * to the engine's DecodeStepMs decomposition (memoized, context
+ * bucketed). The simulator prices executed steps through it and
+ * PredictedPlacement decides placements through it.
  */
 #ifndef LLMNPU_SERVING_COST_MODEL_H
 #define LLMNPU_SERVING_COST_MODEL_H
@@ -21,14 +19,13 @@
 #include <utility>
 
 #include "src/engines/engine.h"
-#include "src/predict/step_cost.h"
 
 namespace llmnpu {
 
 /** Caches ServingCostProfile per (prompt_len, output_len) for one
  *  (engine, model, device) triple. Share one instance across simulator
  *  runs that sweep policies/loads over the same triple. */
-class ServingCostModel : public predict::StepCostOracle
+class ServingCostModel
 {
   public:
     ServingCostModel(InferenceEngine& engine, const ModelConfig& config,
@@ -49,8 +46,16 @@ class ServingCostModel : public predict::StepCostOracle
     /** Calibrated step price: the engine's DecodeStepMs at (placement,
      *  ctx, batch), with ctx rounded up to a 64-token bucket so sweeps
      *  over growing contexts hit the memo instead of re-decomposing. */
-    double StepMs(DecodePlacement placement, int64_t ctx,
-                  int batch) const override;
+    double StepMs(DecodePlacement placement, int64_t ctx, int batch) const;
+
+    /** Per-token price at depth `batch`: StepMs / batch, the currency the
+     *  placement crossover is decided in. */
+    double StepTokenMs(DecodePlacement placement, int64_t ctx,
+                       int batch) const
+    {
+        return StepMs(placement, ctx, batch) /
+               static_cast<double>(batch > 0 ? batch : 1);
+    }
 
     const ModelConfig& config() const { return config_; }
     const SocSpec& soc() const { return soc_; }

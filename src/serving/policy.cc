@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/engines/engine.h"
+#include "src/serving/cost_model.h"
 #include "src/util/check.h"
 
 namespace llmnpu {
@@ -83,8 +83,8 @@ PredictedPlacement::Place(const PlacementQuery& query) const
     const int batch = std::max(1, query.batch_depth);
     const int64_t ctx = std::max<int64_t>(1, query.context_len);
     const double cpu_ms =
-        oracle_->StepMs(DecodePlacement::kCpuFloat, ctx, batch);
-    double npu_ms = oracle_->StepMs(DecodePlacement::kNpuQuant, ctx, batch);
+        costs_->StepMs(DecodePlacement::kCpuFloat, ctx, batch);
+    double npu_ms = costs_->StepMs(DecodePlacement::kNpuQuant, ctx, batch);
     // Degradation-aware: a throttled NPU serves slower by the thermal
     // scale and a flaky one burns retry attempts — inflate the predicted
     // NPU price by both before comparing. Ties go to the CPU (the cheap,

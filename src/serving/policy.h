@@ -9,7 +9,7 @@
  *    executions are uninterruptible). FCFS when
  *    ServingOptions::queue_policy is null.
  *  - PredictedPlacement: the one dynamic decode placement. It prices both
- *    sides through a predict::StepCostOracle and flips members between
+ *    sides through the calibrated ServingCostModel and flips members between
  *    CPU and NPU at step boundaries; the simulator records the outcome on
  *    ReplayStep::placements so dynamic schedules still replay bitwise.
  *    With ServingOptions::placement_policy null every member follows its
@@ -32,9 +32,11 @@
 #include <string>
 #include <vector>
 
-#include "src/predict/step_cost.h"
+#include "src/model/placement.h"
 
 namespace llmnpu {
+
+class ServingCostModel;
 
 /** The prefill-queue orders, named for sweeps and bench rows. */
 enum class SchedPolicy {
@@ -105,24 +107,23 @@ struct PlacementQuery {
     PolicySignals signals;
 };
 
-/** Predicted-cost dynamic placement: compares the oracle's per-token step
- *  price of both placements at the current batch depth and context,
- *  inflating the NPU side by the thermal service scale and live fault
- *  rate, and runs the step where it is predicted cheaper. Reproduces the
- *  CPU-wins-to-B~8 / NPU-from-B~16 crossover from data, and backs off a
- *  degraded NPU before requests burn retries. */
+/** Predicted-cost dynamic placement: compares the calibrated step price
+ *  of both placements at the current batch depth and context, inflating
+ *  the NPU side by the thermal service scale and live fault rate, and
+ *  runs the step where it is predicted cheaper. Reproduces the
+ *  CPU-wins-to-B~8 / NPU-from-B~16 crossover, and backs off a degraded
+ *  NPU before requests burn retries. */
 class PredictedPlacement
 {
   public:
-    /** `oracle` must outlive the predictor (calibrated ServingCostModel
-     *  or a fitted predict::PredictedStepCosts). */
-    explicit PredictedPlacement(const predict::StepCostOracle& oracle)
-        : oracle_(&oracle)
+    /** `costs` must outlive the predictor. */
+    explicit PredictedPlacement(const ServingCostModel& costs)
+        : costs_(&costs)
     {}
     DecodePlacement Place(const PlacementQuery& query) const;
 
   private:
-    const predict::StepCostOracle* oracle_;
+    const ServingCostModel* costs_;
 };
 
 /** What the SLO gate sees about one arrival. */

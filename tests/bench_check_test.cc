@@ -134,7 +134,8 @@ TEST(BenchCheckTest, BaselineAgainstItselfPassesWithExactCounts)
     EXPECT_EQ(counts.at("scheduler us/decision"), 4);
     EXPECT_EQ(counts.at("obs overhead ratio"), 2);
     EXPECT_EQ(counts.at("dynamic vs best static placement"), 3);
-    EXPECT_EQ(counts.at("predictor median_rel_err"), 5);
+    EXPECT_EQ(counts.at("predictor median_rel_err"), 3);
+    EXPECT_EQ(counts.at("decode-step crossover"), 6);
 }
 
 TEST(BenchCheckTest, RunBenchCheckExitsZeroOnTheBaseline)
@@ -328,10 +329,13 @@ TEST(BenchCheckTest, RoundTripThatIsNotBitwiseFails)
 
 TEST(BenchCheckTest, WrongCrossoverWinnerFails)
 {
+    // The batch-1 row: make the NPU the cheaper side per token.
     JsonValue fresh = Baseline();
-    RowOf(&fresh, "bench_predict", "crossover", 0).object["winner"].str =
-        "npu";
-    ExpectFailsOnly(CheckMutated(fresh), "predictor crossover",
+    JsonValue& row = RowOf(&fresh, "bench_serving", "decode_step", 0);
+    ASSERT_EQ(row.object["batch"].number, 1.0);
+    row.object["npu_tpot_ms"] =
+        Number(0.5 * row.object["cpu_tpot_ms"].number);
+    ExpectFailsOnly(CheckMutated(fresh), "decode-step crossover",
                     "batch-1 winner 'npu' (want cpu)");
 }
 

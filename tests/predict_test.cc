@@ -4,8 +4,8 @@
  * model (fit recovery, monotone predictions, serialization round-trip,
  * training-set extraction from bench JSON and traces), the control
  * plane's contracts (a deterministic PredictedPlacement, the predicted-SLO
- * gate, no admission of whole-demand KV misfits), the calibrated and
- * fitted CPU/NPU decode crossover, legacy equivalence of an explicit FCFS
+ * gate, no admission of whole-demand KV misfits), the calibrated CPU/NPU
+ * decode crossover, legacy equivalence of an explicit FCFS
  * queue, and bitwise tiny-model replay of a dynamically placed schedule
  * with mid-run flips.
  */
@@ -21,7 +21,6 @@
 #include "src/core/shadow_executor.h"
 #include "src/model/decode_backend.h"
 #include "src/predict/latency_model.h"
-#include "src/predict/step_cost.h"
 #include "src/predict/training_data.h"
 #include "src/serving/kv_ledger.h"
 #include "src/serving/policy.h"
@@ -39,36 +38,63 @@ using predict::OpSample;
 
 // ----------------------------------------------------------- model fitting
 
-/** Samples of a known non-negative linear law over the step-feature grid. */
+/** Samples of the known non-negative linear law `coef` at every point of
+ *  `grid`. */
 std::vector<OpSample>
-StepLawSamples(OpClass op, double c0, double c1, double c2, double c3)
+LawSamples(OpClass op, const std::vector<Features>& grid,
+           const Features& coef)
 {
     std::vector<OpSample> samples;
-    for (int batch : {1, 2, 4, 8, 16, 32}) {
-        for (int64_t ctx : {128, 256, 512, 1024}) {
-            OpSample s;
-            s.op = op;
-            s.features = predict::StepFeatures(batch, ctx);
-            s.measured_ms = c0 * s.features[0] + c1 * s.features[1] +
-                            c2 * s.features[2] + c3 * s.features[3];
-            samples.push_back(s);
+    for (const Features& features : grid) {
+        OpSample s;
+        s.op = op;
+        s.features = features;
+        for (int j = 0; j < predict::kNumFeatures; ++j) {
+            s.measured_ms += coef[j] * features[j];
         }
+        samples.push_back(s);
     }
     return samples;
+}
+
+std::vector<Features>
+MatMulGrid()
+{
+    std::vector<Features> grid;
+    for (int64_t m : {1, 4, 16, 64}) {
+        for (int64_t k : {256, 1024}) {
+            for (int64_t n : {256, 512, 1024}) {
+                grid.push_back(predict::MatMulFeatures(m, k, n));
+            }
+        }
+    }
+    return grid;
+}
+
+std::vector<Features>
+AttentionGrid()
+{
+    std::vector<Features> grid;
+    for (int64_t ctx : {128, 256, 512, 1024}) {
+        for (int64_t head_rows : {64, 512, 2048}) {
+            grid.push_back(predict::AttentionFeatures(ctx, head_rows));
+        }
+    }
+    return grid;
 }
 
 TEST(LatencyModelTest, FitRecoversLinearLaw)
 {
     const std::vector<OpSample> samples =
-        StepLawSamples(OpClass::kDecodeStepCpu, 12.0, 3.5, 0.8, 0.05);
+        LawSamples(OpClass::kMatMulCpu, MatMulGrid(), {0.02, 0.05, 0.3, 0.8});
     LatencyModel model;
     model.Fit(samples);
-    ASSERT_TRUE(model.Fitted(OpClass::kDecodeStepCpu));
-    EXPECT_EQ(model.SampleCount(OpClass::kDecodeStepCpu),
+    ASSERT_TRUE(model.Fitted(OpClass::kMatMulCpu));
+    EXPECT_EQ(model.SampleCount(OpClass::kMatMulCpu),
               static_cast<int>(samples.size()));
     for (const OpSample& s : samples) {
         const double predicted =
-            model.PredictMs(OpClass::kDecodeStepCpu, s.features);
+            model.PredictMs(OpClass::kMatMulCpu, s.features);
         EXPECT_NEAR(predicted, s.measured_ms, 1e-6 + 1e-4 * s.measured_ms);
     }
     // Classes with no samples stay unfitted.
@@ -78,7 +104,7 @@ TEST(LatencyModelTest, FitRecoversLinearLaw)
 TEST(LatencyModelTest, FitIsDeterministic)
 {
     const std::vector<OpSample> samples =
-        StepLawSamples(OpClass::kDecodeStepNpu, 90.0, 2.0, 1.5, 0.1);
+        LawSamples(OpClass::kAttention, AttentionGrid(), {0.01, 0.4, 0.2, 0});
     LatencyModel a;
     LatencyModel b;
     a.Fit(samples);
@@ -124,10 +150,10 @@ TEST(LatencyModelTest, SerializeParseRoundTripsBitwise)
 {
     LatencyModel model;
     std::vector<OpSample> samples =
-        StepLawSamples(OpClass::kDecodeStepCpu, 12.0, 3.5, 0.8, 0.05);
-    const std::vector<OpSample> npu =
-        StepLawSamples(OpClass::kDecodeStepNpu, 90.0, 2.0, 1.5, 0.1);
-    samples.insert(samples.end(), npu.begin(), npu.end());
+        LawSamples(OpClass::kMatMulCpu, MatMulGrid(), {0.02, 0.05, 0.3, 0.8});
+    const std::vector<OpSample> attention =
+        LawSamples(OpClass::kAttention, AttentionGrid(), {0.01, 0.4, 0.2, 0});
+    samples.insert(samples.end(), attention.begin(), attention.end());
     model.Fit(samples);
 
     const std::string text = model.Serialize();
@@ -153,11 +179,20 @@ TEST(LatencyModelTest, ParseRejectsMalformed)
         "llmnpu-latency-model-v1\nbogus_class 1 1 2 3 4\nend\n", &out,
         &error));
     EXPECT_FALSE(error.empty());
+    // A row of a class this build does not know (decode_step_cpu) fails
+    // the whole parse instead of loading the other rows half-way.
+    error.clear();
+    EXPECT_FALSE(LatencyModel::Parse(
+        "llmnpu-latency-model-v1\nmatmul_cpu 12 0.02 0.05 0.3 0.8\n"
+        "decode_step_cpu 24 12 3.5 0.8 0.05\nend\n",
+        &out, &error));
+    EXPECT_NE(error.find("decode_step_cpu"), std::string::npos) << error;
+    EXPECT_FALSE(out.Fitted(OpClass::kMatMulCpu));
 }
 
 // ------------------------------------------------------ training extraction
 
-TEST(TrainingDataTest, ExtractsKernelAndDecodeStepRows)
+TEST(TrainingDataTest, ExtractsKernelRowsAndIgnoresDecodeStepRows)
 {
     const std::string json = R"({
       "benches": [
@@ -185,20 +220,17 @@ TEST(TrainingDataTest, ExtractsKernelAndDecodeStepRows)
     ASSERT_TRUE(predict::SamplesFromBenchResults(json, &samples, &error,
                                                  &stats))
         << error;
-    // matmul_cpu + matmul_npu + attention + decode cpu/npu; the threaded
-    // row and the unknown kernel are skipped, the policy_sweep row is not
-    // a decode_step row at all.
-    ASSERT_EQ(samples.size(), 5u);
-    EXPECT_EQ(stats.samples, 5);
+    // matmul_cpu + matmul_npu + attention; the threaded row and the
+    // unknown kernel are skipped. bench_serving rows, the decode_step row
+    // included, are not read at all: no sample, no skip.
+    ASSERT_EQ(samples.size(), 3u);
+    EXPECT_EQ(stats.samples, 3);
     EXPECT_EQ(stats.skipped, 2);
     EXPECT_EQ(samples[0].op, OpClass::kMatMulCpu);
     // ms recovered from GFLOP/s: 2*m*k*n / (gflops * 1e6).
     EXPECT_NEAR(samples[0].measured_ms, 2.0 * 8 * 512 * 512 / 40.0e6, 1e-9);
     EXPECT_EQ(samples[1].op, OpClass::kMatMulNpu);
     EXPECT_EQ(samples[2].op, OpClass::kAttention);
-    EXPECT_EQ(samples[3].op, OpClass::kDecodeStepCpu);
-    EXPECT_NEAR(samples[3].measured_ms, 18.49 * 8, 1e-9);
-    EXPECT_EQ(samples[4].op, OpClass::kDecodeStepNpu);
 
     std::vector<OpSample> bad;
     EXPECT_FALSE(predict::SamplesFromBenchResults("{]", &bad, &error));
@@ -302,43 +334,6 @@ TEST(PolicyTest, PredictedSloAdmitsGatesOnPredictedFinish)
     query.deadline_ms = 1e300;
     query.queued_prefill_ms = 1e6;
     EXPECT_TRUE(PredictedSloAdmits(query));
-}
-
-TEST(PolicyTest, FittedOracleDrivesSamePlacementAsCalibrated)
-{
-    // Fit the decode-step classes from the calibrated oracle's own grid,
-    // then check the learned model reproduces the crossover the dynamic
-    // policy decides with — the offline/online halves agree.
-    const SocSpec soc = SocSpec::RedmiK70Pro();
-    const ModelConfig qwen = Qwen15_1_8B();
-    LlmNpuEngine engine;
-    ServingCostModel costs(engine, qwen, soc);
-    std::vector<OpSample> samples;
-    for (int batch : {1, 2, 4, 8, 16, 32}) {
-        for (int64_t ctx : {128, 256, 512, 1024}) {
-            OpSample cpu;
-            cpu.op = OpClass::kDecodeStepCpu;
-            cpu.features = predict::StepFeatures(batch, ctx);
-            cpu.measured_ms =
-                costs.StepMs(DecodePlacement::kCpuFloat, ctx, batch);
-            samples.push_back(cpu);
-            OpSample npu;
-            npu.op = OpClass::kDecodeStepNpu;
-            npu.features = predict::StepFeatures(batch, ctx);
-            npu.measured_ms =
-                costs.StepMs(DecodePlacement::kNpuQuant, ctx, batch);
-            samples.push_back(npu);
-        }
-    }
-    LatencyModel model;
-    model.Fit(samples);
-    const predict::PredictedStepCosts fitted(model);
-    for (int64_t ctx : {256, 512}) {
-        EXPECT_LT(fitted.StepTokenMs(DecodePlacement::kCpuFloat, ctx, 1),
-                  fitted.StepTokenMs(DecodePlacement::kNpuQuant, ctx, 1));
-        EXPECT_GT(fitted.StepTokenMs(DecodePlacement::kCpuFloat, ctx, 32),
-                  fitted.StepTokenMs(DecodePlacement::kNpuQuant, ctx, 32));
-    }
 }
 
 // ------------------------------------------------- simulator + replay
