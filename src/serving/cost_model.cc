@@ -28,8 +28,7 @@ ServingCostModel::StepMs(DecodePlacement placement, int64_t ctx,
                          int batch) const
 {
     const int64_t bucket = ((std::max<int64_t>(1, ctx) + 63) / 64) * 64;
-    const std::tuple<int, int64_t, int> key{static_cast<int>(placement),
-                                            bucket, batch};
+    const StepKey key{static_cast<int>(placement), bucket, batch};
     auto it = step_cache_.find(key);
     if (it == step_cache_.end()) {
         it = step_cache_

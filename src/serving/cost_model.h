@@ -14,8 +14,10 @@
 #define LLMNPU_SERVING_COST_MODEL_H
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "src/engines/engine.h"
@@ -64,8 +66,21 @@ class ServingCostModel
     InferenceEngine& engine_;
     ModelConfig config_;
     SocSpec soc_;
+    using StepKey = std::tuple<int, int64_t, int>;  ///< placement, bucket, batch
+    struct StepKeyHash {
+        size_t operator()(const StepKey& key) const
+        {
+            return std::hash<uint64_t>()(
+                (static_cast<uint64_t>(std::get<1>(key)) << 20) ^
+                (static_cast<uint64_t>(std::get<2>(key)) << 1) ^
+                static_cast<uint64_t>(std::get<0>(key)));
+        }
+    };
+
     std::map<std::pair<int, int>, ServingCostProfile> cache_;
-    mutable std::map<std::tuple<int, int64_t, int>, double> step_cache_;
+    // Hashed, not ordered: the simulator asks for a step price about once
+    // per executed quantum.
+    mutable std::unordered_map<StepKey, double, StepKeyHash> step_cache_;
 };
 
 }  // namespace llmnpu

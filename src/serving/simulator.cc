@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -38,8 +39,10 @@ struct PendingPrefill {
     }
 };
 
-/** Per-request decode fault-defense state, indexed by request id. */
+/** Per-request run state, indexed by request id. */
 struct RequestState {
+    /** The request's cost profile, resolved once at admission. */
+    const ServingCostProfile* profile = nullptr;
     int decode_attempt = 0;        ///< retries of the *current* token
     int consec_faults = 0;         ///< consecutive NPU faults (breaker)
     double decode_ready_ms = 0.0;  ///< decode backoff gate
@@ -189,9 +192,10 @@ class ServingRun
     void StartChunkIfIdle()
     {
         if (npu_busy_ || prefill_queue_.empty()) return;
-        std::vector<QueueEntry> entries;
-        std::vector<size_t> eligible;  // entries[i] <- prefill_queue_ index
-        entries.reserve(prefill_queue_.size());
+        std::vector<QueueEntry>& entries = chunk_entries_;
+        std::vector<size_t>& eligible = chunk_eligible_;
+        entries.clear();
+        eligible.clear();
         for (size_t qi = 0; qi < prefill_queue_.size(); ++qi) {
             const PendingPrefill& pending = prefill_queue_[qi];
             const RequestRecord& record = Record(pending.id);
@@ -302,8 +306,7 @@ class ServingRun
             const int id = decode_pool_[pi];
             RequestRecord& record = Record(id);
             RequestState& state = State(id);
-            const ServingCostProfile& profile =
-                costs_.Costs(record.request.ServedInference());
+            const ServingCostProfile& profile = *state.profile;
             const int64_t context_len =
                 static_cast<int64_t>(record.request.prompt_len) +
                 record.tokens_out;
@@ -332,10 +335,11 @@ class ServingRun
                     // backoff, or — retry budget gone — is shed.
                     ++npu_attempts_;  // tried and lost
                     CountFault(id);
-                    FaultEvent("fault.decode", id, now_, now_,
-                               StrFormat("\"token\": %d, \"attempt\": %d",
+                    FaultEvent("fault.decode", id, now_, now_, [&] {
+                        return StrFormat("\"token\": %d, \"attempt\": %d",
                                          record.tokens_out,
-                                         state.decode_attempt));
+                                         state.decode_attempt);
+                    });
                     ++state.decode_attempt;
                     MaybeFailover(id);
                     if (record.failed_over) {
@@ -392,6 +396,20 @@ class ServingRun
         step_remaining_work_ = step_ms;
         step_last_update_ = now_;
         step_start_ = now_;
+    }
+
+    /** Why Run() gave up on this run after `events` events. */
+    std::string Runaway(int64_t events) const
+    {
+        return StrFormat(
+            "serving run did not end: %lld events for %d requests "
+            "(cap %lld per request), now %.3f ms, %zu queued for prefill, "
+            "%zu in the decode pool, %lld of %lld KV pages used",
+            static_cast<long long>(events), options_.num_requests,
+            static_cast<long long>(kMaxEventsPerRequest), now_,
+            prefill_queue_.size(), decode_pool_.size(),
+            static_cast<long long>(ledger_.used()),
+            static_cast<long long>(ledger_.live_budget()));
     }
 
     ServingResult Finish()
@@ -504,9 +522,11 @@ class ServingRun
             FaultEvent(npu_fate_ == FaultPlane::ChunkFate::kFail
                            ? "fault.chunk_fail"
                            : "fault.chunk_stall",
-                       npu_job_.id, npu_start_, npu_end_,
-                       StrFormat("\"chunk\": %d, \"attempt\": %d",
-                                 npu_job_.next_chunk, npu_job_.attempt));
+                       npu_job_.id, npu_start_, npu_end_, [this] {
+                           return StrFormat("\"chunk\": %d, \"attempt\": %d",
+                                            npu_job_.next_chunk,
+                                            npu_job_.attempt);
+                       });
             npu_fate_ = FaultPlane::ChunkFate::kOk;
             MaybeFailover(npu_job_.id);
             ++npu_job_.attempt;
@@ -519,20 +539,22 @@ class ServingRun
             CountRetry(npu_job_.id);
             npu_job_.ready_ms =
                 now_ + fault_plane_.BackoffMs(npu_job_.attempt);
-            FaultEvent("fault.retry", npu_job_.id, now_, now_,
-                       StrFormat("\"attempt\": %d, \"not_before\": %.3f",
-                                 npu_job_.attempt, npu_job_.ready_ms));
+            FaultEvent("fault.retry", npu_job_.id, now_, now_, [this] {
+                return StrFormat("\"attempt\": %d, \"not_before\": %.3f",
+                                 npu_job_.attempt, npu_job_.ready_ms);
+            });
             prefill_queue_.push_back(npu_job_);
             return;
         }
-        const std::string label =
-            StrFormat("req%d.chunk%d", npu_job_.id, npu_job_.next_chunk);
-        result_.trace_tasks.push_back({label, Unit::kNpu,
-                                       npu_end_ - npu_start_, {},
-                                       npu_job_.next_chunk, -1});
+        result_.trace_tasks.push_back(
+            {StrFormat("req%d.chunk%d", npu_job_.id, npu_job_.next_chunk),
+             Unit::kNpu, npu_end_ - npu_start_, {}, npu_job_.next_chunk, -1});
         result_.trace.records.push_back({npu_start_, npu_end_});
-        Trace(obs::SimLane::kNpu, label, npu_job_.id, npu_start_, npu_end_,
-              StrFormat("\"chunk\": %d", npu_job_.next_chunk));
+        if (obs::TraceEnabled()) {
+            Trace(obs::SimLane::kNpu, result_.trace_tasks.back().label,
+                  npu_job_.id, npu_start_, npu_end_,
+                  StrFormat("\"chunk\": %d", npu_job_.next_chunk));
+        }
         result_.replay_steps.push_back(
             {/*is_prefill=*/true, {npu_job_.id}, npu_job_.next_chunk,
              static_cast<int>(npu_job_.profile->chunk_ms.size()), {}});
@@ -562,11 +584,13 @@ class ServingRun
                        step_members_.size()),
              Unit::kCpu, elapsed, {}, -1, -1});
         result_.trace.records.push_back({step_start_, now_});
-        Trace(obs::SimLane::kDecode,
-              StrFormat("decode.step%d", step_counter_), -1, step_start_,
-              now_,
-              StrFormat("\"batch\": %d",
-                        static_cast<int>(step_members_.size())));
+        if (obs::TraceEnabled()) {
+            Trace(obs::SimLane::kDecode,
+                  StrFormat("decode.step%d", step_counter_), -1, step_start_,
+                  now_,
+                  StrFormat("\"batch\": %d",
+                            static_cast<int>(step_members_.size())));
+        }
         ReplayStep replay;
         replay.request_ids = step_members_;
         if (inject_on_ || predictor_ != nullptr) {
@@ -650,8 +674,7 @@ class ServingRun
     {
         PendingPrefill pending;
         pending.id = id;
-        pending.profile =
-            &costs_.Costs(Record(id).request.ServedInference());
+        pending.profile = State(id).profile;
         return pending;
     }
 
@@ -724,18 +747,20 @@ class ServingRun
             return;
         }
         if (record.request.shared_prefix_len > 0) ++result_.shared_requests;
+        State(record.request.id).profile =
+            &costs_.Costs(record.request.ServedInference());
         prefill_queue_.push_back(FreshPrefill(record.request.id));
         Instant("sim.arrive", record.request.id);
     }
 
     /** One trace event on `lane`: a span over [t0, t1] when t1 > t0,
-     *  else an instant. Recorded only while tracing is on. */
-    void Trace(obs::SimLane lane, const std::string& name, int req,
-               double t0, double t1, std::string args = {}) const
+     *  else an instant. Callers build `name` and `args` only while
+     *  obs::TraceEnabled(), so an untraced run formats no strings. */
+    static void Trace(obs::SimLane lane, std::string name, int req,
+                      double t0, double t1, std::string args = {})
     {
-        if (!obs::TraceEnabled()) return;
         obs::SimEvent event;
-        event.name = name;
+        event.name = std::move(name);
         event.lane = lane;
         event.phase = t1 > t0 ? obs::TracePhase::kSpan
                               : obs::TracePhase::kInstant;
@@ -747,14 +772,18 @@ class ServingRun
     }
     void Instant(const char* name, int req) const
     {
+        if (!obs::TraceEnabled()) return;
         Trace(obs::SimLane::kEvents, name, req, now_, now_);
     }
     /** Fault-plane events render on their own Perfetto lane so degraded
-     *  runs read as "what went wrong / what the defense did". */
+     *  runs read as "what went wrong / what the defense did". `args()`
+     *  returns the event's JSON args and runs only while tracing. */
+    template <typename Args>
     void FaultEvent(const char* name, int req, double t0, double t1,
-                    std::string args) const
+                    Args args) const
     {
-        Trace(obs::SimLane::kFaults, name, req, t0, t1, std::move(args));
+        if (!obs::TraceEnabled()) return;
+        Trace(obs::SimLane::kFaults, name, req, t0, t1, args());
     }
 
     /** A closed-loop client whose request just ended (completed, shed or
@@ -792,7 +821,7 @@ class ServingRun
         record.failover_ms = now_;
         ++result_.failovers;
         FaultEvent("fault.failover", id, now_, now_,
-                   "\"to\": \"cpu_float\"");
+                   [] { return std::string("\"to\": \"cpu_float\""); });
     }
 
     // Terminal degraded-mode outcome for an admitted request: its pages go
@@ -805,8 +834,9 @@ class ServingRun
         record.shed = true;
         record.shed_ms = now_;
         ++result_.shed;
-        FaultEvent("fault.shed", id, now_, now_,
-                   StrFormat("\"reason\": \"%s\"", reason));
+        FaultEvent("fault.shed", id, now_, now_, [reason] {
+            return StrFormat("\"reason\": \"%s\"", reason);
+        });
         ClientReturns();
     }
 
@@ -931,9 +961,10 @@ class ServingRun
                    static_cast<double>(options_.kv_pool_pages) *
                    fopts_.pool_shrink_to)));
         const int64_t budget = ledger_.live_budget();
-        FaultEvent("fault.pool_shrink", -1, now_, now_,
-                   StrFormat("\"live_pages\": %lld",
-                             static_cast<long long>(budget)));
+        FaultEvent("fault.pool_shrink", -1, now_, now_, [budget] {
+            return StrFormat("\"live_pages\": %lld",
+                             static_cast<long long>(budget));
+        });
         ShedQueuedIf(
             [this, budget](const PendingPrefill& pending) {
                 return WholeDemand(pending.id) > budget;
@@ -990,6 +1021,10 @@ class ServingRun
     // Machine state.
     double now_ = 0.0;
     std::vector<PendingPrefill> prefill_queue_;
+    // StartChunkIfIdle's eligible queue entries and their prefill_queue_
+    // indices, kept across calls to reuse their storage.
+    std::vector<QueueEntry> chunk_entries_;
+    std::vector<size_t> chunk_eligible_;
     bool npu_busy_ = false;
     double npu_end_ = 0.0;
     PendingPrefill npu_job_;
@@ -1082,7 +1117,10 @@ ServingResult
 ServingSimulator::Run()
 {
     ServingRun run(costs_, mix_, options_);
+    const int64_t event_cap = kMaxEventsPerRequest * options_.num_requests;
+    int64_t events = 0;
     while (run.HandleNextEvent()) {
+        LLMNPU_FATAL_IF(++events > event_cap, run.Runaway(events));
         run.Sweep();
         run.StartChunkIfIdle();
         run.StartStepIfIdle();

@@ -225,6 +225,16 @@ struct ServingResult {
     ServingReport Report() const;
 };
 
+/**
+ * Events a run may handle per request before Run() declares it a runaway
+ * (a livelock, such as a request evicting itself forever) and exits with
+ * a fatal error. The most any test, bench or benchmark sweep reaches is
+ * about 164 events per request; each decoded token costs at least one
+ * event, so a request of more than a few thousand output tokens would
+ * also trip the cap (the paper's datasets end at 57).
+ */
+constexpr int64_t kMaxEventsPerRequest = 4096;
+
 /** The serving simulator. Reusable across Run() calls; share one
  *  ServingCostModel across policy/load sweeps to amortize decomposition. */
 class ServingSimulator
@@ -234,7 +244,9 @@ class ServingSimulator
                      std::vector<DatasetProfile> mix,
                      ServingOptions options);
 
-    /** Runs the full simulation until every admitted request completes. */
+    /** Runs the full simulation until every admitted request completes;
+     *  past kMaxEventsPerRequest x num_requests events it exits with a
+     *  fatal error naming the run's state. */
     ServingResult Run();
 
     const ServingOptions& options() const { return options_; }

@@ -12,13 +12,38 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "src/tensor/dtype.h"
 #include "src/util/check.h"
 
 namespace llmnpu {
+
+/** std::allocator whose value-less construct() default-initializes, so a
+ *  vector's resize() leaves new elements uninitialized (no zero fill). */
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+        using other = DefaultInitAllocator<U>;
+    };
+    using std::allocator<T>::allocator;
+
+    template <typename U>
+    void construct(U* p)
+    {
+        ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args)
+    {
+        ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+};
 
 /**
  * A dense, row-major, owning tensor.
@@ -32,7 +57,8 @@ class Tensor
     /** Empty tensor (rank 0, no elements). */
     Tensor() : dtype_(DType::kF32) {}
 
-    /** Uninitialized tensor of the given shape. */
+    /** Uninitialized tensor of the given shape: its storage is not
+     *  zero-filled, so the caller writes every element. */
     Tensor(std::vector<int64_t> shape, DType dtype)
         : shape_(std::move(shape)), dtype_(dtype)
     {
@@ -238,7 +264,7 @@ class Tensor
 
     std::vector<int64_t> shape_;
     DType dtype_;
-    std::vector<uint8_t> data_;
+    std::vector<uint8_t, DefaultInitAllocator<uint8_t>> data_;
 };
 
 /** Max absolute difference between two equally-shaped f32 tensors. */

@@ -11,10 +11,13 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "src/core/llmnpu_engine.h"
 #include "src/engines/baselines.h"
+#include "src/obs/trace.h"
+#include "src/obs/trace_reader.h"
 #include "src/serving/simulator.h"
 #include "tests/support/schedule_hash.h"
 #include "tests/support/timeline_asserts.h"
@@ -633,6 +636,138 @@ TEST_F(ServingFixture, GoldenScheduleHashesAreUnchanged)
         EXPECT_EQ(ScheduleHash(result), golden.hash)
             << std::hex << "0x" << ScheduleHash(result);
     }
+}
+
+// ------------------------------------------- tracing changes no decision
+
+TEST_F(ServingFixture, TracingOnAndOffGiveTheSameRun)
+{
+    // Every fault-plane and control-plane mechanism at once: chunk and
+    // decode faults with the breaker, a pool shrink under a shared
+    // prefix, the placement predictor with predicted-SLO admission, and
+    // thermal throttling, over a decode-heavy mix whose decode pool runs
+    // deep enough for the predictor to place NPU steps. The simulator
+    // formats trace names and args only while tracing; the run itself
+    // must not depend on it.
+    const std::vector<DatasetProfile> mix{
+        {"decode-heavy", "tracing", 48, 96, 160, 256}};
+    LlmNpuEngine engine;
+    ServingCostModel costs(engine, qwen_, soc_);
+    ServingOptions options = GoldenBase();
+    options.num_requests = 48;
+    options.rate_rps = 20.0;
+    options.max_decode_batch = 32;
+    options.kv_pool_pages = 1024;
+    options.faults.pool_shrink_at_ms = 2000.0;
+    options.faults.pool_shrink_to = 0.5;
+    options.shared_prefix.prefix_len = 32;
+    options.shared_prefix.share_fraction = 0.5;
+    options.placement_policy = std::make_shared<PredictedPlacement>(costs);
+    options.predicted_slo_admission = true;
+    ChunkAndDecodeFaults(options);
+    options.faults.thermal.enabled = true;
+    options.faults.thermal.throttle_start_c = 30.0;
+    options.faults.thermal.throttle_full_c = 50.0;
+
+    obs::Tracer& tracer = obs::Tracer::Global();
+    tracer.Disable();
+    const ServingResult untraced = ServingSimulator(costs, mix, options).Run();
+    tracer.Enable();
+    tracer.Reset();
+    const ServingResult traced = ServingSimulator(costs, mix, options).Run();
+    const std::string json = tracer.ChromeTraceJson();
+    tracer.Disable();
+    tracer.Reset();
+
+    EXPECT_GT(untraced.faults, 0);
+    EXPECT_GT(untraced.retries, 0);
+    EXPECT_GT(untraced.failovers, 0);
+    EXPECT_GT(untraced.rejected, 0);
+    EXPECT_GT(untraced.shared_requests, 0);
+    EXPECT_LT(untraced.kv_pool_pages_live, untraced.kv_pool_pages);
+    EXPECT_GT(untraced.npu_throttled_frac, 0.0);
+    EXPECT_TRUE(RanDecodeOn(untraced, DecodePlacement::kNpuQuant));
+
+    // Records, replay steps, trace records and every counter.
+    EXPECT_EQ(ScheduleHash(traced), ScheduleHash(untraced));
+    ASSERT_EQ(traced.trace_tasks.size(), untraced.trace_tasks.size());
+    for (size_t i = 0; i < traced.trace_tasks.size(); ++i) {
+        const SimTask& a = traced.trace_tasks[i];
+        const SimTask& b = untraced.trace_tasks[i];
+        EXPECT_EQ(a.label, b.label) << "task " << i;
+        EXPECT_EQ(a.unit, b.unit) << "task " << i;
+        EXPECT_EQ(a.duration_ms, b.duration_ms) << "task " << i;
+        EXPECT_EQ(a.deps, b.deps) << "task " << i;
+        EXPECT_EQ(a.chunk, b.chunk) << "task " << i;
+        EXPECT_EQ(a.stage, b.stage) << "task " << i;
+    }
+
+    // The traced run still records its events, with their args.
+    obs::ReadTrace trace;
+    std::string error;
+    ASSERT_TRUE(obs::ReadChromeTrace(json, &trace, &error)) << error;
+    size_t chunk_spans = 0, step_spans = 0;
+    int decode_faults = 0, chunk_faults = 0, retries = 0, failovers = 0;
+    int shrinks = 0;
+    for (const obs::ReadEvent& e : trace.events) {
+        const auto has = [&e](const char* arg) {
+            return e.args.count(arg) == 1;
+        };
+        if (e.name.rfind("decode.step", 0) == 0) {
+            ++step_spans;
+            EXPECT_TRUE(has("batch")) << e.name;
+        } else if (e.name.rfind("req", 0) == 0) {
+            ++chunk_spans;
+            EXPECT_TRUE(has("req") && has("chunk")) << e.name;
+        } else if (e.name == "fault.decode") {
+            ++decode_faults;
+            EXPECT_TRUE(has("token") && has("attempt"));
+        } else if (e.name == "fault.chunk_fail" ||
+                   e.name == "fault.chunk_stall") {
+            ++chunk_faults;
+            EXPECT_TRUE(has("chunk") && has("attempt")) << e.name;
+        } else if (e.name == "fault.retry") {
+            ++retries;
+            EXPECT_TRUE(has("attempt") && has("not_before"));
+        } else if (e.name == "fault.failover") {
+            ++failovers;
+            EXPECT_EQ(e.args.at("to").str, "cpu_float");
+        } else if (e.name == "fault.pool_shrink") {
+            ++shrinks;
+            EXPECT_EQ(e.args.at("live_pages").number,
+                      static_cast<double>(untraced.kv_pool_pages_live));
+        } else if (e.name == "fault.shed") {
+            EXPECT_TRUE(has("reason"));
+        }
+    }
+    size_t prefill_steps = 0;
+    for (const ReplayStep& step : untraced.replay_steps) {
+        prefill_steps += step.is_prefill ? 1 : 0;
+    }
+    EXPECT_EQ(chunk_spans, prefill_steps);
+    EXPECT_EQ(step_spans, untraced.replay_steps.size() - prefill_steps);
+    EXPECT_EQ(decode_faults + chunk_faults, untraced.faults);
+    EXPECT_GT(decode_faults, 0);
+    EXPECT_GT(chunk_faults, 0);
+    EXPECT_GT(retries, 0);
+    EXPECT_EQ(failovers, untraced.failovers);
+    EXPECT_EQ(shrinks, 1);
+}
+
+TEST_F(ServingFixture, RunPastItsEventCapFailsLoudly)
+{
+    // One request decoding more tokens than kMaxEventsPerRequest takes
+    // one event per token, so the run passes its cap, as a livelocked
+    // run would, and exits naming its state instead of running on.
+    const std::vector<DatasetProfile> long_output{
+        {"long-output", "event cap", 64, 64, 5000, 5000}};
+    LlmNpuEngine engine;
+    ServingCostModel costs(engine, qwen_, soc_);
+    ServingOptions options;
+    options.num_requests = 1;
+    EXPECT_EXIT(ServingSimulator(costs, long_output, options).Run(),
+                ::testing::ExitedWithCode(1),
+                "serving run did not end: 4097 events for 1 requests");
 }
 
 // ------------------------------------------------ one decode-step price
